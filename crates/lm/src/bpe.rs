@@ -7,7 +7,9 @@
 //! identifiers decompose into a few characters — allowing an unbounded
 //! identifier space over a finite vocabulary.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+
+use crate::fxhash::FxHashMap;
 
 /// Marker prefixed to space-separated word starts (the `Ġ` of GPT-2's BPE).
 const SPACE_MARK: char = '\u{2581}'; // ▁
@@ -16,73 +18,46 @@ const SPACE_MARK: char = '\u{2581}'; // ▁
 #[derive(Debug, Clone)]
 pub struct Bpe {
     /// Learned merges in priority order: `(left, right) -> merged`.
-    merges: Vec<(String, String)>,
-    token_to_id: HashMap<String, u32>,
-    id_to_token: Vec<String>,
+    pub(crate) merges: Vec<(String, String)>,
+    pub(crate) token_to_id: HashMap<String, u32>,
+    pub(crate) id_to_token: Vec<String>,
 }
 
 impl Bpe {
     /// Trains on `corpus` with at most `n_merges` merge operations.
+    ///
+    /// Each step merges the adjacent symbol pair with the highest
+    /// frequency-weighted count, ties going to the lexicographically
+    /// smallest `(left, right)` strings, and rewrites every occurrence left
+    /// to right without overlap. Training stops early once no pair occurs
+    /// twice. The work per step is proportional to the words the merged
+    /// pair occurs in, not to the corpus (see [`MergeState`]).
     pub fn train(corpus: &[String], n_merges: usize) -> Self {
         // Word frequency table over pre-tokens.
-        let mut word_freq: HashMap<Vec<String>, u64> = HashMap::new();
+        let mut word_freq: HashMap<String, u64> = HashMap::new();
         for text in corpus {
             for word in pre_tokenize(text) {
-                let symbols: Vec<String> = word.chars().map(|c| c.to_string()).collect();
-                *word_freq.entry(symbols).or_insert(0) += 1;
+                *word_freq.entry(word).or_insert(0) += 1;
             }
         }
-
+        let mut state = MergeState::new(word_freq);
         let mut merges = Vec::with_capacity(n_merges);
         for _ in 0..n_merges {
-            // Count adjacent pairs, weighted by word frequency.
-            let mut pair_freq: HashMap<(String, String), u64> = HashMap::new();
-            for (symbols, freq) in &word_freq {
-                for w in symbols.windows(2) {
-                    *pair_freq.entry((w[0].clone(), w[1].clone())).or_insert(0) += freq;
-                }
+            match state.best_pair() {
+                Some((pair, count)) if count >= 2 => merges.push(state.merge(pair)),
+                _ => break,
             }
-            // Deterministic best pair: max count, ties broken lexicographically.
-            let Some((best, count)) =
-                pair_freq.into_iter().max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-            else {
-                break;
-            };
-            if count < 2 {
-                break;
-            }
-            let merged = format!("{}{}", best.0, best.1);
-            // Apply the merge to every word.
-            let mut new_freq: HashMap<Vec<String>, u64> = HashMap::with_capacity(word_freq.len());
-            for (symbols, freq) in word_freq {
-                let mut out = Vec::with_capacity(symbols.len());
-                let mut i = 0;
-                while i < symbols.len() {
-                    if i + 1 < symbols.len() && symbols[i] == best.0 && symbols[i + 1] == best.1 {
-                        out.push(merged.clone());
-                        i += 2;
-                    } else {
-                        out.push(symbols[i].clone());
-                        i += 1;
-                    }
-                }
-                *new_freq.entry(out).or_insert(0) += freq;
-            }
-            word_freq = new_freq;
-            merges.push(best);
         }
 
         // Vocabulary: all residual symbols plus all single characters.
         // Collected into an ordered set first so token ids are deterministic
         // (HashMap iteration order would leak into generation otherwise).
-        let mut all: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for symbols in word_freq.keys() {
-            for s in symbols {
-                for c in s.chars() {
-                    all.insert(c.to_string());
-                }
-                all.insert(s.clone());
+        let mut all: BTreeSet<String> = BTreeSet::new();
+        for s in state.residual_symbols() {
+            for c in s.chars() {
+                all.insert(c.to_string());
             }
+            all.insert(s.to_string());
         }
         for (l, r) in &merges {
             all.insert(format!("{l}{r}"));
@@ -155,10 +130,150 @@ impl Bpe {
     }
 }
 
+/// A symbol pair, as interned ids.
+type Pair = (u32, u32);
+
+/// The merge loop's incremental state.
+///
+/// Symbols are interned as `u32` ids; a merged string equal to an existing
+/// symbol is that symbol. `pair_counts` holds the frequency-weighted count
+/// of every adjacent pair (overlapping windows included, so `aaaa` counts
+/// `(a, a)` three times), and `pair_words` indexes the words each pair
+/// occurs in. A merge rewrites only the indexed words and applies their
+/// count deltas.
+struct MergeState {
+    /// Symbol text by id.
+    symbols: Vec<String>,
+    ids: HashMap<String, u32>,
+    /// Each distinct pre-token as a symbol sequence, with its frequency.
+    words: Vec<(Vec<u32>, u64)>,
+    /// Count of every pair occurring somewhere (no zero entries).
+    pair_counts: FxHashMap<Pair, u64>,
+    /// Words that may contain each pair: a superset, since a rewritten word
+    /// stays listed under pairs it lost. Every word containing the pair is
+    /// listed (possibly more than once).
+    pair_words: FxHashMap<Pair, Vec<u32>>,
+}
+
+impl MergeState {
+    fn new(word_freq: HashMap<String, u64>) -> Self {
+        let mut state = MergeState {
+            symbols: Vec::new(),
+            ids: HashMap::new(),
+            words: Vec::with_capacity(word_freq.len()),
+            pair_counts: FxHashMap::default(),
+            pair_words: FxHashMap::default(),
+        };
+        let mut buf = [0u8; 4];
+        for (word, freq) in word_freq {
+            let symbols: Vec<u32> =
+                word.chars().map(|c| state.intern(c.encode_utf8(&mut buf))).collect();
+            let w = state.words.len() as u32;
+            for s in symbols.windows(2) {
+                *state.pair_counts.entry((s[0], s[1])).or_insert(0) += freq;
+                state.pair_words.entry((s[0], s[1])).or_default().push(w);
+            }
+            state.words.push((symbols, freq));
+        }
+        state
+    }
+
+    fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&id) = self.ids.get(text) {
+            return id;
+        }
+        let id = self.symbols.len() as u32;
+        self.symbols.push(text.to_string());
+        self.ids.insert(text.to_string(), id);
+        id
+    }
+
+    fn text(&self, (l, r): Pair) -> (&str, &str) {
+        (&self.symbols[l as usize], &self.symbols[r as usize])
+    }
+
+    /// The most frequent pair and its count; ties go to the smallest
+    /// `(left, right)` strings.
+    fn best_pair(&self) -> Option<(Pair, u64)> {
+        let mut best: Option<(Pair, u64)> = None;
+        for (&pair, &count) in &self.pair_counts {
+            let wins = match best {
+                None => true,
+                Some((b, c)) => count > c || (count == c && self.text(pair) < self.text(b)),
+            };
+            if wins {
+                best = Some((pair, count));
+            }
+        }
+        best
+    }
+
+    /// Merges `pair` in every word containing it and returns the merge as
+    /// strings.
+    fn merge(&mut self, pair: Pair) -> (String, String) {
+        let (left, right) = self.text(pair);
+        let (left, right) = (left.to_string(), right.to_string());
+        let merged = self.intern(&format!("{left}{right}"));
+        // After the rewrite no word contains `pair`. A rewrite only creates
+        // pairs with its merged symbol, so if a later merge produces `left`
+        // or `right` again, it indexes the words the pair reappears in.
+        let mut touched = self.pair_words.remove(&pair).unwrap_or_default();
+        touched.sort_unstable();
+        touched.dedup();
+        for w in touched {
+            let (symbols, freq) = &mut self.words[w as usize];
+            let freq = *freq;
+            if !symbols.windows(2).any(|s| (s[0], s[1]) == pair) {
+                continue;
+            }
+            for s in symbols.windows(2) {
+                let count = self.pair_counts.get_mut(&(s[0], s[1])).expect("counted pair");
+                *count -= freq;
+                if *count == 0 {
+                    self.pair_counts.remove(&(s[0], s[1]));
+                }
+            }
+            // Left to right, without overlap, in place.
+            let (mut read, mut write) = (0, 0);
+            while read < symbols.len() {
+                if read + 1 < symbols.len() && (symbols[read], symbols[read + 1]) == pair {
+                    symbols[write] = merged;
+                    read += 2;
+                } else {
+                    symbols[write] = symbols[read];
+                    read += 1;
+                }
+                write += 1;
+            }
+            symbols.truncate(write);
+            for s in symbols.windows(2) {
+                *self.pair_counts.entry((s[0], s[1])).or_insert(0) += freq;
+                // Pairs without the merged symbol were adjacent before the
+                // rewrite, so the index already lists this word under them.
+                if s[0] == merged || s[1] == merged {
+                    self.pair_words.entry((s[0], s[1])).or_default().push(w);
+                }
+            }
+        }
+        (left, right)
+    }
+
+    /// The distinct symbols left in the words after the last merge.
+    fn residual_symbols(&self) -> impl Iterator<Item = &str> {
+        let mut used = vec![false; self.symbols.len()];
+        for (symbols, _) in &self.words {
+            for &s in symbols {
+                used[s as usize] = true;
+            }
+        }
+        self.symbols.iter().zip(used).filter(|(_, used)| *used).map(|(s, _)| s.as_str())
+    }
+}
+
 /// Splits source text into pre-tokens: identifier/number runs, single
 /// punctuation characters, and explicit newlines. A leading space folds into
 /// the following token as the `▁` marker.
-fn pre_tokenize(text: &str) -> Vec<String> {
+pub(crate) fn pre_tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut chars = text.chars().peekable();
     let mut pending_space = false;

@@ -32,8 +32,11 @@
 //! ```
 
 mod bpe;
+mod fxhash;
 mod generator;
 mod ngram;
+#[cfg(test)]
+mod reference;
 
 pub use bpe::Bpe;
 pub use generator::{Generator, GeneratorConfig, EOF_MARK};

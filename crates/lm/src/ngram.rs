@@ -6,9 +6,9 @@
 //! DeepSmith/Montage LSTM with a short one (order 2–3), which is precisely
 //! the contrast the paper evaluates in Figure 9.
 
-use std::collections::HashMap;
-
 use rand::Rng;
+
+use crate::fxhash::FxHashMap;
 
 /// Frozen continuation table for one context.
 type Continuations = Vec<(u32, u32)>; // (token, count), sorted by count desc
@@ -16,9 +16,9 @@ type Continuations = Vec<(u32, u32)>; // (token, count), sorted by count desc
 /// A trained back-off n-gram model.
 #[derive(Debug, Clone)]
 pub struct NgramModel {
-    order: usize,
+    pub(crate) order: usize,
     /// `tables[l]` maps a length-`l` context to its continuations.
-    tables: Vec<HashMap<Vec<u32>, Continuations>>,
+    pub(crate) tables: Vec<FxHashMap<Vec<u32>, Continuations>>,
 }
 
 impl NgramModel {
@@ -29,27 +29,32 @@ impl NgramModel {
     /// Panics if `order` is zero.
     pub fn train(sequences: &[Vec<u32>], order: usize) -> Self {
         assert!(order >= 1, "order must be at least 1");
-        let mut counting: Vec<HashMap<Vec<u32>, HashMap<u32, u32>>> =
-            (0..order).map(|_| HashMap::new()).collect();
+        // Count into contexts borrowed from the sequences, each with a short
+        // token-sorted `(token, count)` list: no allocation per position.
+        let mut counting: Vec<FxHashMap<&[u32], Continuations>> =
+            (0..order).map(|_| FxHashMap::default()).collect();
         for seq in sequences {
-            for i in 0..seq.len() {
-                let next = seq[i];
-                for l in 0..order.min(i + 1) {
-                    let ctx = seq[i - l..i].to_vec();
-                    *counting[l].entry(ctx).or_default().entry(next).or_insert(0) += 1;
+            for (i, &next) in seq.iter().enumerate() {
+                for (l, table) in counting.iter_mut().enumerate().take(i + 1) {
+                    let conts = table.entry(&seq[i - l..i]).or_default();
+                    match conts.binary_search_by_key(&next, |&(token, _)| token) {
+                        Ok(k) => conts[k].1 += 1,
+                        Err(k) => conts.insert(k, (next, 1)),
+                    }
                 }
             }
         }
+        // Freeze: each distinct context is copied out once.
         let tables = counting
             .into_iter()
-            .map(|t| {
-                t.into_iter()
-                    .map(|(ctx, conts)| {
-                        let mut v: Continuations = conts.into_iter().collect();
-                        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                        (ctx, v)
-                    })
-                    .collect()
+            .map(|table| {
+                let mut frozen =
+                    FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
+                for (ctx, mut conts) in table {
+                    conts.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                    frozen.insert(ctx.to_vec(), conts);
+                }
+                frozen
             })
             .collect();
         NgramModel { order, tables }
@@ -96,7 +101,7 @@ impl NgramModel {
 
     /// Number of distinct contexts stored (all orders).
     pub fn context_count(&self) -> usize {
-        self.tables.iter().map(HashMap::len).sum()
+        self.tables.iter().map(|table| table.len()).sum()
     }
 }
 

@@ -28,10 +28,11 @@
 //! [`ServiceMetrics`]; the two ledgers reconcile exactly (see
 //! [`MetricsSnapshot::from_events`](crate::metrics::MetricsSnapshot::from_events)).
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -40,7 +41,7 @@ use comfort_core::checkpoint::{
     config_fingerprint, report_checksum, CampaignCheckpoint, CheckpointJournal, LeaseAction,
     LeaseRecord, RecoveryReport, ResumeInfo,
 };
-use comfort_core::executor::{merge_shard_reports_with_sink, ShardSpec};
+use comfort_core::executor::{merge_shard_reports_with_sink, ShardSpec, ShardedCampaign};
 use comfort_core::resilience::CancelToken;
 use comfort_core::session::CampaignSession;
 use comfort_telemetry::{
@@ -74,6 +75,7 @@ pub struct ServiceConfig {
     pub heartbeat: Duration,
     /// Maximum non-terminal campaigns admitted at once (the bounded
     /// submission queue; beyond it, submissions reject with retry-after).
+    /// Also how many finished campaigns keep their event tail.
     pub max_active: usize,
     /// Maximum non-terminal campaigns per tenant.
     pub tenant_quota: usize,
@@ -130,6 +132,38 @@ impl std::fmt::Display for Rejection {
 }
 
 impl std::error::Error for Rejection {}
+
+/// Why [`Daemon::tail_events`] has no stream to give.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TailError {
+    /// No campaign has this id.
+    NotFound,
+    /// The campaign finished and its event tail was evicted: only the
+    /// `max_active` most recently finished campaigns keep theirs. Its
+    /// status, checksum and final report remain.
+    Expired,
+}
+
+impl TailError {
+    /// Machine-readable reason: `not_found` or `expired`.
+    pub fn reason(self) -> &'static str {
+        match self {
+            TailError::NotFound => "not_found",
+            TailError::Expired => "expired",
+        }
+    }
+}
+
+impl std::fmt::Display for TailError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TailError::NotFound => write!(f, "no such campaign"),
+            TailError::Expired => write!(f, "the campaign's event tail has expired"),
+        }
+    }
+}
+
+impl std::error::Error for TailError {}
 
 /// A campaign's lifecycle under the daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,16 +257,17 @@ impl CampaignStatus {
 }
 
 /// Campaign-plane sink: buffers the event stream for `tail` and tees it
-/// into an optional JSONL file requested by the spec.
+/// into an optional JSONL file requested by the spec. Clones share both.
+#[derive(Clone)]
 struct TeeSink {
     tail: MemorySink,
-    file: Option<JsonlSink>,
+    file: Arc<Mutex<Option<JsonlSink>>>,
 }
 
 impl Sink for TeeSink {
     fn emit(&self, event: &Event) {
         self.tail.emit(event);
-        if let Some(file) = &self.file {
+        if let Some(file) = self.file.lock().expect("telemetry file poisoned").as_ref() {
             file.emit(event);
         }
     }
@@ -275,11 +310,13 @@ struct CampaignEntry {
     tenant: String,
     name: String,
     session: CampaignSession,
+    /// The trained executor (thread isolation only), built on first use.
+    executor: Mutex<Option<Arc<ShardedCampaign>>>,
     plan: Vec<ShardSpec>,
     cancel: CancelToken,
     sink: SinkHandle,
-    tail: MemorySink,
-    journal: Option<CheckpointJournal>,
+    tee: TeeSink,
+    journal: Mutex<Option<Arc<CheckpointJournal>>>,
     buffers: Vec<MemorySink>,
     slots: Vec<Mutex<Option<CampaignReport>>>,
     flush: FlushFrontier,
@@ -301,6 +338,11 @@ struct CampaignEntry {
     /// `Released` record. Finalization waits for zero, so a campaign is
     /// never observable as terminal with an unbalanced lease ledger.
     settling: AtomicU64,
+    /// Set once the finished campaign has released its journal, executor,
+    /// shard slots and telemetry file (see [`DaemonShared::retire`]).
+    retired: AtomicBool,
+    /// Set once the finished campaign's event tail has been evicted.
+    tail_expired: AtomicBool,
 }
 
 /// Marks one lease settlement window on a campaign: arm *before* the
@@ -326,6 +368,28 @@ impl Drop for SettleGuard<'_> {
 impl CampaignEntry {
     fn state(&self) -> CampaignState {
         *self.state.lock().expect("campaign state poisoned")
+    }
+
+    /// The campaign's journal, until it retires.
+    fn journal(&self) -> Option<Arc<CheckpointJournal>> {
+        self.journal.lock().expect("journal slot poisoned").clone()
+    }
+
+    /// The trained executor, training it on first use; `None` once the
+    /// campaign has retired.
+    fn executor(&self) -> Option<Arc<ShardedCampaign>> {
+        // A panic while training leaves the slot empty, so the next caller
+        // simply trains again (as `OnceLock::get_or_init` would).
+        let mut slot = self.executor.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.retired.load(Ordering::SeqCst) {
+            return None;
+        }
+        let executor = slot.get_or_insert_with(|| {
+            let mut executor = ShardedCampaign::new(self.session.config().clone());
+            executor.attach_progress(self.progress.clone());
+            Arc::new(executor)
+        });
+        Some(Arc::clone(executor))
     }
 
     fn schedulable(&self) -> bool {
@@ -401,6 +465,9 @@ struct DaemonShared {
     workers_active: AtomicU64,
     /// Worker children that exited on their own (any code).
     workers_exited: AtomicU64,
+    /// Retired campaigns still holding their event tail, oldest first
+    /// (at most `max_active`).
+    tails_kept: Mutex<VecDeque<Arc<CampaignEntry>>>,
 }
 
 impl DaemonShared {
@@ -415,7 +482,7 @@ impl DaemonShared {
 
     /// Journals and emits one lease transition, bumping its metric.
     fn record_lease(&self, entry: &CampaignEntry, action: LeaseAction, t: &Transition) {
-        if let Some(journal) = &entry.journal {
+        if let Some(journal) = entry.journal() {
             let _ = journal.append_lease(&LeaseRecord {
                 shard: t.shard as u64,
                 worker: t.holder.clone(),
@@ -512,16 +579,16 @@ impl DaemonShared {
             // starts, so a cold first shard is not mistaken for a wedged
             // worker. (Process isolation skips this: children train their
             // own generator, the parent never runs one.)
-            if catch_unwind(AssertUnwindSafe(|| {
-                entry.session.executor();
-            }))
-            .is_err()
-            {
-                self.fail_campaign(
-                    entry,
-                    "panic while training the campaign generator".to_string(),
-                );
-                return;
+            match catch_unwind(AssertUnwindSafe(|| entry.executor())) {
+                Ok(Some(_)) => {}
+                Ok(None) => return, // finished while this worker picked it
+                Err(_) => {
+                    self.fail_campaign(
+                        entry,
+                        "panic while training the campaign generator".to_string(),
+                    );
+                    return;
+                }
             }
         }
         let snap = entry.progress.snapshot();
@@ -558,15 +625,20 @@ impl DaemonShared {
         let spec = entry.plan[claim.shard];
         let attempt = MemorySink::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            entry.session.executor().run_shard(&spec, 1, &attempt)
+            entry.executor().map(|executor| executor.run_shard(&spec, 1, &attempt))
         }));
         match outcome {
+            Ok(None) => {
+                // Retired between the warm-up and the claim: nothing to run.
+                entry.leases.abandon(claim.shard, claim.lease_seq);
+                self.record_lease(entry, LeaseAction::Released, transition);
+            }
             Err(payload) => {
                 entry.leases.abandon(claim.shard, claim.lease_seq);
                 self.record_lease(entry, LeaseAction::Released, transition);
                 self.fail_campaign(entry, panic_text(payload));
             }
-            Ok(report) if report.interrupted => {
+            Ok(Some(report)) if report.interrupted => {
                 // Cancelled or past deadline mid-shard: discard the partial
                 // attempt whole (the library contract) and let finalization
                 // decide the campaign's fate.
@@ -576,7 +648,7 @@ impl DaemonShared {
                 drop(settle);
                 self.maybe_finalize(entry);
             }
-            Ok(report) => {
+            Ok(Some(report)) => {
                 // Stage the result before `complete()` marks the shard Done:
                 // the moment another worker can observe `all_done()`, every
                 // Done slot must already be filled. Writing ahead of the
@@ -595,7 +667,7 @@ impl DaemonShared {
                 for event in attempt.events() {
                     entry.buffers[claim.shard].emit(&event);
                 }
-                if let Some(journal) = &entry.journal {
+                if let Some(journal) = entry.journal() {
                     let record = comfort_core::checkpoint::ShardRecord {
                         index: claim.shard as u64,
                         seed: spec.seed,
@@ -846,7 +918,7 @@ impl DaemonShared {
         transition: &Transition,
         applied: u64,
     ) -> ChildOutcome {
-        let Some(journal) = &entry.journal else {
+        let Some(journal) = entry.journal() else {
             entry.leases.abandon(claim.shard, claim.lease_seq);
             self.record_lease(entry, LeaseAction::Released, transition);
             self.fail_campaign(entry, "process isolation lost its journal".to_string());
@@ -1050,24 +1122,77 @@ impl DaemonShared {
             if state.is_terminal() {
                 return;
             }
+            *entry.failure.lock().expect("failure poisoned") = Some(message);
+            entry.cancel.cancel();
+            let (done, _, _) = entry.leases.counts();
+            self.record_finish(entry, "failed", done as u64);
             *state = CampaignState::Failed;
+            self.retire(entry);
         }
-        *entry.failure.lock().expect("failure poisoned") = Some(message);
-        entry.cancel.cancel();
-        let (done, _, _) = entry.leases.counts();
+        self.wake_workers();
+    }
+
+    /// Emits `CampaignFinished` and counts the outcome. Called under the
+    /// campaign's state lock *before* the state turns terminal, so anyone
+    /// who sees the terminal state (a returning [`Daemon::wait`]) also sees
+    /// the campaign ledger balanced.
+    fn record_finish(&self, entry: &CampaignEntry, outcome: &str, shards_run: u64) {
         self.emit_service(EventKind::CampaignFinished {
             campaign: entry.id.clone(),
-            outcome: "failed".to_string(),
-            shards_run: done as u64,
+            outcome: outcome.to_string(),
+            shards_run,
         });
-        self.metrics.campaigns_failed.fetch_add(1, Ordering::Relaxed);
-        self.wake_workers();
+        let counter = match outcome {
+            "completed" => &self.metrics.campaigns_completed,
+            "failed" => &self.metrics.campaigns_failed,
+            _ => &self.metrics.campaigns_cancelled,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Releases what only a live campaign needs: its journal, trained
+    /// executor, shard slots (their merge is in `final_report`), leftover
+    /// event buffers and telemetry file. Its event tail stays until
+    /// `max_active` more recently finished campaigns have retired.
+    ///
+    /// Called at the terminal transition, under the campaign's state lock,
+    /// so a completed or cancelled campaign has retired by the time anyone
+    /// sees it finished. Does nothing while a lease is held or settling: a
+    /// failed campaign with shards still in flight retires on a later
+    /// heartbeat. Idempotent.
+    fn retire(&self, entry: &Arc<CampaignEntry>) {
+        if entry.leases.counts().1 > 0
+            || entry.settling.load(Ordering::SeqCst) > 0
+            || entry.retired.swap(true, Ordering::SeqCst)
+        {
+            return;
+        }
+        entry.journal.lock().expect("journal slot poisoned").take();
+        // Poisoned by a panic while training, which `executor` tolerates.
+        entry.executor.lock().unwrap_or_else(PoisonError::into_inner).take();
+        for slot in &entry.slots {
+            slot.lock().expect("shard slot poisoned").take();
+        }
+        for buffer in &entry.buffers {
+            buffer.take();
+        }
+        entry.tee.file.lock().expect("telemetry file poisoned").take();
+        let mut kept = self.tails_kept.lock().expect("tail queue poisoned");
+        kept.push_back(Arc::clone(entry));
+        while kept.len() > self.cfg.max_active {
+            if let Some(oldest) = kept.pop_front() {
+                // Flag first: a reader that got the events before the take
+                // sees the flag afterwards and reports `expired`.
+                oldest.tail_expired.store(true, Ordering::SeqCst);
+                oldest.tee.tail.take();
+            }
+        }
     }
 
     /// Completes or cancels a campaign when its leases say so. The merge
     /// runs under the state lock, so exactly one caller finalizes.
     fn maybe_finalize(&self, entry: &Arc<CampaignEntry>) {
-        let finished: Option<(&'static str, u64)> = {
+        let finished = {
             let mut state = entry.state.lock().expect("campaign state poisoned");
             // Ledger barrier: read the lease table *before* the settling
             // count. If this observer sees the state a mid-commit worker
@@ -1077,7 +1202,7 @@ impl DaemonShared {
             // record (and the supervisor heartbeat retries every tick).
             // This keeps "terminal campaign" ⇒ "balanced lease ledger".
             if state.is_terminal() {
-                None
+                false
             } else if entry.leases.all_done() {
                 if entry.settling.load(Ordering::SeqCst) > 0 {
                     return;
@@ -1094,9 +1219,11 @@ impl DaemonShared {
                 let checksum = report_checksum(&merged);
                 *entry.final_report.lock().expect("final report poisoned") =
                     Some((merged, checksum));
-                *state = CampaignState::Completed;
                 let salvaged = entry.resume.as_ref().map(|(_, _, n)| *n).unwrap_or(0);
-                Some(("completed", entry.plan.len() as u64 - salvaged))
+                self.record_finish(entry, "completed", entry.plan.len() as u64 - salvaged);
+                *state = CampaignState::Completed;
+                self.retire(entry);
+                true
             } else if entry.cancel.is_cancelled() && entry.leases.counts().1 == 0 {
                 if entry.settling.load(Ordering::SeqCst) > 0 {
                     return;
@@ -1123,24 +1250,15 @@ impl DaemonShared {
                 let checksum = report_checksum(&merged);
                 *entry.final_report.lock().expect("final report poisoned") =
                     Some((merged, checksum));
+                self.record_finish(entry, reason, completed as u64);
                 *state = CampaignState::Cancelled;
-                Some((reason, completed as u64))
+                self.retire(entry);
+                true
             } else {
-                None
+                false
             }
         };
-        if let Some((outcome, shards_run)) = finished {
-            self.emit_service(EventKind::CampaignFinished {
-                campaign: entry.id.clone(),
-                outcome: outcome.to_string(),
-                shards_run,
-            });
-            let counter = if outcome == "completed" {
-                &self.metrics.campaigns_completed
-            } else {
-                &self.metrics.campaigns_cancelled
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
+        if finished {
             self.wake_workers();
         }
     }
@@ -1167,6 +1285,9 @@ impl DaemonShared {
         let now = Instant::now();
         for entry in campaigns {
             if entry.state().is_terminal() {
+                // A failed campaign's last in-flight shard may have settled
+                // since the failure.
+                self.retire(&entry);
                 continue;
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1265,6 +1386,7 @@ impl Daemon {
             monkey_kills: AtomicU64::new(monkey_kills),
             workers_active: AtomicU64::new(0),
             workers_exited: AtomicU64::new(0),
+            tails_kept: Mutex::new(VecDeque::new()),
         });
         let mut pool = Vec::with_capacity(workers);
         for k in 0..workers {
@@ -1415,12 +1537,18 @@ impl Daemon {
     }
 
     /// The campaign's buffered telemetry from `from` onward, plus whether
-    /// the campaign is terminal (the tail stream can close).
-    pub fn tail_events(&self, id: &str, from: usize) -> Option<(Vec<Event>, bool)> {
-        let entry = self.shared.find(id)?;
-        let events = entry.tail.events();
+    /// the campaign is terminal (the tail stream can close). A finished
+    /// campaign's tail expires once `max_active` more recently finished
+    /// campaigns have kept theirs.
+    pub fn tail_events(&self, id: &str, from: usize) -> Result<(Vec<Event>, bool), TailError> {
+        let entry = self.shared.find(id).ok_or(TailError::NotFound)?;
+        let terminal = entry.state().is_terminal();
+        let events = entry.tee.tail.events();
+        if entry.tail_expired.load(Ordering::SeqCst) {
+            return Err(TailError::Expired);
+        }
         let slice = if from < events.len() { events[from..].to_vec() } else { Vec::new() };
-        Some((slice, entry.state().is_terminal()))
+        Ok((slice, terminal))
     }
 
     /// Blocks until campaign `id` reaches a terminal state (or `timeout`
@@ -1576,7 +1704,6 @@ fn build_entry(
     spec: &CampaignSpec,
     mut config: CampaignConfig,
 ) -> Result<Arc<CampaignEntry>, String> {
-    let tail = MemorySink::new();
     let file = match &spec.telemetry {
         Some(path) => Some(
             JsonlSink::create(path)
@@ -1584,7 +1711,8 @@ fn build_entry(
         ),
         None => None,
     };
-    let sink = SinkHandle::new(TeeSink { tail: tail.clone(), file });
+    let tee = TeeSink { tail: MemorySink::new(), file: Arc::new(Mutex::new(file)) };
+    let sink = SinkHandle::new(tee.clone());
     let cancel = CancelToken::new();
     config.sink = sink.clone();
     config.cancel = cancel.clone();
@@ -1699,7 +1827,7 @@ fn build_entry(
                 }
             }
             let salvaged = checkpoint.shards.len() as u64;
-            journal = CheckpointJournal::open_append(path, &recovery).ok();
+            journal = CheckpointJournal::open_append(path, &recovery).ok().map(Arc::new);
             resume = Some((path.display().to_string(), recovery, salvaged));
         } else {
             journal = CheckpointJournal::create(
@@ -1707,7 +1835,8 @@ fn build_entry(
                 config_fingerprint(session.config()),
                 plan.len() as u64,
             )
-            .ok();
+            .ok()
+            .map(Arc::new);
         }
     }
 
@@ -1717,11 +1846,12 @@ fn build_entry(
         tenant: spec.tenant.clone(),
         name: spec.name.clone().unwrap_or_else(|| id.to_string()),
         session,
+        executor: Mutex::new(None),
         plan,
         cancel,
         sink,
-        tail,
-        journal,
+        tee,
+        journal: Mutex::new(journal),
         buffers,
         slots,
         flush,
@@ -1736,6 +1866,8 @@ fn build_entry(
         spec_path,
         deaths: (0..shards_in_plan).map(|_| AtomicU64::new(0)).collect(),
         settling: AtomicU64::new(0),
+        retired: AtomicBool::new(false),
+        tail_expired: AtomicBool::new(false),
     }))
 }
 

@@ -34,7 +34,9 @@ pub mod wire;
 pub mod worker;
 
 pub use client::Client;
-pub use daemon::{CampaignState, CampaignStatus, Daemon, IsolationMode, Rejection, ServiceConfig};
+pub use daemon::{
+    CampaignState, CampaignStatus, Daemon, IsolationMode, Rejection, ServiceConfig, TailError,
+};
 pub use fleet::{ChildFate, ProcessJail};
 pub use lease::{Claim, LeaseTable, ShardLease, ShardPhase};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};

@@ -177,7 +177,8 @@ fn handle_connection(mut stream: UnixStream, daemon: &Arc<Daemon>, stop: &Arc<At
 
 /// Streams a campaign's buffered telemetry as one frame per event, then a
 /// closing `{"done":true}` frame once the campaign is terminal and fully
-/// streamed.
+/// streamed. An unknown campaign answers `not_found`; a finished one whose
+/// tail was evicted answers `expired`.
 fn tail_stream(
     stream: &mut (impl io::Read + Write),
     daemon: &Arc<Daemon>,
@@ -185,12 +186,13 @@ fn tail_stream(
 ) -> io::Result<()> {
     let mut cursor = 0usize;
     loop {
-        let Some((events, terminal)) = daemon.tail_events(id, cursor) else {
-            write_frame(
-                stream,
-                &error_response(&format!("no campaign '{id}'"), Some("not_found"), None),
-            )?;
-            return Ok(());
+        let (events, terminal) = match daemon.tail_events(id, cursor) {
+            Ok(tail) => tail,
+            Err(e) => {
+                let message = format!("campaign '{id}': {e}");
+                write_frame(stream, &error_response(&message, Some(e.reason()), None))?;
+                return Ok(());
+            }
         };
         let drained = events.is_empty();
         for event in events {

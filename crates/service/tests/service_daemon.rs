@@ -116,6 +116,55 @@ fn two_tenants_complete_bit_identically_and_ledgers_reconcile() {
     assert_eq!(daemon.metrics().drains_started, 1);
 }
 
+/// The campaign-ledger race: a campaign's outcome is counted before its
+/// terminal state becomes visible, so the ledger balances the moment any
+/// `wait` returns. Many short campaigns, one at a time, ending each of the
+/// three ways: completed, failed at the panic boundary, and cancelled.
+#[test]
+fn campaign_ledger_balances_whenever_wait_returns() {
+    let service_events = MemorySink::new();
+    let daemon = Daemon::start(ServiceConfig {
+        workers: 2,
+        sink: SinkHandle::new(service_events.clone()),
+        ..ServiceConfig::default()
+    });
+    for k in 0..60u64 {
+        let mut spec = CampaignSpec {
+            corpus_programs: Some(12),
+            lm: Some(GeneratorConfig { order: 4, bpe_merges: 40, top_k: 8, max_tokens: 200 }),
+            max_cases: Some(4),
+            shard_cases: Some(2),
+            ..small_spec("stress", 500 + k)
+        };
+        if k % 3 == 1 {
+            spec.chaos = Some(ChaosSpec { panic_rate: 1.0, ..ChaosSpec::default() });
+            spec.contain_panics = Some(false);
+        }
+        let id = daemon.submit(&spec).expect("admitted");
+        if k % 3 == 2 {
+            daemon.cancel(&id);
+        }
+        let status = wait_terminal(&daemon, &id);
+        let snap = daemon.metrics();
+        if let Err(e) = snap.campaigns_conserved(daemon.campaigns_active()) {
+            panic!("campaign {k} ({:?}): {e}", status.state);
+        }
+        if status.state == CampaignState::Failed {
+            assert!(status.failure.is_some(), "a failed campaign's status carries its panic");
+        }
+    }
+    let snap = daemon.metrics();
+    assert_eq!(snap.campaigns_admitted, 60);
+    for (outcome, count) in [
+        ("completed", snap.campaigns_completed),
+        ("failed", snap.campaigns_failed),
+        ("cancelled", snap.campaigns_cancelled),
+    ] {
+        assert!(count > 0, "no campaign ended {outcome}");
+    }
+    assert_ledgers_reconcile(&daemon, &service_events);
+}
+
 #[test]
 fn backpressure_quota_queue_full_and_drain_rejections() {
     let service_events = MemorySink::new();
