@@ -9,8 +9,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::fxhash::FxHashMap;
-
 /// Marker prefixed to space-separated word starts (the `Ġ` of GPT-2's BPE).
 const SPACE_MARK: char = '\u{2581}'; // ▁
 
@@ -148,11 +146,11 @@ struct MergeState {
     /// Each distinct pre-token as a symbol sequence, with its frequency.
     words: Vec<(Vec<u32>, u64)>,
     /// Count of every pair occurring somewhere (no zero entries).
-    pair_counts: FxHashMap<Pair, u64>,
+    pair_counts: HashMap<Pair, u64>,
     /// Words that may contain each pair: a superset, since a rewritten word
     /// stays listed under pairs it lost. Every word containing the pair is
     /// listed (possibly more than once).
-    pair_words: FxHashMap<Pair, Vec<u32>>,
+    pair_words: HashMap<Pair, Vec<u32>>,
 }
 
 impl MergeState {
@@ -161,8 +159,8 @@ impl MergeState {
             symbols: Vec::new(),
             ids: HashMap::new(),
             words: Vec::with_capacity(word_freq.len()),
-            pair_counts: FxHashMap::default(),
-            pair_words: FxHashMap::default(),
+            pair_counts: HashMap::new(),
+            pair_words: HashMap::new(),
         };
         let mut buf = [0u8; 4];
         for (word, freq) in word_freq {

@@ -32,7 +32,6 @@
 //! ```
 
 mod bpe;
-mod fxhash;
 mod generator;
 mod ngram;
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! DeepSmith/Montage LSTM with a short one (order 2–3), which is precisely
 //! the contrast the paper evaluates in Figure 9.
 
-use rand::Rng;
+use std::collections::HashMap;
 
-use crate::fxhash::FxHashMap;
+use rand::Rng;
 
 /// Frozen continuation table for one context.
 type Continuations = Vec<(u32, u32)>; // (token, count), sorted by count desc
@@ -18,7 +18,7 @@ type Continuations = Vec<(u32, u32)>; // (token, count), sorted by count desc
 pub struct NgramModel {
     pub(crate) order: usize,
     /// `tables[l]` maps a length-`l` context to its continuations.
-    pub(crate) tables: Vec<FxHashMap<Vec<u32>, Continuations>>,
+    pub(crate) tables: Vec<HashMap<Vec<u32>, Continuations>>,
 }
 
 impl NgramModel {
@@ -31,8 +31,8 @@ impl NgramModel {
         assert!(order >= 1, "order must be at least 1");
         // Count into contexts borrowed from the sequences, each with a short
         // token-sorted `(token, count)` list: no allocation per position.
-        let mut counting: Vec<FxHashMap<&[u32], Continuations>> =
-            (0..order).map(|_| FxHashMap::default()).collect();
+        let mut counting: Vec<HashMap<&[u32], Continuations>> =
+            (0..order).map(|_| HashMap::new()).collect();
         for seq in sequences {
             for (i, &next) in seq.iter().enumerate() {
                 for (l, table) in counting.iter_mut().enumerate().take(i + 1) {
@@ -48,8 +48,7 @@ impl NgramModel {
         let tables = counting
             .into_iter()
             .map(|table| {
-                let mut frozen =
-                    FxHashMap::with_capacity_and_hasher(table.len(), Default::default());
+                let mut frozen = HashMap::with_capacity(table.len());
                 for (ctx, mut conts) in table {
                     conts.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                     frozen.insert(ctx.to_vec(), conts);

@@ -41,9 +41,10 @@ use comfort_core::checkpoint::{
     config_fingerprint, report_checksum, CampaignCheckpoint, CheckpointJournal, LeaseAction,
     LeaseRecord, RecoveryReport, ResumeInfo,
 };
-use comfort_core::executor::{merge_shard_reports_with_sink, ShardSpec, ShardedCampaign};
+use comfort_core::executor::{
+    merge_shard_reports_with_sink, plan_shards, ShardSpec, ShardedCampaign,
+};
 use comfort_core::resilience::CancelToken;
-use comfort_core::session::CampaignSession;
 use comfort_telemetry::{
     Event, EventKind, JsonlSink, MemorySink, ProgressHandle, Recorder, Sink, SinkHandle,
     CONTROL_SHARD, SERVICE_SHARD,
@@ -59,7 +60,8 @@ use crate::worker::WorkerError;
 // and control-plane threads; pin the Send/Sync audit at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<CampaignSession>();
+    assert_send_sync::<CampaignConfig>();
+    assert_send_sync::<ShardedCampaign>();
     assert_send_sync::<LeaseTable>();
     assert_send_sync::<ServiceMetrics>();
 };
@@ -303,15 +305,19 @@ impl FlushFrontier {
     }
 }
 
-/// One supervised campaign: the session, its lease table, and the
+/// One supervised campaign: its configuration, its lease table, and the
 /// executor-shaped merge state.
 struct CampaignEntry {
     id: String,
     tenant: String,
     name: String,
-    session: CampaignSession,
-    /// The trained executor (thread isolation only), built on first use.
+    config: CampaignConfig,
+    /// The trained executor (thread isolation only), built on first use
+    /// and dropped when the campaign retires.
     executor: Mutex<Option<Arc<ShardedCampaign>>>,
+    /// Held while training the executor, so concurrent first users train
+    /// once. The slot lock above is never held that long.
+    training: Mutex<()>,
     plan: Vec<ShardSpec>,
     cancel: CancelToken,
     sink: SinkHandle,
@@ -338,18 +344,19 @@ struct CampaignEntry {
     /// `Released` record. Finalization waits for zero, so a campaign is
     /// never observable as terminal with an unbalanced lease ledger.
     settling: AtomicU64,
-    /// Set once the finished campaign has released its journal, executor,
-    /// shard slots and telemetry file (see [`DaemonShared::retire`]).
+    /// Set once the finished campaign starts releasing its executor, shard
+    /// slots, journal and telemetry file (see [`DaemonShared::retire`]).
     retired: AtomicBool,
     /// Set once the finished campaign's event tail has been evicted.
     tail_expired: AtomicBool,
 }
 
 /// Marks one lease settlement window on a campaign: arm *before* the
-/// lease-table mutation, drop *after* the `Released` record (and before
-/// the follow-up `maybe_finalize`). Drop-based so a panicking commit
-/// cannot wedge finalization — the supervisor heartbeat retries
-/// `maybe_finalize` every tick, so a transient skip self-heals.
+/// lease-table mutation, drop *after* the `Released` record and the
+/// shard's flush (and before the follow-up `maybe_finalize`). Drop-based
+/// so a panicking commit cannot wedge finalization — the supervisor
+/// heartbeat retries `maybe_finalize` every tick, so a transient skip
+/// self-heals.
 struct SettleGuard<'a>(&'a AtomicU64);
 
 impl<'a> SettleGuard<'a> {
@@ -375,21 +382,36 @@ impl CampaignEntry {
         self.journal.lock().expect("journal slot poisoned").clone()
     }
 
+    fn cached_executor(&self) -> Option<Arc<ShardedCampaign>> {
+        self.executor.lock().expect("executor slot poisoned").clone()
+    }
+
     /// The trained executor, training it on first use; `None` once the
     /// campaign has retired.
     fn executor(&self) -> Option<Arc<ShardedCampaign>> {
-        // A panic while training leaves the slot empty, so the next caller
-        // simply trains again (as `OnceLock::get_or_init` would).
-        let mut slot = self.executor.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(executor) = self.cached_executor() {
+            return Some(executor);
+        }
+        // A panic while training poisons only the gate and leaves the slot
+        // empty, so the next caller simply trains again.
+        let _gate = self.training.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(executor) = self.cached_executor() {
+            return Some(executor); // trained while this caller waited
+        }
         if self.retired.load(Ordering::SeqCst) {
             return None;
         }
-        let executor = slot.get_or_insert_with(|| {
-            let mut executor = ShardedCampaign::new(self.session.config().clone());
-            executor.attach_progress(self.progress.clone());
-            Arc::new(executor)
-        });
-        Some(Arc::clone(executor))
+        let mut executor = ShardedCampaign::new(self.config.clone());
+        executor.attach_progress(self.progress.clone());
+        let executor = Arc::new(executor);
+        // `retire` sets the flag before it empties the slot, so checking it
+        // under the slot lock never leaves a retired campaign an executor.
+        let mut slot = self.executor.lock().expect("executor slot poisoned");
+        if self.retired.load(Ordering::SeqCst) {
+            return None;
+        }
+        *slot = Some(Arc::clone(&executor));
+        Some(executor)
     }
 
     fn schedulable(&self) -> bool {
@@ -687,8 +709,11 @@ impl DaemonShared {
                     }
                 }
                 self.record_lease(entry, LeaseAction::Released, transition);
-                drop(settle);
+                // Flush inside the settlement window: finalization (and
+                // retirement, which empties the buffers) waits for it, so
+                // every shard's events reach the sink before the merge's.
                 entry.flush.shard_done(claim.shard, &entry.buffers, &entry.sink);
+                drop(settle);
                 self.maybe_finalize(entry);
             }
         }
@@ -968,8 +993,8 @@ impl DaemonShared {
             },
         );
         self.record_lease(entry, LeaseAction::Released, transition);
-        drop(settle);
         entry.flush.shard_done(claim.shard, &entry.buffers, &entry.sink);
+        drop(settle);
         self.maybe_finalize(entry);
         ChildOutcome::Committed
     }
@@ -1127,8 +1152,8 @@ impl DaemonShared {
             let (done, _, _) = entry.leases.counts();
             self.record_finish(entry, "failed", done as u64);
             *state = CampaignState::Failed;
-            self.retire(entry);
         }
+        self.retire(entry);
         self.wake_workers();
     }
 
@@ -1150,14 +1175,16 @@ impl DaemonShared {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Releases what only a live campaign needs: its journal, trained
-    /// executor, shard slots (their merge is in `final_report`), leftover
-    /// event buffers and telemetry file. Its event tail stays until
+    /// Releases what only a live campaign needs: its trained executor,
+    /// shard slots (their merge is in `final_report`), leftover event
+    /// buffers, journal and telemetry file. Its event tail stays until
     /// `max_active` more recently finished campaigns have retired.
     ///
-    /// Called at the terminal transition, under the campaign's state lock,
-    /// so a completed or cancelled campaign has retired by the time anyone
-    /// sees it finished. Does nothing while a lease is held or settling: a
+    /// Called right after the terminal transition, once the campaign's
+    /// state lock is released: closing the telemetry file flushes and
+    /// syncs it, and the scheduler reads every campaign's state under the
+    /// registry lock. The files close last, so once they are closed the
+    /// rest is done. Does nothing while a lease is held or settling: a
     /// failed campaign with shards still in flight retires on a later
     /// heartbeat. Idempotent.
     fn retire(&self, entry: &Arc<CampaignEntry>) {
@@ -1167,26 +1194,29 @@ impl DaemonShared {
         {
             return;
         }
-        entry.journal.lock().expect("journal slot poisoned").take();
-        // Poisoned by a panic while training, which `executor` tolerates.
-        entry.executor.lock().unwrap_or_else(PoisonError::into_inner).take();
+        {
+            let mut kept = self.tails_kept.lock().expect("tail queue poisoned");
+            kept.push_back(Arc::clone(entry));
+            while kept.len() > self.cfg.max_active {
+                if let Some(oldest) = kept.pop_front() {
+                    // Flag first: a reader that got the events before the
+                    // take sees the flag afterwards and reports `expired`.
+                    oldest.tail_expired.store(true, Ordering::SeqCst);
+                    oldest.tee.tail.take();
+                }
+            }
+        }
+        entry.executor.lock().expect("executor slot poisoned").take();
         for slot in &entry.slots {
             slot.lock().expect("shard slot poisoned").take();
         }
         for buffer in &entry.buffers {
             buffer.take();
         }
-        entry.tee.file.lock().expect("telemetry file poisoned").take();
-        let mut kept = self.tails_kept.lock().expect("tail queue poisoned");
-        kept.push_back(Arc::clone(entry));
-        while kept.len() > self.cfg.max_active {
-            if let Some(oldest) = kept.pop_front() {
-                // Flag first: a reader that got the events before the take
-                // sees the flag afterwards and reports `expired`.
-                oldest.tail_expired.store(true, Ordering::SeqCst);
-                oldest.tee.tail.take();
-            }
-        }
+        let journal = entry.journal.lock().expect("journal slot poisoned").take();
+        let file = entry.tee.file.lock().expect("telemetry file poisoned").take();
+        // Closed outside their slot locks too.
+        drop((journal, file));
     }
 
     /// Completes or cancels a campaign when its leases say so. The merge
@@ -1222,7 +1252,6 @@ impl DaemonShared {
                 let salvaged = entry.resume.as_ref().map(|(_, _, n)| *n).unwrap_or(0);
                 self.record_finish(entry, "completed", entry.plan.len() as u64 - salvaged);
                 *state = CampaignState::Completed;
-                self.retire(entry);
                 true
             } else if entry.cancel.is_cancelled() && entry.leases.counts().1 == 0 {
                 if entry.settling.load(Ordering::SeqCst) > 0 {
@@ -1252,13 +1281,13 @@ impl DaemonShared {
                     Some((merged, checksum));
                 self.record_finish(entry, reason, completed as u64);
                 *state = CampaignState::Cancelled;
-                self.retire(entry);
                 true
             } else {
                 false
             }
         };
         if finished {
+            self.retire(entry);
             self.wake_workers();
         }
     }
@@ -1733,9 +1762,8 @@ fn build_entry(
             spec_path = Some(p);
         }
     }
-    let session = CampaignSession::new(config);
-    let plan = session.plan();
-    let progress = session.progress();
+    let plan = plan_shards(&config);
+    let progress = ProgressHandle::new();
     progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
     let buffers: Vec<MemorySink> = plan.iter().map(|_| MemorySink::new()).collect();
     let slots: Vec<Mutex<Option<CampaignReport>>> = plan.iter().map(|_| Mutex::new(None)).collect();
@@ -1749,7 +1777,7 @@ fn build_entry(
         if path.exists() {
             let (checkpoint, recovery) =
                 CampaignCheckpoint::load(path).map_err(|e| format!("journal {path:?}: {e}"))?;
-            let expected = config_fingerprint(session.config());
+            let expected = config_fingerprint(&config);
             if checkpoint.fingerprint != expected {
                 return Err(format!(
                     "journal {path:?} was written under fingerprint {:#018x}, spec derives {:#018x}",
@@ -1830,13 +1858,10 @@ fn build_entry(
             journal = CheckpointJournal::open_append(path, &recovery).ok().map(Arc::new);
             resume = Some((path.display().to_string(), recovery, salvaged));
         } else {
-            journal = CheckpointJournal::create(
-                path,
-                config_fingerprint(session.config()),
-                plan.len() as u64,
-            )
-            .ok()
-            .map(Arc::new);
+            journal =
+                CheckpointJournal::create(path, config_fingerprint(&config), plan.len() as u64)
+                    .ok()
+                    .map(Arc::new);
         }
     }
 
@@ -1845,8 +1870,9 @@ fn build_entry(
         id: id.to_string(),
         tenant: spec.tenant.clone(),
         name: spec.name.clone().unwrap_or_else(|| id.to_string()),
-        session,
+        config,
         executor: Mutex::new(None),
+        training: Mutex::new(()),
         plan,
         cancel,
         sink,

@@ -8,7 +8,7 @@
 //! descriptors, which concurrent tests would disturb.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use comfort_core::checkpoint::report_checksum;
 use comfort_core::session::CampaignSession;
@@ -62,6 +62,20 @@ fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").expect("procfs").count()
 }
 
+/// The open-fd count once it is back to `baseline`, or after ten seconds.
+/// A campaign closes its files just after it turns terminal, outside its
+/// state lock, and they close last in its retirement.
+fn open_fds_settled(baseline: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let open = open_fds();
+        if open == baseline || Instant::now() >= deadline {
+            return open;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn finished_campaigns_close_files_and_keep_only_recent_tails() {
     let service_events = MemorySink::new();
@@ -83,9 +97,8 @@ fn finished_campaigns_close_files_and_keep_only_recent_tails() {
         let status = daemon.wait(&id, Duration::from_secs(300)).expect("campaign exists");
         assert_eq!(status.state, CampaignState::Completed, "campaign {id}");
         assert_eq!(status.checksum, Some(library_checksum(&spec)), "campaign {id}");
-        // Retirement happens before the terminal state is visible: the
-        // journal and telemetry file are already closed.
-        assert_eq!(open_fds(), baseline, "campaign {id} left files open");
+        // Retirement closes the journal and the telemetry file.
+        assert_eq!(open_fds_settled(baseline), baseline, "campaign {id} left files open");
         let (tail, terminal) = daemon.tail_events(&id, 0).expect("a fresh tail is kept");
         assert!(terminal && !tail.is_empty());
         finished.push((id, spec, status, tail.len()));

@@ -13,7 +13,7 @@ use comfort_service::daemon::{CampaignState, Daemon, ServiceConfig};
 use comfort_service::metrics::MetricsSnapshot;
 use comfort_service::spec::{CampaignSpec, ChaosSpec};
 use comfort_service::worker::{run_worker_once, WorkerOnceOptions};
-use comfort_telemetry::{EventKind, MemorySink, SinkHandle};
+use comfort_telemetry::{Event, EventKind, MemorySink, SinkHandle, CONTROL_SHARD};
 
 /// A small two-shard campaign that finishes in a couple of seconds.
 fn small_spec(tenant: &str, seed: u64) -> CampaignSpec {
@@ -163,6 +163,68 @@ fn campaign_ledger_balances_whenever_wait_returns() {
         assert!(count > 0, "no campaign ended {outcome}");
     }
     assert_ledgers_reconcile(&daemon, &service_events);
+}
+
+/// Every event a campaign's shards and merge produce reaches both its tail
+/// and its telemetry file, in the library's order. A shard flushes before
+/// its commit settles, so finalization (and retirement, which empties the
+/// shard buffers) cannot overtake it. Six small shards per campaign on
+/// three workers, and a heartbeat so fast that the supervisor tries to
+/// finalize between almost any two steps of a commit.
+#[test]
+fn campaign_streams_reach_tail_and_file_in_full() {
+    let daemon = Daemon::start(ServiceConfig {
+        workers: 3,
+        heartbeat: Duration::from_micros(100),
+        max_active: 4,
+        tenant_quota: 4,
+        ..ServiceConfig::default()
+    });
+    let render = |events: &[Event]| -> Vec<String> {
+        events
+            .iter()
+            .filter(|e| e.clock.shard != CONTROL_SHARD)
+            .map(Event::to_json_deterministic)
+            .collect()
+    };
+    for k in 0..12u64 {
+        let telemetry = temp_path(&format!("stream-{k}.jsonl"));
+        let spec = CampaignSpec {
+            corpus_programs: Some(12),
+            lm: Some(GeneratorConfig { order: 4, bpe_merges: 40, top_k: 8, max_tokens: 200 }),
+            max_cases: Some(12),
+            shard_cases: Some(2),
+            telemetry: Some(telemetry.display().to_string()),
+            ..small_spec("streams", 900 + k)
+        };
+        let id = daemon.submit(&spec).expect("admitted");
+        assert_eq!(wait_terminal(&daemon, &id).state, CampaignState::Completed);
+        let (tail, _) = daemon.tail_events(&id, 0).expect("a fresh tail is kept");
+
+        // The library's stream: every shard's events, then the merge's.
+        let mut bare = spec.clone();
+        bare.telemetry = None;
+        let library = MemorySink::new();
+        CampaignSession::new(bare.build_config().expect("spec builds a config"))
+            .sink(SinkHandle::new(library.clone()))
+            .run_with_threads(1)
+            .expect("library run succeeds");
+        assert_eq!(render(&tail), render(&library.events()), "campaign {id} tail");
+
+        // The file is flushed when it closes, just after the campaign
+        // turns terminal.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let lines = loop {
+            let lines = std::fs::read_to_string(&telemetry).map_or(0, |s| s.lines().count());
+            if lines >= tail.len() || std::time::Instant::now() >= deadline {
+                break lines;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(lines, tail.len(), "campaign {id} telemetry file");
+        let _ = std::fs::remove_file(&telemetry);
+    }
+    daemon.drain();
 }
 
 #[test]
