@@ -9,7 +9,8 @@ use std::time::Duration;
 use comfort_core::checkpoint::report_checksum;
 use comfort_core::session::CampaignSession;
 use comfort_lm::GeneratorConfig;
-use comfort_service::daemon::{CampaignState, Daemon, ServiceConfig};
+use comfort_service::daemon::{CampaignState, Daemon, IsolationMode, ServiceConfig};
+use comfort_service::fleet::ProcessJail;
 use comfort_service::metrics::MetricsSnapshot;
 use comfort_service::spec::{CampaignSpec, ChaosSpec};
 use comfort_service::worker::{run_worker_once, WorkerOnceOptions};
@@ -166,20 +167,13 @@ fn campaign_ledger_balances_whenever_wait_returns() {
 }
 
 /// Every event a campaign's shards and merge produce reaches both its tail
-/// and its telemetry file, in the library's order. A shard flushes before
-/// its commit settles, so finalization (and retirement, which empties the
-/// shard buffers) cannot overtake it. Six small shards per campaign on
-/// three workers, and a heartbeat so fast that the supervisor tries to
-/// finalize between almost any two steps of a commit.
+/// and its telemetry file, in the library's order, under both isolation
+/// modes. A shard flushes before its commit settles, so finalization (and
+/// retirement, which empties the shard buffers) cannot overtake it. Twelve
+/// six-shard campaigns on three workers, and a heartbeat so fast that the
+/// supervisor tries to finalize between almost any two steps of a commit.
 #[test]
 fn campaign_streams_reach_tail_and_file_in_full() {
-    let daemon = Daemon::start(ServiceConfig {
-        workers: 3,
-        heartbeat: Duration::from_micros(100),
-        max_active: 4,
-        tenant_quota: 4,
-        ..ServiceConfig::default()
-    });
     let render = |events: &[Event]| -> Vec<String> {
         events
             .iter()
@@ -187,44 +181,81 @@ fn campaign_streams_reach_tail_and_file_in_full() {
             .map(Event::to_json_deterministic)
             .collect()
     };
-    for k in 0..12u64 {
-        let telemetry = temp_path(&format!("stream-{k}.jsonl"));
-        let spec = CampaignSpec {
-            corpus_programs: Some(12),
-            lm: Some(GeneratorConfig { order: 4, bpe_merges: 40, top_k: 8, max_tokens: 200 }),
-            max_cases: Some(12),
-            shard_cases: Some(2),
-            telemetry: Some(telemetry.display().to_string()),
-            ..small_spec("streams", 900 + k)
-        };
-        let id = daemon.submit(&spec).expect("admitted");
-        assert_eq!(wait_terminal(&daemon, &id).state, CampaignState::Completed);
-        let (tail, _) = daemon.tail_events(&id, 0).expect("a fresh tail is kept");
+    let spec = |k: u64| CampaignSpec {
+        corpus_programs: Some(12),
+        lm: Some(GeneratorConfig { order: 4, bpe_merges: 40, top_k: 8, max_tokens: 200 }),
+        max_cases: Some(12),
+        shard_cases: Some(2),
+        ..small_spec("streams", 900 + k)
+    };
+    // The library's streams: every shard's events, then the merge's.
+    let library: Vec<Vec<String>> = (0..12)
+        .map(|k| {
+            let events = MemorySink::new();
+            CampaignSession::new(spec(k).build_config().expect("spec builds a config"))
+                .sink(SinkHandle::new(events.clone()))
+                .run_with_threads(1)
+                .expect("library run succeeds");
+            render(&events.events())
+        })
+        .collect();
+    let fleet = ProcessJail::new(PathBuf::from(env!("CARGO_BIN_EXE_comfortd")));
+    for (mode, isolation) in
+        [("threads", IsolationMode::InProcess), ("processes", IsolationMode::Processes(fleet))]
+    {
+        let daemon = Daemon::start(ServiceConfig {
+            workers: 3,
+            heartbeat: Duration::from_micros(100),
+            max_active: library.len(),
+            tenant_quota: library.len(),
+            isolation,
+            ..ServiceConfig::default()
+        });
+        // One campaign at a time, then all at once: a commit races the
+        // heartbeat, then also other campaigns' commits and merges.
+        let all: Vec<usize> = (0..library.len()).collect();
+        for batch in [1, all.len()] {
+            for ks in all.chunks(batch) {
+                let submitted: Vec<_> = ks
+                    .iter()
+                    .map(|&k| {
+                        let name = format!("stream-{mode}-{batch}-{k}");
+                        let journal = temp_path(&format!("{name}.ckpt"));
+                        let telemetry = temp_path(&format!("{name}.jsonl"));
+                        let spec = CampaignSpec {
+                            checkpoint: Some(journal.display().to_string()),
+                            telemetry: Some(telemetry.display().to_string()),
+                            ..spec(k as u64)
+                        };
+                        (k, daemon.submit(&spec).expect("admitted"), journal, telemetry)
+                    })
+                    .collect();
+                for (k, id, journal, telemetry) in submitted {
+                    assert_eq!(wait_terminal(&daemon, &id).state, CampaignState::Completed);
+                    let (tail, _) = daemon.tail_events(&id, 0).expect("a fresh tail is kept");
+                    assert_eq!(render(&tail), library[k], "{mode}: campaign {id} tail");
 
-        // The library's stream: every shard's events, then the merge's.
-        let mut bare = spec.clone();
-        bare.telemetry = None;
-        let library = MemorySink::new();
-        CampaignSession::new(bare.build_config().expect("spec builds a config"))
-            .sink(SinkHandle::new(library.clone()))
-            .run_with_threads(1)
-            .expect("library run succeeds");
-        assert_eq!(render(&tail), render(&library.events()), "campaign {id} tail");
-
-        // The file is flushed when it closes, just after the campaign
-        // turns terminal.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let lines = loop {
-            let lines = std::fs::read_to_string(&telemetry).map_or(0, |s| s.lines().count());
-            if lines >= tail.len() || std::time::Instant::now() >= deadline {
-                break lines;
+                    // The file is flushed when it closes, just after the
+                    // campaign turns terminal.
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    let lines = loop {
+                        let lines =
+                            std::fs::read_to_string(&telemetry).map_or(0, |s| s.lines().count());
+                        if lines >= tail.len() || std::time::Instant::now() >= deadline {
+                            break lines;
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
+                    };
+                    assert_eq!(lines, tail.len(), "{mode}: campaign {id} telemetry file");
+                    let spec_file = journal.with_extension("ckpt.spec.json");
+                    for path in [journal, telemetry, spec_file] {
+                        let _ = std::fs::remove_file(path);
+                    }
+                }
             }
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(lines, tail.len(), "campaign {id} telemetry file");
-        let _ = std::fs::remove_file(&telemetry);
+        }
+        daemon.drain();
     }
-    daemon.drain();
 }
 
 #[test]
