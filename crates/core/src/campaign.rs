@@ -101,9 +101,10 @@ pub struct CampaignConfig {
     /// Optional wall-clock budget: the campaign cancels itself this long
     /// after `run` starts (armed once; shards inherit the armed instant).
     pub deadline: Option<std::time::Duration>,
-    /// Write-ahead checkpoint journal path. When set, the sharded executor
-    /// durably appends every completed shard and can resume from a crash
-    /// via `run_campaign_resumable` to a bit-identical report.
+    /// Write-ahead checkpoint journal path. When set, the campaign durably
+    /// appends every completed shard and a later
+    /// [`CampaignSession`](crate::session::CampaignSession) run resumes
+    /// from it to a bit-identical report.
     pub checkpoint: Option<std::path::PathBuf>,
 }
 
@@ -413,8 +414,8 @@ pub struct CampaignReport {
     /// budget: the report covers completed work only. Provenance — excluded
     /// from determinism comparisons.
     pub interrupted: bool,
-    /// Resume provenance when this report came from `run_campaign_resumable`
-    /// picking up a journal. Excluded from determinism comparisons.
+    /// Resume provenance when this campaign picked up a journal. Excluded
+    /// from determinism comparisons.
     pub resume: Option<ResumeInfo>,
 }
 

@@ -168,8 +168,6 @@ pub fn config_fingerprint(config: &CampaignConfig) -> u64 {
 pub enum CheckpointError {
     /// Filesystem failure.
     Io(std::io::Error),
-    /// The campaign config has no checkpoint path.
-    NoCheckpointPath,
     /// The journal has no intact header record.
     MissingHeader,
     /// An intact (CRC-verified) record failed to parse — a format bug or a
@@ -190,9 +188,6 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
-            CheckpointError::NoCheckpointPath => {
-                write!(f, "config has no checkpoint path (set CampaignConfig::checkpoint)")
-            }
             CheckpointError::MissingHeader => write!(f, "journal has no intact header record"),
             CheckpointError::BadRecord(e) => write!(f, "malformed journal record: {e}"),
             CheckpointError::FingerprintMismatch { expected, found } => write!(

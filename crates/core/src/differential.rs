@@ -35,12 +35,6 @@ impl Signature {
             RunStatus::Crashed(_) => Signature::Crash,
         }
     }
-
-    /// Short human-readable rendering (for reports and the bug filter).
-    #[deprecated(since = "0.1.0", note = "use the `Display` impl (`to_string()` / `{}`)")]
-    pub fn describe(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl std::fmt::Display for Signature {
@@ -167,7 +161,7 @@ impl CaseOutcome {
 /// [`CaseOutcome::ParseError`] without spending engine time).
 ///
 /// `options` configures every per-testbed run; each testbed still overrides
-/// the strict flag with its own mode (see [`Testbed::run`]).
+/// the strict flag with its own mode (see [`Testbed::run_compiled`]).
 pub fn run_differential(
     program: &Program,
     testbeds: &[Testbed],
@@ -584,11 +578,6 @@ mod tests {
         assert_eq!(Signature::Completed("hi\n".into()).to_string(), "output \"hi\\n\"");
         assert_eq!(DeviationKind::Timeout.to_string(), "TimeOut");
         assert_eq!(DeviationKind::WrongOutput.to_string(), "WrongOutput");
-        // The deprecated helper stays behaviour-compatible.
-        #[allow(deprecated)]
-        {
-            assert_eq!(Signature::Timeout.describe(), Signature::Timeout.to_string());
-        }
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! * [`filter`] — the §3.6 three-layer identical-bug filter tree,
 //! * [`campaign`] — the §4–5 evaluation loop with version attribution and a
 //!   calibrated developer model,
-//! * [`executor`] — the sharded, deterministic parallel campaign executor,
-//! * [`session`] — [`CampaignSession`], the unified entry point for
-//!   running campaigns (fresh or crash-safe resumable),
+//! * [`executor`] — the shard plan, the single-shard executor and the
+//!   order-preserving merge,
+//! * [`runtime`] — [`ShardRuntime`], one campaign's shard state (slots,
+//!   ordered flush, journal, commit, finish) shared by every driver,
+//! * [`session`] — [`CampaignSession`], the one way to run a campaign
+//!   (fresh or crash-safe resumable),
 //! * [`compare`] / [`quality`] — the Figure 8 and Figure 9 harnesses,
 //! * [`report`] — renders every table and figure,
 //! * [`pipeline`] — the `Comfort` facade for downstream users.
@@ -44,6 +47,7 @@ pub mod quality;
 pub mod reduce;
 pub mod report;
 pub mod resilience;
+pub mod runtime;
 pub mod session;
 pub mod test262;
 pub mod testcase;
@@ -73,5 +77,6 @@ pub use resilience::{
     run_case_hardened, run_case_hardened_cancellable, CancelToken, CaseObservation, ChaosConfig,
     ExecPolicy, FaultRecord, HealthTracker, QuarantineEvent, ReinstateEvent, TestbedHealth,
 };
+pub use runtime::ShardRuntime;
 pub use session::CampaignSession;
 pub use testcase::{Origin, TestCase};

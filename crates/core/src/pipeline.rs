@@ -2,19 +2,17 @@
 //!
 //! [`Comfort`] wires the whole pipeline of Figure 3 together: GPT-2-style
 //! program generation → ECMA-262-guided test data → differential testing →
-//! reduction → identical-bug filtering, behind one small API. Budgets are
-//! executed by the sharded parallel executor
-//! ([`ShardedCampaign`](crate::executor::ShardedCampaign)); with the default
-//! `shard_cases = 0` the plan is a single shard, so reports are bit-identical
-//! to the legacy serial pipeline at every `threads` setting.
+//! reduction → identical-bug filtering, behind one small API. Each budget
+//! runs as a [`CampaignSession`]; with the default `shard_cases = 0` the
+//! plan is a single shard, so reports are bit-identical to the serial
+//! pipeline at every `threads` setting. Crash-safe, journalled runs use a
+//! [`CampaignSession`] directly.
 
 use comfort_lm::GeneratorConfig;
 use comfort_telemetry::{CampaignMetrics, ProgressHandle, SinkHandle};
 
 use crate::campaign::{BugReport, CampaignConfig, ConfigError};
-use crate::checkpoint::{CheckpointError, ResumeInfo};
 use crate::datagen::DataGenConfig;
-use crate::executor::ShardedCampaign;
 use crate::resilience::{CancelToken, ChaosConfig, ExecPolicy, TestbedHealth};
 use crate::session::CampaignSession;
 
@@ -51,9 +49,6 @@ pub struct ComfortConfig {
     pub cancel: CancelToken,
     /// Optional wall-clock budget per budgeted run.
     pub deadline: Option<std::time::Duration>,
-    /// Write-ahead checkpoint journal path; enables crash-safe resume via
-    /// [`Comfort::run_budgeted_resumable`].
-    pub checkpoint: Option<std::path::PathBuf>,
 }
 
 impl Default for ComfortConfig {
@@ -72,7 +67,6 @@ impl Default for ComfortConfig {
             chaos: None,
             cancel: CancelToken::new(),
             deadline: None,
-            checkpoint: None,
         }
     }
 }
@@ -182,12 +176,6 @@ impl ComfortConfigBuilder {
         self
     }
 
-    /// Sets the write-ahead checkpoint journal path (crash-safe resume).
-    pub fn checkpoint_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.config.checkpoint = Some(path.into());
-        self
-    }
-
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<ComfortConfig, ConfigError> {
         if self.config.fuel == 0 {
@@ -221,8 +209,6 @@ pub struct PipelineReport {
     /// The run was interrupted (cancel token or deadline) before finishing
     /// its budget.
     pub interrupted: bool,
-    /// Resume provenance when the run picked up a checkpoint journal.
-    pub resume: Option<ResumeInfo>,
 }
 
 /// The COMFORT pipeline, ready to fuzz.
@@ -252,46 +238,18 @@ impl Comfort {
     /// `threads`-wide worker pool; the report is bit-identical regardless of
     /// thread count.
     pub fn run_budgeted(&mut self, cases: usize) -> PipelineReport {
-        let mut executor = self.executor_for(cases);
-        executor.attach_progress(self.progress.clone());
-        Self::pipeline_report(executor.run_with_threads(self.config.threads))
-    }
-
-    /// Like [`Comfort::run_budgeted`], but resumes from the configured
-    /// checkpoint journal when one exists: salvaged shards are fed straight
-    /// into the merge and only missing shards re-run, yielding a report
-    /// bit-identical to an uninterrupted run.
-    ///
-    /// Fails if the config has no checkpoint path, or if the journal on disk
-    /// belongs to a different configuration (fingerprint mismatch).
-    ///
-    /// Deprecated: build a
-    /// [`CampaignSession`](crate::session::CampaignSession) over a full
-    /// [`CampaignConfig`] instead
-    /// (`CampaignSession::new(config).checkpoint(path).run()`). This
-    /// wrapper delegates to the same machinery and is proven bit-identical
-    /// to the session path by test.
-    #[deprecated(note = "use CampaignSession::new(config).checkpoint(path).run() instead")]
-    pub fn run_budgeted_resumable(
-        &mut self,
-        cases: usize,
-    ) -> Result<PipelineReport, CheckpointError> {
-        let session = self.session_for(cases);
-        if session.config().checkpoint.is_none() {
-            // The session treats a checkpoint-less run as fresh; this
-            // legacy entry point always required a journal path.
-            return Err(CheckpointError::NoCheckpointPath);
+        let session = CampaignSession::new(self.campaign_config_for(cases))
+            .share_progress(self.progress.clone());
+        let report = session.run().expect("a journal-free run cannot fail");
+        PipelineReport {
+            cases_run: report.cases_run,
+            deviations: report.bugs,
+            sim_hours: report.sim_hours,
+            duplicates_filtered: report.duplicates_filtered,
+            metrics: report.metrics,
+            health: report.health,
+            interrupted: report.interrupted,
         }
-        session.run().map(Self::pipeline_report)
-    }
-
-    fn executor_for(&mut self, cases: usize) -> ShardedCampaign {
-        ShardedCampaign::new(self.campaign_config_for(cases))
-    }
-
-    fn session_for(&mut self, cases: usize) -> CampaignSession {
-        let config = self.campaign_config_for(cases);
-        CampaignSession::new(config).share_progress(self.progress.clone())
     }
 
     /// Lowers the facade config into a full [`CampaignConfig`] for one
@@ -317,23 +275,10 @@ impl Comfort {
             chaos: self.config.chaos.clone(),
             cancel: self.config.cancel.clone(),
             deadline: self.config.deadline,
-            checkpoint: self.config.checkpoint.clone(),
+            checkpoint: None,
         };
         self.runs += 1;
         campaign_config
-    }
-
-    fn pipeline_report(report: crate::campaign::CampaignReport) -> PipelineReport {
-        PipelineReport {
-            cases_run: report.cases_run,
-            deviations: report.bugs,
-            sim_hours: report.sim_hours,
-            duplicates_filtered: report.duplicates_filtered,
-            metrics: report.metrics,
-            health: report.health,
-            interrupted: report.interrupted,
-            resume: report.resume,
-        }
     }
 }
 

@@ -1,36 +1,34 @@
-//! One unified entry point for campaign execution.
+//! The one way to run a campaign.
 //!
-//! PRs 1–4 accreted four ways to run a campaign — `ShardedCampaign::run`,
-//! `ShardedCampaign::run_resumable`, the `run_campaign_resumable` free
-//! function, and `Comfort::run_budgeted_resumable` — each a different
-//! slice of the same machinery. [`CampaignSession`] collapses them: build
-//! it from a [`CampaignConfig`], override the scheduling knobs with the
-//! chainable setters, and call [`run`](CampaignSession::run). The session
-//! is resume-aware — with a checkpoint path configured it salvages an
-//! existing journal exactly like the old resumable entry points; without
-//! one it runs fresh and always returns `Ok`.
+//! Build a [`CampaignSession`] from a [`CampaignConfig`], override the
+//! scheduling knobs with the chainable setters, and call
+//! [`run`](CampaignSession::run). The session is resume-aware: with a
+//! checkpoint path configured it salvages an existing journal and re-runs
+//! only the missing shards; without one it runs fresh and always returns
+//! `Ok`. It drives the campaign's [`ShardRuntime`] with a plain scoped
+//! worker loop; the `comfort-service` daemon drives the same runtime with
+//! leased workers.
 //!
 //! The session owns the trained generator and testbed matrix (built
 //! lazily, once), so sweeping thread counts with
 //! [`run_with_threads`](CampaignSession::run_with_threads) — as the
 //! `comfort-bench` harness does — trains the language model a single time
-//! and re-runs the identical workload at each width. The determinism
-//! contract carries over unchanged: reports are **bit-identical** in every
-//! deterministic field at any thread count.
+//! and re-runs the identical workload at each width. Reports are
+//! **bit-identical** in every deterministic field at any thread count.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use comfort_telemetry::{ProgressHandle, SinkHandle};
+use comfort_telemetry::{MemorySink, ProgressHandle, SinkHandle};
 
 use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::checkpoint::CheckpointError;
-use crate::executor::{plan_shards, ShardSpec, ShardedCampaign};
+use crate::executor::{plan_shards, resolve_threads, ShardSpec, ShardedCampaign};
 use crate::resilience::CancelToken;
+use crate::runtime::ShardRuntime;
 
-/// A configured, reusable campaign run: the one front door to the sharded
-/// executor, replacing the four legacy entry points (now `#[deprecated]`
-/// wrappers over this type).
+/// A configured, reusable campaign run. See the [module docs](self).
 ///
 /// ```no_run
 /// use comfort_core::campaign::CampaignConfig;
@@ -142,20 +140,50 @@ impl CampaignSession {
     /// matrix. Sweeping widths re-runs the identical workload; the report
     /// is bit-identical in every deterministic field at each width.
     pub fn run_with_threads(&self, threads: usize) -> Result<CampaignReport, CheckpointError> {
+        let salvage = ShardRuntime::check(&self.config)?;
         let executor = self.executor();
-        if self.config.checkpoint.is_some() {
-            executor.run_resumable_with_threads(threads)
-        } else {
-            Ok(executor.run_with_threads(threads))
-        }
+        let runtime = ShardRuntime::start(&self.config, self.progress.clone(), salvage);
+        let plan = runtime.plan();
+        let pending: Vec<usize> =
+            (0..plan.len()).filter(|i| !runtime.salvaged().contains(i)).collect();
+        // Shard-level workers; whatever parallelism is left over goes to the
+        // per-case testbed fan-out inside each shard.
+        let threads = resolve_threads(threads);
+        let workers = threads.clamp(1, plan.len());
+        let exec_threads = (threads / workers).max(1);
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    // Cooperative shutdown at the shard boundary: claimed
+                    // shards drain at their next cancellation point; nothing
+                    // new is claimed.
+                    if self.config.cancel.is_cancelled() {
+                        break;
+                    }
+                    let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                        break;
+                    };
+                    let events = MemorySink::new();
+                    let report = executor.run_shard(&plan[i], exec_threads, &events);
+                    if report.interrupted {
+                        // A partially-run shard is discarded whole: its
+                        // events would desync the replayed stream, and
+                        // resume re-runs the shard from scratch.
+                        break;
+                    }
+                    runtime.commit(runtime.record(i, report, events.take()), false);
+                });
+            }
+        });
+        Ok(runtime.finish().0)
     }
 
     /// The lazily-built executor (trains the LM on first use).
     ///
-    /// Public so external supervisors (the `comfort-service` daemon) can
-    /// drive shard execution directly — leasing shards one at a time via
-    /// [`ShardedCampaign::run_shard`] — while reusing the session's trained
-    /// generator and testbed matrix.
+    /// Public so a worker process of the `comfort-service` daemon can run
+    /// its one leased shard via [`ShardedCampaign::run_shard`] with the
+    /// session's trained generator and testbed matrix.
     pub fn executor(&self) -> &ShardedCampaign {
         self.executor.get_or_init(|| {
             let mut executor = ShardedCampaign::new(self.config.clone());

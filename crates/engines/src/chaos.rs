@@ -90,8 +90,9 @@ pub fn fatal_signal_message(signal: i32, testbed: &str) -> String {
     format!("fatal signal {signal} ({}) on {testbed}", signal_name(signal))
 }
 
-/// A raw fault surfaced by [`Testbed::run_attempt`](crate::Testbed::run_attempt)
-/// before the isolation layer maps it to a deterministic [`RunResult`]
+/// A raw fault surfaced by
+/// [`Testbed::run_attempt_compiled`](crate::Testbed::run_attempt_compiled)
+/// before the isolation layer maps it to a deterministic [`RunResult`](crate::RunResult)
 /// outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawFault {

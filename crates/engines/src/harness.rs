@@ -13,8 +13,7 @@
 
 use crate::chaos::{fatal_signal_message, ChaosAbort, ChaosPanic, RawFault};
 use crate::Testbed;
-use comfort_interp::{compile, CompiledChunk, RunOptions, RunResult, RunStatus};
-use comfort_syntax::Program;
+use comfort_interp::{CompiledChunk, RunOptions, RunResult, RunStatus};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
@@ -113,18 +112,6 @@ pub fn silence_chaos_panics() {
             }
         }));
     });
-}
-
-/// Compiles `program` once and runs it under full containment.
-#[deprecated(note = "compile once with `compile` and execute with `run_isolated_compiled`")]
-pub fn run_isolated(
-    testbed: &Testbed,
-    program: &Program,
-    options: &RunOptions,
-    isolation: &IsolationPolicy,
-    retry: &RetryPolicy,
-) -> IsolatedRun {
-    run_isolated_compiled(testbed, &compile(program), options, isolation, retry)
 }
 
 /// Runs a compiled `chunk` on `testbed` under full containment. Never panics
@@ -296,6 +283,7 @@ mod tests {
     use super::*;
     use crate::chaos::FaultPlan;
     use crate::{Engine, EngineName};
+    use comfort_interp::compile;
     use comfort_syntax::parse;
 
     fn chaotic(plan: FaultPlan) -> Testbed {
@@ -396,6 +384,34 @@ mod tests {
         assert!(run.result.output.ends_with(TRUNCATION_MARKER));
         assert_eq!(run.fault, Some(FaultObserved::OutputTruncated));
         assert!(!run.fault.expect("fault").is_hard());
+    }
+
+    #[test]
+    fn chaos_faults_depend_only_on_the_program_text() {
+        // Fault decisions hash the printed program, so separately compiled
+        // chunks of one program, even laid out differently, fault alike.
+        silence_chaos_panics();
+        let run = |bed: &Testbed, src: &str| {
+            run_isolated_compiled(
+                bed,
+                &chunk(src),
+                &RunOptions::default(),
+                &IsolationPolicy::default(),
+                &RetryPolicy::default(),
+            )
+        };
+        let clean = run(&Testbed::new(Engine::latest(EngineName::V8), false), "print('target');");
+        for plan in [
+            FaultPlan::new(9).panic_rate(1.0),
+            FaultPlan::new(9).transient_rate(1.0).transient_persistence(1),
+            FaultPlan::new(9).garbage_rate(1.0),
+        ] {
+            let bed = chaotic(plan);
+            let a = run(&bed, "print('target');");
+            let b = run(&bed, "print ( 'target' ) ;");
+            assert_ne!((&a.result, a.retries), (&clean.result, clean.retries), "no fault fired");
+            assert_eq!((a.result, a.fault, a.retries), (b.result, b.fault, b.retries));
+        }
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub use catalog::{quota, ApiType, BugId, Component, Discovery, Effect, SeededBug
 pub use chaos::{
     fatal_signal_message, signal_name, ChaosAbort, ChaosPanic, FaultKind, FaultPlan, RawFault,
 };
-#[allow(deprecated)]
-pub use harness::run_isolated;
 pub use harness::{
     run_isolated_compiled, silence_chaos_panics, FaultObserved, IsolatedRun, IsolationPolicy,
     RetryPolicy,
@@ -54,7 +52,6 @@ use comfort_interp::run_chunk;
 pub use comfort_interp::{
     compile, Backend, CompiledChunk, RunOptions, RunOptionsBuilder, RunResult,
 };
-use comfort_syntax::Program;
 use std::sync::{Arc, OnceLock};
 
 /// The shared, lazily-built bug catalog (deterministic; see [`catalog`]).
@@ -127,12 +124,6 @@ impl Engine {
     /// every engine — the chunk is shared read-only.
     pub fn run_compiled(&self, chunk: &Arc<CompiledChunk>, options: &RunOptions) -> RunResult {
         run_chunk(chunk, &self.profile, options)
-    }
-
-    /// Compiles and runs `program` in one step.
-    #[deprecated(note = "compile once with `compile` and execute with `run_compiled`")]
-    pub fn run(&self, program: &Program, options: &RunOptions) -> RunResult {
-        self.run_compiled(&compile(program), options)
     }
 }
 
@@ -213,12 +204,6 @@ impl Testbed {
         .result
     }
 
-    /// Compiles and runs `program` in one step.
-    #[deprecated(note = "compile once with `compile` and execute with `run_compiled`")]
-    pub fn run(&self, program: &Program, options: &RunOptions) -> RunResult {
-        self.run_compiled(&compile(program), options)
-    }
-
     /// One raw, *uncontained* execution attempt: applies the chaos plan (if
     /// any) and runs the engine. Injected panics really panic and injected
     /// hangs really sleep — callers are expected to go through
@@ -274,17 +259,6 @@ impl Testbed {
             chunk,
             &options.to_builder().strict(self.strict || options.strict).build(),
         ))
-    }
-
-    /// Compiling variant of [`Testbed::run_attempt_compiled`].
-    #[deprecated(note = "compile once with `compile` and execute with `run_attempt_compiled`")]
-    pub fn run_attempt(
-        &self,
-        program: &Program,
-        options: &RunOptions,
-        attempt: u32,
-    ) -> Result<RunResult, RawFault> {
-        self.run_attempt_compiled(&compile(program), options, attempt)
     }
 }
 

@@ -50,7 +50,7 @@ pub use footprint::{extract_footprint, ApiFootprint};
 pub use interp::{Backend, Control, Interp, RunOptions, RunOptionsBuilder, RunResult, RunStatus};
 pub use value::{ErrorKind, ObjId, TaKind, Value};
 
-use comfort_syntax::{parse, Program, SyntaxError};
+use comfort_syntax::{parse, SyntaxError};
 use hooks::ConformanceProfile;
 
 /// Parses, compiles, and runs `src` under `profile`.
@@ -82,17 +82,6 @@ pub fn run_chunk(
 ) -> RunResult {
     let mut interp = Interp::new(profile);
     interp.run_chunk(chunk, options)
-}
-
-/// Runs an already-parsed program under `profile`.
-#[deprecated(note = "compile once with `compile` and execute with `run_chunk`")]
-pub fn run_program(
-    program: &Program,
-    profile: &dyn ConformanceProfile,
-    options: &RunOptions,
-) -> RunResult {
-    let chunk = compile(program);
-    run_chunk(&chunk, profile, options)
 }
 
 #[cfg(test)]

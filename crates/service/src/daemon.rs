@@ -1,12 +1,12 @@
 //! The supervised multi-tenant campaign daemon.
 //!
 //! One [`Daemon`] multiplexes many concurrent campaigns over a single
-//! global worker pool. The execution model is the library executor's —
-//! per-shard event buffers, an ordered flush frontier, a write-ahead
-//! journal, and the same order-preserving merge — so a campaign run under
-//! the daemon produces a report **bit-identical** (in every deterministic
-//! field) to `CampaignSession::run` on the same spec. What the daemon adds
-//! is *supervision*:
+//! global worker pool. Each campaign's shard state — result slots, the
+//! ordered flush frontier, the write-ahead journal, the commit and the
+//! order-preserving merge — is a [`ShardRuntime`], the same one
+//! `CampaignSession::run` drives, so a campaign run under the daemon
+//! produces a report **bit-identical** (in every deterministic field) to
+//! the library's on the same spec. What the daemon adds is *supervision*:
 //!
 //! * every shard executes under a TTL [`lease`](crate::lease) with a
 //!   fencing sequence; a supervisor heartbeat renews leases whose shard is
@@ -37,17 +37,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use comfort_core::campaign::{CampaignConfig, CampaignReport};
-use comfort_core::checkpoint::{
-    config_fingerprint, report_checksum, CampaignCheckpoint, CheckpointJournal, LeaseAction,
-    LeaseRecord, RecoveryReport, ResumeInfo,
-};
-use comfort_core::executor::{
-    merge_shard_reports_with_sink, plan_shards, ShardSpec, ShardedCampaign,
-};
+use comfort_core::checkpoint::{report_checksum, CampaignCheckpoint, LeaseAction, LeaseRecord};
+use comfort_core::executor::{plan_shards, ShardedCampaign};
 use comfort_core::resilience::CancelToken;
+use comfort_core::runtime::ShardRuntime;
 use comfort_telemetry::{
     Event, EventKind, JsonlSink, MemorySink, ProgressHandle, Recorder, Sink, SinkHandle,
-    CONTROL_SHARD, SERVICE_SHARD,
+    SERVICE_SHARD,
 };
 
 use crate::fleet::{ChildFate, ProcessJail, WorkerArgs, WorkerChild};
@@ -275,38 +271,8 @@ impl Sink for TeeSink {
     }
 }
 
-/// The ordered flush frontier (the executor's contract, restated): shard
-/// `i`'s buffered events flush to the campaign sink once every shard
-/// `0..i` has flushed, so the sink observes logical `(shard, seq)` order
-/// at any pool width.
-struct FlushFrontier {
-    inner: Mutex<FlushInner>,
-}
-
-struct FlushInner {
-    next: usize,
-    done: Vec<bool>,
-}
-
-impl FlushFrontier {
-    fn new(n: usize) -> Self {
-        FlushFrontier { inner: Mutex::new(FlushInner { next: 0, done: vec![false; n] }) }
-    }
-
-    fn shard_done(&self, shard: usize, buffers: &[MemorySink], sink: &SinkHandle) {
-        let mut inner = self.inner.lock().expect("flush frontier poisoned");
-        inner.done[shard] = true;
-        while inner.next < inner.done.len() && inner.done[inner.next] {
-            for event in buffers[inner.next].take() {
-                sink.emit(&event);
-            }
-            inner.next += 1;
-        }
-    }
-}
-
-/// One supervised campaign: its configuration, its lease table, and the
-/// executor-shaped merge state.
+/// One supervised campaign: its configuration, its shard runtime, and the
+/// supervision state around it.
 struct CampaignEntry {
     id: String,
     tenant: String,
@@ -318,20 +284,11 @@ struct CampaignEntry {
     /// Held while training the executor, so concurrent first users train
     /// once. The slot lock above is never held that long.
     training: Mutex<()>,
-    plan: Vec<ShardSpec>,
     cancel: CancelToken,
-    sink: SinkHandle,
     tee: TeeSink,
-    journal: Mutex<Option<Arc<CheckpointJournal>>>,
-    buffers: Vec<MemorySink>,
-    slots: Vec<Mutex<Option<CampaignReport>>>,
-    flush: FlushFrontier,
+    runtime: ShardRuntime,
     leases: LeaseTable,
-    control: Mutex<Recorder>,
     state: Mutex<CampaignState>,
-    progress: ProgressHandle,
-    checkpoints_written: AtomicU64,
-    resume: Option<(String, RecoveryReport, u64)>,
     final_report: Mutex<Option<(CampaignReport, u64)>>,
     failure: Mutex<Option<String>>,
     /// The spec file handed to worker children (process isolation only).
@@ -345,7 +302,7 @@ struct CampaignEntry {
     /// never observable as terminal with an unbalanced lease ledger.
     settling: AtomicU64,
     /// Set once the finished campaign starts releasing its executor, shard
-    /// slots, journal and telemetry file (see [`DaemonShared::retire`]).
+    /// runtime and telemetry file (see [`DaemonShared::retire`]).
     retired: AtomicBool,
     /// Set once the finished campaign's event tail has been evicted.
     tail_expired: AtomicBool,
@@ -377,11 +334,6 @@ impl CampaignEntry {
         *self.state.lock().expect("campaign state poisoned")
     }
 
-    /// The campaign's journal, until it retires.
-    fn journal(&self) -> Option<Arc<CheckpointJournal>> {
-        self.journal.lock().expect("journal slot poisoned").clone()
-    }
-
     fn cached_executor(&self) -> Option<Arc<ShardedCampaign>> {
         self.executor.lock().expect("executor slot poisoned").clone()
     }
@@ -402,7 +354,7 @@ impl CampaignEntry {
             return None;
         }
         let mut executor = ShardedCampaign::new(self.config.clone());
-        executor.attach_progress(self.progress.clone());
+        executor.attach_progress(self.runtime.progress().clone());
         let executor = Arc::new(executor);
         // `retire` sets the flag before it empties the slot, so checking it
         // under the slot lock never leaves a retired campaign an executor.
@@ -420,13 +372,13 @@ impl CampaignEntry {
 
     fn status(&self) -> CampaignStatus {
         let (done, held, _) = self.leases.counts();
-        let snap = self.progress.snapshot();
+        let snap = self.runtime.progress().snapshot();
         CampaignStatus {
             id: self.id.clone(),
             tenant: self.tenant.clone(),
             name: self.name.clone(),
             state: self.state(),
-            shards_total: self.plan.len(),
+            shards_total: self.runtime.plan().len(),
             shards_done: done,
             shards_held: held,
             reclaims: self.leases.total_reclaims(),
@@ -439,7 +391,7 @@ impl CampaignEntry {
                 .as_ref()
                 .map(|(_, checksum)| *checksum),
             failure: self.failure.lock().expect("failure poisoned").clone(),
-            resumed: self.resume.is_some(),
+            resumed: self.runtime.resumed(),
         }
     }
 }
@@ -504,7 +456,7 @@ impl DaemonShared {
 
     /// Journals and emits one lease transition, bumping its metric.
     fn record_lease(&self, entry: &CampaignEntry, action: LeaseAction, t: &Transition) {
-        if let Some(journal) = entry.journal() {
+        if let Some(journal) = entry.runtime.journal() {
             let _ = journal.append_lease(&LeaseRecord {
                 shard: t.shard as u64,
                 worker: t.holder.clone(),
@@ -613,7 +565,7 @@ impl DaemonShared {
                 }
             }
         }
-        let snap = entry.progress.snapshot();
+        let snap = entry.runtime.progress().snapshot();
         let progress = move |i: usize| snap.shards.get(i).map(|s| s.cases_done).unwrap_or_default();
         let claim = match entry.leases.claim_pending(worker, &progress) {
             Some(claim) => claim,
@@ -644,7 +596,7 @@ impl DaemonShared {
 
     /// Runs one leased shard on this pool thread (thread isolation).
     fn execute_inline(&self, entry: &Arc<CampaignEntry>, claim: &Claim, transition: &Transition) {
-        let spec = entry.plan[claim.shard];
+        let spec = entry.runtime.plan()[claim.shard];
         let attempt = MemorySink::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             entry.executor().map(|executor| executor.run_shard(&spec, 1, &attempt))
@@ -678,41 +630,19 @@ impl DaemonShared {
                 // function of the shard spec, so a fenced duplicate stages
                 // the same value the rightful holder will.
                 let settle = SettleGuard::arm(&entry.settling);
-                *entry.slots[claim.shard].lock().expect("shard slot poisoned") =
-                    Some(report.clone());
+                entry.runtime.stage(claim.shard, report.clone());
                 if !entry.leases.complete(claim.shard, claim.lease_seq) {
                     // Fenced: the supervisor reclaimed this lease and the
                     // shard belongs to someone else now. Only the current
                     // sequence may commit the journal record and telemetry.
                     return;
                 }
-                for event in attempt.events() {
-                    entry.buffers[claim.shard].emit(&event);
-                }
-                if let Some(journal) = entry.journal() {
-                    let record = comfort_core::checkpoint::ShardRecord {
-                        index: claim.shard as u64,
-                        seed: spec.seed,
-                        cases: spec.cases as u64,
-                        report: report.clone(),
-                        events: entry.buffers[claim.shard].events(),
-                    };
-                    if let Ok(journal_bytes) = journal.append_shard(&record) {
-                        entry.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                        entry.control.lock().expect("control recorder poisoned").emit(
-                            EventKind::CheckpointWritten {
-                                checkpointed_shard: claim.shard as u64,
-                                cases_run: record.report.cases_run,
-                                journal_bytes,
-                            },
-                        );
-                    }
-                }
+                // Commit (and so flush) inside the settlement window:
+                // finalization and retirement wait for it, so every shard's
+                // events reach the sink before the merge's.
+                let record = entry.runtime.record(claim.shard, report, attempt.take());
+                entry.runtime.commit(record, false);
                 self.record_lease(entry, LeaseAction::Released, transition);
-                // Flush inside the settlement window: finalization (and
-                // retirement, which empties the buffers) waits for it, so
-                // every shard's events reach the sink before the merge's.
-                entry.flush.shard_done(claim.shard, &entry.buffers, &entry.sink);
                 drop(settle);
                 self.maybe_finalize(entry);
             }
@@ -841,12 +771,13 @@ impl DaemonShared {
         });
         self.metrics.workers_spawned.fetch_add(1, Ordering::Relaxed);
         self.workers_active.fetch_add(1, Ordering::SeqCst);
-        entry.progress.shard_started(claim.shard);
+        let progress = entry.runtime.progress();
+        progress.shard_started(claim.shard);
         let kill_at = if doomed { Some(Instant::now() + jail.kill_after) } else { None };
         let mut applied = 0u64;
         let apply = |applied: &mut u64, reported: u64| {
             while *applied < reported {
-                entry.progress.case_done(claim.shard);
+                progress.case_done(claim.shard);
                 *applied += 1;
             }
         };
@@ -934,8 +865,8 @@ impl DaemonShared {
     }
 
     /// Adopts a committed child's journalled shard record into the
-    /// campaign: stage the report, pass the fence, replay the events into
-    /// the flush frontier — the same commit sequence as the inline path.
+    /// campaign: stage the report, pass the fence, commit — the same
+    /// sequence as the inline path, minus the journal append.
     fn stage_child_commit(
         &self,
         entry: &Arc<CampaignEntry>,
@@ -943,14 +874,13 @@ impl DaemonShared {
         transition: &Transition,
         applied: u64,
     ) -> ChildOutcome {
-        let Some(journal) = entry.journal() else {
+        let Some(journal) = entry.runtime.journal() else {
             entry.leases.abandon(claim.shard, claim.lease_seq);
             self.record_lease(entry, LeaseAction::Released, transition);
             self.fail_campaign(entry, "process isolation lost its journal".to_string());
             return ChildOutcome::SpawnFailed;
         };
-        let path = journal.path().to_path_buf();
-        let record = CampaignCheckpoint::load(&path)
+        let record = CampaignCheckpoint::load(journal.path())
             .ok()
             .and_then(|(c, _)| c.shards.into_iter().find(|r| r.index == claim.shard as u64));
         let Some(record) = record else {
@@ -965,35 +895,22 @@ impl DaemonShared {
         // Catch the progress handle up to the committed truth (the last
         // stdout heartbeat may predate the final cases) and mirror the
         // executor's bug/finish bookkeeping for status parity.
-        let mut applied = applied;
-        while applied < record.report.cases_run {
-            entry.progress.case_done(claim.shard);
-            applied += 1;
+        let progress = entry.runtime.progress();
+        for _ in applied..record.report.cases_run {
+            progress.case_done(claim.shard);
         }
         for _ in 0..record.report.bugs.len() {
-            entry.progress.bug_found(claim.shard);
+            progress.bug_found(claim.shard);
         }
         let settle = SettleGuard::arm(&entry.settling);
-        *entry.slots[claim.shard].lock().expect("shard slot poisoned") =
-            Some(record.report.clone());
+        entry.runtime.stage(claim.shard, record.report.clone());
         if !entry.leases.complete(claim.shard, claim.lease_seq) {
             return ChildOutcome::Fenced;
         }
-        entry.progress.shard_finished(claim.shard);
-        for event in &record.events {
-            entry.buffers[claim.shard].emit(event);
-        }
-        entry.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-        let journal_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or_default();
-        entry.control.lock().expect("control recorder poisoned").emit(
-            EventKind::CheckpointWritten {
-                checkpointed_shard: claim.shard as u64,
-                cases_run: record.report.cases_run,
-                journal_bytes,
-            },
-        );
+        progress.shard_finished(claim.shard);
+        // The child appended the record itself.
+        entry.runtime.commit(record, true);
         self.record_lease(entry, LeaseAction::Released, transition);
-        entry.flush.shard_done(claim.shard, &entry.buffers, &entry.sink);
         drop(settle);
         self.maybe_finalize(entry);
         ChildOutcome::Committed
@@ -1017,7 +934,7 @@ impl DaemonShared {
         if !entry.leases.quarantine(shard) {
             return; // another thread owns this shard's fault handling
         }
-        let cases = entry.plan[shard].cases;
+        let cases = entry.runtime.plan()[shard].cases;
         let probe = |limit: usize| -> Option<i32> {
             let args = WorkerArgs {
                 spec: spec_path.to_path_buf(),
@@ -1149,8 +1066,7 @@ impl DaemonShared {
             }
             *entry.failure.lock().expect("failure poisoned") = Some(message);
             entry.cancel.cancel();
-            let (done, _, _) = entry.leases.counts();
-            self.record_finish(entry, "failed", done as u64);
+            self.record_finish(entry, "failed");
             *state = CampaignState::Failed;
         }
         self.retire(entry);
@@ -1161,11 +1077,12 @@ impl DaemonShared {
     /// campaign's state lock *before* the state turns terminal, so anyone
     /// who sees the terminal state (a returning [`Daemon::wait`]) also sees
     /// the campaign ledger balanced.
-    fn record_finish(&self, entry: &CampaignEntry, outcome: &str, shards_run: u64) {
+    fn record_finish(&self, entry: &CampaignEntry, outcome: &str) {
+        let (done, _, _) = entry.leases.counts();
         self.emit_service(EventKind::CampaignFinished {
             campaign: entry.id.clone(),
             outcome: outcome.to_string(),
-            shards_run,
+            shards_run: done.saturating_sub(entry.runtime.salvaged().len()) as u64,
         });
         let counter = match outcome {
             "completed" => &self.metrics.campaigns_completed,
@@ -1175,10 +1092,10 @@ impl DaemonShared {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Releases what only a live campaign needs: its trained executor,
-    /// shard slots (their merge is in `final_report`), leftover event
-    /// buffers, journal and telemetry file. Its event tail stays until
-    /// `max_active` more recently finished campaigns have retired.
+    /// Releases what only a live campaign needs: its trained executor, its
+    /// shard runtime's slots (their merge is in `final_report`), waiting
+    /// events and journal, and its telemetry file. Its event tail stays
+    /// until `max_active` more recently finished campaigns have retired.
     ///
     /// Called right after the terminal transition, once the campaign's
     /// state lock is released: closing the telemetry file flushes and
@@ -1207,23 +1124,21 @@ impl DaemonShared {
             }
         }
         entry.executor.lock().expect("executor slot poisoned").take();
-        for slot in &entry.slots {
-            slot.lock().expect("shard slot poisoned").take();
-        }
-        for buffer in &entry.buffers {
-            buffer.take();
-        }
-        let journal = entry.journal.lock().expect("journal slot poisoned").take();
+        entry.runtime.release();
         let file = entry.tee.file.lock().expect("telemetry file poisoned").take();
-        // Closed outside their slot locks too.
-        drop((journal, file));
+        // Closed outside its slot lock too.
+        drop(file);
     }
 
     /// Completes or cancels a campaign when its leases say so. The merge
     /// runs under the state lock, so exactly one caller finalizes.
     fn maybe_finalize(&self, entry: &Arc<CampaignEntry>) {
-        let finished = {
+        {
             let mut state = entry.state.lock().expect("campaign state poisoned");
+            // Over when every shard is done, or when it is cancelled with
+            // nothing in flight: nothing will be leased again.
+            let over = entry.leases.all_done()
+                || (entry.cancel.is_cancelled() && entry.leases.counts().1 == 0);
             // Ledger barrier: read the lease table *before* the settling
             // count. If this observer sees the state a mid-commit worker
             // produced (Done / no longer Held), the worker's `SettleGuard`
@@ -1231,78 +1146,22 @@ impl DaemonShared {
             // worker re-runs finalization right after its `Released`
             // record (and the supervisor heartbeat retries every tick).
             // This keeps "terminal campaign" ⇒ "balanced lease ledger".
-            if state.is_terminal() {
-                false
-            } else if entry.leases.all_done() {
-                if entry.settling.load(Ordering::SeqCst) > 0 {
-                    return;
-                }
-                let reports: Vec<CampaignReport> = entry
-                    .slots
-                    .iter()
-                    .map(|slot| {
-                        slot.lock().expect("shard slot poisoned").clone().expect("done slot filled")
-                    })
-                    .collect();
-                let mut merged = merge_shard_reports_with_sink(&reports, &entry.sink);
-                self.attach_resume(entry, &mut merged);
-                let checksum = report_checksum(&merged);
-                *entry.final_report.lock().expect("final report poisoned") =
-                    Some((merged, checksum));
-                let salvaged = entry.resume.as_ref().map(|(_, _, n)| *n).unwrap_or(0);
-                self.record_finish(entry, "completed", entry.plan.len() as u64 - salvaged);
-                *state = CampaignState::Completed;
-                true
-            } else if entry.cancel.is_cancelled() && entry.leases.counts().1 == 0 {
-                if entry.settling.load(Ordering::SeqCst) > 0 {
-                    return;
-                }
-                // Nothing in flight and nothing will be leased again: merge
-                // what completed and flag it, exactly like the library path.
-                let reports: Vec<CampaignReport> = entry
-                    .slots
-                    .iter()
-                    .filter_map(|slot| slot.lock().expect("shard slot poisoned").clone())
-                    .collect();
-                let completed = reports.len();
-                let mut merged = merge_shard_reports_with_sink(&reports, &entry.sink);
-                merged.interrupted = true;
-                let reason = if entry.cancel.deadline_passed() { "deadline" } else { "cancelled" };
-                entry.control.lock().expect("control recorder poisoned").emit(
-                    EventKind::CampaignInterrupted {
-                        shards_completed: completed as u64,
-                        shards_total: entry.plan.len() as u64,
-                        reason: reason.to_string(),
-                    },
-                );
-                self.attach_resume(entry, &mut merged);
-                let checksum = report_checksum(&merged);
-                *entry.final_report.lock().expect("final report poisoned") =
-                    Some((merged, checksum));
-                self.record_finish(entry, reason, completed as u64);
-                *state = CampaignState::Cancelled;
-                true
-            } else {
-                false
+            if state.is_terminal() || !over || entry.settling.load(Ordering::SeqCst) > 0 {
+                return;
             }
-        };
-        if finished {
-            self.retire(entry);
-            self.wake_workers();
+            let (merged, outcome) = entry.runtime.finish();
+            let finished = if merged.interrupted {
+                CampaignState::Cancelled
+            } else {
+                CampaignState::Completed
+            };
+            let checksum = report_checksum(&merged);
+            *entry.final_report.lock().expect("final report poisoned") = Some((merged, checksum));
+            self.record_finish(entry, outcome);
+            *state = finished;
         }
-    }
-
-    fn attach_resume(&self, entry: &CampaignEntry, merged: &mut CampaignReport) {
-        if let Some((path, recovery, salvaged)) = &entry.resume {
-            merged.resume = Some(ResumeInfo {
-                resumed_from: path.clone(),
-                shards_salvaged: *salvaged,
-                shards_rerun: entry.plan.len() as u64 - salvaged,
-                shards_total: entry.plan.len() as u64,
-                dropped_tail_bytes: recovery.dropped_tail_bytes,
-                checkpoints_written: entry.checkpoints_written.load(Ordering::Relaxed),
-            });
-        }
+        self.retire(entry);
+        self.wake_workers();
     }
 
     /// One supervisor heartbeat over every live campaign. Each campaign
@@ -1320,7 +1179,7 @@ impl DaemonShared {
                 continue;
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let snap = entry.progress.snapshot();
+                let snap = entry.runtime.progress().snapshot();
                 let progress =
                     move |i: usize| snap.shards.get(i).map(|s| s.cases_done).unwrap_or_default();
                 let beat = entry.leases.tick(now, &progress);
@@ -1513,7 +1372,7 @@ impl Daemon {
             Ok(entry) => entry,
             Err(e) => return reject("journal_conflict", e, 0),
         };
-        let shards = entry.plan.len() as u64;
+        let shards = entry.runtime.plan().len() as u64;
         shared.campaigns.lock().expect("campaign registry poisoned").push(Arc::clone(&entry));
         shared.emit_service(EventKind::CampaignAdmitted {
             campaign: id.clone(),
@@ -1670,9 +1529,14 @@ impl Daemon {
         if let Some(supervisor) = self.supervisor.lock().expect("supervisor poisoned").take() {
             let _ = supervisor.join();
         }
-        // Telemetry flush: both sink flavours write through on every emit
-        // (the JSONL sink drives an unbuffered file), so at this point the
-        // streams are durably on disk; nothing further to do.
+        // Nothing emits any more. Retirement closes a finished campaign's
+        // telemetry file; a campaign left running keeps its file open, so
+        // flush it to hold every event of the campaign's tail.
+        for entry in self.shared.campaigns.lock().expect("campaign registry poisoned").iter() {
+            if let Some(file) = entry.tee.file.lock().expect("telemetry file poisoned").as_ref() {
+                let _ = file.flush();
+            }
+        }
     }
 
     /// The health/occupancy table: one row per campaign plus a pool footer.
@@ -1724,15 +1588,18 @@ impl Drop for Daemon {
     }
 }
 
-/// Builds a campaign entry, salvaging an existing journal when the spec
-/// names one (fingerprint- and plan-validated, exactly like the library's
-/// resumable path).
+/// Builds a campaign entry. The spec's journal, if one exists, is checked
+/// before any file is touched: a rejected submission must not truncate the
+/// telemetry file or rewrite the worker spec file of a campaign that runs
+/// on the same paths.
 fn build_entry(
     shared: &DaemonShared,
     id: &str,
     spec: &CampaignSpec,
     mut config: CampaignConfig,
 ) -> Result<Arc<CampaignEntry>, String> {
+    let salvage = ShardRuntime::check(&config)
+        .map_err(|e| format!("journal {}: {e}", spec.checkpoint.as_deref().unwrap_or_default()))?;
     let file = match &spec.telemetry {
         Some(path) => Some(
             JsonlSink::create(path)
@@ -1740,157 +1607,69 @@ fn build_entry(
         ),
         None => None,
     };
-    let tee = TeeSink { tail: MemorySink::new(), file: Arc::new(Mutex::new(file)) };
-    let sink = SinkHandle::new(tee.clone());
-    let cancel = CancelToken::new();
-    config.sink = sink.clone();
-    config.cancel = cancel.clone();
-    if let Some(deadline) = config.deadline {
-        // The library arms the deadline at campaign start; under the daemon
-        // a campaign starts the moment it is admitted.
-        cancel.arm_deadline(Instant::now() + deadline);
-    }
-    let checkpoint_path = config.checkpoint.clone();
     // Process isolation: persist the spec next to the journal so worker
     // children rebuild the identical campaign (same fingerprint) from it.
     let mut spec_path = None;
     if matches!(shared.cfg.isolation, IsolationMode::Processes(_)) {
-        if let Some(path) = &checkpoint_path {
+        if let Some(path) = &config.checkpoint {
             let p = PathBuf::from(format!("{}.spec.json", path.display()));
             std::fs::write(&p, spec.to_json())
                 .map_err(|e| format!("cannot write worker spec file {p:?}: {e}"))?;
             spec_path = Some(p);
         }
     }
-    let plan = plan_shards(&config);
-    let progress = ProgressHandle::new();
-    progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
-    let buffers: Vec<MemorySink> = plan.iter().map(|_| MemorySink::new()).collect();
-    let slots: Vec<Mutex<Option<CampaignReport>>> = plan.iter().map(|_| Mutex::new(None)).collect();
-    let flush = FlushFrontier::new(plan.len());
-    let leases = LeaseTable::new(plan.len(), shared.cfg.lease_ttl);
-    let control = Mutex::new(Recorder::new(sink.clone(), CONTROL_SHARD));
+    let tee = TeeSink { tail: MemorySink::new(), file: Arc::new(Mutex::new(file)) };
+    config.sink = SinkHandle::new(tee.clone());
+    config.cancel = CancelToken::new();
 
-    let mut journal = None;
-    let mut resume = None;
-    if let Some(path) = &checkpoint_path {
-        if path.exists() {
-            let (checkpoint, recovery) =
-                CampaignCheckpoint::load(path).map_err(|e| format!("journal {path:?}: {e}"))?;
-            let expected = config_fingerprint(&config);
-            if checkpoint.fingerprint != expected {
-                return Err(format!(
-                    "journal {path:?} was written under fingerprint {:#018x}, spec derives {:#018x}",
-                    checkpoint.fingerprint, expected
-                ));
+    let shards = plan_shards(&config).len();
+    let leases = LeaseTable::new(shards, shared.cfg.lease_ttl);
+    if let Some(salvage) = &salvage {
+        let checkpoint = salvage.checkpoint();
+        for record in &checkpoint.shards {
+            leases.restore_done(record.index as usize);
+        }
+        // Adopt the journal's lease state: a shard journalled as held with
+        // no shard record means its holder died mid-shard. The adopted
+        // lease runs out its recorded TTL (the dead holder makes no
+        // progress) and is then reclaimed and re-leased.
+        for lease in checkpoint.latest_leases() {
+            let shard = lease.shard as usize;
+            if shard < shards
+                && matches!(lease.action, LeaseAction::Acquired | LeaseAction::Renewed)
+            {
+                let ttl = Duration::from_millis(lease.ttl_millis);
+                leases.restore_held(shard, &lease.worker, lease.lease_seq, ttl);
+                // Re-emitting Acquired on adoption keeps the lease ledger
+                // balanced within this daemon life.
+                shared.emit_service(EventKind::LeaseAcquired {
+                    campaign: id.to_string(),
+                    lease_shard: lease.shard,
+                    worker: lease.worker.clone(),
+                    ttl_millis: lease.ttl_millis,
+                });
+                shared.metrics.leases_acquired.fetch_add(1, Ordering::Relaxed);
             }
-            if checkpoint.shards_total != plan.len() as u64 {
-                return Err(format!(
-                    "journal {path:?} plans {} shards, spec plans {}",
-                    checkpoint.shards_total,
-                    plan.len()
-                ));
-            }
-            for record in &checkpoint.shards {
-                let spec_shard = plan.get(record.index as usize).ok_or_else(|| {
-                    format!("journal {path:?} has a record for out-of-plan shard {}", record.index)
-                })?;
-                if record.seed != spec_shard.seed || record.cases != spec_shard.cases as u64 {
-                    return Err(format!(
-                        "journal {path:?} shard {} disagrees with the spec's plan",
-                        record.index
-                    ));
-                }
-            }
-            control.lock().expect("control recorder poisoned").emit(EventKind::CampaignResumed {
-                shards_salvaged: checkpoint.shards.len() as u64,
-                shards_total: plan.len() as u64,
-                dropped_bytes: recovery.dropped_tail_bytes,
-            });
-            for record in &checkpoint.shards {
-                let i = record.index as usize;
-                *slots[i].lock().expect("shard slot poisoned") = Some(record.report.clone());
-                for event in &record.events {
-                    buffers[i].emit(event);
-                }
-                progress.shard_started(i);
-                for _ in 0..record.report.cases_run {
-                    progress.case_done(i);
-                }
-                for _ in 0..record.report.bugs.len() {
-                    progress.bug_found(i);
-                }
-                progress.shard_finished(i);
-                flush.shard_done(i, &buffers, &sink);
-                leases.restore_done(i);
-            }
-            // Adopt the journal's lease state: a shard journalled as held
-            // with no shard record means its holder died mid-shard. The
-            // adopted lease runs out its recorded TTL (the dead holder
-            // makes no progress) and is then reclaimed and re-leased.
-            for lease in checkpoint.latest_leases() {
-                let shard = lease.shard as usize;
-                if shard >= plan.len() {
-                    continue;
-                }
-                if matches!(lease.action, LeaseAction::Acquired | LeaseAction::Renewed) {
-                    let ttl = Duration::from_millis(lease.ttl_millis);
-                    leases.restore_held(shard, &lease.worker, lease.lease_seq, ttl);
-                    let adopted = Transition {
-                        shard,
-                        holder: lease.worker.clone(),
-                        lease_seq: lease.lease_seq,
-                        ttl_millis: lease.ttl_millis,
-                        reclaims: 0,
-                    };
-                    // Re-emitting Acquired on adoption keeps the lease
-                    // ledger balanced within this daemon life.
-                    shared.emit_service(EventKind::LeaseAcquired {
-                        campaign: id.to_string(),
-                        lease_shard: adopted.shard as u64,
-                        worker: adopted.holder.clone(),
-                        ttl_millis: adopted.ttl_millis,
-                    });
-                    shared.metrics.leases_acquired.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let salvaged = checkpoint.shards.len() as u64;
-            journal = CheckpointJournal::open_append(path, &recovery).ok().map(Arc::new);
-            resume = Some((path.display().to_string(), recovery, salvaged));
-        } else {
-            journal =
-                CheckpointJournal::create(path, config_fingerprint(&config), plan.len() as u64)
-                    .ok()
-                    .map(Arc::new);
         }
     }
-
-    let shards_in_plan = plan.len();
+    // A campaign under the daemon starts the moment it is admitted.
+    let runtime = ShardRuntime::start(&config, ProgressHandle::new(), salvage);
     Ok(Arc::new(CampaignEntry {
         id: id.to_string(),
         tenant: spec.tenant.clone(),
         name: spec.name.clone().unwrap_or_else(|| id.to_string()),
+        cancel: config.cancel.clone(),
         config,
         executor: Mutex::new(None),
         training: Mutex::new(()),
-        plan,
-        cancel,
-        sink,
         tee,
-        journal: Mutex::new(journal),
-        buffers,
-        slots,
-        flush,
+        runtime,
         leases,
-        control,
         state: Mutex::new(CampaignState::Queued),
-        progress,
-        checkpoints_written: AtomicU64::new(0),
-        resume,
         final_report: Mutex::new(None),
         failure: Mutex::new(None),
         spec_path,
-        deaths: (0..shards_in_plan).map(|_| AtomicU64::new(0)).collect(),
+        deaths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         settling: AtomicU64::new(0),
         retired: AtomicBool::new(false),
         tail_expired: AtomicBool::new(false),

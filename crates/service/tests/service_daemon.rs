@@ -52,6 +52,20 @@ fn temp_path(name: &str) -> PathBuf {
     p
 }
 
+/// Waits until campaign `id` has committed at least `shards` shards.
+fn wait_committed(daemon: &Daemon, id: &str, shards: usize) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while daemon.campaign_status(id).expect("campaign exists").shards_done < shards {
+        assert!(std::time::Instant::now() < deadline, "campaign {id} committed no shard");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The JSONL file a campaign's telemetry sink writes for `events`.
+fn jsonl(events: &[Event]) -> String {
+    events.iter().map(|e| e.to_json() + "\n").collect()
+}
+
 fn wait_terminal(daemon: &Daemon, id: &str) -> comfort_service::daemon::CampaignStatus {
     let status = daemon.wait(id, Duration::from_secs(300)).expect("campaign exists");
     assert!(status.state.is_terminal(), "campaign {id} stuck in {:?}", status.state);
@@ -255,6 +269,89 @@ fn campaign_streams_reach_tail_and_file_in_full() {
             }
         }
         daemon.drain();
+    }
+}
+
+/// A submission naming a running campaign's journal and telemetry file,
+/// but with another seed, is rejected before it touches either file or
+/// the worker spec file beside the journal: the running campaign's worker
+/// children keep reading its own spec, and its file keeps its stream.
+#[test]
+fn a_conflicting_submission_leaves_the_running_campaign_alone() {
+    let fleet = ProcessJail::new(PathBuf::from(env!("CARGO_BIN_EXE_comfortd")));
+    let daemon = Daemon::start(ServiceConfig {
+        workers: 1,
+        isolation: IsolationMode::Processes(fleet),
+        ..ServiceConfig::default()
+    });
+    let journal = temp_path("conflict.ckpt");
+    let telemetry = temp_path("conflict.jsonl");
+    let spec = |seed: u64| CampaignSpec {
+        corpus_programs: Some(12),
+        lm: Some(GeneratorConfig { order: 4, bpe_merges: 40, top_k: 8, max_tokens: 200 }),
+        max_cases: Some(24),
+        shard_cases: Some(2),
+        checkpoint: Some(journal.display().to_string()),
+        telemetry: Some(telemetry.display().to_string()),
+        ..small_spec("conflict", seed)
+    };
+    let running = spec(71);
+    let id = daemon.submit(&running).expect("admitted");
+    wait_committed(&daemon, &id, 1);
+    let conflict = daemon.submit(&spec(72)).expect_err("another seed on the same journal");
+    assert_eq!(conflict.reason, "journal_conflict");
+
+    let status = wait_terminal(&daemon, &id);
+    assert_eq!(status.state, CampaignState::Completed);
+    assert_eq!(status.checksum, Some(library_checksum(&running, 1)));
+    let (tail, _) = daemon.tail_events(&id, 0).expect("a fresh tail is kept");
+    // The file is flushed when it closes, just after the campaign turns
+    // terminal.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let file = loop {
+        let file = std::fs::read_to_string(&telemetry).unwrap_or_default();
+        if file == jsonl(&tail) || std::time::Instant::now() >= deadline {
+            break file;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(file == jsonl(&tail), "the telemetry file lost the campaign's stream");
+    daemon.drain();
+    let spec_file = journal.with_extension("ckpt.spec.json");
+    for path in [journal, telemetry, spec_file] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// `drain` certifies a clean stop, so a campaign it leaves running has
+/// every event of its tail in its telemetry file when `drain` returns.
+#[test]
+fn drain_flushes_the_telemetry_of_campaigns_it_leaves_running() {
+    let daemon = Daemon::start(ServiceConfig { workers: 1, ..ServiceConfig::default() });
+    let journal = temp_path("drained.ckpt");
+    let telemetry = temp_path("drained.jsonl");
+    let spec = CampaignSpec {
+        max_cases: Some(120),
+        shard_cases: Some(10),
+        checkpoint: Some(journal.display().to_string()),
+        telemetry: Some(telemetry.display().to_string()),
+        ..small_spec("drained", 81)
+    };
+    let id = daemon.submit(&spec).expect("admitted");
+    wait_committed(&daemon, &id, 2);
+    daemon.drain();
+    let status = daemon.campaign_status(&id).expect("campaign exists");
+    assert!(!status.state.is_terminal(), "the drain should leave the campaign running");
+    let (tail, _) = daemon.tail_events(&id, 0).expect("a live tail");
+    let file = std::fs::read_to_string(&telemetry).expect("telemetry file");
+    assert!(
+        file == jsonl(&tail),
+        "the telemetry file holds {} of the tail's {} events",
+        file.lines().count(),
+        tail.len()
+    );
+    for path in [journal, telemetry] {
+        let _ = std::fs::remove_file(path);
     }
 }
 

@@ -71,8 +71,6 @@ pub mod prelude {
         run_differential, run_differential_pooled, vote_on_signatures_quorum, CaseOutcome,
         DeviationKind, DeviationRecord, GroupQuorum, QuorumPolicy, Signature,
     };
-    #[allow(deprecated)] // legacy entry point, kept until downstream callers migrate
-    pub use comfort_core::executor::run_campaign_resumable;
     pub use comfort_core::executor::{plan_shards, ShardSpec, ShardedCampaign};
     pub use comfort_core::filter::{BugKey, BugTree};
     pub use comfort_core::pipeline::{Comfort, ComfortConfig, PipelineReport};
@@ -83,8 +81,6 @@ pub mod prelude {
     };
     pub use comfort_core::session::CampaignSession;
     pub use comfort_core::testcase::{Origin, TestCase};
-    #[allow(deprecated)] // legacy entry point, kept until downstream callers migrate
-    pub use comfort_engines::run_isolated;
     pub use comfort_engines::{
         all_testbeds, compile, latest_testbeds, run_isolated_compiled, Backend, CompiledChunk,
         Engine, EngineName, FaultKind, FaultObserved, FaultPlan, IsolatedRun, IsolationPolicy,
