@@ -24,7 +24,8 @@ use rand::{Rng, SeedableRng};
 use crate::checkpoint::ResumeInfo;
 use crate::datagen::{DataGen, DataGenConfig};
 use crate::differential::{
-    run_differential, CaseOutcome, DeviationKind, DeviationRecord, Signature,
+    run_differential, run_differential_masked, CaseOutcome, DeviationKind, DeviationRecord,
+    Signature,
 };
 use crate::filter::{BugKey, BugTree};
 use crate::reduce::reduce_counted;
@@ -841,13 +842,12 @@ impl Campaign {
         // final bug identity uses the *reduced* program, whose remaining API
         // call is the one actually involved in the bug.
         let (reduced, reduced_program) = if self.config.reduce_cases {
-            let beds = self.testbeds.clone();
             let engine = dev_rec.engine;
             let opts = self.case_options();
             let reduce_start = std::time::Instant::now();
             let (program, reduce_stats) = reduce_counted(&case.program, &mut |p: &Program| {
                 matches!(
-                    run_differential(p, &beds, &opts),
+                    run_differential(p, &self.testbeds, &opts),
                     CaseOutcome::Deviations(d) if d.iter().any(|r| r.engine == engine)
                 )
             });
@@ -878,14 +878,14 @@ impl Campaign {
         let earliest_version =
             earliest_affected_version(dev_rec, &case.program, &self.case_options());
 
-        // Strict-only check: does the normal-mode group also deviate?
+        // Strict-only check: does the normal-mode group, voting alone, also
+        // deviate?
         let strict_only = dev_rec.strict && {
-            let normal: Vec<Testbed> =
-                self.testbeds.iter().filter(|t| !t.strict).cloned().collect();
-            !matches!(
-                run_differential(&case.program, &normal, &self.case_options()),
-                CaseOutcome::Deviations(d) if d.iter().any(|r| r.engine == dev_rec.engine)
-            )
+            let normal: Vec<bool> = self.testbeds.iter().map(|t| !t.strict).collect();
+            let opts = self.case_options();
+            let outcome = run_differential_masked(&case.program, &self.testbeds, &normal, &opts);
+            let engine = dev_rec.engine;
+            !matches!(outcome, CaseOutcome::Deviations(d) if d.iter().any(|r| r.engine == engine))
         };
 
         let matched = match_seeded_bug(dev_rec, api.as_deref());

@@ -6,9 +6,12 @@
 //! majority signature defines expected behaviour. Engines whose signature
 //! deviates from a strict majority are flagged.
 
-use comfort_engines::{compile, BugBehavior, CompiledChunk, EngineName, RunOptions, Testbed};
+use comfort_engines::{
+    compile, BehaviorId, CompiledChunk, EngineName, GateAnswers, RunOptions, Testbed,
+};
 use comfort_interp::{ErrorKind, RunStatus};
 use comfort_syntax::Program;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Canonicalized result of one run: the comparison key for voting.
@@ -162,66 +165,84 @@ impl CaseOutcome {
 ///
 /// `options` configures every per-testbed run; each testbed still overrides
 /// the strict flag with its own mode (see [`Testbed::run_compiled`]).
+///
+/// Execution is classed like the campaign's case path (see
+/// [`ExecutionClasses`]): one representative per behaviour class runs, and
+/// its signature stands for its classmates. The outcome is the full
+/// matrix's: every slot's own run voted with [`QuorumPolicy::LEGACY`].
 pub fn run_differential(
     program: &Program,
     testbeds: &[Testbed],
     options: &RunOptions,
 ) -> CaseOutcome {
-    let chunk = compile(program);
-    let signatures = testbed_signatures(&chunk, testbeds, options);
-    vote_on_signatures(testbeds, &signatures)
+    run_differential_masked(program, testbeds, &vec![true; testbeds.len()], options)
 }
 
-/// Like [`run_differential`], but fans the per-testbed runs out across up
-/// to `threads` workers. Signatures are collected by testbed index before
-/// voting, so the outcome is **bit-identical at every thread count**
-/// (`threads <= 1` is exactly the serial path).
-pub fn run_differential_pooled(
+/// [`run_differential`] over the masked-in slots only: a slot with
+/// `mask[i] = false` neither runs nor votes, so the outcome's deviations are
+/// those of the masked-in testbeds voting alone.
+pub(crate) fn run_differential_masked(
     program: &Program,
     testbeds: &[Testbed],
+    mask: &[bool],
     options: &RunOptions,
-    threads: usize,
 ) -> CaseOutcome {
-    // One compile per case; workers share the chunk read-only.
     let chunk = compile(program);
-    let signatures = if threads <= 1 || testbeds.len() < 2 {
-        testbed_signatures(&chunk, testbeds, options)
-    } else {
-        parallel_signatures(&chunk, testbeds, options, threads)
+    let run = |bed: &Testbed| {
+        let r = bed.run_compiled(&chunk, options);
+        Signature::of(&r.status, &r.output)
     };
-    vote_on_signatures(testbeds, &signatures)
+    let (classes, runs) = execute_classed(
+        &chunk,
+        testbeds,
+        mask,
+        true,
+        |_| false,
+        |run_mask| {
+            run_mask
+                .iter()
+                .zip(testbeds)
+                .map(|(&due, bed)| due.then(|| run(bed)))
+                .collect::<Vec<_>>()
+        },
+    );
+    let signatures: Vec<Option<Signature>> = (0..testbeds.len())
+        .map(|i| mask[i].then(|| runs[classes.rep(i)].clone().expect("representative ran")))
+        .collect();
+    vote_on_signatures_quorum(testbeds, &signatures, &QuorumPolicy::LEGACY).0
 }
 
-/// Computes the per-testbed signatures on a scoped worker pool. Workers
-/// claim testbed indices from a shared atomic counter; each index is
-/// claimed exactly once, so its slot is written exactly once — a per-slot
-/// `OnceLock` gives lock-free writes with no per-case mutex pool.
-fn parallel_signatures(
+/// Classed execution of one chunk, shared by [`run_differential`] and the
+/// hardened case runner: partitions the masked-in slots into behaviour
+/// classes and hands `execute` the run mask, which is `true` for each
+/// class's representative. Slot `i` then reads its run from slot
+/// `classes.rep(i)` of what `execute` produced.
+///
+/// A slot with a pending chaos fault diverges from its classmates by
+/// construction, and so does any slot `exclusive` names: both are forced
+/// singletons. With `dedup` off every masked-in slot runs.
+pub(crate) fn execute_classed<R>(
     chunk: &Arc<CompiledChunk>,
     testbeds: &[Testbed],
-    options: &RunOptions,
-    threads: usize,
-) -> Vec<Signature> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-
-    let slots: Vec<OnceLock<Signature>> = testbeds.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(testbeds.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= testbeds.len() {
-                    break;
-                }
-                let r = testbeds[i].run_compiled(chunk, options);
-                let set = slots[i].set(Signature::of(&r.status, &r.output));
-                debug_assert!(set.is_ok(), "slot {i} claimed twice");
-            });
-        }
-    });
-    slots.into_iter().map(|slot| slot.into_inner().expect("every slot was claimed")).collect()
+    mask: &[bool],
+    dedup: bool,
+    exclusive: impl Fn(usize) -> bool,
+    execute: impl FnOnce(&[bool]) -> R,
+) -> (ExecutionClasses, R) {
+    let classes = if dedup {
+        let shareable: Vec<bool> = testbeds
+            .iter()
+            .enumerate()
+            .map(|(i, bed)| !exclusive(i) && !bed.has_pending_fault(chunk))
+            .collect();
+        ExecutionClasses::compute(chunk, testbeds, mask, &shareable)
+    } else {
+        ExecutionClasses::identity(mask)
+    };
+    let runs: Vec<bool> =
+        (0..testbeds.len()).map(|i| mask[i] && classes.is_representative(i)).collect();
+    let results = execute(&runs);
+    (classes, results)
 }
 
 /// Partition of a testbed matrix into behaviour-equivalence classes for one
@@ -239,6 +260,12 @@ fn parallel_signatures(
 /// difference between profiles, and equal empty sequences mean both behave
 /// as the clean reference. Either way the runs are bit-identical and one
 /// execution can serve the whole class.
+///
+/// The key is read from the shared bug table
+/// ([`comfort_engines::Engine::push_class_key`]): interned behaviour ids,
+/// filtered by the table's footprint gates, which the chunk answers once
+/// ([`GateAnswers`]). It compares exactly as `Engine::relevant_behavior`
+/// sequences do, which stays as the reference.
 ///
 /// Forced singletons keep the partition composable with the rest of the
 /// harness: a slot with a pending chaos fault or a half-open quarantine
@@ -278,7 +305,12 @@ impl ExecutionClasses {
             return out; // analysis gave up: full matrix
         }
         out.classes = 0;
-        let mut seen: Vec<(bool, Vec<BugBehavior<'_>>, usize)> = Vec::new();
+        let strict_sites = chunk.footprint.has_strict_sites();
+        let gates = GateAnswers::new(&chunk.footprint);
+        // The class keys lie back to back in `keys`; each class keeps its
+        // mode, its key's span and its representative.
+        let mut keys: Vec<BehaviorId> = Vec::new();
+        let mut seen: Vec<(bool, Range<usize>, usize)> = Vec::new();
         for (i, bed) in testbeds.iter().enumerate() {
             if !mask[i] {
                 continue;
@@ -287,14 +319,19 @@ impl ExecutionClasses {
                 out.classes += 1; // forced singleton, rep[i] stays i
                 continue;
             }
-            let key = bed.engine.relevant_behavior(
-                &chunk.footprint,
-                bed.strict || chunk.footprint.has_strict_sites(),
-            );
-            match seen.iter().find(|(strict, k, _)| *strict == bed.strict && *k == key) {
-                Some((_, _, leader)) => out.rep[i] = *leader,
+            let start = keys.len();
+            bed.engine.push_class_key(&gates, bed.strict || strict_sites, &mut keys);
+            let (known, key) = keys.split_at(start);
+            match seen
+                .iter()
+                .find(|(strict, span, _)| *strict == bed.strict && known[span.clone()] == *key)
+            {
+                Some(&(_, _, leader)) => {
+                    out.rep[i] = leader;
+                    keys.truncate(start);
+                }
                 None => {
-                    seen.push((bed.strict, key, i));
+                    seen.push((bed.strict, start..keys.len(), i));
                     out.classes += 1;
                 }
             }
@@ -333,21 +370,6 @@ impl ExecutionClasses {
         sizes.sort_unstable_by_key(|(leader, _)| *leader);
         sizes.into_iter().map(|(_, n)| n).collect()
     }
-}
-
-/// Computes the per-testbed signatures serially, in testbed order.
-pub(crate) fn testbed_signatures(
-    chunk: &Arc<CompiledChunk>,
-    testbeds: &[Testbed],
-    options: &RunOptions,
-) -> Vec<Signature> {
-    testbeds
-        .iter()
-        .map(|t| {
-            let r = t.run_compiled(chunk, options);
-            Signature::of(&r.status, &r.output)
-        })
-        .collect()
 }
 
 /// Quorum threshold for degraded voting: how many healthy voters a mode
@@ -394,15 +416,6 @@ impl GroupQuorum {
     pub fn degraded(&self) -> bool {
         self.present < self.total || !self.voted
     }
-}
-
-/// Majority voting over precomputed signatures (`signatures[i]` must belong
-/// to `testbeds[i]`). Split from [`run_differential`] so the parallel
-/// executor can compute signatures on a worker pool and vote identically.
-pub(crate) fn vote_on_signatures(testbeds: &[Testbed], signatures: &[Signature]) -> CaseOutcome {
-    debug_assert_eq!(testbeds.len(), signatures.len());
-    let present: Vec<Option<Signature>> = signatures.iter().cloned().map(Some).collect();
-    vote_on_signatures_quorum(testbeds, &present, &QuorumPolicy::LEGACY).0
 }
 
 /// Degraded-quorum majority voting: `signatures[i]` is `None` when
@@ -548,6 +561,39 @@ mod tests {
         let program = parse("while (true) {}").expect("parses");
         let outcome = run_differential(&program, &latest_testbeds(), &RunOptions::with_fuel(5_000));
         assert!(matches!(outcome, CaseOutcome::AllTimeout));
+    }
+
+    #[test]
+    fn masked_run_votes_like_the_masked_in_testbeds_alone() {
+        let beds = crate::campaign::testbeds_for(&crate::campaign::CampaignConfig {
+            include_strict: true,
+            include_legacy: true,
+            ..Default::default()
+        });
+        let normal_mask: Vec<bool> = beds.iter().map(|t| !t.strict).collect();
+        let normal: Vec<Testbed> = beds.iter().filter(|t| !t.strict).cloned().collect();
+        let options = RunOptions::with_fuel(100_000);
+        // A strict-only seeded bug deviates in the strict group alone.
+        let strict_only =
+            parse("var o = {}; print(Object.preventExtensions(o) === o);").expect("parses");
+        assert!(run_differential(&strict_only, &beds, &options).is_deviating());
+        assert_eq!(
+            run_differential_masked(&strict_only, &beds, &normal_mask, &options),
+            CaseOutcome::Pass
+        );
+        for src in [
+            "var s = 'Name: Albert'; print(s.substr(6, undefined));",
+            "print(1 + 1);",
+            "while (true) {}",
+            "x = 1; print(x);",
+        ] {
+            let program = parse(src).expect("parses");
+            assert_eq!(
+                run_differential_masked(&program, &beds, &normal_mask, &options),
+                run_differential(&program, &normal, &options),
+                "masked vote diverged on {src}"
+            );
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * A single-shard plan (`shard_cases = 0`, the default) reproduces the
 //!   serial `Campaign::run` case stream exactly.
 //!
-//! Inside each shard, the per-case testbed matrix can be fanned out over
-//! leftover threads too (see
-//! [`run_differential_pooled`](crate::differential::run_differential_pooled)).
+//! Inside each shard, a case's class representatives can be fanned out over
+//! leftover threads too (`resilience::isolated_runs`, behind
+//! [`run_case_hardened`](crate::resilience::run_case_hardened)).
 
 use std::sync::Arc;
 

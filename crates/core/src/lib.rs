@@ -63,8 +63,8 @@ pub use checkpoint::{
 };
 pub use comfort_telemetry as telemetry;
 pub use differential::{
-    run_differential, run_differential_pooled, vote_on_signatures_quorum, CaseOutcome,
-    DeviationKind, DeviationRecord, ExecutionClasses, GroupQuorum, QuorumPolicy, Signature,
+    run_differential, vote_on_signatures_quorum, CaseOutcome, DeviationKind, DeviationRecord,
+    ExecutionClasses, GroupQuorum, QuorumPolicy, Signature,
 };
 pub use executor::{
     merge_shard_reports, merge_shard_reports_with_sink, plan_shards, ShardSpec, ShardedCampaign,

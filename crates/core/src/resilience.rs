@@ -23,7 +23,7 @@ use comfort_syntax::Program;
 use std::sync::Arc;
 
 use crate::differential::{
-    vote_on_signatures_quorum, CaseOutcome, ExecutionClasses, GroupQuorum, QuorumPolicy, Signature,
+    execute_classed, vote_on_signatures_quorum, CaseOutcome, GroupQuorum, QuorumPolicy, Signature,
 };
 
 /// Execution-hardening policy for a campaign: isolation and retry knobs for
@@ -48,9 +48,10 @@ pub struct ExecPolicy {
     pub quorum: QuorumPolicy,
     /// Footprint-based execution dedup: collapse testbeds that are provably
     /// equivalent on a chunk into one physical run per behaviour class (see
-    /// [`ExecutionClasses`]). Purely an execution-count optimization — every
-    /// observation, vote, and report is bit-identical either way — so it
-    /// defaults to on; turn off to force the full matrix (oracle mode).
+    /// [`ExecutionClasses`](crate::differential::ExecutionClasses)). Purely
+    /// an execution-count optimization — every observation, vote, and
+    /// report is bit-identical either way — so it defaults to on; turn off
+    /// to force the full matrix (oracle mode).
     pub dedup: bool,
 }
 
@@ -455,25 +456,19 @@ pub fn run_case_hardened_cancellable(
     // shares the same read-only chunk via its `Arc`.
     let chunk = compile(program);
     let mask = tracker.begin_case();
-    // Partition the masked-in slots into behaviour classes. A half-open
-    // probe must observe its own run (its result drives reinstatement), and
-    // a slot with a pending chaos fault diverges from its classmates by
-    // construction — both are forced singletons, so classing composes with
-    // quarantine, probing, chaos, and retry without changing any outcome.
-    let classes = if policy.dedup {
-        let shareable: Vec<bool> = testbeds
-            .iter()
-            .enumerate()
-            .map(|(i, bed)| !tracker.is_probe(i) && !bed.has_pending_fault(&chunk))
-            .collect();
-        ExecutionClasses::compute(&chunk, testbeds, &mask, &shareable)
-    } else {
-        ExecutionClasses::identity(&mask)
-    };
-    let run_mask: Vec<bool> =
-        (0..testbeds.len()).map(|i| mask[i] && classes.is_representative(i)).collect();
-    let (runs, cancelled) =
-        isolated_runs(&chunk, testbeds, options, threads, policy, &run_mask, cancel);
+    // Partition the masked-in slots into behaviour classes and run their
+    // representatives. A half-open probe must observe its own run (its
+    // result drives reinstatement), so it is a forced singleton like a slot
+    // with a pending chaos fault: classing composes with quarantine,
+    // probing, chaos, and retry without changing any outcome.
+    let (classes, (runs, cancelled)) = execute_classed(
+        &chunk,
+        testbeds,
+        &mask,
+        policy.dedup,
+        |i| tracker.is_probe(i),
+        |run_mask| isolated_runs(&chunk, testbeds, options, threads, policy, run_mask, cancel),
+    );
     if cancelled {
         return CaseObservation {
             outcome: CaseOutcome::NoQuorum,

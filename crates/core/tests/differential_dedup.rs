@@ -3,17 +3,32 @@
 //! representative per class must be a pure execution-count optimization —
 //! every outcome, signature, health ledger, report, and (modulo the
 //! `execution_deduped` events themselves) telemetry stream is bit-identical
-//! to the full matrix, at every thread count, with or without chaos.
+//! to the full matrix, at every thread count, with or without chaos. The
+//! partition itself must be the one `relevant_behavior` keys, and
+//! `run_differential` (the reduction and attribution oracle) must vote
+//! exactly as the full matrix would.
+
+use std::sync::Arc;
 
 use comfort_core::campaign::{testbeds_for, CampaignConfig, CampaignReport};
 use comfort_core::checkpoint::{report_checksum, report_to_json_deterministic};
-use comfort_core::differential::ExecutionClasses;
+use comfort_core::datagen::{DataGen, DataGenConfig};
+use comfort_core::differential::{
+    run_differential, vote_on_signatures_quorum, CaseOutcome, ExecutionClasses, QuorumPolicy,
+    Signature,
+};
 use comfort_core::resilience::{run_case_hardened, ChaosConfig, ExecPolicy, HealthTracker};
 use comfort_core::session::CampaignSession;
-use comfort_engines::{FaultPlan, RunOptions};
+use comfort_engines::{
+    all_testbeds, compile, shared_catalog, BugBehavior, CompiledChunk, FaultPlan, RunOptions,
+    Testbed,
+};
 use comfort_interp::ApiFootprint;
 use comfort_lm::GeneratorConfig;
+use comfort_syntax::Program;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The BENCH_7 baseline checksum for the seed-6 workload: the harness
 /// measured the full-matrix executor producing exactly this report. Dedup
@@ -184,6 +199,113 @@ fn forced_singletons_and_poisoned_footprints_disable_sharing() {
     assert_eq!(classes.class_count(), sizes.len());
 }
 
+/// The full-matrix oracle for [`run_differential`]: every slot's own run,
+/// voted with the legacy quorum.
+fn full_matrix_outcome(
+    program: &Program,
+    testbeds: &[Testbed],
+    options: &RunOptions,
+) -> CaseOutcome {
+    let chunk = compile(program);
+    let signatures: Vec<Option<Signature>> = testbeds
+        .iter()
+        .map(|bed| {
+            let r = bed.run_compiled(&chunk, options);
+            Some(Signature::of(&r.status, &r.output))
+        })
+        .collect();
+    vote_on_signatures_quorum(testbeds, &signatures, &QuorumPolicy::LEGACY).0
+}
+
+/// `run_differential` runs one representative per class; over the widest
+/// matrix, with panic, garbage and transient chaos plans on some slots, it
+/// must still vote exactly as the full matrix does. The programs are corpus
+/// programs, their ECMA-guided mutants, and poisoned variants that run the
+/// whole matrix.
+#[test]
+fn run_differential_matches_the_full_matrix_oracle() {
+    let config =
+        CampaignConfig { include_strict: true, include_legacy: true, ..CampaignConfig::default() };
+    let mut testbeds = testbeds_for(&config);
+    assert_eq!(testbeds.len(), 29, "the widest matrix");
+    for (slot, plan) in [
+        (1, FaultPlan::new(31).panic_rate(0.3)),
+        (12, FaultPlan::new(32).garbage_rate(0.3)),
+        (21, FaultPlan::new(33).transient_rate(0.4).transient_persistence(2)),
+        (25, FaultPlan::new(34).panic_rate(0.1).garbage_rate(0.1).transient_rate(0.1)),
+    ] {
+        testbeds[slot] = testbeds[slot].clone().with_chaos(plan);
+    }
+    let options = RunOptions::with_fuel(200_000);
+
+    let datagen = DataGen::new(comfort_ecma262::spec_db(), DataGenConfig::default());
+    let mut rng = StdRng::seed_from_u64(0xC1A55);
+    let mut next_id = 0u64;
+    let mut programs: Vec<(String, Program)> = Vec::new();
+    for (k, src) in comfort_corpus::training_corpus(8, 24).into_iter().enumerate() {
+        let base = comfort_syntax::parse(&src).expect("corpus parses");
+        if k < 8 {
+            for case in datagen.mutate(&base, k as u64, &mut next_id, &mut rng) {
+                programs.push((format!("mutant {} of corpus program {k}", case.id), case.program));
+            }
+            let poisoned = format!("var escape = eval;\n{src}");
+            let program = comfort_syntax::parse(&poisoned).expect("poisoned variant parses");
+            assert!(compile(&program).footprint.is_poisoned());
+            programs.push((format!("poisoned corpus program {k}"), program));
+        }
+        programs.push((format!("corpus program {k}"), base));
+    }
+    assert!(programs.len() > 60, "too few programs to mean anything ({})", programs.len());
+
+    let mut deviating = 0;
+    for (label, program) in &programs {
+        let classed = run_differential(program, &testbeds, &options);
+        assert_eq!(
+            classed,
+            full_matrix_outcome(program, &testbeds, &options),
+            "run_differential diverged from the full matrix on {label}"
+        );
+        deviating += usize::from(classed.is_deviating());
+    }
+    assert!(deviating > 0, "no program deviated: the oracle compared nothing but passes");
+}
+
+/// The partition as `relevant_behavior` keys it: the reference the bug
+/// table must reproduce. Returns each slot's representative and the class
+/// count.
+fn reference_partition(
+    chunk: &CompiledChunk,
+    testbeds: &[Testbed],
+    mask: &[bool],
+    shareable: &[bool],
+) -> (Vec<usize>, usize) {
+    let mut rep: Vec<usize> = (0..testbeds.len()).collect();
+    if chunk.footprint.is_poisoned() {
+        return (rep, mask.iter().filter(|m| **m).count());
+    }
+    let mut classes = 0;
+    let mut seen: Vec<(bool, Vec<BugBehavior<'_>>, usize)> = Vec::new();
+    for (i, bed) in testbeds.iter().enumerate() {
+        if !mask[i] {
+            continue;
+        }
+        if !shareable[i] {
+            classes += 1;
+            continue;
+        }
+        let strict_sites = bed.strict || chunk.footprint.has_strict_sites();
+        let key = bed.engine.relevant_behavior(&chunk.footprint, strict_sites);
+        match seen.iter().find(|(strict, k, _)| *strict == bed.strict && *k == key) {
+            Some((_, _, leader)) => rep[i] = *leader,
+            None => {
+                seen.push((bed.strict, key, i));
+                classes += 1;
+            }
+        }
+    }
+    (rep, classes)
+}
+
 /// Chaos composition: with the first testbed wrapped in a seeded fault
 /// plan, dedup must leave the deterministic report untouched and the event
 /// stream untouched modulo its own `execution_deduped` events — at every
@@ -262,6 +384,59 @@ fn chaos_campaign_is_identical_with_dedup_on_and_off() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The bug table keys exactly as `relevant_behavior` does: over all 102
+    /// testbeds, with random masks and shareable flags, the partition of a
+    /// random footprint is the reference partition. Footprints draw atoms
+    /// from the catalog's API names (terminal segments and full names) and
+    /// the special-hook atoms, with index stores and poisoning; one case in
+    /// three instead compiles a `"use strict"` program mentioning the same
+    /// atoms, so normal testbeds see strict sites too.
+    #[test]
+    fn table_partition_matches_the_relevant_behavior_partition(seed in 0u64..4000) {
+        let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut next = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let mut pool: Vec<&'static str> = vec!["eval", "split", "defineProperty", "x"];
+        for api in shared_catalog().iter().filter_map(|b| b.api) {
+            pool.push(api);
+            pool.push(api.rsplit('.').next().unwrap_or(api));
+        }
+        pool.sort_unstable();
+        pool.dedup();
+        let density = 1 + next() % 16; // one atom in `density`
+        let atoms: Vec<&str> = pool.iter().copied().filter(|_| next() % density == 0).collect();
+        let index_store = next() % 3 == 0;
+        let poisoned = next() % 16 == 0;
+        let chunk = if next() % 3 == 0 {
+            let mut src = String::from("\"use strict\";\nvar o = {};\n");
+            for atom in atoms.iter().filter(|a| !a.contains('.') && **a != "eval") {
+                src.push_str(&format!("o.{atom};\n"));
+            }
+            if index_store {
+                src.push_str("o[1] = 0;\n");
+            }
+            compile(&comfort_syntax::parse(&src).expect("generated source parses"))
+        } else {
+            let mut chunk = Arc::try_unwrap(compile(&comfort_syntax::parse("0;").expect("parses")))
+                .expect("the only reference");
+            chunk.footprint = ApiFootprint::from_parts(atoms, index_store, poisoned);
+            Arc::new(chunk)
+        };
+        let testbeds = all_testbeds();
+        let n = testbeds.len();
+        let mask: Vec<bool> = (0..n).map(|_| next() % 5 != 0).collect();
+        let shareable: Vec<bool> = (0..n).map(|_| next() % 6 != 0).collect();
+
+        let classes = ExecutionClasses::compute(&chunk, &testbeds, &mask, &shareable);
+        let (rep, count) = reference_partition(&chunk, &testbeds, &mask, &shareable);
+        prop_assert_eq!(classes.class_count(), count);
+        for (i, want) in rep.iter().enumerate() {
+            prop_assert_eq!(classes.rep(i), *want, "slot {} ({})", i, testbeds[i].label());
+        }
+    }
 
     /// Footprint-relevance monotonicity: growing a footprint (more atoms,
     /// index stores, or poisoning) can only grow each engine's relevant-bug

@@ -4,14 +4,14 @@
 //! The VM's contract is **bit-identical observables** — status, output,
 //! fuel accounting, coverage hits — on every program, at every thread
 //! width. These tests sweep the training corpus and ECMA-guided mutants,
-//! drive the pooled differential harness at widths 1/2/8, and pin the
+//! drive the differential harness under both backends, and pin the
 //! acceptance criterion: a full seed-6 campaign produces checksum-equal
 //! reports under both backends.
 
 use comfort_core::campaign::{Campaign, CampaignConfig};
 use comfort_core::checkpoint::report_checksum;
 use comfort_core::datagen::{DataGen, DataGenConfig};
-use comfort_core::differential::run_differential_pooled;
+use comfort_core::differential::run_differential;
 use comfort_engines::{latest_testbeds, Backend, RunOptions};
 use comfort_interp::{compile, hooks::SpecProfile, run_chunk};
 use comfort_lm::GeneratorConfig;
@@ -62,23 +62,16 @@ fn ecma_mutants_backends_agree() {
 }
 
 #[test]
-fn pooled_differential_agrees_across_backends_and_widths() {
+fn differential_outcomes_agree_across_backends() {
     let testbeds = latest_testbeds();
     for seed in 0..30u64 {
         let src = comfort_corpus::training_corpus(seed, 1).remove(0);
         let program = parse(&src).expect("corpus parses");
-        let mut outcomes = Vec::new();
-        for backend in [Backend::Bytecode, Backend::TreeWalk] {
+        let [vm, oracle] = [Backend::Bytecode, Backend::TreeWalk].map(|backend| {
             let options = RunOptions { fuel: 300_000, backend, ..RunOptions::default() };
-            for threads in [1, 2, 8] {
-                outcomes.push(run_differential_pooled(&program, &testbeds, &options, threads));
-            }
-        }
-        let first = &outcomes[0];
-        assert!(
-            outcomes.iter().all(|o| o == first),
-            "differential outcome varies with backend/threads on seed {seed}: {outcomes:?}"
-        );
+            run_differential(&program, &testbeds, &options)
+        });
+        assert_eq!(vm, oracle, "differential outcome varies with the backend on seed {seed}");
     }
 }
 

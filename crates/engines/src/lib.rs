@@ -31,12 +31,14 @@
 //! assert_eq!(rhino.run_compiled(&chunk, &opts).output, "\n"); // the seeded Figure-2 bug
 //! ```
 
+mod bug_table;
 pub mod catalog;
 pub mod chaos;
 pub mod harness;
 mod profile;
 pub mod registry;
 
+pub use bug_table::{BehaviorId, GateAnswers};
 pub use catalog::{quota, ApiType, BugId, Component, Discovery, Effect, SeededBug, Trigger};
 pub use chaos::{
     fatal_signal_message, signal_name, ChaosAbort, ChaosPanic, FaultKind, FaultPlan, RawFault,
@@ -60,6 +62,12 @@ pub fn shared_catalog() -> &'static [SeededBug] {
     CATALOG.get_or_init(catalog::build_catalog)
 }
 
+/// The shared catalog's gates and behaviour ids, interned once per process.
+fn shared_bug_table() -> &'static bug_table::BugTable {
+    static TABLE: OnceLock<bug_table::BugTable> = OnceLock::new();
+    TABLE.get_or_init(|| bug_table::BugTable::new(shared_catalog()))
+}
+
 /// One runnable engine version.
 #[derive(Debug, Clone)]
 pub struct Engine {
@@ -69,7 +77,7 @@ pub struct Engine {
 impl Engine {
     /// Builds the engine for a specific [`EngineVersion`].
     pub fn new(version: EngineVersion) -> Self {
-        Engine { profile: EngineProfile::new(version, shared_catalog()) }
+        Engine { profile: EngineProfile::new(version) }
     }
 
     /// The latest version of `name` (the trunk build in Table 1).
@@ -115,6 +123,20 @@ impl Engine {
         strict_sites: bool,
     ) -> Vec<profile::BugBehavior<'_>> {
         self.profile.relevant_behavior(footprint, strict_sites)
+    }
+
+    /// The class key the execution-dedup layer uses: appends to `key` the
+    /// [`BehaviorId`]s of the bugs [`Self::relevant_behavior`] returns for
+    /// `gates`' footprint, in the same order, read from the shared bug
+    /// table. Two engines' keys compare equal exactly when their
+    /// `relevant_behavior` sequences do.
+    pub fn push_class_key(
+        &self,
+        gates: &GateAnswers,
+        strict_sites: bool,
+        key: &mut Vec<BehaviorId>,
+    ) {
+        self.profile.push_class_key(gates, strict_sites, key);
     }
 
     /// Runs a compiled chunk with the given options. This is the execution

@@ -6,6 +6,7 @@ use comfort_interp::hooks::{
 };
 use comfort_interp::ApiFootprint;
 
+use crate::bug_table::{bug_may_fire, BehaviorId, ClassedBug, GateAnswers};
 use crate::catalog::{BugId, Effect, SeededBug, Trigger};
 use crate::registry::{EngineName, EngineVersion};
 
@@ -19,17 +20,21 @@ static ARG0: ValueRecipe = ValueRecipe::Arg(0);
 pub struct EngineProfile {
     version: EngineVersion,
     bugs: Vec<SeededBug>,
+    /// `classed[k]` is `bugs[k]` as the shared bug table classes it.
+    classed: Vec<ClassedBug>,
 }
 
 impl EngineProfile {
-    /// Builds the profile for `version` from the full `catalog`.
-    pub fn new(version: EngineVersion, catalog: &[SeededBug]) -> Self {
-        let bugs = catalog
+    /// Builds the profile for `version` from the shared catalog.
+    pub fn new(version: EngineVersion) -> Self {
+        let table = crate::shared_bug_table();
+        let (bugs, classed) = crate::shared_catalog()
             .iter()
-            .filter(|b| b.engine == version.engine && b.active_in(version.ordinal))
-            .cloned()
-            .collect();
-        EngineProfile { version, bugs }
+            .enumerate()
+            .filter(|(_, b)| b.engine == version.engine && b.active_in(version.ordinal))
+            .map(|(k, b)| (b.clone(), table.bug(k)))
+            .unzip();
+        EngineProfile { version, bugs, classed }
     }
 
     /// The engine this profile simulates.
@@ -86,15 +91,23 @@ impl EngineProfile {
         self.bugs
             .iter()
             .filter(|b| (strict_sites || !b.strict_only) && bug_may_fire(b, footprint))
-            .map(|b| BugBehavior {
-                api: b.api,
-                triggers: &b.triggers,
-                effect: &b.effect,
-                strict_only: b.strict_only,
-                message_engine: matches!(b.effect, Effect::WrongThrow(_))
-                    .then_some(self.version.engine),
-            })
+            .map(BugBehavior::of)
             .collect()
+    }
+
+    /// See [`crate::Engine::push_class_key`].
+    pub(crate) fn push_class_key(
+        &self,
+        gates: &GateAnswers,
+        strict_sites: bool,
+        key: &mut Vec<BehaviorId>,
+    ) {
+        key.extend(
+            self.classed
+                .iter()
+                .filter(|b| (strict_sites || !b.strict_only) && gates.admits(b.gate))
+                .map(|b| b.behavior),
+        );
     }
 }
 
@@ -116,34 +129,17 @@ pub struct BugBehavior<'a> {
     message_engine: Option<EngineName>,
 }
 
-/// `false` only when `footprint` proves the bug's hook site unreachable.
-fn bug_may_fire(bug: &SeededBug, fp: &ApiFootprint) -> bool {
-    if fp.is_poisoned() {
-        return true;
+impl<'a> BugBehavior<'a> {
+    /// The behaviour of `bug`, tagged with its engine when it throws.
+    pub(crate) fn of(bug: &'a SeededBug) -> BugBehavior<'a> {
+        BugBehavior {
+            api: bug.api,
+            triggers: &bug.triggers,
+            effect: &bug.effect,
+            strict_only: bug.strict_only,
+            message_engine: matches!(bug.effect, Effect::WrongThrow(_)).then_some(bug.engine),
+        }
     }
-    match &bug.effect {
-        // Special-hook effects ignore `bug.api`; gate on the construct that
-        // reaches their hook instead.
-        Effect::EvalHeadlessFor => fp.mentions("eval"),
-        Effect::SplitAnchor => fp.mentions("split"),
-        Effect::ArrayBoolKeyAppend | Effect::ArrayReverseFill => fp.has_index_store(),
-        Effect::DefinePropLengthSuppress => fp.mentions("defineProperty"),
-        // API-keyed effects fire only via `on_builtin`. The footprint
-        // tracks explicit sites by terminal name segment and the natives
-        // implicit `ToPrimitive` can dispatch by full API name (see
-        // `comfort_interp::footprint::IMPLICIT_COERCION_APIS`), so a bug
-        // may fire if either form is mentioned.
-        _ => match bug.api {
-            Some(api) => fp.mentions(terminal_segment(api)) || fp.mentions(api),
-            // A shape the analysis doesn't model: assume it can fire.
-            None => true,
-        },
-    }
-}
-
-/// `"String.prototype.substr"` → `"substr"`; dotless names pass through.
-fn terminal_segment(api: &str) -> &str {
-    api.rsplit('.').next().unwrap_or(api)
 }
 
 impl ConformanceProfile for EngineProfile {

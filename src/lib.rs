@@ -68,8 +68,8 @@ pub mod prelude {
     };
     pub use comfort_core::datagen::{DataGen, DataGenConfig};
     pub use comfort_core::differential::{
-        run_differential, run_differential_pooled, vote_on_signatures_quorum, CaseOutcome,
-        DeviationKind, DeviationRecord, GroupQuorum, QuorumPolicy, Signature,
+        run_differential, vote_on_signatures_quorum, CaseOutcome, DeviationKind, DeviationRecord,
+        GroupQuorum, QuorumPolicy, Signature,
     };
     pub use comfort_core::executor::{plan_shards, ShardSpec, ShardedCampaign};
     pub use comfort_core::filter::{BugKey, BugTree};

@@ -4,7 +4,10 @@
 //! every token the language model samples, so any change to how the BPE
 //! tokenizer or the n-gram model is trained that alters the trained model
 //! moves this checksum; so does any drift between the library's and the
-//! daemon's way of committing, replaying and merging shards.
+//! daemon's way of committing, replaying and merging shards. A second pin
+//! runs the same workload over the widest matrix with reduction on, so the
+//! reduction oracle, the strict-only check and the attribution runs are
+//! held to their report too.
 
 use std::time::Duration;
 
@@ -14,9 +17,14 @@ use comfort::core::session::CampaignSession;
 use comfort::lm::GeneratorConfig;
 use comfort::service::daemon::{CampaignState, Daemon, ServiceConfig};
 use comfort::service::spec::CampaignSpec;
+use comfort::telemetry::Stage;
 
 /// The BENCH_7 baseline checksum of the seed-6 workload.
 const SEED6_CHECKSUM: &str = "a92f73d7d5a0c004";
+
+/// The checksum of the seed-6 workload with strict and legacy testbeds and
+/// reduction on, recorded when reduction still ran the full matrix.
+const SEED6_REDUCED_CHECKSUM: &str = "f709b4d473061418";
 
 fn seed6_config() -> CampaignConfig {
     CampaignConfig {
@@ -46,6 +54,26 @@ fn seed6_bench_workload_keeps_its_checksum_at_one_and_two_threads() {
             hex(report_checksum(&report)),
             SEED6_CHECKSUM,
             "seed-6 report drifted at {threads} threads"
+        );
+    }
+}
+
+#[test]
+fn seed6_reduced_workload_keeps_its_checksum_at_one_and_two_threads() {
+    let config = CampaignConfig {
+        include_strict: true,
+        include_legacy: true,
+        reduce_cases: true,
+        ..seed6_config()
+    };
+    let session = CampaignSession::new(config);
+    for threads in [1, 2] {
+        let report = session.run_with_threads(threads).expect("a journal-free run cannot fail");
+        assert!(report.metrics.stage(Stage::Reduction).invocations > 0, "nothing was reduced");
+        assert_eq!(
+            hex(report_checksum(&report)),
+            SEED6_REDUCED_CHECKSUM,
+            "seed-6 reduced report drifted at {threads} threads"
         );
     }
 }
