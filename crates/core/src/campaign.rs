@@ -475,8 +475,7 @@ pub struct Campaign {
     rng: StdRng,
     next_case_id: u64,
     /// Per-case testbed-matrix parallelism (scheduling only; results are
-    /// identical at every width). The sharded executor budgets this from its
-    /// remaining worker threads.
+    /// identical at every width). The sharded executor sets it to 1.
     exec_threads: usize,
     /// Base (unmutated) programs of recent generations, for Table 4's
     /// mechanism attribution.

@@ -15,7 +15,7 @@
 
 use comfort_ecma262::{BoundaryValue, SpecDb};
 use comfort_syntax::ast::*;
-use comfort_syntax::{parse, print_program, Program};
+use comfort_syntax::{print_program, Program};
 use rand::Rng;
 
 use crate::testcase::{Origin, TestCase};
@@ -155,12 +155,9 @@ fn push_case(
     base: u64,
     next_id: &mut u64,
 ) {
+    // Not re-parsed: the case runs `program`, and `tests/props.rs` checks
+    // that the printed source re-parses to it.
     let source = print_program(&program);
-    // Mutants must stay parseable; the printer guarantees it, but guard
-    // against printer gaps rather than poisoning the pool.
-    if parse(&source).is_err() {
-        return;
-    }
     let id = *next_id;
     *next_id += 1;
     out.push(TestCase::new(id, source, program, origin, base));
@@ -547,6 +544,7 @@ pub fn ensure_driver<R: Rng>(program: &Program, rng: &mut R) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comfort_syntax::parse;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -19,9 +19,9 @@
 //! * A single-shard plan (`shard_cases = 0`, the default) reproduces the
 //!   serial `Campaign::run` case stream exactly.
 //!
-//! Inside each shard, a case's class representatives can be fanned out over
-//! leftover threads too (`resilience::isolated_runs`, behind
-//! [`run_case_hardened`](crate::resilience::run_case_hardened)).
+//! Shards are the only parallelism a session uses: a shard runs each case's
+//! class representatives one after another on its worker's thread, and
+//! threads beyond the shard count stay idle.
 
 use std::sync::Arc;
 
@@ -190,19 +190,14 @@ impl ShardedCampaign {
     /// emitting its event stream into `buffer`. Every campaign driver, the
     /// `comfort-service` daemon and its worker processes included, runs
     /// shards through here, so they all merge to bit-identical reports.
-    pub fn run_shard(
-        &self,
-        spec: &ShardSpec,
-        exec_threads: usize,
-        buffer: &MemorySink,
-    ) -> CampaignReport {
+    pub fn run_shard(&self, spec: &ShardSpec, buffer: &MemorySink) -> CampaignReport {
         let mut config = self.config.clone();
         config.seed = spec.seed;
         config.max_cases = spec.cases;
         config.sink = SinkHandle::new(buffer.clone());
         let mut campaign =
             Campaign::with_shared(config, Arc::clone(&self.generator), self.testbeds.clone());
-        campaign.set_exec_threads(exec_threads);
+        campaign.set_exec_threads(1);
         campaign.set_shard(spec.index as u64);
         campaign.set_progress(self.progress.clone());
         campaign.run()
@@ -280,7 +275,7 @@ mod tests {
         let plan = plan_shards(&sharded_config());
         assert_eq!(plan.len(), 3);
         let shard_reports: Vec<CampaignReport> =
-            plan.iter().map(|s| executor.run_shard(s, 1, &MemorySink::new())).collect();
+            plan.iter().map(|s| executor.run_shard(s, &MemorySink::new())).collect();
         let merged = merge_shard_reports(&shard_reports);
         assert_eq!(merged.cases_run, shard_reports.iter().map(|r| r.cases_run).sum::<u64>());
         let total_bugs: usize = shard_reports.iter().map(|r| r.bugs.len()).sum();

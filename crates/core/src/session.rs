@@ -135,10 +135,11 @@ impl CampaignSession {
         self.run_with_threads(self.config.threads)
     }
 
-    /// [`run`](Self::run) on exactly `threads` workers (`0` = available
-    /// parallelism), reusing the session's trained generator and testbed
-    /// matrix. Sweeping widths re-runs the identical workload; the report
-    /// is bit-identical in every deterministic field at each width.
+    /// [`run`](Self::run) on `threads` shard workers (`0` = available
+    /// parallelism; never more workers than shards), reusing the session's
+    /// trained generator and testbed matrix. Sweeping widths re-runs the
+    /// identical workload; the report is bit-identical in every
+    /// deterministic field at each width.
     pub fn run_with_threads(&self, threads: usize) -> Result<CampaignReport, CheckpointError> {
         let salvage = ShardRuntime::check(&self.config)?;
         let executor = self.executor();
@@ -146,11 +147,10 @@ impl CampaignSession {
         let plan = runtime.plan();
         let pending: Vec<usize> =
             (0..plan.len()).filter(|i| !runtime.salvaged().contains(i)).collect();
-        // Shard-level workers; whatever parallelism is left over goes to the
-        // per-case testbed fan-out inside each shard.
-        let threads = resolve_threads(threads);
-        let workers = threads.clamp(1, plan.len());
-        let exec_threads = (threads / workers).max(1);
+        // Shard-level workers are the only parallelism: each shard runs its
+        // cases' testbeds serially, so threads beyond the shard count stay
+        // idle rather than spawning a pool per case.
+        let workers = resolve_threads(threads).clamp(1, plan.len());
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -165,7 +165,7 @@ impl CampaignSession {
                         break;
                     };
                     let events = MemorySink::new();
-                    let report = executor.run_shard(&plan[i], exec_threads, &events);
+                    let report = executor.run_shard(&plan[i], &events);
                     if report.interrupted {
                         // A partially-run shard is discarded whole: its
                         // events would desync the replayed stream, and

@@ -153,7 +153,7 @@ impl Default for RunOptions {
 
 /// Chainable builder for [`RunOptions`] (see [`RunOptions::builder`]).
 ///
-/// Every combination of the three knobs is valid, so `build` is infallible.
+/// Every combination of the five knobs is valid, so `build` is infallible.
 #[derive(Debug, Clone)]
 pub struct RunOptionsBuilder {
     options: RunOptions,
@@ -261,12 +261,82 @@ pub(crate) struct Protos {
     pub date: ObjId,
 }
 
+impl Protos {
+    /// Placeholder ids, overwritten by `builtins::install`.
+    fn unset() -> Self {
+        Protos {
+            object: ObjId(0),
+            function: ObjId(0),
+            array: ObjId(0),
+            string: ObjId(0),
+            number: ObjId(0),
+            boolean: ObjId(0),
+            regexp: ObjId(0),
+            error: HashMap::new(),
+            typed_array: ObjId(0),
+            array_buffer: ObjId(0),
+            data_view: ObjId(0),
+            date: ObjId(0),
+        }
+    }
+}
+
+/// The object heap of one run: a frozen snapshot shared by reference, a
+/// copy-on-write overlay over it, and a per-run arena.
+///
+/// Ids below the snapshot's length name snapshot objects. The first
+/// [`Heap::get_mut`] of such an id copies that one object into the overlay,
+/// and later reads of the id see the copy; the snapshot itself is never
+/// written. Allocation appends to the arena with ids starting at the
+/// snapshot's length, so objects are numbered exactly as in one flat heap.
+struct Heap {
+    snapshot: Rc<[Obj]>,
+    overlay: HashMap<u32, Obj>,
+    arena: Vec<Obj>,
+}
+
+impl Heap {
+    fn over(snapshot: Rc<[Obj]>) -> Self {
+        Heap { snapshot, overlay: HashMap::new(), arena: Vec::new() }
+    }
+
+    fn alloc(&mut self, obj: Obj) -> ObjId {
+        let id = ObjId((self.snapshot.len() + self.arena.len()) as u32);
+        self.arena.push(obj);
+        id
+    }
+
+    fn get(&self, id: ObjId) -> &Obj {
+        let i = id.0 as usize;
+        match self.snapshot.get(i) {
+            // Almost no run writes a snapshot object: skip the probe then.
+            Some(frozen) if self.overlay.is_empty() => frozen,
+            Some(frozen) => self.overlay.get(&id.0).unwrap_or(frozen),
+            None => &self.arena[i - self.snapshot.len()],
+        }
+    }
+
+    fn get_mut(&mut self, id: ObjId) -> &mut Obj {
+        let i = id.0 as usize;
+        match self.snapshot.get(i) {
+            Some(frozen) => self.overlay.entry(id.0).or_insert_with(|| frozen.clone()),
+            None => &mut self.arena[i - self.snapshot.len()],
+        }
+    }
+
+    /// Freezes everything allocated so far into the snapshot of later runs.
+    fn freeze(self) -> Rc<[Obj]> {
+        assert!(self.snapshot.is_empty(), "only a heap built from nothing is frozen");
+        self.arena.into()
+    }
+}
+
 /// The interpreter.
 ///
 /// Create one per (program, engine-profile) pair with [`Interp::new`] and run
 /// with [`Interp::run`]. See the crate docs for an example.
 pub struct Interp<'p> {
-    heap: Vec<Obj>,
+    heap: Heap,
     envs: Vec<Env>,
     pub(crate) profile: &'p dyn ConformanceProfile,
     output: String,
@@ -286,23 +356,29 @@ pub struct Interp<'p> {
     rng_state: u64,
 }
 
-/// The pristine post-`install` world: heap, environments, and prototype
-/// table. `builtins::install` is profile-independent and deterministic, so
-/// it is run once per thread and the result cloned into every interpreter —
-/// cloning a few hundred refcounted objects is an order of magnitude
-/// cheaper than rebuilding them, which matters when the testbed matrix
-/// spins up a fresh interpreter per (engine, shard) execution.
+/// The pristine post-`install` world: the frozen heap snapshot, the
+/// environments, and the prototype table. `builtins::install` is
+/// profile-independent and deterministic, so it runs once per thread. Every
+/// interpreter on the thread then shares the snapshot by reference (see
+/// [`Heap`]) and clones only the environment table: the global env's
+/// bindings are few, and nearly every run writes them.
 struct Pristine {
-    heap: Vec<Obj>,
+    heap: Rc<[Obj]>,
     envs: Vec<Env>,
     protos: Protos,
 }
 
 thread_local! {
     static PRISTINE: Pristine = {
-        let mut interp = Interp::bare(&crate::hooks::SpecProfile);
+        let global = Env { vars: VarMap::default(), parent: None };
+        let mut interp = Interp::with_world(
+            &crate::hooks::SpecProfile,
+            Heap::over(Rc::new([])),
+            vec![global],
+            Protos::unset(),
+        );
         crate::builtins::install(&mut interp);
-        Pristine { heap: interp.heap, envs: interp.envs, protos: interp.protos }
+        Pristine { heap: interp.heap.freeze(), envs: interp.envs, protos: interp.protos }
     };
 }
 
@@ -310,20 +386,25 @@ impl<'p> Interp<'p> {
     /// Creates an interpreter with globals installed, running under `profile`.
     pub fn new(profile: &'p dyn ConformanceProfile) -> Self {
         PRISTINE.with(|p| {
-            let mut interp = Interp::bare(profile);
-            interp.heap = p.heap.clone();
-            interp.envs = p.envs.clone();
-            interp.protos = p.protos.clone();
-            interp
+            Interp::with_world(
+                profile,
+                Heap::over(Rc::clone(&p.heap)),
+                p.envs.clone(),
+                p.protos.clone(),
+            )
         })
     }
 
-    /// An interpreter with *no* globals installed — the blank slate the
-    /// pristine snapshot is built from.
-    fn bare(profile: &'p dyn ConformanceProfile) -> Self {
+    /// An interpreter over the given heap, environments and prototypes.
+    fn with_world(
+        profile: &'p dyn ConformanceProfile,
+        heap: Heap,
+        envs: Vec<Env>,
+        protos: Protos,
+    ) -> Self {
         Interp {
-            heap: Vec::with_capacity(64),
-            envs: vec![Env { vars: VarMap::default(), parent: None }],
+            heap,
+            envs,
             profile,
             output: String::new(),
             fuel: 0,
@@ -331,20 +412,7 @@ impl<'p> Interp<'p> {
             strict: vec![false],
             this_stack: vec![Value::Undefined],
             coverage: None,
-            protos: Protos {
-                object: ObjId(0),
-                function: ObjId(0),
-                array: ObjId(0),
-                string: ObjId(0),
-                number: ObjId(0),
-                boolean: ObjId(0),
-                regexp: ObjId(0),
-                error: HashMap::new(),
-                typed_array: ObjId(0),
-                array_buffer: ObjId(0),
-                data_view: ObjId(0),
-                date: ObjId(0),
-            },
+            protos,
             global_env: EnvId(0),
             constructing: false,
             call_depth: 0,
@@ -386,7 +454,8 @@ impl<'p> Interp<'p> {
         self.fuel_budget = options.fuel;
         self.max_call_depth = options.max_call_depth;
         self.coverage = if options.coverage { Some(Coverage::new()) } else { None };
-        self.strict = vec![program_strict || options.strict];
+        self.strict.clear();
+        self.strict.push(program_strict || options.strict);
         self.output.clear();
     }
 
@@ -418,8 +487,9 @@ impl<'p> Interp<'p> {
 
     fn describe_thrown(&mut self, v: &Value) -> (Option<ErrorKind>, String) {
         if let Value::Obj(id) = v {
-            if let ObjKind::Error { kind } = self.heap[id.0 as usize].kind {
-                let msg = match self.heap[id.0 as usize].props.get("message") {
+            let obj = self.obj(*id);
+            if let ObjKind::Error { kind } = obj.kind {
+                let msg = match obj.props.get("message") {
                     Some(p) => match &p.value {
                         Value::Str(s) => s.to_string(),
                         other => self.to_display_string(other),
@@ -435,17 +505,15 @@ impl<'p> Interp<'p> {
     // -- heap / env helpers --------------------------------------------------
 
     pub(crate) fn alloc(&mut self, obj: Obj) -> ObjId {
-        let id = ObjId(self.heap.len() as u32);
-        self.heap.push(obj);
-        id
+        self.heap.alloc(obj)
     }
 
     pub(crate) fn obj(&self, id: ObjId) -> &Obj {
-        &self.heap[id.0 as usize]
+        self.heap.get(id)
     }
 
     pub(crate) fn obj_mut(&mut self, id: ObjId) -> &mut Obj {
-        &mut self.heap[id.0 as usize]
+        self.heap.get_mut(id)
     }
 
     fn new_env(&mut self, parent: EnvId) -> EnvId {

@@ -599,7 +599,7 @@ impl DaemonShared {
         let spec = entry.runtime.plan()[claim.shard];
         let attempt = MemorySink::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            entry.executor().map(|executor| executor.run_shard(&spec, 1, &attempt))
+            entry.executor().map(|executor| executor.run_shard(&spec, &attempt))
         }));
         match outcome {
             Ok(None) => {

@@ -4,9 +4,12 @@
 //! node ids, and spans. This is the invariant the test-data mutator and the
 //! baselines rely on when they synthesize ASTs.
 
+mod strip;
+
 use comfort_syntax::ast::*;
 use comfort_syntax::{parse, print_stmt};
 use proptest::prelude::*;
+use strip::strip_program;
 
 fn leaf() -> impl Strategy<Value = Expr> {
     prop_oneof![
@@ -95,55 +98,6 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
-/// Structural equality modulo `Paren` wrappers, ids, spans, and the negative
-/// number representation (JS has no negative literals: a synthesized
-/// `Number(-3)` prints as `-3` and necessarily reparses as `Unary(Neg, 3)`).
-fn strip(e: &Expr) -> Expr {
-    let kind = match &e.kind {
-        ExprKind::Paren(inner) => return strip(inner),
-        ExprKind::Unary { op: UnaryOp::Neg, operand } => {
-            let inner = strip(operand);
-            if let ExprKind::Lit(Lit::Number(n)) = inner.kind {
-                ExprKind::Lit(Lit::Number(-n))
-            } else {
-                ExprKind::Unary { op: UnaryOp::Neg, operand: Box::new(inner) }
-            }
-        }
-        ExprKind::Binary { op, left, right } => {
-            ExprKind::Binary { op: *op, left: Box::new(strip(left)), right: Box::new(strip(right)) }
-        }
-        ExprKind::Logical { op, left, right } => ExprKind::Logical {
-            op: *op,
-            left: Box::new(strip(left)),
-            right: Box::new(strip(right)),
-        },
-        ExprKind::Cond { cond, cons, alt } => ExprKind::Cond {
-            cond: Box::new(strip(cond)),
-            cons: Box::new(strip(cons)),
-            alt: Box::new(strip(alt)),
-        },
-        ExprKind::Unary { op, operand } => {
-            ExprKind::Unary { op: *op, operand: Box::new(strip(operand)) }
-        }
-        ExprKind::Member { object, prop } => {
-            ExprKind::Member { object: Box::new(strip(object)), prop: prop.clone() }
-        }
-        ExprKind::Index { object, index } => {
-            ExprKind::Index { object: Box::new(strip(object)), index: Box::new(strip(index)) }
-        }
-        ExprKind::Call { callee, args } => ExprKind::Call {
-            callee: Box::new(strip(callee)),
-            args: args.iter().map(strip).collect(),
-        },
-        ExprKind::Array(items) => {
-            ExprKind::Array(items.iter().map(|i| i.as_ref().map(strip)).collect())
-        }
-        ExprKind::Seq(items) => ExprKind::Seq(items.iter().map(strip).collect()),
-        other => other.clone(),
-    };
-    Expr::synthesized(kind)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -151,17 +105,13 @@ proptest! {
     fn print_parse_preserves_structure(e in expr_strategy()) {
         // Statement-ify so the parser accepts it; assignment avoids the
         // expression-statement `{`/`function` ambiguity entirely.
-        let stmt = build::var_decl("probe", e.clone());
+        let stmt = build::var_decl("probe", e);
         let printed = print_stmt(&stmt);
         let program = parse(&printed)
             .unwrap_or_else(|err| panic!("printed statement failed to parse: {err}\n{printed}"));
-        prop_assert_eq!(program.body.len(), 1);
-        let reparsed = match &program.body[0].kind {
-            StmtKind::Decl { decls, .. } => decls[0].init.clone().expect("has initializer"),
-            other => panic!("expected decl, got {other:?}"),
-        };
-        let lhs = strip(&e);
-        let rhs = strip(&reparsed);
+        let expected = Program { body: vec![stmt], ..Program::new() };
+        let lhs = strip_program(&expected);
+        let rhs = strip_program(&program);
         prop_assert_eq!(
             format!("{lhs:?}"),
             format!("{rhs:?}"),

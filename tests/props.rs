@@ -4,8 +4,12 @@
 //! * interpreter determinism (same seed ⇒ same run),
 //! * regex engine consistency (escaped literals always match themselves;
 //!   `find_iter` terminates and yields non-overlapping matches),
-//! * boundary-value mutants always remain parseable,
+//! * every case `DataGen` makes, base case and mutants over every boundary
+//!   value, re-parses from its printed source to the program it runs,
 //! * the bug-filter tree behaves like a set keyed by (engine, api, behavior).
+
+#[path = "../crates/syntax/tests/strip/mod.rs"]
+mod strip;
 
 use proptest::prelude::*;
 
@@ -16,6 +20,7 @@ use comfort::interp::{hooks::SpecProfile, run_source, RunOptions};
 use comfort::regex::Regex;
 use comfort::syntax::{parse, print_program};
 use rand::SeedableRng;
+use strip::strip_program;
 
 fn escape_regex(s: &str) -> String {
     let mut out = String::new();
@@ -73,19 +78,33 @@ proptest! {
 
     #[test]
     fn datagen_mutants_always_parse(seed in 0u64..2000) {
-        let src = comfort::corpus::training_corpus(seed, 1).remove(0);
-        let program = parse(&src).expect("corpus parses");
+        // `DataGen` does not re-parse what it prints: a case runs its
+        // `program`, while reports and exports carry its `source`. This is
+        // the guard that the two agree.
+        // No cap, so every boundary value of every spec-known call site
+        // yields its mutant.
         let datagen = DataGen::new(
             comfort::ecma262::spec_db(),
-            DataGenConfig { max_mutants_per_program: 8, random_mutants: 2 },
+            DataGenConfig { max_mutants_per_program: usize::MAX, random_mutants: 4 },
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut next = 0;
-        for mutant in datagen.mutate(&program, 0, &mut next, &mut rng) {
-            prop_assert!(
-                parse(&mutant.source).is_ok(),
-                "mutant failed to parse:\n{}",
-                mutant.source
+        let mut cases = Vec::new();
+        // Six programs per seed: constructs such as flagged regex literals
+        // occur in only a few percent of corpus programs.
+        for src in comfort::corpus::training_corpus(seed, 6) {
+            let program = parse(&src).expect("corpus parses");
+            cases.push(datagen.base_case(&program, 0, &mut next, &mut rng));
+            cases.extend(datagen.mutate(&program, 0, &mut next, &mut rng));
+        }
+        for case in &cases {
+            let reparsed = parse(&case.source)
+                .unwrap_or_else(|err| panic!("case failed to parse: {err}\n{}", case.source));
+            prop_assert_eq!(
+                format!("{:?}", strip_program(&case.program)),
+                format!("{:?}", strip_program(&reparsed)),
+                "source does not re-parse to the program:\n{}",
+                case.source
             );
         }
     }
