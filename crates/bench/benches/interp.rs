@@ -4,22 +4,20 @@
 //! Each source is compiled once outside the timed loop (the campaign's
 //! compile-once contract) and the bench times `run_chunk` — the per-testbed
 //! execution the matrix repeats. `frontend.rs` covers the parse side;
-//! `compile_corpus` here covers the chunk build, and the `tree_walk`
-//! variants time the reference oracle backend over the same chunks.
+//! `compile_corpus` here covers the chunk build.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use comfort_interp::{compile, hooks::SpecProfile, run_chunk, Backend, CompiledChunk, RunOptions};
+use comfort_interp::{compile, hooks::SpecProfile, run_chunk, CompiledChunk, RunOptions};
 
 fn chunk(src: &str) -> Arc<CompiledChunk> {
     compile(&comfort_syntax::parse(src).expect("bench source parses"))
 }
 
-fn run(chunk: &Arc<CompiledChunk>, backend: Backend) {
-    let r =
-        run_chunk(black_box(chunk), &SpecProfile, &RunOptions { backend, ..RunOptions::default() });
+fn run(chunk: &Arc<CompiledChunk>) {
+    let r = run_chunk(black_box(chunk), &SpecProfile, &RunOptions::default());
     black_box(r.output);
 }
 
@@ -41,15 +39,7 @@ fn bench_interp(c: &mut Criterion) {
     ];
     for (name, ch) in &cases {
         group.bench_function(name, |b| {
-            b.iter(|| run(ch, Backend::Bytecode));
-        });
-    }
-    // The reference oracle over the same chunks: the gap between these two
-    // is the VM's win per execution.
-    for (name, ch) in &cases[..2] {
-        let oracle_name = format!("tree_walk/{name}");
-        group.bench_function(&oracle_name, |b| {
-            b.iter(|| run(ch, Backend::TreeWalk));
+            b.iter(|| run(ch));
         });
     }
     // Compile cost in isolation — paid once per case, not per testbed.

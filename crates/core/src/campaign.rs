@@ -56,12 +56,9 @@ pub struct CampaignConfig {
     pub max_cases: usize,
     /// Fuel per engine run.
     pub fuel: u64,
-    /// Execution backend for every engine run. Both backends are
-    /// bit-identical in every observable (output, fuel, coverage, report
-    /// checksums); [`Backend::TreeWalk`] is the reference oracle, the
-    /// default bytecode VM is the fast path. Excluded from the checkpoint
-    /// fingerprint for exactly that reason — a journal written under one
-    /// backend resumes cleanly under the other.
+    /// The evaluator. [`Backend`] has one variant, the arena VM, and no run
+    /// reads this field; it stays so that code reading it keeps compiling.
+    /// Excluded from the checkpoint fingerprint.
     pub backend: Backend,
     /// Simulated seconds of testing time per test case (the paper's 200 h /
     /// 250 k cases ≈ 2.88 s each).
@@ -233,12 +230,6 @@ impl CampaignConfigBuilder {
     /// Fuel per engine run.
     pub fn fuel(mut self, fuel: u64) -> Self {
         self.config.fuel = fuel;
-        self
-    }
-
-    /// Execution backend for every engine run (default: the bytecode VM).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.config.backend = backend;
         self
     }
 
@@ -492,9 +483,9 @@ pub struct Campaign {
 
 impl Campaign {
     /// The per-run options every differential/hardened run of this campaign
-    /// uses: the configured fuel and backend.
+    /// uses: the configured fuel.
     fn case_options(&self) -> RunOptions {
-        RunOptions::builder().fuel(self.config.fuel).backend(self.config.backend).build()
+        RunOptions::with_fuel(self.config.fuel)
     }
 
     /// Trains the generator and prepares the testbed matrix.

@@ -106,10 +106,9 @@ impl Fingerprint {
 ///
 /// Deliberately excluded — changing them must NOT invalidate a journal:
 /// `threads` (scheduling only; the determinism contract guarantees identical
-/// results at any width), `backend` (both execution backends are
-/// bit-identical in every observable, so a journal written under one
-/// resumes cleanly under the other), the telemetry `sink`, the `cancel`
-/// token, the `deadline`, and the `checkpoint` path itself.
+/// results at any width), `backend` (one evaluator, never read), the
+/// telemetry `sink`, the `cancel` token, the `deadline`, and the
+/// `checkpoint` path itself.
 pub fn config_fingerprint(config: &CampaignConfig) -> u64 {
     let mut fp = Fingerprint::new();
     fp.mix_u64(JOURNAL_VERSION);

@@ -140,8 +140,8 @@ impl Engine {
     }
 
     /// Runs a compiled chunk with the given options. This is the execution
-    /// entry point: fuel, strict mode, coverage, and the backend knob all
-    /// travel in [`RunOptions`] (`&RunOptions::default()` for a plain
+    /// entry point: fuel, strict mode and coverage all travel in
+    /// [`RunOptions`] (`&RunOptions::default()` for a plain
     /// normal-mode run). Compile once with [`compile`], then call this for
     /// every engine — the chunk is shared read-only.
     pub fn run_compiled(&self, chunk: &Arc<CompiledChunk>, options: &RunOptions) -> RunResult {

@@ -11,9 +11,8 @@
 //! [`crate::hooks::ConformanceProfile`] at run time, never baked into the
 //! chunk.
 //!
-//! The embedded [`Program`] serves the slow paths that are defined over the
-//! AST: the tree-walk reference backend ([`crate::Backend::TreeWalk`]) and
-//! content-addressed chaos fault plans in `comfort-engines`.
+//! No evaluator reads the embedded [`Program`]; only the content-addressed
+//! chaos fault plans in `comfort-engines` do.
 
 use std::sync::Arc;
 
@@ -30,8 +29,7 @@ use crate::footprint::{extract_footprint, ApiFootprint};
 pub struct CompiledChunk {
     /// Arena-flattened program (the bytecode VM's instruction stream).
     pub arena: NodeArena,
-    /// The original AST, retained for the tree-walk oracle backend and for
-    /// content-addressed chaos plans.
+    /// The original AST, read only by content-addressed chaos plans.
     pub program: Arc<Program>,
     /// Conservative API footprint: which builtin atoms the program can
     /// reach. Lets the differential harness prove testbeds equivalent for

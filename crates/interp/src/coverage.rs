@@ -5,7 +5,7 @@
 //! records hits keyed by [`NodeId`]; the static universe (what *could* be
 //! covered) is computed by [`Universe::of`].
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use comfort_syntax::ast::{NodeId, Program};
 use comfort_syntax::visit::{self, Visitor};
@@ -78,12 +78,15 @@ impl Universe {
 }
 
 /// Runtime coverage recorder.
+///
+/// The hit sets are ordered, so a recorder's `Debug` text (and that of a
+/// [`crate::RunResult`] holding it) reads the same in every process.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coverage {
-    stmts_hit: HashSet<NodeId>,
-    funcs_hit: HashSet<NodeId>,
+    stmts_hit: BTreeSet<NodeId>,
+    funcs_hit: BTreeSet<NodeId>,
     /// `(branch id, arm)` — `true` arm / `false` arm.
-    branches_hit: HashSet<(NodeId, bool)>,
+    branches_hit: BTreeSet<(NodeId, bool)>,
 }
 
 impl Coverage {

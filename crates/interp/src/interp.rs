@@ -1,9 +1,11 @@
-//! The tree-walking evaluator.
+//! The interpreter runtime: heap, environments, calls, conversions and
+//! operators, with the arena VM (`vm.rs`) as its one evaluator.
 //!
-//! One [`Interp`] executes one test program against one
+//! One [`Interp`] executes one compiled test program against one
 //! [`ConformanceProfile`] (engine behaviour). Execution is deterministic:
 //! fuel metering replaces wall-clock time, a fixed epoch replaces the real
-//! clock, and property iteration is insertion-ordered.
+//! clock, and property iteration is insertion-ordered. `eval`'d source is
+//! parsed, built into a chunk of its own and run on the same VM.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -11,15 +13,16 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use comfort_syntax::ast::*;
-use comfort_syntax::parse;
+use comfort_syntax::{parse, NodeArena};
 
 use crate::chunk::CompiledChunk;
 use crate::coverage::Coverage;
+use crate::footprint::ApiFootprint;
 use crate::hooks::{
     ArraySetBehavior, BuiltinSite, ConformanceProfile, Deviation, ValuePreview, ValueRecipe,
 };
 use crate::ops;
-use crate::value::{EnvId, ErrorKind, FuncCode, FuncData, Obj, ObjId, ObjKind, Prop, Value};
+use crate::value::{EnvId, ErrorKind, FuncData, Obj, ObjId, ObjKind, Prop, Value};
 
 // The arena VM is a child module so it can share the interpreter's private
 // state (envs, scope stacks, coverage) without widening visibility.
@@ -68,20 +71,15 @@ impl RunStatus {
     }
 }
 
-/// Which evaluator executes the program.
+/// The evaluator that executes a program. There is one: the arena VM.
 ///
-/// Both backends run over the same runtime (heap, environments, builtins,
-/// profile hooks, fuel meter), so their observable behaviour — status,
-/// output, fuel accounting, coverage — is bit-identical. The arena VM is
-/// the fast default; the tree-walker survives as a differential oracle.
+/// Nothing branches on this type. It stays, with [`RunOptions::backend`],
+/// so that callers which set the knob keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Execute the compile-once arena encoding ([`crate::CompiledChunk`]).
     #[default]
     Bytecode,
-    /// Execute the boxed AST directly (the original tree-walking
-    /// evaluator), kept as a reference oracle for differential testing.
-    TreeWalk,
 }
 
 /// Options for one program run — the single knob struct threaded through
@@ -102,8 +100,7 @@ pub struct RunOptions {
     /// recursive generated programs terminate deterministically instead of
     /// exhausting the real stack.
     pub max_call_depth: u32,
-    /// Which evaluator to use (see [`Backend`]). Only consulted by the
-    /// chunk-based entry points; [`Interp::run`] *is* the tree-walker.
+    /// The evaluator; [`Backend`] has one variant and no run reads this.
     pub backend: Backend,
 }
 
@@ -185,7 +182,8 @@ impl RunOptionsBuilder {
         self
     }
 
-    /// Which evaluator to use (defaults to [`Backend::Bytecode`]).
+    /// The evaluator (see [`RunOptions::backend`]); sets a field no run
+    /// reads.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.options.backend = backend;
         self
@@ -334,7 +332,8 @@ impl Heap {
 /// The interpreter.
 ///
 /// Create one per (program, engine-profile) pair with [`Interp::new`] and run
-/// with [`Interp::run`]. See the crate docs for an example.
+/// a compiled chunk with [`Interp::run_chunk`]. See the crate docs for an
+/// example.
 pub struct Interp<'p> {
     heap: Heap,
     envs: Vec<Env>,
@@ -424,39 +423,18 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Runs a parsed program on the tree-walking evaluator.
-    ///
-    /// This is the reference backend; the compile-once path is
-    /// [`Interp::run_chunk`].
-    pub fn run(&mut self, program: &Program, options: &RunOptions) -> RunResult {
-        self.prepare(program.strict, options);
-        let outcome = self.exec_body(&program.body, self.global_env, true);
-        self.finish(outcome)
-    }
-
-    /// Runs a compiled chunk — phase two of the two-phase contract.
-    ///
-    /// Honours [`RunOptions::backend`]: the default executes the arena
-    /// encoding on the VM; [`Backend::TreeWalk`] re-executes the embedded
-    /// AST on the tree-walker (the differential oracle). Both produce
-    /// bit-identical results.
+    /// Runs a compiled chunk on the arena VM — phase two of the two-phase
+    /// contract.
     pub fn run_chunk(&mut self, chunk: &Arc<CompiledChunk>, options: &RunOptions) -> RunResult {
-        if options.backend == Backend::TreeWalk {
-            return self.run(&chunk.program, options);
-        }
-        self.prepare(chunk.arena.strict, options);
-        let outcome = self.exec_top_a(chunk);
-        self.finish(outcome)
-    }
-
-    fn prepare(&mut self, program_strict: bool, options: &RunOptions) {
         self.fuel = options.fuel;
         self.fuel_budget = options.fuel;
         self.max_call_depth = options.max_call_depth;
         self.coverage = if options.coverage { Some(Coverage::new()) } else { None };
         self.strict.clear();
-        self.strict.push(program_strict || options.strict);
+        self.strict.push(chunk.arena.strict || options.strict);
         self.output.clear();
+        let outcome = self.exec_top_a(chunk);
+        self.finish(outcome)
     }
 
     fn finish(&mut self, outcome: Result<(), Control>) -> RunResult {
@@ -634,357 +612,7 @@ impl<'p> Interp<'p> {
         })
     }
 
-    // -- statement execution --------------------------------------------------
-
-    /// Runs a statement list with `var`/function hoisting.
-    fn exec_body(&mut self, body: &[Stmt], env: EnvId, hoist: bool) -> Result<(), Control> {
-        if hoist {
-            self.hoist(body, env)?;
-        }
-        for stmt in body {
-            self.exec_stmt(stmt, env)?;
-        }
-        Ok(())
-    }
-
-    /// Hoists `var` names (bound to `undefined`) and function declarations.
-    fn hoist(&mut self, body: &[Stmt], env: EnvId) -> Result<(), Control> {
-        fn collect_vars<'a>(
-            stmts: &'a [Stmt],
-            out: &mut Vec<&'a str>,
-            funcs: &mut Vec<&'a Function>,
-        ) {
-            for stmt in stmts {
-                match &stmt.kind {
-                    StmtKind::Decl { kind: DeclKind::Var, decls } => {
-                        out.extend(decls.iter().map(|d| d.name.as_str()));
-                    }
-                    StmtKind::FunctionDecl(f) => funcs.push(f),
-                    StmtKind::Block(b) => collect_vars(b, out, funcs),
-                    StmtKind::If { cons, alt, .. } => {
-                        collect_vars(std::slice::from_ref(cons), out, funcs);
-                        if let Some(alt) = alt {
-                            collect_vars(std::slice::from_ref(alt), out, funcs);
-                        }
-                    }
-                    StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-                        collect_vars(std::slice::from_ref(body), out, funcs);
-                    }
-                    StmtKind::For { init, body, .. } => {
-                        if let Some(ForInit::Decl { kind: DeclKind::Var, decls }) = init.as_deref()
-                        {
-                            out.extend(decls.iter().map(|d| d.name.as_str()));
-                        }
-                        collect_vars(std::slice::from_ref(body), out, funcs);
-                    }
-                    StmtKind::ForInOf { decl, body, .. } => {
-                        if let ForTarget::Decl(DeclKind::Var, name) = decl {
-                            out.push(name);
-                        }
-                        collect_vars(std::slice::from_ref(body), out, funcs);
-                    }
-                    StmtKind::Try { block, catch, finally } => {
-                        collect_vars(block, out, funcs);
-                        if let Some(c) = catch {
-                            collect_vars(&c.body, out, funcs);
-                        }
-                        if let Some(f) = finally {
-                            collect_vars(f, out, funcs);
-                        }
-                    }
-                    StmtKind::Switch { cases, .. } => {
-                        for c in cases {
-                            collect_vars(&c.body, out, funcs);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let mut vars = Vec::new();
-        let mut funcs = Vec::new();
-        collect_vars(body, &mut vars, &mut funcs);
-        for name in vars {
-            if !self.envs[env.0 as usize].vars.contains_key(name) {
-                self.declare(env, name, Value::Undefined);
-            }
-        }
-        for f in funcs {
-            let fv = self.make_function(f, env);
-            let name = f.name.clone().expect("function declarations are named");
-            self.declare(env, &name, fv);
-        }
-        Ok(())
-    }
-
-    fn exec_stmt(&mut self, stmt: &Stmt, env: EnvId) -> Result<(), Control> {
-        self.charge(1)?;
-        if let Some(cov) = &mut self.coverage {
-            cov.hit_stmt(stmt.id);
-        }
-        match &stmt.kind {
-            StmtKind::Empty | StmtKind::Directive(_) => Ok(()),
-            StmtKind::Expr(e) => {
-                self.eval_expr(e, env)?;
-                Ok(())
-            }
-            StmtKind::Decl { kind, decls } => {
-                for d in decls {
-                    let Some(init) = &d.init else {
-                        // `var x;` — hoisting already bound the name; an
-                        // initializer-less redeclaration must not clobber it.
-                        if *kind != DeclKind::Var {
-                            self.declare(env, &d.name, Value::Undefined);
-                        }
-                        continue;
-                    };
-                    let value = self.eval_expr(init, env)?;
-                    match kind {
-                        // `var` updates the binding hoisted to the enclosing
-                        // function/program scope (never creates a block-local).
-                        DeclKind::Var => self.assign_var(env, &d.name, value)?,
-                        // `let`/`const` bind in the current block env.
-                        DeclKind::Let | DeclKind::Const => self.declare(env, &d.name, value),
-                    }
-                }
-                Ok(())
-            }
-            StmtKind::FunctionDecl(_) => Ok(()), // hoisted
-            StmtKind::Block(body) => {
-                let inner = self.new_env(env);
-                self.exec_body(body, inner, false)
-            }
-            StmtKind::If { cond, cons, alt } => {
-                let c = self.eval_expr(cond, env)?;
-                let taken = self.to_boolean(&c);
-                if let Some(cov) = &mut self.coverage {
-                    cov.hit_branch(stmt.id, taken);
-                }
-                if taken {
-                    self.exec_stmt(cons, env)
-                } else if let Some(alt) = alt {
-                    self.exec_stmt(alt, env)
-                } else {
-                    Ok(())
-                }
-            }
-            StmtKind::While { cond, body } => {
-                loop {
-                    self.charge(1)?;
-                    let c = self.eval_expr(cond, env)?;
-                    let taken = self.to_boolean(&c);
-                    if let Some(cov) = &mut self.coverage {
-                        cov.hit_branch(stmt.id, taken);
-                    }
-                    if !taken {
-                        break;
-                    }
-                    match self.exec_stmt(body, env) {
-                        Ok(()) | Err(Control::Continue) => {}
-                        Err(Control::Break) => break,
-                        Err(other) => return Err(other),
-                    }
-                }
-                Ok(())
-            }
-            StmtKind::DoWhile { body, cond } => {
-                loop {
-                    self.charge(1)?;
-                    match self.exec_stmt(body, env) {
-                        Ok(()) | Err(Control::Continue) => {}
-                        Err(Control::Break) => break,
-                        Err(other) => return Err(other),
-                    }
-                    let c = self.eval_expr(cond, env)?;
-                    let taken = self.to_boolean(&c);
-                    if let Some(cov) = &mut self.coverage {
-                        cov.hit_branch(stmt.id, taken);
-                    }
-                    if !taken {
-                        break;
-                    }
-                }
-                Ok(())
-            }
-            StmtKind::For { init, test, update, body } => {
-                let loop_env = self.new_env(env);
-                match init.as_deref() {
-                    Some(ForInit::Decl { kind, decls }) => {
-                        for d in decls {
-                            let v = match &d.init {
-                                Some(e) => self.eval_expr(e, loop_env)?,
-                                None => Value::Undefined,
-                            };
-                            match kind {
-                                DeclKind::Var => self.assign_var(loop_env, &d.name, v)?,
-                                DeclKind::Let | DeclKind::Const => {
-                                    self.declare(loop_env, &d.name, v)
-                                }
-                            }
-                        }
-                    }
-                    Some(ForInit::Expr(e)) => {
-                        self.eval_expr(e, loop_env)?;
-                    }
-                    None => {}
-                }
-                loop {
-                    self.charge(1)?;
-                    if let Some(test) = test {
-                        let c = self.eval_expr(test, loop_env)?;
-                        let taken = self.to_boolean(&c);
-                        if let Some(cov) = &mut self.coverage {
-                            cov.hit_branch(stmt.id, taken);
-                        }
-                        if !taken {
-                            break;
-                        }
-                    } else if let Some(cov) = &mut self.coverage {
-                        cov.hit_branch(stmt.id, true);
-                    }
-                    match self.exec_stmt(body, loop_env) {
-                        Ok(()) | Err(Control::Continue) => {}
-                        Err(Control::Break) => break,
-                        Err(other) => return Err(other),
-                    }
-                    if let Some(update) = update {
-                        self.eval_expr(update, loop_env)?;
-                    }
-                }
-                Ok(())
-            }
-            StmtKind::ForInOf { kind, decl, object, body } => {
-                let obj = self.eval_expr(object, env)?;
-                let items: Vec<Value> = match kind {
-                    ForInOfKind::In => {
-                        self.enumerate_keys(&obj)?.into_iter().map(Value::str).collect()
-                    }
-                    ForInOfKind::Of => self.iterate_values(&obj)?,
-                };
-                if let Some(cov) = &mut self.coverage {
-                    cov.hit_branch(stmt.id, !items.is_empty());
-                }
-                let loop_env = self.new_env(env);
-                let name = match decl {
-                    ForTarget::Decl(_, n) | ForTarget::Ident(n) => n.clone(),
-                };
-                if matches!(decl, ForTarget::Decl(DeclKind::Let | DeclKind::Const, _)) {
-                    self.declare(loop_env, &name, Value::Undefined);
-                }
-                for item in items {
-                    self.charge(1)?;
-                    match decl {
-                        // `for (var k in …)` writes the hoisted binding.
-                        ForTarget::Decl(DeclKind::Var, _) | ForTarget::Ident(_) => {
-                            self.assign_var(loop_env, &name, item)?;
-                        }
-                        ForTarget::Decl(..) => self.declare(loop_env, &name, item),
-                    }
-                    match self.exec_stmt(body, loop_env) {
-                        Ok(()) | Err(Control::Continue) => {}
-                        Err(Control::Break) => break,
-                        Err(other) => return Err(other),
-                    }
-                }
-                Ok(())
-            }
-            StmtKind::Return(arg) => {
-                let v = match arg {
-                    Some(e) => self.eval_expr(e, env)?,
-                    None => Value::Undefined,
-                };
-                Err(Control::Return(v))
-            }
-            StmtKind::Break => Err(Control::Break),
-            StmtKind::Continue => Err(Control::Continue),
-            StmtKind::Throw(e) => {
-                let v = self.eval_expr(e, env)?;
-                Err(Control::Throw(v))
-            }
-            StmtKind::Try { block, catch, finally } => {
-                let block_env = self.new_env(env);
-                let mut result = self.exec_body(block, block_env, false);
-                if let Err(Control::Throw(exc)) = result {
-                    if let Some(clause) = catch {
-                        let catch_env = self.new_env(env);
-                        if let Some(param) = &clause.param {
-                            self.declare(catch_env, param, exc);
-                        }
-                        result = self.exec_body(&clause.body, catch_env, false);
-                    } else {
-                        result = Err(Control::Throw(exc));
-                    }
-                }
-                if let Some(fin) = finally {
-                    let fin_env = self.new_env(env);
-                    // A finally completion overrides the try/catch one.
-                    self.exec_body(fin, fin_env, false)?;
-                }
-                result
-            }
-            StmtKind::Switch { disc, cases } => {
-                let d = self.eval_expr(disc, env)?;
-                let switch_env = self.new_env(env);
-                let mut matched = cases.len();
-                for (i, case) in cases.iter().enumerate() {
-                    if let Some(test) = &case.test {
-                        let t = self.eval_expr(test, switch_env)?;
-                        if d.strict_eq(&t) {
-                            matched = i;
-                            break;
-                        }
-                    }
-                }
-                if matched == cases.len() {
-                    // Fall back to default clause, if any.
-                    if let Some(i) = cases.iter().position(|c| c.test.is_none()) {
-                        matched = i;
-                    }
-                }
-                for case in cases.iter().skip(matched) {
-                    if let Some(cov) = &mut self.coverage {
-                        if let Some(first) = case.body.first() {
-                            cov.hit_branch(first.id, true);
-                        }
-                    }
-                    for s in &case.body {
-                        match self.exec_stmt(s, switch_env) {
-                            Ok(()) => {}
-                            Err(Control::Break) => return Ok(()),
-                            Err(other) => return Err(other),
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
     // -- function machinery ----------------------------------------------------
-
-    pub(crate) fn make_function(&mut self, f: &Function, env: EnvId) -> Value {
-        let data = FuncData {
-            code: FuncCode::Ast(Rc::new(f.clone())),
-            env,
-            is_arrow: false,
-            captured_this: Value::Undefined,
-            expr_body: None,
-            strict: f.strict || self.is_strict(),
-        };
-        self.finish_function(data, f.params.len(), f.name.as_deref())
-    }
-
-    fn make_arrow(&mut self, f: &Function, env: EnvId, expr_body: Option<&Expr>) -> Value {
-        let data = FuncData {
-            code: FuncCode::Ast(Rc::new(f.clone())),
-            env,
-            is_arrow: true,
-            captured_this: self.current_this(),
-            expr_body: expr_body.map(|e| Rc::new(e.clone())),
-            strict: f.strict || self.is_strict(),
-        };
-        self.finish_function(data, f.params.len(), None)
-    }
 
     fn finish_function(&mut self, data: FuncData, arity: usize, name: Option<&str>) -> Value {
         let is_arrow = data.is_arrow;
@@ -1059,20 +687,11 @@ impl<'p> Interp<'p> {
         args: &[Value],
     ) -> Result<Value, Control> {
         let env = self.new_env(data.env);
-        match &data.code {
-            FuncCode::Ast(f) => {
-                for (i, p) in f.params.iter().enumerate() {
-                    let v = args.get(i).cloned().unwrap_or(Value::Undefined);
-                    self.declare(env, p, v);
-                }
-            }
-            FuncCode::Chunk { chunk, index } => {
-                let proto = chunk.arena.funcs[*index as usize];
-                for (i, &p) in chunk.arena.slice(proto.params).iter().enumerate() {
-                    let v = args.get(i).cloned().unwrap_or(Value::Undefined);
-                    self.declare(env, chunk.arena.atom(p), v);
-                }
-            }
+        let chunk = &data.chunk;
+        let proto = chunk.arena.funcs[data.index as usize];
+        for (i, &p) in chunk.arena.slice(proto.params).iter().enumerate() {
+            let v = args.get(i).cloned().unwrap_or(Value::Undefined);
+            self.declare(env, chunk.arena.atom(p), v);
         }
         // `arguments` object (array-backed simplification).
         if !data.is_arrow {
@@ -1083,40 +702,21 @@ impl<'p> Interp<'p> {
         self.this_stack.push(effective_this);
         self.strict.push(data.strict);
         if let Some(cov) = &mut self.coverage {
-            cov.hit_func(match &data.code {
-                FuncCode::Ast(f) => f.id,
-                FuncCode::Chunk { chunk, index } => NodeId(chunk.arena.funcs[*index as usize].id),
-            });
+            cov.hit_func(NodeId(proto.id));
         }
-        let outcome = match &data.code {
-            FuncCode::Ast(f) => {
-                if let Some(expr) = &data.expr_body {
-                    self.eval_expr(expr, env).map(Some)
-                } else {
-                    match self.exec_body(&f.body, env, true) {
-                        Ok(()) => Ok(None),
-                        Err(Control::Return(v)) => Ok(Some(v)),
-                        Err(other) => Err(other),
-                    }
-                }
-            }
-            FuncCode::Chunk { chunk, index } => {
-                let proto = chunk.arena.funcs[*index as usize];
-                if proto.expr_body != comfort_syntax::arena::NONE {
-                    self.eval_expr_a(chunk, proto.expr_body, env).map(Some)
-                } else {
-                    self.hoist_a(chunk, proto.hoist_vars, proto.hoist_funcs, env);
-                    match self.exec_list_a(chunk, proto.body, env) {
-                        Ok(()) => Ok(None),
-                        Err(Control::Return(v)) => Ok(Some(v)),
-                        Err(other) => Err(other),
-                    }
-                }
+        let outcome = if proto.expr_body != comfort_syntax::arena::NONE {
+            self.eval_expr_a(chunk, proto.expr_body, env)
+        } else {
+            self.hoist_a(chunk, proto.hoist_vars, proto.hoist_funcs, env);
+            match self.exec_list_a(chunk, proto.body, env) {
+                Ok(()) => Ok(Value::Undefined),
+                Err(Control::Return(v)) => Ok(v),
+                Err(other) => Err(other),
             }
         };
         self.strict.pop();
         self.this_stack.pop();
-        outcome.map(|v| v.unwrap_or(Value::Undefined))
+        outcome
     }
 
     /// Invokes a builtin, consulting the engine profile first (§hooks).
@@ -1214,279 +814,7 @@ impl<'p> Interp<'p> {
         ((self.rng_state >> 11) as f64) / ((1u64 << 53) as f64)
     }
 
-    // -- expression evaluation ---------------------------------------------------
-
-    pub(crate) fn eval_expr(&mut self, expr: &Expr, env: EnvId) -> Result<Value, Control> {
-        self.charge(1)?;
-        match &expr.kind {
-            ExprKind::Lit(lit) => self.eval_lit(lit),
-            ExprKind::Ident(name) => match name.as_str() {
-                "undefined" => Ok(Value::Undefined),
-                "NaN" => Ok(Value::Number(f64::NAN)),
-                "Infinity" => Ok(Value::Number(f64::INFINITY)),
-                _ => match self.lookup(env, name) {
-                    Some(v) => Ok(v),
-                    None => Err(self.throw(ErrorKind::Reference, format!("{name} is not defined"))),
-                },
-            },
-            ExprKind::This => Ok(self.current_this()),
-            ExprKind::Paren(inner) => self.eval_expr(inner, env),
-            ExprKind::Array(items) => {
-                let mut elems = Vec::with_capacity(items.len());
-                for item in items {
-                    match item {
-                        Some(e) => elems.push(Some(self.eval_expr(e, env)?)),
-                        None => elems.push(None),
-                    }
-                }
-                Ok(self.new_array(elems))
-            }
-            ExprKind::Object(props) => {
-                let id = self.alloc(Obj::new(ObjKind::Plain, Some(self.protos.object)));
-                for p in props {
-                    let key = match &p.key {
-                        PropKey::Ident(n) => n.clone(),
-                        PropKey::String(s) => s.clone(),
-                        PropKey::Number(n) => ops::number_to_string(*n),
-                        PropKey::Computed(e) => {
-                            let v = self.eval_expr(e, env)?;
-                            self.to_js_string(&v)?
-                        }
-                    };
-                    let value = match &p.value {
-                        Some(v) => self.eval_expr(v, env)?,
-                        None => {
-                            // Shorthand `{ x }`.
-                            let PropKey::Ident(n) = &p.key else { unreachable!("parser enforces") };
-                            match self.lookup(env, n) {
-                                Some(v) => v,
-                                None => {
-                                    return Err(self.throw(
-                                        ErrorKind::Reference,
-                                        format!("{n} is not defined"),
-                                    ))
-                                }
-                            }
-                        }
-                    };
-                    self.obj_mut(id).props.insert(&key, Prop::data(value));
-                }
-                Ok(Value::Obj(id))
-            }
-            ExprKind::Function(f) => {
-                let fv = self.make_function(f, env);
-                // A named function expression binds its own name in a scope
-                // that wraps the closure.
-                if let Some(name) = &f.name {
-                    if let Value::Obj(fid) = &fv {
-                        let wrap = self.new_env(env);
-                        self.declare(wrap, name, fv.clone());
-                        if let ObjKind::Function(data) = &self.obj(*fid).kind {
-                            let new_data = FuncData {
-                                code: data.code.clone(),
-                                env: wrap,
-                                is_arrow: false,
-                                captured_this: Value::Undefined,
-                                expr_body: None,
-                                strict: data.strict,
-                            };
-                            self.obj_mut(*fid).kind = ObjKind::Function(Rc::new(new_data));
-                        }
-                    }
-                }
-                Ok(fv)
-            }
-            ExprKind::Arrow { func, expr_body } => {
-                Ok(self.make_arrow(func, env, expr_body.as_deref()))
-            }
-            ExprKind::Unary { op, operand } => self.eval_unary(*op, operand, env),
-            ExprKind::Update { prefix, inc, target } => {
-                let old = self.eval_expr(target, env)?;
-                let old_n = self.to_number(&old)?;
-                let new_n = if *inc { old_n + 1.0 } else { old_n - 1.0 };
-                self.assign_to(target, Value::Number(new_n), env)?;
-                Ok(Value::Number(if *prefix { new_n } else { old_n }))
-            }
-            ExprKind::Binary { op, left, right } => {
-                let l = self.eval_expr(left, env)?;
-                let r = self.eval_expr(right, env)?;
-                self.eval_binary(*op, l, r)
-            }
-            ExprKind::Logical { op, left, right } => {
-                let l = self.eval_expr(left, env)?;
-                let lb = self.to_boolean(&l);
-                let short = match op {
-                    LogicalOp::And => !lb,
-                    LogicalOp::Or => lb,
-                };
-                if let Some(cov) = &mut self.coverage {
-                    cov.hit_branch(expr.id, !short);
-                }
-                if short {
-                    Ok(l)
-                } else {
-                    self.eval_expr(right, env)
-                }
-            }
-            ExprKind::Cond { cond, cons, alt } => {
-                let c = self.eval_expr(cond, env)?;
-                let taken = self.to_boolean(&c);
-                if let Some(cov) = &mut self.coverage {
-                    cov.hit_branch(expr.id, taken);
-                }
-                if taken {
-                    self.eval_expr(cons, env)
-                } else {
-                    self.eval_expr(alt, env)
-                }
-            }
-            ExprKind::Assign { op, target, value } => {
-                let new_value = if *op == AssignOp::Assign {
-                    self.eval_expr(value, env)?
-                } else {
-                    let old = self.eval_expr(target, env)?;
-                    let rhs = self.eval_expr(value, env)?;
-                    let bin_op = match op {
-                        AssignOp::Add => BinaryOp::Add,
-                        AssignOp::Sub => BinaryOp::Sub,
-                        AssignOp::Mul => BinaryOp::Mul,
-                        AssignOp::Div => BinaryOp::Div,
-                        AssignOp::Rem => BinaryOp::Rem,
-                        AssignOp::Shl => BinaryOp::Shl,
-                        AssignOp::Shr => BinaryOp::Shr,
-                        AssignOp::UShr => BinaryOp::UShr,
-                        AssignOp::BitAnd => BinaryOp::BitAnd,
-                        AssignOp::BitOr => BinaryOp::BitOr,
-                        AssignOp::BitXor => BinaryOp::BitXor,
-                        AssignOp::Assign => unreachable!("handled above"),
-                    };
-                    self.eval_binary(bin_op, old, rhs)?
-                };
-                self.assign_to(target, new_value.clone(), env)?;
-                Ok(new_value)
-            }
-            ExprKind::Seq(items) => {
-                let mut last = Value::Undefined;
-                for item in items {
-                    last = self.eval_expr(item, env)?;
-                }
-                Ok(last)
-            }
-            ExprKind::Call { callee, args } => {
-                // Method call: capture receiver.
-                let (func, this) = match &callee.kind {
-                    ExprKind::Member { object, prop } => {
-                        let recv = self.eval_expr(object, env)?;
-                        let f = self.get_property(&recv, prop)?;
-                        (f, recv)
-                    }
-                    ExprKind::Index { object, index } => {
-                        let recv = self.eval_expr(object, env)?;
-                        let k = self.eval_expr(index, env)?;
-                        let key = self.to_js_string(&k)?;
-                        let f = self.get_property(&recv, &key)?;
-                        (f, recv)
-                    }
-                    _ => {
-                        let f = self.eval_expr(callee, env)?;
-                        (f, Value::Undefined)
-                    }
-                };
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval_expr(a, env)?);
-                }
-                self.call_value(&func, this, &argv)
-            }
-            ExprKind::New { callee, args } => {
-                let f = self.eval_expr(callee, env)?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval_expr(a, env)?);
-                }
-                self.construct(&f, &argv)
-            }
-            ExprKind::Member { object, prop } => {
-                let obj = self.eval_expr(object, env)?;
-                self.get_property(&obj, prop)
-            }
-            ExprKind::Index { object, index } => {
-                let obj = self.eval_expr(object, env)?;
-                let k = self.eval_expr(index, env)?;
-                let key = self.to_js_string(&k)?;
-                self.get_property(&obj, &key)
-            }
-            ExprKind::Template { quasis, exprs } => {
-                let mut out = String::new();
-                for (i, q) in quasis.iter().enumerate() {
-                    out.push_str(q);
-                    if let Some(e) = exprs.get(i) {
-                        let v = self.eval_expr(e, env)?;
-                        out.push_str(&self.to_js_string(&v)?);
-                    }
-                }
-                Ok(Value::str(out))
-            }
-        }
-    }
-
-    fn eval_lit(&mut self, lit: &Lit) -> Result<Value, Control> {
-        Ok(match lit {
-            Lit::Number(n) => Value::Number(*n),
-            Lit::String(s) => Value::str(s),
-            Lit::Bool(b) => Value::Bool(*b),
-            Lit::Null => Value::Null,
-            Lit::Regex { pattern, flags } => self.new_regex(pattern, flags)?,
-        })
-    }
-
-    fn eval_unary(&mut self, op: UnaryOp, operand: &Expr, env: EnvId) -> Result<Value, Control> {
-        // `typeof x` on an undeclared variable must not throw.
-        if op == UnaryOp::TypeOf {
-            if let ExprKind::Ident(name) = &operand.kind {
-                if !matches!(name.as_str(), "undefined" | "NaN" | "Infinity")
-                    && self.lookup(env, name).is_none()
-                {
-                    return Ok(Value::str("undefined"));
-                }
-            }
-        }
-        if op == UnaryOp::Delete {
-            return self.eval_delete(operand, env);
-        }
-        let v = self.eval_expr(operand, env)?;
-        Ok(match op {
-            UnaryOp::Neg => Value::Number(-self.to_number(&v)?),
-            UnaryOp::Pos => Value::Number(self.to_number(&v)?),
-            UnaryOp::Not => Value::Bool(!self.to_boolean(&v)),
-            UnaryOp::BitNot => Value::Number(!ops::to_int32(self.to_number(&v)?) as f64),
-            UnaryOp::Void => Value::Undefined,
-            UnaryOp::TypeOf => Value::str(self.type_of(&v)),
-            UnaryOp::Delete => unreachable!("handled above"),
-        })
-    }
-
-    fn eval_delete(&mut self, operand: &Expr, env: EnvId) -> Result<Value, Control> {
-        match &operand.kind {
-            ExprKind::Member { object, prop } => {
-                let obj = self.eval_expr(object, env)?;
-                self.delete_property(&obj, prop)
-            }
-            ExprKind::Index { object, index } => {
-                let obj = self.eval_expr(object, env)?;
-                let k = self.eval_expr(index, env)?;
-                let key = self.to_js_string(&k)?;
-                self.delete_property(&obj, &key)
-            }
-            _ => {
-                if self.is_strict() {
-                    Err(self.throw(ErrorKind::Syntax, "delete of an unqualified identifier"))
-                } else {
-                    Ok(Value::Bool(true))
-                }
-            }
-        }
-    }
+    // -- `delete` and `typeof` -----------------------------------------------------
 
     fn delete_property(&mut self, obj: &Value, key: &str) -> Result<Value, Control> {
         let Value::Obj(id) = obj else { return Ok(Value::Bool(true)) };
@@ -1525,41 +853,6 @@ impl<'p> Interp<'p> {
                 ObjKind::Function(_) | ObjKind::Native { .. } => "function",
                 _ => "object",
             },
-        }
-    }
-
-    fn assign_to(&mut self, target: &Expr, value: Value, env: EnvId) -> Result<(), Control> {
-        match &target.kind {
-            ExprKind::Ident(name) => self.assign_var(env, name, value),
-            ExprKind::Member { object, prop } => {
-                let obj = self.eval_expr(object, env)?;
-                self.set_property(&obj, prop, value)
-            }
-            ExprKind::Index { object, index } => {
-                let obj = self.eval_expr(object, env)?;
-                let k = self.eval_expr(index, env)?;
-                // Array stores consult the profile hook *before* the key is
-                // stringified (the QuickJS Listing-6 bug keys on `true`).
-                if let Value::Obj(id) = &obj {
-                    if matches!(self.obj(*id).kind, ObjKind::Array { .. })
-                        && !matches!(k, Value::Number(_) | Value::Str(_))
-                    {
-                        let preview = self.preview(&k);
-                        if self.profile.on_array_key_set(&preview)
-                            == ArraySetBehavior::AppendElement
-                        {
-                            if let ObjKind::Array { elems } = &mut self.obj_mut(*id).kind {
-                                elems.push(Some(value));
-                                return Ok(());
-                            }
-                        }
-                    }
-                }
-                let key = self.to_js_string(&k)?;
-                self.set_property(&obj, &key, value)
-            }
-            ExprKind::Paren(inner) => self.assign_to(inner, value, env),
-            _ => Err(self.throw(ErrorKind::Reference, "invalid assignment target")),
         }
     }
 
@@ -2257,10 +1550,17 @@ impl<'p> Interp<'p> {
                 }
             }
         };
+        // Built without `compile`: nothing reads an eval chunk's footprint,
+        // so the conservative one stands in for the AST walk.
+        let chunk = Arc::new(CompiledChunk {
+            arena: NodeArena::build(&program),
+            program: Arc::new(program),
+            footprint: ApiFootprint::poisoned_all(),
+        });
         self.eval_depth += 1;
-        // Indirect-eval semantics: declarations land in the global scope.
-        let env = self.global_env;
-        let result = self.exec_body(&program.body, env, true);
+        // Indirect-eval semantics: declarations land in the global scope, and
+        // the caller's strictness stays in force.
+        let result = self.exec_top_a(&chunk);
         self.eval_depth -= 1;
         result.map(|()| Value::Undefined)
     }

@@ -5,9 +5,9 @@
 //! This crate is the **engine substrate**: a from-scratch, deterministic
 //! evaluator for the ES2015-era subset that COMFORT's generators emit.
 //! Programs are [`compile`]d once into a shareable [`CompiledChunk`] (arena
-//! AST + interned atoms) and executed by the arena VM — or re-executed by
-//! the original tree-walker ([`Backend::TreeWalk`]) as a differential
-//! oracle; the two backends are bit-identical. The runtime provides
+//! AST + interned atoms) and executed by the arena VM, the one evaluator;
+//! `eval`'d source is built into a chunk of its own and runs on the same VM.
+//! The runtime provides
 //!
 //! * a full builtin library (Object, Function, Array, String, Number, Math,
 //!   JSON, RegExp, typed arrays, DataView, Date, eval, Error family),
@@ -55,8 +55,7 @@ use hooks::ConformanceProfile;
 
 /// Parses, compiles, and runs `src` under `profile`.
 ///
-/// Compiles once and executes via [`run_chunk`], honouring
-/// [`RunOptions::backend`].
+/// Compiles once and executes via [`run_chunk`].
 ///
 /// # Errors
 ///

@@ -3,8 +3,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use comfort_syntax::ast::Function;
-
 /// Index of an object in the interpreter heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ObjId(pub u32);
@@ -158,35 +156,21 @@ impl TaKind {
 /// Signature of a native (builtin) function.
 pub type NativeFn = fn(&mut crate::Interp<'_>, Value, &[Value]) -> Result<Value, crate::Control>;
 
-/// The executable body of an interpreted function: either the boxed AST
-/// (tree-walk backend) or a function proto inside a shared compiled chunk
-/// (bytecode backend). Cloning is cheap — both arms are refcounted.
-#[derive(Debug, Clone)]
-pub enum FuncCode {
-    /// Tree-walked function: the parsed AST, shared with the program.
-    Ast(Rc<Function>),
-    /// Chunk-compiled function: proto `index` in `chunk`'s function table.
-    Chunk {
-        /// The compiled chunk the function lives in.
-        chunk: std::sync::Arc<crate::CompiledChunk>,
-        /// Index into the chunk's function-proto table.
-        index: u32,
-    },
-}
-
-/// Closure data for an interpreted function.
+/// Closure data for an interpreted function: a function proto inside a
+/// shared compiled chunk (the program's, or an `eval`'s), plus what the
+/// closure captured. Cloning is cheap — the chunk is refcounted.
 #[derive(Debug, Clone)]
 pub struct FuncData {
-    /// The function body in executable form.
-    pub code: FuncCode,
+    /// The compiled chunk the function lives in.
+    pub chunk: std::sync::Arc<crate::CompiledChunk>,
+    /// Index into the chunk's function-proto table.
+    pub index: u32,
     /// Captured defining environment.
     pub env: EnvId,
     /// `true` for arrow functions (lexical `this`).
     pub is_arrow: bool,
     /// The lexically captured `this` for arrows.
     pub captured_this: Value,
-    /// Expression body for `x => expr` arrows.
-    pub expr_body: Option<Rc<comfort_syntax::ast::Expr>>,
     /// `true` if the function body (or enclosing code) is strict.
     pub strict: bool,
 }
@@ -194,13 +178,8 @@ pub struct FuncData {
 impl FuncData {
     /// The function's name, if it has one (for display / `Function.name`).
     pub fn name(&self) -> Option<&str> {
-        match &self.code {
-            FuncCode::Ast(f) => f.name.as_deref(),
-            FuncCode::Chunk { chunk, index } => {
-                let proto = &chunk.arena.funcs[*index as usize];
-                (proto.name != comfort_syntax::arena::NONE).then(|| chunk.arena.atom(proto.name))
-            }
-        }
+        let proto = &self.chunk.arena.funcs[self.index as usize];
+        (proto.name != comfort_syntax::arena::NONE).then(|| self.chunk.arena.atom(proto.name))
     }
 }
 

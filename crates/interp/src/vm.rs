@@ -1,17 +1,16 @@
 //! The arena VM: executes a [`CompiledChunk`] node stream.
 //!
-//! This is the second dispatch layer over the same runtime as the
-//! tree-walking evaluator — heap, environments, builtins, conversions,
-//! profile hooks and the fuel meter are all shared, and every `charge` and
-//! coverage-hit site below mirrors its counterpart in `interp.rs` exactly.
-//! That one-to-one correspondence is load-bearing: it is what keeps fuel
-//! accounting, coverage maps, and deviation-hook consultation bit-identical
-//! between [`super::Backend::Bytecode`] and [`super::Backend::TreeWalk`],
-//! which the differential campaign relies on.
+//! This is the interpreter's one evaluator. It dispatches over the arena
+//! nodes and leaves the heap, environments, builtins, conversions, profile
+//! hooks and the fuel meter to the runtime in `interp.rs`. Its `charge` and
+//! coverage-hit sites define the fuel and coverage every run reports; the
+//! golden file `tests/evaluator_golden.txt` at the repository root pins
+//! them.
 //!
 //! Functions created while running a chunk close over the chunk
-//! ([`FuncCode::Chunk`]) instead of deep-cloning their AST, so defining a
-//! function costs an `Arc` bump rather than an AST copy.
+//! ([`FuncData::chunk`]) instead of cloning their AST, so defining a
+//! function costs an `Arc` bump rather than an AST copy. `eval`'d code gets
+//! a chunk of its own, which its functions keep alive after `eval` returns.
 
 use comfort_syntax::arena::{ident_flags, NodeKind, NONE};
 
@@ -73,8 +72,8 @@ const ASSIGN_OPS: [AssignOp; 12] = [
 ];
 
 impl<'p> Interp<'p> {
-    /// Executes the chunk's top level (hoist + statement list), mirroring
-    /// `exec_body(&program.body, global_env, true)`.
+    /// Executes the chunk's top level (hoist + statement list) in the
+    /// global env.
     pub(super) fn exec_top_a(&mut self, chunk: &Arc<CompiledChunk>) -> Result<(), Control> {
         let env = self.global_env;
         self.hoist_a(chunk, chunk.arena.top_hoist_vars, chunk.arena.top_hoist_funcs, env);
@@ -481,14 +480,7 @@ impl<'p> Interp<'p> {
                         let wrap = self.new_env(env);
                         self.declare(wrap, chunk.arena.atom(name_atom), fv.clone());
                         if let ObjKind::Function(data) = &self.obj(*fid).kind {
-                            let new_data = FuncData {
-                                code: data.code.clone(),
-                                env: wrap,
-                                is_arrow: false,
-                                captured_this: Value::Undefined,
-                                expr_body: None,
-                                strict: data.strict,
-                            };
+                            let new_data = FuncData { env: wrap, ..FuncData::clone(data) };
                             self.obj_mut(*fid).kind = ObjKind::Function(Rc::new(new_data));
                         }
                     }
@@ -741,8 +733,8 @@ impl<'p> Interp<'p> {
 
     // -- function construction ------------------------------------------------
 
-    /// Chunk-function counterpart of `make_function`: the closure keeps an
-    /// `Arc` to the chunk instead of cloning an AST.
+    /// Makes a closure over function proto `fidx`: it keeps an `Arc` to the
+    /// chunk instead of cloning an AST.
     pub(super) fn make_function_a(
         &mut self,
         chunk: &Arc<CompiledChunk>,
@@ -751,11 +743,11 @@ impl<'p> Interp<'p> {
     ) -> Value {
         let proto = chunk.arena.funcs[fidx as usize];
         let data = FuncData {
-            code: FuncCode::Chunk { chunk: Arc::clone(chunk), index: fidx },
+            chunk: Arc::clone(chunk),
+            index: fidx,
             env,
             is_arrow: false,
             captured_this: Value::Undefined,
-            expr_body: None,
             strict: proto.strict || self.is_strict(),
         };
         let name = (proto.name != NONE).then(|| chunk.arena.atom(proto.name));
@@ -765,11 +757,11 @@ impl<'p> Interp<'p> {
     fn make_arrow_a(&mut self, chunk: &Arc<CompiledChunk>, fidx: u32, env: EnvId) -> Value {
         let proto = chunk.arena.funcs[fidx as usize];
         let data = FuncData {
-            code: FuncCode::Chunk { chunk: Arc::clone(chunk), index: fidx },
+            chunk: Arc::clone(chunk),
+            index: fidx,
             env,
             is_arrow: true,
             captured_this: self.current_this(),
-            expr_body: None,
             strict: proto.strict || self.is_strict(),
         };
         self.finish_function(data, proto.params.1 as usize, None)

@@ -5,16 +5,15 @@
 //! builtin heap, shared by reference, plus its own copy of the global
 //! environment; a run's writes to snapshot objects go to a per-run overlay.
 //! Each check here runs a program that writes the builtin world and then a
-//! probe on the same thread, under both backends, and requires the probe's
-//! whole `RunResult` to equal that of the probe on a thread that has run
-//! nothing before.
+//! probe on the same thread, and requires the probe's whole `RunResult` to
+//! equal that of the probe on a thread that has run nothing before. Some
+//! writes come from `eval`'d code, whose closures hold the `eval`'s own
+//! chunk.
 
 use comfort_interp::hooks::SpecProfile;
-use comfort_interp::{compile, run_chunk, Backend, RunOptions, RunResult, RunStatus};
+use comfort_interp::{compile, run_chunk, RunOptions, RunResult, RunStatus};
 use comfort_syntax::parse;
 use proptest::prelude::*;
-
-const BACKENDS: [Backend; 2] = [Backend::Bytecode, Backend::TreeWalk];
 
 /// Writes to the builtin world, one kind per entry.
 const WRITES: &[(&str, &str)] = &[
@@ -41,6 +40,12 @@ const WRITES: &[(&str, &str)] = &[
         "rebind Math/JSON and add a global from a sloppy function",
         "(function () { Math = 1; JSON = 2; implicitGlobal = 3; })();",
     ),
+    ("assign on a prototype inside eval", "eval('Array.prototype.push = function () { return -1; };');"),
+    ("rebind Math/JSON by var inside eval", "eval('var Math = 1; var JSON = 2;');"),
+    (
+        "a function defined by eval writes the world after eval returns",
+        "eval('function writeLater() { Array.prototype.extra = 2; Object.keys = null; }'); writeLater();",
+    ),
 ];
 
 /// Reads every part of the world some entry of [`WRITES`] writes.
@@ -55,9 +60,9 @@ print(Object.getOwnPropertyNames(Object.prototype).length);
 print(Math.max(1, 2), JSON.stringify({ a: [1, "x"] }));
 "#;
 
-fn run(src: &str, backend: Backend) -> RunResult {
+fn run(src: &str) -> RunResult {
     let program = parse(src).unwrap_or_else(|e| panic!("parse error {e} in:\n{src}"));
-    let options = RunOptions { coverage: true, fuel: 300_000, backend, ..RunOptions::default() };
+    let options = RunOptions { coverage: true, fuel: 300_000, ..RunOptions::default() };
     run_chunk(&compile(&program), &SpecProfile, &options)
 }
 
@@ -70,29 +75,25 @@ fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 /// `second`'s result after `first` ran on the same thread must equal its
 /// result on a fresh thread.
 fn assert_isolated(first: &str, second: &str, label: &str) {
-    for backend in BACKENDS {
-        let alone = on_fresh_thread(|| run(second, backend));
-        let after = on_fresh_thread(|| {
-            run(first, backend);
-            run(second, backend)
-        });
-        assert_eq!(after, alone, "{label} ({backend:?}) leaked into the next run");
-    }
+    let alone = on_fresh_thread(|| run(second));
+    let after = on_fresh_thread(|| {
+        run(first);
+        run(second)
+    });
+    assert_eq!(after, alone, "{label} leaked into the next run");
 }
 
 #[test]
 fn the_probe_sees_every_write_in_its_own_run() {
     // Otherwise the isolation checks below could pass vacuously.
-    for backend in BACKENDS {
-        let clean = on_fresh_thread(|| run(PROBE, backend));
-        assert_eq!(clean.status, RunStatus::Completed, "{}", clean.output);
-        for (label, write) in WRITES {
-            let written = on_fresh_thread(|| run(&format!("{write}\n{PROBE}"), backend));
-            assert!(
-                written.status != clean.status || written.output != clean.output,
-                "{label} ({backend:?}) is invisible to the probe"
-            );
-        }
+    let clean = on_fresh_thread(|| run(PROBE));
+    assert_eq!(clean.status, RunStatus::Completed, "{}", clean.output);
+    for (label, write) in WRITES {
+        let written = on_fresh_thread(|| run(&format!("{write}\n{PROBE}")));
+        assert!(
+            written.status != clean.status || written.output != clean.output,
+            "{label} is invisible to the probe"
+        );
     }
 }
 

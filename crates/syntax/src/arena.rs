@@ -10,10 +10,9 @@
 //!
 //! The flattening is 1:1 and lossless for execution purposes: each arena
 //! node keeps the original [`NodeId`] of the AST node it lowers (in the
-//! parallel `ids` pool), which is what keeps coverage maps bit-identical
-//! between the tree-walking evaluator and the bytecode VM downstream.
-//! Function bodies additionally carry precomputed hoisting lists whose order
-//! matches the evaluator's `var`/function-declaration collection exactly.
+//! parallel `ids` pool), so coverage maps downstream are keyed by the AST's
+//! ids. Function bodies additionally carry precomputed hoisting lists
+//! (`var` names and function declarations, each in source pre-order).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -619,9 +618,8 @@ impl Builder {
     }
 
     /// Collects hoisted `var` atoms and function-declaration proto indices
-    /// from a lowered statement list, in exactly the traversal order the
-    /// tree-walking evaluator's `collect_vars` uses (vars and functions each
-    /// in pre-order; `for` init declarations before the loop body).
+    /// from a lowered statement list (vars and functions each in pre-order;
+    /// `for` init declarations before the loop body).
     fn arena_hoist_lists(&self, body: &[u32]) -> (Vec<u32>, Vec<u32>) {
         let mut vars = Vec::new();
         let mut funcs = Vec::new();
