@@ -19,10 +19,11 @@ pub mod harness;
 pub mod perf;
 pub mod stats;
 
-use comfort_core::campaign::{Campaign, CampaignConfig, CampaignReport};
+use comfort_core::campaign::{CampaignConfig, CampaignReport};
 use comfort_core::compare::{compare, CompareConfig, FuzzerSeries};
 use comfort_core::fuzzer::ComfortFuzzer;
 use comfort_core::quality::{measure, QualityReport};
+use comfort_core::session::CampaignSession;
 use comfort_core::Fuzzer;
 use comfort_lm::GeneratorConfig;
 
@@ -84,7 +85,9 @@ pub fn campaign_config(seed: u64, scale: Scale) -> CampaignConfig {
 
 /// Runs the main campaign (Tables 2–5, Figure 7).
 pub fn run_campaign(seed: u64, scale: Scale) -> CampaignReport {
-    Campaign::new(campaign_config(seed, scale)).run()
+    CampaignSession::new(campaign_config(seed, scale))
+        .run()
+        .expect("a journal-free run cannot fail")
 }
 
 /// Builds COMFORT as a comparison fuzzer.

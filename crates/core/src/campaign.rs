@@ -74,7 +74,9 @@ pub struct CampaignConfig {
     /// Fraction of syntactically invalid generations to keep as parser
     /// tests (§3.2 keeps 20%).
     pub keep_invalid_fraction: f64,
-    /// Worker threads (`0` = available parallelism, `1` = serial). Affects
+    /// Shard workers of a [`CampaignSession`](crate::session::CampaignSession)
+    /// (`0` = available parallelism, `1` = serial). Nothing else reads it: a
+    /// shard runs each case's testbeds one after another. Affects
     /// scheduling only — results are bit-identical at every thread count.
     pub threads: usize,
     /// Cases per shard for the sharded executor (`0` = a single shard, which
@@ -97,7 +99,9 @@ pub struct CampaignConfig {
     /// Scheduling only — excluded from the checkpoint fingerprint.
     pub cancel: CancelToken,
     /// Optional wall-clock budget: the campaign cancels itself this long
-    /// after `run` starts (armed once; shards inherit the armed instant).
+    /// after a run starts. Each session or daemon run arms it afresh on the
+    /// `cancel` token, so re-running a config whose deadline fired makes
+    /// progress; shards inherit their run's instant.
     pub deadline: Option<std::time::Duration>,
     /// Write-ahead checkpoint journal path. When set, the campaign durably
     /// appends every completed shard and a later
@@ -263,7 +267,8 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Worker threads (`0` = available parallelism, `1` = serial).
+    /// A session's shard workers (`0` = available parallelism, `1` =
+    /// serial).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -465,9 +470,6 @@ pub struct Campaign {
     testbeds: Vec<Testbed>,
     rng: StdRng,
     next_case_id: u64,
-    /// Per-case testbed-matrix parallelism (scheduling only; results are
-    /// identical at every width). The sharded executor sets it to 1.
-    exec_threads: usize,
     /// Base (unmutated) programs of recent generations, for Table 4's
     /// mechanism attribution.
     base_programs: std::collections::HashMap<u64, Program>,
@@ -506,7 +508,6 @@ impl Campaign {
         testbeds: Vec<Testbed>,
     ) -> Self {
         let rng = StdRng::seed_from_u64(config.seed ^ 0x5EED);
-        let exec_threads = config.threads.max(1);
         let recorder = Recorder::new(config.sink.clone(), 0);
         let progress = ProgressHandle::new();
         progress.reset(&[config.max_cases as u64]);
@@ -516,7 +517,6 @@ impl Campaign {
             testbeds,
             rng,
             next_case_id: 0,
-            exec_threads,
             base_programs: std::collections::HashMap::new(),
             recorder,
             shard: 0,
@@ -525,10 +525,10 @@ impl Campaign {
         }
     }
 
-    /// Overrides the per-case testbed parallelism (scheduling only).
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
-    }
+    /// Does nothing: a case's testbeds always run one after another, and
+    /// shards are the only parallelism. Kept so that existing callers keep
+    /// compiling.
+    pub fn set_exec_threads(&mut self, _threads: usize) {}
 
     /// Assigns this campaign's shard index (the executor's merge order);
     /// telemetry events are stamped with it. Scheduling metadata only.
@@ -553,7 +553,14 @@ impl Campaign {
         &self.generator
     }
 
-    /// Runs the campaign to its case budget.
+    /// Runs the campaign to its case budget: the shard body.
+    ///
+    /// It runs the whole `max_cases` budget as one serial stream on the
+    /// calling thread and ignores `threads`, `shard_cases` and
+    /// `checkpoint`. Run a whole campaign through
+    /// [`CampaignSession`](crate::session::CampaignSession), which plans the
+    /// shards, runs them on `threads` workers and journals them; with
+    /// `shard_cases = 0` its report equals this one.
     pub fn run(&mut self) -> CampaignReport {
         let run_start = std::time::Instant::now();
         self.metrics = CampaignMetrics::new();
@@ -564,9 +571,10 @@ impl Campaign {
         let mut tracker = HealthTracker::new(&self.testbeds, self.config.exec.quarantine_after)
             .with_probe(self.config.exec.probe_after);
         if let Some(deadline) = self.config.deadline {
-            // First arm wins: when the sharded executor already armed the
-            // shared token at campaign start, shard-level re-arming is a
-            // no-op, so the deadline measures the whole campaign.
+            // First arm wins: when the campaign's runtime already armed the
+            // shared token at start, shard-level arming is a no-op, so the
+            // deadline measures the whole run. A worker process's token is
+            // its own, so its shard arms the deadline here.
             self.config.cancel.arm_deadline(std::time::Instant::now() + deadline);
         }
 
@@ -661,7 +669,6 @@ impl Campaign {
                 &case.program,
                 &self.testbeds,
                 &self.case_options(),
-                self.exec_threads,
                 &self.config.exec,
                 &mut tracker,
                 Some(&self.config.cancel),

@@ -19,9 +19,9 @@
 //! * A single-shard plan (`shard_cases = 0`, the default) reproduces the
 //!   serial `Campaign::run` case stream exactly.
 //!
-//! Shards are the only parallelism a session uses: a shard runs each case's
-//! class representatives one after another on its worker's thread, and
-//! threads beyond the shard count stay idle.
+//! Shards are the only parallelism: a shard runs each case's class
+//! representatives one after another on its worker's thread, and threads
+//! beyond the shard count stay idle.
 
 use std::sync::Arc;
 
@@ -197,7 +197,6 @@ impl ShardedCampaign {
         config.sink = SinkHandle::new(buffer.clone());
         let mut campaign =
             Campaign::with_shared(config, Arc::clone(&self.generator), self.testbeds.clone());
-        campaign.set_exec_threads(1);
         campaign.set_shard(spec.index as u64);
         campaign.set_progress(self.progress.clone());
         campaign.run()

@@ -18,17 +18,16 @@
 //! * [`session`] — [`CampaignSession`], the one way to run a campaign
 //!   (fresh or crash-safe resumable),
 //! * [`compare`] / [`quality`] — the Figure 8 and Figure 9 harnesses,
-//! * [`report`] — renders every table and figure,
-//! * [`pipeline`] — the `Comfort` facade for downstream users.
+//! * [`report`] — renders every table and figure.
 //!
 //! # Examples
 //!
 //! ```no_run
-//! use comfort_core::pipeline::{Comfort, ComfortConfig};
+//! use comfort_core::{CampaignConfig, CampaignSession};
 //!
-//! let mut comfort = Comfort::new(ComfortConfig::default());
-//! let report = comfort.run_budgeted(200);
-//! for bug in &report.deviations {
+//! let config = CampaignConfig::builder().max_cases(200).build().expect("valid config");
+//! let report = CampaignSession::new(config).run().expect("a journal-free run cannot fail");
+//! for bug in &report.bugs {
 //!     println!("{} — {}", bug.key, bug.earliest_version);
 //! }
 //! ```
@@ -42,7 +41,6 @@ pub mod executor;
 pub mod extensions;
 pub mod filter;
 pub mod fuzzer;
-pub mod pipeline;
 pub mod quality;
 pub mod reduce;
 pub mod report;
@@ -71,7 +69,6 @@ pub use executor::{
 };
 pub use filter::{BugKey, BugTree};
 pub use fuzzer::{ComfortFuzzer, Fuzzer};
-pub use pipeline::{Comfort, ComfortConfig, PipelineReport};
 pub use reduce::reduce as reduce_case;
 pub use resilience::{
     run_case_hardened, run_case_hardened_cancellable, CancelToken, CaseObservation, ChaosConfig,

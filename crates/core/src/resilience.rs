@@ -71,9 +71,11 @@ impl Default for ExecPolicy {
 /// A cooperative cancellation token, checked at shard boundaries and
 /// between testbed slots inside [`run_case_hardened_cancellable`].
 ///
-/// Cancellation is **latching**: once [`CancelToken::cancel`] is called or
-/// the armed deadline passes, [`CancelToken::is_cancelled`] stays `true`.
-/// Clones share state, so one token can fan out across worker threads.
+/// An explicit [`CancelToken::cancel`] **latches**: the token stays
+/// cancelled for good. A passed deadline reads cancelled only until a later
+/// deadline replaces it (see [`CancelToken::set_deadline`]), so a campaign
+/// whose deadline fired can run again on the same token. Clones share
+/// state, so one token can fan out across worker threads.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: std::sync::Arc<CancelInner>,
@@ -97,13 +99,20 @@ impl CancelToken {
     }
 
     /// Arms a wall-clock deadline after which the token reads cancelled.
-    /// The first armed deadline wins; later calls are no-ops (the campaign
-    /// executor arms the configured deadline once, at campaign start).
+    /// The first armed deadline wins; later calls are no-ops, so a shard
+    /// keeps the deadline its campaign armed at start.
     pub fn arm_deadline(&self, deadline: std::time::Instant) {
         let mut slot = self.inner.deadline.lock().expect("cancel token poisoned");
         if slot.is_none() {
             *slot = Some(deadline);
         }
+    }
+
+    /// Replaces the deadline with `deadline` (`None` clears it). Every
+    /// campaign run calls this at start, so each run measures its deadline
+    /// from its own start.
+    pub fn set_deadline(&self, deadline: Option<std::time::Instant>) {
+        *self.inner.deadline.lock().expect("cancel token poisoned") = deadline;
     }
 
     /// `true` when an armed deadline has elapsed (used to distinguish a
@@ -113,19 +122,9 @@ impl CancelToken {
         deadline.is_some_and(|d| std::time::Instant::now() >= d)
     }
 
-    /// `true` once cancelled (explicitly or by a passed deadline).
+    /// `true` once cancelled explicitly, or while the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        use std::sync::atomic::Ordering;
-        if self.inner.flag.load(Ordering::SeqCst) {
-            return true;
-        }
-        let deadline = *self.inner.deadline.lock().expect("cancel token poisoned");
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            // Latch so every later check is cheap and consistent.
-            self.inner.flag.store(true, Ordering::SeqCst);
-            return true;
-        }
-        false
+        self.inner.flag.load(std::sync::atomic::Ordering::SeqCst) || self.deadline_passed()
     }
 }
 
@@ -423,18 +422,19 @@ pub struct CaseObservation {
 ///
 /// Quarantined testbeds are skipped (their signature slot stays `None`)
 /// unless their half-open probe is due; a quarantine tripped by *this* case
-/// takes effect from the next case. With `threads > 1` the isolated runs
-/// fan out over a scoped worker pool; results land in index-ordered slots,
-/// so the observation is bit-identical at every thread count.
+/// takes effect from the next case. The runs execute one after another on
+/// the calling thread. `_threads` is ignored: shards are the only
+/// parallelism, and the argument stays so that existing callers keep
+/// compiling.
 pub fn run_case_hardened(
     program: &Program,
     testbeds: &[Testbed],
     options: &RunOptions,
-    threads: usize,
+    _threads: usize,
     policy: &ExecPolicy,
     tracker: &mut HealthTracker,
 ) -> CaseObservation {
-    run_case_hardened_cancellable(program, testbeds, options, threads, policy, tracker, None)
+    run_case_hardened_cancellable(program, testbeds, options, policy, tracker, None)
 }
 
 /// [`run_case_hardened`] with a cooperative cancellation point between
@@ -442,12 +442,10 @@ pub fn run_case_hardened(
 /// and the observation comes back `cancelled` with the tracker untouched
 /// (the interrupted shard's state is discarded wholesale, so a partial case
 /// must not leak into the health ledger).
-#[allow(clippy::too_many_arguments)]
 pub fn run_case_hardened_cancellable(
     program: &Program,
     testbeds: &[Testbed],
     options: &RunOptions,
-    threads: usize,
     policy: &ExecPolicy,
     tracker: &mut HealthTracker,
     cancel: Option<&CancelToken>,
@@ -467,7 +465,7 @@ pub fn run_case_hardened_cancellable(
         &mask,
         policy.dedup,
         |i| tracker.is_probe(i),
-        |run_mask| isolated_runs(&chunk, testbeds, options, threads, policy, run_mask, cancel),
+        |run_mask| isolated_runs(&chunk, testbeds, options, policy, run_mask, cancel),
     );
     if cancelled {
         return CaseObservation {
@@ -556,64 +554,27 @@ pub fn run_case_hardened_cancellable(
     }
 }
 
-/// Executes the isolated runs for every unmasked testbed, serially or on a
-/// scoped worker pool (index-ordered slots; workers never panic because the
-/// isolation harness contains everything). Returns `(slots, cancelled)`;
-/// a trip of `cancel` between slots stops further runs.
+/// Executes the isolated runs for every unmasked testbed in index order.
+/// Returns `(slots, cancelled)`; a trip of `cancel` between slots stops
+/// further runs.
 fn isolated_runs(
     chunk: &Arc<CompiledChunk>,
     testbeds: &[Testbed],
     options: &RunOptions,
-    threads: usize,
     policy: &ExecPolicy,
     mask: &[bool],
     cancel: Option<&CancelToken>,
 ) -> (Vec<Option<IsolatedRun>>, bool) {
-    let run_one = |i: usize| {
-        run_isolated_compiled(&testbeds[i], chunk, options, &policy.isolation, &policy.retry)
-    };
-    let is_cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    if threads <= 1 || testbeds.len() < 2 {
-        let mut slots = Vec::with_capacity(testbeds.len());
-        for (i, m) in mask.iter().enumerate() {
-            if is_cancelled() {
-                return (slots, true);
-            }
-            slots.push(m.then(|| run_one(i)));
+    let mut slots = Vec::with_capacity(testbeds.len());
+    for (i, &masked_in) in mask.iter().enumerate() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return (slots, true);
         }
-        return (slots, false);
+        slots.push(masked_in.then(|| {
+            run_isolated_compiled(&testbeds[i], chunk, options, &policy.isolation, &policy.retry)
+        }));
     }
-
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::OnceLock;
-    // Indices are claimed exactly once from the shared counter, so each
-    // slot is written at most once: per-slot `OnceLock`s give lock-free
-    // writes (no mutex pool allocated-and-locked per case).
-    let slots: Vec<OnceLock<IsolatedRun>> = testbeds.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let workers = threads.min(testbeds.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if is_cancelled() {
-                    stopped.store(true, Ordering::SeqCst);
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= testbeds.len() {
-                    break;
-                }
-                if !mask[i] {
-                    continue;
-                }
-                let set = slots[i].set(run_one(i));
-                debug_assert!(set.is_ok(), "slot {i} claimed twice");
-            });
-        }
-    });
-    let cancelled = stopped.load(Ordering::SeqCst);
-    (slots.into_iter().map(OnceLock::into_inner).collect(), cancelled)
+    (slots, false)
 }
 
 #[cfg(test)]
@@ -747,6 +708,12 @@ mod tests {
         far.arm_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600));
         far.arm_deadline(std::time::Instant::now() - std::time::Duration::from_secs(1));
         assert!(!far.is_cancelled(), "later arm attempts are no-ops");
+        // A passed deadline does not latch: a new one replaces it.
+        deadline
+            .set_deadline(Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)));
+        assert!(!deadline.is_cancelled(), "a replaced deadline no longer reads cancelled");
+        token.set_deadline(None);
+        assert!(token.is_cancelled(), "an explicit cancel stays latched");
     }
 
     #[test]
@@ -760,7 +727,6 @@ mod tests {
             &program("print(1);"),
             &beds,
             &RunOptions::with_fuel(100_000),
-            1,
             &ExecPolicy::default(),
             &mut tracker,
             Some(&token),
@@ -788,31 +754,6 @@ mod tests {
         assert!(tracker.observe_fault(0, FaultObserved::OutputTruncated).is_none());
         assert!(tracker.is_active(0));
         assert_eq!(tracker.reports()[0].outputs_truncated, 1);
-    }
-
-    #[test]
-    fn hardened_runs_are_thread_count_invariant() {
-        let plan = FaultPlan::new(11).panic_rate(0.3).garbage_rate(0.2);
-        let opts = RunOptions::with_fuel(100_000);
-        let policy = ExecPolicy::default();
-        let observe = |threads: usize| {
-            let beds = chaos_matrix(plan.clone());
-            let mut tracker = HealthTracker::new(&beds, policy.quarantine_after);
-            let mut outcomes = Vec::new();
-            for i in 0..12 {
-                let obs = run_case_hardened(
-                    &program(&format!("print({i});")),
-                    &beds,
-                    &opts,
-                    threads,
-                    &policy,
-                    &mut tracker,
-                );
-                outcomes.push((format!("{:?}", obs.outcome), obs.faults, obs.active_runs));
-            }
-            (outcomes, tracker.reports())
-        };
-        assert_eq!(observe(1), observe(4));
     }
 
     #[test]

@@ -135,11 +135,10 @@ impl ShardRuntime {
         progress: ProgressHandle,
         salvage: Option<Salvage>,
     ) -> ShardRuntime {
-        // Armed once per campaign; every shard config clone shares the
-        // token, so per-case checks all see the same instant.
-        if let Some(deadline) = config.deadline {
-            config.cancel.arm_deadline(Instant::now() + deadline);
-        }
+        // Armed from this run's start, replacing an earlier run's deadline
+        // that may have fired; every shard config clone shares the token,
+        // so per-case checks all see the same instant.
+        config.cancel.set_deadline(config.deadline.map(|deadline| Instant::now() + deadline));
         let plan = plan_shards(config);
         progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
         let mut runtime = ShardRuntime {

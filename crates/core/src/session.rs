@@ -1,13 +1,14 @@
 //! The one way to run a campaign.
 //!
-//! Build a [`CampaignSession`] from a [`CampaignConfig`], override the
-//! scheduling knobs with the chainable setters, and call
-//! [`run`](CampaignSession::run). The session is resume-aware: with a
-//! checkpoint path configured it salvages an existing journal and re-runs
-//! only the missing shards; without one it runs fresh and always returns
-//! `Ok`. It drives the campaign's [`ShardRuntime`] with a plain scoped
-//! worker loop; the `comfort-service` daemon drives the same runtime with
-//! leased workers.
+//! Build a [`CampaignConfig`] and call
+//! [`CampaignSession::new(config).run()`](CampaignSession::run). The session
+//! reads everything from its config: `threads` shard workers, the
+//! `checkpoint` journal, the `cancel` token, the `deadline` and the telemetry
+//! `sink`. It is resume-aware: with a checkpoint path configured it salvages
+//! an existing journal and re-runs only the missing shards; without one it
+//! runs fresh and always returns `Ok`. It drives the campaign's
+//! [`ShardRuntime`] with a plain scoped worker loop; the `comfort-service`
+//! daemon drives the same runtime with leased workers.
 //!
 //! The session owns the trained generator and testbed matrix (built
 //! lazily, once), so sweeping thread counts with
@@ -18,14 +19,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use std::time::Duration;
 
-use comfort_telemetry::{MemorySink, ProgressHandle, SinkHandle};
+use comfort_telemetry::{MemorySink, ProgressHandle};
 
 use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::checkpoint::CheckpointError;
 use crate::executor::{plan_shards, resolve_threads, ShardSpec, ShardedCampaign};
-use crate::resilience::CancelToken;
 use crate::runtime::ShardRuntime;
 
 /// A configured, reusable campaign run. See the [module docs](self).
@@ -37,13 +36,11 @@ use crate::runtime::ShardRuntime;
 /// let config = CampaignConfig::builder()
 ///     .max_cases(240)
 ///     .shard_cases(40) // 6 shards
+///     .threads(4)
+///     .checkpoint_path("campaign.ckpt") // crash-safe: re-running resumes
 ///     .build()
 ///     .expect("valid config");
-/// let report = CampaignSession::new(config)
-///     .threads(4)
-///     .checkpoint("campaign.ckpt") // crash-safe: re-running resumes
-///     .run()
-///     .expect("campaign run");
+/// let report = CampaignSession::new(config).run().expect("campaign run");
 /// println!("{} bugs", report.bugs.len());
 /// ```
 pub struct CampaignSession {
@@ -59,56 +56,7 @@ impl CampaignSession {
         CampaignSession { config, progress: ProgressHandle::new(), executor: OnceLock::new() }
     }
 
-    /// Overrides the worker-thread count (`0` = available parallelism).
-    /// Scheduling only: the report is bit-identical at every setting.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self.invalidate();
-        self
-    }
-
-    /// Sets the write-ahead checkpoint journal path. With a path set,
-    /// [`run`](Self::run) becomes crash-safe: it salvages an intact journal
-    /// left by a previous interrupted run and re-runs only the missing
-    /// shards.
-    pub fn checkpoint(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.config.checkpoint = Some(path.into());
-        self.invalidate();
-        self
-    }
-
-    /// Installs a cooperative-shutdown token (cancel it from any thread to
-    /// drain in-flight shards, checkpoint, and return an interrupted
-    /// report).
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.config.cancel = token;
-        self.invalidate();
-        self
-    }
-
-    /// Sets a wall-clock budget for the run.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.config.deadline = Some(deadline);
-        self.invalidate();
-        self
-    }
-
-    /// Sets the telemetry sink receiving the run's typed event stream.
-    pub fn sink(mut self, sink: SinkHandle) -> Self {
-        self.config.sink = sink;
-        self.invalidate();
-        self
-    }
-
-    /// Shares a caller-owned progress handle (the `Comfort` facade passes
-    /// one handle across budgeted runs).
-    pub fn share_progress(mut self, progress: ProgressHandle) -> Self {
-        self.progress = progress;
-        self.invalidate();
-        self
-    }
-
-    /// The session's effective configuration.
+    /// The configuration the session runs.
     pub fn config(&self) -> &CampaignConfig {
         &self.config
     }
@@ -191,12 +139,6 @@ impl CampaignSession {
             executor
         })
     }
-
-    /// Drops the cached executor after a config override; the next run
-    /// rebuilds it from the updated config.
-    fn invalidate(&mut self) {
-        self.executor = OnceLock::new();
-    }
 }
 
 #[cfg(test)]
@@ -234,24 +176,14 @@ mod tests {
     }
 
     #[test]
-    fn setters_override_the_config() {
-        let session = CampaignSession::new(small_config())
-            .threads(3)
-            .checkpoint("x.ckpt")
-            .deadline(Duration::from_secs(5));
-        assert_eq!(session.config().threads, 3);
-        assert_eq!(session.config().checkpoint.as_deref(), Some(std::path::Path::new("x.ckpt")));
-        assert_eq!(session.config().deadline, Some(Duration::from_secs(5)));
-        assert_eq!(session.plan().len(), 2);
-    }
-
-    #[test]
     fn checkpointed_session_resumes_its_own_journal() {
         let dir = std::env::temp_dir().join(format!("comfort-session-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("session.ckpt");
         let _ = std::fs::remove_file(&path);
-        let session = CampaignSession::new(small_config()).checkpoint(&path);
+        let mut config = small_config();
+        config.checkpoint = Some(path.clone());
+        let session = CampaignSession::new(config);
         let fresh = session.run().expect("fresh checkpointed run");
         assert!(fresh.resume.is_none());
         // Re-running the same session salvages every shard from the journal.

@@ -223,6 +223,27 @@ fn zero_deadline_interrupts_immediately_but_leaves_a_loadable_journal() {
 }
 
 #[test]
+fn rerunning_a_config_whose_deadline_fired_finishes_the_campaign() {
+    let path = temp_path("deadline-rerun");
+    std::fs::remove_file(&path).ok();
+
+    let mut config = base_config(SinkHandle::null());
+    config.checkpoint = Some(path.clone());
+    config.deadline = Some(std::time::Duration::ZERO);
+    let fired = CampaignSession::new(config.clone()).run().expect("journaled run");
+    assert!(fired.interrupted);
+
+    // The clone shares the token whose deadline fired; its run arms its own
+    // deadline from its own start, so it finishes the budget.
+    config.deadline = Some(std::time::Duration::from_secs(3600));
+    let finished = CampaignSession::new(config).run().expect("resume");
+    assert!(!finished.interrupted);
+    let (reference, _) = reference_run();
+    assert_eq!(report_to_json_deterministic(&finished), report_to_json_deterministic(&reference));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn probe_reinstatements_are_deterministic_and_reconciled() {
     let run = |threads: usize| {
         let mem = MemorySink::new();

@@ -206,10 +206,9 @@ fn campaign_streams_reach_tail_and_file_in_full() {
     let library: Vec<Vec<String>> = (0..12)
         .map(|k| {
             let events = MemorySink::new();
-            CampaignSession::new(spec(k).build_config().expect("spec builds a config"))
-                .sink(SinkHandle::new(events.clone()))
-                .run_with_threads(1)
-                .expect("library run succeeds");
+            let mut config = spec(k).build_config().expect("spec builds a config");
+            config.sink = SinkHandle::new(events.clone());
+            CampaignSession::new(config).run_with_threads(1).expect("library run succeeds");
             render(&events.events())
         })
         .collect();

@@ -31,8 +31,8 @@ struct ProgressState {
 /// A cloneable, thread-safe view of a running campaign.
 ///
 /// Counters only ever increase within one run; [`ProgressHandle::reset`]
-/// re-arms the same handle for a new run (the `Comfort` facade does this
-/// per budget so handles stay valid across runs).
+/// re-arms the same handle for a new run (a campaign session does this at
+/// the start of every run, so its handle stays valid across runs).
 #[derive(Debug, Clone, Default)]
 pub struct ProgressHandle {
     state: Arc<ProgressState>,

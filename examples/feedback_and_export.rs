@@ -25,8 +25,7 @@ fn main() {
         .max_cases(400)
         .build()
         .expect("valid config");
-    let mut campaign = Campaign::new(config);
-    let report = campaign.run();
+    let report = CampaignSession::new(config).run().expect("a journal-free run cannot fail");
     println!(
         "  {} unique bugs from {} cases ({} duplicates filtered)\n",
         report.bugs.len(),

@@ -28,13 +28,26 @@
 //!
 //! # Quickstart
 //!
+//! A campaign is a [`CampaignConfig`](core::CampaignConfig) run by a
+//! [`CampaignSession`](core::CampaignSession), the one way to run one:
+//!
 //! ```
+//! use comfort::lm::GeneratorConfig;
 //! use comfort::prelude::*;
 //!
-//! let mut comfort = Comfort::new(ComfortConfig { seed: 42, ..ComfortConfig::default() });
-//! let report = comfort.run_budgeted(50);
+//! let config = CampaignConfig::builder()
+//!     .seed(42)
+//!     .corpus_programs(120)
+//!     .lm(GeneratorConfig { order: 8, bpe_merges: 250, top_k: 10, max_tokens: 1000 })
+//!     .max_cases(50)
+//!     .fuel(300_000)
+//!     .include_strict(false)
+//!     .include_legacy(false)
+//!     .build()
+//!     .expect("valid config");
+//! let report = CampaignSession::new(config).run().expect("a journal-free run cannot fail");
 //! // Differential testing over the simulated engines produced a report:
-//! println!("{} test cases, {} deviations", report.cases_run, report.deviations.len());
+//! println!("{} test cases, {} bugs", report.cases_run, report.bugs.len());
 //! ```
 
 pub use comfort_baselines as baselines;
@@ -52,8 +65,8 @@ pub use comfort_telemetry as telemetry;
 pub mod prelude {
     //! The commonly used surface in one import: `use comfort::prelude::*;`.
     //!
-    //! Covers the facade ([`Comfort`]/[`ComfortConfig`]), the campaign layer
-    //! ([`Campaign`]/[`CampaignConfig`]/[`CampaignSession`]), the
+    //! Covers the campaign layer ([`CampaignConfig`] run by a
+    //! [`CampaignSession`]; [`Campaign`] is one shard's body), the
     //! differential harness, the engine matrix, and the telemetry surface
     //! (sinks, metrics, progress).
 
@@ -73,7 +86,6 @@ pub mod prelude {
     };
     pub use comfort_core::executor::{plan_shards, ShardSpec, ShardedCampaign};
     pub use comfort_core::filter::{BugKey, BugTree};
-    pub use comfort_core::pipeline::{Comfort, ComfortConfig, PipelineReport};
     pub use comfort_core::resilience::{
         run_case_hardened, run_case_hardened_cancellable, CancelToken, CaseObservation,
         ChaosConfig, ExecPolicy, FaultRecord, HealthTracker, QuarantineEvent, ReinstateEvent,
@@ -91,3 +103,9 @@ pub mod prelude {
         ProgressHandle, ProgressSnapshot, SinkHandle, Stage, CONTROL_SHARD, MERGE_SHARD,
     };
 }
+
+/// The README's Rust snippets, compiled (and, unless marked `no_run`, run)
+/// as doctests so the README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

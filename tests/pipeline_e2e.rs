@@ -1,10 +1,10 @@
 //! End-to-end pipeline tests: the full Figure 3 flow (generation →
 //! spec-guided data → differential testing → reduction → dedup →
-//! developer model) through the public facade.
+//! developer model) through the public facade crate.
 
-use comfort::core::campaign::{Campaign, CampaignConfig};
+use comfort::core::campaign::{Campaign, CampaignConfig, CampaignReport};
 use comfort::core::datagen::DataGenConfig;
-use comfort::core::pipeline::{Comfort, ComfortConfig};
+use comfort::core::session::CampaignSession;
 use comfort::core::Origin;
 use comfort::lm::GeneratorConfig;
 
@@ -52,56 +52,57 @@ fn campaign_report_fields_are_consistent() {
     }
 }
 
+/// A 120-case campaign over the latest non-strict testbeds, without
+/// reduction.
+fn session_config(seed: u64, corpus_programs: usize) -> CampaignConfig {
+    CampaignConfig::builder()
+        .seed(seed)
+        .corpus_programs(corpus_programs)
+        .lm(GeneratorConfig { order: 8, bpe_merges: 200, top_k: 10, max_tokens: 700 })
+        .max_cases(120)
+        .fuel(300_000)
+        .include_strict(false)
+        .include_legacy(false)
+        .reduce_cases(false)
+        .threads(0)
+        .build()
+        .expect("valid config")
+}
+
+fn run(config: CampaignConfig) -> CampaignReport {
+    CampaignSession::new(config).run().expect("a journal-free run cannot fail")
+}
+
 #[test]
 fn facade_reports_are_deterministic_per_seed() {
-    let mut a = Comfort::new(ComfortConfig {
-        seed: 9,
-        corpus_programs: 100,
-        lm: GeneratorConfig { order: 8, bpe_merges: 200, top_k: 10, max_tokens: 700 },
-        reduce: false,
-        ..ComfortConfig::default()
-    });
-    let mut b = Comfort::new(ComfortConfig {
-        seed: 9,
-        corpus_programs: 100,
-        lm: GeneratorConfig { order: 8, bpe_merges: 200, top_k: 10, max_tokens: 700 },
-        reduce: false,
-        ..ComfortConfig::default()
-    });
-    let ra = a.run_budgeted(120);
-    let rb = b.run_budgeted(120);
+    let ra = run(session_config(9, 100));
+    let rb = run(session_config(9, 100));
     assert_eq!(ra.cases_run, rb.cases_run);
-    let keys_a: Vec<String> = ra.deviations.iter().map(|d| d.key.to_string()).collect();
-    let keys_b: Vec<String> = rb.deviations.iter().map(|d| d.key.to_string()).collect();
+    let keys_a: Vec<String> = ra.bugs.iter().map(|d| d.key.to_string()).collect();
+    let keys_b: Vec<String> = rb.bugs.iter().map(|d| d.key.to_string()).collect();
     assert_eq!(keys_a, keys_b);
 }
 
 #[test]
 fn facade_reports_are_identical_at_every_thread_count() {
-    // The sharded executor's determinism contract at the facade level:
-    // `threads` affects scheduling only, so a multi-threaded budgeted run is
-    // bit-identical to the serial one for the same seed and shard plan.
-    let budgeted = |threads: usize| {
-        let config = ComfortConfig::builder()
-            .seed(2)
-            .corpus_programs(80)
-            .lm(GeneratorConfig { order: 8, bpe_merges: 200, top_k: 10, max_tokens: 700 })
-            .reduce(false)
-            .threads(threads)
-            .shard_cases(40)
-            .build()
-            .expect("valid config");
-        Comfort::new(config).run_budgeted(120)
+    // The sharded executor's determinism contract: `threads` affects
+    // scheduling only, so a multi-threaded run is bit-identical to the
+    // serial one for the same seed and shard plan.
+    let sharded = |threads: usize| {
+        let mut config = session_config(2, 80);
+        config.threads = threads;
+        config.shard_cases = 40;
+        run(config)
     };
-    let serial = budgeted(1);
-    let parallel = budgeted(4);
+    let serial = sharded(1);
+    let parallel = sharded(4);
     assert_eq!(serial.cases_run, parallel.cases_run);
     assert_eq!(serial.duplicates_filtered, parallel.duplicates_filtered);
     assert_eq!(serial.sim_hours.to_bits(), parallel.sim_hours.to_bits());
-    let keys_s: Vec<String> = serial.deviations.iter().map(|d| d.key.to_string()).collect();
-    let keys_p: Vec<String> = parallel.deviations.iter().map(|d| d.key.to_string()).collect();
+    let keys_s: Vec<String> = serial.bugs.iter().map(|d| d.key.to_string()).collect();
+    let keys_p: Vec<String> = parallel.bugs.iter().map(|d| d.key.to_string()).collect();
     assert_eq!(keys_s, keys_p);
-    for (s, p) in serial.deviations.iter().zip(&parallel.deviations) {
+    for (s, p) in serial.bugs.iter().zip(&parallel.bugs) {
         assert_eq!(s.sim_hours.to_bits(), p.sim_hours.to_bits());
         assert_eq!(s.test_case, p.test_case);
     }
