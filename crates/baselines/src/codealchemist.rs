@@ -235,31 +235,6 @@ fn guessed_type(text: &str, var: &str, rng: &mut StdRng) -> GuessedType {
     }
 }
 
-/// Token-boundary-aware identifier rename (kept for brick post-processing
-/// experiments; exercised by unit tests).
-#[allow(dead_code)]
-fn rename_ident(text: &str, from: &str, to: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'$';
-    while i < bytes.len() {
-        if text[i..].starts_with(from) {
-            let before_ok = i == 0 || !is_word(bytes[i - 1]);
-            let after = i + from.len();
-            let after_ok = after >= bytes.len() || !is_word(bytes[after]);
-            if before_ok && after_ok {
-                out.push_str(to);
-                i = after;
-                continue;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,10 +283,5 @@ mod tests {
         // realistic — the real tool's programs throw frequently too), but a
         // meaningful fraction must still run cleanly.
         assert!(clean * 5 >= runs, "too many runtime failures: {clean}/{runs}");
-    }
-
-    #[test]
-    fn rename_is_token_aware() {
-        assert_eq!(rename_ident("var xy = x + x1;", "x", "z"), "var xy = z + x1;");
     }
 }

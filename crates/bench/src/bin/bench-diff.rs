@@ -1,66 +1,43 @@
-//! `bench-diff` — compares two `BENCH_*.json` reports and exits non-zero
-//! on a >5% median regression (or any structural failure).
+//! `bench-diff` — renders a recorded perfbench A/B (`BENCH_<n>.json`) and
+//! applies the gate to it.
 //!
 //! ```text
-//! cargo run -p comfort-bench --bin bench-diff -- OLD.json NEW.json
-//! cargo run -p comfort-bench --bin bench-diff -- --validate REPORT.json
+//! cargo run --release -p comfort-bench --bin bench-diff -- BENCH_<n>.json
 //! ```
 //!
-//! Exit codes: `0` gate passes, `1` gate fails, `2` usage or I/O error.
+//! Run from the repository root: the metrics' directions and bounds come
+//! from `BENCHMARK.json` there. Exit codes: `0` the gate passes, `1` it
+//! fails, `2` usage or I/O error.
 
 use std::process::ExitCode;
 
-use comfort_bench::diff::{diff, validate};
-use comfort_bench::perf::BenchReport;
-
-fn load(path: &str) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    BenchReport::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
+use comfort_bench::ab::{gate, Benchmark, Record};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
-        [flag, path] if flag == "--validate" => {
-            let report = match load(path) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("bench-diff: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let problems = validate(&report);
-            if problems.is_empty() {
-                println!("{path}: valid {} (schema v{})", report.bench_id, report.schema_version);
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("{path}: INVALID");
-                for p in &problems {
-                    eprintln!("  - {p}");
-                }
-                ExitCode::FAILURE
-            }
+    let [path] = args.as_slice() else {
+        eprintln!("usage: bench-diff BENCH_<n>.json");
+        return ExitCode::from(2);
+    };
+    let (bench, record) = match load(path) {
+        Ok(loaded) => loaded,
+        Err(e) => {
+            eprintln!("bench-diff: {e}");
+            return ExitCode::from(2);
         }
-        [old_path, new_path] => {
-            let (old, new) = match (load(old_path), load(new_path)) {
-                (Ok(o), Ok(n)) => (o, n),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("bench-diff: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let report = diff(&old, &new);
-            print!("{}", report.rendered);
-            if report.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        _ => {
-            eprintln!("usage: bench-diff OLD.json NEW.json");
-            eprintln!("       bench-diff --validate REPORT.json");
-            ExitCode::from(2)
-        }
+    };
+    let judgement = gate(&record, &bench);
+    print!("{}", judgement.table);
+    if judgement.passed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
+}
+
+fn load(path: &str) -> Result<(Benchmark, Record), String> {
+    let read = |file: &str| std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"));
+    let bench = Benchmark::parse(&read("BENCHMARK.json")?)?;
+    let record = Record::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    Ok((bench, record))
 }

@@ -6,18 +6,10 @@
 //! See DESIGN.md §3 for the experiment index; EXPERIMENTS.md records the
 //! paper-vs-measured comparison produced by `tables -- all`.
 //!
-//! The perf-trajectory subsystem (DESIGN.md §11) lives in the submodules:
-//!
-//! * [`harness`] — the seeded `bench-harness` workload (campaign thread
-//!   sweep, stage breakdown, interp microbenches),
-//! * [`perf`] — the schema-versioned `BENCH_*.json` report model,
-//! * [`diff`] — the `bench-diff` >5%-regression gate,
-//! * [`stats`] — median/MAD summaries.
+//! [`ab`] holds the perfbench A/B records (`BENCH_<n>.json`) that the
+//! `bench-ab` binary writes and `bench-diff` gates (DESIGN.md §11).
 
-pub mod diff;
-pub mod harness;
-pub mod perf;
-pub mod stats;
+pub mod ab;
 
 use comfort_core::campaign::{CampaignConfig, CampaignReport};
 use comfort_core::compare::{compare, CompareConfig, FuzzerSeries};

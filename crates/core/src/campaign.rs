@@ -27,7 +27,7 @@ use crate::differential::{
     run_differential, run_differential_masked, CaseOutcome, DeviationKind, DeviationRecord,
     Signature,
 };
-use crate::filter::{BugKey, BugTree};
+use crate::filter::{behavior_label, BugKey, BugTree};
 use crate::reduce::reduce_counted;
 use crate::resilience::{
     run_case_hardened_cancellable, CancelToken, ChaosConfig, ExecPolicy, HealthTracker,
@@ -969,17 +969,6 @@ pub fn dominant_api(program: &Program) -> Option<String> {
             })
         })
         .cloned()
-}
-
-/// Behaviour label for the filter tree's third layer.
-fn behavior_label(dev_rec: &DeviationRecord) -> String {
-    match dev_rec.kind {
-        DeviationKind::UnexpectedError => dev_rec.actual.to_string(),
-        DeviationKind::MissingError => format!("Missing{}", dev_rec.expected),
-        DeviationKind::WrongOutput => "WrongOutput".to_string(),
-        DeviationKind::Crash => "Crash".to_string(),
-        DeviationKind::Timeout => "TimeOut".to_string(),
-    }
 }
 
 /// Ground-truth linkage: the seeded catalog bug this deviation most likely

@@ -713,8 +713,8 @@ pub fn report_to_json_deterministic(report: &CampaignReport) -> String {
 ///
 /// Two runs of the same workload — at any thread count, fresh or resumed —
 /// produce the same checksum if and only if their reports agree in every
-/// deterministic field. The `comfort-bench` harness embeds it in
-/// `BENCH_*.json` to prove the timed sweep measured bit-identical work.
+/// deterministic field. perfbench checks every timed report against its
+/// one-thread reference by this checksum.
 pub fn report_checksum(report: &CampaignReport) -> u64 {
     let mut fp = Fingerprint::new();
     fp.mix_str(&report_to_json_deterministic(report));

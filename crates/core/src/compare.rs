@@ -8,7 +8,7 @@ use rand::SeedableRng;
 
 use crate::campaign::DeveloperModel;
 use crate::differential::{run_differential, CaseOutcome};
-use crate::filter::{BugKey, BugTree};
+use crate::filter::{behavior_label, BugKey, BugTree};
 use crate::fuzzer::Fuzzer;
 
 /// Comparison parameters.
@@ -87,10 +87,7 @@ pub fn compare(fuzzers: &mut [&mut dyn Fuzzer], config: &CompareConfig) -> Vec<F
                 &comfort_engines::RunOptions::with_fuel(config.fuel),
             ) {
                 for d in devs {
-                    let behavior = match d.kind {
-                        crate::differential::DeviationKind::UnexpectedError => d.actual.to_string(),
-                        other => other.to_string(),
-                    };
+                    let behavior = behavior_label(&d);
                     let provisional = BugKey {
                         engine: d.engine,
                         api: crate::campaign::dominant_api(&program),

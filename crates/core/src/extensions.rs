@@ -118,10 +118,7 @@ pub fn feedback_round(
                 let key = crate::filter::BugKey {
                     engine: d.engine,
                     api: crate::campaign::dominant_api(&case.program),
-                    behavior: match d.kind {
-                        crate::differential::DeviationKind::UnexpectedError => d.actual.to_string(),
-                        other => other.to_string(),
-                    },
+                    behavior: crate::filter::behavior_label(&d),
                 };
                 if tree.observe(&key) {
                     fresh.push(key);
@@ -195,6 +192,47 @@ mod tests {
             parse(&case.source).expect("feedback mutants are valid JS");
             assert!(case.source.contains("substr"));
         }
+    }
+
+    #[test]
+    fn feedback_round_keys_deviations_like_the_campaign() {
+        use crate::campaign::Adjudication;
+        use crate::differential::DeviationKind;
+        use crate::filter::BugKey;
+        use comfort_engines::{ApiType, Component, EngineName};
+
+        // Three engines skip toFixed's RangeError, and a campaign files
+        // each as `MissingRangeError`. The round's mutants re-expose those
+        // same bugs, which must count as known rather than as new keys.
+        let bugs: Vec<BugReport> =
+            [EngineName::Rhino, EngineName::JerryScript, EngineName::QuickJs]
+                .into_iter()
+                .map(|engine| BugReport {
+                    key: BugKey {
+                        engine,
+                        api: Some("toFixed".into()),
+                        behavior: "MissingRangeError".into(),
+                    },
+                    sim_hours: 0.0,
+                    test_case: "var x = (11).toFixed(Infinity);\nprint(x);".into(),
+                    origin: crate::testcase::Origin::EcmaMutation,
+                    earliest_version: String::new(),
+                    kind: DeviationKind::MissingError,
+                    strict_only: false,
+                    component: Component::Implementation,
+                    api_type: ApiType::Number,
+                    matched_bug: None,
+                    adjudication: Adjudication {
+                        verified: true,
+                        fixed: false,
+                        rejected: false,
+                        accepted_test262: false,
+                        novel: true,
+                    },
+                })
+                .collect();
+        let fresh = feedback_round(&bugs, &comfort_engines::latest_testbeds(), 400_000, 7);
+        assert!(fresh.is_empty(), "known bugs re-reported under another label: {fresh:?}");
     }
 
     #[test]

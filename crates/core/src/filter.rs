@@ -9,6 +9,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use comfort_engines::EngineName;
 
+use crate::differential::{DeviationKind, DeviationRecord};
+
 /// Key of one leaf: the (engine, API, behaviour) path.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BugKey {
@@ -23,6 +25,19 @@ pub struct BugKey {
 impl std::fmt::Display for BugKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} / {} / {}", self.engine, self.api.as_deref().unwrap_or("None"), self.behavior)
+    }
+}
+
+/// The behaviour label (layer 3) of a deviation. Every site that keys the
+/// tree must use it, or one bug files under two labels and a tree seeded
+/// with known keys re-reports it as new.
+pub fn behavior_label(dev_rec: &DeviationRecord) -> String {
+    match dev_rec.kind {
+        DeviationKind::UnexpectedError => dev_rec.actual.to_string(),
+        DeviationKind::MissingError => format!("Missing{}", dev_rec.expected),
+        DeviationKind::WrongOutput => "WrongOutput".to_string(),
+        DeviationKind::Crash => "Crash".to_string(),
+        DeviationKind::Timeout => "TimeOut".to_string(),
     }
 }
 

@@ -12,10 +12,11 @@
 //!
 //! The session owns the trained generator and testbed matrix (built
 //! lazily, once), so sweeping thread counts with
-//! [`run_with_threads`](CampaignSession::run_with_threads) — as the
-//! `comfort-bench` harness does — trains the language model a single time
-//! and re-runs the identical workload at each width. Reports are
-//! **bit-identical** in every deterministic field at any thread count.
+//! [`run_with_threads`](CampaignSession::run_with_threads) — as perfbench
+//! does for its one-thread references and its timed runs — trains the
+//! language model a single time and re-runs the identical workload at each
+//! width. Reports are **bit-identical** in every deterministic field at any
+//! thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -30,12 +30,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The BENCH_7 baseline checksum for the seed-6 workload: the harness
-/// measured the full-matrix executor producing exactly this report. Dedup
-/// must reproduce it bit-for-bit.
+/// The seed-6 workload's report checksum, recorded from the full-matrix
+/// executor before execution dedup existed (`BENCH_7.json`, kept in git
+/// history). Dedup must reproduce it bit-for-bit.
 const SEED6_CHECKSUM: &str = "a92f73d7d5a0c004";
 
-/// The seed-6 bench workload, mirroring `comfort_bench::harness::workload`.
+/// The seed-6 workload, the same config as tier-1 `tests/model_identity.rs`.
 fn seed6_config() -> CampaignConfig {
     CampaignConfig {
         seed: 6,

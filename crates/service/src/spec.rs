@@ -195,7 +195,8 @@ impl CampaignSpec {
         JsonValue::object(pairs).to_json()
     }
 
-    /// Parses a spec from its JSON form.
+    /// Parses a spec from its JSON form. A field that is present must have
+    /// its documented type and fit its Rust type; the error names it.
     pub fn from_json(v: &JsonValue) -> Result<CampaignSpec, String> {
         let tenant = v
             .get("tenant")
@@ -205,41 +206,12 @@ impl CampaignSpec {
         if tenant.is_empty() {
             return Err("spec field 'tenant' must be non-empty".to_string());
         }
-        let usize_field = |key: &str| -> Result<Option<usize>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(val) => val
-                    .as_u64()
-                    .map(|n| Some(n as usize))
-                    .ok_or_else(|| format!("spec field '{key}' must be a non-negative integer")),
-            }
-        };
-        let u64_field = |key: &str| -> Result<Option<u64>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(val) => val
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("spec field '{key}' must be a non-negative integer")),
-            }
-        };
-        let bool_field = |key: &str| -> Result<Option<bool>, String> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(val) => val
-                    .as_bool()
-                    .map(Some)
-                    .ok_or_else(|| format!("spec field '{key}' must be a boolean")),
-            }
-        };
         let lm = match v.get("lm") {
             None => None,
             Some(lm) => {
+                let lm = Fields { obj: lm, prefix: "lm." };
                 let field = |key: &str| -> Result<usize, String> {
-                    lm.get(key)
-                        .and_then(JsonValue::as_u64)
-                        .map(|n| n as usize)
-                        .ok_or_else(|| format!("spec field 'lm.{key}' must be an integer"))
+                    lm.uint(key)?.ok_or_else(|| format!("spec field 'lm.{key}' must be an integer"))
                 };
                 Some(GeneratorConfig {
                     order: field("order")?,
@@ -251,75 +223,48 @@ impl CampaignSpec {
         };
         let chaos = match v.get("chaos") {
             None => None,
-            Some(c) => {
-                let mut spec = ChaosSpec::default();
-                let num = |key: &str, default: f64| -> Result<f64, String> {
-                    match c.get(key) {
-                        None => Ok(default),
-                        Some(val) => val
-                            .as_f64()
-                            .ok_or_else(|| format!("spec field 'chaos.{key}' must be a number")),
-                    }
-                };
-                spec.seed = c.get("seed").and_then(JsonValue::as_u64).unwrap_or(spec.seed);
-                spec.abort_rate = num("abort_rate", spec.abort_rate)?;
-                spec.abort_signal = c
-                    .get("abort_signal")
-                    .and_then(JsonValue::as_u64)
-                    .map(|n| n as i32)
-                    .unwrap_or(spec.abort_signal);
-                spec.panic_rate = num("panic_rate", spec.panic_rate)?;
-                spec.hang_rate = num("hang_rate", spec.hang_rate)?;
-                spec.garbage_rate = num("garbage_rate", spec.garbage_rate)?;
-                spec.transient_rate = num("transient_rate", spec.transient_rate)?;
-                spec.transient_persistence = c
-                    .get("transient_persistence")
-                    .and_then(JsonValue::as_u64)
-                    .map(|n| n as u32)
-                    .unwrap_or(spec.transient_persistence);
-                spec.hang_millis =
-                    c.get("hang_millis").and_then(JsonValue::as_u64).unwrap_or(spec.hang_millis);
-                spec.garbage_bytes = c
-                    .get("garbage_bytes")
-                    .and_then(JsonValue::as_u64)
-                    .map(|n| n as usize)
-                    .unwrap_or(spec.garbage_bytes);
-                if let Some(beds) = c.get("testbeds").and_then(JsonValue::as_array) {
-                    spec.testbeds = beds
-                        .iter()
-                        .map(|b| {
-                            b.as_u64().map(|n| n as usize).ok_or_else(|| {
-                                "spec field 'chaos.testbeds' must hold integers".to_string()
-                            })
-                        })
-                        .collect::<Result<Vec<usize>, String>>()?;
-                }
-                Some(spec)
+            Some(c @ JsonValue::Object(_)) => {
+                let c = Fields { obj: c, prefix: "chaos." };
+                let d = ChaosSpec::default();
+                let testbeds = c.get("testbeds", "an array of non-negative integers", |beds| {
+                    beds.as_array()?.iter().map(uint).collect()
+                })?;
+                Some(ChaosSpec {
+                    seed: c.uint("seed")?.unwrap_or(d.seed),
+                    abort_rate: c.num("abort_rate")?.unwrap_or(d.abort_rate),
+                    abort_signal: c.uint("abort_signal")?.unwrap_or(d.abort_signal),
+                    panic_rate: c.num("panic_rate")?.unwrap_or(d.panic_rate),
+                    hang_rate: c.num("hang_rate")?.unwrap_or(d.hang_rate),
+                    garbage_rate: c.num("garbage_rate")?.unwrap_or(d.garbage_rate),
+                    transient_rate: c.num("transient_rate")?.unwrap_or(d.transient_rate),
+                    transient_persistence: c
+                        .uint("transient_persistence")?
+                        .unwrap_or(d.transient_persistence),
+                    hang_millis: c.uint("hang_millis")?.unwrap_or(d.hang_millis),
+                    garbage_bytes: c.uint("garbage_bytes")?.unwrap_or(d.garbage_bytes),
+                    testbeds: testbeds.unwrap_or(d.testbeds),
+                })
             }
+            Some(_) => return Err("spec field 'chaos' must be an object".to_string()),
         };
+        let top = Fields { obj: v, prefix: "" };
         Ok(CampaignSpec {
             tenant,
-            name: v.get("name").and_then(JsonValue::as_str).map(str::to_string),
-            seed: u64_field("seed")?,
-            corpus_programs: usize_field("corpus_programs")?,
+            name: top.string("name")?,
+            seed: top.uint("seed")?,
+            corpus_programs: top.uint("corpus_programs")?,
             lm,
-            max_cases: usize_field("max_cases")?,
-            shard_cases: usize_field("shard_cases")?,
-            fuel: u64_field("fuel")?,
-            include_strict: bool_field("include_strict")?,
-            include_legacy: bool_field("include_legacy")?,
-            reduce_cases: bool_field("reduce_cases")?,
-            keep_invalid_fraction: match v.get("keep_invalid_fraction") {
-                None => None,
-                Some(val) => Some(
-                    val.as_f64()
-                        .ok_or("spec field 'keep_invalid_fraction' must be a number".to_string())?,
-                ),
-            },
-            checkpoint: v.get("checkpoint").and_then(JsonValue::as_str).map(str::to_string),
-            telemetry: v.get("telemetry").and_then(JsonValue::as_str).map(str::to_string),
-            deadline_millis: u64_field("deadline_millis")?,
-            contain_panics: bool_field("contain_panics")?,
+            max_cases: top.uint("max_cases")?,
+            shard_cases: top.uint("shard_cases")?,
+            fuel: top.uint("fuel")?,
+            include_strict: top.flag("include_strict")?,
+            include_legacy: top.flag("include_legacy")?,
+            reduce_cases: top.flag("reduce_cases")?,
+            keep_invalid_fraction: top.num("keep_invalid_fraction")?,
+            checkpoint: top.string("checkpoint")?,
+            telemetry: top.string("telemetry")?,
+            deadline_millis: top.uint("deadline_millis")?,
+            contain_panics: top.flag("contain_panics")?,
             chaos,
         })
     }
@@ -394,6 +339,51 @@ impl CampaignSpec {
         }
         Ok(config)
     }
+}
+
+/// Optional, typed lookups in one object of a spec: an absent field reads
+/// `None`, and a present one of the wrong type, or out of its Rust type's
+/// range, is an error naming it.
+struct Fields<'a> {
+    obj: &'a JsonValue,
+    prefix: &'static str,
+}
+
+impl Fields<'_> {
+    fn get<T>(
+        &self,
+        key: &str,
+        what: &str,
+        conv: impl Fn(&JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        let prefix = self.prefix;
+        self.obj
+            .get(key)
+            .map(|v| conv(v).ok_or_else(|| format!("spec field '{prefix}{key}' must be {what}")))
+            .transpose()
+    }
+
+    fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        let what = format!("a non-negative integer that fits {}", std::any::type_name::<T>());
+        self.get(key, &what, uint)
+    }
+
+    fn num(&self, key: &str) -> Result<Option<f64>, String> {
+        self.get(key, "a number", JsonValue::as_f64)
+    }
+
+    fn flag(&self, key: &str) -> Result<Option<bool>, String> {
+        self.get(key, "a boolean", JsonValue::as_bool)
+    }
+
+    fn string(&self, key: &str) -> Result<Option<String>, String> {
+        self.get(key, "a string", |v| v.as_str().map(str::to_string))
+    }
+}
+
+/// A non-negative JSON integer that fits `T`.
+fn uint<T: TryFrom<u64>>(v: &JsonValue) -> Option<T> {
+    v.as_u64().and_then(|n| T::try_from(n).ok())
 }
 
 #[cfg(test)]
@@ -473,5 +463,24 @@ mod tests {
         assert!(err.contains("max_cases"), "{err}");
         let err = CampaignSpec::from_json_str(r#"{"tenant":"t","lm":{"order":4}}"#).unwrap_err();
         assert!(err.contains("lm."), "{err}");
+        // Present but wrong-typed or out-of-range fields never fall back to
+        // a default or truncate.
+        for (spec, field) in [
+            (r#"{"tenant":"t","checkpoint":7}"#, "'checkpoint'"),
+            (r#"{"tenant":"t","name":false}"#, "'name'"),
+            (r#"{"tenant":"t","telemetry":["x"]}"#, "'telemetry'"),
+            (r#"{"tenant":"t","chaos":{"hang_millis":"lots"}}"#, "'chaos.hang_millis'"),
+            (r#"{"tenant":"t","chaos":{"abort_signal":4294967302}}"#, "'chaos.abort_signal'"),
+            (
+                r#"{"tenant":"t","chaos":{"transient_persistence":4294967297}}"#,
+                "'chaos.transient_persistence'",
+            ),
+            (r#"{"tenant":"t","chaos":{"testbeds":"0,1"}}"#, "'chaos.testbeds'"),
+            (r#"{"tenant":"t","chaos":{"seed":-1}}"#, "'chaos.seed'"),
+            (r#"{"tenant":"t","chaos":true}"#, "'chaos'"),
+        ] {
+            let err = CampaignSpec::from_json_str(spec).expect_err(spec);
+            assert!(err.contains(field), "{spec}: {err}");
+        }
     }
 }

@@ -7,13 +7,14 @@
 //! parser over the JSON grammar — ample for one-line event objects — plus
 //! [`JsonValue::to_json`], the one shared emitter every machine-readable
 //! artifact of the workspace (telemetry events, checkpoint journals,
-//! `BENCH_*.json` perf reports) renders through instead of growing bespoke
+//! `BENCH_<n>.json` A/B records) renders through instead of growing bespoke
 //! serializers.
 //!
 //! The rendering is **canonical**: object keys in sorted (`BTreeMap`)
 //! order, integers exact, floats in Rust's shortest round-trip form. For
 //! any value produced by [`parse`], `parse(v.to_json())` re-renders
-//! byte-identically — the invariant the `BENCH_*.json` golden tests pin.
+//! byte-identically — the invariant the `BENCH_<n>.json` round-trip test
+//! pins.
 
 use std::collections::BTreeMap;
 
@@ -480,7 +481,7 @@ mod tests {
     fn canonical_rendering_is_parse_stable() {
         // parse → to_json → parse → to_json must be byte-identical, across
         // exact big integers, fractional and integral floats, escapes, and
-        // nesting — the invariant the BENCH_*.json golden tests rely on.
+        // nesting — the invariant the BENCH_<n>.json round-trip test relies on.
         let v = JsonValue::object([
             ("seed", JsonValue::Int((u64::MAX - 7) as i128)),
             ("ratio", JsonValue::from(2.5)),

@@ -1,5 +1,5 @@
 //! Tier-1 guard for model identity and the shared shard runtime: the
-//! seed-6 `bench-harness` workload (`comfort_bench::harness::workload(false)`)
+//! seed-6 workload (`seed6_config`: 120 cases on the small language model)
 //! must keep its report checksum however it runs. The report depends on
 //! every token the language model samples, so any change to how the BPE
 //! tokenizer or the n-gram model is trained that alters the trained model
@@ -19,7 +19,8 @@ use comfort::service::daemon::{CampaignState, Daemon, ServiceConfig};
 use comfort::service::spec::CampaignSpec;
 use comfort::telemetry::Stage;
 
-/// The BENCH_7 baseline checksum of the seed-6 workload.
+/// The seed-6 workload's report checksum, unchanged since `BENCH_6.json`
+/// (kept in git history) first recorded it.
 const SEED6_CHECKSUM: &str = "a92f73d7d5a0c004";
 
 /// The checksum of the seed-6 workload with strict and legacy testbeds and
