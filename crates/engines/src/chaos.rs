@@ -4,11 +4,16 @@
 //! anyway). Our simulated testbeds are too polite to exercise those paths,
 //! so this module makes misbehaviour injectable: a [`FaultPlan`] attached to
 //! a [`Testbed`](crate::Testbed) decides — as a pure function of the plan
-//! seed and the program text — whether a given run panics, hangs, emits
-//! garbage, or fails transiently. Content-addressed decisions keep chaos
-//! campaigns bit-identical at any thread count and shard layout.
+//! seed, the program's content and the attempt — whether a given run
+//! panics, hangs, emits garbage, or fails transiently. The content address
+//! is a hash of the chunk's arena ([`NodeArena::hash_content`]): its nodes,
+//! atoms, numbers, `extra` records and function protos, but not the AST
+//! ids, so two compiles of one program text address alike however the
+//! source was laid out. Content-addressed decisions keep chaos campaigns
+//! bit-identical at any thread count and shard layout, and a compile
+//! without chaos pays nothing for them.
 
-use comfort_syntax::{print_program, Program};
+use comfort_syntax::NodeArena;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
@@ -110,8 +115,9 @@ pub enum RawFault {
 }
 
 /// A deterministic fault-injection plan: per-run fault probabilities drawn
-/// from a content-addressed hash, so the same (seed, program, attempt)
-/// triple always yields the same decision regardless of scheduling.
+/// from a content-addressed hash, so the same (seed, program content,
+/// attempt) triple always yields the same decision regardless of
+/// scheduling.
 ///
 /// Rates are cumulative bands over one uniform draw in `[0, 1)`: a plan
 /// with `panic_rate = 0.10` and `hang_rate = 0.05` panics on draws below
@@ -232,11 +238,11 @@ impl FaultPlan {
             && rates.iter().sum::<f64>() <= 1.0
     }
 
-    /// Decides the fault (if any) for running `program` at `attempt`
-    /// (0 = first try). Pure function of `(seed, program text, attempt)` —
-    /// never of wall-clock time or scheduling.
-    pub fn decide(&self, program: &Program, attempt: u32) -> Option<FaultKind> {
-        let draw = self.draw(program);
+    /// Decides the fault (if any) for running the program compiled into
+    /// `arena` at `attempt` (0 = first try). Pure function of `(seed,
+    /// program content, attempt)` — never of wall-clock time or scheduling.
+    pub fn decide(&self, arena: &NodeArena, attempt: u32) -> Option<FaultKind> {
+        let draw = self.draw(arena);
         let mut band = self.abort_rate;
         if draw < band {
             return Some(FaultKind::Abort);
@@ -260,9 +266,10 @@ impl FaultPlan {
         None
     }
 
-    /// Deterministic garbage output for a garbage fault on `program`.
-    pub fn garbage_output(&self, program: &Program) -> String {
-        let mut state = splitmix64(self.content_hash(program) ^ 0x6A5B_9C3D);
+    /// Deterministic garbage output for a garbage fault on the program
+    /// compiled into `arena`.
+    pub fn garbage_output(&self, arena: &NodeArena) -> String {
+        let mut state = splitmix64(self.content_hash(arena) ^ 0x6A5B_9C3D);
         let mut out = String::with_capacity(self.garbage_bytes);
         const ALPHABET: &[u8] = b"\x00\x7f#@!~GARBAGE0123456789abcdef\n";
         while out.len() < self.garbage_bytes {
@@ -272,16 +279,17 @@ impl FaultPlan {
         out
     }
 
-    fn content_hash(&self, program: &Program) -> u64 {
+    /// The plan's address for a program: its seed and the arena's content.
+    fn content_hash(&self, arena: &NodeArena) -> u64 {
         let mut hasher = DefaultHasher::new();
         self.seed.hash(&mut hasher);
-        print_program(program).hash(&mut hasher);
+        arena.hash_content(&mut hasher);
         hasher.finish()
     }
 
-    fn draw(&self, program: &Program) -> f64 {
+    fn draw(&self, arena: &NodeArena) -> f64 {
         // Top 53 bits → uniform in [0, 1).
-        (splitmix64(self.content_hash(program)) >> 11) as f64 / (1u64 << 53) as f64
+        (splitmix64(self.content_hash(arena)) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -296,36 +304,55 @@ fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use comfort_interp::compile;
     use comfort_syntax::parse;
 
-    fn program(src: &str) -> Program {
-        parse(src).expect("test source parses")
+    fn arena(src: &str) -> NodeArena {
+        NodeArena::build(&parse(src).expect("test source parses"))
     }
 
     #[test]
     fn decisions_are_deterministic_and_content_addressed() {
         let plan = FaultPlan::new(7).panic_rate(0.5).hang_rate(0.25);
-        let a = program("print(1);");
-        let b = program("print(2);");
+        let a = arena("print(1);");
+        let b = arena("print(2);");
         assert_eq!(plan.decide(&a, 0), plan.decide(&a, 0));
         // Different programs draw independently; over many programs both
         // faulting and clean runs must occur at these rates.
         let decisions: Vec<_> =
-            (0..64).map(|i| plan.decide(&program(&format!("print({i});")), 0)).collect();
+            (0..64).map(|i| plan.decide(&arena(&format!("print({i});")), 0)).collect();
         assert!(decisions.iter().any(|d| d.is_some()));
         assert!(decisions.iter().any(|d| d.is_none()));
         let _ = b;
     }
 
     #[test]
+    fn the_address_is_the_arena_content_not_the_layout() {
+        let plan = FaultPlan::new(11);
+        let address = |src: &str| {
+            let chunk = compile(&parse(src).expect("test source parses"));
+            plan.content_hash(&chunk.arena)
+        };
+        // Separately compiled chunks of one program text share an address.
+        assert_eq!(address("print('t');"), address("print ( 't' ) ;"));
+        // A changed literal is a different program.
+        assert_ne!(address("print('t');"), address("print('u');"));
+        assert_ne!(address("print(1);"), address("print(2);"));
+        // The address is the plan's own: another seed draws afresh.
+        let other = FaultPlan::new(12);
+        let chunk = compile(&parse("print('t');").expect("test source parses"));
+        assert_ne!(plan.content_hash(&chunk.arena), other.content_hash(&chunk.arena));
+    }
+
+    #[test]
     fn rate_bands_partition_in_order() {
         // A certain-fault plan: the first band wins.
         let plan = FaultPlan::new(1).abort_rate(1.0);
-        assert_eq!(plan.decide(&program("print(1);"), 0), Some(FaultKind::Abort));
+        assert_eq!(plan.decide(&arena("print(1);"), 0), Some(FaultKind::Abort));
         let plan = FaultPlan::new(1).panic_rate(1.0);
-        assert_eq!(plan.decide(&program("print(1);"), 0), Some(FaultKind::Panic));
+        assert_eq!(plan.decide(&arena("print(1);"), 0), Some(FaultKind::Panic));
         let plan = FaultPlan::new(1).hang_rate(1.0);
-        assert_eq!(plan.decide(&program("print(1);"), 0), Some(FaultKind::Hang));
+        assert_eq!(plan.decide(&arena("print(1);"), 0), Some(FaultKind::Hang));
         // Abort outranks panic on the same draw.
         let plan = FaultPlan::new(1).abort_rate(1.0).panic_rate(1.0);
         assert!(!plan.rates_valid(), "bands exceed one draw");
@@ -348,7 +375,7 @@ mod tests {
     #[test]
     fn transient_faults_respect_persistence() {
         let plan = FaultPlan::new(3).transient_rate(1.0).transient_persistence(2);
-        let p = program("print(1);");
+        let p = arena("print(1);");
         assert_eq!(plan.decide(&p, 0), Some(FaultKind::Transient));
         assert_eq!(plan.decide(&p, 1), Some(FaultKind::Transient));
         assert_eq!(plan.decide(&p, 2), None, "attempt beyond persistence succeeds");
@@ -357,7 +384,7 @@ mod tests {
     #[test]
     fn garbage_is_deterministic_and_sized() {
         let plan = FaultPlan::new(9);
-        let p = program("print(1);");
+        let p = arena("print(1);");
         assert_eq!(plan.garbage_output(&p), plan.garbage_output(&p));
         assert!(plan.garbage_output(&p).len() >= plan.garbage_bytes);
     }

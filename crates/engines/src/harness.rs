@@ -388,8 +388,9 @@ mod tests {
 
     #[test]
     fn chaos_faults_depend_only_on_the_program_text() {
-        // Fault decisions hash the printed program, so separately compiled
-        // chunks of one program, even laid out differently, fault alike.
+        // Fault decisions hash the chunk's arena content, so separately
+        // compiled chunks of one program, even laid out differently, fault
+        // alike.
         silence_chaos_panics();
         let run = |bed: &Testbed, src: &str| {
             run_isolated_compiled(

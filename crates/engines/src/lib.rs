@@ -189,8 +189,10 @@ impl Testbed {
     /// with classmates: even a Garbage fault silently alters output. A
     /// `None` decision at attempt 0 means the run is clean and no retries
     /// occur (retries only follow an injected fault), so sharing is safe.
+    /// The decision reads the chunk's arena, its content address; a
+    /// testbed without chaos answers `false` without hashing anything.
     pub fn has_pending_fault(&self, chunk: &Arc<CompiledChunk>) -> bool {
-        self.chaos.as_ref().is_some_and(|plan| plan.decide(&chunk.program, 0).is_some())
+        self.chaos.as_ref().is_some_and(|plan| plan.decide(&chunk.arena, 0).is_some())
     }
 
     /// Display label, e.g. `"Rhino v1.7.12 [strict]"`.
@@ -232,9 +234,10 @@ impl Testbed {
     /// [`run_isolated_compiled`] (or [`Testbed::run_compiled`]) rather than
     /// call this directly.
     ///
-    /// Fault decisions stay content-addressed on the *program*, which the
-    /// chunk embeds — so a chaos testbed misbehaves identically whether a
-    /// case arrives as an AST or as a compiled chunk.
+    /// Fault decisions are content-addressed on the chunk's arena (every
+    /// node, atom, number, `extra` record and function proto, but not the
+    /// AST ids), so separately compiled chunks of one program text
+    /// misbehave identically on a chaos testbed.
     pub fn run_attempt_compiled(
         &self,
         chunk: &Arc<CompiledChunk>,
@@ -242,7 +245,7 @@ impl Testbed {
         attempt: u32,
     ) -> Result<RunResult, RawFault> {
         if let Some(plan) = &self.chaos {
-            match plan.decide(&chunk.program, attempt) {
+            match plan.decide(&chunk.arena, attempt) {
                 Some(FaultKind::Abort) => {
                     if chaos_signals_are_real() {
                         // A jailed worker process dies for real so the
@@ -264,7 +267,7 @@ impl Testbed {
                 Some(FaultKind::Garbage) => {
                     return Ok(RunResult {
                         status: comfort_interp::RunStatus::Completed,
-                        output: plan.garbage_output(&chunk.program),
+                        output: plan.garbage_output(&chunk.arena),
                         fuel_used: 0,
                         coverage: None,
                     });

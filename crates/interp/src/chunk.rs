@@ -3,16 +3,18 @@
 //! [`CompiledChunk`] packages the arena-flattened program
 //! ([`comfort_syntax::NodeArena`]: 16-byte node headers, interned `Arc<str>`
 //! atom table, number pool, `extra` child lists, function-proto table with
-//! precomputed hoist lists) together with the original [`Program`]. The
-//! chunk is immutable and `Send + Sync`, so [`compile`] runs **once per test
-//! case** and the resulting `Arc<CompiledChunk>` fans out read-only across
-//! every engine × mode testbed and every worker thread of a differential
+//! precomputed hoist lists) with its API footprint, and nothing else: the
+//! chunk keeps no copy of the [`Program`] it was built from. The chunk is
+//! immutable and `Send + Sync`, so [`compile`] runs **once per test case**
+//! and the resulting `Arc<CompiledChunk>` fans out read-only across every
+//! engine × mode testbed and every worker thread of a differential
 //! campaign — engine-specific behaviour stays keyed off the
 //! [`crate::hooks::ConformanceProfile`] at run time, never baked into the
 //! chunk.
 //!
-//! No evaluator reads the embedded [`Program`]; only the content-addressed
-//! chaos fault plans in `comfort-engines` do.
+//! The arena is also the chunk's content address: the chaos fault plans in
+//! `comfort-engines` hash it ([`NodeArena::hash_content`]) to decide a run's
+//! fault, so their decisions need no AST.
 
 use std::sync::Arc;
 
@@ -20,7 +22,7 @@ use comfort_syntax::{NodeArena, Program};
 
 use crate::footprint::{extract_footprint, ApiFootprint};
 
-/// A program compiled for execution: the arena encoding plus the source AST.
+/// A program compiled for execution: the arena encoding and its footprint.
 ///
 /// Create with [`compile`]; execute with [`crate::run_chunk`] (or
 /// `Testbed::run_compiled` in `comfort-engines`). One chunk is safely
@@ -29,8 +31,6 @@ use crate::footprint::{extract_footprint, ApiFootprint};
 pub struct CompiledChunk {
     /// Arena-flattened program (the bytecode VM's instruction stream).
     pub arena: NodeArena,
-    /// The original AST, read only by content-addressed chaos plans.
-    pub program: Arc<Program>,
     /// Conservative API footprint: which builtin atoms the program can
     /// reach. Lets the differential harness prove testbeds equivalent for
     /// this chunk and collapse redundant executions.
@@ -49,9 +49,11 @@ impl CompiledChunk {
     }
 }
 
-/// Compiles `program` into a shareable chunk. This is phase one of the
-/// two-phase execute contract: compile once, then run the chunk on as many
-/// (profile, options) pairs as needed.
+/// Compiles `program` into a shareable chunk: one arena build, then one
+/// footprint walk over the arena, whose mentioned atoms share the arena's
+/// interned strings. This is phase one of the two-phase execute contract:
+/// compile once, then run the chunk on as many (profile, options) pairs as
+/// needed.
 ///
 /// ```
 /// use comfort_interp::{compile, run_chunk, hooks::SpecProfile, RunOptions};
@@ -62,11 +64,9 @@ impl CompiledChunk {
 /// assert_eq!(r.output, "42\n");
 /// ```
 pub fn compile(program: &Program) -> Arc<CompiledChunk> {
-    Arc::new(CompiledChunk {
-        arena: NodeArena::build(program),
-        program: Arc::new(program.clone()),
-        footprint: extract_footprint(program),
-    })
+    let arena = NodeArena::build(program);
+    let footprint = extract_footprint(&arena);
+    Arc::new(CompiledChunk { arena, footprint })
 }
 
 #[cfg(test)]

@@ -10,6 +10,13 @@
 //! builtin-API *atoms* (terminal name segments) a chunk might invoke, plus
 //! poison bits for anything the analysis cannot bound.
 //!
+//! [`extract_footprint`] is the one extractor. It walks the chunk's arena,
+//! not the AST, and `compile` calls it once per chunk. A mentioned atom is
+//! a clone of the arena's interned `Arc<str>`; the names the analysis adds
+//! itself ([`IMPLICIT_COERCION_APIS`] and the aliases below) are
+//! `&'static str`. So a walk allocates a mark per arena atom and the sorted
+//! atom list, and copies no string.
+//!
 //! # Soundness rules
 //!
 //! The footprint must **over**-approximate reachability; missing a reachable
@@ -47,19 +54,67 @@
 //! Poisoned chunks report every query as "maybe reachable", which makes the
 //! classing layer fall back to the full testbed matrix.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::fmt;
+use std::sync::Arc;
 
-use comfort_syntax::ast::{CatchClause, ForInit, Lit, PropKey, SwitchCase};
-use comfort_syntax::{Expr, ExprKind, Program, Stmt, StmtKind};
+use comfort_syntax::arena::{NodeKind, NONE};
+use comfort_syntax::NodeArena;
+
+/// One footprint atom: a name the source mentions, shared with the chunk
+/// arena's interned atom table, or a name the analysis adds on its own
+/// (the implicit-coercion APIs and the aliases below). Atoms compare by
+/// their text alone.
+#[derive(Clone)]
+enum Atom {
+    Mentioned(Arc<str>),
+    Implied(&'static str),
+}
+
+impl Atom {
+    fn as_str(&self) -> &str {
+        match self {
+            Atom::Mentioned(s) => s,
+            Atom::Implied(s) => s,
+        }
+    }
+}
+
+impl PartialEq for Atom {
+    fn eq(&self, other: &Atom) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Atom {}
+
+impl PartialOrd for Atom {
+    fn partial_cmp(&self, other: &Atom) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Atom {
+    fn cmp(&self, other: &Atom) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl fmt::Debug for Atom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// The set of builtin-API atoms a program can reach, with poison bits for
 /// everything static analysis cannot bound. Extracted once per
 /// [`crate::CompiledChunk`] by [`extract_footprint`] (part of `compile`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApiFootprint {
-    /// Mentioned name atoms: identifier references, member property names,
-    /// string-literal index keys, plus the implicit-coercion atoms.
-    atoms: BTreeSet<String>,
+    /// Mentioned name atoms (identifier references, member property names,
+    /// string-literal index keys) plus the implicit-coercion atoms: sorted
+    /// by text, without duplicates.
+    atoms: Vec<Atom>,
     /// `true` when the program can store through a computed index (or call
     /// `Object.assign`), reaching the array-element conformance hooks.
     index_store: bool,
@@ -78,10 +133,10 @@ impl ApiFootprint {
     pub fn from_parts<I, S>(atoms: I, index_store: bool, poisoned: bool) -> ApiFootprint
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Arc<str>>,
     {
         ApiFootprint {
-            atoms: atoms.into_iter().map(Into::into).collect(),
+            atoms: sorted(atoms.into_iter().map(|a| Atom::Mentioned(a.into())).collect()),
             index_store,
             poisoned,
             strict_sites: false,
@@ -90,12 +145,7 @@ impl ApiFootprint {
 
     /// The fully-poisoned footprint: everything is reachable.
     pub fn poisoned_all() -> ApiFootprint {
-        ApiFootprint {
-            atoms: BTreeSet::new(),
-            index_store: true,
-            poisoned: true,
-            strict_sites: true,
-        }
+        ApiFootprint { atoms: Vec::new(), index_store: true, poisoned: true, strict_sites: true }
     }
 
     /// `true` when analysis could not bound reachability; callers must fall
@@ -108,7 +158,7 @@ impl ApiFootprint {
     /// or `"Uint32Array"`) may be reached. Always `true` on a poisoned
     /// footprint.
     pub fn mentions(&self, atom: &str) -> bool {
-        self.poisoned || self.atoms.contains(atom)
+        self.poisoned || self.atoms.binary_search_by(|a| a.as_str().cmp(atom)).is_ok()
     }
 
     /// `true` when the program may store through a computed array index
@@ -132,8 +182,15 @@ impl ApiFootprint {
 
     /// The collected atoms, in sorted order (diagnostics and tests).
     pub fn atoms(&self) -> impl Iterator<Item = &str> {
-        self.atoms.iter().map(String::as_str)
+        self.atoms.iter().map(Atom::as_str)
     }
+}
+
+/// Sorts `atoms` by text and drops repeats.
+fn sorted(mut atoms: Vec<Atom>) -> Vec<Atom> {
+    atoms.sort_unstable();
+    atoms.dedup();
+    atoms
 }
 
 /// The builtin natives implicit `ToPrimitive` can invoke without any
@@ -153,18 +210,43 @@ pub const IMPLICIT_COERCION_APIS: &[&str] = &[
     "%TypedArray%.prototype.toString",
 ];
 
-/// Extracts the conservative API footprint of `program`. One AST walk,
-/// run once per compile — cheap next to a single testbed execution.
-pub fn extract_footprint(program: &Program) -> ApiFootprint {
+/// Extracts the conservative API footprint of a chunk's arena. One walk,
+/// run once per compile, cheap next to a single testbed execution. The
+/// mentioned atoms are the arena's own interned strings.
+pub fn extract_footprint(arena: &NodeArena) -> ApiFootprint {
     let mut c = Collector {
-        atoms: BTreeSet::new(),
+        arena,
+        mentioned: vec![false; arena.atoms.len()],
         index_store: false,
         poisoned: false,
         plain_object: false,
-        strict_sites: program.strict,
     };
-    for stmt in &program.body {
-        c.stmt(stmt);
+    for &n in arena.slice(arena.top_body) {
+        c.value(n);
+    }
+    // Every function proto lowers a function the walk above reaches.
+    let strict_sites = arena.strict || arena.funcs.iter().any(|f| f.strict);
+    let (mut prototype, mut define_properties) = (false, false);
+    let mut index_store = c.index_store;
+    let mut poisoned = c.poisoned;
+    let mut atoms = Vec::with_capacity(
+        c.mentioned.iter().filter(|&&m| m).count() + IMPLICIT_COERCION_APIS.len() + 4,
+    );
+    for (atom, _) in arena.atoms.iter().zip(&c.mentioned).filter(|(_, &m)| m) {
+        match &**atom {
+            "prototype" | "getPrototypeOf" => prototype = true,
+            "defineProperties" => define_properties = true,
+            // `Object.assign` stores through `set_property`, reaching the
+            // array-index store path (reverse-fill penalty) without a
+            // `[]=` site.
+            "assign" => index_store = true,
+            // Evaluated source is invisible; `constructor` reaches
+            // constructors whose API names are unrelated to the property
+            // name.
+            "eval" | "constructor" => poisoned = true,
+            _ => {}
+        }
+        atoms.push(Atom::Mentioned(Arc::clone(atom)));
     }
     // Implicit ToPrimitive can invoke these natives with no source mention.
     // The set is exact for this interpreter: `to_primitive` only dispatches
@@ -173,9 +255,7 @@ pub fn extract_footprint(program: &Program) -> ApiFootprint {
     // prototype chains of plain objects, arrays, functions, dates, errors,
     // regexps, and typed arrays. Relevance matching checks these full names
     // in addition to terminal segments (`EngineProfile::relevant_bugs`).
-    for api in IMPLICIT_COERCION_APIS {
-        c.atoms.insert((*api).to_string());
-    }
+    atoms.extend(IMPLICIT_COERCION_APIS.iter().map(|api| Atom::Implied(api)));
     // `Object.prototype.toString` resolves under coercion only for objects
     // whose prototype chain has no closer `toString` — plain objects, the
     // global object (`this`), `Math`/`JSON` as values, and `ArrayBuffer`/
@@ -183,7 +263,7 @@ pub fn extract_footprint(program: &Program) -> ApiFootprint {
     // errors, and regexps all shadow it, so the atom is needed only when
     // the program can *produce* a plain-chain object.
     if c.plain_object {
-        c.atoms.insert("Object.prototype.toString".to_string());
+        atoms.push(Atom::Implied("Object.prototype.toString"));
     }
     // Prototype objects are plain objects that expose the wrapper-prototype
     // natives as *own* properties: `Number.prototype + 1` dispatches
@@ -191,35 +271,23 @@ pub fn extract_footprint(program: &Program) -> ApiFootprint {
     // to a prototype object mentions `prototype` or `getPrototypeOf` (the
     // remaining route, `constructor`, already poisons), so those mentions
     // fall back to the coarse terminal atoms.
-    if c.atoms.contains("prototype") || c.atoms.contains("getPrototypeOf") {
-        c.atoms.insert("toString".to_string());
-        c.atoms.insert("valueOf".to_string());
+    if prototype {
+        atoms.extend([Atom::Implied("toString"), Atom::Implied("valueOf")]);
     }
     // `Object.defineProperties` delegates each descriptor to the
     // `Object.defineProperty` builtin internally.
-    if c.atoms.contains("defineProperties") {
-        c.atoms.insert("defineProperty".to_string());
+    if define_properties {
+        atoms.push(Atom::Implied("defineProperty"));
     }
-    // `Object.assign` stores through `set_property`, reaching the
-    // array-index store path (reverse-fill penalty) without a `[]=` site.
-    if c.atoms.contains("assign") {
-        c.index_store = true;
-    }
-    // Evaluated source is invisible; `constructor` reaches constructors
-    // whose API names are unrelated to the property name.
-    if c.atoms.contains("eval") || c.atoms.contains("constructor") {
-        c.poisoned = true;
-    }
-    ApiFootprint {
-        atoms: c.atoms,
-        index_store: c.index_store,
-        poisoned: c.poisoned,
-        strict_sites: c.strict_sites,
-    }
+    ApiFootprint { atoms: sorted(atoms), index_store, poisoned, strict_sites }
 }
 
-struct Collector {
-    atoms: BTreeSet<String>,
+/// The arena walk. Statement and expression kinds are disjoint, so one
+/// visitor ([`Collector::value`]) takes any node.
+struct Collector<'a> {
+    arena: &'a NodeArena,
+    /// One flag per arena atom: mentioned somewhere the analysis counts.
+    mentioned: Vec<bool>,
     index_store: bool,
     poisoned: bool,
     /// `true` when the program can produce an object whose prototype chain
@@ -231,204 +299,200 @@ struct Collector {
     /// `Math.max` cannot leak the `Math` object, so member-object position
     /// is exempt for `Math`).
     plain_object: bool,
-    /// `true` when the program or any function body carries a
-    /// `"use strict"` prologue (strict sites exist on non-strict testbeds).
-    strict_sites: bool,
 }
 
-impl Collector {
-    fn stmt(&mut self, stmt: &Stmt) {
-        match &stmt.kind {
-            StmtKind::Expr(e) | StmtKind::Throw(e) => self.expr(e),
-            StmtKind::Decl { decls, .. } => {
-                for d in decls {
-                    if let Some(init) = &d.init {
-                        self.expr(init);
+impl Collector<'_> {
+    fn list(&mut self, range: (u32, u32)) {
+        for &n in self.arena.slice(range) {
+            self.value(n);
+        }
+    }
+
+    fn function(&mut self, fidx: u32) {
+        let proto = self.arena.funcs[fidx as usize];
+        self.list(proto.body);
+        if proto.expr_body != NONE {
+            self.value(proto.expr_body);
+        }
+    }
+
+    /// A statement, or an expression in *value* position: its result can
+    /// flow anywhere (including into a later call), so index reads with
+    /// dynamic keys poison the footprint. Declared names, parameters,
+    /// catch and loop bindings, object-literal keys and template text are
+    /// not mentions.
+    fn value(&mut self, n: u32) {
+        let arena = self.arena;
+        let node = arena.node(n);
+        let (a, b, c) = (node.a, node.b, node.c);
+        match node.kind {
+            NodeKind::ExprStmt | NodeKind::Throw | NodeKind::Unary | NodeKind::Paren => {
+                self.value(a)
+            }
+            NodeKind::Return => {
+                if a != NONE {
+                    self.value(a);
+                }
+            }
+            NodeKind::Decl => {
+                for pair in arena.extra[a as usize..(a + 2 * b) as usize].chunks_exact(2) {
+                    if pair[1] != NONE {
+                        self.value(pair[1]);
                     }
                 }
             }
-            StmtKind::FunctionDecl(f) => {
-                self.strict_sites |= f.strict;
-                self.stmts(&f.body);
-            }
-            StmtKind::Block(body) => self.stmts(body),
-            StmtKind::If { cond, cons, alt } => {
-                self.expr(cond);
-                self.stmt(cons);
-                if let Some(alt) = alt {
-                    self.stmt(alt);
+            NodeKind::FunctionDecl | NodeKind::Function | NodeKind::Arrow => self.function(a),
+            NodeKind::Block | NodeKind::Seq => self.list((a, b)),
+            NodeKind::If => {
+                self.value(a);
+                self.value(b);
+                if c != NONE {
+                    self.value(c);
                 }
             }
-            StmtKind::While { cond, body } => {
-                self.expr(cond);
-                self.stmt(body);
+            NodeKind::While
+            | NodeKind::DoWhile
+            | NodeKind::ForInOf
+            | NodeKind::Binary
+            | NodeKind::Logical => {
+                self.value(a);
+                self.value(b);
             }
-            StmtKind::DoWhile { body, cond } => {
-                self.stmt(body);
-                self.expr(cond);
-            }
-            StmtKind::For { init, test, update, body } => {
-                match init.as_deref() {
-                    Some(ForInit::Decl { decls, .. }) => {
-                        for d in decls {
-                            if let Some(e) = &d.init {
-                                self.expr(e);
+            NodeKind::For => {
+                let rec = &arena.extra[a as usize..];
+                let (test, update, body, init_tag) = (rec[0], rec[1], rec[2], rec[3]);
+                match init_tag {
+                    1 => self.value(rec[4]),
+                    2..=4 => {
+                        let ndecls = rec[4] as usize;
+                        for pair in rec[5..5 + 2 * ndecls].chunks_exact(2) {
+                            if pair[1] != NONE {
+                                self.value(pair[1]);
                             }
                         }
                     }
-                    Some(ForInit::Expr(e)) => self.expr(e),
-                    None => {}
+                    _ => {}
                 }
-                if let Some(t) = test {
-                    self.expr(t);
-                }
-                if let Some(u) = update {
-                    self.expr(u);
-                }
-                self.stmt(body);
-            }
-            StmtKind::ForInOf { object, body, .. } => {
-                self.expr(object);
-                self.stmt(body);
-            }
-            StmtKind::Return(e) => {
-                if let Some(e) = e {
-                    self.expr(e);
-                }
-            }
-            StmtKind::Try { block, catch, finally } => {
-                self.stmts(block);
-                if let Some(CatchClause { body, .. }) = catch {
-                    self.stmts(body);
-                }
-                if let Some(f) = finally {
-                    self.stmts(f);
-                }
-            }
-            StmtKind::Switch { disc, cases } => {
-                self.expr(disc);
-                for SwitchCase { test, body } in cases {
-                    if let Some(t) = test {
-                        self.expr(t);
+                for part in [test, update] {
+                    if part != NONE {
+                        self.value(part);
                     }
-                    self.stmts(body);
+                }
+                self.value(body);
+            }
+            NodeKind::Try => {
+                let rec = &arena.extra[a as usize..a as usize + 9];
+                let [bs, bl, ctag, _, cs, cl, ftag, fs, fl] =
+                    rec.try_into().expect("try record is 9 words");
+                self.list((bs, bl));
+                if ctag == 1 {
+                    self.list((cs, cl));
+                }
+                if ftag == 1 {
+                    self.list((fs, fl));
                 }
             }
-            StmtKind::Break | StmtKind::Continue | StmtKind::Empty | StmtKind::Directive(_) => {}
-        }
-    }
-
-    fn stmts(&mut self, body: &[Stmt]) {
-        for s in body {
-            self.stmt(s);
-        }
-    }
-
-    /// An expression in *value* position: its result can flow anywhere
-    /// (including into a later call), so index reads with dynamic keys
-    /// poison the footprint.
-    fn expr(&mut self, expr: &Expr) {
-        match &expr.kind {
-            ExprKind::Ident(name) => {
+            NodeKind::Switch => {
+                self.value(a);
+                for rec in arena.extra[b as usize..(b + 3 * c) as usize].chunks_exact(3) {
+                    if rec[0] != NONE {
+                        self.value(rec[0]);
+                    }
+                    self.list((rec[1], rec[2]));
+                }
+            }
+            NodeKind::Break
+            | NodeKind::Continue
+            | NodeKind::Empty
+            | NodeKind::Directive
+            | NodeKind::Number
+            | NodeKind::Str
+            | NodeKind::Bool
+            | NodeKind::Null
+            | NodeKind::Regex => {}
+            NodeKind::Ident => {
                 // `Math` and `JSON` are the only plain-chain global
                 // *values*; in value position they can flow into coercion.
-                if name == "Math" {
+                if arena.atom(a) == "Math" {
                     self.plain_object = true;
                 }
-                self.ident(name);
+                self.ident(a);
             }
-            ExprKind::Lit(_) => {}
-            ExprKind::This => {
+            NodeKind::This => {
                 self.plain_object = true; // the global object is plain
             }
-            ExprKind::Array(items) => {
-                for e in items.iter().flatten() {
-                    self.expr(e);
+            NodeKind::Array => {
+                for &slot in arena.slice((a, b)) {
+                    if slot != NONE {
+                        self.value(slot);
+                    }
                 }
             }
-            ExprKind::Object(props) => {
+            NodeKind::Object => {
                 self.plain_object = true;
-                for p in props {
-                    if let PropKey::Computed(k) = &p.key {
-                        self.expr(k);
+                for rec in arena.extra[a as usize..(a + 3 * b) as usize].chunks_exact(3) {
+                    // Key tag 3 is a computed key.
+                    if rec[0] == 3 {
+                        self.value(rec[1]);
                     }
-                    if let Some(v) = &p.value {
-                        self.expr(v);
+                    if rec[2] != NONE {
+                        self.value(rec[2]);
                     }
                 }
             }
-            ExprKind::Function(f) => {
-                self.strict_sites |= f.strict;
-                self.stmts(&f.body);
+            NodeKind::Update => self.store_target(a),
+            NodeKind::Cond => {
+                self.value(a);
+                self.value(b);
+                self.value(c);
             }
-            ExprKind::Arrow { func, expr_body } => {
-                self.strict_sites |= func.strict;
-                self.stmts(&func.body);
-                if let Some(e) = expr_body {
-                    self.expr(e);
-                }
+            NodeKind::Assign => {
+                self.store_target(a);
+                self.value(b);
             }
-            ExprKind::Unary { operand, .. } => self.expr(operand),
-            ExprKind::Update { target, .. } => self.store_target(target),
-            ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-                self.expr(left);
-                self.expr(right);
+            NodeKind::Call => {
+                self.value(a);
+                self.list((b, c));
             }
-            ExprKind::Cond { cond, cons, alt } => {
-                self.expr(cond);
-                self.expr(cons);
-                self.expr(alt);
-            }
-            ExprKind::Assign { target, value, .. } => {
-                self.store_target(target);
-                self.expr(value);
-            }
-            ExprKind::Seq(items) => {
-                for e in items {
-                    self.expr(e);
-                }
-            }
-            ExprKind::Call { callee, args } => {
-                self.expr(callee);
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            ExprKind::New { callee, args } => {
+            NodeKind::New => {
                 // Constructed objects can be plain-chain (`new Object()`,
                 // user constructors, `ArrayBuffer`/`DataView` instances).
                 self.plain_object = true;
-                self.expr(callee);
-                for a in args {
-                    self.expr(a);
+                self.value(a);
+                self.list((b, c));
+            }
+            NodeKind::Member => {
+                self.mention(b);
+                self.member_object(a);
+            }
+            NodeKind::Index => {
+                self.member_object(a);
+                // A literal key is just a spelled-out property name; any
+                // other key is dynamic and could fetch any builtin.
+                if !self.literal_key(b) {
+                    self.poisoned = true;
+                    self.value(b);
                 }
             }
-            ExprKind::Member { object, prop } => {
-                self.atoms.insert(prop.clone());
-                self.member_object(object);
-            }
-            ExprKind::Index { object, index } => {
-                self.member_object(object);
-                match &index.kind {
-                    // A literal key is just a spelled-out property name.
-                    ExprKind::Lit(Lit::String(s)) => {
-                        self.atoms.insert(s.clone());
-                    }
-                    ExprKind::Lit(_) => {}
-                    // Dynamic key: could fetch any builtin.
-                    _ => {
-                        self.poisoned = true;
-                        self.expr(index);
-                    }
-                }
-            }
-            ExprKind::Template { exprs, .. } => {
-                for e in exprs {
-                    self.expr(e);
-                }
-            }
-            ExprKind::Paren(inner) => self.expr(inner),
+            NodeKind::Template => self.list((a + b, c)),
         }
+    }
+
+    /// Records the key of an index access when it is a literal: a string
+    /// key is a mention, other literals name no builtin. Returns `false`
+    /// for a dynamic key.
+    fn literal_key(&mut self, key: u32) -> bool {
+        let node = self.arena.node(key);
+        match node.kind {
+            NodeKind::Str => self.mention(node.a),
+            NodeKind::Number | NodeKind::Bool | NodeKind::Null | NodeKind::Regex => {}
+            _ => return false,
+        }
+        true
+    }
+
+    fn mention(&mut self, atom: u32) {
+        self.mentioned[atom as usize] = true;
     }
 
     /// Records an identifier mention. `Object` and `JSON` flip the
@@ -437,21 +501,22 @@ impl Collector {
     /// So do `ArrayBuffer` and `DataView`, whose constructors return
     /// instances (plain-chain: neither prototype defines `toString`) even
     /// when called without `new`.
-    fn ident(&mut self, name: &str) {
-        if matches!(name, "Object" | "JSON" | "ArrayBuffer" | "DataView") {
+    fn ident(&mut self, atom: u32) {
+        if matches!(self.arena.atom(atom), "Object" | "JSON" | "ArrayBuffer" | "DataView") {
             self.plain_object = true;
         }
-        self.atoms.insert(name.to_string());
+        self.mention(atom);
     }
 
     /// The object operand of a member/index access. A bare `Math` here
     /// cannot leak the `Math` object itself (only the accessed property
     /// flows onward, and no `Math.*` value is plain-chain), so the
     /// value-position rule for `Math` is skipped.
-    fn member_object(&mut self, object: &Expr) {
-        match &object.kind {
-            ExprKind::Ident(name) => self.ident(name),
-            _ => self.expr(object),
+    fn member_object(&mut self, object: u32) {
+        let node = self.arena.node(object);
+        match node.kind {
+            NodeKind::Ident => self.ident(node.a),
+            _ => self.value(object),
         }
     }
 
@@ -459,29 +524,24 @@ impl Collector {
     /// the store bit but does *not* poison: the old value read by a
     /// compound op can only flow into operator coercion, which the
     /// unconditional implicit-coercion atoms already cover.
-    fn store_target(&mut self, target: &Expr) {
-        match &target.kind {
-            ExprKind::Ident(name) => {
-                self.ident(name);
+    fn store_target(&mut self, target: u32) {
+        let node = self.arena.node(target);
+        match node.kind {
+            NodeKind::Ident => self.ident(node.a),
+            NodeKind::Member => {
+                self.mention(node.b);
+                self.member_object(node.a);
             }
-            ExprKind::Member { object, prop } => {
-                self.atoms.insert(prop.clone());
-                self.member_object(object);
-            }
-            ExprKind::Index { object, index } => {
+            NodeKind::Index => {
                 self.index_store = true;
-                self.member_object(object);
-                match &index.kind {
-                    ExprKind::Lit(Lit::String(s)) => {
-                        self.atoms.insert(s.clone());
-                    }
-                    ExprKind::Lit(_) => {}
-                    _ => self.expr(index),
+                self.member_object(node.a);
+                if !self.literal_key(node.b) {
+                    self.value(node.b);
                 }
             }
-            ExprKind::Paren(inner) => self.store_target(inner),
+            NodeKind::Paren => self.store_target(node.a),
             // Anything else is a runtime ReferenceError; walk as a value.
-            _ => self.expr(target),
+            _ => self.value(target),
         }
     }
 }
@@ -492,7 +552,7 @@ mod tests {
     use comfort_syntax::parse;
 
     fn fp(src: &str) -> ApiFootprint {
-        extract_footprint(&parse(src).expect("test source parses"))
+        extract_footprint(&NodeArena::build(&parse(src).expect("test source parses")))
     }
 
     #[test]

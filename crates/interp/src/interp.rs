@@ -8,12 +8,11 @@
 //! parsed, built into a chunk of its own and run on the same VM.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use comfort_syntax::ast::*;
-use comfort_syntax::{parse, NodeArena};
+use comfort_syntax::{parse, FnvBuildHasher, NodeArena};
 
 use crate::chunk::CompiledChunk;
 use crate::coverage::Coverage;
@@ -208,34 +207,9 @@ pub struct RunResult {
     pub coverage: Option<Coverage>,
 }
 
-/// FNV-1a, the variable-lookup hot path's hasher. Identifier keys are a
-/// handful of bytes, where SipHash's per-call setup dominates; FNV-1a is
-/// several times faster there. Safe for `Env::vars` specifically because
-/// the map is only ever probed by key — nothing observable depends on its
-/// iteration order, so the weaker hash cannot leak into results.
-struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type VarMap = HashMap<Rc<str>, Value, BuildHasherDefault<FnvHasher>>;
+/// Variable tables hash with FNV-1a: keys are short identifiers, and the
+/// maps are only ever probed by key, never iterated into results.
+type VarMap = HashMap<Rc<str>, Value, FnvBuildHasher>;
 
 #[derive(Debug, Clone)]
 struct Env {
@@ -1551,10 +1525,9 @@ impl<'p> Interp<'p> {
             }
         };
         // Built without `compile`: nothing reads an eval chunk's footprint,
-        // so the conservative one stands in for the AST walk.
+        // so the conservative one stands in for the extraction walk.
         let chunk = Arc::new(CompiledChunk {
             arena: NodeArena::build(&program),
-            program: Arc::new(program),
             footprint: ApiFootprint::poisoned_all(),
         });
         self.eval_depth += 1;

@@ -15,16 +15,18 @@
 //! (`var` names and function declarations, each in source pre-order).
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::ast::*;
+use crate::fnv::FnvBuildHasher;
 
 /// Sentinel operand meaning "absent" (no node / no atom / no payload).
 pub const NONE: u32 = u32::MAX;
 
 /// Discriminant of an arena node. Statement kinds first, then expressions;
 /// the numbering is private to the arena and never serialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)] // one-to-one with `StmtKind` / `ExprKind` variants
 pub enum NodeKind {
@@ -76,7 +78,7 @@ pub enum NodeKind {
 /// One flattened AST node: a kind, an 8-bit flag field, and three 32-bit
 /// operands. 16 bytes, so a whole program's nodes pack into a few cache
 /// lines instead of a pointer graph.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 pub struct Node {
     /// What this node is.
     pub kind: NodeKind,
@@ -156,12 +158,14 @@ pub struct NodeArena {
 impl NodeArena {
     /// Flattens `program` into a fresh arena.
     pub fn build(program: &Program) -> NodeArena {
-        let mut b = Builder::default();
-        let top: Vec<u32> = program.body.iter().map(|s| b.stmt(s)).collect();
-        let top_body = b.list(&top);
-        let (vars, funcs) = b.arena_hoist_lists(&top);
-        let top_hoist_vars = b.list(&vars);
-        let top_hoist_funcs = b.list(&funcs);
+        let mut b = Builder::with_capacity(program.node_count as usize);
+        let mark = b.stack.len();
+        for s in &program.body {
+            let n = b.stmt(s);
+            b.stack.push(n);
+        }
+        let top_body = b.list_from(mark);
+        let (top_hoist_vars, top_hoist_funcs) = b.hoist_lists(top_body);
         NodeArena {
             nodes: b.nodes,
             ids: b.ids,
@@ -215,20 +219,76 @@ impl NodeArena {
             + self.funcs.len() * std::mem::size_of::<FuncProto>()
             + self.atoms.iter().map(|a| a.len()).sum::<usize>()
     }
+
+    /// Feeds the arena's content to `state`: the nodes, atoms, numbers,
+    /// `extra` records, function protos, top-level ranges and strict bit,
+    /// which is everything execution reads, but not the AST ids, which
+    /// only key coverage. Arenas lowered from one program text hash alike
+    /// however the source was laid out; a change to any token execution
+    /// sees changes the hash.
+    pub fn hash_content<H: Hasher>(&self, state: &mut H) {
+        self.nodes.hash(state);
+        self.atoms.hash(state);
+        state.write_usize(self.numbers.len());
+        for n in &self.numbers {
+            state.write_u64(n.to_bits());
+        }
+        self.extra.hash(state);
+        state.write_usize(self.funcs.len());
+        for f in &self.funcs {
+            let FuncProto {
+                name,
+                params,
+                body,
+                strict,
+                is_arrow,
+                id: _,
+                expr_body,
+                hoist_vars,
+                hoist_funcs,
+            } = *f;
+            (name, params, body, strict, is_arrow, expr_body, hoist_vars, hoist_funcs).hash(state);
+        }
+        (self.top_body, self.top_hoist_vars, self.top_hoist_funcs, self.strict).hash(state);
+    }
 }
 
-#[derive(Default)]
 struct Builder {
     nodes: Vec<Node>,
     ids: Vec<u32>,
     atoms: Vec<Arc<str>>,
-    atom_map: HashMap<Arc<str>, u32>,
+    atom_map: HashMap<Arc<str>, u32, FnvBuildHasher>,
     numbers: Vec<f64>,
     extra: Vec<u32>,
     funcs: Vec<FuncProto>,
+    /// Child lists under construction. A construct pushes its children
+    /// above a mark and moves them into `extra` with [`Builder::list_from`];
+    /// lowering a child leaves the stack as it found it.
+    stack: Vec<u32>,
+    /// Hoist-collection buffers, reused by every function body.
+    hoist_vars: Vec<u32>,
+    hoist_funcs: Vec<u32>,
 }
 
 impl Builder {
+    /// A builder whose pools are sized for a program of `node_count` AST
+    /// nodes, so a typical build never regrows them.
+    fn with_capacity(node_count: usize) -> Builder {
+        let atoms = node_count / 2 + 4;
+        Builder {
+            nodes: Vec::with_capacity(node_count),
+            ids: Vec::with_capacity(node_count),
+            atoms: Vec::with_capacity(atoms),
+            atom_map: HashMap::with_capacity_and_hasher(atoms, FnvBuildHasher::default()),
+            numbers: Vec::with_capacity(node_count / 4 + 2),
+            extra: Vec::with_capacity(node_count + 8),
+            funcs: Vec::new(),
+            stack: Vec::with_capacity(32),
+            hoist_vars: Vec::new(),
+            hoist_funcs: Vec::new(),
+        }
+    }
+
     fn push(&mut self, id: NodeId, kind: NodeKind, flags: u8, a: u32, b: u32, c: u32) -> u32 {
         let idx = self.nodes.len() as u32;
         self.nodes.push(Node { kind, flags, a, b, c });
@@ -260,11 +320,56 @@ impl Builder {
         (start, items.len() as u32)
     }
 
+    /// Moves the stack entries above `mark` into `extra` as one list.
+    fn list_from(&mut self, mark: usize) -> (u32, u32) {
+        let start = self.extra.len() as u32;
+        self.extra.extend_from_slice(&self.stack[mark..]);
+        let len = (self.stack.len() - mark) as u32;
+        self.stack.truncate(mark);
+        (start, len)
+    }
+
+    /// Lowers `body` and lists its statement nodes.
+    fn stmt_list(&mut self, body: &[Stmt]) -> (u32, u32) {
+        let mark = self.stack.len();
+        for s in body {
+            let n = self.stmt(s);
+            self.stack.push(n);
+        }
+        self.list_from(mark)
+    }
+
+    /// Lowers each expression and lists the nodes.
+    fn expr_list(&mut self, items: &[Expr]) -> (u32, u32) {
+        let mark = self.stack.len();
+        for e in items {
+            let n = self.expr(e);
+            self.stack.push(n);
+        }
+        self.list_from(mark)
+    }
+
+    fn opt_expr(&mut self, e: Option<&Expr>) -> u32 {
+        match e {
+            Some(e) => self.expr(e),
+            None => NONE,
+        }
+    }
+
     fn decl_kind_code(kind: DeclKind) -> u8 {
         match kind {
             DeclKind::Var => 0,
             DeclKind::Let => 1,
             DeclKind::Const => 2,
+        }
+    }
+
+    /// Pushes one `(name atom, init node | NONE)` pair per declarator.
+    fn push_declarators(&mut self, decls: &[Declarator]) {
+        for d in decls {
+            let name = self.atom(&d.name);
+            let init = self.opt_expr(d.init.as_ref());
+            self.stack.extend([name, init]);
         }
     }
 
@@ -276,17 +381,9 @@ impl Builder {
                 self.push(id, NodeKind::ExprStmt, 0, e, NONE, NONE)
             }
             StmtKind::Decl { kind, decls } => {
-                let mut pairs = Vec::with_capacity(decls.len() * 2);
-                for d in decls {
-                    let name = self.atom(&d.name);
-                    let init = match &d.init {
-                        Some(e) => self.expr(e),
-                        None => NONE,
-                    };
-                    pairs.push(name);
-                    pairs.push(init);
-                }
-                let (start, _) = self.list(&pairs);
+                let mark = self.stack.len();
+                self.push_declarators(decls);
+                let (start, _) = self.list_from(mark);
                 self.push(
                     id,
                     NodeKind::Decl,
@@ -301,8 +398,7 @@ impl Builder {
                 self.push(id, NodeKind::FunctionDecl, 0, fidx, NONE, NONE)
             }
             StmtKind::Block(body) => {
-                let stmts: Vec<u32> = body.iter().map(|s| self.stmt(s)).collect();
-                let (start, len) = self.list(&stmts);
+                let (start, len) = self.stmt_list(body);
                 self.push(id, NodeKind::Block, 0, start, len, NONE)
             }
             StmtKind::If { cond, cons, alt } => {
@@ -328,36 +424,27 @@ impl Builder {
                 // Record: [test|NONE, update|NONE, body, init_tag, payload…].
                 // init_tag: 0 = none, 1 = expr (payload: node), 2/3/4 =
                 // var/let/const decl (payload: ndecls, then (atom, init) pairs).
-                let mut record = Vec::new();
-                let (init_tag, init_payload): (u32, Vec<u32>) = match init.as_deref() {
-                    None => (0, Vec::new()),
-                    Some(ForInit::Expr(e)) => (1, vec![self.expr(e)]),
+                // The payload is lowered first and waits on the stack.
+                let mark = self.stack.len();
+                let init_tag = match init.as_deref() {
+                    None => 0,
+                    Some(ForInit::Expr(e)) => {
+                        let e = self.expr(e);
+                        self.stack.push(e);
+                        1
+                    }
                     Some(ForInit::Decl { kind, decls }) => {
-                        let mut payload = vec![decls.len() as u32];
-                        for d in decls {
-                            let name = self.atom(&d.name);
-                            let init = match &d.init {
-                                Some(e) => self.expr(e),
-                                None => NONE,
-                            };
-                            payload.push(name);
-                            payload.push(init);
-                        }
-                        (2 + u32::from(Self::decl_kind_code(*kind)), payload)
+                        self.stack.push(decls.len() as u32);
+                        self.push_declarators(decls);
+                        2 + u32::from(Self::decl_kind_code(*kind))
                     }
                 };
-                let test = match test {
-                    Some(e) => self.expr(e),
-                    None => NONE,
-                };
-                let update = match update {
-                    Some(e) => self.expr(e),
-                    None => NONE,
-                };
+                let test = self.opt_expr(test.as_ref());
+                let update = self.opt_expr(update.as_ref());
                 let body = self.stmt(body);
-                record.extend([test, update, body, init_tag]);
-                record.extend(init_payload);
-                let (start, _) = self.list(&record);
+                let start = self.extra.len() as u32;
+                self.extra.extend([test, update, body, init_tag]);
+                self.list_from(mark);
                 self.push(id, NodeKind::For, 0, start, NONE, NONE)
             }
             StmtKind::ForInOf { kind, decl, object, body } => {
@@ -371,10 +458,7 @@ impl Builder {
                 self.push(id, NodeKind::ForInOf, of_bit | target_code, object, body, name)
             }
             StmtKind::Return(arg) => {
-                let arg = match arg {
-                    Some(e) => self.expr(e),
-                    None => NONE,
-                };
+                let arg = self.opt_expr(arg.as_ref());
                 self.push(id, NodeKind::Return, 0, arg, NONE, NONE)
             }
             StmtKind::Break => self.push(id, NodeKind::Break, 0, NONE, NONE, NONE),
@@ -386,24 +470,21 @@ impl Builder {
             StmtKind::Try { block, catch, finally } => {
                 // Record: [block_start, block_len, catch_tag, catch_param,
                 //          catch_start, catch_len, fin_tag, fin_start, fin_len].
-                let stmts: Vec<u32> = block.iter().map(|s| self.stmt(s)).collect();
-                let (bs, bl) = self.list(&stmts);
+                let (bs, bl) = self.stmt_list(block);
                 let (ctag, cparam, cs, cl) = match catch {
                     Some(clause) => {
                         let param = match &clause.param {
                             Some(p) => self.atom(p),
                             None => NONE,
                         };
-                        let stmts: Vec<u32> = clause.body.iter().map(|s| self.stmt(s)).collect();
-                        let (cs, cl) = self.list(&stmts);
+                        let (cs, cl) = self.stmt_list(&clause.body);
                         (1u32, param, cs, cl)
                     }
                     None => (0, NONE, 0, 0),
                 };
                 let (ftag, fs, fl) = match finally {
                     Some(fin) => {
-                        let stmts: Vec<u32> = fin.iter().map(|s| self.stmt(s)).collect();
-                        let (fs, fl) = self.list(&stmts);
+                        let (fs, fl) = self.stmt_list(fin);
                         (1u32, fs, fl)
                     }
                     None => (0, 0, 0),
@@ -414,17 +495,13 @@ impl Builder {
             StmtKind::Switch { disc, cases } => {
                 let disc = self.expr(disc);
                 // Per-case record: [test|NONE, body_start, body_len].
-                let mut records = Vec::with_capacity(cases.len() * 3);
+                let mark = self.stack.len();
                 for case in cases {
-                    let test = match &case.test {
-                        Some(e) => self.expr(e),
-                        None => NONE,
-                    };
-                    let stmts: Vec<u32> = case.body.iter().map(|s| self.stmt(s)).collect();
-                    let (cs, cl) = self.list(&stmts);
-                    records.extend([test, cs, cl]);
+                    let test = self.opt_expr(case.test.as_ref());
+                    let (cs, cl) = self.stmt_list(&case.body);
+                    self.stack.extend([test, cs, cl]);
                 }
-                let (start, _) = self.list(&records);
+                let (start, _) = self.list_from(mark);
                 self.push(id, NodeKind::Switch, 0, disc, start, cases.len() as u32)
             }
             StmtKind::Empty => self.push(id, NodeKind::Empty, 0, NONE, NONE, NONE),
@@ -440,17 +517,15 @@ impl Builder {
             Some(n) => self.atom(n),
             None => NONE,
         };
-        let param_atoms: Vec<u32> = f.params.iter().map(|p| self.atom(p)).collect();
-        let params = self.list(&param_atoms);
-        let stmts: Vec<u32> = f.body.iter().map(|s| self.stmt(s)).collect();
-        let body = self.list(&stmts);
-        let expr_body = match expr_body {
-            Some(e) => self.expr(e),
-            None => NONE,
-        };
-        let (vars, funcs) = self.arena_hoist_lists(&stmts);
-        let hoist_vars = self.list(&vars);
-        let hoist_funcs = self.list(&funcs);
+        let mark = self.stack.len();
+        for p in &f.params {
+            let atom = self.atom(p);
+            self.stack.push(atom);
+        }
+        let params = self.list_from(mark);
+        let body = self.stmt_list(&f.body);
+        let expr_body = self.opt_expr(expr_body);
+        let (hoist_vars, hoist_funcs) = self.hoist_lists(body);
         let idx = self.funcs.len() as u32;
         self.funcs.push(FuncProto {
             name,
@@ -498,21 +573,19 @@ impl Builder {
             },
             ExprKind::This => self.push(id, NodeKind::This, 0, NONE, NONE, NONE),
             ExprKind::Array(items) => {
-                let slots: Vec<u32> = items
-                    .iter()
-                    .map(|item| match item {
-                        Some(e) => self.expr(e),
-                        None => NONE,
-                    })
-                    .collect();
-                let (start, len) = self.list(&slots);
+                let mark = self.stack.len();
+                for item in items {
+                    let slot = self.opt_expr(item.as_ref());
+                    self.stack.push(slot);
+                }
+                let (start, len) = self.list_from(mark);
                 self.push(id, NodeKind::Array, 0, start, len, NONE)
             }
             ExprKind::Object(props) => {
                 // Per-prop record: [key_tag, payload, value|NONE]. key_tag:
                 // 0 = ident atom, 1 = string atom, 2 = number-pool index,
                 // 3 = computed node.
-                let mut records = Vec::with_capacity(props.len() * 3);
+                let mark = self.stack.len();
                 for p in props {
                     let (tag, payload) = match &p.key {
                         PropKey::Ident(n) => (0u32, self.atom(n)),
@@ -520,13 +593,10 @@ impl Builder {
                         PropKey::Number(n) => (2, self.number(*n)),
                         PropKey::Computed(e) => (3, self.expr(e)),
                     };
-                    let value = match &p.value {
-                        Some(v) => self.expr(v),
-                        None => NONE,
-                    };
-                    records.extend([tag, payload, value]);
+                    let value = self.opt_expr(p.value.as_ref());
+                    self.stack.extend([tag, payload, value]);
                 }
-                let (start, _) = self.list(&records);
+                let (start, _) = self.list_from(mark);
                 self.push(id, NodeKind::Object, 0, start, props.len() as u32, NONE)
             }
             ExprKind::Function(f) => {
@@ -568,20 +638,17 @@ impl Builder {
                 self.push(id, NodeKind::Assign, *op as u8, target, value, NONE)
             }
             ExprKind::Seq(items) => {
-                let nodes: Vec<u32> = items.iter().map(|e| self.expr(e)).collect();
-                let (start, len) = self.list(&nodes);
+                let (start, len) = self.expr_list(items);
                 self.push(id, NodeKind::Seq, 0, start, len, NONE)
             }
             ExprKind::Call { callee, args } => {
                 let callee = self.expr(callee);
-                let argv: Vec<u32> = args.iter().map(|a| self.expr(a)).collect();
-                let (start, len) = self.list(&argv);
+                let (start, len) = self.expr_list(args);
                 self.push(id, NodeKind::Call, 0, callee, start, len)
             }
             ExprKind::New { callee, args } => {
                 let callee = self.expr(callee);
-                let argv: Vec<u32> = args.iter().map(|a| self.expr(a)).collect();
-                let (start, len) = self.list(&argv);
+                let (start, len) = self.expr_list(args);
                 self.push(id, NodeKind::New, 0, callee, start, len)
             }
             ExprKind::Member { object, prop } => {
@@ -596,19 +663,17 @@ impl Builder {
             }
             ExprKind::Template { quasis, exprs } => {
                 // Layout: quasi atoms at a..a+b, expression nodes at a+b..a+b+c.
-                let quasi_atoms: Vec<u32> = quasis.iter().map(|q| self.atom(q)).collect();
-                let expr_nodes: Vec<u32> = exprs.iter().map(|e| self.expr(e)).collect();
-                let start = self.extra.len() as u32;
-                self.extra.extend_from_slice(&quasi_atoms);
-                self.extra.extend_from_slice(&expr_nodes);
-                self.push(
-                    id,
-                    NodeKind::Template,
-                    0,
-                    start,
-                    quasi_atoms.len() as u32,
-                    expr_nodes.len() as u32,
-                )
+                let mark = self.stack.len();
+                for q in quasis {
+                    let atom = self.atom(q);
+                    self.stack.push(atom);
+                }
+                for e in exprs {
+                    let n = self.expr(e);
+                    self.stack.push(n);
+                }
+                let (start, _) = self.list_from(mark);
+                self.push(id, NodeKind::Template, 0, start, quasis.len() as u32, exprs.len() as u32)
             }
             ExprKind::Paren(inner) => {
                 let inner = self.expr(inner);
@@ -617,16 +682,21 @@ impl Builder {
         }
     }
 
-    /// Collects hoisted `var` atoms and function-declaration proto indices
-    /// from a lowered statement list (vars and functions each in pre-order;
-    /// `for` init declarations before the loop body).
-    fn arena_hoist_lists(&self, body: &[u32]) -> (Vec<u32>, Vec<u32>) {
-        let mut vars = Vec::new();
-        let mut funcs = Vec::new();
-        for &n in body {
-            self.collect_hoist(n, &mut vars, &mut funcs);
+    /// Lists the hoisted `var` atoms and function-declaration proto indices
+    /// of the lowered statement list at `body` (vars and functions each in
+    /// pre-order; `for` init declarations before the loop body).
+    fn hoist_lists(&mut self, body: (u32, u32)) -> ((u32, u32), (u32, u32)) {
+        let mut vars = std::mem::take(&mut self.hoist_vars);
+        let mut funcs = std::mem::take(&mut self.hoist_funcs);
+        for i in body.0..body.0 + body.1 {
+            self.collect_hoist(self.extra[i as usize], &mut vars, &mut funcs);
         }
-        (vars, funcs)
+        let lists = (self.list(&vars), self.list(&funcs));
+        vars.clear();
+        funcs.clear();
+        self.hoist_vars = vars;
+        self.hoist_funcs = funcs;
+        lists
     }
 
     fn collect_hoist(&self, n: u32, vars: &mut Vec<u32>, funcs: &mut Vec<u32>) {

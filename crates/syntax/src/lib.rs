@@ -25,6 +25,7 @@
 pub mod arena;
 pub mod ast;
 mod error;
+mod fnv;
 pub mod lexer;
 mod parser;
 pub mod printer;
@@ -33,6 +34,7 @@ pub mod visit;
 pub use arena::{FuncProto, Node, NodeArena, NodeKind};
 pub use ast::{Expr, ExprKind, Program, Stmt, StmtKind};
 pub use error::SyntaxError;
+pub use fnv::{FnvBuildHasher, FnvHasher};
 pub use parser::parse;
 pub use printer::{print_expr, print_program, print_stmt};
 
