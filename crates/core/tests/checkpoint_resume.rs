@@ -261,7 +261,7 @@ fn probe_reinstatements_are_deterministic_and_reconciled() {
             .sink(SinkHandle::new(mem.clone()))
             .exec(ExecPolicy { quarantine_after: 2, probe_after: 3, ..ExecPolicy::default() })
             .chaos(ChaosConfig::on_first(
-                FaultPlan::new(1004).panic_rate(0.15).transient_rate(0.05).hang_millis(1),
+                FaultPlan::new(1003).panic_rate(0.15).transient_rate(0.05).hang_millis(1),
             ))
             .build()
             .expect("valid chaos config");

@@ -14,8 +14,8 @@
 //! not the AST, and `compile` calls it once per chunk. A mentioned atom is
 //! a clone of the arena's interned `Arc<str>`; the names the analysis adds
 //! itself ([`IMPLICIT_COERCION_APIS`] and the aliases below) are
-//! `&'static str`. So a walk allocates a mark per arena atom and the sorted
-//! atom list, and copies no string.
+//! `&'static str`. So a walk makes two allocations, its per-atom marks and
+//! the sorted atom list, and copies no string.
 //!
 //! # Soundness rules
 //!
@@ -54,8 +54,6 @@
 //! Poisoned chunks report every query as "maybe reachable", which makes the
 //! classing layer fall back to the full testbed matrix.
 
-use std::cmp::Ordering;
-use std::fmt;
 use std::sync::Arc;
 
 use comfort_syntax::arena::{NodeKind, NONE};
@@ -63,9 +61,9 @@ use comfort_syntax::NodeArena;
 
 /// One footprint atom: a name the source mentions, shared with the chunk
 /// arena's interned atom table, or a name the analysis adds on its own
-/// (the implicit-coercion APIs and the aliases below). Atoms compare by
-/// their text alone.
-#[derive(Clone)]
+/// (the implicit-coercion APIs and the aliases below). Atoms are equal
+/// when their text is.
+#[derive(Debug, Clone)]
 enum Atom {
     Mentioned(Arc<str>),
     Implied(&'static str),
@@ -87,24 +85,6 @@ impl PartialEq for Atom {
 }
 
 impl Eq for Atom {}
-
-impl PartialOrd for Atom {
-    fn partial_cmp(&self, other: &Atom) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Atom {
-    fn cmp(&self, other: &Atom) -> Ordering {
-        self.as_str().cmp(other.as_str())
-    }
-}
-
-impl fmt::Debug for Atom {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
-    }
-}
 
 /// The set of builtin-API atoms a program can reach, with poison bits for
 /// everything static analysis cannot bound. Extracted once per
@@ -188,7 +168,7 @@ impl ApiFootprint {
 
 /// Sorts `atoms` by text and drops repeats.
 fn sorted(mut atoms: Vec<Atom>) -> Vec<Atom> {
-    atoms.sort_unstable();
+    atoms.sort_unstable_by(|a, b| a.as_str().cmp(b.as_str()));
     atoms.dedup();
     atoms
 }

@@ -159,12 +159,7 @@ impl NodeArena {
     /// Flattens `program` into a fresh arena.
     pub fn build(program: &Program) -> NodeArena {
         let mut b = Builder::with_capacity(program.node_count as usize);
-        let mark = b.stack.len();
-        for s in &program.body {
-            let n = b.stmt(s);
-            b.stack.push(n);
-        }
-        let top_body = b.list_from(mark);
+        let top_body = b.stmt_list(&program.body);
         let (top_hoist_vars, top_hoist_funcs) = b.hoist_lists(top_body);
         NodeArena {
             nodes: b.nodes,

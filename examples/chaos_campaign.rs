@@ -16,7 +16,7 @@ use comfort::prelude::*;
 
 fn build_config(sink: SinkHandle) -> CampaignConfig {
     let plan =
-        FaultPlan::new(1005).panic_rate(0.10).hang_rate(0.05).transient_rate(0.08).hang_millis(1);
+        FaultPlan::new(1003).panic_rate(0.10).hang_rate(0.05).transient_rate(0.08).hang_millis(1);
     CampaignConfig::builder()
         .seed(2)
         .corpus_programs(80)
