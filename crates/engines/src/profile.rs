@@ -22,19 +22,25 @@ pub struct EngineProfile {
     bugs: Vec<SeededBug>,
     /// `classed[k]` is `bugs[k]` as the shared bug table classes it.
     classed: Vec<ClassedBug>,
+    /// The APIs some bug of `bugs` hooks, each once: the builtins whose
+    /// sites [`ConformanceProfile::on_builtin`] can deviate at.
+    hooked: Vec<&'static str>,
 }
 
 impl EngineProfile {
     /// Builds the profile for `version` from the shared catalog.
     pub fn new(version: EngineVersion) -> Self {
         let table = crate::shared_bug_table();
-        let (bugs, classed) = crate::shared_catalog()
+        let (bugs, classed): (Vec<SeededBug>, _) = crate::shared_catalog()
             .iter()
             .enumerate()
             .filter(|(_, b)| b.engine == version.engine && b.active_in(version.ordinal))
             .map(|(k, b)| (b.clone(), table.bug(k)))
             .unzip();
-        EngineProfile { version, bugs, classed }
+        let mut hooked: Vec<&'static str> = bugs.iter().filter_map(|b| b.api).collect();
+        hooked.sort_unstable();
+        hooked.dedup();
+        EngineProfile { version, bugs, classed, hooked }
     }
 
     /// The engine this profile simulates.
@@ -143,6 +149,12 @@ impl<'a> BugBehavior<'a> {
 }
 
 impl ConformanceProfile for EngineProfile {
+    /// `true` exactly for the APIs an active bug names: elsewhere
+    /// `matching_bug` finds nothing and `on_builtin` answers `None`.
+    fn hooks_api(&self, api: &str) -> bool {
+        self.hooked.contains(&api)
+    }
+
     fn on_builtin(&self, site: &BuiltinSite) -> Deviation<'_> {
         match self.matching_bug(site).map(|b| &b.effect) {
             None => Deviation::None,
@@ -207,5 +219,54 @@ impl ConformanceProfile for EngineProfile {
         } else {
             0
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::all_versions;
+    use comfort_interp::hooks::SpecProfile;
+
+    /// Every API a catalog bug names, plus builtins no bug needs to name.
+    fn apis() -> Vec<&'static str> {
+        let mut apis: Vec<&'static str> =
+            crate::shared_catalog().iter().filter_map(|b| b.api).collect();
+        apis.extend(["print", "eval", "Math.max", "Array.prototype.push", "Object.keys", ""]);
+        apis.sort_unstable();
+        apis.dedup();
+        apis
+    }
+
+    #[test]
+    fn hooks_api_admits_exactly_the_apis_of_active_bugs() {
+        let apis = apis();
+        let (mut admitted, mut refused) = (0, 0);
+        for version in all_versions() {
+            let profile = EngineProfile::new(version);
+            for &api in &apis {
+                let named = profile.bugs().iter().any(|b| b.api == Some(api));
+                assert_eq!(profile.hooks_api(api), named, "{:?}: {api}", profile.version());
+                if named {
+                    admitted += 1;
+                } else {
+                    // A refused API is one where no site can deviate.
+                    let site = BuiltinSite {
+                        api,
+                        receiver: ValuePreview::Undefined,
+                        args: Vec::new(),
+                        strict: true,
+                    };
+                    assert_eq!(profile.on_builtin(&site), Deviation::None);
+                    refused += 1;
+                }
+            }
+        }
+        assert!(admitted > 0 && refused > 0, "{admitted} admitted, {refused} refused");
+    }
+
+    #[test]
+    fn the_spec_profile_hooks_no_api() {
+        assert!(apis().iter().all(|&api| !SpecProfile.hooks_api(api)));
     }
 }

@@ -46,7 +46,11 @@ fn array_ctor(interp: &mut Interp<'_>, _this: Value, args: &[Value]) -> Result<V
             if n.fract() != 0.0 || *n < 0.0 || *n > u32::MAX as f64 {
                 return Err(interp.throw(ErrorKind::Range, "Invalid array length"));
             }
-            return Ok(interp.new_array(vec![None; *n as usize]));
+            let Value::Obj(id) = interp.new_array(Vec::new()) else {
+                unreachable!("new_array returns an object")
+            };
+            interp.resize_array(id, *n as usize)?;
+            return Ok(Value::Obj(id));
         }
     }
     Ok(interp.new_array(args.iter().cloned().map(Some).collect()))

@@ -197,7 +197,7 @@ fn fn_to_string(interp: &mut Interp<'_>, this: Value, _args: &[Value]) -> Result
 }
 
 fn install_error(interp: &mut Interp<'_>, name: &'static str, kind: ErrorKind) {
-    let proto = *interp.protos.error.get(&kind).expect("error protos installed");
+    let proto = interp.protos.error[kind as usize];
     def_value(interp, proto, "name", Value::str(name));
     def_value(interp, proto, "message", Value::str(""));
     def_method(interp, proto, "toString", "Error.prototype.toString", error_to_string);
@@ -229,8 +229,8 @@ fn error_ctor(
         Value::Undefined => String::new(),
         v => interp.to_js_string(&v)?,
     };
-    let proto = interp.protos.error.get(&kind).copied();
-    let mut obj = Obj::new(ObjKind::Error { kind }, proto);
+    let proto = interp.protos.error[kind as usize];
+    let mut obj = Obj::new(ObjKind::Error { kind }, Some(proto));
     obj.props.insert("message", Prop::builtin(Value::str(&message)));
     Ok(Value::Obj(interp.alloc(obj)))
 }

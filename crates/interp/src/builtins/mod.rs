@@ -33,17 +33,9 @@ pub(crate) fn install(interp: &mut Interp<'_>) {
     interp.protos.array_buffer = interp.alloc(Obj::new(ObjKind::Plain, Some(object_proto)));
     interp.protos.data_view = interp.alloc(Obj::new(ObjKind::Plain, Some(object_proto)));
     interp.protos.date = interp.alloc(Obj::new(ObjKind::Plain, Some(object_proto)));
-    for kind in [
-        ErrorKind::Error,
-        ErrorKind::Type,
-        ErrorKind::Range,
-        ErrorKind::Syntax,
-        ErrorKind::Reference,
-        ErrorKind::Eval,
-        ErrorKind::Uri,
-    ] {
+    for kind in ErrorKind::ALL {
         let proto = interp.alloc(Obj::new(ObjKind::Plain, Some(object_proto)));
-        interp.protos.error.insert(kind, proto);
+        interp.protos.error[kind as usize] = proto;
     }
 
     object::install(interp);
@@ -67,7 +59,7 @@ pub(crate) fn native(interp: &mut Interp<'_>, name: &'static str, func: NativeFn
 pub(crate) fn def_method(
     interp: &mut Interp<'_>,
     obj: ObjId,
-    key: &str,
+    key: &'static str,
     api: &'static str,
     func: NativeFn,
 ) {
@@ -76,12 +68,12 @@ pub(crate) fn def_method(
 }
 
 /// Defines a non-enumerable data property.
-pub(crate) fn def_value(interp: &mut Interp<'_>, obj: ObjId, key: &str, value: Value) {
+pub(crate) fn def_value(interp: &mut Interp<'_>, obj: ObjId, key: &'static str, value: Value) {
     interp.obj_mut(obj).props.insert(key, Prop::builtin(value));
 }
 
 /// Binds a global variable.
-pub(crate) fn def_global(interp: &mut Interp<'_>, name: &str, value: Value) {
+pub(crate) fn def_global(interp: &mut Interp<'_>, name: &'static str, value: Value) {
     interp.define_global(name, value);
 }
 

@@ -343,9 +343,7 @@ fn define_property(
             if n.is_nan() || n.fract() != 0.0 || n < 0.0 {
                 return Err(interp.throw(ErrorKind::Range, "Invalid array length"));
             }
-            if let ObjKind::Array { elems } = &mut interp.obj_mut(id).kind {
-                elems.resize(n as usize, None);
-            }
+            interp.resize_array(id, n as usize)?;
         }
         return Ok(target);
     }

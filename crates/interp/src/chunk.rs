@@ -35,9 +35,26 @@ pub struct CompiledChunk {
     /// reach. Lets the differential harness prove testbeds equivalent for
     /// this chunk and collapse redundant executions.
     pub footprint: ApiFootprint,
+    /// `true` if an atom of the arena spells `arguments`. Kept beside the
+    /// arena, not in it, so the content address does not move.
+    names_arguments: bool,
 }
 
 impl CompiledChunk {
+    /// Packages an arena with its footprint.
+    pub fn new(arena: NodeArena, footprint: ApiFootprint) -> Self {
+        let names_arguments = arena.atoms.iter().any(|atom| &**atom == "arguments");
+        CompiledChunk { arena, footprint, names_arguments }
+    }
+
+    /// `true` if the chunk's code can name a function's `arguments`
+    /// binding. Without an `arguments` atom it cannot: `eval` code runs in
+    /// the global env, so calls of the chunk's functions skip building the
+    /// `arguments` object and its binding.
+    pub fn names_arguments(&self) -> bool {
+        self.names_arguments
+    }
+
     /// `true` if the program opens with a `"use strict"` directive.
     pub fn strict(&self) -> bool {
         self.arena.strict
@@ -66,7 +83,7 @@ impl CompiledChunk {
 pub fn compile(program: &Program) -> Arc<CompiledChunk> {
     let arena = NodeArena::build(program);
     let footprint = extract_footprint(&arena);
-    Arc::new(CompiledChunk { arena, footprint })
+    Arc::new(CompiledChunk::new(arena, footprint))
 }
 
 #[cfg(test)]

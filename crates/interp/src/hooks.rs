@@ -9,6 +9,14 @@
 //!
 //! The hook payloads are *plain data* ([`ValuePreview`]), so profiles can be
 //! table-driven and engine-agnostic.
+//!
+//! Building a [`BuiltinSite`] copies the receiver's and every argument's
+//! preview, so the interpreter first asks [`ConformanceProfile::hooks_api`]
+//! whether the profile can deviate at that API at all; where it answers
+//! `false` the builtin runs directly, with no site and no `on_builtin` call.
+//! A profile may answer `false` only for an API at whose every site
+//! `on_builtin` answers [`Deviation::None`], so the gate skips only work
+//! whose answer is already known.
 
 /// A shallow, heap-free preview of a [`crate::Value`], handed to profiles.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +145,16 @@ pub enum ArraySetBehavior {
 /// `comfort-engines` implements this for each simulated engine version by
 /// matching the site against its seeded-bug catalog.
 pub trait ConformanceProfile {
-    /// Consulted before every builtin call (and builtin construction).
+    /// `false` only if [`Self::on_builtin`] answers [`Deviation::None`] at
+    /// every site of `api`; the interpreter then calls the builtin without
+    /// building the site. The default, `true`, consults `on_builtin` at
+    /// every builtin call.
+    fn hooks_api(&self, _api: &str) -> bool {
+        true
+    }
+
+    /// Consulted before every builtin call (and builtin construction) whose
+    /// API [`Self::hooks_api`] admits.
     fn on_builtin(&self, _site: &BuiltinSite) -> Deviation<'_> {
         Deviation::None
     }
@@ -182,7 +199,11 @@ pub trait ConformanceProfile {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpecProfile;
 
-impl ConformanceProfile for SpecProfile {}
+impl ConformanceProfile for SpecProfile {
+    fn hooks_api(&self, _api: &str) -> bool {
+        false
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -197,6 +218,7 @@ mod tests {
             args: vec![ValuePreview::Number(0.0), ValuePreview::Undefined],
             strict: false,
         };
+        assert!(!p.hooks_api(site.api));
         assert_eq!(p.on_builtin(&site), Deviation::None);
         assert_eq!(p.on_array_key_set(&ValuePreview::Bool(true)), ArraySetBehavior::Normal);
         assert!(!p.eval_tolerates_headless_for());

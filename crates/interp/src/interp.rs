@@ -21,7 +21,7 @@ use crate::hooks::{
     ArraySetBehavior, BuiltinSite, ConformanceProfile, Deviation, ValuePreview, ValueRecipe,
 };
 use crate::ops;
-use crate::value::{EnvId, ErrorKind, FuncData, Obj, ObjId, ObjKind, Prop, Value};
+use crate::value::{EnvId, ErrorKind, FuncData, Key, Obj, ObjId, ObjKind, Prop, Value};
 
 // The arena VM is a child module so it can share the interpreter's private
 // state (envs, scope stacks, coverage) without widening visibility.
@@ -207,9 +207,19 @@ pub struct RunResult {
     pub coverage: Option<Coverage>,
 }
 
+/// The most slots a dense array may hold. A slot takes 24 bytes, so a
+/// length near 2^32 asks the allocator for about 100 GB, and an allocation
+/// failure aborts the process where no `catch_unwind` reaches. Like
+/// `repeat`/`padStart` (`1 << 22`) and the typed arrays (`1 << 24`), an
+/// array longer than this throws `RangeError` instead.
+pub(crate) const MAX_DENSE_LEN: usize = 1 << 20;
+
 /// Variable tables hash with FNV-1a: keys are short identifiers, and the
-/// maps are only ever probed by key, never iterated into results.
-type VarMap = HashMap<Rc<str>, Value, FnvBuildHasher>;
+/// maps are only ever probed by key, never iterated into results. A
+/// declared name shares its chunk's atom and a builtin global's name is
+/// `'static`, so declaring copies no string and the per-run clone of the
+/// global env bumps no refcounts.
+type VarMap = HashMap<Key, Value, FnvBuildHasher>;
 
 #[derive(Debug, Clone)]
 struct Env {
@@ -226,7 +236,8 @@ pub(crate) struct Protos {
     pub number: ObjId,
     pub boolean: ObjId,
     pub regexp: ObjId,
-    pub error: HashMap<ErrorKind, ObjId>,
+    /// `Error` subclass prototypes, by `ErrorKind as usize`.
+    pub error: [ObjId; 7],
     pub typed_array: ObjId,
     pub array_buffer: ObjId,
     pub data_view: ObjId,
@@ -244,7 +255,7 @@ impl Protos {
             number: ObjId(0),
             boolean: ObjId(0),
             regexp: ObjId(0),
-            error: HashMap::new(),
+            error: [ObjId(0); 7],
             typed_array: ObjId(0),
             array_buffer: ObjId(0),
             data_view: ObjId(0),
@@ -319,6 +330,7 @@ pub struct Interp<'p> {
     this_stack: Vec<Value>,
     pub(crate) coverage: Option<Coverage>,
     pub(crate) protos: Protos,
+    names: Rc<SharedNames>,
     global_env: EnvId,
     constructing: bool,
     call_depth: u32,
@@ -329,16 +341,42 @@ pub struct Interp<'p> {
     rng_state: u64,
 }
 
+/// String values that every run's error and function objects share, built
+/// once per thread beside the pristine heap.
+struct SharedNames {
+    /// The `name` of each `Error` subclass, by `ErrorKind as usize`.
+    errors: [Value; 7],
+    /// The `name` of an anonymous function.
+    anonymous: Value,
+}
+
+impl SharedNames {
+    fn new() -> Self {
+        SharedNames {
+            errors: ErrorKind::ALL.map(|k| Value::str(k.name())),
+            anonymous: Value::str(""),
+        }
+    }
+}
+
+/// Room the per-run stacks start with: the scope-strictness and `this`
+/// stacks grow by one per call, the environment table by one per call,
+/// block and loop.
+const FRAME_ROOM: usize = 8;
+const ENV_ROOM: usize = 16;
+
 /// The pristine post-`install` world: the frozen heap snapshot, the
-/// environments, and the prototype table. `builtins::install` is
-/// profile-independent and deterministic, so it runs once per thread. Every
-/// interpreter on the thread then shares the snapshot by reference (see
-/// [`Heap`]) and clones only the environment table: the global env's
-/// bindings are few, and nearly every run writes them.
+/// environments, the prototype table and the shared names.
+/// `builtins::install` is profile-independent and deterministic, so it runs
+/// once per thread. Every interpreter on the thread then shares the
+/// snapshot by reference (see [`Heap`]) and clones only the environment
+/// table: the global env's bindings are few, and nearly every run writes
+/// them.
 struct Pristine {
     heap: Rc<[Obj]>,
     envs: Vec<Env>,
     protos: Protos,
+    names: Rc<SharedNames>,
 }
 
 thread_local! {
@@ -349,9 +387,15 @@ thread_local! {
             Heap::over(Rc::new([])),
             vec![global],
             Protos::unset(),
+            Rc::new(SharedNames::new()),
         );
         crate::builtins::install(&mut interp);
-        Pristine { heap: interp.heap.freeze(), envs: interp.envs, protos: interp.protos }
+        Pristine {
+            heap: interp.heap.freeze(),
+            envs: interp.envs,
+            protos: interp.protos,
+            names: interp.names,
+        }
     };
 }
 
@@ -359,22 +403,31 @@ impl<'p> Interp<'p> {
     /// Creates an interpreter with globals installed, running under `profile`.
     pub fn new(profile: &'p dyn ConformanceProfile) -> Self {
         PRISTINE.with(|p| {
+            let mut envs = Vec::with_capacity(ENV_ROOM);
+            envs.extend(p.envs.iter().cloned());
             Interp::with_world(
                 profile,
                 Heap::over(Rc::clone(&p.heap)),
-                p.envs.clone(),
+                envs,
                 p.protos.clone(),
+                Rc::clone(&p.names),
             )
         })
     }
 
-    /// An interpreter over the given heap, environments and prototypes.
+    /// An interpreter over the given heap, environments, prototypes and
+    /// shared names.
     fn with_world(
         profile: &'p dyn ConformanceProfile,
         heap: Heap,
         envs: Vec<Env>,
         protos: Protos,
+        names: Rc<SharedNames>,
     ) -> Self {
+        let mut strict = Vec::with_capacity(FRAME_ROOM);
+        strict.push(false);
+        let mut this_stack = Vec::with_capacity(FRAME_ROOM);
+        this_stack.push(Value::Undefined);
         Interp {
             heap,
             envs,
@@ -382,10 +435,11 @@ impl<'p> Interp<'p> {
             output: String::new(),
             fuel: 0,
             fuel_budget: 0,
-            strict: vec![false],
-            this_stack: vec![Value::Undefined],
+            strict,
+            this_stack,
             coverage: None,
             protos,
+            names,
             global_env: EnvId(0),
             constructing: false,
             call_depth: 0,
@@ -437,18 +491,28 @@ impl<'p> Interp<'p> {
         }
     }
 
+    /// The status text of an uncaught throw: `"Kind: message"` for an
+    /// `Error` object, built in one pre-sized `String`, else the value's
+    /// display text.
     fn describe_thrown(&mut self, v: &Value) -> (Option<ErrorKind>, String) {
         if let Value::Obj(id) = v {
             let obj = self.obj(*id);
             if let ObjKind::Error { kind } = obj.kind {
-                let msg = match obj.props.get("message") {
-                    Some(p) => match &p.value {
-                        Value::Str(s) => s.to_string(),
-                        other => self.to_display_string(other),
-                    },
-                    None => String::new(),
+                let shown;
+                let msg = match obj.props.get("message").map(|p| &p.value) {
+                    Some(Value::Str(s)) => &**s,
+                    Some(other) => {
+                        shown = self.to_display_string(other);
+                        &shown
+                    }
+                    None => "",
                 };
-                return (Some(kind), format!("{}: {}", kind.name(), msg));
+                let name = kind.name();
+                let mut text = String::with_capacity(name.len() + 2 + msg.len());
+                text.push_str(name);
+                text.push_str(": ");
+                text.push_str(msg);
+                return (Some(kind), text);
             }
         }
         (None, self.to_display_string(v))
@@ -474,8 +538,8 @@ impl<'p> Interp<'p> {
         id
     }
 
-    fn declare(&mut self, env: EnvId, name: &str, value: Value) {
-        self.envs[env.0 as usize].vars.insert(Rc::from(name), value);
+    fn declare(&mut self, env: EnvId, name: impl Into<Key>, value: Value) {
+        self.envs[env.0 as usize].vars.insert(name.into(), value);
     }
 
     fn lookup(&self, mut env: EnvId, name: &str) -> Option<Value> {
@@ -488,10 +552,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn assign_var(&mut self, mut env: EnvId, name: &str, value: Value) -> Result<(), Control> {
+    fn assign_var(&mut self, mut env: EnvId, name: &Arc<str>, value: Value) -> Result<(), Control> {
         loop {
             let e = &mut self.envs[env.0 as usize];
-            if let Some(slot) = e.vars.get_mut(name) {
+            if let Some(slot) = e.vars.get_mut(&**name) {
                 *slot = value;
                 return Ok(());
             }
@@ -537,12 +601,13 @@ impl<'p> Interp<'p> {
     }
 
     /// Constructs an `Error` object value and returns the `Throw` control.
-    pub(crate) fn throw(&mut self, kind: ErrorKind, message: impl Into<String>) -> Control {
-        let message = message.into();
-        let proto = self.protos.error.get(&kind).copied();
-        let mut obj = Obj::new(ObjKind::Error { kind }, proto);
-        obj.props.insert("message", Prop::builtin(Value::str(&message)));
-        obj.props.insert("name", Prop::builtin(Value::str(kind.name())));
+    /// The message is copied once, into the `message` value; the `name`
+    /// value is the thread's shared one.
+    pub(crate) fn throw(&mut self, kind: ErrorKind, message: impl AsRef<str>) -> Control {
+        let proto = self.protos.error[kind as usize];
+        let mut obj = Obj::new(ObjKind::Error { kind }, Some(proto));
+        obj.props.insert("message", Prop::builtin(Value::str(message)));
+        obj.props.insert("name", Prop::builtin(self.names.errors[kind as usize].clone()));
         let id = self.alloc(obj);
         Control::Throw(Value::Obj(id))
     }
@@ -593,7 +658,8 @@ impl<'p> Interp<'p> {
         let proto = self.protos.function;
         let mut obj = Obj::new(ObjKind::Function(Rc::new(data)), Some(proto));
         obj.props.insert("length", Prop::frozen(Value::Number(arity as f64)));
-        obj.props.insert("name", Prop::frozen(Value::str(name.unwrap_or(""))));
+        let name = name.map_or_else(|| self.names.anonymous.clone(), Value::str);
+        obj.props.insert("name", Prop::frozen(name));
         let id = self.alloc(obj);
         if !is_arrow {
             // Ordinary functions get a fresh `.prototype` object.
@@ -665,10 +731,11 @@ impl<'p> Interp<'p> {
         let proto = chunk.arena.funcs[data.index as usize];
         for (i, &p) in chunk.arena.slice(proto.params).iter().enumerate() {
             let v = args.get(i).cloned().unwrap_or(Value::Undefined);
-            self.declare(env, chunk.arena.atom(p), v);
+            self.declare(env, &chunk.arena.atoms[p as usize], v);
         }
-        // `arguments` object (array-backed simplification).
-        if !data.is_arrow {
+        // `arguments` object (array-backed simplification), only where the
+        // chunk can name it.
+        if !data.is_arrow && chunk.names_arguments() {
             let args_arr = self.new_array(args.iter().cloned().map(Some).collect());
             self.declare(env, "arguments", args_arr);
         }
@@ -693,7 +760,9 @@ impl<'p> Interp<'p> {
         outcome
     }
 
-    /// Invokes a builtin, consulting the engine profile first (§hooks).
+    /// Invokes a builtin, consulting the engine profile first (§hooks). A
+    /// builtin no seeded bug of the profile names runs directly: no bug can
+    /// match its site, so the previews would be built for nothing.
     fn call_native(
         &mut self,
         name: &'static str,
@@ -701,13 +770,16 @@ impl<'p> Interp<'p> {
         this: Value,
         args: &[Value],
     ) -> Result<Value, Control> {
+        let profile = self.profile;
+        if !profile.hooks_api(name) {
+            return func(self, this, args);
+        }
         let site = BuiltinSite {
             api: name,
             receiver: self.preview(&this),
             args: args.iter().map(|a| self.preview(a)).collect(),
             strict: self.is_strict(),
         };
-        let profile = self.profile;
         match profile.on_builtin(&site) {
             Deviation::None => func(self, this, args),
             Deviation::ReturnValue(recipe) => self.materialize(recipe, &this, args),
@@ -765,7 +837,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Binds a name in the global environment (builtin installation).
-    pub(crate) fn define_global(&mut self, name: &str, value: Value) {
+    pub(crate) fn define_global(&mut self, name: &'static str, value: Value) {
         self.declare(self.global_env, name, value);
     }
 
@@ -950,13 +1022,28 @@ impl<'p> Interp<'p> {
         Ok(Value::Undefined)
     }
 
-    /// `Set(value, key, v)` with array/typed-array handling.
-    pub(crate) fn set_property(
+    /// `Set(value, key, v)` with array/typed-array handling. `key` becomes
+    /// a [`Key`] only when the write adds a property.
+    pub(crate) fn set_property<K: AsRef<str> + Into<Key>>(
+        &mut self,
+        base: &Value,
+        key: K,
+        value: Value,
+    ) -> Result<(), Control> {
+        if let Some((id, value)) = self.store(base, key.as_ref(), value)? {
+            self.obj_mut(id).props.insert(key, Prop::data(value));
+        }
+        Ok(())
+    }
+
+    /// Every write of [`Self::set_property`] but the one that adds an own
+    /// property: that one it hands back as `(object, value)`.
+    fn store(
         &mut self,
         base: &Value,
         key: &str,
         value: Value,
-    ) -> Result<(), Control> {
+    ) -> Result<Option<(ObjId, Value)>, Control> {
         self.charge(1)?;
         let Value::Obj(id) = base else {
             return match base {
@@ -973,7 +1060,7 @@ impl<'p> Interp<'p> {
                     ErrorKind::Type,
                     format!("Cannot create property '{key}' on primitive"),
                 )),
-                _ => Ok(()),
+                _ => Ok(None),
             };
         };
         let id = *id;
@@ -1008,23 +1095,20 @@ impl<'p> Interp<'p> {
                 if n.is_nan() || n.fract() != 0.0 || n < 0.0 || n > u32::MAX as f64 {
                     return Err(self.throw(ErrorKind::Range, "Invalid array length"));
                 }
-                let new_len = ops::to_uint32(n) as usize;
-                if let ObjKind::Array { elems } = &mut self.obj_mut(id).kind {
-                    elems.resize(new_len, None);
-                }
-                return Ok(());
+                self.resize_array(id, ops::to_uint32(n) as usize)?;
+                return Ok(None);
             }
             Some(Special::ArrayIndex(idx)) => {
                 let penalty = self.profile.array_reverse_fill_penalty();
-                let cur_len;
+                let ObjKind::Array { elems } = &self.obj(id).kind else {
+                    unreachable!("probed as array above")
+                };
+                let cur_len = elems.len();
+                if idx >= cur_len {
+                    self.resize_array(id, idx + 1)?;
+                }
                 if let ObjKind::Array { elems } = &mut self.obj_mut(id).kind {
-                    cur_len = elems.len();
-                    if idx >= cur_len {
-                        elems.resize(idx + 1, None);
-                    }
                     elems[idx] = Some(value);
-                } else {
-                    unreachable!("probed as array above");
                 }
                 // Hermes-style reverse-fill penalty (Listing 2).
                 if penalty > 0 {
@@ -1037,7 +1121,7 @@ impl<'p> Interp<'p> {
                         *wm = (*wm).min(idx);
                     }
                 }
-                return Ok(());
+                return Ok(None);
             }
             Some(Special::TypedIndex { kind, buf, offset, len, idx }) => {
                 if idx < len {
@@ -1049,7 +1133,7 @@ impl<'p> Interp<'p> {
                         n,
                     );
                 }
-                return Ok(());
+                return Ok(None);
             }
             None => {}
         }
@@ -1059,23 +1143,22 @@ impl<'p> Interp<'p> {
         if let Some(p) = obj.props.get_mut(key) {
             if p.writable {
                 p.value = value;
-                Ok(())
+                Ok(None)
             } else if strict {
                 Err(self
                     .throw(ErrorKind::Type, format!("Cannot assign to read only property '{key}'")))
             } else {
-                Ok(())
+                Ok(None)
             }
         } else if obj.extensible {
-            obj.props.insert(key, Prop::data(value));
-            Ok(())
+            Ok(Some((id, value)))
         } else if strict {
             Err(self.throw(
                 ErrorKind::Type,
                 format!("Cannot add property {key}, object is not extensible"),
             ))
         } else {
-            Ok(())
+            Ok(None)
         }
     }
 
@@ -1472,6 +1555,21 @@ impl<'p> Interp<'p> {
         Value::Obj(self.alloc(Obj::new(ObjKind::Array { elems }, Some(proto))))
     }
 
+    /// Sets array `id`'s length to `len`, holes filling new slots. Every
+    /// write that can grow an array by more than its arguments' count comes
+    /// here: `new Array(n)`, a store past the end, a `length` write and
+    /// `Object.defineProperty(a, 'length', …)`. Above [`MAX_DENSE_LEN`] it
+    /// throws `RangeError` instead.
+    pub(crate) fn resize_array(&mut self, id: ObjId, len: usize) -> Result<(), Control> {
+        if len > MAX_DENSE_LEN {
+            return Err(self.throw(ErrorKind::Range, "Invalid array length"));
+        }
+        if let ObjKind::Array { elems } = &mut self.obj_mut(id).kind {
+            elems.resize(len, None);
+        }
+        Ok(())
+    }
+
     /// Allocates a `RegExp` object, validating the pattern.
     pub(crate) fn new_regex(&mut self, pattern: &str, flags: &str) -> Result<Value, Control> {
         if comfort_regex::Flags::parse(flags).is_err() {
@@ -1517,19 +1615,17 @@ impl<'p> Interp<'p> {
                     if let Ok(p) = parse(&format!("{src};")) {
                         p
                     } else {
-                        return Err(self.throw(ErrorKind::Syntax, err.message().to_string()));
+                        return Err(self.throw(ErrorKind::Syntax, err.message()));
                     }
                 } else {
-                    return Err(self.throw(ErrorKind::Syntax, err.message().to_string()));
+                    return Err(self.throw(ErrorKind::Syntax, err.message()));
                 }
             }
         };
         // Built without `compile`: nothing reads an eval chunk's footprint,
         // so the conservative one stands in for the extraction walk.
-        let chunk = Arc::new(CompiledChunk {
-            arena: NodeArena::build(&program),
-            footprint: ApiFootprint::poisoned_all(),
-        });
+        let chunk =
+            Arc::new(CompiledChunk::new(NodeArena::build(&program), ApiFootprint::poisoned_all()));
         self.eval_depth += 1;
         // Indirect-eval semantics: declarations land in the global scope, and
         // the caller's strictness stays in force.

@@ -1,7 +1,10 @@
 //! Runtime values and heap objects.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Index of an object in the interpreter heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,6 +94,17 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
+    /// Every kind, in declaration order: `ALL[kind as usize] == kind`.
+    pub const ALL: [ErrorKind; 7] = [
+        ErrorKind::Error,
+        ErrorKind::Type,
+        ErrorKind::Range,
+        ErrorKind::Syntax,
+        ErrorKind::Reference,
+        ErrorKind::Eval,
+        ErrorKind::Uri,
+    ];
+
     /// The constructor / `name` property string.
     pub fn name(self) -> &'static str {
         match self {
@@ -310,10 +324,93 @@ impl Prop {
     }
 }
 
+/// A property or variable name.
+///
+/// It compares and hashes as the `str` it holds, so maps keyed by it are
+/// probed with a plain `&str`. Only a name computed at run time allocates:
+/// names the interpreter and the builtins make are `'static`, and a name
+/// the program spells shares its compiled chunk's interned atom.
+#[derive(Clone)]
+pub enum Key {
+    /// A name spelled in the interpreter or the builtins.
+    Static(&'static str),
+    /// An atom of a compiled chunk's arena.
+    Atom(Arc<str>),
+    /// A name computed at run time.
+    Owned(Rc<str>),
+}
+
+impl Key {
+    /// The name.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Key::Static(s) => s,
+            Key::Atom(s) => s,
+            Key::Owned(s) => s,
+        }
+    }
+}
+
+impl From<&'static str> for Key {
+    fn from(s: &'static str) -> Self {
+        Key::Static(s)
+    }
+}
+
+impl From<&Arc<str>> for Key {
+    fn from(atom: &Arc<str>) -> Self {
+        Key::Atom(Arc::clone(atom))
+    }
+}
+
+impl From<&String> for Key {
+    fn from(s: &String) -> Self {
+        Key::Owned(Rc::from(s.as_str()))
+    }
+}
+
+impl From<String> for Key {
+    fn from(s: String) -> Self {
+        Key::Owned(Rc::from(s))
+    }
+}
+
+impl AsRef<str> for Key {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_str().fmt(f)
+    }
+}
+
 /// Insertion-ordered string-keyed property map.
 #[derive(Debug, Clone, Default)]
 pub struct PropMap {
-    entries: Vec<(Rc<str>, Prop)>,
+    entries: Vec<(Key, Prop)>,
 }
 
 impl PropMap {
@@ -324,27 +421,28 @@ impl PropMap {
 
     /// Looks up a property.
     pub fn get(&self, key: &str) -> Option<&Prop> {
-        self.entries.iter().find(|(k, _)| &**k == key).map(|(_, p)| p)
+        self.entries.iter().find(|(k, _)| k.as_str() == key).map(|(_, p)| p)
     }
 
     /// Looks up a property mutably.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Prop> {
-        self.entries.iter_mut().find(|(k, _)| &**k == key).map(|(_, p)| p)
+        self.entries.iter_mut().find(|(k, _)| k.as_str() == key).map(|(_, p)| p)
     }
 
-    /// Inserts or replaces a property, preserving insertion order.
-    pub fn insert(&mut self, key: impl AsRef<str>, prop: Prop) {
-        let key = key.as_ref();
-        match self.get_mut(key) {
+    /// Inserts or replaces a property, preserving insertion order. `key`
+    /// becomes a [`Key`] only when the property is new, so a computed name
+    /// (`&String`) is copied only then.
+    pub fn insert<K: AsRef<str> + Into<Key>>(&mut self, key: K, prop: Prop) {
+        match self.get_mut(key.as_ref()) {
             Some(slot) => *slot = prop,
-            None => self.entries.push((Rc::from(key), prop)),
+            None => self.entries.push((key.into(), prop)),
         }
     }
 
     /// Removes a property; returns `true` if it existed.
     pub fn remove(&mut self, key: &str) -> bool {
         let before = self.entries.len();
-        self.entries.retain(|(k, _)| &**k != key);
+        self.entries.retain(|(k, _)| k.as_str() != key);
         self.entries.len() != before
     }
 
@@ -355,12 +453,12 @@ impl PropMap {
 
     /// Iterates `(key, prop)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Prop)> {
-        self.entries.iter().map(|(k, p)| (&**k, p))
+        self.entries.iter().map(|(k, p)| (k.as_str(), p))
     }
 
     /// Mutable iteration in insertion order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&str, &mut Prop)> {
-        self.entries.iter_mut().map(|(k, p)| (&**k, p))
+        self.entries.iter_mut().map(|(k, p)| (k.as_str(), p))
     }
 
     /// Number of own properties.

@@ -71,6 +71,14 @@ const ASSIGN_OPS: [AssignOp; 12] = [
     AssignOp::BitXor,
 ];
 
+/// Arguments a call or `new` evaluates into a stack array (see `apply_a`).
+const STACK_ARGS: usize = 4;
+
+/// The chunk's interned atom `idx`, for a name key that shares it.
+fn atom(chunk: &CompiledChunk, idx: u32) -> &Arc<str> {
+    &chunk.arena.atoms[idx as usize]
+}
+
 impl<'p> Interp<'p> {
     /// Executes the chunk's top level (hoist + statement list) in the
     /// global env.
@@ -90,9 +98,8 @@ impl<'p> Interp<'p> {
         env: EnvId,
     ) {
         for i in 0..vars.1 {
-            let atom = chunk.arena.extra[(vars.0 + i) as usize];
-            let name = chunk.arena.atom(atom);
-            if !self.envs[env.0 as usize].vars.contains_key(name) {
+            let name = atom(chunk, chunk.arena.extra[(vars.0 + i) as usize]);
+            if !self.envs[env.0 as usize].vars.contains_key(&**name) {
                 self.declare(env, name, Value::Undefined);
             }
         }
@@ -100,8 +107,7 @@ impl<'p> Interp<'p> {
             let fidx = chunk.arena.extra[(funcs.0 + i) as usize];
             let fv = self.make_function_a(chunk, fidx, env);
             let name_atom = chunk.arena.funcs[fidx as usize].name;
-            let name = chunk.arena.atom(name_atom);
-            self.declare(env, name, fv);
+            self.declare(env, atom(chunk, name_atom), fv);
         }
     }
 
@@ -146,7 +152,7 @@ impl<'p> Interp<'p> {
                         // `var x;` — hoisting already bound the name; an
                         // initializer-less redeclaration must not clobber it.
                         if !is_var {
-                            self.declare(env, chunk.arena.atom(name_atom), Value::Undefined);
+                            self.declare(env, atom(chunk, name_atom), Value::Undefined);
                         }
                         continue;
                     }
@@ -154,10 +160,10 @@ impl<'p> Interp<'p> {
                     if is_var {
                         // `var` updates the binding hoisted to the enclosing
                         // function/program scope (never creates a block-local).
-                        self.assign_var(env, chunk.arena.atom(name_atom), value)?;
+                        self.assign_var(env, atom(chunk, name_atom), value)?;
                     } else {
                         // `let`/`const` bind in the current block env.
-                        self.declare(env, chunk.arena.atom(name_atom), value);
+                        self.declare(env, atom(chunk, name_atom), value);
                     }
                 }
                 Ok(())
@@ -243,9 +249,9 @@ impl<'p> Interp<'p> {
                                 Value::Undefined
                             };
                             if tag == 2 {
-                                self.assign_var(loop_env, chunk.arena.atom(name_atom), v)?;
+                                self.assign_var(loop_env, atom(chunk, name_atom), v)?;
                             } else {
-                                self.declare(loop_env, chunk.arena.atom(name_atom), v);
+                                self.declare(loop_env, atom(chunk, name_atom), v);
                             }
                         }
                     }
@@ -290,16 +296,16 @@ impl<'p> Interp<'p> {
                 let loop_env = self.new_env(env);
                 if target >= 2 {
                     // `let`/`const` targets pre-bind in the loop env.
-                    self.declare(loop_env, chunk.arena.atom(node.c), Value::Undefined);
+                    self.declare(loop_env, atom(chunk, node.c), Value::Undefined);
                 }
                 for item in items {
                     self.charge(1)?;
                     if target <= 1 {
                         // `for (var k in …)` / bare ident writes the hoisted
                         // (or outer) binding.
-                        self.assign_var(loop_env, chunk.arena.atom(node.c), item)?;
+                        self.assign_var(loop_env, atom(chunk, node.c), item)?;
                     } else {
-                        self.declare(loop_env, chunk.arena.atom(node.c), item);
+                        self.declare(loop_env, atom(chunk, node.c), item);
                     }
                     match self.exec_stmt_a(chunk, node.b, loop_env) {
                         Ok(()) | Err(Control::Continue) => {}
@@ -333,7 +339,7 @@ impl<'p> Interp<'p> {
                     if ctag == 1 {
                         let catch_env = self.new_env(env);
                         if cparam != NONE {
-                            self.declare(catch_env, chunk.arena.atom(cparam), exc);
+                            self.declare(catch_env, atom(chunk, cparam), exc);
                         }
                         result = self.exec_list_a(chunk, (cs, cl), catch_env);
                     } else {
@@ -447,26 +453,28 @@ impl<'p> Interp<'p> {
                     let payload = chunk.arena.extra[rec + 1];
                     let value_n = chunk.arena.extra[rec + 2];
                     let key = match tag {
-                        0 | 1 => chunk.arena.atom(payload).to_string(),
-                        2 => ops::number_to_string(chunk.arena.number(payload)),
+                        0 | 1 => Key::from(atom(chunk, payload)),
+                        2 => Key::from(ops::number_to_string(chunk.arena.number(payload))),
                         _ => {
                             let v = self.eval_expr_a(chunk, payload, env)?;
-                            self.to_js_string(&v)?
+                            Key::from(self.to_js_string(&v)?)
                         }
                     };
                     let value = if value_n != NONE {
                         self.eval_expr_a(chunk, value_n, env)?
                     } else {
                         // Shorthand `{ x }` — the key is the identifier.
-                        match self.lookup(env, &key) {
+                        match self.lookup(env, key.as_str()) {
                             Some(v) => v,
                             None => {
-                                return Err(self
-                                    .throw(ErrorKind::Reference, format!("{key} is not defined")))
+                                return Err(self.throw(
+                                    ErrorKind::Reference,
+                                    format!("{} is not defined", key.as_str()),
+                                ))
                             }
                         }
                     };
-                    self.obj_mut(id).props.insert(&key, Prop::data(value));
+                    self.obj_mut(id).props.insert(key, Prop::data(value));
                 }
                 Ok(Value::Obj(id))
             }
@@ -478,7 +486,7 @@ impl<'p> Interp<'p> {
                 if name_atom != NONE {
                     if let Value::Obj(fid) = &fv {
                         let wrap = self.new_env(env);
-                        self.declare(wrap, chunk.arena.atom(name_atom), fv.clone());
+                        self.declare(wrap, atom(chunk, name_atom), fv.clone());
                         if let ObjKind::Function(data) = &self.obj(*fid).kind {
                             let new_data = FuncData { env: wrap, ..FuncData::clone(data) };
                             self.obj_mut(*fid).kind = ObjKind::Function(Rc::new(new_data));
@@ -586,21 +594,11 @@ impl<'p> Interp<'p> {
                         (f, Value::Undefined)
                     }
                 };
-                let mut argv = Vec::with_capacity(node.c as usize);
-                for i in 0..node.c {
-                    let a = chunk.arena.extra[(node.b + i) as usize];
-                    argv.push(self.eval_expr_a(chunk, a, env)?);
-                }
-                self.call_value(&func, this, &argv)
+                self.apply_a(chunk, (node.b, node.c), env, &func, Some(this))
             }
             NodeKind::New => {
                 let f = self.eval_expr_a(chunk, node.a, env)?;
-                let mut argv = Vec::with_capacity(node.c as usize);
-                for i in 0..node.c {
-                    let a = chunk.arena.extra[(node.b + i) as usize];
-                    argv.push(self.eval_expr_a(chunk, a, env)?);
-                }
-                self.construct(&f, &argv)
+                self.apply_a(chunk, (node.b, node.c), env, &f, None)
             }
             NodeKind::Member => {
                 let obj = self.eval_expr_a(chunk, node.a, env)?;
@@ -625,6 +623,41 @@ impl<'p> Interp<'p> {
                 Ok(Value::str(out))
             }
             _ => unreachable!("expression node expected, got {:?}", node.kind),
+        }
+    }
+
+    /// Evaluates the argument list `args` in order, then calls `func` with
+    /// `this`, or constructs with it when `this` is `None`. Up to
+    /// [`STACK_ARGS`] arguments live in a stack array, more in a `Vec`; the
+    /// helper stays out of line so `eval_expr_a`'s recursive frame does not
+    /// carry the array.
+    #[inline(never)]
+    fn apply_a(
+        &mut self,
+        chunk: &Arc<CompiledChunk>,
+        args: (u32, u32),
+        env: EnvId,
+        func: &Value,
+        this: Option<Value>,
+    ) -> Result<Value, Control> {
+        let (start, len) = (args.0 as usize, args.1 as usize);
+        let mut stack: [Value; STACK_ARGS] = Default::default();
+        let mut heap = Vec::new();
+        let argv = if len <= STACK_ARGS {
+            for (slot, &a) in stack.iter_mut().zip(&chunk.arena.extra[start..start + len]) {
+                *slot = self.eval_expr_a(chunk, a, env)?;
+            }
+            &stack[..len]
+        } else {
+            heap.reserve_exact(len);
+            for &a in &chunk.arena.extra[start..start + len] {
+                heap.push(self.eval_expr_a(chunk, a, env)?);
+            }
+            &heap[..]
+        };
+        match this {
+            Some(this) => self.call_value(func, this, argv),
+            None => self.construct(func, argv),
         }
     }
 
@@ -698,10 +731,10 @@ impl<'p> Interp<'p> {
     ) -> Result<(), Control> {
         let node = chunk.arena.node(n);
         match node.kind {
-            NodeKind::Ident => self.assign_var(env, chunk.arena.atom(node.a), value),
+            NodeKind::Ident => self.assign_var(env, atom(chunk, node.a), value),
             NodeKind::Member => {
                 let obj = self.eval_expr_a(chunk, node.a, env)?;
-                self.set_property(&obj, chunk.arena.atom(node.b), value)
+                self.set_property(&obj, atom(chunk, node.b), value)
             }
             NodeKind::Index => {
                 let obj = self.eval_expr_a(chunk, node.a, env)?;

@@ -312,3 +312,44 @@ fn function_and_this_table() {
         ("(function() { return this; }).call('s') + ''", "s"),
     ]);
 }
+
+/// Dense arrays spend 24 bytes a slot, so every write that could grow one
+/// to billions of slots throws `RangeError` above `1 << 20` slots instead of
+/// asking the allocator for up to 100 GB, which aborts the whole process.
+#[test]
+fn dense_array_growth_is_bounded() {
+    let growths = [
+        "var a = new Array(4294967295); print(a.length);",
+        "var a = []; a[4294967294] = 1;",
+        "var a = []; a.length = 4294967295;",
+        "var a = []; Object.defineProperty(a, 'length', { value: 4294967295 });",
+        "var a = []; Object.defineProperty(a, 'length', { value: 1e300 });",
+        "new Array(1048577);",
+        "var a = [1]; a[1048576] = 2;",
+    ];
+    for src in growths {
+        let r = run_source(src, &SpecProfile, &RunOptions::default())
+            .unwrap_or_else(|e| panic!("parse error for {src:?}: {e}"));
+        let expected = RunStatus::Threw {
+            kind: Some(comfort_interp::ErrorKind::Range),
+            message: "RangeError: Invalid array length".to_string(),
+        };
+        assert_eq!(r.status, expected, "{src}");
+    }
+    // At the cap arrays grow as before, and the error is catchable.
+    check_all(&[
+        ("new Array(1048576).length", "1048576"),
+        ("(function () { var a = []; a[1048575] = 1; return a.length; })()", "1048576"),
+        ("(function () { var a = [1, 2]; a.length = 1048576; return a[1]; })()", "2"),
+        (
+            "(function () { var a = []; Object.defineProperty(a, 'length', { value: 5 }); \
+             return a.length; })()",
+            "5",
+        ),
+        (
+            "(function () { try { new Array(4294967295); } catch (e) { \
+             return e instanceof RangeError; } })()",
+            "true",
+        ),
+    ]);
+}

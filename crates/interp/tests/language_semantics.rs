@@ -219,3 +219,39 @@ fn call_depth_limit_is_configurable() {
     let default = run_source(src, &SpecProfile, &RunOptions::default()).expect("parses");
     assert_eq!(default.output, format!("true {}\n", RunOptions::DEFAULT_MAX_CALL_DEPTH));
 }
+
+#[test]
+fn arrows_read_the_enclosing_functions_arguments() {
+    assert_eq!(
+        out("function f() { var g = () => arguments[0] + arguments.length; return g(9); } \
+             print(f(7, 8));"),
+        "9\n"
+    );
+    assert_eq!(
+        out("function f() { return (() => () => arguments[1])()(); } print(f('a', 'b'));"),
+        "b\n"
+    );
+}
+
+/// A chunk that spells no `arguments` builds no `arguments` binding. `eval`
+/// code runs in the global env, so it cannot see the binding either way:
+/// both chunks below answer alike.
+#[test]
+fn eval_code_never_sees_a_functions_arguments() {
+    let without = "function f() { return eval('typeof arguments'); }\n\
+                   function g() { return eval('argu' + 'ments'); }\n\
+                   print(f(1));\n\
+                   try { g(1); } catch (e) { print(e.name); }";
+    let program = comfort_syntax::parse(without).expect("parses");
+    assert!(!comfort_interp::compile(&program).names_arguments());
+    assert_eq!(out(without), "undefined\nReferenceError\n");
+    assert_eq!(
+        threw("function g() { return eval('argu' + 'ments'); } g(1);"),
+        ErrorKind::Reference
+    );
+
+    let with = format!("var spelled = 'arguments';\n{without}");
+    let program = comfort_syntax::parse(&with).expect("parses");
+    assert!(comfort_interp::compile(&program).names_arguments());
+    assert_eq!(out(&with), "undefined\nReferenceError\n");
+}
