@@ -212,7 +212,7 @@ pub struct RunResult {
 /// failure aborts the process where no `catch_unwind` reaches. Like
 /// `repeat`/`padStart` (`1 << 22`) and the typed arrays (`1 << 24`), an
 /// array longer than this throws `RangeError` instead.
-pub(crate) const MAX_DENSE_LEN: usize = 1 << 20;
+const MAX_DENSE_LEN: usize = 1 << 20;
 
 /// Variable tables hash with FNV-1a: keys are short identifiers, and the
 /// maps are only ever probed by key, never iterated into results. A
@@ -350,19 +350,12 @@ struct SharedNames {
     anonymous: Value,
 }
 
-impl SharedNames {
-    fn new() -> Self {
-        SharedNames {
-            errors: ErrorKind::ALL.map(|k| Value::str(k.name())),
-            anonymous: Value::str(""),
-        }
-    }
-}
-
-/// Room the per-run stacks start with: the scope-strictness and `this`
-/// stacks grow by one per call, the environment table by one per call,
-/// block and loop.
+/// Room the scope-strictness and `this` stacks start a run with; each
+/// grows by one per call.
 const FRAME_ROOM: usize = 8;
+
+/// Room the environment table starts a run with; it grows by one per call,
+/// block and loop.
 const ENV_ROOM: usize = 16;
 
 /// The pristine post-`install` world: the frozen heap snapshot, the
@@ -387,7 +380,10 @@ thread_local! {
             Heap::over(Rc::new([])),
             vec![global],
             Protos::unset(),
-            Rc::new(SharedNames::new()),
+            Rc::new(SharedNames {
+                errors: ErrorKind::ALL.map(|k| Value::str(k.name())),
+                anonymous: Value::str(""),
+            }),
         );
         crate::builtins::install(&mut interp);
         Pristine {
