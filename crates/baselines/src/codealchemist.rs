@@ -92,7 +92,7 @@ fn brick_of(stmt: &Stmt) -> Option<Brick> {
     struct Uses {
         names: BTreeSet<String>,
     }
-    impl visit::Visitor for Uses {
+    impl visit::Visitor<'_> for Uses {
         fn visit_expr(&mut self, e: &comfort_syntax::Expr) {
             if let comfort_syntax::ExprKind::Ident(n) = &e.kind {
                 self.names.insert(n.clone());

@@ -123,7 +123,7 @@ fn mutate_expr(e: &mut Expr, roll: u32) {
 
 fn count_exprs(program: &Program) -> usize {
     struct C(usize);
-    impl comfort_syntax::visit::Visitor for C {
+    impl comfort_syntax::visit::Visitor<'_> for C {
         fn visit_expr(&mut self, _: &Expr) {
             self.0 += 1;
         }

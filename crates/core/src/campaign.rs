@@ -638,12 +638,6 @@ impl Campaign {
                                 mutant: c.origin == Origin::EcmaMutation,
                             });
                         }
-                        // Remember the base program for mechanism attribution
-                        // (bounded: drop entries once the queue has drained).
-                        if self.base_programs.len() > 64 {
-                            self.base_programs.clear();
-                        }
-                        self.base_programs.insert(base_counter, base.program.clone());
                         queue.push(base);
                         queue.extend(mutants);
                     }
@@ -772,6 +766,15 @@ impl Campaign {
                 }
             }
             self.progress.case_done(self.shard as usize);
+            if case.origin == Origin::ProgramGen {
+                // The base case runs before its mutants, and only they read
+                // its program back, for mechanism attribution (bounded: drop
+                // entries once the queue has drained).
+                if self.base_programs.len() > 64 {
+                    self.base_programs.clear();
+                }
+                self.base_programs.insert(case.base, case.program);
+            }
         }
         if report.interrupted {
             // No ShardFinished / StageTiming emissions: the executor discards

@@ -12,10 +12,22 @@
 //!    flow from the argument back to the `var` that defines it;
 //! 3. also emits a few *random-value* mutants (the paper's "normal
 //!    conditions") so the pool is not boundary-only.
+//!
+//! The driven base is printed once, with the byte range of every
+//! expression. A mutant replaces one argument or initializer, or cuts or
+//! pads one argument list, so its source is the base text with that one
+//! range replaced. Mutants are printed whole only when the base's node ids
+//! are not unique, so a range cannot be trusted, or when a `var x;` gains
+//! an initializer, which has no range to replace. Either way every source
+//! equals `print_program` of its program.
 
-use comfort_ecma262::{BoundaryValue, SpecDb};
+use std::borrow::Cow;
+use std::ops::Range;
+
+use comfort_ecma262::{ApiSpec, BoundaryValue, SpecDb};
 use comfort_syntax::ast::*;
-use comfort_syntax::{print_program, Program};
+use comfort_syntax::visit::{walk_program, Visitor};
+use comfort_syntax::{print_expr, print_program, print_program_spans, ExprSpans, Program};
 use rand::Rng;
 
 use crate::testcase::{Origin, TestCase};
@@ -35,18 +47,40 @@ impl Default for DataGenConfig {
     }
 }
 
-/// One discovered API call site.
-#[derive(Debug, Clone)]
-struct CallSite {
-    /// Short API name at the call (`substr`).
-    method: String,
+/// One call site of an API the spec database knows, borrowed from the
+/// driven program.
+struct CallSite<'p, 'd> {
+    /// The API's extracted rules.
+    spec: &'d ApiSpec,
     /// Node id of the call expression.
     call_id: NodeId,
-    /// Number of arguments at the site.
-    argc: usize,
-    /// For each argument: the variable name if the argument is a simple
-    /// identifier reference (enables definition-site mutation).
-    arg_vars: Vec<Option<String>>,
+    /// The callee; the argument list's `(` follows its text.
+    callee: &'p Expr,
+    /// The arguments.
+    args: &'p [Expr],
+}
+
+impl<'p> CallSite<'p, '_> {
+    /// The variable argument `i` reads, if it is a plain identifier: its
+    /// definition is mutated instead of the argument.
+    fn arg_var(&self, i: usize) -> Option<&'p str> {
+        match &self.args.get(i)?.kind {
+            ExprKind::Ident(name) => Some(name),
+            _ => None,
+        }
+    }
+}
+
+/// A mutated copy of the base and its source.
+type Mutant = (Program, String);
+
+/// The driven base program and its text, printed once.
+struct PrintedBase<'p> {
+    program: &'p Program,
+    text: String,
+    /// Where each expression's text lies; `None` when the program's node
+    /// ids are not unique, and every mutant is then printed whole.
+    spans: Option<ExprSpans>,
 }
 
 /// The Algorithm-1 generator.
@@ -73,60 +107,57 @@ impl<'d> DataGen<'d> {
         next_id: &mut u64,
         rng: &mut R,
     ) -> Vec<TestCase> {
+        let max = self.config.max_mutants_per_program;
         let mut out = Vec::new();
         // Driver synthesis first: the program must *call* its functions and
         // print results, or nothing is observable.
-        let driven = ensure_driver(base_program, rng);
+        let driven = drive(base_program, rng);
+        let printed = PrintedBase::new(&driven);
 
-        let sites = find_call_sites(&driven);
+        let sites = find_call_sites(&driven, self.db);
         for site in &sites {
-            let Some(spec) = self.db.get_by_short_name(&site.method) else {
-                continue; // API not extracted from ECMA-262 (§3.1 limits)
-            };
             // Boundary values per parameter (Algorithm 1 line 8: mutate).
-            for (pi, param) in spec.params.iter().enumerate() {
+            for (pi, param) in site.spec.params.iter().enumerate() {
                 for value in &param.values {
-                    if out.len() >= self.config.max_mutants_per_program {
+                    if out.len() >= max {
                         return out;
                     }
-                    if let Some(mutant) = mutate_argument(&driven, site, pi, &boundary_expr(value))
+                    if let Some(mutant) = printed.mutate_argument(site, pi, || boundary_expr(value))
                     {
-                        push_case(&mut out, mutant, Origin::EcmaMutation, base, next_id);
+                        push_case(&mut out, mutant, base, next_id);
                     }
                 }
             }
             // Argument-count variants: drop the last argument / add one.
-            if out.len() >= self.config.max_mutants_per_program {
+            if out.len() >= max {
                 return out;
             }
-            if site.argc > 0 {
-                if let Some(mutant) = set_arg_count(&driven, site, site.argc - 1) {
-                    push_case(&mut out, mutant, Origin::EcmaMutation, base, next_id);
+            let argc = site.args.len();
+            if argc > 0 {
+                if let Some(mutant) = printed.set_arg_count(site, argc - 1) {
+                    push_case(&mut out, mutant, base, next_id);
                 }
             }
-            if out.len() >= self.config.max_mutants_per_program {
+            if out.len() >= max {
                 return out;
             }
-            if site.argc < spec.params.len() + 1 {
-                if let Some(mutant) = set_arg_count(&driven, site, site.argc + 1) {
-                    push_case(&mut out, mutant, Origin::EcmaMutation, base, next_id);
+            if argc < site.spec.params.len() + 1 {
+                if let Some(mutant) = printed.set_arg_count(site, argc + 1) {
+                    push_case(&mut out, mutant, base, next_id);
                 }
             }
         }
         // Random mutants ("normal conditions") on spec-known call sites.
-        let known: Vec<&CallSite> = sites
-            .iter()
-            .filter(|s| s.argc > 0 && self.db.get_by_short_name(&s.method).is_some())
-            .collect();
+        let known: Vec<&CallSite> = sites.iter().filter(|s| !s.args.is_empty()).collect();
         for _ in 0..self.config.random_mutants {
-            if known.is_empty() || out.len() >= self.config.max_mutants_per_program {
+            if known.is_empty() || out.len() >= max {
                 break;
             }
             let site = known[rng.random_range(0..known.len())];
-            let pi = rng.random_range(0..site.argc);
+            let pi = rng.random_range(0..site.args.len());
             let value = random_value_expr(rng);
-            if let Some(mutant) = mutate_argument(&driven, site, pi, &value) {
-                push_case(&mut out, mutant, Origin::EcmaMutation, base, next_id);
+            if let Some(mutant) = printed.mutate_argument(site, pi, || value) {
+                push_case(&mut out, mutant, base, next_id);
             }
         }
         out
@@ -148,19 +179,13 @@ impl<'d> DataGen<'d> {
     }
 }
 
-fn push_case(
-    out: &mut Vec<TestCase>,
-    program: Program,
-    origin: Origin,
-    base: u64,
-    next_id: &mut u64,
-) {
-    // Not re-parsed: the case runs `program`, and `tests/props.rs` checks
-    // that the printed source re-parses to it.
-    let source = print_program(&program);
+fn push_case(out: &mut Vec<TestCase>, (program, source): Mutant, base: u64, next_id: &mut u64) {
+    // Not re-parsed: the case runs `program`, `source` is its print
+    // (`tests/datagen_pin.rs`), and `tests/props.rs` checks that the source
+    // re-parses to it.
     let id = *next_id;
     *next_id += 1;
-    out.push(TestCase::new(id, source, program, origin, base));
+    out.push(TestCase::new(id, source, program, Origin::EcmaMutation, base));
 }
 
 /// Renders a boundary value as an expression.
@@ -200,149 +225,199 @@ fn random_value_expr<R: Rng>(rng: &mut R) -> Expr {
 // Call-site discovery
 // ---------------------------------------------------------------------------
 
-fn find_call_sites(program: &Program) -> Vec<CallSite> {
-    struct Finder {
-        sites: Vec<CallSite>,
+/// Every call or `new` of an API in `db`, in pre-order.
+fn find_call_sites<'p, 'd>(program: &'p Program, db: &'d SpecDb) -> Vec<CallSite<'p, 'd>> {
+    struct Finder<'p, 'd> {
+        db: &'d SpecDb,
+        sites: Vec<CallSite<'p, 'd>>,
     }
-    impl comfort_syntax::visit::Visitor for Finder {
-        fn visit_expr(&mut self, expr: &Expr) {
-            let (callee, args) = match &expr.kind {
-                ExprKind::Call { callee, args } => (callee, args),
-                ExprKind::New { callee, args } => (callee, args),
-                _ => return,
+    impl<'p> Visitor<'p> for Finder<'p, '_> {
+        fn visit_expr(&mut self, expr: &'p Expr) {
+            let (ExprKind::Call { callee, args } | ExprKind::New { callee, args }) = &expr.kind
+            else {
+                return;
             };
             let method = match &callee.kind {
-                ExprKind::Member { prop, .. } => prop.clone(),
-                ExprKind::Ident(name) => name.clone(),
+                ExprKind::Member { prop, .. } => prop,
+                ExprKind::Ident(name) => name,
                 _ => return,
             };
-            let arg_vars = args
-                .iter()
-                .map(|a| match &a.kind {
-                    ExprKind::Ident(n) => Some(n.clone()),
-                    _ => None,
-                })
-                .collect();
-            self.sites.push(CallSite { method, call_id: expr.id, argc: args.len(), arg_vars });
+            // APIs not extracted from ECMA-262 (§3.1 limits) get no mutants.
+            if let Some(spec) = self.db.get_by_short_name(method) {
+                self.sites.push(CallSite { spec, call_id: expr.id, callee, args });
+            }
         }
     }
-    let mut f = Finder { sites: Vec::new() };
-    comfort_syntax::visit::walk_program(program, &mut f);
+    let mut f = Finder { db, sites: Vec::new() };
+    walk_program(program, &mut f);
     f.sites
 }
 
 // ---------------------------------------------------------------------------
-// Mutation (clone-and-edit on the AST)
+// Mutation: clone and edit the AST, splice the printed base
 // ---------------------------------------------------------------------------
 
-/// Produces a copy of `program` where argument `arg_index` of the call site
-/// takes `value`. If the argument is a plain variable reference, its
-/// *definition* is rewritten instead (the Figure 2 pattern: `var len =
-/// undefined;`), following the program's data flow as Algorithm 1 line 8
-/// describes; otherwise the argument expression itself is replaced.
-fn mutate_argument(
-    program: &Program,
-    site: &CallSite,
-    arg_index: usize,
-    value: &Expr,
-) -> Option<Program> {
-    let mut clone = program.clone();
-    let changed = match site.arg_vars.get(arg_index).cloned().flatten() {
-        Some(var_name) => {
-            rewrite_var_init(&mut clone.body, &var_name, value)
-                || rewrite_call_arg(&mut clone.body, site.call_id, arg_index, value)
-        }
-        None => rewrite_call_arg(&mut clone.body, site.call_id, arg_index, value),
-    };
-    if !changed {
-        return None;
+impl<'p> PrintedBase<'p> {
+    fn new(program: &'p Program) -> Self {
+        let (text, spans) = print_program_spans(program);
+        PrintedBase { program, text, spans }
     }
-    clone.renumber();
-    Some(clone)
-}
 
-/// Produces a copy with the call site's argument list truncated/extended to
-/// `new_argc` (extension pads with `undefined`... no: with `0`, a neutral
-/// ordinary value, so `ArgCountAtLeast` bugs are reachable).
-fn set_arg_count(program: &Program, site: &CallSite, new_argc: usize) -> Option<Program> {
-    let mut clone = program.clone();
-    let mut changed = false;
-    visit_calls_mut(&mut clone.body, &mut |expr| {
-        if expr.id != site.call_id {
-            return;
-        }
-        if let ExprKind::Call { args, .. } | ExprKind::New { args, .. } = &mut expr.kind {
-            while args.len() > new_argc {
-                args.pop();
-            }
-            while args.len() < new_argc {
-                args.push(build::num(0.0));
-            }
-            changed = true;
-        }
-    });
-    if !changed {
-        return None;
+    /// The base text with `range` replaced by `insert`.
+    fn splice(&self, range: Range<usize>, insert: &str) -> String {
+        let mut source = String::with_capacity(self.text.len() - range.len() + insert.len());
+        source.push_str(&self.text[..range.start]);
+        source.push_str(insert);
+        source.push_str(&self.text[range.end..]);
+        source
     }
-    clone.renumber();
-    Some(clone)
-}
 
-/// Rewrites `var NAME = …;` initializers (first match wins).
-fn rewrite_var_init(body: &mut [Stmt], name: &str, value: &Expr) -> bool {
-    fn in_stmt(stmt: &mut Stmt, name: &str, value: &Expr) -> bool {
-        match &mut stmt.kind {
-            StmtKind::Decl { decls, .. } => {
-                for d in decls {
-                    if d.name == name {
-                        d.init = Some(value.clone());
-                        return true;
-                    }
+    /// A copy of the base where argument `arg_index` of the call site takes
+    /// `value`. If the argument is a plain variable reference, its
+    /// *definition* is rewritten instead (the Figure 2 pattern: `var len =
+    /// undefined;`), following the program's data flow as Algorithm 1 line 8
+    /// describes; otherwise the argument expression itself is replaced.
+    ///
+    /// With unique node ids the site is the only call with its id, so the
+    /// edit lands exactly when the argument exists; otherwise nothing is
+    /// built. The value is a literal, an identifier or `-Infinity`, all of
+    /// which bind tighter than assignment, so `print_expr` prints it as the
+    /// argument or initializer slot does.
+    fn mutate_argument(
+        &self,
+        site: &CallSite,
+        arg_index: usize,
+        value: impl FnOnce() -> Expr,
+    ) -> Option<Mutant> {
+        if self.spans.is_some() && arg_index >= site.args.len() {
+            return None;
+        }
+        let value = value();
+        let mut program = self.program.clone();
+        let replaced = site
+            .arg_var(arg_index)
+            .and_then(|name| rewrite_var_init(&mut program.body, name, &value))
+            .or_else(|| {
+                rewrite_call_arg(&mut program.body, site.call_id, arg_index, &value).map(Some)
+            })?;
+        program.renumber();
+        let range = self.spans.as_ref().zip(replaced).and_then(|(spans, id)| spans.get(id));
+        let source = match range {
+            Some(range) => self.splice(range, &print_expr(&value)),
+            None => print_program(&program),
+        };
+        Some((program, source))
+    }
+
+    /// A copy of the base with the call site's argument list cut or padded
+    /// to `new_argc`. Padding uses `0`, a neutral ordinary value, so
+    /// `ArgCountAtLeast` bugs are reachable.
+    fn set_arg_count(&self, site: &CallSite, new_argc: usize) -> Option<Mutant> {
+        let mut program = self.program.clone();
+        let mut changed = false;
+        visit_calls_mut(&mut program.body, &mut |expr| {
+            if expr.id != site.call_id {
+                return;
+            }
+            if let ExprKind::Call { args, .. } | ExprKind::New { args, .. } = &mut expr.kind {
+                while args.len() > new_argc {
+                    args.pop();
                 }
-                false
+                while args.len() < new_argc {
+                    args.push(build::num(0.0));
+                }
+                changed = true;
             }
-            StmtKind::Block(b) => b.iter_mut().any(|s| in_stmt(s, name, value)),
-            StmtKind::If { cons, alt, .. } => {
-                in_stmt(cons, name, value)
-                    || alt.as_deref_mut().is_some_and(|a| in_stmt(a, name, value))
-            }
+        });
+        if !changed {
+            return None;
+        }
+        program.renumber();
+        let source =
+            self.spliced_arg_count(site, new_argc).unwrap_or_else(|| print_program(&program));
+        Some((program, source))
+    }
+
+    /// The source of [`PrintedBase::set_arg_count`]'s mutant, spliced: the
+    /// last argument is cut together with its `, `, or `, 0` is inserted
+    /// after it. `(` comes right after the callee, so an empty or
+    /// one-argument list is edited from there.
+    fn spliced_arg_count(&self, site: &CallSite, new_argc: usize) -> Option<String> {
+        let spans = self.spans.as_ref()?;
+        let argc = site.args.len();
+        let list_start = spans.get(site.callee.id)?.end + 1;
+        let arg_end = |i: usize| spans.get(site.args[i].id).map(|r| r.end);
+        if new_argc + 1 == argc {
+            let start = if argc >= 2 { arg_end(argc - 2)? } else { list_start };
+            Some(self.splice(start..arg_end(argc - 1)?, ""))
+        } else if new_argc == argc + 1 {
+            let at = if argc > 0 { arg_end(argc - 1)? } else { list_start };
+            Some(self.splice(at..at, if argc > 0 { ", 0" } else { "0" }))
+        } else {
+            None
+        }
+    }
+}
+
+/// Rewrites the first `var NAME = …;` initializer. Returns `None` if no
+/// declarator has the name, else the id of the initializer it replaced
+/// (`None` inside for a `var NAME;`).
+fn rewrite_var_init(body: &mut [Stmt], name: &str, value: &Expr) -> Option<Option<NodeId>> {
+    fn in_stmt(stmt: &mut Stmt, name: &str, value: &Expr) -> Option<Option<NodeId>> {
+        match &mut stmt.kind {
+            StmtKind::Decl { decls, .. } => decls
+                .iter_mut()
+                .find(|d| d.name == name)
+                .map(|d| d.init.replace(value.clone()).map(|old| old.id)),
+            StmtKind::Block(b) => b.iter_mut().find_map(|s| in_stmt(s, name, value)),
+            StmtKind::If { cons, alt, .. } => in_stmt(cons, name, value)
+                .or_else(|| alt.as_deref_mut().and_then(|a| in_stmt(a, name, value))),
             StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
                 in_stmt(body, name, value)
             }
             StmtKind::For { body, .. } | StmtKind::ForInOf { body, .. } => {
                 in_stmt(body, name, value)
             }
-            StmtKind::FunctionDecl(f) => f.body.iter_mut().any(|s| in_stmt(s, name, value)),
-            StmtKind::Try { block, catch, finally } => {
-                block.iter_mut().any(|s| in_stmt(s, name, value))
-                    || catch
+            StmtKind::FunctionDecl(f) => f.body.iter_mut().find_map(|s| in_stmt(s, name, value)),
+            StmtKind::Try { block, catch, finally } => block
+                .iter_mut()
+                .find_map(|s| in_stmt(s, name, value))
+                .or_else(|| {
+                    catch
                         .as_mut()
-                        .is_some_and(|c| c.body.iter_mut().any(|s| in_stmt(s, name, value)))
-                    || finally
+                        .and_then(|c| c.body.iter_mut().find_map(|s| in_stmt(s, name, value)))
+                })
+                .or_else(|| {
+                    finally
                         .as_mut()
-                        .is_some_and(|f| f.iter_mut().any(|s| in_stmt(s, name, value)))
-            }
-            _ => false,
+                        .and_then(|f| f.iter_mut().find_map(|s| in_stmt(s, name, value)))
+                }),
+            _ => None,
         }
     }
-    body.iter_mut().any(|s| in_stmt(s, name, value))
+    body.iter_mut().find_map(|s| in_stmt(s, name, value))
 }
 
-/// Rewrites the argument expression of the call with id `call_id`.
-fn rewrite_call_arg(body: &mut [Stmt], call_id: NodeId, arg_index: usize, value: &Expr) -> bool {
-    let mut changed = false;
+/// Rewrites argument `arg_index` of the first call with id `call_id` that
+/// has one; returns the replaced argument's id.
+fn rewrite_call_arg(
+    body: &mut [Stmt],
+    call_id: NodeId,
+    arg_index: usize,
+    value: &Expr,
+) -> Option<NodeId> {
+    let mut replaced = None;
     visit_calls_mut(body, &mut |expr| {
-        if expr.id != call_id || changed {
+        if expr.id != call_id || replaced.is_some() {
             return;
         }
         if let ExprKind::Call { args, .. } | ExprKind::New { args, .. } = &mut expr.kind {
             if let Some(slot) = args.get_mut(arg_index) {
-                *slot = value.clone();
-                changed = true;
+                replaced = Some(std::mem::replace(slot, value.clone()).id);
             }
         }
     });
-    changed
+    replaced
 }
 
 /// Applies `f` to every call/new expression (mutable traversal).
@@ -489,28 +564,13 @@ fn visit_calls_mut(body: &mut [Stmt], f: &mut impl FnMut(&mut Expr)) {
 /// Figure 2 lines 5–9 pattern). Programs that already have top-level calls
 /// are returned unchanged.
 pub fn ensure_driver<R: Rng>(program: &Program, rng: &mut R) -> Program {
-    let mut clone = program.clone();
-    let funcs: Vec<(String, usize)> = clone
-        .body
-        .iter()
-        .filter_map(|s| match &s.kind {
-            StmtKind::FunctionDecl(f) => {
-                Some((f.name.clone().expect("function declarations are named"), f.params.len()))
-            }
-            StmtKind::Decl { decls, .. } => decls.iter().find_map(|d| match &d.init {
-                Some(Expr { kind: ExprKind::Function(f), .. }) => {
-                    Some((d.name.clone(), f.params.len()))
-                }
-                Some(Expr { kind: ExprKind::Arrow { func, .. }, .. }) => {
-                    Some((d.name.clone(), func.params.len()))
-                }
-                _ => None,
-            }),
-            _ => None,
-        })
-        .collect();
+    drive(program, rng).into_owned()
+}
 
-    let has_toplevel_call = clone.body.iter().any(|s| {
+/// [`ensure_driver`] without the copy when no driver is added: the program
+/// itself, borrowed.
+fn drive<'p, R: Rng>(program: &'p Program, rng: &mut R) -> Cow<'p, Program> {
+    let has_toplevel_call = program.body.iter().any(|s| {
         matches!(
             &s.kind,
             StmtKind::Expr(Expr { kind: ExprKind::Call { .. }, .. })
@@ -520,25 +580,48 @@ pub fn ensure_driver<R: Rng>(program: &Program, rng: &mut R) -> Program {
                 if decls.iter().any(|d| matches!(&d.init, Some(Expr { kind: ExprKind::Call { .. }, .. })))
         )
     });
-    if funcs.is_empty() || has_toplevel_call {
-        return clone;
+    if has_toplevel_call {
+        return Cow::Borrowed(program);
     }
+    let funcs: Vec<(&str, usize)> = program
+        .body
+        .iter()
+        .filter_map(|s| match &s.kind {
+            StmtKind::FunctionDecl(f) => {
+                Some((f.name.as_deref().expect("function declarations are named"), f.params.len()))
+            }
+            StmtKind::Decl { decls, .. } => decls.iter().find_map(|d| match &d.init {
+                Some(Expr { kind: ExprKind::Function(f), .. }) => {
+                    Some((d.name.as_str(), f.params.len()))
+                }
+                Some(Expr { kind: ExprKind::Arrow { func, .. }, .. }) => {
+                    Some((d.name.as_str(), func.params.len()))
+                }
+                _ => None,
+            }),
+            _ => None,
+        })
+        .collect();
+    if funcs.is_empty() {
+        return Cow::Borrowed(program);
+    }
+    let mut driven = program.clone();
     for (i, (name, argc)) in funcs.iter().enumerate() {
         let mut args = Vec::new();
         for j in 0..*argc {
             let pname = format!("parameter{i}_{j}");
-            clone.body.push(build::var_decl(&pname, random_value_expr(rng)));
+            driven.body.push(build::var_decl(&pname, random_value_expr(rng)));
             args.push(build::ident(&pname));
         }
         let call = build::call(build::ident(name), args);
-        clone.body.push(build::var_decl(&format!("result{i}"), call));
-        clone.body.push(build::expr_stmt(build::call(
+        driven.body.push(build::var_decl(&format!("result{i}"), call));
+        driven.body.push(build::expr_stmt(build::call(
             build::ident("print"),
             vec![build::ident(&format!("result{i}"))],
         )));
     }
-    clone.renumber();
-    clone
+    driven.renumber();
+    Cow::Owned(driven)
 }
 
 #[cfg(test)]

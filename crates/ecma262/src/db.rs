@@ -5,7 +5,7 @@
 //! probing, and the textual **conditions** extracted from the algorithm
 //! steps. The database serializes to the JSON shape shown in Figure 4(b).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The conversion type the algorithm applies to a parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,6 +159,9 @@ impl ApiSpec {
 #[derive(Debug, Clone, Default)]
 pub struct SpecDb {
     specs: BTreeMap<String, ApiSpec>,
+    /// Short method name → the lexicographically first full name that has
+    /// it (`"fill"` → `"%TypedArray%.prototype.fill"`).
+    by_short_name: HashMap<String, String>,
 }
 
 impl SpecDb {
@@ -169,6 +172,14 @@ impl SpecDb {
 
     /// Inserts a spec (replacing any previous entry of the same name).
     pub fn insert(&mut self, spec: ApiSpec) {
+        let short = spec.short_name();
+        match self.by_short_name.get_mut(short) {
+            Some(first) if *first <= spec.name => {}
+            Some(first) => first.clone_from(&spec.name),
+            None => {
+                self.by_short_name.insert(short.to_string(), spec.name.clone());
+            }
+        }
         self.specs.insert(spec.name.clone(), spec);
     }
 
@@ -181,7 +192,7 @@ impl SpecDb {
     /// generator sees call sites (Algorithm 1 line 5: `getFuncName`).
     /// Returns the first match in lexicographic order.
     pub fn get_by_short_name(&self, short: &str) -> Option<&ApiSpec> {
-        self.specs.values().find(|s| s.short_name() == short)
+        self.by_short_name.get(short).and_then(|name| self.specs.get(name))
     }
 
     /// Number of APIs in the database.
@@ -256,6 +267,58 @@ mod tests {
         assert!(db.get_by_short_name("substr").is_some());
         assert!(db.get_by_short_name("nope").is_none());
         assert_eq!(db.len(), 1);
+    }
+
+    /// The lookup the index replaced: a scan in name order.
+    fn scan<'a>(db: &'a SpecDb, short: &str) -> Option<&'a ApiSpec> {
+        db.specs.values().find(|s| s.short_name() == short)
+    }
+
+    fn assert_index_matches_scan(db: &SpecDb) {
+        for spec in db.iter() {
+            let short = spec.short_name();
+            let found = db.get_by_short_name(short).expect("every short name is indexed");
+            assert!(std::ptr::eq(found, scan(db, short).expect("listed")), "short name {short:?}");
+        }
+        assert!(db.get_by_short_name("noSuchMethod").is_none());
+    }
+
+    #[test]
+    fn short_name_index_answers_as_the_scan_does() {
+        let db = crate::spec_db();
+        assert_index_matches_scan(db);
+        // Short names that two APIs share resolve to the first full name.
+        for short in ["concat", "fill", "includes", "indexOf", "lastIndexOf", "slice"] {
+            let sharing = db.iter().filter(|s| s.short_name() == short).count();
+            assert_eq!(sharing, 2, "{short} is shared by two APIs");
+            assert_eq!(
+                db.get_by_short_name(short).map(|s| &s.name),
+                scan(db, short).map(|s| &s.name)
+            );
+        }
+        assert_eq!(
+            db.get_by_short_name("fill").map(|s| s.name.as_str()),
+            Some("%TypedArray%.prototype.fill")
+        );
+
+        // Filled in reverse name order, with one spec replaced.
+        let mut names: Vec<&str> = db.iter().map(|s| s.name.as_str()).collect();
+        names.reverse();
+        let mut reversed = SpecDb::new();
+        for name in &names {
+            reversed.insert(db.get(name).expect("listed").clone());
+        }
+        let mut replacement = db.get("%TypedArray%.prototype.fill").expect("in corpus").clone();
+        replacement.step_count += 1;
+        let replaced_steps = replacement.step_count;
+        reversed.insert(replacement);
+        assert_eq!(reversed.len(), db.len());
+        assert_index_matches_scan(&reversed);
+        let fill = reversed.get_by_short_name("fill").expect("indexed");
+        assert_eq!(
+            (fill.name.as_str(), fill.step_count),
+            ("%TypedArray%.prototype.fill", replaced_steps)
+        );
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! `Array` constructor and `Array.prototype`.
 
-use super::{arg, array_elems, def_method, set_array_elems, this_array};
+use super::{
+    arg, array_elem, array_elems, array_len, array_slots, def_method, edit_array, set_array_elems,
+    this_array,
+};
 use crate::ops;
 use crate::value::{ErrorKind, ObjKind, Value};
 use crate::{Control, Interp};
@@ -114,40 +117,32 @@ fn from(interp: &mut Interp<'_>, _this: Value, args: &[Value]) -> Result<Value, 
 
 fn push(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
-    let mut elems = array_elems(interp, id);
-    elems.extend(args.iter().cloned().map(Some));
-    let len = elems.len();
-    set_array_elems(interp, id, elems);
+    let len = edit_array(interp, id, |elems| {
+        elems.extend(args.iter().cloned().map(Some));
+        elems.len()
+    });
     Ok(Value::Number(len as f64))
 }
 
 fn pop(interp: &mut Interp<'_>, this: Value, _args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
-    let mut elems = array_elems(interp, id);
-    let out = elems.pop().flatten().unwrap_or(Value::Undefined);
-    set_array_elems(interp, id, elems);
-    Ok(out)
+    Ok(edit_array(interp, id, |elems| elems.pop().flatten()).unwrap_or(Value::Undefined))
 }
 
 fn shift(interp: &mut Interp<'_>, this: Value, _args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
-    let mut elems = array_elems(interp, id);
-    if elems.is_empty() {
+    if array_len(interp, id) == 0 {
         return Ok(Value::Undefined);
     }
-    let out = elems.remove(0).unwrap_or(Value::Undefined);
-    set_array_elems(interp, id, elems);
-    Ok(out)
+    Ok(edit_array(interp, id, |elems| elems.remove(0)).unwrap_or(Value::Undefined))
 }
 
 fn unshift(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
-    let mut elems = array_elems(interp, id);
-    for (i, a) in args.iter().enumerate() {
-        elems.insert(i, Some(a.clone()));
-    }
-    let len = elems.len();
-    set_array_elems(interp, id, elems);
+    let len = edit_array(interp, id, |elems| {
+        elems.splice(0..0, args.iter().cloned().map(Some));
+        elems.len()
+    });
     Ok(Value::Number(len as f64))
 }
 
@@ -163,6 +158,8 @@ fn rel_index(len: usize, n: f64) -> usize {
 
 fn slice(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
+    // A snapshot: converting an argument may run `valueOf`, which sees the
+    // array before the call.
     let elems = array_elems(interp, id);
     let len = elems.len();
     let start = match arg(args, 0) {
@@ -179,6 +176,7 @@ fn slice(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, 
 
 fn splice(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
+    // A snapshot, written back whole after the arguments are converted.
     let mut elems = array_elems(interp, id);
     let len = elems.len();
     let start = match arg(args, 0) {
@@ -204,7 +202,7 @@ fn concat(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value,
     for a in args {
         match a {
             Value::Obj(aid) if matches!(interp.obj(*aid).kind, ObjKind::Array { .. }) => {
-                out.extend(array_elems(interp, *aid));
+                out.extend_from_slice(array_slots(interp, *aid));
             }
             other => out.push(Some(other.clone())),
         }
@@ -235,9 +233,7 @@ fn to_string(interp: &mut Interp<'_>, this: Value, _args: &[Value]) -> Result<Va
 
 fn reverse(interp: &mut Interp<'_>, this: Value, _args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
-    let mut elems = array_elems(interp, id);
-    elems.reverse();
-    set_array_elems(interp, id, elems);
+    edit_array(interp, id, |elems| elems.reverse());
     Ok(this)
 }
 
@@ -262,8 +258,7 @@ fn index_of(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Valu
 fn last_index_of(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
     let needle = arg(args, 0);
-    let elems = array_elems(interp, id);
-    for (i, e) in elems.iter().enumerate().rev() {
+    for (i, e) in array_slots(interp, id).iter().enumerate().rev() {
         if let Some(v) = e {
             if v.strict_eq(&needle) {
                 return Ok(Value::Number(i as f64));
@@ -277,7 +272,7 @@ fn includes(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Valu
     let id = this_array(interp, &this)?;
     let needle = arg(args, 0);
     let nan_needle = matches!(needle, Value::Number(n) if n.is_nan());
-    let found = array_elems(interp, id).iter().any(|e| match e {
+    let found = array_slots(interp, id).iter().any(|e| match e {
         Some(v) => {
             v.strict_eq(&needle) || (nan_needle && matches!(v, Value::Number(n) if n.is_nan()))
         }
@@ -287,7 +282,9 @@ fn includes(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Valu
     Ok(Value::Bool(found))
 }
 
-/// Iterates with a callback `(elem, index, array)`.
+/// Iterates with a callback `(elem, index, array)`. The length is read
+/// once and each element when its turn comes, so the callback sees (and
+/// makes) live changes: a slot it removed is skipped.
 fn each<F>(
     interp: &mut Interp<'_>,
     this: &Value,
@@ -298,11 +295,9 @@ where
     F: FnMut(&mut Interp<'_>, usize, &Value, Value) -> Result<Option<Value>, Control>,
 {
     let id = this_array(interp, this)?;
-    let len = array_elems(interp, id).len();
-    for i in 0..len {
-        let elem = match array_elems(interp, id).get(i).cloned().flatten() {
-            Some(v) => v,
-            None => continue, // skip holes, per spec
+    for i in 0..array_len(interp, id) {
+        let Some(elem) = array_elem(interp, id, i) else {
+            continue; // skip holes, per spec
         };
         let r = interp.call_value(
             callback,
@@ -343,14 +338,16 @@ fn filter(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value,
     Ok(interp.new_array(kept))
 }
 
+/// Reads the array live, as [`each`] does; a removed slot stays a hole in
+/// the result.
 #[allow(clippy::needless_range_loop)] // hole-preserving positional writes
 fn map(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, Control> {
     let id = this_array(interp, &this)?;
     let cb = arg(args, 0);
-    let len = array_elems(interp, id).len();
+    let len = array_len(interp, id);
     let mut out = vec![None; len];
     for i in 0..len {
-        if let Some(elem) = array_elems(interp, id).get(i).cloned().flatten() {
+        if let Some(elem) = array_elem(interp, id, i) {
             let r = interp.call_value(
                 &cb,
                 Value::Undefined,
@@ -505,18 +502,13 @@ fn flat(interp: &mut Interp<'_>, this: Value, args: &[Value]) -> Result<Value, C
                 Value::Obj(id)
                     if depth >= 1.0 && matches!(interp.obj(*id).kind, ObjKind::Array { .. }) =>
                 {
-                    let inner = match &interp.obj(*id).kind {
-                        ObjKind::Array { elems } => elems.clone(),
-                        _ => unreachable!("matched array above"),
-                    };
-                    go(interp, &inner, depth - 1.0, out);
+                    go(interp, array_slots(interp, *id), depth - 1.0, out);
                 }
                 v => out.push(Some(v.clone())),
             }
         }
     }
-    let elems = array_elems(interp, id);
     let mut out = Vec::new();
-    go(interp, &elems, depth, &mut out);
+    go(interp, array_slots(interp, id), depth, &mut out);
     Ok(interp.new_array(out))
 }

@@ -132,12 +132,44 @@ pub(crate) fn this_array(interp: &mut Interp<'_>, this: &Value) -> Result<ObjId,
     Err(interp.throw(ErrorKind::Type, "Array.prototype method called on non-array"))
 }
 
-/// Clones the element slots of an array object.
-pub(crate) fn array_elems(interp: &Interp<'_>, id: ObjId) -> Vec<Option<Value>> {
+/// The element slots of an array object, borrowed (empty for any other
+/// object).
+pub(crate) fn array_slots<'a>(interp: &'a Interp<'_>, id: ObjId) -> &'a [Option<Value>] {
     match &interp.obj(id).kind {
-        ObjKind::Array { elems } => elems.clone(),
-        _ => Vec::new(),
+        ObjKind::Array { elems } => elems,
+        _ => &[],
     }
+}
+
+/// The length of an array object.
+pub(crate) fn array_len(interp: &Interp<'_>, id: ObjId) -> usize {
+    array_slots(interp, id).len()
+}
+
+/// Element `i` of an array object; `None` for a hole or past the end.
+pub(crate) fn array_elem(interp: &Interp<'_>, id: ObjId, i: usize) -> Option<Value> {
+    array_slots(interp, id).get(i).cloned().flatten()
+}
+
+/// Runs `f` on the element slots of an array object in place. The write
+/// goes through `obj_mut`, so an object of the shared builtin snapshot is
+/// copied first; for any other object `f` edits an empty scratch vector.
+pub(crate) fn edit_array<T>(
+    interp: &mut Interp<'_>,
+    id: ObjId,
+    f: impl FnOnce(&mut Vec<Option<Value>>) -> T,
+) -> T {
+    match &mut interp.obj_mut(id).kind {
+        ObjKind::Array { elems } => f(elems),
+        _ => f(&mut Vec::new()),
+    }
+}
+
+/// Clones the element slots of an array object: the snapshot a builtin
+/// works on when a callback or a conversion could change the array
+/// meanwhile.
+pub(crate) fn array_elems(interp: &Interp<'_>, id: ObjId) -> Vec<Option<Value>> {
+    array_slots(interp, id).to_vec()
 }
 
 /// Replaces the element slots of an array object.

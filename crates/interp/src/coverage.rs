@@ -28,7 +28,7 @@ impl Universe {
         struct Scan {
             u: Universe,
         }
-        impl Visitor for Scan {
+        impl Visitor<'_> for Scan {
             fn visit_stmt(&mut self, stmt: &Stmt) {
                 match &stmt.kind {
                     // Blocks and empty statements are structure, not

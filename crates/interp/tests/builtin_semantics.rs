@@ -353,3 +353,60 @@ fn dense_array_growth_is_bounded() {
         ),
     ]);
 }
+
+/// `forEach`, `map` and `filter` read the array live: the length is fixed
+/// when the call starts, each element is read when its turn comes, and a
+/// slot the callback removed is skipped (a hole in `map`'s result).
+#[test]
+fn array_callbacks_that_grow_or_shrink_their_array() {
+    check_all(&[
+        (
+            "(function () { var a = [1, 2, 3]; var seen = []; a.forEach(function (x, i) { \
+             seen.push(x + ':' + i); if (a.length < 6) { a.push(x * 10); } }); \
+             return seen.join() + '|' + a.join(); })()",
+            "1:0,2:1,3:2|1,2,3,10,20,30",
+        ),
+        (
+            "(function () { var a = [1, 2, 3, 4]; var seen = []; a.forEach(function (x, i) { \
+             seen.push(x + ':' + i); a.pop(); }); return seen.join() + '|' + a.join(); })()",
+            "1:0,2:1|1,2",
+        ),
+        (
+            "(function () { var a = [1, 2, 3, 4]; var seen = []; a.forEach(function (x, i) { \
+             seen.push(x + ':' + i); a.length = 1; }); return seen.join() + '|' + a.join(); })()",
+            "1:0|1",
+        ),
+        (
+            "(function () { var a = [1, 2, 3]; var r = a.map(function (x) { a.push(x); \
+             return x * 2; }); return r.join() + '|' + r.length + '|' + a.join(); })()",
+            "2,4,6|3|1,2,3,1,2,3",
+        ),
+        (
+            "(function () { var a = [1, 2, 3, 4]; var r = a.map(function (x) { a.pop(); \
+             return x * 2; }); return r.join() + '|' + r.length + '|' + a.join(); })()",
+            "2,4,,|4|1,2",
+        ),
+        (
+            "(function () { var a = [1, 2, 3, 4]; var r = a.map(function (x, i) { \
+             if (i === 1) { a.length = 2; } return x + i; }); \
+             return r.join() + '|' + r.length + '|' + a.join(); })()",
+            "1,3,,|4|1,2",
+        ),
+        (
+            "(function () { var a = [1, 2, 3]; var r = a.filter(function (x) { a.push(x + 3); \
+             return x % 2 === 1; }); return r.join() + '|' + a.join(); })()",
+            "1,3|1,2,3,4,5,6",
+        ),
+        (
+            "(function () { var a = [1, 2, 3, 4, 5]; var r = a.filter(function (x) { a.pop(); \
+             return true; }); return r.join() + '|' + a.join(); })()",
+            "1,2,3|1,2",
+        ),
+        (
+            "(function () { var a = [5, 6, 7, 8]; var r = a.filter(function (x, i) { \
+             a.length = 3 - i; return x > 5; }); \
+             return r.join() + '|' + r.length + '|' + a.join(); })()",
+            "6|1|5,6",
+        ),
+    ]);
+}

@@ -36,7 +36,7 @@ pub use ast::{Expr, ExprKind, Program, Stmt, StmtKind};
 pub use error::SyntaxError;
 pub use fnv::{FnvBuildHasher, FnvHasher};
 pub use parser::parse;
-pub use printer::{print_expr, print_program, print_stmt};
+pub use printer::{print_expr, print_program, print_program_spans, print_stmt, ExprSpans};
 
 /// Statically checks `src` for syntax errors (the JSHint stand-in, §4.3).
 ///
@@ -306,7 +306,7 @@ print(name);
         let prog = p("var x = 1 + 2; function f(a) { return a * x; } print(f(3));");
         let mut seen = std::collections::HashSet::new();
         struct Ids<'a>(&'a mut std::collections::HashSet<u32>);
-        impl visit::Visitor for Ids<'_> {
+        impl visit::Visitor<'_> for Ids<'_> {
             fn visit_stmt(&mut self, s: &Stmt) {
                 assert!(self.0.insert(s.id.0), "duplicate id {}", s.id);
             }
@@ -329,7 +329,7 @@ print(name);
         prog.renumber();
         let mut max = 0;
         struct Max<'a>(&'a mut u32);
-        impl visit::Visitor for Max<'_> {
+        impl visit::Visitor<'_> for Max<'_> {
             fn visit_stmt(&mut self, s: &Stmt) {
                 assert_ne!(s.id, NodeId::DUMMY);
                 *self.0 = (*self.0).max(s.id.0);

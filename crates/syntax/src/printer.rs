@@ -4,36 +4,88 @@
 //! may be absent) still print to source that re-parses to the same structure.
 //! This property is checked by the round-trip property tests in
 //! `tests/roundtrip.rs`.
+//!
+//! [`print_program_spans`] prints the same text and also records where
+//! every expression's text lies in it, so a caller that replaces one
+//! expression can splice the new text in instead of printing again.
+
+use std::ops::Range;
 
 use crate::ast::*;
 
 /// Prints a whole program (one top-level statement per line).
 pub fn print_program(program: &Program) -> String {
-    let mut p = Printer::new();
-    for (i, stmt) in program.body.iter().enumerate() {
-        if i > 0 {
-            p.out.push('\n');
-        }
-        p.stmt(stmt);
-    }
-    if !p.out.is_empty() {
-        p.out.push('\n');
-    }
+    let mut p = Printer::new(());
+    p.program(program);
     p.out
+}
+
+/// Prints a program exactly as [`print_program`] does and returns, beside
+/// the text, the byte range of every expression's text in it.
+///
+/// The ranges are `None` unless every expression id is unique and below
+/// [`Program::node_count`], as [`Program::renumber`] leaves them: only then
+/// does an id name one range.
+pub fn print_program_spans(program: &Program) -> (String, Option<ExprSpans>) {
+    let spans = ExprSpans { ranges: vec![None; program.node_count as usize], exact: true };
+    let mut p = Printer::new(spans);
+    p.program(program);
+    let spans = p.spans.exact.then_some(p.spans);
+    (p.out, spans)
 }
 
 /// Prints a single statement.
 pub fn print_stmt(stmt: &Stmt) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer::new(());
     p.stmt(stmt);
     p.out
 }
 
 /// Prints a single expression.
 pub fn print_expr(expr: &Expr) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer::new(());
     p.expr(expr, 0);
     p.out
+}
+
+/// Where each expression's text lies in a printed program, by [`NodeId`].
+///
+/// A range includes any parentheses the printer added around the
+/// expression for its context: for precedence, around a number receiver
+/// (`(1).x`), around an arrow's object-literal body, or around a statement
+/// that would otherwise start with `{` or `function`.
+#[derive(Debug, Clone)]
+pub struct ExprSpans {
+    ranges: Vec<Option<(usize, usize)>>,
+    exact: bool,
+}
+
+impl ExprSpans {
+    /// The byte range of expression `id`'s text; `None` if `id` is not an
+    /// expression of the printed program.
+    pub fn get(&self, id: NodeId) -> Option<Range<usize>> {
+        let (start, end) = (*self.ranges.get(id.0 as usize)?)?;
+        Some(start..end)
+    }
+}
+
+/// Where the printer reports each expression's range; `()` ignores them.
+trait SpanSink {
+    fn record(&mut self, id: NodeId, start: usize, end: usize);
+}
+
+impl SpanSink for () {
+    #[inline(always)]
+    fn record(&mut self, _id: NodeId, _start: usize, _end: usize) {}
+}
+
+impl SpanSink for ExprSpans {
+    fn record(&mut self, id: NodeId, start: usize, end: usize) {
+        match self.ranges.get_mut(id.0 as usize) {
+            Some(slot @ None) => *slot = Some((start, end)),
+            _ => self.exact = false,
+        }
+    }
 }
 
 /// Formats an `f64` the way JavaScript's `ToString(Number)` does for the
@@ -77,14 +129,27 @@ pub fn quote_string(s: &str) -> String {
     out
 }
 
-struct Printer {
+struct Printer<S: SpanSink> {
     out: String,
     indent: usize,
+    spans: S,
 }
 
-impl Printer {
-    fn new() -> Self {
-        Printer { out: String::new(), indent: 0 }
+impl<S: SpanSink> Printer<S> {
+    fn new(spans: S) -> Self {
+        Printer { out: String::new(), indent: 0, spans }
+    }
+
+    fn program(&mut self, program: &Program) {
+        for (i, stmt) in program.body.iter().enumerate() {
+            if i > 0 {
+                self.out.push('\n');
+            }
+            self.stmt(stmt);
+        }
+        if !self.out.is_empty() {
+            self.out.push('\n');
+        }
     }
 
     fn push(&mut self, s: &str) {
@@ -126,14 +191,8 @@ impl Printer {
     fn stmt(&mut self, stmt: &Stmt) {
         match &stmt.kind {
             StmtKind::Expr(e) => {
-                if leading_is_ambiguous(e) {
-                    self.push("(");
-                    self.expr(e, 0);
-                    self.push(");");
-                } else {
-                    self.expr(e, 0);
-                    self.push(";");
-                }
+                self.expr_in(e, leading_is_ambiguous(e));
+                self.push(";");
             }
             StmtKind::Directive(d) => {
                 self.push(&quote_string(d));
@@ -317,14 +376,21 @@ impl Printer {
 
     /// Prints `expr`, parenthesizing if its precedence is below `min`.
     fn expr(&mut self, expr: &Expr, min: u8) {
-        let p = precedence(expr);
-        if p < min {
+        self.expr_in(expr, precedence(expr) < min);
+    }
+
+    /// Prints `expr`, in parentheses if `parens`, and records its range
+    /// with them.
+    fn expr_in(&mut self, expr: &Expr, parens: bool) {
+        let start = self.out.len();
+        if parens {
             self.push("(");
             self.expr_inner(expr);
             self.push(")");
         } else {
             self.expr_inner(expr);
         }
+        self.spans.record(expr.id, start, self.out.len());
     }
 
     fn expr_inner(&mut self, expr: &Expr) {
@@ -395,9 +461,7 @@ impl Printer {
                     Some(e) => {
                         // An object literal body would parse as a block.
                         if matches!(e.kind, ExprKind::Object(_)) {
-                            self.push("(");
-                            self.expr(e, 0);
-                            self.push(")");
+                            self.expr_in(e, true);
                         } else {
                             self.expr(e, prec::ASSIGN);
                         }
@@ -538,9 +602,7 @@ impl Printer {
     fn member_object(&mut self, object: &Expr) {
         // `42.x` is invalid; number receivers need parens.
         if matches!(object.kind, ExprKind::Lit(Lit::Number(_))) {
-            self.push("(");
-            self.expr_inner(object);
-            self.push(")");
+            self.expr_in(object, true);
         } else {
             self.expr(object, prec::CALL);
         }

@@ -8,25 +8,26 @@ use crate::ast::*;
 /// Visitor over statements, expressions, and functions.
 ///
 /// Override the hooks you need; each hook is called *before* the walker
-/// descends into the node's children.
-pub trait Visitor {
+/// descends into the node's children. Every node lives as long as the
+/// walked program (`'ast`), so a visitor may keep references to them.
+pub trait Visitor<'ast> {
     /// Called for every statement.
-    fn visit_stmt(&mut self, _stmt: &Stmt) {}
+    fn visit_stmt(&mut self, _stmt: &'ast Stmt) {}
     /// Called for every expression.
-    fn visit_expr(&mut self, _expr: &Expr) {}
+    fn visit_expr(&mut self, _expr: &'ast Expr) {}
     /// Called for every function (declaration, expression, or arrow).
-    fn visit_function(&mut self, _func: &Function) {}
+    fn visit_function(&mut self, _func: &'ast Function) {}
 }
 
 /// Walks an entire program.
-pub fn walk_program<V: Visitor>(program: &Program, v: &mut V) {
+pub fn walk_program<'ast, V: Visitor<'ast>>(program: &'ast Program, v: &mut V) {
     for stmt in &program.body {
         walk_stmt(stmt, v);
     }
 }
 
 /// Walks a statement and its children.
-pub fn walk_stmt<V: Visitor>(stmt: &Stmt, v: &mut V) {
+pub fn walk_stmt<'ast, V: Visitor<'ast>>(stmt: &'ast Stmt, v: &mut V) {
     v.visit_stmt(stmt);
     match &stmt.kind {
         StmtKind::Expr(e) | StmtKind::Throw(e) => walk_expr(e, v),
@@ -106,13 +107,13 @@ pub fn walk_stmt<V: Visitor>(stmt: &Stmt, v: &mut V) {
 }
 
 /// Walks a function: its body statements.
-pub fn walk_function<V: Visitor>(func: &Function, v: &mut V) {
+pub fn walk_function<'ast, V: Visitor<'ast>>(func: &'ast Function, v: &mut V) {
     v.visit_function(func);
     func.body.iter().for_each(|s| walk_stmt(s, v));
 }
 
 /// Walks an expression and its children.
-pub fn walk_expr<V: Visitor>(expr: &Expr, v: &mut V) {
+pub fn walk_expr<'ast, V: Visitor<'ast>>(expr: &'ast Expr, v: &mut V) {
     v.visit_expr(expr);
     match &expr.kind {
         ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
@@ -173,7 +174,7 @@ pub fn called_api_names(program: &Program) -> Vec<String> {
     struct Collector {
         names: Vec<String>,
     }
-    impl Visitor for Collector {
+    impl Visitor<'_> for Collector {
         fn visit_expr(&mut self, expr: &Expr) {
             if let ExprKind::Call { callee, .. } = &expr.kind {
                 match &callee.kind {
@@ -194,7 +195,7 @@ pub fn count_nodes(program: &Program) -> usize {
     struct Counter {
         n: usize,
     }
-    impl Visitor for Counter {
+    impl Visitor<'_> for Counter {
         fn visit_stmt(&mut self, _: &Stmt) {
             self.n += 1;
         }

@@ -7,9 +7,31 @@
 mod strip;
 
 use comfort_syntax::ast::*;
-use comfort_syntax::{parse, print_stmt};
+use comfort_syntax::visit::{walk_program, Visitor};
+use comfort_syntax::{parse, print_program, print_program_spans, print_stmt};
 use proptest::prelude::*;
 use strip::strip_program;
+
+/// Every expression of a program, in pre-order.
+fn expressions(program: &Program) -> Vec<&Expr> {
+    struct All<'p>(Vec<&'p Expr>);
+    impl<'p> Visitor<'p> for All<'p> {
+        fn visit_expr(&mut self, e: &'p Expr) {
+            self.0.push(e);
+        }
+    }
+    let mut all = All(Vec::new());
+    walk_program(program, &mut all);
+    all.0
+}
+
+/// `var probe = <e>;` with its ids, spans and parentheses stripped.
+fn probe_structure(e: Expr) -> String {
+    format!(
+        "{:?}",
+        strip_program(&Program { body: vec![build::var_decl("probe", e)], ..Program::new() })
+    )
+}
 
 fn leaf() -> impl Strategy<Value = Expr> {
     prop_oneof![
@@ -119,4 +141,81 @@ proptest! {
             printed
         );
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `print_program_spans` prints what `print_program` prints, and each
+    /// expression's range holds that expression: re-parsed, it has the
+    /// same structure, and replacing an argument or an initializer in the
+    /// tree prints as replacing its range in the text.
+    #[test]
+    fn spans_locate_every_expression(e in expr_strategy(), f in expr_strategy()) {
+        let call = build::call(build::ident("print"), vec![e.clone(), f.clone()]);
+        let mut program = Program {
+            body: vec![build::var_decl("probe", e), build::expr_stmt(call), build::expr_stmt(f)],
+            ..Program::new()
+        };
+        program.renumber();
+        let (text, spans) = print_program_spans(&program);
+        prop_assert_eq!(&text, &print_program(&program));
+        let spans = spans.expect("renumbered ids are unique");
+        for expr in expressions(&program) {
+            let snippet = &text[spans.get(expr.id).expect("every expression has a range")];
+            let reparsed = parse(&format!("var probe = ({snippet});"))
+                .unwrap_or_else(|err| panic!("{snippet:?} does not parse: {err}"));
+            prop_assert_eq!(
+                format!("{:?}", strip_program(&reparsed)),
+                probe_structure(expr.clone()),
+                "range text {:?} in\n{}",
+                snippet,
+                text
+            );
+        }
+
+        let zero = build::num(0.0);
+        let StmtKind::Decl { decls, .. } = &program.body[0].kind else { unreachable!() };
+        let StmtKind::Expr(Expr { kind: ExprKind::Call { callee, args }, .. }) =
+            &program.body[1].kind
+        else {
+            unreachable!()
+        };
+        prop_assert_eq!(text.as_bytes()[spans.get(callee.id).expect("printed").end], b'(');
+        let slots = [decls[0].init.as_ref().expect("initialized").id, args[0].id, args[1].id];
+        for (slot, id) in slots.into_iter().enumerate() {
+            let mut edited = program.clone();
+            match (slot, &mut edited.body[..]) {
+                (0, [Stmt { kind: StmtKind::Decl { decls, .. }, .. }, ..]) => {
+                    decls[0].init = Some(zero.clone());
+                }
+                (i, [_, Stmt { kind: StmtKind::Expr(call), .. }, ..]) => {
+                    let ExprKind::Call { args, .. } = &mut call.kind else { unreachable!() };
+                    args[i - 1] = zero.clone();
+                }
+                _ => unreachable!(),
+            }
+            let range = spans.get(id).expect("printed");
+            let spliced = format!("{}0{}", &text[..range.start], &text[range.end..]);
+            prop_assert_eq!(spliced, print_program(&edited));
+        }
+    }
+}
+
+#[test]
+fn spans_are_withheld_when_ids_repeat() {
+    let mut program = parse("print(\"a\".slice(1));\nprint(\"b\".slice(2));\n").expect("parses");
+    assert!(print_program_spans(&program).1.is_some());
+    let first = expressions(&program)[0].id;
+    if let StmtKind::Expr(e) = &mut program.body[1].kind {
+        e.id = first;
+    }
+    let (text, spans) = print_program_spans(&program);
+    assert_eq!(text, print_program(&program));
+    assert!(spans.is_none(), "a repeated id names two ranges");
+    let synthesized = Program {
+        body: vec![build::expr_stmt(build::call(build::ident("f"), vec![build::num(1.0)]))],
+        ..Program::new()
+    };
+    assert!(print_program_spans(&synthesized).1.is_none(), "NodeId::DUMMY is past node_count");
 }

@@ -31,6 +31,17 @@ const MEAN_BUDGET: f64 = 60.0;
 /// The most allocator calls a run of the empty program may make.
 const EMPTY_BUDGET: u64 = 4;
 
+/// The most allocator calls a run of each [`ARRAY_LOOPS`] program may make.
+const ARRAY_LOOP_BUDGET: u64 = 100;
+
+/// Array builtins called 2,000 times on one array or over 2,000 elements:
+/// a builtin that copied the element vector per call or per element would
+/// spend thousands of allocations here.
+const ARRAY_LOOPS: [&str; 2] = [
+    "var a = [];\nfor (var i = 0; i < 2000; i++) {\n  a.push(i);\n}\nprint(a.length);\n",
+    "var a = new Array(2000).fill(1);\nvar b = a.map(Math.abs);\nprint(b.length, b[1999]);\n",
+];
+
 /// The fuel budget of every run (the golden file's full-run budget).
 const FUEL: u64 = 300_000;
 
@@ -131,4 +142,21 @@ fn the_empty_program_stays_within_its_allocation_budget() {
         counts.iter().all(|&n| n <= EMPTY_BUDGET),
         "empty-program runs allocate {counts:?}, budget {EMPTY_BUDGET}"
     );
+}
+
+#[test]
+fn array_loops_stay_within_their_allocation_budget() {
+    let counts: Vec<Vec<u64>> = ARRAY_LOOPS
+        .iter()
+        .map(|src| per_run_allocations(&[compile(&parse(src).expect("parses"))]))
+        .collect();
+    for (src, counts) in ARRAY_LOOPS.iter().zip(&counts) {
+        eprintln!("{src:?}: {counts:?} allocations per run");
+    }
+    for (src, counts) in ARRAY_LOOPS.iter().zip(&counts) {
+        assert!(
+            counts.iter().all(|&n| n <= ARRAY_LOOP_BUDGET),
+            "{src:?} allocates {counts:?} per run, budget {ARRAY_LOOP_BUDGET}"
+        );
+    }
 }
