@@ -172,13 +172,12 @@ impl SpecDb {
 
     /// Inserts a spec (replacing any previous entry of the same name).
     pub fn insert(&mut self, spec: ApiSpec) {
-        let short = spec.short_name();
-        match self.by_short_name.get_mut(short) {
-            Some(first) if *first <= spec.name => {}
-            Some(first) => first.clone_from(&spec.name),
-            None => {
-                self.by_short_name.insert(short.to_string(), spec.name.clone());
-            }
+        let first = self
+            .by_short_name
+            .entry(spec.short_name().to_string())
+            .or_insert_with(|| spec.name.clone());
+        if spec.name < *first {
+            first.clone_from(&spec.name);
         }
         self.specs.insert(spec.name.clone(), spec);
     }
