@@ -383,6 +383,36 @@ impl Judgement {
     }
 }
 
+/// Appends to `out` each leaf where `parent` and `change` differ, as
+/// `path parent → change` (`references[2].physical_runs 19923 → 7402`); a
+/// leaf one side lacks shows as `absent`.
+fn differences(path: String, parent: &JsonValue, change: &JsonValue, out: &mut Vec<String>) {
+    let mut leaf = |path: String, p: Option<&JsonValue>, c: Option<&JsonValue>| match (p, c) {
+        (Some(p), Some(c)) => differences(path, p, c, out),
+        _ => {
+            let shown = |v: Option<&JsonValue>| v.map_or("absent".into(), JsonValue::to_json);
+            out.push(format!("{path} {} → {}", shown(p), shown(c)));
+        }
+    };
+    match (parent, change) {
+        (JsonValue::Object(p), JsonValue::Object(c)) => {
+            for key in p.keys().chain(c.keys().filter(|key| !p.contains_key(*key))) {
+                let sub = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+                leaf(sub, p.get(key), c.get(key));
+            }
+        }
+        (JsonValue::Array(p), JsonValue::Array(c)) => {
+            for k in 0..p.len().max(c.len()) {
+                leaf(format!("{path}[{k}]"), p.get(k), c.get(k));
+            }
+        }
+        _ if parent != change => {
+            out.push(format!("{path} {} → {}", parent.to_json(), change.to_json()));
+        }
+        _ => {}
+    }
+}
+
 /// Judges a record against the benchmark's metrics and bounds.
 ///
 /// Fails when a workload of the benchmark is missing, when a side printed
@@ -466,7 +496,11 @@ pub fn gate(record: &Record, bench: &Benchmark) -> Judgement {
             failures.push(format!("{name}: failed operations rose from {pf}/{pa} to {cf}/{ca}"));
         }
         let counts_agree = w.parent.counts.len() == 1 && w.parent.counts == w.change.counts;
-        if !counts_agree {
+        if let ([parent], [change]) = (&w.parent.counts[..], &w.change.counts[..]) {
+            let mut fields = Vec::new();
+            differences(String::new(), parent, change, &mut fields);
+            failures.extend(fields.into_iter().map(|field| format!("{name}: {field}")));
+        } else if !counts_agree {
             failures.push(format!(
                 "{name}: references/count_only differ (parent printed {} distinct, change {})",
                 w.parent.counts.len(),

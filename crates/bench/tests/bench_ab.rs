@@ -194,7 +194,8 @@ fn a_rise_in_the_failed_share_fails() {
 fn differing_reference_counts_fail() {
     let bench = Benchmark::parse(BENCHMARK).expect("parses");
     let j = gate(&record(side(&ramp(1.0), 0, "c1"), side(&ramp(1.0), 0, "c2"), None), &bench);
-    assert!(j.failures.iter().any(|f| f.contains("references/count_only differ")));
+    assert!(!j.passed());
+    assert!(j.table.contains("references/count_only DIFFER"), "{}", j.table);
     // A tree whose runs disagree among themselves fails too.
     let mut outputs: Vec<Output> =
         ramp(1.0).iter().map(|&v| Output::parse(&stdout(v, 0, "c1")).expect("parses")).collect();
@@ -203,6 +204,41 @@ fn differing_reference_counts_fail() {
     assert_eq!(wobbly.counts.len(), 2);
     let j = gate(&record(wobbly.clone(), wobbly, None), &bench);
     assert!(!j.passed());
+}
+
+#[test]
+fn differing_reference_fields_are_named_with_both_values() {
+    let bench = Benchmark::parse(BENCHMARK).expect("parses");
+    let moved = |runs: u64| {
+        let outputs = ramp(1.0)
+            .iter()
+            .map(|&v| {
+                let text = stdout(v, 0, "c1").replacen(
+                    "\"references\":[{\"checksum\":\"c1\",\"cases\":60}]",
+                    &format!(
+                        "\"references\":[{{\"checksum\":\"c1\",\"cases\":60}},\
+                         {{\"checksum\":\"c1\",\"cases\":60,\"physical_runs\":{runs}}}]"
+                    ),
+                    1,
+                );
+                Output::parse(&text).expect("fixture parses")
+            })
+            .collect();
+        Side::new(outputs, Output::parse(&traced(1.5)).expect("parses").run)
+    };
+    let j = gate(&record(moved(19923), moved(7402), None), &bench);
+    assert_eq!(j.failures, ["w: references[1].physical_runs 19923 → 7402"]);
+    let j = gate(&record(side(&ramp(1.0), 0, "c1"), side(&ramp(1.0), 0, "c2"), None), &bench);
+    assert_eq!(
+        j.failures,
+        ["w: count_only[0].checksum \"c1\" → \"c2\"", "w: references[0].checksum \"c1\" → \"c2\""]
+    );
+    // A field one side lacks shows as absent.
+    let j = gate(&record(side(&ramp(1.0), 0, "c1"), moved(7), None), &bench);
+    assert_eq!(
+        j.failures,
+        ["w: references[1] absent → {\"cases\":60,\"checksum\":\"c1\",\"physical_runs\":7}"]
+    );
 }
 
 #[test]

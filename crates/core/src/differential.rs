@@ -7,11 +7,11 @@
 //! deviates from a strict majority are flagged.
 
 use comfort_engines::{
-    compile, BehaviorId, CompiledChunk, EngineName, GateAnswers, RunOptions, Testbed,
+    compile, run_isolated_compiled, CompiledChunk, EngineName, IsolatedRun, IsolationPolicy,
+    RetryPolicy, RunOptions, Testbed,
 };
 use comfort_interp::{ErrorKind, RunStatus};
 use comfort_syntax::Program;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Canonicalized result of one run: the comparison key for voting.
@@ -167,9 +167,9 @@ impl CaseOutcome {
 /// the strict flag with its own mode (see [`Testbed::run_compiled`]).
 ///
 /// Execution is classed like the campaign's case path (see
-/// [`ExecutionClasses`]): one representative per behaviour class runs, and
-/// its signature stands for its classmates. The outcome is the full
-/// matrix's: every slot's own run voted with [`QuorumPolicy::LEGACY`].
+/// [`execute_classed`]): a run stands for every peer that answered its hook
+/// queries alike. The outcome is the full matrix's: every slot's own run
+/// voted with [`QuorumPolicy::LEGACY`].
 pub fn run_differential(
     program: &Program,
     testbeds: &[Testbed],
@@ -188,89 +188,102 @@ pub(crate) fn run_differential_masked(
     options: &RunOptions,
 ) -> CaseOutcome {
     let chunk = compile(program);
-    let run = |bed: &Testbed| {
-        let r = bed.run_compiled(&chunk, options);
-        Signature::of(&r.status, &r.output)
-    };
     let (classes, runs) = execute_classed(
         &chunk,
         testbeds,
         mask,
         true,
         |_| false,
-        |run_mask| {
-            run_mask
-                .iter()
-                .zip(testbeds)
-                .map(|(&due, bed)| due.then(|| run(bed)))
-                .collect::<Vec<_>>()
+        |bed, peers| {
+            Some(run_isolated_compiled(
+                bed,
+                peers,
+                &chunk,
+                options,
+                &IsolationPolicy::default(),
+                &RetryPolicy::default(),
+            ))
         },
-    );
+    )
+    .expect("an uncancellable run");
     let signatures: Vec<Option<Signature>> = (0..testbeds.len())
-        .map(|i| mask[i].then(|| runs[classes.rep(i)].clone().expect("representative ran")))
+        .map(|i| {
+            mask[i].then(|| {
+                let run = runs[classes.rep(i)].as_ref().expect("representative ran");
+                Signature::of(&run.result.status, &run.result.output)
+            })
+        })
         .collect();
     vote_on_signatures_quorum(testbeds, &signatures, &QuorumPolicy::LEGACY).0
 }
 
-/// Classed execution of one chunk, shared by [`run_differential`] and the
-/// hardened case runner: partitions the masked-in slots into behaviour
-/// classes and hands `execute` the run mask, which is `true` for each
-/// class's representative. Slot `i` then reads its run from slot
-/// `classes.rep(i)` of what `execute` produced.
+/// Agreement classing of one chunk over the masked-in slots of `testbeds`,
+/// shared by [`run_differential`] and the hardened case runner.
 ///
-/// A slot with a pending chaos fault diverges from its classmates by
-/// construction, and so does any slot `exclusive` names: both are forced
-/// singletons. With `dedup` off every masked-in slot runs.
-pub(crate) fn execute_classed<R>(
+/// The masked-in slots run in index order, and the lowest slot no run has
+/// served yet is the next *representative*. `run` executes it carrying its
+/// *peers* (the unserved, shareable slots after it with its mode, in index
+/// order) and returns the run, whose [`IsolatedRun::agreed`] names the peers
+/// that answered every hook query of it as the representative did; those
+/// slots reuse the run instead of executing. A run is a pure function of
+/// its chunk, its options and its profile's answers (see
+/// [`comfort_interp::hooks`]), so a served slot reads the very result its
+/// own run would give, and the outcome is the full matrix's at any thread
+/// count. Only a clean first attempt serves peers (see
+/// [`comfort_engines::harness`]).
+///
+/// A slot with a pending chaos fault diverges from every peer by
+/// construction, and so does any slot `exclusive` names (a half-open
+/// probe): both are forced singletons, which run alone and serve no one.
+/// With `dedup` off every masked-in slot runs alone: the full matrix.
+///
+/// Returns `None` as soon as `run` does (a cancelled case).
+pub fn execute_classed(
     chunk: &Arc<CompiledChunk>,
     testbeds: &[Testbed],
     mask: &[bool],
     dedup: bool,
     exclusive: impl Fn(usize) -> bool,
-    execute: impl FnOnce(&[bool]) -> R,
-) -> (ExecutionClasses, R) {
-    let classes = if dedup {
-        let shareable: Vec<bool> = testbeds
-            .iter()
-            .enumerate()
-            .map(|(i, bed)| !exclusive(i) && !bed.has_pending_fault(chunk))
-            .collect();
-        ExecutionClasses::compute(chunk, testbeds, mask, &shareable)
-    } else {
-        ExecutionClasses::identity(mask)
-    };
-    let runs: Vec<bool> =
-        (0..testbeds.len()).map(|i| mask[i] && classes.is_representative(i)).collect();
-    let results = execute(&runs);
-    (classes, results)
+    mut run: impl FnMut(&Testbed, &[&Testbed]) -> Option<IsolatedRun>,
+) -> Option<(ExecutionClasses, Vec<Option<IsolatedRun>>)> {
+    debug_assert_eq!(testbeds.len(), mask.len());
+    let shareable: Vec<bool> = (0..testbeds.len())
+        .map(|i| dedup && mask[i] && !exclusive(i) && !testbeds[i].has_pending_fault(chunk))
+        .collect();
+    let mut classes = ExecutionClasses { rep: (0..testbeds.len()).collect(), classes: 0 };
+    let mut served = vec![false; testbeds.len()];
+    let mut runs: Vec<Option<IsolatedRun>> = Vec::with_capacity(testbeds.len());
+    let (mut peers, mut peer_slots): (Vec<&Testbed>, Vec<usize>) = (Vec::new(), Vec::new());
+    for (i, bed) in testbeds.iter().enumerate() {
+        if !mask[i] || served[i] {
+            runs.push(None);
+            continue;
+        }
+        peers.clear();
+        peer_slots.clear();
+        if shareable[i] {
+            for j in i + 1..testbeds.len() {
+                if shareable[j] && testbeds[j].strict == bed.strict && !served[j] {
+                    peers.push(&testbeds[j]);
+                    peer_slots.push(j);
+                }
+            }
+        }
+        let done = run(bed, &peers)?;
+        for &k in &done.agreed {
+            served[peer_slots[k]] = true;
+            classes.rep[peer_slots[k]] = i;
+        }
+        classes.classes += 1;
+        runs.push(Some(done));
+    }
+    Some((classes, runs))
 }
 
-/// Partition of a testbed matrix into behaviour-equivalence classes for one
-/// chunk: `rep[i]` is the slot whose execution testbed `i` reuses
-/// (`rep[i] == i` for class representatives and singletons).
-///
-/// Two testbeds fall in the same class when they have the same mode
-/// (normal/strict vote separately and may differ semantically) and the same
-/// sequence of bug *behaviours* the chunk's
-/// [`comfort_interp::ApiFootprint`] cannot rule out
-/// ([`comfort_engines::BugBehavior`]). Behaviours compare by hook site,
-/// trigger, and deviation rather than by engine-specific bug id, so
-/// testbeds of *different engines* merge when their relevant bugs are
-/// semantically identical — the hook layer is the only behavioural
-/// difference between profiles, and equal empty sequences mean both behave
-/// as the clean reference. Either way the runs are bit-identical and one
-/// execution can serve the whole class.
-///
-/// The key is read from the shared bug table
-/// ([`comfort_engines::Engine::push_class_key`]): interned behaviour ids,
-/// filtered by the table's footprint gates, which the chunk answers once
-/// ([`GateAnswers`]). It compares exactly as `Engine::relevant_behavior`
-/// sequences do, which stays as the reference.
-///
-/// Forced singletons keep the partition composable with the rest of the
-/// harness: a slot with a pending chaos fault or a half-open quarantine
-/// probe must observe its *own* run (`shareable[i] = false`). A poisoned
-/// footprint disables classing entirely (full matrix).
+/// Which slot's run each slot of one chunk's testbed matrix reads, as
+/// [`execute_classed`] found it: `rep[i]` is the representative whose run
+/// slot `i` reuses (`rep[i] == i` for slots that ran, and for masked-out
+/// slots, which neither run nor read a run).
 #[derive(Debug, Clone)]
 pub struct ExecutionClasses {
     rep: Vec<usize>,
@@ -278,67 +291,6 @@ pub struct ExecutionClasses {
 }
 
 impl ExecutionClasses {
-    /// The trivial partition (every masked-in slot its own class) — the
-    /// dedup-off path, identical to historical execution.
-    pub fn identity(mask: &[bool]) -> ExecutionClasses {
-        ExecutionClasses {
-            rep: (0..mask.len()).collect(),
-            classes: mask.iter().filter(|m| **m).count(),
-        }
-    }
-
-    /// Computes the partition for `chunk`. `mask[i] = false` excludes slot
-    /// `i` (quarantined — it neither runs nor joins a class);
-    /// `shareable[i] = false` forces a masked-in slot into a singleton
-    /// class. Representatives are chosen deterministically as the lowest
-    /// masked-in index of each class, independent of thread count.
-    pub fn compute(
-        chunk: &CompiledChunk,
-        testbeds: &[Testbed],
-        mask: &[bool],
-        shareable: &[bool],
-    ) -> ExecutionClasses {
-        debug_assert_eq!(testbeds.len(), mask.len());
-        debug_assert_eq!(testbeds.len(), shareable.len());
-        let mut out = ExecutionClasses::identity(mask);
-        if chunk.footprint.is_poisoned() {
-            return out; // analysis gave up: full matrix
-        }
-        out.classes = 0;
-        let strict_sites = chunk.footprint.has_strict_sites();
-        let gates = GateAnswers::new(&chunk.footprint);
-        // The class keys lie back to back in `keys`; each class keeps its
-        // mode, its key's span and its representative.
-        let mut keys: Vec<BehaviorId> = Vec::new();
-        let mut seen: Vec<(bool, Range<usize>, usize)> = Vec::new();
-        for (i, bed) in testbeds.iter().enumerate() {
-            if !mask[i] {
-                continue;
-            }
-            if !shareable[i] {
-                out.classes += 1; // forced singleton, rep[i] stays i
-                continue;
-            }
-            let start = keys.len();
-            bed.engine.push_class_key(&gates, bed.strict || strict_sites, &mut keys);
-            let (known, key) = keys.split_at(start);
-            match seen
-                .iter()
-                .find(|(strict, span, _)| *strict == bed.strict && known[span.clone()] == *key)
-            {
-                Some(&(_, _, leader)) => {
-                    out.rep[i] = leader;
-                    keys.truncate(start);
-                }
-                None => {
-                    seen.push((bed.strict, start..keys.len(), i));
-                    out.classes += 1;
-                }
-            }
-        }
-        out
-    }
-
     /// The slot whose execution slot `i` reuses.
     pub fn rep(&self, i: usize) -> usize {
         self.rep[i]
@@ -352,23 +304,6 @@ impl ExecutionClasses {
     /// Number of classes over the masked-in slots (= physical executions).
     pub fn class_count(&self) -> usize {
         self.classes
-    }
-
-    /// Size of each class, keyed by representative index in ascending
-    /// order (bench histograms).
-    pub fn class_sizes(&self, mask: &[bool]) -> Vec<usize> {
-        let mut sizes: Vec<(usize, usize)> = Vec::new();
-        for (&r, &masked_in) in self.rep.iter().zip(mask) {
-            if !masked_in {
-                continue;
-            }
-            match sizes.iter_mut().find(|(leader, _)| *leader == r) {
-                Some((_, n)) => *n += 1,
-                None => sizes.push((r, 1)),
-            }
-        }
-        sizes.sort_unstable_by_key(|(leader, _)| *leader);
-        sizes.into_iter().map(|(_, n)| n).collect()
     }
 }
 

@@ -16,11 +16,10 @@
 //! observation lists are ordered by testbed index.
 
 use comfort_engines::{
-    compile, run_isolated_compiled, CompiledChunk, FaultObserved, FaultPlan, IsolatedRun,
-    IsolationPolicy, RetryPolicy, RunOptions, Testbed,
+    compile, run_isolated_compiled, FaultObserved, FaultPlan, IsolationPolicy, RetryPolicy,
+    RunOptions, Testbed,
 };
 use comfort_syntax::Program;
-use std::sync::Arc;
 
 use crate::differential::{
     execute_classed, vote_on_signatures_quorum, CaseOutcome, GroupQuorum, QuorumPolicy, Signature,
@@ -46,9 +45,10 @@ pub struct ExecPolicy {
     pub probe_after: u32,
     /// Minimum healthy voters per mode group.
     pub quorum: QuorumPolicy,
-    /// Footprint-based execution dedup: collapse testbeds that are provably
-    /// equivalent on a chunk into one physical run per behaviour class (see
-    /// [`ExecutionClasses`](crate::differential::ExecutionClasses)). Purely
+    /// Execution dedup by agreement classing: a testbed's run stands for
+    /// every later testbed of its mode that answered each of the run's hook
+    /// queries alike (see
+    /// [`execute_classed`](crate::differential::execute_classed)). Purely
     /// an execution-count optimization — every observation, vote, and
     /// report is bit-identical either way — so it defaults to on; turn off
     /// to force the full matrix (oracle mode).
@@ -400,13 +400,12 @@ pub struct CaseObservation {
     /// Reinstatements (successful half-open probes) this case.
     pub reinstated: Vec<ReinstateEvent>,
     /// Testbeds that participated (logical runs: every masked-in slot,
-    /// whether it executed or reused a classmate's execution).
+    /// whether it executed or reused a representative's execution).
     pub active_runs: usize,
-    /// Executions actually performed (one per behaviour class). Equal to
-    /// `active_runs` when dedup is off or the chunk's footprint is
-    /// poisoned.
+    /// Executions actually performed (one per representative). Equal to
+    /// `active_runs` when dedup is off.
     pub physical_runs: usize,
-    /// Behaviour-equivalence classes this case partitioned into
+    /// Classes this case partitioned into, one per representative
     /// (= `physical_runs`; kept separate for telemetry clarity).
     pub classes: usize,
     /// Runs skipped (testbed already quarantined).
@@ -454,20 +453,32 @@ pub fn run_case_hardened_cancellable(
     // shares the same read-only chunk via its `Arc`.
     let chunk = compile(program);
     let mask = tracker.begin_case();
-    // Partition the masked-in slots into behaviour classes and run their
-    // representatives. A half-open probe must observe its own run (its
-    // result drives reinstatement), so it is a forced singleton like a slot
-    // with a pending chaos fault: classing composes with quarantine,
-    // probing, chaos, and retry without changing any outcome.
-    let (classes, (runs, cancelled)) = execute_classed(
+    // Run the representatives, each carrying its peers. A half-open probe
+    // must observe its own run (its result drives reinstatement), so it is a
+    // forced singleton like a slot with a pending chaos fault: classing
+    // composes with quarantine, probing, chaos, and retry without changing
+    // any outcome. A trip of `cancel` before a run abandons the case.
+    let classed = execute_classed(
         &chunk,
         testbeds,
         &mask,
         policy.dedup,
         |i| tracker.is_probe(i),
-        |run_mask| isolated_runs(&chunk, testbeds, options, policy, run_mask, cancel),
+        |bed, peers| {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return None;
+            }
+            Some(run_isolated_compiled(
+                bed,
+                peers,
+                &chunk,
+                options,
+                &policy.isolation,
+                &policy.retry,
+            ))
+        },
     );
-    if cancelled {
+    let Some((classes, runs)) = classed else {
         return CaseObservation {
             outcome: CaseOutcome::NoQuorum,
             groups: Vec::new(),
@@ -481,14 +492,14 @@ pub fn run_case_hardened_cancellable(
             cancelled: true,
             skipped_runs: 0,
         };
-    }
+    };
 
-    // Process every masked-in slot in index order against its class
-    // representative's run (`rep(i) == i` for slots that executed). Health
-    // updates, fault records, and signatures replicate to classmates
-    // exactly as the full matrix would have produced them — class members
-    // are behaviourally identical, so the representative's run *is* their
-    // run — keeping the tracker ledger and every report bit-identical.
+    // Process every masked-in slot in index order against its
+    // representative's run (`rep(i) == i` for slots that executed). Only a
+    // clean first attempt serves a peer, and the peer's own run would have
+    // been that very run, so health updates and signatures replicate
+    // exactly as the full matrix would have produced them, keeping the
+    // tracker ledger and every report bit-identical.
     let physical_runs = runs.iter().flatten().count();
     let mut signatures: Vec<Option<Signature>> = vec![None; testbeds.len()];
     let mut faults = Vec::new();
@@ -552,29 +563,6 @@ pub fn run_case_hardened_cancellable(
         skipped_runs,
         cancelled: false,
     }
-}
-
-/// Executes the isolated runs for every unmasked testbed in index order.
-/// Returns `(slots, cancelled)`; a trip of `cancel` between slots stops
-/// further runs.
-fn isolated_runs(
-    chunk: &Arc<CompiledChunk>,
-    testbeds: &[Testbed],
-    options: &RunOptions,
-    policy: &ExecPolicy,
-    mask: &[bool],
-    cancel: Option<&CancelToken>,
-) -> (Vec<Option<IsolatedRun>>, bool) {
-    let mut slots = Vec::with_capacity(testbeds.len());
-    for (i, &masked_in) in mask.iter().enumerate() {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return (slots, true);
-        }
-        slots.push(masked_in.then(|| {
-            run_isolated_compiled(&testbeds[i], chunk, options, &policy.isolation, &policy.retry)
-        }));
-    }
-    (slots, false)
 }
 
 #[cfg(test)]

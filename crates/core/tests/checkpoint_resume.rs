@@ -15,7 +15,7 @@ use comfort_core::resilience::{CancelToken, ChaosConfig, ExecPolicy};
 use comfort_core::session::CampaignSession;
 use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
-use comfort_telemetry::{Event, MemorySink, SinkHandle};
+use comfort_telemetry::{Event, EventKind, MemorySink, Sink, SinkHandle};
 use proptest::prelude::*;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -153,41 +153,38 @@ fn fingerprint_mismatch_refuses_to_resume() {
     );
 }
 
+/// Cancels its token on the first `CheckpointWritten` event. The shard
+/// runtime emits it while committing a shard, before a one-thread session
+/// claims the next, so exactly one shard completes.
+struct CancelOnFirstCheckpoint(CancelToken);
+
+impl Sink for CancelOnFirstCheckpoint {
+    fn emit(&self, event: &Event) {
+        if matches!(event.kind, EventKind::CheckpointWritten { .. }) {
+            self.0.cancel();
+        }
+    }
+}
+
 #[test]
 fn cancel_token_drains_checkpoints_and_resumes_identically() {
     let (reference, reference_events) = reference_run();
     let path = temp_path("cancel");
     std::fs::remove_file(&path).ok();
 
+    // A mid-campaign shutdown: cancel once the first shard is journalled.
     let cancel = CancelToken::new();
-    let mut config = base_config(SinkHandle::null());
+    let mut config = base_config(SinkHandle::new(CancelOnFirstCheckpoint(cancel.clone())));
     config.checkpoint = Some(path.clone());
-    config.cancel = cancel.clone();
+    config.cancel = cancel;
     config.threads = 1;
-
-    let interrupted = std::thread::scope(|scope| {
-        let runner = {
-            let config = config.clone();
-            scope.spawn(move || CampaignSession::new(config).run().expect("journaled run"))
-        };
-        // Cancel as soon as the journal holds at least one shard record (a
-        // header plus one framed line) — a mid-campaign shutdown.
-        loop {
-            let records = std::fs::read(&path)
-                .map(|bytes| bytes.iter().filter(|&&b| b == b'\n').count())
-                .unwrap_or(0);
-            if records >= 2 {
-                cancel.cancel();
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        runner.join().expect("campaign thread")
-    });
+    let interrupted = CampaignSession::new(config).run().expect("journaled run");
 
     // The shutdown drained cleanly: completed work reported, rest pending.
     assert!(interrupted.interrupted, "report must be flagged interrupted");
     assert!(interrupted.cases_run < reference.cases_run);
+    let (checkpoint, _) = CampaignCheckpoint::load(&path).expect("the journal loads");
+    assert_eq!(checkpoint.shards.len(), 1, "exactly one shard completes");
 
     // The journal is loadable and the resume completes to the reference
     // (fresh token: the config's cancelled one must not leak into it).
@@ -198,7 +195,7 @@ fn cancel_token_drains_checkpoints_and_resumes_identically() {
     assert!(!resumed.interrupted);
     assert_eq!(report_to_json_deterministic(&resumed), report_to_json_deterministic(&reference));
     assert_eq!(data_plane(&mem.take()), reference_events);
-    assert!(resumed.resume.expect("provenance").shards_salvaged >= 1);
+    assert_eq!(resumed.resume.expect("provenance").shards_salvaged, 1);
 }
 
 #[test]

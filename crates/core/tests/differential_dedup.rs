@@ -1,32 +1,26 @@
-//! Integration tests for footprint-based execution dedup: classing a case's
-//! testbed matrix into behaviour-equivalence classes and running one
-//! representative per class must be a pure execution-count optimization —
-//! every outcome, signature, health ledger, report, and (modulo the
-//! `execution_deduped` events themselves) telemetry stream is bit-identical
-//! to the full matrix, at every thread count, with or without chaos. The
-//! partition itself must be the one `relevant_behavior` keys, and
-//! `run_differential` (the reduction and attribution oracle) must vote
-//! exactly as the full matrix would.
-
-use std::sync::Arc;
+//! Integration tests for execution dedup by agreement classing: a run
+//! standing for every peer that answered its hook queries alike must be a
+//! pure execution-count optimization — every outcome, signature, health
+//! ledger, report, and (modulo the `execution_deduped` events themselves)
+//! telemetry stream is bit-identical to the full matrix, at every thread
+//! count, with or without chaos. Forced singletons must neither serve nor
+//! be served, and `run_differential` (the reduction and attribution oracle)
+//! must vote exactly as the full matrix would.
 
 use comfort_core::campaign::{testbeds_for, CampaignConfig, CampaignReport};
 use comfort_core::checkpoint::{report_checksum, report_to_json_deterministic};
 use comfort_core::datagen::{DataGen, DataGenConfig};
 use comfort_core::differential::{
-    run_differential, vote_on_signatures_quorum, CaseOutcome, ExecutionClasses, QuorumPolicy,
+    execute_classed, run_differential, vote_on_signatures_quorum, CaseOutcome, QuorumPolicy,
     Signature,
 };
 use comfort_core::resilience::{run_case_hardened, ChaosConfig, ExecPolicy, HealthTracker};
 use comfort_core::session::CampaignSession;
 use comfort_engines::{
-    all_testbeds, compile, shared_catalog, BugBehavior, CompiledChunk, FaultPlan, RunOptions,
-    Testbed,
+    compile, run_isolated_compiled, FaultPlan, IsolationPolicy, RetryPolicy, RunOptions, Testbed,
 };
-use comfort_interp::ApiFootprint;
 use comfort_lm::GeneratorConfig;
 use comfort_syntax::Program;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -133,70 +127,66 @@ fn classed_execution_matches_full_matrix_oracle() {
     );
 }
 
-/// Classing soundness at the signature level: any two testbeds the
-/// partition coalesces must produce byte-identical run signatures on that
-/// chunk. This is the invariant the whole optimization rests on.
+/// A half-open probe and a slot with a pending chaos fault are forced
+/// singletons: each runs alone and serves no other slot, while the slots
+/// around them still share. Dedup off runs every masked-in slot alone.
 #[test]
-fn classmates_produce_identical_signatures() {
-    let config =
-        CampaignConfig { include_strict: true, include_legacy: true, ..CampaignConfig::default() };
-    let testbeds = testbeds_for(&config);
-    let options = RunOptions { fuel: 200_000, ..RunOptions::default() };
-    let mask = vec![true; testbeds.len()];
-    let shareable = vec![true; testbeds.len()];
-    for src in comfort_corpus::training_corpus(11, 30) {
-        let program = comfort_syntax::parse(&src).expect("corpus parses");
-        let chunk = comfort_engines::compile(&program);
-        let classes = ExecutionClasses::compute(&chunk, &testbeds, &mask, &shareable);
-        for (i, bed) in testbeds.iter().enumerate() {
-            let rep = classes.rep(i);
-            if rep == i {
-                continue;
-            }
-            let mine = bed.run_compiled(&chunk, &options);
-            let leaders = testbeds[rep].run_compiled(&chunk, &options);
-            assert_eq!(
-                comfort_core::differential::Signature::of(&mine.status, &mine.output),
-                comfort_core::differential::Signature::of(&leaders.status, &leaders.output),
-                "testbeds {i} and {rep} were classed together but diverged on: {src}"
-            );
-        }
-    }
-}
-
-#[test]
-fn forced_singletons_and_poisoned_footprints_disable_sharing() {
-    let config = CampaignConfig::default();
-    let testbeds = testbeds_for(&config);
+fn forced_singletons_neither_serve_nor_are_served() {
+    let config = CampaignConfig { include_strict: true, ..CampaignConfig::default() };
+    let mut testbeds = testbeds_for(&config);
     let n = testbeds.len();
-    let mask = vec![true; n];
+    let program = comfort_syntax::parse("print(1 + 2);").expect("parses");
+    let chunk = compile(&program);
+    // A garbage fault pending on every chunk: the run completes with
+    // corrupted output and no observed fault, the case a shared run would
+    // hide.
+    let faulty = 3;
+    testbeds[faulty] = testbeds[faulty].clone().with_chaos(FaultPlan::new(7).garbage_rate(1.0));
+    assert!(testbeds[faulty].has_pending_fault(&chunk));
+    let probe = 1;
+    let mut mask = vec![true; n];
+    mask[5] = false;
+    let options = RunOptions::with_fuel(100_000);
+    let classify = |dedup: bool| {
+        execute_classed(
+            &chunk,
+            &testbeds,
+            &mask,
+            dedup,
+            |i| i == probe,
+            |bed, peers| {
+                Some(run_isolated_compiled(
+                    bed,
+                    peers,
+                    &chunk,
+                    &options,
+                    &IsolationPolicy::default(),
+                    &RetryPolicy::default(),
+                ))
+            },
+        )
+        .expect("nothing cancels")
+    };
 
-    // A poisoned footprint (e.g. eval in the program) yields the identity
-    // partition regardless of shareability.
-    let poisoned = comfort_engines::compile(
-        &comfort_syntax::parse("var x = eval(\"1\"); print(x);").expect("parses"),
-    );
-    assert!(poisoned.footprint.is_poisoned());
-    let classes = ExecutionClasses::compute(&poisoned, &testbeds, &mask, &vec![true; n]);
-    assert_eq!(classes.class_count(), n);
-    assert!((0..n).all(|i| classes.is_representative(i)));
+    let (classes, runs) = classify(true);
+    for single in [probe, faulty] {
+        assert!(classes.is_representative(single), "slot {single} was served");
+        assert!(runs[single].as_ref().expect("it ran").agreed.is_empty());
+        assert!(
+            (0..n).all(|i| i == single || classes.rep(i) != single),
+            "slot {single} served another slot"
+        );
+    }
+    assert!(runs[5].is_none() && classes.is_representative(5), "a masked-out slot ran");
+    let served = (0..n).filter(|&i| mask[i] && !classes.is_representative(i)).count();
+    assert!(served > 0, "the conforming slots around the singletons share");
+    assert_eq!(classes.class_count(), runs.iter().flatten().count());
+    assert_eq!(classes.class_count() + served, n - 1);
 
-    // A non-shareable slot stays a singleton even when a classmate exists.
-    let clean = comfort_engines::compile(&comfort_syntax::parse("print(1 + 2);").expect("parses"));
-    assert!(!clean.footprint.is_poisoned());
-    let mut shareable = vec![true; n];
-    shareable[0] = false;
-    let classes = ExecutionClasses::compute(&clean, &testbeds, &mask, &shareable);
-    assert!(classes.is_representative(0));
-    assert!((0..n).all(|i| classes.rep(i) != 0 || i == 0), "no slot may reuse a singleton");
-
-    // Masked-out slots neither run nor join classes.
-    let mut masked = vec![true; n];
-    masked[1] = false;
-    let classes = ExecutionClasses::compute(&clean, &testbeds, &masked, &vec![true; n]);
-    let sizes = classes.class_sizes(&masked);
-    assert_eq!(sizes.iter().sum::<usize>(), n - 1);
-    assert_eq!(classes.class_count(), sizes.len());
+    let (identity, runs) = classify(false);
+    assert_eq!(identity.class_count(), n - 1);
+    assert!((0..n).all(|i| identity.is_representative(i)));
+    assert!(runs.iter().flatten().all(|run| run.agreed.is_empty()));
 }
 
 /// The full-matrix oracle for [`run_differential`]: every slot's own run,
@@ -217,11 +207,11 @@ fn full_matrix_outcome(
     vote_on_signatures_quorum(testbeds, &signatures, &QuorumPolicy::LEGACY).0
 }
 
-/// `run_differential` runs one representative per class; over the widest
-/// matrix, with panic, garbage and transient chaos plans on some slots, it
-/// must still vote exactly as the full matrix does. The programs are corpus
-/// programs, their ECMA-guided mutants, and poisoned variants that run the
-/// whole matrix.
+/// `run_differential` runs each representative with its peers; over the
+/// widest matrix, with panic, garbage and transient chaos plans on some
+/// slots, it must still vote exactly as the full matrix does. The programs
+/// are corpus programs, their ECMA-guided mutants, and variants that alias
+/// `eval`.
 #[test]
 fn run_differential_matches_the_full_matrix_oracle() {
     let config =
@@ -250,7 +240,6 @@ fn run_differential_matches_the_full_matrix_oracle() {
             }
             let poisoned = format!("var escape = eval;\n{src}");
             let program = comfort_syntax::parse(&poisoned).expect("poisoned variant parses");
-            assert!(compile(&program).footprint.is_poisoned());
             programs.push((format!("poisoned corpus program {k}"), program));
         }
         programs.push((format!("corpus program {k}"), base));
@@ -268,42 +257,6 @@ fn run_differential_matches_the_full_matrix_oracle() {
         deviating += usize::from(classed.is_deviating());
     }
     assert!(deviating > 0, "no program deviated: the oracle compared nothing but passes");
-}
-
-/// The partition as `relevant_behavior` keys it: the reference the bug
-/// table must reproduce. Returns each slot's representative and the class
-/// count.
-fn reference_partition(
-    chunk: &CompiledChunk,
-    testbeds: &[Testbed],
-    mask: &[bool],
-    shareable: &[bool],
-) -> (Vec<usize>, usize) {
-    let mut rep: Vec<usize> = (0..testbeds.len()).collect();
-    if chunk.footprint.is_poisoned() {
-        return (rep, mask.iter().filter(|m| **m).count());
-    }
-    let mut classes = 0;
-    let mut seen: Vec<(bool, Vec<BugBehavior<'_>>, usize)> = Vec::new();
-    for (i, bed) in testbeds.iter().enumerate() {
-        if !mask[i] {
-            continue;
-        }
-        if !shareable[i] {
-            classes += 1;
-            continue;
-        }
-        let strict_sites = bed.strict || chunk.footprint.has_strict_sites();
-        let key = bed.engine.relevant_behavior(&chunk.footprint, strict_sites);
-        match seen.iter().find(|(strict, k, _)| *strict == bed.strict && *k == key) {
-            Some((_, _, leader)) => rep[i] = *leader,
-            None => {
-                seen.push((bed.strict, key, i));
-                classes += 1;
-            }
-        }
-    }
-    (rep, classes)
 }
 
 /// Chaos composition: with the first testbed wrapped in a seeded fault
@@ -380,148 +333,4 @@ fn chaos_campaign_is_identical_with_dedup_on_and_off() {
     assert!(r1.metrics.executions_saved > 0);
     assert!(r1.metrics.faults_observed > 0, "the fault plan must actually fire");
     assert_eq!(r1.metrics.faults_observed, roff.metrics.faults_observed);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The bug table keys exactly as `relevant_behavior` does: over all 102
-    /// testbeds, with random masks and shareable flags, the partition of a
-    /// random footprint is the reference partition. Footprints draw atoms
-    /// from the catalog's API names (terminal segments and full names) and
-    /// the special-hook atoms, with index stores and poisoning; one case in
-    /// three instead compiles a `"use strict"` program mentioning the same
-    /// atoms, so normal testbeds see strict sites too.
-    #[test]
-    fn table_partition_matches_the_relevant_behavior_partition(seed in 0u64..4000) {
-        let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let mut next = || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            rng >> 33
-        };
-        let mut pool: Vec<&'static str> = vec!["eval", "split", "defineProperty", "x"];
-        for api in shared_catalog().iter().filter_map(|b| b.api) {
-            pool.push(api);
-            pool.push(api.rsplit('.').next().unwrap_or(api));
-        }
-        pool.sort_unstable();
-        pool.dedup();
-        let density = 1 + next() % 16; // one atom in `density`
-        let atoms: Vec<&str> = pool.iter().copied().filter(|_| next() % density == 0).collect();
-        let index_store = next() % 3 == 0;
-        let poisoned = next() % 16 == 0;
-        let chunk = if next() % 3 == 0 {
-            let mut src = String::from("\"use strict\";\nvar o = {};\n");
-            for atom in atoms.iter().filter(|a| !a.contains('.') && **a != "eval") {
-                src.push_str(&format!("o.{atom};\n"));
-            }
-            if index_store {
-                src.push_str("o[1] = 0;\n");
-            }
-            compile(&comfort_syntax::parse(&src).expect("generated source parses"))
-        } else {
-            let mut chunk = Arc::try_unwrap(compile(&comfort_syntax::parse("0;").expect("parses")))
-                .expect("the only reference");
-            chunk.footprint = ApiFootprint::from_parts(atoms, index_store, poisoned);
-            Arc::new(chunk)
-        };
-        let testbeds = all_testbeds();
-        let n = testbeds.len();
-        let mask: Vec<bool> = (0..n).map(|_| next() % 5 != 0).collect();
-        let shareable: Vec<bool> = (0..n).map(|_| next() % 6 != 0).collect();
-
-        let classes = ExecutionClasses::compute(&chunk, &testbeds, &mask, &shareable);
-        let (rep, count) = reference_partition(&chunk, &testbeds, &mask, &shareable);
-        prop_assert_eq!(classes.class_count(), count);
-        for (i, want) in rep.iter().enumerate() {
-            prop_assert_eq!(classes.rep(i), *want, "slot {} ({})", i, testbeds[i].label());
-        }
-    }
-
-    /// Footprint-relevance monotonicity: growing a footprint (more atoms,
-    /// index stores, or poisoning) can only grow each engine's relevant-bug
-    /// set — the conservative direction. A shrinking set could class two
-    /// genuinely-divergent testbeds together.
-    #[test]
-    fn relevance_is_monotone_under_footprint_growth(seed in 0u64..2000) {
-        const POOL: [&str; 12] = [
-            "split", "eval", "defineProperty", "reverse", "push", "toFixed",
-            "charAt", "slice", "sort", "replace", "parse", "exec",
-        ];
-        let mut rng = seed;
-        let mut next = || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            rng >> 33
-        };
-        let small: Vec<&str> =
-            POOL.iter().copied().filter(|_| next() % 3 == 0).collect();
-        let mut large = small.clone();
-        large.extend(POOL.iter().copied().filter(|_| next() % 2 == 0));
-        let small_fp = ApiFootprint::from_parts(small, next() % 4 == 0, false);
-        let large_fp = ApiFootprint::from_parts(large, true, next() % 5 == 0);
-        let poisoned = ApiFootprint::poisoned_all();
-
-        for bed in testbeds_for(&CampaignConfig {
-            include_strict: true,
-            include_legacy: true,
-            ..CampaignConfig::default()
-        }) {
-            let lo = bed.engine.relevant_bugs(&small_fp);
-            let hi = bed.engine.relevant_bugs(&large_fp);
-            let all = bed.engine.relevant_bugs(&poisoned);
-            prop_assert!(
-                lo.iter().all(|id| hi.contains(id)),
-                "bug set shrank when the footprint grew ({})", bed.label()
-            );
-            prop_assert!(hi.iter().all(|id| all.contains(id)));
-        }
-    }
-
-    /// Random-footprint partitions are well-formed: representatives are the
-    /// lowest index of their class, class sizes cover the mask exactly, and
-    /// classmates share the (strict, relevant-behaviour) key — bug *ids*
-    /// may differ across a class, because behaviourally identical bugs of
-    /// different engines merge.
-    #[test]
-    fn random_partitions_are_well_formed(seed in 0u64..1500) {
-        let src = comfort_corpus::training_corpus(seed, 1).remove(0);
-        let program = comfort_syntax::parse(&src).expect("corpus parses");
-        let chunk = comfort_engines::compile(&program);
-        let testbeds = testbeds_for(&CampaignConfig {
-            include_strict: true,
-            ..CampaignConfig::default()
-        });
-        let n = testbeds.len();
-        let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        let mut bits = |i: u64| {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(i | 1);
-            rng >> 62 != 0 // true 3/4 of the time
-        };
-        let mask: Vec<bool> = (0..n as u64).map(&mut bits).collect();
-        let shareable: Vec<bool> = (0..n as u64).map(|i| bits(i + 64)).collect();
-
-        let classes = ExecutionClasses::compute(&chunk, &testbeds, &mask, &shareable);
-        let masked_in = mask.iter().filter(|m| **m).count();
-        prop_assert_eq!(classes.class_sizes(&mask).iter().sum::<usize>(), masked_in);
-        prop_assert_eq!(classes.class_sizes(&mask).len(), classes.class_count());
-        for i in 0..n {
-            let rep = classes.rep(i);
-            if !mask[i] {
-                prop_assert_eq!(rep, i, "masked-out slot joined a class");
-                continue;
-            }
-            prop_assert!(rep <= i, "representative must be the lowest index");
-            prop_assert!(classes.is_representative(rep));
-            if rep != i {
-                prop_assert!(mask[rep] && shareable[rep] && shareable[i]);
-                prop_assert_eq!(testbeds[i].strict, testbeds[rep].strict);
-                let strict_sites =
-                    testbeds[i].strict || chunk.footprint.has_strict_sites();
-                prop_assert_eq!(
-                    testbeds[i].engine.relevant_behavior(&chunk.footprint, strict_sites),
-                    testbeds[rep].engine.relevant_behavior(&chunk.footprint, strict_sites)
-                );
-            }
-        }
-    }
 }

@@ -10,6 +10,12 @@
 //! call site (reduction, version probing, examples) is contained for free.
 //! The chunk is an `Arc`, so handing a run to the watchdog thread costs a
 //! reference-count bump instead of a deep program clone.
+//!
+//! A run may carry *peers*, testbeds it may stand for (see
+//! [`comfort_interp::hooks::Agreement`]); [`IsolatedRun::agreed`] names
+//! those it serves. Only a clean first attempt serves any: a fault, a
+//! retry or a truncated output is the testbed's own, and a wedged or
+//! panicked run ended before its agreement was known.
 
 use crate::chaos::{fatal_signal_message, ChaosAbort, ChaosPanic, RawFault};
 use crate::Testbed;
@@ -91,6 +97,10 @@ pub struct IsolatedRun {
     pub fault: Option<FaultObserved>,
     /// Transient retries consumed before the final outcome.
     pub retries: u32,
+    /// Positions in the `peers` passed to [`run_isolated_compiled`] of the
+    /// testbeds whose own run would be this one, bit for bit, ascending.
+    /// Empty unless the run was a clean first attempt.
+    pub agreed: Vec<usize>,
 }
 
 /// Marker appended to truncated output (kept inside the cap).
@@ -114,10 +124,12 @@ pub fn silence_chaos_panics() {
     });
 }
 
-/// Runs a compiled `chunk` on `testbed` under full containment. Never panics
-/// and never blocks longer than the watchdog allows (plus backoff sleeps).
+/// Runs a compiled `chunk` on `testbed` under full containment, carrying
+/// `peers` (pass `&[]` for a plain run). Never panics and never blocks
+/// longer than the watchdog allows (plus backoff sleeps).
 pub fn run_isolated_compiled(
     testbed: &Testbed,
+    peers: &[&Testbed],
     chunk: &Arc<CompiledChunk>,
     options: &RunOptions,
     isolation: &IsolationPolicy,
@@ -130,11 +142,14 @@ pub fn run_isolated_compiled(
                 retry.backoff_base_millis << (attempt - 1).min(16),
             ));
         }
-        let outcome = execute_once(testbed, chunk, options, isolation, attempt);
+        let outcome = execute_once(testbed, peers, chunk, options, isolation, attempt);
         match outcome {
-            Execution::Done(result) => {
-                let mut run = IsolatedRun { result, fault: None, retries: attempt };
+            Execution::Done(result, agreed) => {
+                let mut run = IsolatedRun { result, fault: None, retries: attempt, agreed };
                 cap_output(&mut run, isolation.max_output_bytes);
+                if run.fault.is_some() || run.retries > 0 {
+                    run.agreed.clear();
+                }
                 return run;
             }
             Execution::Wedged => {
@@ -142,6 +157,7 @@ pub fn run_isolated_compiled(
                     result: timeout_result(options),
                     fault: Some(FaultObserved::Hang),
                     retries: attempt,
+                    agreed: Vec::new(),
                 };
             }
             Execution::Panicked(message) => {
@@ -149,6 +165,7 @@ pub fn run_isolated_compiled(
                     result: crash_result(format!("contained panic: {message}")),
                     fault: Some(FaultObserved::Panic),
                     retries: attempt,
+                    agreed: Vec::new(),
                 };
             }
             Execution::Transient(message) => {
@@ -160,11 +177,13 @@ pub fn run_isolated_compiled(
         result: crash_result(format!("transient fault persisted: {last_transient}")),
         fault: Some(FaultObserved::TransientExhausted),
         retries: retry.max_retries,
+        agreed: Vec::new(),
     }
 }
 
 enum Execution {
-    Done(RunResult),
+    /// A result and the positions of the peers that agreed.
+    Done(RunResult, Vec<usize>),
     Wedged,
     Panicked(String),
     Transient(String),
@@ -172,31 +191,34 @@ enum Execution {
 
 fn execute_once(
     testbed: &Testbed,
+    peers: &[&Testbed],
     chunk: &Arc<CompiledChunk>,
     options: &RunOptions,
     isolation: &IsolationPolicy,
     attempt: u32,
 ) -> Execution {
     match isolation.watchdog_millis {
-        Some(limit) => execute_with_watchdog(testbed, chunk, options, attempt, limit),
+        Some(limit) => execute_with_watchdog(testbed, peers, chunk, options, attempt, limit),
         None if isolation.contain_panics => {
             match panic::catch_unwind(AssertUnwindSafe(|| {
-                testbed.run_attempt_compiled(chunk, options, attempt)
+                testbed.run_attempt_compiled(chunk, options, attempt, peers)
             })) {
                 Ok(raw) => raw_to_execution(raw),
                 Err(payload) => Execution::Panicked(panic_message(payload.as_ref())),
             }
         }
-        None => raw_to_execution(testbed.run_attempt_compiled(chunk, options, attempt)),
+        None => raw_to_execution(testbed.run_attempt_compiled(chunk, options, attempt, peers)),
     }
 }
 
 /// Runs one attempt on a helper thread and abandons it if the wall-clock
 /// limit passes. The helper is detached (not scoped): joining a wedged
 /// thread would just move the hang into the harness. The chunk crosses the
-/// thread boundary as an `Arc` clone — no program copy.
+/// thread boundary as an `Arc` clone — no program copy — and the testbed
+/// and its peers as clones.
 fn execute_with_watchdog(
     testbed: &Testbed,
+    peers: &[&Testbed],
     chunk: &Arc<CompiledChunk>,
     options: &RunOptions,
     attempt: u32,
@@ -204,11 +226,13 @@ fn execute_with_watchdog(
 ) -> Execution {
     let (tx, rx) = mpsc::channel();
     let testbed = testbed.clone();
+    let peers: Vec<Testbed> = peers.iter().map(|&peer| peer.clone()).collect();
     let chunk = Arc::clone(chunk);
     let options = options.clone();
     thread::spawn(move || {
+        let peers: Vec<&Testbed> = peers.iter().collect();
         let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
-            testbed.run_attempt_compiled(&chunk, &options, attempt)
+            testbed.run_attempt_compiled(&chunk, &options, attempt, &peers)
         })) {
             Ok(raw) => raw_to_execution(raw),
             Err(payload) => Execution::Panicked(panic_message(payload.as_ref())),
@@ -222,9 +246,9 @@ fn execute_with_watchdog(
     }
 }
 
-fn raw_to_execution(raw: Result<RunResult, RawFault>) -> Execution {
+fn raw_to_execution(raw: Result<(RunResult, Vec<usize>), RawFault>) -> Execution {
     match raw {
-        Ok(result) => Execution::Done(result),
+        Ok((result, agreed)) => Execution::Done(result, agreed),
         Err(RawFault::Transient { message }) => Execution::Transient(message),
         Err(RawFault::Wedged { .. }) => Execution::Wedged,
     }
@@ -299,6 +323,7 @@ mod tests {
         let bed = chaotic(FaultPlan::new(1).panic_rate(1.0));
         let run = run_isolated_compiled(
             &bed,
+            &[],
             &chunk("print(1);"),
             &RunOptions::default(),
             &IsolationPolicy::default(),
@@ -313,6 +338,7 @@ mod tests {
         let bed = chaotic(FaultPlan::new(1).hang_rate(1.0).hang_millis(1));
         let run = run_isolated_compiled(
             &bed,
+            &[],
             &chunk("print(1);"),
             &RunOptions::default(),
             &IsolationPolicy::default(),
@@ -329,6 +355,7 @@ mod tests {
         let start = std::time::Instant::now();
         let run = run_isolated_compiled(
             &bed,
+            &[],
             &chunk("print(1);"),
             &RunOptions::default(),
             &isolation,
@@ -343,6 +370,7 @@ mod tests {
         let bed = chaotic(FaultPlan::new(1).transient_rate(1.0).transient_persistence(1));
         let run = run_isolated_compiled(
             &bed,
+            &[],
             &chunk("print(1);"),
             &RunOptions::default(),
             &IsolationPolicy::default(),
@@ -358,6 +386,7 @@ mod tests {
         let bed = chaotic(FaultPlan::new(1).transient_rate(1.0).transient_persistence(10));
         let run = run_isolated_compiled(
             &bed,
+            &[],
             &chunk("print(1);"),
             &RunOptions::default(),
             &IsolationPolicy::default(),
@@ -375,6 +404,7 @@ mod tests {
         let isolation = IsolationPolicy { max_output_bytes: 100, ..IsolationPolicy::default() };
         let run = run_isolated_compiled(
             &bed,
+            &[],
             &chunk(src),
             &RunOptions::default(),
             &isolation,
@@ -395,6 +425,7 @@ mod tests {
         let run = |bed: &Testbed, src: &str| {
             run_isolated_compiled(
                 bed,
+                &[],
                 &chunk(src),
                 &RunOptions::default(),
                 &IsolationPolicy::default(),
@@ -420,6 +451,7 @@ mod tests {
         let bed = Testbed::new(Engine::latest(EngineName::V8), false);
         let run = run_isolated_compiled(
             &bed,
+            &[],
             &chunk("print(41 + 1);"),
             &RunOptions::default(),
             &IsolationPolicy::default(),

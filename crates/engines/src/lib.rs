@@ -31,14 +31,12 @@
 //! assert_eq!(rhino.run_compiled(&chunk, &opts).output, "\n"); // the seeded Figure-2 bug
 //! ```
 
-mod bug_table;
 pub mod catalog;
 pub mod chaos;
 pub mod harness;
 mod profile;
 pub mod registry;
 
-pub use bug_table::{BehaviorId, GateAnswers};
 pub use catalog::{quota, ApiType, BugId, Component, Discovery, Effect, SeededBug, Trigger};
 pub use chaos::{
     fatal_signal_message, signal_name, ChaosAbort, ChaosPanic, FaultKind, FaultPlan, RawFault,
@@ -47,9 +45,10 @@ pub use harness::{
     run_isolated_compiled, silence_chaos_panics, FaultObserved, IsolatedRun, IsolationPolicy,
     RetryPolicy,
 };
-pub use profile::{BugBehavior, EngineProfile};
+pub use profile::EngineProfile;
 pub use registry::{all_versions, versions_of, EngineName, EngineVersion, EsEdition};
 
+use comfort_interp::hooks::Agreement;
 use comfort_interp::run_chunk;
 pub use comfort_interp::{
     compile, Backend, CompiledChunk, RunOptions, RunOptionsBuilder, RunResult,
@@ -60,12 +59,6 @@ use std::sync::{Arc, OnceLock};
 pub fn shared_catalog() -> &'static [SeededBug] {
     static CATALOG: OnceLock<Vec<SeededBug>> = OnceLock::new();
     CATALOG.get_or_init(catalog::build_catalog)
-}
-
-/// The shared catalog's gates and behaviour ids, interned once per process.
-fn shared_bug_table() -> &'static bug_table::BugTable {
-    static TABLE: OnceLock<bug_table::BugTable> = OnceLock::new();
-    TABLE.get_or_init(|| bug_table::BugTable::new(shared_catalog()))
 }
 
 /// One runnable engine version.
@@ -105,38 +98,6 @@ impl Engine {
     /// Seeded bugs active in this version (test/debug introspection).
     pub fn active_bugs(&self) -> &[SeededBug] {
         self.profile.bugs()
-    }
-
-    /// Ids of active bugs that `footprint` cannot rule out for a chunk
-    /// (see [`EngineProfile::relevant_bugs`]). Engines whose relevant-bug
-    /// sets are equal behave identically on that chunk.
-    pub fn relevant_bugs(&self, footprint: &comfort_interp::ApiFootprint) -> Vec<BugId> {
-        self.profile.relevant_bugs(footprint)
-    }
-
-    /// Semantic descriptions of the bugs `footprint` cannot rule out (see
-    /// [`EngineProfile::relevant_behavior`]). Comparable *across* engines:
-    /// equal sequences mean identical behaviour on the chunk.
-    pub fn relevant_behavior(
-        &self,
-        footprint: &comfort_interp::ApiFootprint,
-        strict_sites: bool,
-    ) -> Vec<profile::BugBehavior<'_>> {
-        self.profile.relevant_behavior(footprint, strict_sites)
-    }
-
-    /// The class key the execution-dedup layer uses: appends to `key` the
-    /// [`BehaviorId`]s of the bugs [`Self::relevant_behavior`] returns for
-    /// `gates`' footprint, in the same order, read from the shared bug
-    /// table. Two engines' keys compare equal exactly when their
-    /// `relevant_behavior` sequences do.
-    pub fn push_class_key(
-        &self,
-        gates: &GateAnswers,
-        strict_sites: bool,
-        key: &mut Vec<BehaviorId>,
-    ) {
-        self.profile.push_class_key(gates, strict_sites, key);
     }
 
     /// Runs a compiled chunk with the given options. This is the execution
@@ -186,9 +147,9 @@ impl Testbed {
 
     /// `true` when the attached chaos plan injects a fault for this chunk
     /// on the *first* attempt. Such a testbed must not share an execution
-    /// with classmates: even a Garbage fault silently alters output. A
-    /// `None` decision at attempt 0 means the run is clean and no retries
-    /// occur (retries only follow an injected fault), so sharing is safe.
+    /// with peers: even a Garbage fault silently alters output. A `None`
+    /// decision at attempt 0 means the run is clean and no retries occur
+    /// (retries only follow an injected fault), so sharing is safe.
     /// The decision reads the chunk's arena, its content address; a
     /// testbed without chaos answers `false` without hashing anything.
     pub fn has_pending_fault(&self, chunk: &Arc<CompiledChunk>) -> bool {
@@ -220,6 +181,7 @@ impl Testbed {
     pub fn run_compiled(&self, chunk: &Arc<CompiledChunk>, options: &RunOptions) -> RunResult {
         run_isolated_compiled(
             self,
+            &[],
             chunk,
             options,
             &IsolationPolicy::default(),
@@ -238,12 +200,20 @@ impl Testbed {
     /// node, atom, number, `extra` record and function proto, but not the
     /// AST ids), so separately compiled chunks of one program text
     /// misbehave identically on a chaos testbed.
+    ///
+    /// The run carries `peers` (see [`comfort_interp::hooks::Agreement`])
+    /// and returns, beside its result, the positions in `peers` of those
+    /// that answered every hook query of the run as this testbed did: each
+    /// would have produced this very result on its own. A peer of the other
+    /// mode, or with a fault pending for the chunk, never agrees, and an
+    /// injected fault leaves no peer agreeing.
     pub fn run_attempt_compiled(
         &self,
         chunk: &Arc<CompiledChunk>,
         options: &RunOptions,
         attempt: u32,
-    ) -> Result<RunResult, RawFault> {
+        peers: &[&Testbed],
+    ) -> Result<(RunResult, Vec<usize>), RawFault> {
         if let Some(plan) = &self.chaos {
             match plan.decide(&chunk.arena, attempt) {
                 Some(FaultKind::Abort) => {
@@ -265,12 +235,13 @@ impl Testbed {
                     return Err(RawFault::Wedged { millis: plan.hang_millis });
                 }
                 Some(FaultKind::Garbage) => {
-                    return Ok(RunResult {
+                    let garbage = RunResult {
                         status: comfort_interp::RunStatus::Completed,
                         output: plan.garbage_output(&chunk.arena),
                         fuel_used: 0,
                         coverage: None,
-                    });
+                    };
+                    return Ok((garbage, Vec::new()));
                 }
                 Some(FaultKind::Transient) => {
                     return Err(RawFault::Transient {
@@ -280,10 +251,19 @@ impl Testbed {
                 None => {}
             }
         }
-        Ok(self.engine.run_compiled(
-            chunk,
-            &options.to_builder().strict(self.strict || options.strict).build(),
-        ))
+        let options = options.to_builder().strict(self.strict || options.strict).build();
+        if peers.is_empty() {
+            return Ok((self.engine.run_compiled(chunk, &options), Vec::new()));
+        }
+        let mut live = Vec::with_capacity(peers.len());
+        live.extend(
+            (0..peers.len())
+                .filter(|&k| peers[k].strict == self.strict && !peers[k].has_pending_fault(chunk)),
+        );
+        let agreement =
+            Agreement::new(&self.engine.profile, peers, |peer| &peer.engine.profile, live);
+        let result = run_chunk(chunk, &agreement, &options);
+        Ok((result, agreement.into_agreed()))
     }
 }
 

@@ -4,10 +4,8 @@
 use comfort_interp::hooks::{
     ArraySetBehavior, BuiltinSite, ConformanceProfile, Deviation, ValuePreview, ValueRecipe,
 };
-use comfort_interp::ApiFootprint;
 
-use crate::bug_table::{bug_may_fire, BehaviorId, ClassedBug, GateAnswers};
-use crate::catalog::{BugId, Effect, SeededBug, Trigger};
+use crate::catalog::{Effect, SeededBug};
 use crate::registry::{EngineName, EngineVersion};
 
 /// Shared recipe for the define-property suppression path, served by
@@ -20,27 +18,45 @@ static ARG0: ValueRecipe = ValueRecipe::Arg(0);
 pub struct EngineProfile {
     version: EngineVersion,
     bugs: Vec<SeededBug>,
-    /// `classed[k]` is `bugs[k]` as the shared bug table classes it.
-    classed: Vec<ClassedBug>,
     /// The APIs some bug of `bugs` hooks, each once: the builtins whose
     /// sites [`ConformanceProfile::on_builtin`] can deviate at.
     hooked: Vec<&'static str>,
+    /// The special-hook effects some bug of `bugs` has, read once here
+    /// because the interpreter asks on every array store, and a run that
+    /// carries peers asks every peer too.
+    specials: Specials,
+}
+
+/// Which special-hook effects a profile's bugs have.
+#[derive(Debug, Clone, Copy, Default)]
+struct Specials {
+    define_prop_length_suppress: bool,
+    array_bool_key_append: bool,
+    eval_headless_for: bool,
+    split_anchor: bool,
+    array_reverse_fill: bool,
 }
 
 impl EngineProfile {
     /// Builds the profile for `version` from the shared catalog.
     pub fn new(version: EngineVersion) -> Self {
-        let table = crate::shared_bug_table();
-        let (bugs, classed): (Vec<SeededBug>, _) = crate::shared_catalog()
+        let bugs: Vec<SeededBug> = crate::shared_catalog()
             .iter()
-            .enumerate()
-            .filter(|(_, b)| b.engine == version.engine && b.active_in(version.ordinal))
-            .map(|(k, b)| (b.clone(), table.bug(k)))
-            .unzip();
+            .filter(|b| b.engine == version.engine && b.active_in(version.ordinal))
+            .cloned()
+            .collect();
         let mut hooked: Vec<&'static str> = bugs.iter().filter_map(|b| b.api).collect();
         hooked.sort_unstable();
         hooked.dedup();
-        EngineProfile { version, bugs, classed, hooked }
+        let has = |effect: Effect| bugs.iter().any(|b| b.effect == effect);
+        let specials = Specials {
+            define_prop_length_suppress: has(Effect::DefinePropLengthSuppress),
+            array_bool_key_append: has(Effect::ArrayBoolKeyAppend),
+            eval_headless_for: has(Effect::EvalHeadlessFor),
+            split_anchor: has(Effect::SplitAnchor),
+            array_reverse_fill: has(Effect::ArrayReverseFill),
+        };
+        EngineProfile { version, bugs, hooked, specials }
     }
 
     /// The engine this profile simulates.
@@ -65,86 +81,6 @@ impl EngineProfile {
                 && (!b.strict_only || site.strict)
                 && b.triggers.iter().all(|t| t.matches(&site.receiver, &site.args))
         })
-    }
-
-    /// The relevance query: ids of this profile's bugs that `footprint`
-    /// cannot rule out for a given chunk, in catalog order.
-    ///
-    /// Two testbeds of the same mode whose relevant-bug sets are equal are
-    /// behaviourally identical on that chunk — bugs are the *only* runtime
-    /// difference between profiles, and a bug whose hook site is provably
-    /// unreachable can never fire. `Effect::Perf` bugs are included like any
-    /// other (burning fuel changes `OutOfFuel` outcomes). A poisoned
-    /// footprint returns every active bug, i.e. no collapse.
-    pub fn relevant_bugs(&self, footprint: &ApiFootprint) -> Vec<BugId> {
-        self.bugs.iter().filter(|b| bug_may_fire(b, footprint)).map(|b| b.id).collect()
-    }
-
-    /// The behaviour-level relevance query: semantic descriptions of the
-    /// bugs `footprint` cannot rule out, in catalog order. Unlike
-    /// [`Self::relevant_bugs`] this compares *across engines*: two testbeds
-    /// with pairwise-equal sequences respond identically at every reachable
-    /// hook site, so the execution-dedup layer can put them in one class
-    /// even when their bug ids differ. Bugs that only manifest at strict
-    /// sites are dropped when `strict_sites` is `false` (a non-strict
-    /// testbed running a program with no `"use strict"` prologue — pass
-    /// `testbed.strict || footprint.has_strict_sites()`).
-    pub fn relevant_behavior(
-        &self,
-        footprint: &ApiFootprint,
-        strict_sites: bool,
-    ) -> Vec<BugBehavior<'_>> {
-        self.bugs
-            .iter()
-            .filter(|b| (strict_sites || !b.strict_only) && bug_may_fire(b, footprint))
-            .map(BugBehavior::of)
-            .collect()
-    }
-
-    /// See [`crate::Engine::push_class_key`].
-    pub(crate) fn push_class_key(
-        &self,
-        gates: &GateAnswers,
-        strict_sites: bool,
-        key: &mut Vec<BehaviorId>,
-    ) {
-        key.extend(
-            self.classed
-                .iter()
-                .filter(|b| (strict_sites || !b.strict_only) && gates.admits(b.gate))
-                .map(|b| b.behavior),
-        );
-    }
-}
-
-/// Engine-independent description of what one seeded bug does at its hook
-/// site: where it hooks, when it triggers, and the deviation it applies.
-/// Two testbeds of the same mode whose relevant-bug sequences are pairwise
-/// equal under this comparison produce bit-identical runs on the chunk —
-/// the hook layer is the *only* behavioural difference between profiles,
-/// and first-match resolution walks the same semantic sequence. The one
-/// engine-dependent observable is the synthesized `WrongThrow` message
-/// (it embeds the engine name), so those bugs carry `message_engine` and
-/// only compare equal within a single engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BugBehavior<'a> {
-    api: Option<&'static str>,
-    triggers: &'a [Trigger],
-    effect: &'a Effect,
-    strict_only: bool,
-    message_engine: Option<EngineName>,
-}
-
-impl<'a> BugBehavior<'a> {
-    /// The behaviour of `bug`, tagged with its engine when it throws.
-    pub(crate) fn of(bug: &'a SeededBug) -> BugBehavior<'a> {
-        BugBehavior {
-            api: bug.api,
-            triggers: &bug.triggers,
-            effect: &bug.effect,
-            strict_only: bug.strict_only,
-            message_engine: matches!(bug.effect, Effect::WrongThrow(_)).then_some(bug.engine),
-        }
     }
 }
 
@@ -185,10 +121,7 @@ impl ConformanceProfile for EngineProfile {
         key: &str,
         _strict: bool,
     ) -> Deviation<'_> {
-        if target_class == "Array"
-            && key == "length"
-            && self.bugs.iter().any(|b| b.effect == Effect::DefinePropLengthSuppress)
-        {
+        if target_class == "Array" && key == "length" && self.specials.define_prop_length_suppress {
             Deviation::SuppressThrow(&ARG0)
         } else {
             Deviation::None
@@ -196,9 +129,7 @@ impl ConformanceProfile for EngineProfile {
     }
 
     fn on_array_key_set(&self, key: &ValuePreview) -> ArraySetBehavior {
-        if matches!(key, ValuePreview::Bool(true))
-            && self.bugs.iter().any(|b| b.effect == Effect::ArrayBoolKeyAppend)
-        {
+        if matches!(key, ValuePreview::Bool(true)) && self.specials.array_bool_key_append {
             ArraySetBehavior::AppendElement
         } else {
             ArraySetBehavior::Normal
@@ -206,15 +137,15 @@ impl ConformanceProfile for EngineProfile {
     }
 
     fn eval_tolerates_headless_for(&self) -> bool {
-        self.bugs.iter().any(|b| b.effect == Effect::EvalHeadlessFor)
+        self.specials.eval_headless_for
     }
 
     fn split_anchor_broken(&self) -> bool {
-        self.bugs.iter().any(|b| b.effect == Effect::SplitAnchor)
+        self.specials.split_anchor
     }
 
     fn array_reverse_fill_penalty(&self) -> u64 {
-        if self.bugs.iter().any(|b| b.effect == Effect::ArrayReverseFill) {
+        if self.specials.array_reverse_fill {
             48
         } else {
             0

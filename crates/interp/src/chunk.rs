@@ -3,8 +3,8 @@
 //! [`CompiledChunk`] packages the arena-flattened program
 //! ([`comfort_syntax::NodeArena`]: 16-byte node headers, interned `Arc<str>`
 //! atom table, number pool, `extra` child lists, function-proto table with
-//! precomputed hoist lists) with its API footprint, and nothing else: the
-//! chunk keeps no copy of the [`Program`] it was built from. The chunk is
+//! precomputed hoist lists) and nothing else: the chunk keeps no copy of
+//! the [`Program`] it was built from. The chunk is
 //! immutable and `Send + Sync`, so [`compile`] runs **once per test case**
 //! and the resulting `Arc<CompiledChunk>` fans out read-only across every
 //! engine × mode testbed and every worker thread of a differential
@@ -20,9 +20,7 @@ use std::sync::Arc;
 
 use comfort_syntax::{NodeArena, Program};
 
-use crate::footprint::{extract_footprint, ApiFootprint};
-
-/// A program compiled for execution: the arena encoding and its footprint.
+/// A program compiled for execution: its arena encoding.
 ///
 /// Create with [`compile`]; execute with [`crate::run_chunk`] (or
 /// `Testbed::run_compiled` in `comfort-engines`). One chunk is safely
@@ -31,20 +29,16 @@ use crate::footprint::{extract_footprint, ApiFootprint};
 pub struct CompiledChunk {
     /// Arena-flattened program (the bytecode VM's instruction stream).
     pub arena: NodeArena,
-    /// Conservative API footprint: which builtin atoms the program can
-    /// reach. Lets the differential harness prove testbeds equivalent for
-    /// this chunk and collapse redundant executions.
-    pub footprint: ApiFootprint,
     /// `true` if an atom of the arena spells `arguments`. Kept beside the
     /// arena, not in it, so the content address does not move.
     names_arguments: bool,
 }
 
 impl CompiledChunk {
-    /// Packages an arena with its footprint.
-    pub fn new(arena: NodeArena, footprint: ApiFootprint) -> Self {
+    /// Packages an arena.
+    pub fn new(arena: NodeArena) -> Self {
         let names_arguments = arena.atoms.iter().any(|atom| &**atom == "arguments");
-        CompiledChunk { arena, footprint, names_arguments }
+        CompiledChunk { arena, names_arguments }
     }
 
     /// `true` if the chunk's code can name a function's `arguments`
@@ -66,9 +60,8 @@ impl CompiledChunk {
     }
 }
 
-/// Compiles `program` into a shareable chunk: one arena build, then one
-/// footprint walk over the arena, whose mentioned atoms share the arena's
-/// interned strings. This is phase one of the two-phase execute contract:
+/// Compiles `program` into a shareable chunk: one arena build. This is
+/// phase one of the two-phase execute contract:
 /// compile once, then run the chunk on as many (profile, options) pairs as
 /// needed.
 ///
@@ -81,9 +74,7 @@ impl CompiledChunk {
 /// assert_eq!(r.output, "42\n");
 /// ```
 pub fn compile(program: &Program) -> Arc<CompiledChunk> {
-    let arena = NodeArena::build(program);
-    let footprint = extract_footprint(&arena);
-    Arc::new(CompiledChunk::new(arena, footprint))
+    Arc::new(CompiledChunk::new(NodeArena::build(program)))
 }
 
 #[cfg(test)]

@@ -17,6 +17,21 @@
 //! A profile may answer `false` only for an API at whose every site
 //! `on_builtin` answers [`Deviation::None`], so the gate skips only work
 //! whose answer is already known.
+//!
+//! # The purity contract
+//!
+//! A run is a pure function of its chunk, its options and the answers its
+//! profile gives: the interpreter reads no other state of the profile, and
+//! the questions it asks depend only on the answers it got before. Two
+//! profiles that answer every question of one run alike therefore produce
+//! that run bit for bit (status, output, fuel and coverage). [`Agreement`]
+//! rests on this: it runs one profile and keeps, among its *peers*, those
+//! that would have answered every question of the run alike, so the run
+//! stands for theirs too. The [`ConformanceProfile::hooks_api`] gate is no
+//! answer: by its contract a refused API answers [`Deviation::None`] at
+//! every site, so answers compare after the gate.
+
+use std::cell::RefCell;
 
 /// A shallow, heap-free preview of a [`crate::Value`], handed to profiles.
 #[derive(Debug, Clone, PartialEq)]
@@ -195,6 +210,107 @@ pub trait ConformanceProfile {
     }
 }
 
+/// A profile that answers every query as `own` does while it carries
+/// `peers` along: a peer stays *live* while its answer to every query so far
+/// equals `own`'s, and is dropped at the first that differs.
+///
+/// Under the purity contract (see the module docs) a run under an
+/// `Agreement` is the run under `own`, and each peer still live when it
+/// ends ([`Agreement::into_agreed`]) would have produced the same run on
+/// its own. The compared answers are `on_builtin` (each side gated by its
+/// own `hooks_api`), `on_define_property`, `on_array_key_set` and the three
+/// capability queries. `hooks_api` admits an API while `own` or any live
+/// peer hooks it, so every peer that could deviate there is asked.
+///
+/// `profile_of` reads a peer's profile out of the `peers` slice, so callers
+/// pass the slice they already hold instead of collecting profiles.
+pub struct Agreement<'p, P, T> {
+    own: &'p P,
+    peers: &'p [T],
+    profile_of: fn(&T) -> &P,
+    /// Positions in `peers` of the peers that agreed so far, ascending.
+    live: RefCell<Vec<usize>>,
+}
+
+impl<'p, P: ConformanceProfile, T> Agreement<'p, P, T> {
+    /// Answers as `own`, carrying the peers at positions `live` of `peers`
+    /// (ascending; a position may be left out to drop that peer up front).
+    pub fn new(own: &'p P, peers: &'p [T], profile_of: fn(&T) -> &P, live: Vec<usize>) -> Self {
+        Agreement { own, peers, profile_of, live: RefCell::new(live) }
+    }
+
+    /// The positions in `peers` of the peers whose every answer equalled
+    /// `own`'s, ascending.
+    pub fn into_agreed(self) -> Vec<usize> {
+        self.live.into_inner()
+    }
+
+    fn peer(&self, k: usize) -> &'p P {
+        (self.profile_of)(&self.peers[k])
+    }
+
+    /// Drops every live peer whose `answer` differs from `own`'s.
+    fn sift<A: PartialEq>(&self, own: &A, answer: impl Fn(&'p P) -> A) {
+        self.live.borrow_mut().retain(|&k| answer(self.peer(k)) == *own);
+    }
+}
+
+/// `profile`'s answer at `site`, gated as the interpreter gates it.
+fn gated<'a, P: ConformanceProfile>(profile: &'a P, site: &BuiltinSite) -> Deviation<'a> {
+    if profile.hooks_api(site.api) {
+        profile.on_builtin(site)
+    } else {
+        Deviation::None
+    }
+}
+
+impl<P: ConformanceProfile, T> ConformanceProfile for Agreement<'_, P, T> {
+    fn hooks_api(&self, api: &str) -> bool {
+        self.own.hooks_api(api) || self.live.borrow().iter().any(|&k| self.peer(k).hooks_api(api))
+    }
+
+    fn on_builtin(&self, site: &BuiltinSite) -> Deviation<'_> {
+        let own = gated(self.own, site);
+        self.sift(&own, |peer| gated(peer, site));
+        own
+    }
+
+    fn on_define_property(
+        &self,
+        target_class: &'static str,
+        key: &str,
+        strict: bool,
+    ) -> Deviation<'_> {
+        let own = self.own.on_define_property(target_class, key, strict);
+        self.sift(&own, |peer| peer.on_define_property(target_class, key, strict));
+        own
+    }
+
+    fn on_array_key_set(&self, key: &ValuePreview) -> ArraySetBehavior {
+        let own = self.own.on_array_key_set(key);
+        self.sift(&own, |peer| peer.on_array_key_set(key));
+        own
+    }
+
+    fn eval_tolerates_headless_for(&self) -> bool {
+        let own = self.own.eval_tolerates_headless_for();
+        self.sift(&own, |peer| peer.eval_tolerates_headless_for());
+        own
+    }
+
+    fn split_anchor_broken(&self) -> bool {
+        let own = self.own.split_anchor_broken();
+        self.sift(&own, |peer| peer.split_anchor_broken());
+        own
+    }
+
+    fn array_reverse_fill_penalty(&self) -> u64 {
+        let own = self.own.array_reverse_fill_penalty();
+        self.sift(&own, |peer| peer.array_reverse_fill_penalty());
+        own
+    }
+}
+
 /// The reference profile: a fully conformant engine (no deviations).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpecProfile;
@@ -224,6 +340,51 @@ mod tests {
         assert!(!p.eval_tolerates_headless_for());
         assert!(!p.split_anchor_broken());
         assert_eq!(p.array_reverse_fill_penalty(), 0);
+    }
+
+    /// Burns one extra unit of fuel at one API and answers spec elsewhere.
+    struct SlowAt(&'static str);
+
+    impl ConformanceProfile for SlowAt {
+        fn hooks_api(&self, api: &str) -> bool {
+            api == self.0
+        }
+
+        fn on_builtin(&self, site: &BuiltinSite) -> Deviation<'_> {
+            if site.api == self.0 {
+                Deviation::Slowdown(1)
+            } else {
+                Deviation::None
+            }
+        }
+    }
+
+    #[test]
+    fn agreement_keeps_exactly_the_peers_that_answer_alike() {
+        use crate::{compile, run_chunk, RunOptions};
+        let chunk = compile(
+            &comfort_syntax::parse("print('abc'.substr(1), Math.abs(-2));").expect("parses"),
+        );
+        let options = RunOptions::with_fuel(10_000);
+        let own = SlowAt("JSON.parse");
+        let peers = [
+            SlowAt("String.prototype.substr"),
+            SlowAt("Math.max"),
+            SlowAt("Math.abs"),
+            SlowAt("parseInt"),
+        ];
+        let agreement = Agreement::new(&own, &peers, |peer| peer, vec![0, 1, 2, 3]);
+        let run = run_chunk(&chunk, &agreement, &options);
+        assert_eq!(run, run_chunk(&chunk, &own, &options), "the run is own's");
+        assert_eq!(agreement.into_agreed(), vec![1, 3]);
+        for (k, peer) in peers.iter().enumerate() {
+            let alone = run_chunk(&chunk, peer, &options);
+            assert_eq!(alone == run, k % 2 == 1, "peer {k} agreed but runs otherwise");
+        }
+        // A peer left out up front never agrees.
+        let agreement = Agreement::new(&own, &peers, |peer| peer, vec![3]);
+        run_chunk(&chunk, &agreement, &options);
+        assert_eq!(agreement.into_agreed(), vec![3]);
     }
 
     #[test]

@@ -12,11 +12,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use comfort_syntax::ast::*;
-use comfort_syntax::{parse, FnvBuildHasher, NodeArena};
+use comfort_syntax::{parse, FnvBuildHasher};
 
-use crate::chunk::CompiledChunk;
+use crate::chunk::{compile, CompiledChunk};
 use crate::coverage::Coverage;
-use crate::footprint::ApiFootprint;
 use crate::hooks::{
     ArraySetBehavior, BuiltinSite, ConformanceProfile, Deviation, ValuePreview, ValueRecipe,
 };
@@ -1618,10 +1617,7 @@ impl<'p> Interp<'p> {
                 }
             }
         };
-        // Built without `compile`: nothing reads an eval chunk's footprint,
-        // so the conservative one stands in for the extraction walk.
-        let chunk =
-            Arc::new(CompiledChunk::new(NodeArena::build(&program), ApiFootprint::poisoned_all()));
+        let chunk = compile(&program);
         self.eval_depth += 1;
         // Indirect-eval semantics: declarations land in the global scope, and
         // the caller's strictness stays in force.

@@ -36,7 +36,6 @@
 mod builtins;
 pub mod chunk;
 pub mod coverage;
-pub mod footprint;
 pub mod hooks;
 mod interp;
 pub mod ops;
@@ -46,7 +45,6 @@ use std::sync::Arc;
 
 pub use chunk::{compile, CompiledChunk};
 pub use coverage::{Coverage, Universe};
-pub use footprint::{extract_footprint, ApiFootprint};
 pub use interp::{Backend, Control, Interp, RunOptions, RunOptionsBuilder, RunResult, RunStatus};
 pub use value::{ErrorKind, ObjId, TaKind, Value};
 

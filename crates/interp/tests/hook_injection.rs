@@ -9,7 +9,7 @@ use comfort_interp::{run_source, ErrorKind, RunOptions, RunStatus};
 
 /// A profile that deviates on exactly one API with one effect. Recipes are
 /// owned by the profile and handed out by reference, mirroring how the
-/// engine catalog serves `Deviation` payloads from its bug table.
+/// engine profiles serve `Deviation` payloads from the seeded-bug catalog.
 struct OneBug {
     api: &'static str,
     effect: Effect,

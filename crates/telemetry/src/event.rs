@@ -168,7 +168,7 @@ pub enum EventKind {
     ExecutionDeduped {
         /// The case.
         case_id: u64,
-        /// Behaviour-equivalence classes (= physical executions).
+        /// Classes, one per representative (= physical executions).
         classes: u64,
         /// Executions avoided (logical runs − physical executions).
         saved: u64,

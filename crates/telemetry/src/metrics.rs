@@ -114,8 +114,9 @@ pub struct CampaignMetrics {
     pub quorum_degraded: u64,
     /// Shards merged into this value (1 for an unmerged shard).
     pub shards: u64,
-    /// Physical executions avoided by footprint-based equivalence classing
-    /// (logical runs minus representatives actually executed).
+    /// Physical executions avoided by agreement classing: logical runs
+    /// minus representatives executed, where a representative's run serves
+    /// every peer that answered its hook queries alike.
     /// Execution-strategy observability only: excluded from determinism
     /// comparisons via [`CampaignMetrics::without_wall_clock`] because the
     /// same campaign produces identical reports with dedup on or off.

@@ -1,8 +1,9 @@
 //! Allocation budget of a physical run: the mean number of allocator calls
 //! one testbed run makes over the evaluator golden file's inputs (the 120
 //! corpus seeds and the ECMA-guided mutants of seeds 0..24, as
-//! `footprint_pin.rs` builds them) on every latest testbed, and the count
-//! for the empty program.
+//! `agreement_pin.rs` builds them) on every latest testbed, plain and
+//! carrying the nine other latest testbeds as peers (the path every
+//! differential step takes), and the count for the empty program.
 //!
 //! A run's cost bounds the differential step's throughput, and most of its
 //! allocations were interpreter overhead rather than program work: copied
@@ -19,7 +20,9 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use comfort::core::datagen::{DataGen, DataGenConfig};
-use comfort::engines::latest_testbeds;
+use comfort::engines::{
+    latest_testbeds, run_isolated_compiled, IsolationPolicy, RetryPolicy, Testbed,
+};
 use comfort::interp::{compile, CompiledChunk, RunOptions};
 use comfort::syntax::{parse, Program};
 use rand::rngs::StdRng;
@@ -107,36 +110,52 @@ fn golden_chunks() -> Vec<Arc<CompiledChunk>> {
     chunks
 }
 
-/// Runs `chunks` on every latest testbed; returns each run's allocations.
-fn per_run_allocations(chunks: &[Arc<CompiledChunk>]) -> Vec<u64> {
+/// Runs `chunks` on every latest testbed, each carrying the other latest
+/// testbeds as peers when `with_peers` is set; returns each run's
+/// allocations.
+fn per_run_allocations(chunks: &[Arc<CompiledChunk>], with_peers: bool) -> Vec<u64> {
     let testbeds = latest_testbeds();
     let options = RunOptions::with_fuel(FUEL);
     // Warm-up: the first run on a thread installs the builtins world.
     testbeds[0].run_compiled(&compile(&parse("print(1);").expect("parses")), &options);
+    let peers_of = |k: usize| -> Vec<&Testbed> {
+        let others = testbeds.iter().enumerate().filter(|&(j, _)| j != k);
+        others.filter(|_| with_peers).map(|(_, bed)| bed).collect()
+    };
+    let peers: Vec<Vec<&Testbed>> = (0..testbeds.len()).map(peers_of).collect();
+    let (isolation, retry) = (IsolationPolicy::default(), RetryPolicy::default());
     let mut counts = Vec::with_capacity(chunks.len() * testbeds.len());
     for chunk in chunks {
-        for bed in &testbeds {
+        for (bed, peers) in testbeds.iter().zip(&peers) {
             let before = allocations();
-            let result = bed.run_compiled(chunk, &options);
-            drop(result);
+            let run = run_isolated_compiled(bed, peers, chunk, &options, &isolation, &retry);
+            drop(run);
             counts.push(allocations() - before);
         }
     }
     counts
 }
 
-#[test]
-fn golden_runs_stay_within_the_mean_allocation_budget() {
-    let counts = per_run_allocations(&golden_chunks());
+fn assert_mean_within_budget(counts: &[u64], what: &str) {
     assert_eq!(counts.len(), 6_290, "629 golden programs on the 10 latest testbeds");
     let mean = counts.iter().sum::<u64>() as f64 / counts.len() as f64;
-    eprintln!("{mean:.2} allocations per run over {} runs", counts.len());
-    assert!(mean <= MEAN_BUDGET, "{mean:.1} allocations per run, budget {MEAN_BUDGET}");
+    eprintln!("{mean:.2} allocations per {what} over {} runs", counts.len());
+    assert!(mean <= MEAN_BUDGET, "{mean:.1} allocations per {what}, budget {MEAN_BUDGET}");
+}
+
+#[test]
+fn golden_runs_stay_within_the_mean_allocation_budget() {
+    assert_mean_within_budget(&per_run_allocations(&golden_chunks(), false), "run");
+}
+
+#[test]
+fn golden_runs_carrying_peers_stay_within_the_mean_allocation_budget() {
+    assert_mean_within_budget(&per_run_allocations(&golden_chunks(), true), "run with peers");
 }
 
 #[test]
 fn the_empty_program_stays_within_its_allocation_budget() {
-    let counts = per_run_allocations(&[compile(&parse("").expect("parses"))]);
+    let counts = per_run_allocations(&[compile(&parse("").expect("parses"))], false);
     eprintln!("empty program: {counts:?} allocations per run");
     assert!(
         counts.iter().all(|&n| n <= EMPTY_BUDGET),
@@ -148,7 +167,7 @@ fn the_empty_program_stays_within_its_allocation_budget() {
 fn array_loops_stay_within_their_allocation_budget() {
     let counts: Vec<Vec<u64>> = ARRAY_LOOPS
         .iter()
-        .map(|src| per_run_allocations(&[compile(&parse(src).expect("parses"))]))
+        .map(|src| per_run_allocations(&[compile(&parse(src).expect("parses"))], false))
         .collect();
     for (src, counts) in ARRAY_LOOPS.iter().zip(&counts) {
         eprintln!("{src:?}: {counts:?} allocations per run");
