@@ -28,7 +28,7 @@ pub struct EngineProfile {
 }
 
 /// Which special-hook effects a profile's bugs have.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Specials {
     define_prop_length_suppress: bool,
     array_bool_key_append: bool,

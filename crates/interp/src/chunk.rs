@@ -35,12 +35,6 @@ pub struct CompiledChunk {
 }
 
 impl CompiledChunk {
-    /// Packages an arena.
-    pub fn new(arena: NodeArena) -> Self {
-        let names_arguments = arena.atoms.iter().any(|atom| &**atom == "arguments");
-        CompiledChunk { arena, names_arguments }
-    }
-
     /// `true` if the chunk's code can name a function's `arguments`
     /// binding. Without an `arguments` atom it cannot: `eval` code runs in
     /// the global env, so calls of the chunk's functions skip building the
@@ -61,9 +55,8 @@ impl CompiledChunk {
 }
 
 /// Compiles `program` into a shareable chunk: one arena build. This is
-/// phase one of the two-phase execute contract:
-/// compile once, then run the chunk on as many (profile, options) pairs as
-/// needed.
+/// phase one of the two-phase execute contract: compile once, then run the
+/// chunk on as many (profile, options) pairs as needed.
 ///
 /// ```
 /// use comfort_interp::{compile, run_chunk, hooks::SpecProfile, RunOptions};
@@ -74,7 +67,9 @@ impl CompiledChunk {
 /// assert_eq!(r.output, "42\n");
 /// ```
 pub fn compile(program: &Program) -> Arc<CompiledChunk> {
-    Arc::new(CompiledChunk::new(NodeArena::build(program)))
+    let arena = NodeArena::build(program);
+    let names_arguments = arena.atoms.iter().any(|atom| &**atom == "arguments");
+    Arc::new(CompiledChunk { arena, names_arguments })
 }
 
 #[cfg(test)]

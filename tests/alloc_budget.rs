@@ -118,11 +118,12 @@ fn per_run_allocations(chunks: &[Arc<CompiledChunk>], with_peers: bool) -> Vec<u
     let options = RunOptions::with_fuel(FUEL);
     // Warm-up: the first run on a thread installs the builtins world.
     testbeds[0].run_compiled(&compile(&parse("print(1);").expect("parses")), &options);
-    let peers_of = |k: usize| -> Vec<&Testbed> {
-        let others = testbeds.iter().enumerate().filter(|&(j, _)| j != k);
-        others.filter(|_| with_peers).map(|(_, bed)| bed).collect()
-    };
-    let peers: Vec<Vec<&Testbed>> = (0..testbeds.len()).map(peers_of).collect();
+    let peers: Vec<Vec<&Testbed>> = (0..testbeds.len())
+        .map(|k| {
+            let others = testbeds.iter().enumerate().filter(|&(j, _)| with_peers && j != k);
+            others.map(|(_, bed)| bed).collect()
+        })
+        .collect();
     let (isolation, retry) = (IsolationPolicy::default(), RetryPolicy::default());
     let mut counts = Vec::with_capacity(chunks.len() * testbeds.len());
     for chunk in chunks {
