@@ -8,6 +8,7 @@
 
 use comfort_core::Fuzzer;
 use comfort_syntax::ast::*;
+use comfort_syntax::visit::{walk_program, walk_program_mut, Visitor, VisitorMut};
 use comfort_syntax::{parse, print_program, Program};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -54,21 +55,28 @@ impl Fuzzer for Die {
 
 /// Applies one aspect-preserving mutation at a random expression.
 fn mutate_one(program: &mut Program, rng: &mut StdRng) {
-    // Collect mutable pointers is unsafe; instead pick a random target index
-    // and re-walk counting until we hit it.
+    // Pick a target index among the expressions, then walk the same order
+    // mutably, counting until we hit it.
+    struct Mutate {
+        target: usize,
+        seen: usize,
+        roll: u32,
+    }
+    impl VisitorMut for Mutate {
+        fn visit_expr(&mut self, e: &mut Expr) {
+            if self.seen == self.target {
+                mutate_expr(e, self.roll);
+            }
+            self.seen += 1;
+        }
+    }
     let total = count_exprs(program);
     if total == 0 {
         return;
     }
     let target = rng.random_range(0..total);
-    let mut seen = 0usize;
     let roll: u32 = rng.random_range(0..100);
-    walk_exprs_mut(program, &mut |e| {
-        if seen == target {
-            mutate_expr(e, roll);
-        }
-        seen += 1;
-    });
+    walk_program_mut(program, &mut Mutate { target, seen: 0, roll });
 }
 
 fn mutate_expr(e: &mut Expr, roll: u32) {
@@ -123,145 +131,14 @@ fn mutate_expr(e: &mut Expr, roll: u32) {
 
 fn count_exprs(program: &Program) -> usize {
     struct C(usize);
-    impl comfort_syntax::visit::Visitor<'_> for C {
+    impl Visitor<'_> for C {
         fn visit_expr(&mut self, _: &Expr) {
             self.0 += 1;
         }
     }
     let mut c = C(0);
-    comfort_syntax::visit::walk_program(program, &mut c);
+    walk_program(program, &mut c);
     c.0
-}
-
-/// Pre-order mutable expression walk (statement-rooted).
-fn walk_exprs_mut(program: &mut Program, f: &mut impl FnMut(&mut Expr)) {
-    fn expr(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-        f(e);
-        match &mut e.kind {
-            ExprKind::Array(items) => items.iter_mut().flatten().for_each(|e| expr(e, f)),
-            ExprKind::Object(props) => {
-                for p in props {
-                    if let PropKey::Computed(k) = &mut p.key {
-                        expr(k, f);
-                    }
-                    if let Some(v) = &mut p.value {
-                        expr(v, f);
-                    }
-                }
-            }
-            ExprKind::Function(func) => stmts(&mut func.body, f),
-            ExprKind::Arrow { func, expr_body } => {
-                stmts(&mut func.body, f);
-                if let Some(b) = expr_body {
-                    expr(b, f);
-                }
-            }
-            ExprKind::Unary { operand, .. } => expr(operand, f),
-            ExprKind::Update { target, .. } => expr(target, f),
-            ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-                expr(left, f);
-                expr(right, f);
-            }
-            ExprKind::Cond { cond, cons, alt } => {
-                expr(cond, f);
-                expr(cons, f);
-                expr(alt, f);
-            }
-            ExprKind::Assign { target, value, .. } => {
-                expr(target, f);
-                expr(value, f);
-            }
-            ExprKind::Seq(items) => items.iter_mut().for_each(|e| expr(e, f)),
-            ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-                expr(callee, f);
-                args.iter_mut().for_each(|e| expr(e, f));
-            }
-            ExprKind::Member { object, .. } => expr(object, f),
-            ExprKind::Index { object, index } => {
-                expr(object, f);
-                expr(index, f);
-            }
-            ExprKind::Template { exprs, .. } => exprs.iter_mut().for_each(|e| expr(e, f)),
-            ExprKind::Paren(inner) => expr(inner, f),
-            ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
-        }
-    }
-    fn stmts(body: &mut [Stmt], f: &mut impl FnMut(&mut Expr)) {
-        for s in body {
-            match &mut s.kind {
-                StmtKind::Expr(e) | StmtKind::Throw(e) => expr(e, f),
-                StmtKind::Decl { decls, .. } => {
-                    for d in decls {
-                        if let Some(init) = &mut d.init {
-                            expr(init, f);
-                        }
-                    }
-                }
-                StmtKind::FunctionDecl(func) => stmts(&mut func.body, f),
-                StmtKind::Block(b) => stmts(b, f),
-                StmtKind::If { cond, cons, alt } => {
-                    expr(cond, f);
-                    stmts(std::slice::from_mut(cons), f);
-                    if let Some(a) = alt {
-                        stmts(std::slice::from_mut(a), f);
-                    }
-                }
-                StmtKind::While { cond, body } => {
-                    expr(cond, f);
-                    stmts(std::slice::from_mut(body), f);
-                }
-                StmtKind::DoWhile { body, cond } => {
-                    stmts(std::slice::from_mut(body), f);
-                    expr(cond, f);
-                }
-                StmtKind::For { init, test, update, body } => {
-                    match init.as_deref_mut() {
-                        Some(ForInit::Decl { decls, .. }) => {
-                            for d in decls {
-                                if let Some(e) = &mut d.init {
-                                    expr(e, f);
-                                }
-                            }
-                        }
-                        Some(ForInit::Expr(e)) => expr(e, f),
-                        None => {}
-                    }
-                    if let Some(t) = test {
-                        expr(t, f);
-                    }
-                    if let Some(u) = update {
-                        expr(u, f);
-                    }
-                    stmts(std::slice::from_mut(body), f);
-                }
-                StmtKind::ForInOf { object, body, .. } => {
-                    expr(object, f);
-                    stmts(std::slice::from_mut(body), f);
-                }
-                StmtKind::Return(Some(e)) => expr(e, f),
-                StmtKind::Try { block, catch, finally } => {
-                    stmts(block, f);
-                    if let Some(c) = catch {
-                        stmts(&mut c.body, f);
-                    }
-                    if let Some(fin) = finally {
-                        stmts(fin, f);
-                    }
-                }
-                StmtKind::Switch { disc, cases } => {
-                    expr(disc, f);
-                    for c in cases {
-                        if let Some(t) = &mut c.test {
-                            expr(t, f);
-                        }
-                        stmts(&mut c.body, f);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    stmts(&mut program.body, f);
 }
 
 #[cfg(test)]

@@ -26,14 +26,3 @@ pub use deepsmith::DeepSmith;
 pub use die::Die;
 pub use fuzzilli::Fuzzilli;
 pub use montage::Montage;
-
-/// Builds all five baselines with a shared seed (convenience for harnesses).
-pub fn all_baselines(seed: u64, corpus_programs: usize) -> Vec<Box<dyn comfort_core::Fuzzer>> {
-    vec![
-        Box::new(DeepSmith::new(seed, corpus_programs)),
-        Box::new(Fuzzilli::new()),
-        Box::new(CodeAlchemist::new(seed, corpus_programs)),
-        Box::new(Die::new(seed, corpus_programs)),
-        Box::new(Montage::new(seed, corpus_programs)),
-    ]
-}

@@ -417,11 +417,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Bugs on `engine`.
-    pub fn bugs_for(&self, engine: EngineName) -> usize {
-        self.bugs.iter().filter(|b| b.key.engine == engine).count()
-    }
-
     /// (submitted, verified, fixed, test262) totals.
     pub fn totals(&self) -> (usize, usize, usize, usize) {
         let submitted = self.bugs.len();

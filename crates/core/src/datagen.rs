@@ -26,7 +26,7 @@ use std::ops::Range;
 
 use comfort_ecma262::{ApiSpec, BoundaryValue, SpecDb};
 use comfort_syntax::ast::*;
-use comfort_syntax::visit::{walk_program, Visitor};
+use comfort_syntax::visit::{walk_program, walk_program_mut, Visitor, VisitorMut};
 use comfort_syntax::{print_expr, print_program, print_program_spans, ExprSpans, Program};
 use rand::Rng;
 
@@ -298,7 +298,7 @@ impl<'p> PrintedBase<'p> {
             .arg_var(arg_index)
             .and_then(|name| rewrite_var_init(&mut program.body, name, &value))
             .or_else(|| {
-                rewrite_call_arg(&mut program.body, site.call_id, arg_index, &value).map(Some)
+                rewrite_call_arg(&mut program, site.call_id, arg_index, &value).map(Some)
             })?;
         program.renumber();
         let range = self.spans.as_ref().zip(replaced).and_then(|(spans, id)| spans.get(id));
@@ -315,19 +315,10 @@ impl<'p> PrintedBase<'p> {
     fn set_arg_count(&self, site: &CallSite, new_argc: usize) -> Option<Mutant> {
         let mut program = self.program.clone();
         let mut changed = false;
-        visit_calls_mut(&mut program.body, &mut |expr| {
-            if expr.id != site.call_id {
-                return;
-            }
-            if let ExprKind::Call { args, .. } | ExprKind::New { args, .. } = &mut expr.kind {
-                while args.len() > new_argc {
-                    args.pop();
-                }
-                while args.len() < new_argc {
-                    args.push(build::num(0.0));
-                }
-                changed = true;
-            }
+        edit_call_args(&mut program, site.call_id, |args| {
+            args.truncate(new_argc);
+            args.resize_with(new_argc, || build::num(0.0));
+            changed = true;
         });
         if !changed {
             return None;
@@ -401,17 +392,14 @@ fn rewrite_var_init(body: &mut [Stmt], name: &str, value: &Expr) -> Option<Optio
 /// Rewrites argument `arg_index` of the first call with id `call_id` that
 /// has one; returns the replaced argument's id.
 fn rewrite_call_arg(
-    body: &mut [Stmt],
+    program: &mut Program,
     call_id: NodeId,
     arg_index: usize,
     value: &Expr,
 ) -> Option<NodeId> {
     let mut replaced = None;
-    visit_calls_mut(body, &mut |expr| {
-        if expr.id != call_id || replaced.is_some() {
-            return;
-        }
-        if let ExprKind::Call { args, .. } | ExprKind::New { args, .. } = &mut expr.kind {
+    edit_call_args(program, call_id, |args| {
+        if replaced.is_none() {
             if let Some(slot) = args.get_mut(arg_index) {
                 replaced = Some(std::mem::replace(slot, value.clone()).id);
             }
@@ -420,139 +408,24 @@ fn rewrite_call_arg(
     replaced
 }
 
-/// Applies `f` to every call/new expression (mutable traversal).
-fn visit_calls_mut(body: &mut [Stmt], f: &mut impl FnMut(&mut Expr)) {
-    fn expr_walk(e: &mut Expr, f: &mut impl FnMut(&mut Expr)) {
-        if matches!(e.kind, ExprKind::Call { .. } | ExprKind::New { .. }) {
-            f(e);
-        }
-        match &mut e.kind {
-            ExprKind::Array(items) => {
-                items.iter_mut().flatten().for_each(|e| expr_walk(e, f));
-            }
-            ExprKind::Object(props) => {
-                for p in props {
-                    if let PropKey::Computed(k) = &mut p.key {
-                        expr_walk(k, f);
-                    }
-                    if let Some(v) = &mut p.value {
-                        expr_walk(v, f);
-                    }
-                }
-            }
-            ExprKind::Function(func) => stmt_walk(&mut func.body, f),
-            ExprKind::Arrow { func, expr_body } => {
-                stmt_walk(&mut func.body, f);
-                if let Some(e) = expr_body {
-                    expr_walk(e, f);
-                }
-            }
-            ExprKind::Unary { operand, .. } => expr_walk(operand, f),
-            ExprKind::Update { target, .. } => expr_walk(target, f),
-            ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-                expr_walk(left, f);
-                expr_walk(right, f);
-            }
-            ExprKind::Cond { cond, cons, alt } => {
-                expr_walk(cond, f);
-                expr_walk(cons, f);
-                expr_walk(alt, f);
-            }
-            ExprKind::Assign { target, value, .. } => {
-                expr_walk(target, f);
-                expr_walk(value, f);
-            }
-            ExprKind::Seq(items) => items.iter_mut().for_each(|e| expr_walk(e, f)),
-            ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-                expr_walk(callee, f);
-                args.iter_mut().for_each(|e| expr_walk(e, f));
-            }
-            ExprKind::Member { object, .. } => expr_walk(object, f),
-            ExprKind::Index { object, index } => {
-                expr_walk(object, f);
-                expr_walk(index, f);
-            }
-            ExprKind::Template { exprs, .. } => exprs.iter_mut().for_each(|e| expr_walk(e, f)),
-            ExprKind::Paren(inner) => expr_walk(inner, f),
-            ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
-        }
+/// Applies `edit` to the argument list of every call or `new` with id
+/// `call_id`, in pre-order.
+fn edit_call_args(program: &mut Program, call_id: NodeId, edit: impl FnMut(&mut Vec<Expr>)) {
+    struct CallEdit<F> {
+        call_id: NodeId,
+        edit: F,
     }
-    fn stmt_walk(body: &mut [Stmt], f: &mut impl FnMut(&mut Expr)) {
-        for stmt in body {
-            match &mut stmt.kind {
-                StmtKind::Expr(e) | StmtKind::Throw(e) => expr_walk(e, f),
-                StmtKind::Decl { decls, .. } => {
-                    for d in decls {
-                        if let Some(init) = &mut d.init {
-                            expr_walk(init, f);
-                        }
-                    }
-                }
-                StmtKind::FunctionDecl(func) => stmt_walk(&mut func.body, f),
-                StmtKind::Block(b) => stmt_walk(b, f),
-                StmtKind::If { cond, cons, alt } => {
-                    expr_walk(cond, f);
-                    stmt_walk(std::slice::from_mut(cons), f);
-                    if let Some(alt) = alt {
-                        stmt_walk(std::slice::from_mut(alt), f);
-                    }
-                }
-                StmtKind::While { cond, body } => {
-                    expr_walk(cond, f);
-                    stmt_walk(std::slice::from_mut(body), f);
-                }
-                StmtKind::DoWhile { body, cond } => {
-                    stmt_walk(std::slice::from_mut(body), f);
-                    expr_walk(cond, f);
-                }
-                StmtKind::For { init, test, update, body } => {
-                    match init.as_deref_mut() {
-                        Some(ForInit::Decl { decls, .. }) => {
-                            for d in decls {
-                                if let Some(e) = &mut d.init {
-                                    expr_walk(e, f);
-                                }
-                            }
-                        }
-                        Some(ForInit::Expr(e)) => expr_walk(e, f),
-                        None => {}
-                    }
-                    if let Some(t) = test {
-                        expr_walk(t, f);
-                    }
-                    if let Some(u) = update {
-                        expr_walk(u, f);
-                    }
-                    stmt_walk(std::slice::from_mut(body), f);
-                }
-                StmtKind::ForInOf { object, body, .. } => {
-                    expr_walk(object, f);
-                    stmt_walk(std::slice::from_mut(body), f);
-                }
-                StmtKind::Return(Some(e)) => expr_walk(e, f),
-                StmtKind::Try { block, catch, finally } => {
-                    stmt_walk(block, f);
-                    if let Some(c) = catch {
-                        stmt_walk(&mut c.body, f);
-                    }
-                    if let Some(fin) = finally {
-                        stmt_walk(fin, f);
-                    }
-                }
-                StmtKind::Switch { disc, cases } => {
-                    expr_walk(disc, f);
-                    for c in cases {
-                        if let Some(t) = &mut c.test {
-                            expr_walk(t, f);
-                        }
-                        stmt_walk(&mut c.body, f);
-                    }
-                }
-                _ => {}
+    impl<F: FnMut(&mut Vec<Expr>)> VisitorMut for CallEdit<F> {
+        fn visit_expr(&mut self, expr: &mut Expr) {
+            if expr.id != self.call_id {
+                return;
+            }
+            if let ExprKind::Call { args, .. } | ExprKind::New { args, .. } = &mut expr.kind {
+                (self.edit)(args);
             }
         }
     }
-    stmt_walk(body, f);
+    walk_program_mut(program, &mut CallEdit { call_id, edit });
 }
 
 // ---------------------------------------------------------------------------

@@ -331,11 +331,6 @@ impl HealthTracker {
         self.quarantine_skips[i] = 0;
     }
 
-    /// Number of testbeds still active.
-    pub fn active_count(&self) -> usize {
-        self.active.iter().filter(|a| **a).count()
-    }
-
     /// Records a clean run (resets the hard-fault streak).
     fn observe_success(&mut self, i: usize) {
         self.entries[i].runs_ok += 1;

@@ -66,11 +66,6 @@ impl Generator {
         &self.bpe
     }
 
-    /// The header pool size.
-    pub fn header_count(&self) -> usize {
-        self.headers.len()
-    }
-
     /// Generates one test program.
     pub fn generate<R: Rng>(&self, rng: &mut R) -> String {
         let header = &self.headers[rng.random_range(0..self.headers.len())];

@@ -11,8 +11,12 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
-use comfort_core::checkpoint::{CampaignCheckpoint, LeaseAction, LeaseRecord};
+use comfort_core::checkpoint::{
+    config_fingerprint, CampaignCheckpoint, CheckpointJournal, LeaseAction, LeaseRecord,
+};
+use comfort_core::executor::plan_shards;
 use comfort_service::spec::CampaignSpec;
 use comfort_service::worker::{claim_winner, commit_fenced, WorkerError};
 use proptest::prelude::*;
@@ -46,6 +50,38 @@ fn write_spec(journal: &Path) -> PathBuf {
     spec_path
 }
 
+/// Writes the journal header the workers would write, so no racer finds
+/// the journal missing and creates (truncating) it under another.
+fn create_journal(journal: &Path) {
+    let config = race_spec(journal).build_config().expect("spec builds");
+    let shards = plan_shards(&config).len() as u64;
+    CheckpointJournal::create(journal, config_fingerprint(&config), shards)
+        .expect("journal created");
+}
+
+/// Blocks until `worker`'s `Acquired` record is in the journal.
+fn wait_for_acquisition(journal: &Path, worker: &str) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        if let Ok((checkpoint, _)) = CampaignCheckpoint::load(journal) {
+            if checkpoint
+                .leases
+                .iter()
+                .any(|l| l.worker == worker && l.action == LeaseAction::Acquired)
+            {
+                return;
+            }
+        }
+        assert!(Instant::now() < deadline, "{worker} never journalled its claim");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// How long a first claimant holds before running its shard: a rival
+/// spawned once the claim is journalled journals its own claim in about
+/// 10 ms on a 2-vCPU host, so this outlasts it by far.
+const RIVAL_CLAIM_HOLD_MILLIS: u64 = 3000;
+
 fn worker_once(spec: &Path, label: &str, hold_millis: u64) -> std::process::Child {
     Command::new(env!("CARGO_BIN_EXE_comfortd"))
         .arg("--worker-once")
@@ -66,17 +102,24 @@ fn cleanup(journal: &Path) {
     let _ = std::fs::remove_file(format!("{}.spec.json", journal.display()));
 }
 
-/// Two standalone workers start simultaneously and both hold their claim
-/// long enough that each has appended `Acquired` for shard 0 before
-/// either commits. Exactly one may journal the shard record; the other
-/// must exit with the lease error code, having written no shard record.
+/// Two standalone workers contend for shard 0 of one journal, in a forced
+/// interleaving: the journal exists before either starts; racer A
+/// journals `Acquired` for shard 0 at sequence 1 and holds; racer B
+/// starts only once that record is in the journal, so it contends for
+/// shard 0 too and journals `Acquired` at sequence 2 while A still holds
+/// (A's hold lasts long past B's claim). Both acquisitions precede any
+/// commit, and journal order makes B the holder: exactly one worker may
+/// journal the shard record, and the other must exit with the lease error
+/// code, having written no shard record.
 #[test]
 fn two_racing_workers_commit_exactly_one_shard_record() {
     let journal = temp_path("race.ckpt");
     cleanup(&journal);
     let spec = write_spec(&journal);
+    create_journal(&journal);
 
-    let a = worker_once(&spec, "racer-a", 400);
+    let a = worker_once(&spec, "racer-a", RIVAL_CLAIM_HOLD_MILLIS);
+    wait_for_acquisition(&journal, "racer-a");
     let b = worker_once(&spec, "racer-b", 400);
     let status_a = a.wait_with_output().expect("worker a reaped").status;
     let status_b = b.wait_with_output().expect("worker b reaped").status;
@@ -135,11 +178,12 @@ fn stale_completion_is_fenced_off_by_a_newer_acquisition() {
     let journal = temp_path("stale.ckpt");
     cleanup(&journal);
     let spec = write_spec(&journal);
+    create_journal(&journal);
 
     // A claims first (no contender yet), then stalls in the hold window
     // long enough for B to claim, run the 5-case shard, and commit.
     let a = worker_once(&spec, "stale-holder", 4000);
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    wait_for_acquisition(&journal, "stale-holder");
     let b = worker_once(&spec, "usurper", 0);
     let status_b = b.wait_with_output().expect("worker b reaped").status;
     let status_a = a.wait_with_output().expect("worker a reaped").status;

@@ -4,6 +4,8 @@
 //! instrumentation in `comfort-interp` and by the test-case reducer in
 //! `comfort-core`) and a [`Span`] into the original source.
 
+use crate::visit::{walk_program_mut, VisitorMut};
+
 /// A half-open byte range into the original source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
@@ -58,15 +60,34 @@ impl Program {
         Program { body: Vec::new(), strict: false, node_count: 0 }
     }
 
-    /// Reassigns contiguous pre-order [`NodeId`]s to every node.
+    /// Reassigns contiguous pre-order [`NodeId`]s to every node, in the
+    /// order of [`walk_program`](crate::visit::walk_program).
     ///
     /// Call after structurally editing the tree (mutators and the reducer do).
     pub fn renumber(&mut self) {
-        let mut next = 0u32;
-        for stmt in &mut self.body {
-            renumber_stmt(stmt, &mut next);
+        /// Hands out ids `0, 1, …` in visiting order.
+        struct Numberer(u32);
+        impl Numberer {
+            fn next(&mut self) -> NodeId {
+                let id = NodeId(self.0);
+                self.0 += 1;
+                id
+            }
         }
-        self.node_count = next;
+        impl VisitorMut for Numberer {
+            fn visit_stmt(&mut self, stmt: &mut Stmt) {
+                stmt.id = self.next();
+            }
+            fn visit_expr(&mut self, expr: &mut Expr) {
+                expr.id = self.next();
+            }
+            fn visit_function(&mut self, func: &mut Function) {
+                func.id = self.next();
+            }
+        }
+        let mut numberer = Numberer(0);
+        walk_program_mut(self, &mut numberer);
+        self.node_count = numberer.0;
     }
 }
 
@@ -546,153 +567,5 @@ pub mod build {
     /// `expr;`
     pub fn expr_stmt(expr: Expr) -> Stmt {
         Stmt::synthesized(StmtKind::Expr(expr))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Renumbering
-// ---------------------------------------------------------------------------
-
-fn assign(id: &mut NodeId, next: &mut u32) {
-    *id = NodeId(*next);
-    *next += 1;
-}
-
-fn renumber_stmt(stmt: &mut Stmt, next: &mut u32) {
-    assign(&mut stmt.id, next);
-    match &mut stmt.kind {
-        StmtKind::Expr(e) | StmtKind::Throw(e) => renumber_expr(e, next),
-        StmtKind::Decl { decls, .. } => {
-            for d in decls {
-                if let Some(init) = &mut d.init {
-                    renumber_expr(init, next);
-                }
-            }
-        }
-        StmtKind::FunctionDecl(f) => renumber_function(f, next),
-        StmtKind::Block(body) => body.iter_mut().for_each(|s| renumber_stmt(s, next)),
-        StmtKind::If { cond, cons, alt } => {
-            renumber_expr(cond, next);
-            renumber_stmt(cons, next);
-            if let Some(alt) = alt {
-                renumber_stmt(alt, next);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            renumber_expr(cond, next);
-            renumber_stmt(body, next);
-        }
-        StmtKind::DoWhile { body, cond } => {
-            renumber_stmt(body, next);
-            renumber_expr(cond, next);
-        }
-        StmtKind::For { init, test, update, body } => {
-            match init.as_deref_mut() {
-                Some(ForInit::Decl { decls, .. }) => {
-                    for d in decls {
-                        if let Some(e) = &mut d.init {
-                            renumber_expr(e, next);
-                        }
-                    }
-                }
-                Some(ForInit::Expr(e)) => renumber_expr(e, next),
-                None => {}
-            }
-            if let Some(t) = test {
-                renumber_expr(t, next);
-            }
-            if let Some(u) = update {
-                renumber_expr(u, next);
-            }
-            renumber_stmt(body, next);
-        }
-        StmtKind::ForInOf { object, body, .. } => {
-            renumber_expr(object, next);
-            renumber_stmt(body, next);
-        }
-        StmtKind::Return(e) => {
-            if let Some(e) = e {
-                renumber_expr(e, next);
-            }
-        }
-        StmtKind::Try { block, catch, finally } => {
-            block.iter_mut().for_each(|s| renumber_stmt(s, next));
-            if let Some(c) = catch {
-                c.body.iter_mut().for_each(|s| renumber_stmt(s, next));
-            }
-            if let Some(f) = finally {
-                f.iter_mut().for_each(|s| renumber_stmt(s, next));
-            }
-        }
-        StmtKind::Switch { disc, cases } => {
-            renumber_expr(disc, next);
-            for c in cases {
-                if let Some(t) = &mut c.test {
-                    renumber_expr(t, next);
-                }
-                c.body.iter_mut().for_each(|s| renumber_stmt(s, next));
-            }
-        }
-        StmtKind::Break | StmtKind::Continue | StmtKind::Empty | StmtKind::Directive(_) => {}
-    }
-}
-
-fn renumber_function(f: &mut Function, next: &mut u32) {
-    assign(&mut f.id, next);
-    f.body.iter_mut().for_each(|s| renumber_stmt(s, next));
-}
-
-fn renumber_expr(expr: &mut Expr, next: &mut u32) {
-    assign(&mut expr.id, next);
-    match &mut expr.kind {
-        ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
-        ExprKind::Array(items) => {
-            items.iter_mut().flatten().for_each(|e| renumber_expr(e, next));
-        }
-        ExprKind::Object(props) => {
-            for p in props {
-                if let PropKey::Computed(k) = &mut p.key {
-                    renumber_expr(k, next);
-                }
-                if let Some(v) = &mut p.value {
-                    renumber_expr(v, next);
-                }
-            }
-        }
-        ExprKind::Function(f) => renumber_function(f, next),
-        ExprKind::Arrow { func, expr_body } => {
-            assign(&mut func.id, next);
-            func.body.iter_mut().for_each(|s| renumber_stmt(s, next));
-            if let Some(e) = expr_body {
-                renumber_expr(e, next);
-            }
-        }
-        ExprKind::Unary { operand, .. } => renumber_expr(operand, next),
-        ExprKind::Update { target, .. } => renumber_expr(target, next),
-        ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-            renumber_expr(left, next);
-            renumber_expr(right, next);
-        }
-        ExprKind::Cond { cond, cons, alt } => {
-            renumber_expr(cond, next);
-            renumber_expr(cons, next);
-            renumber_expr(alt, next);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            renumber_expr(target, next);
-            renumber_expr(value, next);
-        }
-        ExprKind::Seq(items) => items.iter_mut().for_each(|e| renumber_expr(e, next)),
-        ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-            renumber_expr(callee, next);
-            args.iter_mut().for_each(|e| renumber_expr(e, next));
-        }
-        ExprKind::Member { object, .. } => renumber_expr(object, next),
-        ExprKind::Index { object, index } => {
-            renumber_expr(object, next);
-            renumber_expr(index, next);
-        }
-        ExprKind::Template { exprs, .. } => exprs.iter_mut().for_each(|e| renumber_expr(e, next)),
-        ExprKind::Paren(inner) => renumber_expr(inner, next),
     }
 }

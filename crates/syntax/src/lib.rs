@@ -3,9 +3,10 @@
 //! JavaScript front end for the COMFORT reproduction.
 //!
 //! This crate provides the lexer, the recursive-descent parser, the AST,
-//! a precedence-aware pretty-printer, and a read-only visitor. It implements
-//! the ES2015-era subset that COMFORT's generators produce and that the
-//! simulated engines in `comfort-engines` execute.
+//! a precedence-aware pretty-printer, and a read-only and a mutable
+//! visitor that walk in one order. It implements the ES2015-era subset that
+//! COMFORT's generators produce and that the simulated engines in
+//! `comfort-engines` execute.
 //!
 //! The parser doubles as the **JSHint substitute** from the paper (§4.3):
 //! [`lint`] statically decides whether a generated program is syntactically

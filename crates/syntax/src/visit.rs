@@ -1,7 +1,14 @@
-//! Read-only AST visitor.
+//! AST visitors: a read-only walk and a mutable one, in one order.
 //!
-//! Used by the ECMA-guided data generator (to find API call sites), the
-//! identical-bug filter (to extract called API names), and the baselines.
+//! [`walk_program`] and [`walk_program_mut`] visit the same nodes in the
+//! same pre-order: a node before its children, a function before its body,
+//! a callee before its arguments, a computed key before its value. Node ids
+//! depend on that: [`Program::renumber`] numbers nodes through the mutable
+//! walk, and a visitor that reads ids through the read-only walk meets them
+//! in ascending order. The read-only walk serves the ECMA-guided data
+//! generator (to find API call sites), the identical-bug filter (to extract
+//! called API names), coverage and the baselines; the mutable walk serves
+//! renumbering, the generator's argument edits and DIE's mutation.
 
 use crate::ast::*;
 
@@ -166,6 +173,169 @@ pub fn walk_expr<'ast, V: Visitor<'ast>>(expr: &'ast Expr, v: &mut V) {
     }
 }
 
+/// Mutable counterpart of [`Visitor`], driven by the `walk_*_mut`
+/// functions in the same order.
+///
+/// Each hook is called *before* the walker descends into the node's
+/// children, and may edit the node: the walker then descends into the
+/// children as the hook left them.
+pub trait VisitorMut {
+    /// Called for every statement.
+    fn visit_stmt(&mut self, _stmt: &mut Stmt) {}
+    /// Called for every expression.
+    fn visit_expr(&mut self, _expr: &mut Expr) {}
+    /// Called for every function (declaration, expression, or arrow).
+    fn visit_function(&mut self, _func: &mut Function) {}
+}
+
+/// Walks an entire program mutably, in [`walk_program`]'s order.
+pub fn walk_program_mut<V: VisitorMut>(program: &mut Program, v: &mut V) {
+    for stmt in &mut program.body {
+        walk_stmt_mut(stmt, v);
+    }
+}
+
+/// Walks a statement and its children mutably, in [`walk_stmt`]'s order.
+pub fn walk_stmt_mut<V: VisitorMut>(stmt: &mut Stmt, v: &mut V) {
+    v.visit_stmt(stmt);
+    match &mut stmt.kind {
+        StmtKind::Expr(e) | StmtKind::Throw(e) => walk_expr_mut(e, v),
+        StmtKind::Decl { decls, .. } => {
+            for d in decls {
+                if let Some(init) = &mut d.init {
+                    walk_expr_mut(init, v);
+                }
+            }
+        }
+        StmtKind::FunctionDecl(f) => walk_function_mut(f, v),
+        StmtKind::Block(body) => body.iter_mut().for_each(|s| walk_stmt_mut(s, v)),
+        StmtKind::If { cond, cons, alt } => {
+            walk_expr_mut(cond, v);
+            walk_stmt_mut(cons, v);
+            if let Some(alt) = alt {
+                walk_stmt_mut(alt, v);
+            }
+        }
+        StmtKind::While { cond, body } => {
+            walk_expr_mut(cond, v);
+            walk_stmt_mut(body, v);
+        }
+        StmtKind::DoWhile { body, cond } => {
+            walk_stmt_mut(body, v);
+            walk_expr_mut(cond, v);
+        }
+        StmtKind::For { init, test, update, body } => {
+            match init.as_deref_mut() {
+                Some(ForInit::Decl { decls, .. }) => {
+                    for d in decls {
+                        if let Some(e) = &mut d.init {
+                            walk_expr_mut(e, v);
+                        }
+                    }
+                }
+                Some(ForInit::Expr(e)) => walk_expr_mut(e, v),
+                None => {}
+            }
+            if let Some(t) = test {
+                walk_expr_mut(t, v);
+            }
+            if let Some(u) = update {
+                walk_expr_mut(u, v);
+            }
+            walk_stmt_mut(body, v);
+        }
+        StmtKind::ForInOf { object, body, .. } => {
+            walk_expr_mut(object, v);
+            walk_stmt_mut(body, v);
+        }
+        StmtKind::Return(e) => {
+            if let Some(e) = e {
+                walk_expr_mut(e, v);
+            }
+        }
+        StmtKind::Try { block, catch, finally } => {
+            block.iter_mut().for_each(|s| walk_stmt_mut(s, v));
+            if let Some(c) = catch {
+                c.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
+            }
+            if let Some(f) = finally {
+                f.iter_mut().for_each(|s| walk_stmt_mut(s, v));
+            }
+        }
+        StmtKind::Switch { disc, cases } => {
+            walk_expr_mut(disc, v);
+            for c in cases {
+                if let Some(t) = &mut c.test {
+                    walk_expr_mut(t, v);
+                }
+                c.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
+            }
+        }
+        StmtKind::Break | StmtKind::Continue | StmtKind::Empty | StmtKind::Directive(_) => {}
+    }
+}
+
+/// Walks a function and its body statements mutably, in
+/// [`walk_function`]'s order.
+pub fn walk_function_mut<V: VisitorMut>(func: &mut Function, v: &mut V) {
+    v.visit_function(func);
+    func.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
+}
+
+/// Walks an expression and its children mutably, in [`walk_expr`]'s order.
+pub fn walk_expr_mut<V: VisitorMut>(expr: &mut Expr, v: &mut V) {
+    v.visit_expr(expr);
+    match &mut expr.kind {
+        ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
+        ExprKind::Array(items) => items.iter_mut().flatten().for_each(|e| walk_expr_mut(e, v)),
+        ExprKind::Object(props) => {
+            for p in props {
+                if let PropKey::Computed(k) = &mut p.key {
+                    walk_expr_mut(k, v);
+                }
+                if let Some(val) = &mut p.value {
+                    walk_expr_mut(val, v);
+                }
+            }
+        }
+        ExprKind::Function(f) => walk_function_mut(f, v),
+        ExprKind::Arrow { func, expr_body } => {
+            v.visit_function(func);
+            func.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
+            if let Some(e) = expr_body {
+                walk_expr_mut(e, v);
+            }
+        }
+        ExprKind::Unary { operand, .. } => walk_expr_mut(operand, v),
+        ExprKind::Update { target, .. } => walk_expr_mut(target, v),
+        ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
+            walk_expr_mut(left, v);
+            walk_expr_mut(right, v);
+        }
+        ExprKind::Cond { cond, cons, alt } => {
+            walk_expr_mut(cond, v);
+            walk_expr_mut(cons, v);
+            walk_expr_mut(alt, v);
+        }
+        ExprKind::Assign { target, value, .. } => {
+            walk_expr_mut(target, v);
+            walk_expr_mut(value, v);
+        }
+        ExprKind::Seq(items) => items.iter_mut().for_each(|e| walk_expr_mut(e, v)),
+        ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
+            walk_expr_mut(callee, v);
+            args.iter_mut().for_each(|e| walk_expr_mut(e, v));
+        }
+        ExprKind::Member { object, .. } => walk_expr_mut(object, v),
+        ExprKind::Index { object, index } => {
+            walk_expr_mut(object, v);
+            walk_expr_mut(index, v);
+        }
+        ExprKind::Template { exprs, .. } => exprs.iter_mut().for_each(|e| walk_expr_mut(e, v)),
+        ExprKind::Paren(inner) => walk_expr_mut(inner, v),
+    }
+}
+
 /// Collects the names of every API called as `recv.method(...)` or as a bare
 /// `fn(...)` in `program`, e.g. `"substr"` or `"parseInt"`.
 ///
@@ -188,22 +358,4 @@ pub fn called_api_names(program: &Program) -> Vec<String> {
     let mut c = Collector { names: Vec::new() };
     walk_program(program, &mut c);
     c.names
-}
-
-/// Counts every statement and expression node in `program`.
-pub fn count_nodes(program: &Program) -> usize {
-    struct Counter {
-        n: usize,
-    }
-    impl Visitor<'_> for Counter {
-        fn visit_stmt(&mut self, _: &Stmt) {
-            self.n += 1;
-        }
-        fn visit_expr(&mut self, _: &Expr) {
-            self.n += 1;
-        }
-    }
-    let mut c = Counter { n: 0 };
-    walk_program(program, &mut c);
-    c.n
 }

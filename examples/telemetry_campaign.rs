@@ -1,8 +1,9 @@
 //! Campaign observability demo: run a small sharded campaign with a
-//! `JsonlSink`, poll the live `ProgressHandle` from another thread, then
-//! validate the JSONL stream and reconcile the per-stage metrics against
-//! the campaign report. Exits nonzero on any mismatch, so CI can run it as
-//! an end-to-end telemetry check.
+//! `JsonlSink`, poll the live `ProgressHandle` from another thread (to
+//! stderr), then validate the JSONL stream and reconcile the per-stage
+//! metrics against the campaign report. Exits nonzero on any mismatch, so
+//! CI can run it as an end-to-end telemetry check; its stdout is the same
+//! on every run.
 //!
 //! ```text
 //! cargo run --release --example telemetry_campaign
@@ -34,10 +35,12 @@ fn main() {
 
     let report = std::thread::scope(|scope| {
         let runner = scope.spawn(|| session.run_with_threads(0).expect("fresh run"));
-        // Poll the live progress handle while the campaign runs.
+        // Poll the live progress handle while the campaign runs. How many
+        // polls land depends on timing, so they go to stderr and stdout
+        // stays the same from run to run.
         loop {
             let snap = progress.snapshot();
-            println!(
+            eprintln!(
                 "  progress: {}/{} cases, {} bugs, {}/{} shards done",
                 snap.cases_done,
                 snap.total_cases,

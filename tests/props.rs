@@ -6,6 +6,8 @@
 //!   `find_iter` terminates and yields non-overlapping matches),
 //! * every case `DataGen` makes, base case and mutants over every boundary
 //!   value, re-parses from its printed source to the program it runs,
+//! * the read-only and the mutable AST walks visit the same nodes in the
+//!   same order, and `renumber` numbers them in that order,
 //! * the bug-filter tree behaves like a set keyed by (engine, api, behavior).
 
 #[path = "../crates/syntax/tests/strip/mod.rs"]
@@ -18,7 +20,9 @@ use comfort::core::filter::{BugKey, BugTree};
 use comfort::engines::EngineName;
 use comfort::interp::{hooks::SpecProfile, run_source, RunOptions};
 use comfort::regex::Regex;
-use comfort::syntax::{parse, print_program};
+use comfort::syntax::ast::{Function, NodeId};
+use comfort::syntax::visit::{walk_program, walk_program_mut, Visitor, VisitorMut};
+use comfort::syntax::{parse, print_program, Expr, Program, Stmt};
 use rand::SeedableRng;
 use strip::strip_program;
 
@@ -31,6 +35,54 @@ fn escape_regex(s: &str) -> String {
         out.push(c);
     }
     out
+}
+
+/// One node as a walk meets it.
+#[derive(Debug, PartialEq)]
+enum Visited {
+    Stmt(NodeId),
+    Expr(NodeId),
+    Function(NodeId),
+}
+
+/// The nodes a walk visits, in order; records through either walk.
+#[derive(Default)]
+struct Order(Vec<Visited>);
+
+impl Visitor<'_> for Order {
+    fn visit_stmt(&mut self, stmt: &Stmt) {
+        self.0.push(Visited::Stmt(stmt.id));
+    }
+    fn visit_expr(&mut self, expr: &Expr) {
+        self.0.push(Visited::Expr(expr.id));
+    }
+    fn visit_function(&mut self, func: &Function) {
+        self.0.push(Visited::Function(func.id));
+    }
+}
+
+impl VisitorMut for Order {
+    fn visit_stmt(&mut self, stmt: &mut Stmt) {
+        self.0.push(Visited::Stmt(stmt.id));
+    }
+    fn visit_expr(&mut self, expr: &mut Expr) {
+        self.0.push(Visited::Expr(expr.id));
+    }
+    fn visit_function(&mut self, func: &mut Function) {
+        self.0.push(Visited::Function(func.id));
+    }
+}
+
+fn read_order(program: &Program) -> Vec<Visited> {
+    let mut order = Order::default();
+    walk_program(program, &mut order);
+    order.0
+}
+
+fn id_of(visited: &Visited) -> u32 {
+    match visited {
+        Visited::Stmt(id) | Visited::Expr(id) | Visited::Function(id) => id.0,
+    }
 }
 
 proptest! {
@@ -105,6 +157,40 @@ proptest! {
                 format!("{:?}", strip_program(&reparsed)),
                 "source does not re-parse to the program:\n{}",
                 case.source
+            );
+        }
+    }
+
+    #[test]
+    fn mutable_walk_and_renumber_follow_the_read_only_walk(seed in 0u64..5000) {
+        // Renumbering, the generator's argument edits and DIE's mutation
+        // walk mutably, while call-site discovery and DIE's target count
+        // walk read-only; each pair must meet the same node at each step.
+        let datagen = DataGen::new(comfort::ecma262::spec_db(), DataGenConfig::default());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut next = 0;
+        let mut programs = Vec::new();
+        for src in comfort::corpus::training_corpus(seed, 3) {
+            let program = parse(&src).expect("corpus parses");
+            programs.push(datagen.base_case(&program, 0, &mut next, &mut rng).program);
+            programs.extend(datagen.mutate(&program, 0, &mut next, &mut rng).into_iter().map(|c| c.program));
+            programs.push(program);
+        }
+        for program in &programs {
+            let mut walked = program.clone();
+            let mut order = Order::default();
+            walk_program_mut(&mut walked, &mut order);
+            let expected = read_order(program);
+            prop_assert_eq!(&order.0, &expected, "walk orders differ:\n{}", print_program(program));
+
+            let mut renumbered = program.clone();
+            renumbered.renumber();
+            let ids: Vec<u32> = read_order(&renumbered).iter().map(id_of).collect();
+            prop_assert_eq!(
+                ids,
+                (0..renumbered.node_count).collect::<Vec<_>>(),
+                "renumber does not follow the walk:\n{}",
+                print_program(program)
             );
         }
     }
