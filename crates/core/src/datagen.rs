@@ -353,6 +353,11 @@ impl<'p> PrintedBase<'p> {
 /// Rewrites the first `var NAME = …;` initializer. Returns `None` if no
 /// declarator has the name, else the id of the initializer it replaced
 /// (`None` inside for a `var NAME;`).
+///
+/// The search is narrower than the walks of `comfort_syntax::visit`: it
+/// does not enter expressions (so not the bodies of function expressions
+/// and arrows), `switch` cases or `for` heads. That scope decides which
+/// `var` a mutant rewrites.
 fn rewrite_var_init(body: &mut [Stmt], name: &str, value: &Expr) -> Option<Option<NodeId>> {
     fn in_stmt(stmt: &mut Stmt, name: &str, value: &Expr) -> Option<Option<NodeId>> {
         match &mut stmt.kind {
