@@ -2,14 +2,15 @@
 //! `k` of `n` shards must resume to a **bit-identical** final report and an
 //! identical data-plane telemetry stream at every thread count; corrupted
 //! journal tails must be dropped, never trusted; cooperative shutdown must
-//! always leave a loadable journal behind.
+//! always leave a loadable journal behind; a journal written by an earlier
+//! build must still load whole and resume.
 
 use std::path::PathBuf;
 
 use comfort_core::campaign::{CampaignConfig, CampaignReport};
 use comfort_core::checkpoint::{
-    config_fingerprint, report_to_json_deterministic, CampaignCheckpoint, CheckpointError,
-    CheckpointJournal,
+    config_fingerprint, report_checksum, report_to_json_deterministic, CampaignCheckpoint,
+    CheckpointError, CheckpointJournal,
 };
 use comfort_core::resilience::{CancelToken, ChaosConfig, ExecPolicy};
 use comfort_core::session::CampaignSession;
@@ -151,6 +152,40 @@ fn fingerprint_mismatch_refuses_to_resume() {
         matches!(err, CheckpointError::FingerprintMismatch { .. }),
         "expected fingerprint mismatch, got {err}"
     );
+}
+
+/// A complete journal of the base config, written by the build at commit
+/// 07aafde and checked in. Its events were rendered by that build's
+/// codec, so it guards the parser against stranding journals already on
+/// disk. Re-record it only with a change that moves campaign results on
+/// purpose.
+const EARLIER_BUILD_JOURNAL: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/seed2-3x20.ckpt");
+
+#[test]
+fn a_journal_written_by_an_earlier_build_loads_and_resumes() {
+    let fixture = PathBuf::from(EARLIER_BUILD_JOURNAL);
+    let (checkpoint, recovery) = CampaignCheckpoint::load(&fixture).expect("the journal loads");
+    assert_eq!(recovery.dropped_tail_bytes, 0, "{:?}", recovery.tail_error);
+    assert_eq!(recovery.shards_salvaged, 3);
+    assert_eq!(checkpoint.shards.len(), 3);
+    assert_eq!(checkpoint.fingerprint, config_fingerprint(&base_config(SinkHandle::null())));
+
+    // Resume from a copy: nothing re-runs, and the report and the replayed
+    // data-plane stream equal a fresh run's.
+    let (reference, reference_events) = reference_run();
+    let copy = temp_path("earlier-build");
+    std::fs::copy(&fixture, &copy).expect("copy the journal");
+    let mem = MemorySink::new();
+    let mut config = base_config(SinkHandle::new(mem.clone()));
+    config.checkpoint = Some(copy.clone());
+    let resumed = CampaignSession::new(config).run().expect("resume");
+    let resume = resumed.resume.as_ref().expect("provenance");
+    assert_eq!(resume.shards_salvaged, 3);
+    assert_eq!(resume.shards_rerun, 0);
+    assert_eq!(report_checksum(&resumed), report_checksum(&reference));
+    assert_eq!(data_plane(&mem.take()), reference_events);
+    std::fs::remove_file(&copy).ok();
 }
 
 /// Cancels its token on the first `CheckpointWritten` event. The shard

@@ -987,132 +987,261 @@ mod tests {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
+    /// Every kind, with the exact line `to_json` renders for it at the
+    /// pinned clock (the shard cycles through the real and pseudo-shards).
+    /// Journals and JSONL files on disk hold these bytes, so the renderer
+    /// must reproduce them exactly, not merely parse back.
     #[test]
     fn every_event_kind_roundtrips_through_json() {
+        let shards = [0, 3, MERGE_SHARD, CONTROL_SHARD, SERVICE_SHARD];
         let kinds = vec![
-            EventKind::ShardStarted { seed: u64::MAX - 7, case_budget: 20 },
-            EventKind::ShardFinished { cases_run: 20, bugs_reported: 3, wall_nanos: Some(99) },
-            EventKind::ShardFinished { cases_run: 20, bugs_reported: 3, wall_nanos: None },
-            EventKind::CaseGenerated {
-                case_id: 1,
-                base: 0,
-                origin: "program-gen".into(),
-                mutant: false,
-            },
-            EventKind::CaseRejected { base: 4, kept: true },
-            EventKind::DifferentialRun { case_id: 2, testbeds: 12, outcome: "pass".into() },
-            EventKind::ExecutionDeduped { case_id: 2, classes: 3, saved: 7 },
-            EventKind::Deviation { case_id: 2, engine: "JSC".into(), kind: "Crash".into() },
-            EventKind::BugDeduped {
-                engine: "V8".into(),
-                key: "V8 / eval \"x\" / Crash".into(),
-                cross_shard: true,
-            },
-            EventKind::FaultInjected {
-                case_id: 3,
-                testbed: "V8 v8 [chaos]".into(),
-                kind: "hang".into(),
-            },
-            EventKind::RunRetried { case_id: 3, testbed: "V8 v8".into(), retries: 2 },
-            EventKind::TestbedQuarantined { case_id: 5, testbed: "V8 v8".into(), hard_faults: 2 },
-            EventKind::QuorumDegraded {
-                case_id: 6,
-                strict: true,
-                healthy: 4,
-                total: 6,
-                voted: false,
-            },
-            EventKind::TestbedReinstated { case_id: 9, testbed: "V8 v8".into(), skipped: 7 },
-            EventKind::CheckpointWritten {
-                checkpointed_shard: 1,
-                cases_run: 20,
-                journal_bytes: 512,
-            },
-            EventKind::CampaignResumed { shards_salvaged: 2, shards_total: 3, dropped_bytes: 17 },
-            EventKind::CampaignInterrupted {
-                shards_completed: 1,
-                shards_total: 3,
-                reason: "deadline".into(),
-            },
-            EventKind::LeaseAcquired {
-                campaign: "c-0001".into(),
-                lease_shard: 2,
-                worker: "worker-1".into(),
-                ttl_millis: 500,
-            },
-            EventKind::LeaseRenewed {
-                campaign: "c-0001".into(),
-                lease_shard: 2,
-                worker: "worker-1".into(),
-            },
-            EventKind::LeaseReleased {
-                campaign: "c-0001".into(),
-                lease_shard: 2,
-                worker: "worker-1".into(),
-            },
-            EventKind::LeaseExpired {
-                campaign: "c-0001".into(),
-                lease_shard: 2,
-                worker: "worker-1".into(),
-            },
-            EventKind::LeaseReclaimed {
-                campaign: "c-0001".into(),
-                lease_shard: 2,
-                worker: "worker-1".into(),
-                reclaims: 3,
-            },
-            EventKind::CampaignAdmitted {
-                campaign: "c-0001".into(),
-                tenant: "tenant-a".into(),
-                shards: 4,
-            },
-            EventKind::CampaignRejected {
-                tenant: "tenant-b".into(),
-                reason: "queue_full".into(),
-                retry_after_millis: 250,
-            },
-            EventKind::CampaignFinished {
-                campaign: "c-0001".into(),
-                outcome: "completed".into(),
-                shards_run: 4,
-            },
-            EventKind::DrainStarted { active_campaigns: 2 },
-            EventKind::WorkerSpawned {
-                campaign: "c-0001".into(),
-                worker: "fleet-0".into(),
-                lease_shard: 1,
-                pid: 4242,
-            },
-            EventKind::WorkerDied {
-                campaign: "c-0001".into(),
-                worker: "fleet-0".into(),
-                lease_shard: 1,
-                signal: 9,
-            },
-            EventKind::ShardPoisoned {
-                campaign: "c-0001".into(),
-                lease_shard: 1,
-                deaths: 3,
-                poison_case: 7,
-                signal: 6,
-            },
-            EventKind::PoolDegraded { from_workers: 4, to_workers: 2, consecutive_deaths: 6 },
-            EventKind::StageTiming {
-                stage: Stage::Reduction,
-                invocations: 1,
-                items: 2,
-                logical_cost: 3,
-                wall_nanos: Some(4),
-            },
+            (
+                EventKind::ShardStarted { seed: u64::MAX - 7, case_budget: 20 },
+                r#"{"shard":0,"seq":0,"type":"shard_started","seed":18446744073709551608,"case_budget":20}"#,
+            ),
+            (
+                EventKind::ShardFinished { cases_run: 20, bugs_reported: 3, wall_nanos: Some(99) },
+                r#"{"shard":3,"seq":1,"type":"shard_finished","cases_run":20,"bugs_reported":3,"wall_nanos":99}"#,
+            ),
+            (
+                EventKind::ShardFinished { cases_run: 20, bugs_reported: 3, wall_nanos: None },
+                r#"{"shard":-1,"seq":2,"type":"shard_finished","cases_run":20,"bugs_reported":3}"#,
+            ),
+            (
+                EventKind::CaseGenerated {
+                    case_id: 1,
+                    base: 0,
+                    origin: "program-gen".into(),
+                    mutant: false,
+                },
+                r#"{"shard":-2,"seq":3,"type":"case_generated","case_id":1,"base":0,"origin":"program-gen","mutant":false}"#,
+            ),
+            (
+                EventKind::CaseRejected { base: 4, kept: true },
+                r#"{"shard":-3,"seq":4,"type":"case_rejected","base":4,"kept":true}"#,
+            ),
+            (
+                EventKind::DifferentialRun { case_id: 2, testbeds: 12, outcome: "pass".into() },
+                r#"{"shard":0,"seq":5,"type":"differential_run","case_id":2,"testbeds":12,"outcome":"pass"}"#,
+            ),
+            (
+                EventKind::ExecutionDeduped { case_id: 2, classes: 3, saved: 7 },
+                r#"{"shard":3,"seq":6,"type":"execution_deduped","case_id":2,"classes":3,"saved":7}"#,
+            ),
+            (
+                EventKind::Deviation { case_id: 2, engine: "JSC".into(), kind: "Crash".into() },
+                r#"{"shard":-1,"seq":7,"type":"deviation","case_id":2,"engine":"JSC","kind":"Crash"}"#,
+            ),
+            (
+                EventKind::BugDeduped {
+                    engine: "V8".into(),
+                    key: "V8 / eval \"x\" / Crash".into(),
+                    cross_shard: true,
+                },
+                r#"{"shard":-2,"seq":8,"type":"bug_deduped","engine":"V8","key":"V8 / eval \"x\" / Crash","cross_shard":true}"#,
+            ),
+            (
+                EventKind::FaultInjected {
+                    case_id: 3,
+                    testbed: "V8 v8 [chaos]".into(),
+                    kind: "hang".into(),
+                },
+                r#"{"shard":-3,"seq":9,"type":"fault_injected","case_id":3,"testbed":"V8 v8 [chaos]","kind":"hang"}"#,
+            ),
+            (
+                EventKind::RunRetried { case_id: 3, testbed: "V8 v8".into(), retries: 2 },
+                r#"{"shard":0,"seq":10,"type":"run_retried","case_id":3,"testbed":"V8 v8","retries":2}"#,
+            ),
+            (
+                EventKind::TestbedQuarantined {
+                    case_id: 5,
+                    testbed: "V8 v8".into(),
+                    hard_faults: 2,
+                },
+                r#"{"shard":3,"seq":11,"type":"testbed_quarantined","case_id":5,"testbed":"V8 v8","hard_faults":2}"#,
+            ),
+            (
+                EventKind::QuorumDegraded {
+                    case_id: 6,
+                    strict: true,
+                    healthy: 4,
+                    total: 6,
+                    voted: false,
+                },
+                r#"{"shard":-1,"seq":12,"type":"quorum_degraded","case_id":6,"strict":true,"healthy":4,"total":6,"voted":false}"#,
+            ),
+            (
+                EventKind::TestbedReinstated { case_id: 9, testbed: "V8 v8".into(), skipped: 7 },
+                r#"{"shard":-2,"seq":13,"type":"testbed_reinstated","case_id":9,"testbed":"V8 v8","skipped":7}"#,
+            ),
+            (
+                EventKind::CheckpointWritten {
+                    checkpointed_shard: 1,
+                    cases_run: 20,
+                    journal_bytes: 512,
+                },
+                r#"{"shard":-3,"seq":14,"type":"checkpoint_written","checkpointed_shard":1,"cases_run":20,"journal_bytes":512}"#,
+            ),
+            (
+                EventKind::CampaignResumed {
+                    shards_salvaged: 2,
+                    shards_total: 3,
+                    dropped_bytes: 17,
+                },
+                r#"{"shard":0,"seq":15,"type":"campaign_resumed","shards_salvaged":2,"shards_total":3,"dropped_bytes":17}"#,
+            ),
+            (
+                EventKind::CampaignInterrupted {
+                    shards_completed: 1,
+                    shards_total: 3,
+                    reason: "deadline".into(),
+                },
+                r#"{"shard":3,"seq":16,"type":"campaign_interrupted","shards_completed":1,"shards_total":3,"reason":"deadline"}"#,
+            ),
+            (
+                EventKind::LeaseAcquired {
+                    campaign: "c-0001".into(),
+                    lease_shard: 2,
+                    worker: "worker-1".into(),
+                    ttl_millis: 500,
+                },
+                r#"{"shard":-1,"seq":17,"type":"lease_acquired","campaign":"c-0001","lease_shard":2,"worker":"worker-1","ttl_millis":500}"#,
+            ),
+            (
+                EventKind::LeaseRenewed {
+                    campaign: "c-0001".into(),
+                    lease_shard: 2,
+                    worker: "worker-1".into(),
+                },
+                r#"{"shard":-2,"seq":18,"type":"lease_renewed","campaign":"c-0001","lease_shard":2,"worker":"worker-1"}"#,
+            ),
+            (
+                EventKind::LeaseReleased {
+                    campaign: "c-0001".into(),
+                    lease_shard: 2,
+                    worker: "worker-1".into(),
+                },
+                r#"{"shard":-3,"seq":19,"type":"lease_released","campaign":"c-0001","lease_shard":2,"worker":"worker-1"}"#,
+            ),
+            (
+                EventKind::LeaseExpired {
+                    campaign: "c-0001".into(),
+                    lease_shard: 2,
+                    worker: "worker-1".into(),
+                },
+                r#"{"shard":0,"seq":20,"type":"lease_expired","campaign":"c-0001","lease_shard":2,"worker":"worker-1"}"#,
+            ),
+            (
+                EventKind::LeaseReclaimed {
+                    campaign: "c-0001".into(),
+                    lease_shard: 2,
+                    worker: "worker-1".into(),
+                    reclaims: 3,
+                },
+                r#"{"shard":3,"seq":21,"type":"lease_reclaimed","campaign":"c-0001","lease_shard":2,"worker":"worker-1","reclaims":3}"#,
+            ),
+            (
+                EventKind::CampaignAdmitted {
+                    campaign: "c-0001".into(),
+                    tenant: "tenant-a".into(),
+                    shards: 4,
+                },
+                r#"{"shard":-1,"seq":22,"type":"campaign_admitted","campaign":"c-0001","tenant":"tenant-a","shards":4}"#,
+            ),
+            (
+                EventKind::CampaignRejected {
+                    tenant: "tenant-b".into(),
+                    reason: "queue_full".into(),
+                    retry_after_millis: 250,
+                },
+                r#"{"shard":-2,"seq":23,"type":"campaign_rejected","tenant":"tenant-b","reason":"queue_full","retry_after_millis":250}"#,
+            ),
+            (
+                EventKind::CampaignFinished {
+                    campaign: "c-0001".into(),
+                    outcome: "completed".into(),
+                    shards_run: 4,
+                },
+                r#"{"shard":-3,"seq":24,"type":"campaign_finished","campaign":"c-0001","outcome":"completed","shards_run":4}"#,
+            ),
+            (
+                EventKind::DrainStarted { active_campaigns: 2 },
+                r#"{"shard":0,"seq":25,"type":"drain_started","active_campaigns":2}"#,
+            ),
+            (
+                EventKind::WorkerSpawned {
+                    campaign: "c-0001".into(),
+                    worker: "fleet-0".into(),
+                    lease_shard: 1,
+                    pid: 4242,
+                },
+                r#"{"shard":3,"seq":26,"type":"worker_spawned","campaign":"c-0001","worker":"fleet-0","lease_shard":1,"pid":4242}"#,
+            ),
+            (
+                EventKind::WorkerDied {
+                    campaign: "c-0001".into(),
+                    worker: "fleet-0".into(),
+                    lease_shard: 1,
+                    signal: 9,
+                },
+                r#"{"shard":-1,"seq":27,"type":"worker_died","campaign":"c-0001","worker":"fleet-0","lease_shard":1,"signal":9}"#,
+            ),
+            (
+                EventKind::ShardPoisoned {
+                    campaign: "c-0001".into(),
+                    lease_shard: 1,
+                    deaths: 3,
+                    poison_case: 7,
+                    signal: 6,
+                },
+                r#"{"shard":-2,"seq":28,"type":"shard_poisoned","campaign":"c-0001","lease_shard":1,"deaths":3,"poison_case":7,"signal":6}"#,
+            ),
+            (
+                EventKind::PoolDegraded { from_workers: 4, to_workers: 2, consecutive_deaths: 6 },
+                r#"{"shard":-3,"seq":29,"type":"pool_degraded","from_workers":4,"to_workers":2,"consecutive_deaths":6}"#,
+            ),
+            (
+                EventKind::StageTiming {
+                    stage: Stage::Reduction,
+                    invocations: 1,
+                    items: 2,
+                    logical_cost: 3,
+                    wall_nanos: Some(4),
+                },
+                r#"{"shard":0,"seq":30,"type":"stage_timing","stage":"reduction","invocations":1,"items":2,"logical_cost":3,"wall_nanos":4}"#,
+            ),
         ];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            for shard in [0, 3, MERGE_SHARD, CONTROL_SHARD, SERVICE_SHARD] {
-                let e = Event { clock: LogicalClock { shard, seq: i as u64 }, kind: kind.clone() };
+        for (i, (kind, line)) in kinds.into_iter().enumerate() {
+            let pinned =
+                Event { clock: LogicalClock { shard: shards[i % 5], seq: i as u64 }, kind };
+            assert_eq!(pinned.to_json(), line, "bytes of {:?}", pinned.kind);
+            for shard in shards {
+                let e = Event { clock: LogicalClock { shard, seq: i as u64 }, ..pinned.clone() };
                 let back = Event::parse(&e.to_json()).unwrap_or_else(|err| {
                     panic!("{err} for {}", e.to_json());
                 });
                 assert_eq!(back, e, "roundtrip of {}", e.to_json());
             }
+        }
+        // The deterministic form drops exactly the wall-clock fields.
+        for (kind, line) in [
+            (
+                EventKind::ShardFinished { cases_run: 20, bugs_reported: 3, wall_nanos: Some(99) },
+                r#"{"shard":1,"seq":2,"type":"shard_finished","cases_run":20,"bugs_reported":3}"#,
+            ),
+            (
+                EventKind::StageTiming {
+                    stage: Stage::Reduction,
+                    invocations: 1,
+                    items: 2,
+                    logical_cost: 3,
+                    wall_nanos: Some(4),
+                },
+                r#"{"shard":1,"seq":2,"type":"stage_timing","stage":"reduction","invocations":1,"items":2,"logical_cost":3}"#,
+            ),
+        ] {
+            let e = Event { clock: LogicalClock { shard: 1, seq: 2 }, kind };
+            assert_eq!(e.to_json_deterministic(), line);
         }
     }
 
