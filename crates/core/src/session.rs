@@ -52,9 +52,13 @@ pub struct CampaignSession {
 
 impl CampaignSession {
     /// Creates a session over `config`. Nothing runs (or trains) until the
-    /// first [`run`](Self::run) call.
+    /// first [`run`](Self::run) call, but the progress handle is armed from
+    /// the shard plan already, so a poller reads the real totals while the
+    /// first run trains; every run re-arms it.
     pub fn new(config: CampaignConfig) -> Self {
-        CampaignSession { config, progress: ProgressHandle::new(), executor: OnceLock::new() }
+        let progress = ProgressHandle::new();
+        progress.reset(&plan_shards(&config).iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
+        CampaignSession { config, progress, executor: OnceLock::new() }
     }
 
     /// The configuration the session runs.
@@ -165,6 +169,15 @@ mod tests {
             .shard_cases(20)
             .build()
             .expect("valid config")
+    }
+
+    #[test]
+    fn a_new_session_reports_its_plan_before_the_first_run() {
+        let session = CampaignSession::new(small_config());
+        let snap = session.progress().snapshot();
+        assert_eq!(snap.total_cases, 40);
+        assert_eq!(snap.shards.len(), session.plan().len());
+        assert_eq!((snap.cases_done, snap.shards_done), (0, 0));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!   resume in the next daemon life with bit-identical final reports.
 //!
 //! Every scheduling decision is emitted as a typed service event (on
-//! [`SERVICE_SHARD`](comfort_telemetry::SERVICE_SHARD)) *and* counted in
-//! [`ServiceMetrics`]; the two ledgers reconcile exactly (see
-//! [`MetricsSnapshot::from_events`](crate::metrics::MetricsSnapshot::from_events)).
+//! [`SERVICE_SHARD`](comfort_telemetry::SERVICE_SHARD)), and
+//! [`Daemon::metrics`] is the count of those events, kept under the lock
+//! that orders the stream (see [`MetricsSnapshot::count`]).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,7 +48,7 @@ use comfort_telemetry::{
 
 use crate::fleet::{ChildFate, ProcessJail, WorkerArgs, WorkerChild};
 use crate::lease::{Claim, LeaseTable, Transition};
-use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::spec::CampaignSpec;
 use crate::worker::WorkerError;
 
@@ -59,7 +59,6 @@ const _: () = {
     assert_send_sync::<CampaignConfig>();
     assert_send_sync::<ShardedCampaign>();
     assert_send_sync::<LeaseTable>();
-    assert_send_sync::<ServiceMetrics>();
 };
 
 /// Daemon-level tuning knobs.
@@ -419,8 +418,9 @@ enum ChildOutcome {
 
 struct DaemonShared {
     cfg: ServiceConfig,
-    metrics: ServiceMetrics,
-    recorder: Mutex<Recorder>,
+    /// The service stream's recorder and the counts of what it emitted:
+    /// one lock, so a reading of the counts equals the stream so far.
+    service: Mutex<(Recorder, MetricsSnapshot)>,
     campaigns: Mutex<Vec<Arc<CampaignEntry>>>,
     next_id: AtomicU64,
     rotation: AtomicU64,
@@ -446,7 +446,9 @@ struct DaemonShared {
 
 impl DaemonShared {
     fn emit_service(&self, kind: EventKind) {
-        self.recorder.lock().expect("service recorder poisoned").emit(kind);
+        let mut service = self.service.lock().expect("service recorder poisoned");
+        service.1.count(&kind);
+        service.0.emit(kind);
     }
 
     fn wake_workers(&self) {
@@ -454,7 +456,7 @@ impl DaemonShared {
         self.bell.notify_all();
     }
 
-    /// Journals and emits one lease transition, bumping its metric.
+    /// Journals and emits one lease transition.
     fn record_lease(&self, entry: &CampaignEntry, action: LeaseAction, t: &Transition) {
         if let Some(journal) = entry.runtime.journal() {
             let _ = journal.append_lease(&LeaseRecord {
@@ -469,40 +471,21 @@ impl DaemonShared {
         let campaign = entry.id.clone();
         let lease_shard = t.shard as u64;
         let worker = t.holder.clone();
-        let (kind, counter) = match action {
-            LeaseAction::Acquired => (
-                EventKind::LeaseAcquired {
-                    campaign,
-                    lease_shard,
-                    worker,
-                    ttl_millis: t.ttl_millis,
-                },
-                &self.metrics.leases_acquired,
-            ),
-            LeaseAction::Renewed => (
-                EventKind::LeaseRenewed { campaign, lease_shard, worker },
-                &self.metrics.leases_renewed,
-            ),
-            LeaseAction::Released => (
-                EventKind::LeaseReleased { campaign, lease_shard, worker },
-                &self.metrics.leases_released,
-            ),
-            LeaseAction::Expired => (
-                EventKind::LeaseExpired { campaign, lease_shard, worker },
-                &self.metrics.leases_expired,
-            ),
-            LeaseAction::Reclaimed => (
-                EventKind::LeaseReclaimed {
-                    campaign,
-                    lease_shard,
-                    worker,
-                    reclaims: t.reclaims as u64,
-                },
-                &self.metrics.leases_reclaimed,
-            ),
+        let kind = match action {
+            LeaseAction::Acquired => {
+                EventKind::LeaseAcquired { campaign, lease_shard, worker, ttl_millis: t.ttl_millis }
+            }
+            LeaseAction::Renewed => EventKind::LeaseRenewed { campaign, lease_shard, worker },
+            LeaseAction::Released => EventKind::LeaseReleased { campaign, lease_shard, worker },
+            LeaseAction::Expired => EventKind::LeaseExpired { campaign, lease_shard, worker },
+            LeaseAction::Reclaimed => EventKind::LeaseReclaimed {
+                campaign,
+                lease_shard,
+                worker,
+                reclaims: t.reclaims as u64,
+            },
         };
         self.emit_service(kind);
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fair-share selection: tenants rotate in first-seen order, and within
@@ -769,7 +752,6 @@ impl DaemonShared {
             lease_shard: claim.shard as u64,
             pid: child.pid as u64,
         });
-        self.metrics.workers_spawned.fetch_add(1, Ordering::Relaxed);
         self.workers_active.fetch_add(1, Ordering::SeqCst);
         let progress = entry.runtime.progress();
         progress.shard_started(claim.shard);
@@ -819,7 +801,6 @@ impl DaemonShared {
                             lease_shard: claim.shard as u64,
                             signal: sig as u64,
                         });
-                        self.metrics.workers_died.fetch_add(1, Ordering::Relaxed);
                     }
                     _ => {
                         // Beat the kill to the exit: a completed child's
@@ -847,7 +828,6 @@ impl DaemonShared {
                     lease_shard: claim.shard as u64,
                     signal: signal as u64,
                 });
-                self.metrics.workers_died.fetch_add(1, Ordering::Relaxed);
                 self.workers_active.fetch_sub(1, Ordering::SeqCst);
                 ChildOutcome::Died(signal)
             }
@@ -985,7 +965,6 @@ impl DaemonShared {
             poison_case,
             signal: fatal as u64,
         });
-        self.metrics.shards_poisoned.fetch_add(1, Ordering::Relaxed);
         // Rescue: one more directed run, contained instead of jailed. The
         // lethal case unwinds through the harness's panic boundary into a
         // `Crashed` outcome, and the shard commits normally.
@@ -1053,7 +1032,6 @@ impl DaemonShared {
                 to_workers: to as u64,
                 consecutive_deaths: consecutive,
             });
-            self.metrics.pool_degradations.fetch_add(1, Ordering::Relaxed);
         }
         self.consecutive_deaths.store(0, Ordering::SeqCst);
     }
@@ -1084,12 +1062,6 @@ impl DaemonShared {
             outcome: outcome.to_string(),
             shards_run: done.saturating_sub(entry.runtime.salvaged().len()) as u64,
         });
-        let counter = match outcome {
-            "completed" => &self.metrics.campaigns_completed,
-            "failed" => &self.metrics.campaigns_failed,
-            _ => &self.metrics.campaigns_cancelled,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Releases what only a live campaign needs: its trained executor, its
@@ -1253,15 +1225,14 @@ impl Daemon {
         } else {
             cfg.workers
         };
-        let recorder = Mutex::new(Recorder::new(cfg.sink.clone(), SERVICE_SHARD));
+        let recorder = Recorder::new(cfg.sink.clone(), SERVICE_SHARD);
         let monkey_kills = match &cfg.isolation {
             IsolationMode::Processes(jail) => jail.storm_kills,
             IsolationMode::InProcess => 0,
         };
         let shared = Arc::new(DaemonShared {
             cfg,
-            metrics: ServiceMetrics::default(),
-            recorder,
+            service: Mutex::new((recorder, MetricsSnapshot::default())),
             campaigns: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             rotation: AtomicU64::new(0),
@@ -1319,7 +1290,6 @@ impl Daemon {
                 reason: reason.to_string(),
                 retry_after_millis,
             });
-            shared.metrics.campaigns_rejected.fetch_add(1, Ordering::Relaxed);
             Err(Rejection { reason: reason.to_string(), message, retry_after_millis })
         };
         if shared.draining.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
@@ -1379,7 +1349,6 @@ impl Daemon {
             tenant: spec.tenant.clone(),
             shards,
         });
-        shared.metrics.campaigns_admitted.fetch_add(1, Ordering::Relaxed);
         // A fully-salvaged resubmission needs no worker at all.
         shared.maybe_finalize(&entry);
         shared.wake_workers();
@@ -1460,9 +1429,10 @@ impl Daemon {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// A frozen reading of the service counters.
+    /// The service counters: the count of every service event emitted so
+    /// far.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.service.lock().expect("service recorder poisoned").1
     }
 
     /// Shards currently under lease across every campaign (the `still_held`
@@ -1520,7 +1490,6 @@ impl Daemon {
         let active = self.campaigns_active();
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.emit_service(EventKind::DrainStarted { active_campaigns: active });
-        self.shared.metrics.drains_started.fetch_add(1, Ordering::Relaxed);
         self.shared.wake_workers();
         for worker in self.workers.lock().expect("worker pool poisoned").drain(..) {
             let _ = worker.join();
@@ -1648,7 +1617,6 @@ fn build_entry(
                     worker: lease.worker.clone(),
                     ttl_millis: lease.ttl_millis,
                 });
-                shared.metrics.leases_acquired.fetch_add(1, Ordering::Relaxed);
             }
         }
     }

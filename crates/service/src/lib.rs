@@ -16,8 +16,8 @@
 //! * [`spec`] — the JSON campaign submission format;
 //! * [`wire`] / [`server`] / [`client`] — the length-prefixed JSON
 //!   control protocol over a Unix socket;
-//! * [`metrics`] — service counters and their event-stream conservation
-//!   contract;
+//! * [`metrics`] — service counters, counted from the service events,
+//!   and their conservation ledgers;
 //! * [`fleet`] — process-isolation primitives: jailed worker children,
 //!   capped capture, signal/exit classification;
 //! * [`worker`] — the single-shot out-of-process shard worker
@@ -39,8 +39,8 @@ pub use daemon::{
 };
 pub use fleet::{ChildFate, ProcessJail};
 pub use lease::{Claim, LeaseTable, ShardLease, ShardPhase};
-pub use metrics::{MetricsSnapshot, ServiceMetrics};
+pub use metrics::MetricsSnapshot;
 pub use server::Server;
-pub use spec::{CampaignSpec, ChaosSpec};
+pub use spec::CampaignSpec;
 pub use wire::Request;
 pub use worker::{run_worker_once, WorkerError, WorkerOnceOptions};

@@ -1,75 +1,17 @@
-//! Service-plane metrics and their conservation contract.
+//! Service-plane counters and their conservation contract.
 //!
-//! Every scheduling decision the daemon makes is emitted **twice**: as a
-//! typed service event ([`EventKind`](comfort_telemetry::EventKind)
-//! variants on the `SERVICE_SHARD` pseudo-shard) and as a counter bump
-//! here. [`MetricsSnapshot::from_events`] rebuilds a snapshot from the
-//! event stream alone, so a test can assert the two ledgers reconcile
-//! *exactly* — the same conservation style the campaign metrics use.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Every scheduling decision the daemon makes is emitted as a typed
+//! service event ([`EventKind`] variants on the `SERVICE_SHARD`
+//! pseudo-shard). The daemon's counters are the count
+//! of those events: it calls [`MetricsSnapshot::count`] on each one under
+//! the lock that orders the service stream, so a reading always equals
+//! [`MetricsSnapshot::from_events`] over the events emitted so far. The
+//! ledgers below then check that the counts balance.
 
 use comfort_telemetry::{Event, EventKind};
 
-/// Monotonic counters for every service-plane decision.
-#[derive(Debug, Default)]
-pub struct ServiceMetrics {
-    /// Leases handed to workers.
-    pub leases_acquired: AtomicU64,
-    /// Heartbeat renewals of in-flight leases.
-    pub leases_renewed: AtomicU64,
-    /// Leases released after a committed shard.
-    pub leases_released: AtomicU64,
-    /// Leases whose TTL lapsed without progress.
-    pub leases_expired: AtomicU64,
-    /// Expired leases returned to the pending pool.
-    pub leases_reclaimed: AtomicU64,
-    /// Campaigns admitted past backpressure.
-    pub campaigns_admitted: AtomicU64,
-    /// Campaigns rejected by admission control.
-    pub campaigns_rejected: AtomicU64,
-    /// Campaigns that merged a complete report.
-    pub campaigns_completed: AtomicU64,
-    /// Campaigns cancelled (explicitly or by deadline).
-    pub campaigns_cancelled: AtomicU64,
-    /// Campaigns failed at the supervisor's panic boundary.
-    pub campaigns_failed: AtomicU64,
-    /// Graceful drains initiated.
-    pub drains_started: AtomicU64,
-    /// Jailed worker processes spawned by the fleet supervisor.
-    pub workers_spawned: AtomicU64,
-    /// Worker processes that died by signal.
-    pub workers_died: AtomicU64,
-    /// Shards quarantined after killing workers repeatedly.
-    pub shards_poisoned: AtomicU64,
-    /// Crash-storm breaker trips that narrowed the pool.
-    pub pool_degradations: AtomicU64,
-}
-
-impl ServiceMetrics {
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            leases_acquired: self.leases_acquired.load(Ordering::Relaxed),
-            leases_renewed: self.leases_renewed.load(Ordering::Relaxed),
-            leases_released: self.leases_released.load(Ordering::Relaxed),
-            leases_expired: self.leases_expired.load(Ordering::Relaxed),
-            leases_reclaimed: self.leases_reclaimed.load(Ordering::Relaxed),
-            campaigns_admitted: self.campaigns_admitted.load(Ordering::Relaxed),
-            campaigns_rejected: self.campaigns_rejected.load(Ordering::Relaxed),
-            campaigns_completed: self.campaigns_completed.load(Ordering::Relaxed),
-            campaigns_cancelled: self.campaigns_cancelled.load(Ordering::Relaxed),
-            campaigns_failed: self.campaigns_failed.load(Ordering::Relaxed),
-            drains_started: self.drains_started.load(Ordering::Relaxed),
-            workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
-            workers_died: self.workers_died.load(Ordering::Relaxed),
-            shards_poisoned: self.shards_poisoned.load(Ordering::Relaxed),
-            pool_degradations: self.pool_degradations.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A frozen [`ServiceMetrics`] reading.
+/// Counts of every service-plane decision, one counter per event kind
+/// (campaign outcomes split three ways).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Leases handed to workers.
@@ -105,31 +47,38 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Rebuilds a snapshot by counting typed service events — the other
-    /// half of the conservation contract. Non-service events are ignored.
+    /// Counts one event. Non-service events are ignored.
+    pub fn count(&mut self, kind: &EventKind) {
+        match kind {
+            EventKind::LeaseAcquired { .. } => self.leases_acquired += 1,
+            EventKind::LeaseRenewed { .. } => self.leases_renewed += 1,
+            EventKind::LeaseReleased { .. } => self.leases_released += 1,
+            EventKind::LeaseExpired { .. } => self.leases_expired += 1,
+            EventKind::LeaseReclaimed { .. } => self.leases_reclaimed += 1,
+            EventKind::CampaignAdmitted { .. } => self.campaigns_admitted += 1,
+            EventKind::CampaignRejected { .. } => self.campaigns_rejected += 1,
+            EventKind::CampaignFinished { outcome, .. } => match outcome.as_str() {
+                "completed" => self.campaigns_completed += 1,
+                "failed" => self.campaigns_failed += 1,
+                _ => self.campaigns_cancelled += 1,
+            },
+            EventKind::DrainStarted { .. } => self.drains_started += 1,
+            EventKind::WorkerSpawned { .. } => self.workers_spawned += 1,
+            EventKind::WorkerDied { .. } => self.workers_died += 1,
+            EventKind::ShardPoisoned { .. } => self.shards_poisoned += 1,
+            EventKind::PoolDegraded { .. } => self.pool_degradations += 1,
+            _ => {}
+        }
+    }
+
+    /// Rebuilds a snapshot by counting a stream of events (for instance a
+    /// service sink's capture), to reconcile with [`Daemon::metrics`].
+    ///
+    /// [`Daemon::metrics`]: crate::daemon::Daemon::metrics
     pub fn from_events<'a>(events: impl IntoIterator<Item = &'a Event>) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for event in events {
-            match &event.kind {
-                EventKind::LeaseAcquired { .. } => snap.leases_acquired += 1,
-                EventKind::LeaseRenewed { .. } => snap.leases_renewed += 1,
-                EventKind::LeaseReleased { .. } => snap.leases_released += 1,
-                EventKind::LeaseExpired { .. } => snap.leases_expired += 1,
-                EventKind::LeaseReclaimed { .. } => snap.leases_reclaimed += 1,
-                EventKind::CampaignAdmitted { .. } => snap.campaigns_admitted += 1,
-                EventKind::CampaignRejected { .. } => snap.campaigns_rejected += 1,
-                EventKind::CampaignFinished { outcome, .. } => match outcome.as_str() {
-                    "completed" => snap.campaigns_completed += 1,
-                    "failed" => snap.campaigns_failed += 1,
-                    _ => snap.campaigns_cancelled += 1,
-                },
-                EventKind::DrainStarted { .. } => snap.drains_started += 1,
-                EventKind::WorkerSpawned { .. } => snap.workers_spawned += 1,
-                EventKind::WorkerDied { .. } => snap.workers_died += 1,
-                EventKind::ShardPoisoned { .. } => snap.shards_poisoned += 1,
-                EventKind::PoolDegraded { .. } => snap.pool_degradations += 1,
-                _ => {}
-            }
+            snap.count(&event.kind);
         }
         snap
     }
@@ -199,44 +148,49 @@ mod tests {
 
     #[test]
     fn snapshot_reconciles_with_the_event_stream() {
-        let metrics = ServiceMetrics::default();
+        let (campaign, worker) = ("c-1".to_string(), "w-0".to_string());
         let mut events = Vec::new();
-        metrics.leases_acquired.fetch_add(2, Ordering::Relaxed);
-        for _ in 0..2 {
+        for lease_shard in 0..2 {
             events.push(service_event(EventKind::LeaseAcquired {
-                campaign: "c-1".into(),
-                lease_shard: 0,
-                worker: "w-0".into(),
+                campaign: campaign.clone(),
+                lease_shard,
+                worker: worker.clone(),
                 ttl_millis: 100,
             }));
         }
-        metrics.leases_released.fetch_add(1, Ordering::Relaxed);
         events.push(service_event(EventKind::LeaseReleased {
-            campaign: "c-1".into(),
+            campaign: campaign.clone(),
             lease_shard: 0,
-            worker: "w-0".into(),
+            worker: worker.clone(),
         }));
-        metrics.leases_expired.fetch_add(1, Ordering::Relaxed);
         events.push(service_event(EventKind::LeaseExpired {
-            campaign: "c-1".into(),
+            campaign: campaign.clone(),
             lease_shard: 1,
-            worker: "w-1".into(),
+            worker: worker.clone(),
         }));
-        metrics.leases_reclaimed.fetch_add(1, Ordering::Relaxed);
         events.push(service_event(EventKind::LeaseReclaimed {
-            campaign: "c-1".into(),
+            campaign: campaign.clone(),
             lease_shard: 1,
-            worker: "w-1".into(),
+            worker,
             reclaims: 1,
         }));
-        metrics.campaigns_admitted.fetch_add(1, Ordering::Relaxed);
         events.push(service_event(EventKind::CampaignAdmitted {
-            campaign: "c-1".into(),
+            campaign,
             tenant: "t".into(),
             shards: 3,
         }));
-        let snap = metrics.snapshot();
-        assert_eq!(snap, MetricsSnapshot::from_events(&events));
+        // Not a service decision: no counter moves.
+        events.push(service_event(EventKind::CaseRejected { base: 0, kept: false }));
+        let snap = MetricsSnapshot::from_events(&events);
+        let expected = MetricsSnapshot {
+            leases_acquired: 2,
+            leases_released: 1,
+            leases_expired: 1,
+            leases_reclaimed: 1,
+            campaigns_admitted: 1,
+            ..Default::default()
+        };
+        assert_eq!(snap, expected);
         snap.leases_conserved(0).expect("lease ledger balances");
         snap.campaigns_conserved(1).expect("campaign ledger balances");
     }

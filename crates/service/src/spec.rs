@@ -16,53 +16,6 @@ use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
 use comfort_telemetry::json::{self, JsonValue};
 
-/// Seeded fault injection requested by a spec (mirrors
-/// [`FaultPlan`](comfort_engines::FaultPlan) plus the targeted testbeds).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosSpec {
-    /// Fault-plan seed (`0` derives from the campaign seed).
-    pub seed: u64,
-    /// Probability a run dies by (or simulates) a fatal signal.
-    pub abort_rate: f64,
-    /// The signal an abort fault raises (6 = SIGABRT).
-    pub abort_signal: i32,
-    /// Probability a run panics.
-    pub panic_rate: f64,
-    /// Probability a run wedges.
-    pub hang_rate: f64,
-    /// Probability a run emits garbage output.
-    pub garbage_rate: f64,
-    /// Probability a run fails transiently.
-    pub transient_rate: f64,
-    /// Attempts a transient fault persists for.
-    pub transient_persistence: u32,
-    /// Injected-hang sleep in milliseconds.
-    pub hang_millis: u64,
-    /// Injected-garbage size in bytes.
-    pub garbage_bytes: usize,
-    /// Testbed indices the faults target.
-    pub testbeds: Vec<usize>,
-}
-
-impl Default for ChaosSpec {
-    fn default() -> Self {
-        let plan = FaultPlan::new(FaultPlan::DERIVE);
-        ChaosSpec {
-            seed: plan.seed,
-            abort_rate: plan.abort_rate,
-            abort_signal: plan.abort_signal,
-            panic_rate: plan.panic_rate,
-            hang_rate: plan.hang_rate,
-            garbage_rate: plan.garbage_rate,
-            transient_rate: plan.transient_rate,
-            transient_persistence: plan.transient_persistence,
-            hang_millis: plan.hang_millis,
-            garbage_bytes: plan.garbage_bytes,
-            testbeds: vec![0],
-        }
-    }
-}
-
 /// A tenant's campaign submission: identity, budget, and determinism
 /// knobs, all optional except the tenant name. Unset fields keep the
 /// library defaults, so a minimal spec is `{"tenant": "acme"}`.
@@ -101,8 +54,10 @@ pub struct CampaignSpec {
     /// Catch panics inside engine runs (default `true`; `false` lets
     /// injected panics escape to the daemon's supervisor boundary).
     pub contain_panics: Option<bool>,
-    /// Seeded fault injection over selected testbeds.
-    pub chaos: Option<ChaosSpec>,
+    /// Seeded fault injection over selected testbeds. In JSON, an object of
+    /// the plan's fields plus `testbeds`; absent fields default to
+    /// `FaultPlan::new(FaultPlan::DERIVE)` and testbed 0.
+    pub chaos: Option<ChaosConfig>,
 }
 
 impl CampaignSpec {
@@ -169,24 +124,24 @@ impl CampaignSpec {
         if let Some(v) = self.contain_panics {
             pairs.push(("contain_panics", JsonValue::Bool(v)));
         }
-        if let Some(c) = &self.chaos {
+        if let Some(ChaosConfig { plan, testbeds }) = &self.chaos {
             pairs.push((
                 "chaos",
                 JsonValue::object([
-                    ("seed", JsonValue::Int(c.seed as i128)),
-                    ("abort_rate", JsonValue::Number(c.abort_rate)),
-                    ("abort_signal", JsonValue::Int(c.abort_signal as i128)),
-                    ("panic_rate", JsonValue::Number(c.panic_rate)),
-                    ("hang_rate", JsonValue::Number(c.hang_rate)),
-                    ("garbage_rate", JsonValue::Number(c.garbage_rate)),
-                    ("transient_rate", JsonValue::Number(c.transient_rate)),
-                    ("transient_persistence", JsonValue::Int(c.transient_persistence as i128)),
-                    ("hang_millis", JsonValue::Int(c.hang_millis as i128)),
-                    ("garbage_bytes", JsonValue::Int(c.garbage_bytes as i128)),
+                    ("seed", JsonValue::Int(plan.seed as i128)),
+                    ("abort_rate", JsonValue::Number(plan.abort_rate)),
+                    ("abort_signal", JsonValue::Int(plan.abort_signal as i128)),
+                    ("panic_rate", JsonValue::Number(plan.panic_rate)),
+                    ("hang_rate", JsonValue::Number(plan.hang_rate)),
+                    ("garbage_rate", JsonValue::Number(plan.garbage_rate)),
+                    ("transient_rate", JsonValue::Number(plan.transient_rate)),
+                    ("transient_persistence", JsonValue::Int(plan.transient_persistence as i128)),
+                    ("hang_millis", JsonValue::Int(plan.hang_millis as i128)),
+                    ("garbage_bytes", JsonValue::Int(plan.garbage_bytes as i128)),
                     (
                         "testbeds",
                         JsonValue::Array(
-                            c.testbeds.iter().map(|&t| JsonValue::Int(t as i128)).collect(),
+                            testbeds.iter().map(|&t| JsonValue::Int(t as i128)).collect(),
                         ),
                     ),
                 ]),
@@ -225,11 +180,11 @@ impl CampaignSpec {
             None => None,
             Some(c @ JsonValue::Object(_)) => {
                 let c = Fields { obj: c, prefix: "chaos." };
-                let d = ChaosSpec::default();
+                let d = FaultPlan::new(FaultPlan::DERIVE);
                 let testbeds = c.get("testbeds", "an array of non-negative integers", |beds| {
                     beds.as_array()?.iter().map(uint).collect()
                 })?;
-                Some(ChaosSpec {
+                let plan = FaultPlan {
                     seed: c.uint("seed")?.unwrap_or(d.seed),
                     abort_rate: c.num("abort_rate")?.unwrap_or(d.abort_rate),
                     abort_signal: c.uint("abort_signal")?.unwrap_or(d.abort_signal),
@@ -242,8 +197,8 @@ impl CampaignSpec {
                         .unwrap_or(d.transient_persistence),
                     hang_millis: c.uint("hang_millis")?.unwrap_or(d.hang_millis),
                     garbage_bytes: c.uint("garbage_bytes")?.unwrap_or(d.garbage_bytes),
-                    testbeds: testbeds.unwrap_or(d.testbeds),
-                })
+                };
+                Some(ChaosConfig::on(plan, testbeds.unwrap_or_else(|| vec![0])))
             }
             Some(_) => return Err("spec field 'chaos' must be an object".to_string()),
         };
@@ -318,20 +273,8 @@ impl CampaignSpec {
         if let Some(ms) = self.deadline_millis {
             b = b.deadline(std::time::Duration::from_millis(ms));
         }
-        if let Some(c) = &self.chaos {
-            let plan = FaultPlan {
-                seed: c.seed,
-                abort_rate: c.abort_rate,
-                abort_signal: c.abort_signal,
-                panic_rate: c.panic_rate,
-                hang_rate: c.hang_rate,
-                garbage_rate: c.garbage_rate,
-                transient_rate: c.transient_rate,
-                transient_persistence: c.transient_persistence,
-                hang_millis: c.hang_millis,
-                garbage_bytes: c.garbage_bytes,
-            };
-            b = b.chaos(ChaosConfig::on(plan, c.testbeds.clone()));
+        if let Some(chaos) = &self.chaos {
+            b = b.chaos(chaos.clone());
         }
         let mut config = b.build().map_err(|e| format!("invalid campaign spec: {e}"))?;
         if let Some(contain) = self.contain_panics {
@@ -408,11 +351,10 @@ mod tests {
             telemetry: Some("/tmp/x.jsonl".to_string()),
             deadline_millis: Some(90_000),
             contain_panics: Some(false),
-            chaos: Some(ChaosSpec {
-                panic_rate: 0.5,
-                testbeds: vec![0, 2],
-                ..ChaosSpec::default()
-            }),
+            chaos: Some(ChaosConfig::on(
+                FaultPlan::new(FaultPlan::DERIVE).panic_rate(0.5),
+                vec![0, 2],
+            )),
         }
     }
 

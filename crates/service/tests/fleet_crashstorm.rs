@@ -14,12 +14,14 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use comfort_core::checkpoint::report_checksum;
+use comfort_core::resilience::ChaosConfig;
 use comfort_core::session::CampaignSession;
+use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
 use comfort_service::daemon::{CampaignState, Daemon, IsolationMode, ServiceConfig};
 use comfort_service::fleet::ProcessJail;
 use comfort_service::metrics::MetricsSnapshot;
-use comfort_service::spec::{CampaignSpec, ChaosSpec};
+use comfort_service::spec::CampaignSpec;
 use comfort_telemetry::{EventKind, MemorySink, SinkHandle};
 
 /// A campaign whose chaos plan aborts (signal 6) on testbed 0 often
@@ -37,7 +39,9 @@ fn storm_spec(journal: &Path) -> CampaignSpec {
         include_legacy: Some(false),
         reduce_cases: Some(false),
         checkpoint: Some(journal.display().to_string()),
-        chaos: Some(ChaosSpec { abort_rate: 0.10, abort_signal: 6, ..ChaosSpec::default() }),
+        chaos: Some(ChaosConfig::on_first(
+            FaultPlan::new(FaultPlan::DERIVE).abort_rate(0.10).abort_signal(6),
+        )),
         ..CampaignSpec::default()
     }
 }

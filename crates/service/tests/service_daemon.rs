@@ -7,12 +7,14 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use comfort_core::checkpoint::report_checksum;
+use comfort_core::resilience::ChaosConfig;
 use comfort_core::session::CampaignSession;
+use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
 use comfort_service::daemon::{CampaignState, Daemon, IsolationMode, ServiceConfig};
 use comfort_service::fleet::ProcessJail;
 use comfort_service::metrics::MetricsSnapshot;
-use comfort_service::spec::{CampaignSpec, ChaosSpec};
+use comfort_service::spec::CampaignSpec;
 use comfort_service::worker::{run_worker_once, WorkerOnceOptions};
 use comfort_telemetry::{Event, EventKind, MemorySink, SinkHandle, CONTROL_SHARD};
 
@@ -152,7 +154,8 @@ fn campaign_ledger_balances_whenever_wait_returns() {
             ..small_spec("stress", 500 + k)
         };
         if k % 3 == 1 {
-            spec.chaos = Some(ChaosSpec { panic_rate: 1.0, ..ChaosSpec::default() });
+            spec.chaos =
+                Some(ChaosConfig::on_first(FaultPlan::new(FaultPlan::DERIVE).panic_rate(1.0)));
             spec.contain_panics = Some(false);
         }
         let id = daemon.submit(&spec).expect("admitted");
@@ -455,7 +458,7 @@ fn panic_isolation_degrades_only_the_faulty_campaign() {
     // The chaos campaign disables in-run panic containment, so the
     // injected panic unwinds all the way to the daemon's worker boundary.
     let mut chaotic = small_spec("chaos", 41);
-    chaotic.chaos = Some(ChaosSpec { panic_rate: 1.0, ..ChaosSpec::default() });
+    chaotic.chaos = Some(ChaosConfig::on_first(FaultPlan::new(FaultPlan::DERIVE).panic_rate(1.0)));
     chaotic.contain_panics = Some(false);
     let steady = small_spec("steady", 42);
 

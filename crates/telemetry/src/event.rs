@@ -8,8 +8,16 @@
 //! durations are *optional* fields; [`Event::to_json_deterministic`] omits
 //! them so streams can be compared bit-for-bit across runs and thread
 //! counts.
+//!
+//! Each event kind is declared once, in the `event_kinds!` table below:
+//! its variant, its wire tag and its fields in wire order. The table
+//! generates the enum, [`EventKind::type_str`], the field rendering, the
+//! parser behind [`event_from_json`] and [`Event::without_wall_clock`], so
+//! an event's wire form is written in exactly one place.
 
 use std::fmt::Write as _;
+
+use crate::json::JsonValue;
 
 /// A deterministic event timestamp: `(shard, seq)`.
 ///
@@ -110,370 +118,474 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// What happened (the payload of an [`Event`]).
-///
-/// Engine names, deviation kinds, and bug keys travel as plain strings so
-/// this crate stays dependency-free and the JSONL output is self-contained.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A shard began executing its slice of the case budget.
-    ShardStarted {
-        /// The shard's derived campaign seed.
-        seed: u64,
-        /// The shard's share of `max_cases`.
-        case_budget: u64,
-    },
-    /// A shard finished.
-    ShardFinished {
-        /// Cases the shard executed.
-        cases_run: u64,
-        /// Unique bugs the shard reported.
-        bugs_reported: u64,
-        /// Wall-clock shard duration (excluded from determinism
-        /// comparisons).
-        wall_nanos: Option<u64>,
-    },
-    /// A test case entered the execution queue.
-    CaseGenerated {
-        /// Campaign-unique case id.
-        case_id: u64,
-        /// Id of the base generated program this case derives from.
-        base: u64,
-        /// Provenance label (`"program-gen"` / `"ecma-mutation"`).
-        origin: String,
-        /// `true` for data-mutation cases, `false` for the base program.
-        mutant: bool,
-    },
-    /// A generated source failed the validity filter (front-end rejection).
-    CaseRejected {
-        /// Generation counter of the rejected source.
-        base: u64,
-        /// `true` when the invalid program was kept as a parser test
-        /// (§3.2 keeps 20%).
-        kept: bool,
-    },
-    /// One case ran across the testbed matrix and was voted on.
-    DifferentialRun {
-        /// The case.
-        case_id: u64,
-        /// Number of testbeds that voted.
-        testbeds: u64,
-        /// Outcome label (`"pass"`, `"deviations"`, `"parse-error"`,
-        /// `"all-timeout"`).
-        outcome: String,
-    },
-    /// The execution-dedup layer collapsed a case's testbed matrix:
-    /// `classes` physical executions served `classes + saved` logical runs
-    /// (emitted only when `saved > 0`).
-    ExecutionDeduped {
-        /// The case.
-        case_id: u64,
-        /// Classes, one per representative (= physical executions).
-        classes: u64,
-        /// Executions avoided (logical runs − physical executions).
-        saved: u64,
-    },
-    /// One engine deviated from the majority on one case.
-    Deviation {
-        /// The case.
-        case_id: u64,
-        /// Deviating engine.
-        engine: String,
-        /// Deviation class label.
-        kind: String,
-    },
-    /// The identical-bug filter discarded an observation as a duplicate.
-    BugDeduped {
-        /// Engine layer of the duplicate key.
-        engine: String,
-        /// Full `engine / api / behavior` key.
-        key: String,
-        /// `true` when the duplicate was found while merging shard
-        /// reports (the bug was first reported by an earlier shard).
-        cross_shard: bool,
-    },
-    /// A harness-level fault was observed on one testbed run (contained
-    /// panic, wedge/watchdog timeout, transient-retry exhaustion, or
-    /// output-cap truncation). Distinct from [`EventKind::Deviation`]:
-    /// faults describe *testbed* misbehaviour, deviations describe voting
-    /// outcomes.
-    FaultInjected {
-        /// The case being executed when the fault was observed.
-        case_id: u64,
-        /// Label of the faulting testbed.
-        testbed: String,
-        /// Fault class label (`"panic"`, `"hang"`, `"transient-exhausted"`,
-        /// `"output-truncated"`).
-        kind: String,
-    },
-    /// A testbed run hit transient faults and was retried to completion
-    /// (emitted once per retried run, carrying the attempt count).
-    RunRetried {
-        /// The case.
-        case_id: u64,
-        /// Label of the retried testbed.
-        testbed: String,
-        /// Number of extra attempts the run needed.
-        retries: u64,
-    },
-    /// The circuit breaker sidelined a testbed after consecutive hard
-    /// faults; it casts no further votes in this shard.
-    TestbedQuarantined {
-        /// The case whose fault tripped the breaker.
-        case_id: u64,
-        /// Label of the quarantined testbed.
-        testbed: String,
-        /// Consecutive hard faults observed at the moment of quarantine.
-        hard_faults: u64,
-    },
-    /// A mode group voted with fewer than its full membership (members
-    /// quarantined), or was skipped entirely for falling below the quorum
-    /// threshold.
-    QuorumDegraded {
-        /// The case.
-        case_id: u64,
-        /// `true` for the strict testbed group.
-        strict: bool,
-        /// Healthy voters that actually cast signatures.
-        healthy: u64,
-        /// Full membership of the group.
-        total: u64,
-        /// `false` when the group fell below the quorum threshold and its
-        /// vote was skipped.
-        voted: bool,
-    },
-    /// A quarantined testbed passed its half-open probe and rejoined the
-    /// voting quorum (see `HealthTracker` probing in `comfort-core`).
-    TestbedReinstated {
-        /// The case that served as the successful probe.
-        case_id: u64,
-        /// Label of the reinstated testbed.
-        testbed: String,
-        /// Cases the testbed sat out in quarantine before this probe.
-        skipped: u64,
-    },
-    /// One shard's result was durably appended to the checkpoint journal
-    /// (control-plane; stamped with [`CONTROL_SHARD`]).
-    CheckpointWritten {
-        /// Index of the checkpointed shard.
-        checkpointed_shard: u64,
-        /// Cases that shard executed.
-        cases_run: u64,
-        /// Journal size in bytes after the append (0 when unknown).
-        journal_bytes: u64,
-    },
-    /// A campaign was resumed from a checkpoint journal (control-plane).
-    CampaignResumed {
-        /// Shards salvaged from the journal.
-        shards_salvaged: u64,
-        /// Total shards in the plan.
-        shards_total: u64,
-        /// Torn-tail bytes dropped during recovery.
-        dropped_bytes: u64,
-    },
-    /// A campaign stopped early on cancellation or deadline (control-plane).
-    /// Completed shards were checkpointed; in-flight shards were discarded
-    /// and will re-run on resume.
-    CampaignInterrupted {
-        /// Shards fully completed (and journaled, when checkpointing).
-        shards_completed: u64,
-        /// Total shards in the plan.
-        shards_total: u64,
-        /// Why the campaign stopped (`"cancelled"` / `"deadline"`).
-        reason: String,
-    },
-    /// A worker acquired a lease on one shard of a supervised campaign
-    /// (service-plane; stamped with [`SERVICE_SHARD`]).
-    LeaseAcquired {
-        /// The leased campaign's id.
-        campaign: String,
-        /// The leased shard's index within that campaign's plan.
-        lease_shard: u64,
-        /// The acquiring worker's label.
-        worker: String,
-        /// Lease time-to-live granted, in milliseconds.
-        ttl_millis: u64,
-    },
-    /// A live worker's lease was renewed by the supervisor heartbeat
-    /// (service-plane). Liveness is progress-based: the lease renews only
-    /// while the shard's case counter is advancing.
-    LeaseRenewed {
-        /// The leased campaign's id.
-        campaign: String,
-        /// The leased shard's index.
-        lease_shard: u64,
-        /// The holding worker's label.
-        worker: String,
-    },
-    /// A worker completed its shard and released the lease (service-plane).
-    LeaseReleased {
-        /// The leased campaign's id.
-        campaign: String,
-        /// The released shard's index.
-        lease_shard: u64,
-        /// The releasing worker's label.
-        worker: String,
-    },
-    /// A lease outlived its TTL without renewal — the holder is wedged or
-    /// dead (service-plane).
-    LeaseExpired {
-        /// The leased campaign's id.
-        campaign: String,
-        /// The expired shard's index.
-        lease_shard: u64,
-        /// The delinquent worker's label.
-        worker: String,
-    },
-    /// The supervisor reclaimed an expired lease so the shard can be
-    /// reassigned (service-plane). The fencing sequence number increments,
-    /// so a late completion from the old holder is discarded.
-    LeaseReclaimed {
-        /// The leased campaign's id.
-        campaign: String,
-        /// The reclaimed shard's index.
-        lease_shard: u64,
-        /// The worker whose lease was reclaimed.
-        worker: String,
-        /// How many times this shard's lease has now been reclaimed.
-        reclaims: u64,
-    },
-    /// Admission control accepted a campaign into the run queue
-    /// (service-plane).
-    CampaignAdmitted {
-        /// The admitted campaign's id.
-        campaign: String,
-        /// The submitting tenant.
-        tenant: String,
-        /// Shards in the campaign's plan.
-        shards: u64,
-    },
-    /// Admission control rejected a submission — tenant over quota, queue
-    /// full, or the daemon is draining (service-plane).
-    CampaignRejected {
-        /// The rejected tenant.
-        tenant: String,
-        /// Rejection class (`"quota"` / `"queue_full"` / `"draining"`).
-        reason: String,
-        /// Suggested client backoff before resubmitting, in milliseconds.
-        retry_after_millis: u64,
-    },
-    /// A supervised campaign reached a terminal state (service-plane).
-    CampaignFinished {
-        /// The finished campaign's id.
-        campaign: String,
-        /// Terminal outcome (`"completed"` / `"cancelled"` / `"failed"`).
-        outcome: String,
-        /// Shards executed by this daemon process (salvaged shards not
-        /// included).
-        shards_run: u64,
-    },
-    /// The daemon began a graceful drain: no new leases, in-flight shards
-    /// checkpoint, telemetry flushes, then exit 0 (service-plane).
-    DrainStarted {
-        /// Campaigns still active when the drain began.
-        active_campaigns: u64,
-    },
-    /// The fleet supervisor spawned a jailed worker process for a pool
-    /// slot (service-plane).
-    WorkerSpawned {
-        /// The supervised campaign's id.
-        campaign: String,
-        /// The spawned worker's label.
-        worker: String,
-        /// The shard the worker was directed at.
-        lease_shard: u64,
-        /// The worker's OS process id.
-        pid: u64,
-    },
-    /// A jailed worker process died by signal instead of exiting
-    /// (service-plane). Its lease is force-expired and the shard
-    /// reclaimed.
-    WorkerDied {
-        /// The supervised campaign's id.
-        campaign: String,
-        /// The dead worker's label.
-        worker: String,
-        /// The shard the worker held when it died.
-        lease_shard: u64,
-        /// The fatal signal number (SIGKILL=9, SIGSEGV=11, SIGABRT=6, …).
-        signal: u64,
-    },
-    /// A shard killed workers K times consecutively and entered poison
-    /// quarantine; bisection localized the poison case (service-plane).
-    ShardPoisoned {
-        /// The supervised campaign's id.
-        campaign: String,
-        /// The quarantined shard's index.
-        lease_shard: u64,
-        /// Consecutive worker deaths that triggered quarantine.
-        deaths: u64,
-        /// Case index within the shard localized as the poison case.
-        poison_case: u64,
-        /// The fatal signal the poison case raises.
-        signal: u64,
-    },
-    /// The crash-storm breaker tripped: the supervisor narrowed the pool
-    /// instead of spinning through restarts (service-plane).
-    PoolDegraded {
-        /// Pool width before degradation.
-        from_workers: u64,
-        /// Pool width after degradation.
-        to_workers: u64,
-        /// Consecutive signal deaths that tripped the breaker.
-        consecutive_deaths: u64,
-    },
-    /// Aggregated per-stage counters for one shard (emitted at shard end).
-    StageTiming {
-        /// The pipeline stage.
-        stage: Stage,
-        /// Times the stage ran.
-        invocations: u64,
-        /// Items the stage processed.
-        items: u64,
-        /// Deterministic cost units consumed (stage-specific: bytes
-        /// generated, testbed runs, reduction candidates, …).
-        logical_cost: u64,
-        /// Wall-clock time spent in the stage (excluded from determinism
-        /// comparisons).
-        wall_nanos: Option<u64>,
-    },
+/// How one field type of the event table renders, parses and drops its
+/// wall-clock content. `Option<u64>` fields, and only they, are wall-clock
+/// fields: rendered only by [`Event::to_json`], absent when `None`.
+trait Field: Sized {
+    /// Appends `key` (`,"name":`, literal text) and the value to `out`.
+    fn render(&self, key: &str, out: &mut String, include_wall: bool);
+    /// Reads the field `key` of an event object.
+    fn parse(v: &JsonValue, key: &str) -> Result<Self, String>;
+    /// Clears the field if it is a wall-clock field.
+    fn clear_wall_clock(&mut self) {}
 }
 
-impl EventKind {
-    /// Stable snake-case type tag (the JSONL `"type"` field).
-    pub fn type_str(&self) -> &'static str {
-        match self {
-            EventKind::ShardStarted { .. } => "shard_started",
-            EventKind::ShardFinished { .. } => "shard_finished",
-            EventKind::CaseGenerated { .. } => "case_generated",
-            EventKind::CaseRejected { .. } => "case_rejected",
-            EventKind::DifferentialRun { .. } => "differential_run",
-            EventKind::ExecutionDeduped { .. } => "execution_deduped",
-            EventKind::Deviation { .. } => "deviation",
-            EventKind::BugDeduped { .. } => "bug_deduped",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::RunRetried { .. } => "run_retried",
-            EventKind::TestbedQuarantined { .. } => "testbed_quarantined",
-            EventKind::QuorumDegraded { .. } => "quorum_degraded",
-            EventKind::TestbedReinstated { .. } => "testbed_reinstated",
-            EventKind::CheckpointWritten { .. } => "checkpoint_written",
-            EventKind::CampaignResumed { .. } => "campaign_resumed",
-            EventKind::CampaignInterrupted { .. } => "campaign_interrupted",
-            EventKind::LeaseAcquired { .. } => "lease_acquired",
-            EventKind::LeaseRenewed { .. } => "lease_renewed",
-            EventKind::LeaseReleased { .. } => "lease_released",
-            EventKind::LeaseExpired { .. } => "lease_expired",
-            EventKind::LeaseReclaimed { .. } => "lease_reclaimed",
-            EventKind::CampaignAdmitted { .. } => "campaign_admitted",
-            EventKind::CampaignRejected { .. } => "campaign_rejected",
-            EventKind::CampaignFinished { .. } => "campaign_finished",
-            EventKind::DrainStarted { .. } => "drain_started",
-            EventKind::WorkerSpawned { .. } => "worker_spawned",
-            EventKind::WorkerDied { .. } => "worker_died",
-            EventKind::ShardPoisoned { .. } => "shard_poisoned",
-            EventKind::PoolDegraded { .. } => "pool_degraded",
-            EventKind::StageTiming { .. } => "stage_timing",
+fn required<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+impl Field for u64 {
+    fn render(&self, key: &str, out: &mut String, _: bool) {
+        out.push_str(key);
+        let _ = write!(out, "{self}");
+    }
+    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key)?.as_u64().ok_or_else(|| format!("field {key:?} not a u64"))
+    }
+}
+
+impl Field for bool {
+    fn render(&self, key: &str, out: &mut String, _: bool) {
+        out.push_str(key);
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key)?.as_bool().ok_or_else(|| format!("field {key:?} not a bool"))
+    }
+}
+
+impl Field for String {
+    fn render(&self, key: &str, out: &mut String, _: bool) {
+        out.push_str(key);
+        out.push_str(&json_string(self));
+    }
+    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
+        required(v, key)?
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("field {key:?} not a string"))
+    }
+}
+
+impl Field for Stage {
+    fn render(&self, key: &str, out: &mut String, _: bool) {
+        out.push_str(key);
+        out.push('"');
+        out.push_str(self.as_str());
+        out.push('"');
+    }
+    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
+        let label = String::parse(v, key)?;
+        Stage::parse_label(&label).ok_or_else(|| format!("unknown stage {label:?}"))
+    }
+}
+
+impl Field for Option<u64> {
+    fn render(&self, key: &str, out: &mut String, include_wall: bool) {
+        if let (true, Some(w)) = (include_wall, self) {
+            w.render(key, out, include_wall);
         }
+    }
+    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
+        v.get(key).map(|_| u64::parse(v, key)).transpose()
+    }
+    fn clear_wall_clock(&mut self) {
+        *self = None;
+    }
+}
+
+/// Declares [`EventKind`] from one table: each entry is a variant, its
+/// wire tag and its documented fields, in the order they render. Adding an
+/// event is adding an entry; every field type must implement [`Field`].
+macro_rules! event_kinds {
+    (
+        $(#[$meta:meta])*
+        pub enum EventKind {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident = $tag:literal {
+                    $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )+
+                },
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum EventKind {
+            $(
+                $(#[$variant_meta])*
+                $variant { $( $(#[$field_meta])* $field: $ty, )+ },
+            )+
+        }
+
+        impl EventKind {
+            /// Stable snake-case type tag (the JSONL `"type"` field).
+            pub fn type_str(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $tag, )+
+                }
+            }
+
+            /// Appends `,"field":value` for every field, in table order.
+            fn render_fields(&self, out: &mut String, include_wall: bool) {
+                match self {
+                    $( EventKind::$variant { $($field),+ } => {
+                        $(
+                            let key = concat!(",\"", stringify!($field), "\":");
+                            $field.render(key, out, include_wall);
+                        )+
+                    } )+
+                }
+            }
+
+            /// Parses the fields of the kind tagged `tag` from `v`.
+            fn parse_fields(tag: &str, v: &JsonValue) -> Result<EventKind, String> {
+                Ok(match tag {
+                    $( $tag => EventKind::$variant {
+                        $( $field: <$ty as Field>::parse(v, stringify!($field))?, )+
+                    }, )+
+                    other => return Err(format!("unknown event type {other:?}")),
+                })
+            }
+
+            fn clear_wall_clock(&mut self) {
+                match self {
+                    $( EventKind::$variant { $($field),+ } => {
+                        $( $field.clear_wall_clock(); )+
+                    } )+
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
+    /// What happened (the payload of an [`Event`]).
+    ///
+    /// Engine names, deviation kinds, and bug keys travel as plain strings so
+    /// this crate stays dependency-free and the JSONL output is self-contained.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind {
+        /// A shard began executing its slice of the case budget.
+        ShardStarted = "shard_started" {
+            /// The shard's derived campaign seed.
+            seed: u64,
+            /// The shard's share of `max_cases`.
+            case_budget: u64,
+        },
+        /// A shard finished.
+        ShardFinished = "shard_finished" {
+            /// Cases the shard executed.
+            cases_run: u64,
+            /// Unique bugs the shard reported.
+            bugs_reported: u64,
+            /// Wall-clock shard duration (excluded from determinism
+            /// comparisons).
+            wall_nanos: Option<u64>,
+        },
+        /// A test case entered the execution queue.
+        CaseGenerated = "case_generated" {
+            /// Campaign-unique case id.
+            case_id: u64,
+            /// Id of the base generated program this case derives from.
+            base: u64,
+            /// Provenance label (`"program-gen"` / `"ecma-mutation"`).
+            origin: String,
+            /// `true` for data-mutation cases, `false` for the base program.
+            mutant: bool,
+        },
+        /// A generated source failed the validity filter (front-end rejection).
+        CaseRejected = "case_rejected" {
+            /// Generation counter of the rejected source.
+            base: u64,
+            /// `true` when the invalid program was kept as a parser test
+            /// (§3.2 keeps 20%).
+            kept: bool,
+        },
+        /// One case ran across the testbed matrix and was voted on.
+        DifferentialRun = "differential_run" {
+            /// The case.
+            case_id: u64,
+            /// Number of testbeds that voted.
+            testbeds: u64,
+            /// Outcome label (`"pass"`, `"deviations"`, `"parse-error"`,
+            /// `"all-timeout"`).
+            outcome: String,
+        },
+        /// The execution-dedup layer collapsed a case's testbed matrix:
+        /// `classes` physical executions served `classes + saved` logical runs
+        /// (emitted only when `saved > 0`).
+        ExecutionDeduped = "execution_deduped" {
+            /// The case.
+            case_id: u64,
+            /// Classes, one per representative (= physical executions).
+            classes: u64,
+            /// Executions avoided (logical runs − physical executions).
+            saved: u64,
+        },
+        /// One engine deviated from the majority on one case.
+        Deviation = "deviation" {
+            /// The case.
+            case_id: u64,
+            /// Deviating engine.
+            engine: String,
+            /// Deviation class label.
+            kind: String,
+        },
+        /// The identical-bug filter discarded an observation as a duplicate.
+        BugDeduped = "bug_deduped" {
+            /// Engine layer of the duplicate key.
+            engine: String,
+            /// Full `engine / api / behavior` key.
+            key: String,
+            /// `true` when the duplicate was found while merging shard
+            /// reports (the bug was first reported by an earlier shard).
+            cross_shard: bool,
+        },
+        /// A harness-level fault was observed on one testbed run (contained
+        /// panic, wedge/watchdog timeout, transient-retry exhaustion, or
+        /// output-cap truncation). Distinct from [`EventKind::Deviation`]:
+        /// faults describe *testbed* misbehaviour, deviations describe voting
+        /// outcomes.
+        FaultInjected = "fault_injected" {
+            /// The case being executed when the fault was observed.
+            case_id: u64,
+            /// Label of the faulting testbed.
+            testbed: String,
+            /// Fault class label (`"panic"`, `"hang"`, `"transient-exhausted"`,
+            /// `"output-truncated"`).
+            kind: String,
+        },
+        /// A testbed run hit transient faults and was retried to completion
+        /// (emitted once per retried run, carrying the attempt count).
+        RunRetried = "run_retried" {
+            /// The case.
+            case_id: u64,
+            /// Label of the retried testbed.
+            testbed: String,
+            /// Number of extra attempts the run needed.
+            retries: u64,
+        },
+        /// The circuit breaker sidelined a testbed after consecutive hard
+        /// faults; it casts no further votes in this shard.
+        TestbedQuarantined = "testbed_quarantined" {
+            /// The case whose fault tripped the breaker.
+            case_id: u64,
+            /// Label of the quarantined testbed.
+            testbed: String,
+            /// Consecutive hard faults observed at the moment of quarantine.
+            hard_faults: u64,
+        },
+        /// A mode group voted with fewer than its full membership (members
+        /// quarantined), or was skipped entirely for falling below the quorum
+        /// threshold.
+        QuorumDegraded = "quorum_degraded" {
+            /// The case.
+            case_id: u64,
+            /// `true` for the strict testbed group.
+            strict: bool,
+            /// Healthy voters that actually cast signatures.
+            healthy: u64,
+            /// Full membership of the group.
+            total: u64,
+            /// `false` when the group fell below the quorum threshold and its
+            /// vote was skipped.
+            voted: bool,
+        },
+        /// A quarantined testbed passed its half-open probe and rejoined the
+        /// voting quorum (see `HealthTracker` probing in `comfort-core`).
+        TestbedReinstated = "testbed_reinstated" {
+            /// The case that served as the successful probe.
+            case_id: u64,
+            /// Label of the reinstated testbed.
+            testbed: String,
+            /// Cases the testbed sat out in quarantine before this probe.
+            skipped: u64,
+        },
+        /// One shard's result was durably appended to the checkpoint journal
+        /// (control-plane; stamped with [`CONTROL_SHARD`]).
+        CheckpointWritten = "checkpoint_written" {
+            /// Index of the checkpointed shard.
+            checkpointed_shard: u64,
+            /// Cases that shard executed.
+            cases_run: u64,
+            /// Journal size in bytes after the append (0 when unknown).
+            journal_bytes: u64,
+        },
+        /// A campaign was resumed from a checkpoint journal (control-plane).
+        CampaignResumed = "campaign_resumed" {
+            /// Shards salvaged from the journal.
+            shards_salvaged: u64,
+            /// Total shards in the plan.
+            shards_total: u64,
+            /// Torn-tail bytes dropped during recovery.
+            dropped_bytes: u64,
+        },
+        /// A campaign stopped early on cancellation or deadline (control-plane).
+        /// Completed shards were checkpointed; in-flight shards were discarded
+        /// and will re-run on resume.
+        CampaignInterrupted = "campaign_interrupted" {
+            /// Shards fully completed (and journaled, when checkpointing).
+            shards_completed: u64,
+            /// Total shards in the plan.
+            shards_total: u64,
+            /// Why the campaign stopped (`"cancelled"` / `"deadline"`).
+            reason: String,
+        },
+        /// A worker acquired a lease on one shard of a supervised campaign
+        /// (service-plane; stamped with [`SERVICE_SHARD`]).
+        LeaseAcquired = "lease_acquired" {
+            /// The leased campaign's id.
+            campaign: String,
+            /// The leased shard's index within that campaign's plan.
+            lease_shard: u64,
+            /// The acquiring worker's label.
+            worker: String,
+            /// Lease time-to-live granted, in milliseconds.
+            ttl_millis: u64,
+        },
+        /// A live worker's lease was renewed by the supervisor heartbeat
+        /// (service-plane). Liveness is progress-based: the lease renews only
+        /// while the shard's case counter is advancing.
+        LeaseRenewed = "lease_renewed" {
+            /// The leased campaign's id.
+            campaign: String,
+            /// The leased shard's index.
+            lease_shard: u64,
+            /// The holding worker's label.
+            worker: String,
+        },
+        /// A worker completed its shard and released the lease (service-plane).
+        LeaseReleased = "lease_released" {
+            /// The leased campaign's id.
+            campaign: String,
+            /// The released shard's index.
+            lease_shard: u64,
+            /// The releasing worker's label.
+            worker: String,
+        },
+        /// A lease outlived its TTL without renewal — the holder is wedged or
+        /// dead (service-plane).
+        LeaseExpired = "lease_expired" {
+            /// The leased campaign's id.
+            campaign: String,
+            /// The expired shard's index.
+            lease_shard: u64,
+            /// The delinquent worker's label.
+            worker: String,
+        },
+        /// The supervisor reclaimed an expired lease so the shard can be
+        /// reassigned (service-plane). The fencing sequence number increments,
+        /// so a late completion from the old holder is discarded.
+        LeaseReclaimed = "lease_reclaimed" {
+            /// The leased campaign's id.
+            campaign: String,
+            /// The reclaimed shard's index.
+            lease_shard: u64,
+            /// The worker whose lease was reclaimed.
+            worker: String,
+            /// How many times this shard's lease has now been reclaimed.
+            reclaims: u64,
+        },
+        /// Admission control accepted a campaign into the run queue
+        /// (service-plane).
+        CampaignAdmitted = "campaign_admitted" {
+            /// The admitted campaign's id.
+            campaign: String,
+            /// The submitting tenant.
+            tenant: String,
+            /// Shards in the campaign's plan.
+            shards: u64,
+        },
+        /// Admission control rejected a submission — tenant over quota, queue
+        /// full, or the daemon is draining (service-plane).
+        CampaignRejected = "campaign_rejected" {
+            /// The rejected tenant.
+            tenant: String,
+            /// Rejection class (`"quota"` / `"queue_full"` / `"draining"`).
+            reason: String,
+            /// Suggested client backoff before resubmitting, in milliseconds.
+            retry_after_millis: u64,
+        },
+        /// A supervised campaign reached a terminal state (service-plane).
+        CampaignFinished = "campaign_finished" {
+            /// The finished campaign's id.
+            campaign: String,
+            /// Terminal outcome (`"completed"` / `"cancelled"` / `"failed"`).
+            outcome: String,
+            /// Shards executed by this daemon process (salvaged shards not
+            /// included).
+            shards_run: u64,
+        },
+        /// The daemon began a graceful drain: no new leases, in-flight shards
+        /// checkpoint, telemetry flushes, then exit 0 (service-plane).
+        DrainStarted = "drain_started" {
+            /// Campaigns still active when the drain began.
+            active_campaigns: u64,
+        },
+        /// The fleet supervisor spawned a jailed worker process for a pool
+        /// slot (service-plane).
+        WorkerSpawned = "worker_spawned" {
+            /// The supervised campaign's id.
+            campaign: String,
+            /// The spawned worker's label.
+            worker: String,
+            /// The shard the worker was directed at.
+            lease_shard: u64,
+            /// The worker's OS process id.
+            pid: u64,
+        },
+        /// A jailed worker process died by signal instead of exiting
+        /// (service-plane). Its lease is force-expired and the shard
+        /// reclaimed.
+        WorkerDied = "worker_died" {
+            /// The supervised campaign's id.
+            campaign: String,
+            /// The dead worker's label.
+            worker: String,
+            /// The shard the worker held when it died.
+            lease_shard: u64,
+            /// The fatal signal number (SIGKILL=9, SIGSEGV=11, SIGABRT=6, …).
+            signal: u64,
+        },
+        /// A shard killed workers K times consecutively and entered poison
+        /// quarantine; bisection localized the poison case (service-plane).
+        ShardPoisoned = "shard_poisoned" {
+            /// The supervised campaign's id.
+            campaign: String,
+            /// The quarantined shard's index.
+            lease_shard: u64,
+            /// Consecutive worker deaths that triggered quarantine.
+            deaths: u64,
+            /// Case index within the shard localized as the poison case.
+            poison_case: u64,
+            /// The fatal signal the poison case raises.
+            signal: u64,
+        },
+        /// The crash-storm breaker tripped: the supervisor narrowed the pool
+        /// instead of spinning through restarts (service-plane).
+        PoolDegraded = "pool_degraded" {
+            /// Pool width before degradation.
+            from_workers: u64,
+            /// Pool width after degradation.
+            to_workers: u64,
+            /// Consecutive signal deaths that tripped the breaker.
+            consecutive_deaths: u64,
+        },
+        /// Aggregated per-stage counters for one shard (emitted at shard end).
+        StageTiming = "stage_timing" {
+            /// The pipeline stage.
+            stage: Stage,
+            /// Times the stage ran.
+            invocations: u64,
+            /// Items the stage processed.
+            items: u64,
+            /// Deterministic cost units consumed (stage-specific: bytes
+            /// generated, testbed runs, reduction candidates, …).
+            logical_cost: u64,
+            /// Wall-clock time spent in the stage (excluded from determinism
+            /// comparisons).
+            wall_nanos: Option<u64>,
+        },
     }
 }
 
@@ -510,11 +622,7 @@ impl Event {
     /// Strips wall-clock fields, leaving only deterministic content.
     pub fn without_wall_clock(&self) -> Event {
         let mut e = self.clone();
-        match &mut e.kind {
-            EventKind::ShardFinished { wall_nanos, .. }
-            | EventKind::StageTiming { wall_nanos, .. } => *wall_nanos = None,
-            _ => {}
-        }
+        e.kind.clear_wall_clock();
         e
     }
 
@@ -535,402 +643,30 @@ impl Event {
             self.clock.seq,
             self.kind.type_str()
         );
-        match &self.kind {
-            EventKind::ShardStarted { seed, case_budget } => {
-                let _ = write!(out, ",\"seed\":{seed},\"case_budget\":{case_budget}");
-            }
-            EventKind::ShardFinished { cases_run, bugs_reported, wall_nanos } => {
-                let _ = write!(out, ",\"cases_run\":{cases_run},\"bugs_reported\":{bugs_reported}");
-                if include_wall {
-                    if let Some(w) = wall_nanos {
-                        let _ = write!(out, ",\"wall_nanos\":{w}");
-                    }
-                }
-            }
-            EventKind::CaseGenerated { case_id, base, origin, mutant } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"base\":{base},\"origin\":{},\"mutant\":{mutant}",
-                    json_string(origin)
-                );
-            }
-            EventKind::CaseRejected { base, kept } => {
-                let _ = write!(out, ",\"base\":{base},\"kept\":{kept}");
-            }
-            EventKind::DifferentialRun { case_id, testbeds, outcome } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"testbeds\":{testbeds},\"outcome\":{}",
-                    json_string(outcome)
-                );
-            }
-            EventKind::ExecutionDeduped { case_id, classes, saved } => {
-                let _ =
-                    write!(out, ",\"case_id\":{case_id},\"classes\":{classes},\"saved\":{saved}");
-            }
-            EventKind::Deviation { case_id, engine, kind } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"engine\":{},\"kind\":{}",
-                    json_string(engine),
-                    json_string(kind)
-                );
-            }
-            EventKind::BugDeduped { engine, key, cross_shard } => {
-                let _ = write!(
-                    out,
-                    ",\"engine\":{},\"key\":{},\"cross_shard\":{cross_shard}",
-                    json_string(engine),
-                    json_string(key)
-                );
-            }
-            EventKind::FaultInjected { case_id, testbed, kind } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"testbed\":{},\"kind\":{}",
-                    json_string(testbed),
-                    json_string(kind)
-                );
-            }
-            EventKind::RunRetried { case_id, testbed, retries } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"testbed\":{},\"retries\":{retries}",
-                    json_string(testbed)
-                );
-            }
-            EventKind::TestbedQuarantined { case_id, testbed, hard_faults } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"testbed\":{},\"hard_faults\":{hard_faults}",
-                    json_string(testbed)
-                );
-            }
-            EventKind::QuorumDegraded { case_id, strict, healthy, total, voted } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"strict\":{strict},\"healthy\":{healthy},\"total\":{total},\"voted\":{voted}"
-                );
-            }
-            EventKind::TestbedReinstated { case_id, testbed, skipped } => {
-                let _ = write!(
-                    out,
-                    ",\"case_id\":{case_id},\"testbed\":{},\"skipped\":{skipped}",
-                    json_string(testbed)
-                );
-            }
-            EventKind::CheckpointWritten { checkpointed_shard, cases_run, journal_bytes } => {
-                let _ = write!(
-                    out,
-                    ",\"checkpointed_shard\":{checkpointed_shard},\"cases_run\":{cases_run},\"journal_bytes\":{journal_bytes}"
-                );
-            }
-            EventKind::CampaignResumed { shards_salvaged, shards_total, dropped_bytes } => {
-                let _ = write!(
-                    out,
-                    ",\"shards_salvaged\":{shards_salvaged},\"shards_total\":{shards_total},\"dropped_bytes\":{dropped_bytes}"
-                );
-            }
-            EventKind::CampaignInterrupted { shards_completed, shards_total, reason } => {
-                let _ = write!(
-                    out,
-                    ",\"shards_completed\":{shards_completed},\"shards_total\":{shards_total},\"reason\":{}",
-                    json_string(reason)
-                );
-            }
-            EventKind::LeaseAcquired { campaign, lease_shard, worker, ttl_millis } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"lease_shard\":{lease_shard},\"worker\":{},\"ttl_millis\":{ttl_millis}",
-                    json_string(campaign),
-                    json_string(worker)
-                );
-            }
-            EventKind::LeaseRenewed { campaign, lease_shard, worker }
-            | EventKind::LeaseReleased { campaign, lease_shard, worker }
-            | EventKind::LeaseExpired { campaign, lease_shard, worker } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"lease_shard\":{lease_shard},\"worker\":{}",
-                    json_string(campaign),
-                    json_string(worker)
-                );
-            }
-            EventKind::LeaseReclaimed { campaign, lease_shard, worker, reclaims } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"lease_shard\":{lease_shard},\"worker\":{},\"reclaims\":{reclaims}",
-                    json_string(campaign),
-                    json_string(worker)
-                );
-            }
-            EventKind::CampaignAdmitted { campaign, tenant, shards } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"tenant\":{},\"shards\":{shards}",
-                    json_string(campaign),
-                    json_string(tenant)
-                );
-            }
-            EventKind::CampaignRejected { tenant, reason, retry_after_millis } => {
-                let _ = write!(
-                    out,
-                    ",\"tenant\":{},\"reason\":{},\"retry_after_millis\":{retry_after_millis}",
-                    json_string(tenant),
-                    json_string(reason)
-                );
-            }
-            EventKind::CampaignFinished { campaign, outcome, shards_run } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"outcome\":{},\"shards_run\":{shards_run}",
-                    json_string(campaign),
-                    json_string(outcome)
-                );
-            }
-            EventKind::DrainStarted { active_campaigns } => {
-                let _ = write!(out, ",\"active_campaigns\":{active_campaigns}");
-            }
-            EventKind::WorkerSpawned { campaign, worker, lease_shard, pid } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"worker\":{},\"lease_shard\":{lease_shard},\"pid\":{pid}",
-                    json_string(campaign),
-                    json_string(worker)
-                );
-            }
-            EventKind::WorkerDied { campaign, worker, lease_shard, signal } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"worker\":{},\"lease_shard\":{lease_shard},\"signal\":{signal}",
-                    json_string(campaign),
-                    json_string(worker)
-                );
-            }
-            EventKind::ShardPoisoned { campaign, lease_shard, deaths, poison_case, signal } => {
-                let _ = write!(
-                    out,
-                    ",\"campaign\":{},\"lease_shard\":{lease_shard},\"deaths\":{deaths},\"poison_case\":{poison_case},\"signal\":{signal}",
-                    json_string(campaign)
-                );
-            }
-            EventKind::PoolDegraded { from_workers, to_workers, consecutive_deaths } => {
-                let _ = write!(
-                    out,
-                    ",\"from_workers\":{from_workers},\"to_workers\":{to_workers},\"consecutive_deaths\":{consecutive_deaths}"
-                );
-            }
-            EventKind::StageTiming { stage, invocations, items, logical_cost, wall_nanos } => {
-                let _ = write!(
-                    out,
-                    ",\"stage\":\"{}\",\"invocations\":{invocations},\"items\":{items},\"logical_cost\":{logical_cost}",
-                    stage.as_str()
-                );
-                if include_wall {
-                    if let Some(w) = wall_nanos {
-                        let _ = write!(out, ",\"wall_nanos\":{w}");
-                    }
-                }
-            }
-        }
+        self.kind.render_fields(&mut out, include_wall);
         out.push('}');
         out
+    }
+
+    /// Parses one JSONL line into an [`Event`] (see [`event_from_json`]).
+    pub fn parse(line: &str) -> Result<Event, String> {
+        event_from_json(&crate::json::parse(line)?)
     }
 }
 
 /// Parses one rendered event line back into an [`Event`] — the inverse of
 /// [`Event::to_json`], used when replaying journaled shard streams on
 /// resume. Accepts both wall-clock and deterministic renderings.
-pub fn event_from_json(v: &crate::json::JsonValue) -> Result<Event, String> {
-    let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field {key:?}"));
-    let num = |key: &str| field(key)?.as_u64().ok_or_else(|| format!("field {key:?} not a u64"));
-    let string = |key: &str| {
-        field(key)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} not a string"))
-    };
-    let boolean =
-        |key: &str| field(key)?.as_bool().ok_or_else(|| format!("field {key:?} not a bool"));
-    let opt_num = |key: &str| match v.get(key) {
-        None => Ok(None),
-        Some(w) => w.as_u64().map(Some).ok_or_else(|| format!("field {key:?} not a u64")),
-    };
-
-    let shard = match field("shard")?.as_i128().ok_or("field \"shard\" not an integer")? {
+pub fn event_from_json(v: &JsonValue) -> Result<Event, String> {
+    let shard = match required(v, "shard")?.as_i128().ok_or("field \"shard\" not an integer")? {
         -1 => MERGE_SHARD,
         -2 => CONTROL_SHARD,
         -3 => SERVICE_SHARD,
         s => u64::try_from(s).map_err(|_| format!("shard {s} out of range"))?,
     };
-    let clock = LogicalClock { shard, seq: num("seq")? };
-
-    let ty = string("type")?;
-    let kind = match ty.as_str() {
-        "shard_started" => {
-            EventKind::ShardStarted { seed: num("seed")?, case_budget: num("case_budget")? }
-        }
-        "shard_finished" => EventKind::ShardFinished {
-            cases_run: num("cases_run")?,
-            bugs_reported: num("bugs_reported")?,
-            wall_nanos: opt_num("wall_nanos")?,
-        },
-        "case_generated" => EventKind::CaseGenerated {
-            case_id: num("case_id")?,
-            base: num("base")?,
-            origin: string("origin")?,
-            mutant: boolean("mutant")?,
-        },
-        "case_rejected" => EventKind::CaseRejected { base: num("base")?, kept: boolean("kept")? },
-        "differential_run" => EventKind::DifferentialRun {
-            case_id: num("case_id")?,
-            testbeds: num("testbeds")?,
-            outcome: string("outcome")?,
-        },
-        "execution_deduped" => EventKind::ExecutionDeduped {
-            case_id: num("case_id")?,
-            classes: num("classes")?,
-            saved: num("saved")?,
-        },
-        "deviation" => EventKind::Deviation {
-            case_id: num("case_id")?,
-            engine: string("engine")?,
-            kind: string("kind")?,
-        },
-        "bug_deduped" => EventKind::BugDeduped {
-            engine: string("engine")?,
-            key: string("key")?,
-            cross_shard: boolean("cross_shard")?,
-        },
-        "fault_injected" => EventKind::FaultInjected {
-            case_id: num("case_id")?,
-            testbed: string("testbed")?,
-            kind: string("kind")?,
-        },
-        "run_retried" => EventKind::RunRetried {
-            case_id: num("case_id")?,
-            testbed: string("testbed")?,
-            retries: num("retries")?,
-        },
-        "testbed_quarantined" => EventKind::TestbedQuarantined {
-            case_id: num("case_id")?,
-            testbed: string("testbed")?,
-            hard_faults: num("hard_faults")?,
-        },
-        "quorum_degraded" => EventKind::QuorumDegraded {
-            case_id: num("case_id")?,
-            strict: boolean("strict")?,
-            healthy: num("healthy")?,
-            total: num("total")?,
-            voted: boolean("voted")?,
-        },
-        "testbed_reinstated" => EventKind::TestbedReinstated {
-            case_id: num("case_id")?,
-            testbed: string("testbed")?,
-            skipped: num("skipped")?,
-        },
-        "checkpoint_written" => EventKind::CheckpointWritten {
-            checkpointed_shard: num("checkpointed_shard")?,
-            cases_run: num("cases_run")?,
-            journal_bytes: num("journal_bytes")?,
-        },
-        "campaign_resumed" => EventKind::CampaignResumed {
-            shards_salvaged: num("shards_salvaged")?,
-            shards_total: num("shards_total")?,
-            dropped_bytes: num("dropped_bytes")?,
-        },
-        "campaign_interrupted" => EventKind::CampaignInterrupted {
-            shards_completed: num("shards_completed")?,
-            shards_total: num("shards_total")?,
-            reason: string("reason")?,
-        },
-        "lease_acquired" => EventKind::LeaseAcquired {
-            campaign: string("campaign")?,
-            lease_shard: num("lease_shard")?,
-            worker: string("worker")?,
-            ttl_millis: num("ttl_millis")?,
-        },
-        "lease_renewed" => EventKind::LeaseRenewed {
-            campaign: string("campaign")?,
-            lease_shard: num("lease_shard")?,
-            worker: string("worker")?,
-        },
-        "lease_released" => EventKind::LeaseReleased {
-            campaign: string("campaign")?,
-            lease_shard: num("lease_shard")?,
-            worker: string("worker")?,
-        },
-        "lease_expired" => EventKind::LeaseExpired {
-            campaign: string("campaign")?,
-            lease_shard: num("lease_shard")?,
-            worker: string("worker")?,
-        },
-        "lease_reclaimed" => EventKind::LeaseReclaimed {
-            campaign: string("campaign")?,
-            lease_shard: num("lease_shard")?,
-            worker: string("worker")?,
-            reclaims: num("reclaims")?,
-        },
-        "campaign_admitted" => EventKind::CampaignAdmitted {
-            campaign: string("campaign")?,
-            tenant: string("tenant")?,
-            shards: num("shards")?,
-        },
-        "campaign_rejected" => EventKind::CampaignRejected {
-            tenant: string("tenant")?,
-            reason: string("reason")?,
-            retry_after_millis: num("retry_after_millis")?,
-        },
-        "campaign_finished" => EventKind::CampaignFinished {
-            campaign: string("campaign")?,
-            outcome: string("outcome")?,
-            shards_run: num("shards_run")?,
-        },
-        "drain_started" => EventKind::DrainStarted { active_campaigns: num("active_campaigns")? },
-        "worker_spawned" => EventKind::WorkerSpawned {
-            campaign: string("campaign")?,
-            worker: string("worker")?,
-            lease_shard: num("lease_shard")?,
-            pid: num("pid")?,
-        },
-        "worker_died" => EventKind::WorkerDied {
-            campaign: string("campaign")?,
-            worker: string("worker")?,
-            lease_shard: num("lease_shard")?,
-            signal: num("signal")?,
-        },
-        "shard_poisoned" => EventKind::ShardPoisoned {
-            campaign: string("campaign")?,
-            lease_shard: num("lease_shard")?,
-            deaths: num("deaths")?,
-            poison_case: num("poison_case")?,
-            signal: num("signal")?,
-        },
-        "pool_degraded" => EventKind::PoolDegraded {
-            from_workers: num("from_workers")?,
-            to_workers: num("to_workers")?,
-            consecutive_deaths: num("consecutive_deaths")?,
-        },
-        "stage_timing" => EventKind::StageTiming {
-            stage: {
-                let label = string("stage")?;
-                Stage::parse_label(&label).ok_or_else(|| format!("unknown stage {label:?}"))?
-            },
-            invocations: num("invocations")?,
-            items: num("items")?,
-            logical_cost: num("logical_cost")?,
-            wall_nanos: opt_num("wall_nanos")?,
-        },
-        other => return Err(format!("unknown event type {other:?}")),
-    };
+    let clock = LogicalClock { shard, seq: u64::parse(v, "seq")? };
+    let kind = EventKind::parse_fields(&String::parse(v, "type")?, v)?;
     Ok(Event { clock, kind })
-}
-
-impl Event {
-    /// Parses one JSONL line into an [`Event`] (see [`event_from_json`]).
-    pub fn parse(line: &str) -> Result<Event, String> {
-        event_from_json(&crate::json::parse(line)?)
-    }
 }
 
 /// Escapes `s` as a JSON string literal (with quotes). Alias for the

@@ -5,10 +5,13 @@
 //! assert that `JsonlSink` output *parses* and that its fields reconcile
 //! with the campaign report. This is a small, strict, recursive-descent
 //! parser over the JSON grammar — ample for one-line event objects — plus
-//! [`JsonValue::to_json`], the one shared emitter every machine-readable
-//! artifact of the workspace (telemetry events, checkpoint journals,
-//! `BENCH_<n>.json` A/B records) renders through instead of growing bespoke
-//! serializers.
+//! [`JsonValue::to_json`], the emitter for documents built as values:
+//! campaign specs, daemon status and control-plane replies, and
+//! `BENCH_<n>.json` A/B records. The two high-volume writers render
+//! directly into a string instead: telemetry events through the codec the
+//! `event` module's table generates, and checkpoint journal records
+//! (shard reports, lease records) through `write!`. This parser reads all
+//! of them back.
 //!
 //! The rendering is **canonical**: object keys in sorted (`BTreeMap`)
 //! order, integers exact, floats in Rust's shortest round-trip form. For
