@@ -2,9 +2,9 @@
 //!
 //! Every scheduling decision the daemon makes is emitted as a typed
 //! service event ([`EventKind`] variants on the `SERVICE_SHARD`
-//! pseudo-shard). The daemon's counters are the count
-//! of those events: it calls [`MetricsSnapshot::count`] on each one under
-//! the lock that orders the service stream, so a reading always equals
+//! pseudo-shard). The daemon's counters are the count of those events: it
+//! calls [`MetricsSnapshot::count`] on each one under the lock that orders
+//! the service stream, so a reading always equals
 //! [`MetricsSnapshot::from_events`] over the events emitted so far. The
 //! ledgers below then check that the counts balance.
 
@@ -148,34 +148,33 @@ mod tests {
 
     #[test]
     fn snapshot_reconciles_with_the_event_stream() {
-        let (campaign, worker) = ("c-1".to_string(), "w-0".to_string());
         let mut events = Vec::new();
-        for lease_shard in 0..2 {
+        for _ in 0..2 {
             events.push(service_event(EventKind::LeaseAcquired {
-                campaign: campaign.clone(),
-                lease_shard,
-                worker: worker.clone(),
+                campaign: "c-1".into(),
+                lease_shard: 0,
+                worker: "w-0".into(),
                 ttl_millis: 100,
             }));
         }
         events.push(service_event(EventKind::LeaseReleased {
-            campaign: campaign.clone(),
+            campaign: "c-1".into(),
             lease_shard: 0,
-            worker: worker.clone(),
+            worker: "w-0".into(),
         }));
         events.push(service_event(EventKind::LeaseExpired {
-            campaign: campaign.clone(),
+            campaign: "c-1".into(),
             lease_shard: 1,
-            worker: worker.clone(),
+            worker: "w-1".into(),
         }));
         events.push(service_event(EventKind::LeaseReclaimed {
-            campaign: campaign.clone(),
+            campaign: "c-1".into(),
             lease_shard: 1,
-            worker,
+            worker: "w-1".into(),
             reclaims: 1,
         }));
         events.push(service_event(EventKind::CampaignAdmitted {
-            campaign,
+            campaign: "c-1".into(),
             tenant: "t".into(),
             shards: 3,
         }));

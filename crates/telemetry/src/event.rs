@@ -247,6 +247,7 @@ macro_rules! event_kinds {
                 })
             }
 
+            /// Clears every wall-clock field.
             fn clear_wall_clock(&mut self) {
                 match self {
                     $( EventKind::$variant { $($field),+ } => {
