@@ -574,7 +574,7 @@ impl Campaign {
         }
 
         self.progress.shard_started(self.shard as usize);
-        self.recorder.emit(EventKind::ShardStarted {
+        self.emit(EventKind::ShardStarted {
             seed: self.config.seed,
             case_budget: self.config.max_cases as u64,
         });
@@ -624,9 +624,8 @@ impl Campaign {
                             mutants.len() as u64,
                             mutate_start.elapsed().as_nanos() as u64,
                         );
-                        self.metrics.cases_generated += 1 + mutants.len() as u64;
                         for c in std::iter::once(&base).chain(mutants.iter()) {
-                            self.recorder.emit(EventKind::CaseGenerated {
+                            self.emit(EventKind::CaseGenerated {
                                 case_id: c.id,
                                 base: c.base,
                                 origin: origin_label(c.origin).to_string(),
@@ -639,13 +638,11 @@ impl Campaign {
                     Err(_) => {
                         // Keep a fraction of invalid programs as parser tests.
                         let kept = self.rng.random_bool(self.config.keep_invalid_fraction);
-                        self.metrics.cases_rejected += 1;
-                        self.recorder.emit(EventKind::CaseRejected { base: base_counter, kept });
+                        self.emit(EventKind::CaseRejected { base: base_counter, kept });
                         if kept {
                             report.cases_run += 1;
                             report.parse_errors += 1;
                             report.sim_hours += self.config.sim_seconds_per_case / 3600.0;
-                            self.metrics.cases_run += 1;
                             self.progress.case_done(self.shard as usize);
                         }
                         continue;
@@ -671,7 +668,6 @@ impl Campaign {
             }
             report.cases_run += 1;
             report.sim_hours += self.config.sim_seconds_per_case / 3600.0;
-            self.metrics.cases_run += 1;
             self.metrics.stage_mut(Stage::Differential).record(
                 obs.active_runs as u64,
                 obs.active_runs as u64,
@@ -684,49 +680,42 @@ impl Campaign {
                 CaseOutcome::Deviations(_) => "deviations",
                 CaseOutcome::NoQuorum => "no-quorum",
             };
-            self.recorder.emit(EventKind::DifferentialRun {
+            self.emit(EventKind::DifferentialRun {
                 case_id: case.id,
                 testbeds: obs.active_runs as u64,
                 outcome: outcome_label.to_string(),
             });
             if obs.active_runs > obs.physical_runs {
-                let saved = (obs.active_runs - obs.physical_runs) as u64;
-                self.metrics.executions_saved += saved;
-                self.metrics.equivalence_classes += obs.classes as u64;
-                self.recorder.emit(EventKind::ExecutionDeduped {
+                self.emit(EventKind::ExecutionDeduped {
                     case_id: case.id,
                     classes: obs.classes as u64,
-                    saved,
+                    saved: (obs.active_runs - obs.physical_runs) as u64,
                 });
             }
-            self.metrics.faults_observed += obs.faults.len() as u64;
-            self.metrics.runs_retried += obs.retried.len() as u64;
             self.metrics.runs_skipped += obs.skipped_runs as u64;
             for fault in &obs.faults {
-                self.recorder.emit(EventKind::FaultInjected {
+                self.emit(EventKind::FaultInjected {
                     case_id: case.id,
                     testbed: fault.label.clone(),
                     kind: fault.fault.as_str().to_string(),
                 });
             }
             for &(testbed, retries) in &obs.retried {
-                self.recorder.emit(EventKind::RunRetried {
+                self.emit(EventKind::RunRetried {
                     case_id: case.id,
                     testbed: self.testbeds[testbed].label(),
                     retries: u64::from(retries),
                 });
             }
             for q in &obs.quarantined {
-                self.metrics.testbeds_quarantined += 1;
-                self.recorder.emit(EventKind::TestbedQuarantined {
+                self.emit(EventKind::TestbedQuarantined {
                     case_id: case.id,
                     testbed: q.label.clone(),
                     hard_faults: q.hard_faults,
                 });
             }
             for r in &obs.reinstated {
-                self.metrics.testbeds_reinstated += 1;
-                self.recorder.emit(EventKind::TestbedReinstated {
+                self.emit(EventKind::TestbedReinstated {
                     case_id: case.id,
                     testbed: r.label.clone(),
                     skipped: r.skipped,
@@ -734,8 +723,7 @@ impl Campaign {
             }
             for group in &obs.groups {
                 if group.degraded() {
-                    self.metrics.quorum_degraded += 1;
-                    self.recorder.emit(EventKind::QuorumDegraded {
+                    self.emit(EventKind::QuorumDegraded {
                         case_id: case.id,
                         strict: group.strict,
                         healthy: group.present as u64,
@@ -749,9 +737,8 @@ impl Campaign {
                 CaseOutcome::Pass => report.passes += 1,
                 CaseOutcome::Deviations(devs) => {
                     report.deviations_observed += devs.len() as u64;
-                    self.metrics.deviations_observed += devs.len() as u64;
                     for dev_rec in devs {
-                        self.recorder.emit(EventKind::Deviation {
+                        self.emit(EventKind::Deviation {
                             case_id: case.id,
                             engine: dev_rec.engine.as_str().to_string(),
                             kind: dev_rec.kind.to_string(),
@@ -789,7 +776,7 @@ impl Campaign {
         );
         for stage in Stage::ALL {
             let s = *self.metrics.stage(stage);
-            self.recorder.emit(EventKind::StageTiming {
+            self.emit(EventKind::StageTiming {
                 stage,
                 invocations: s.invocations,
                 items: s.items,
@@ -797,7 +784,7 @@ impl Campaign {
                 wall_nanos: Some(s.wall_nanos),
             });
         }
-        self.recorder.emit(EventKind::ShardFinished {
+        self.emit(EventKind::ShardFinished {
             cases_run: report.cases_run,
             bugs_reported: report.bugs.len() as u64,
             wall_nanos: Some(run_start.elapsed().as_nanos() as u64),
@@ -806,6 +793,13 @@ impl Campaign {
         report.metrics = self.metrics.clone();
         report.health = tracker.reports();
         report
+    }
+
+    /// Counts `kind` into the shard's metrics, then records it: every
+    /// event-backed counter moves here and nowhere else.
+    fn emit(&mut self, kind: EventKind) {
+        self.metrics.count(&kind);
+        self.recorder.emit(kind);
     }
 
     fn process_deviation(
@@ -824,8 +818,7 @@ impl Campaign {
         };
         if tree.contains(&provisional) {
             tree.observe(&provisional); // count the duplicate
-            self.metrics.bugs_deduped += 1;
-            self.recorder.emit(EventKind::BugDeduped {
+            self.emit(EventKind::BugDeduped {
                 engine: provisional.engine.as_str().to_string(),
                 key: provisional.to_string(),
                 cross_shard: false,
@@ -860,8 +853,7 @@ impl Campaign {
         tree.observe(&provisional);
         if key != provisional && !tree.observe(&key) {
             // The reduced identity collides with a known bug.
-            self.metrics.bugs_deduped += 1;
-            self.recorder.emit(EventKind::BugDeduped {
+            self.emit(EventKind::BugDeduped {
                 engine: key.engine.as_str().to_string(),
                 key: key.to_string(),
                 cross_shard: false,

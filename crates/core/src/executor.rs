@@ -114,7 +114,8 @@ pub fn merge_shard_reports(shard_reports: &[CampaignReport]) -> CampaignReport {
 /// with the [`MERGE_SHARD`] pseudo-shard) for every bug an earlier shard
 /// already reported. Metrics merge conservation-exactly: every counter of
 /// the merged value is the sum of the shard values, with cross-shard
-/// duplicates moved from `bugs_reported` to `bugs_deduped`.
+/// duplicates moved from `bugs_reported` to `bugs_deduped` by counting
+/// their events.
 pub fn merge_shard_reports_with_sink(
     shard_reports: &[CampaignReport],
     sink: &SinkHandle,
@@ -144,12 +145,13 @@ pub fn merge_shard_reports_with_sink(
                 merged.bugs.push(rebased);
             } else {
                 merged.duplicates_filtered += 1;
-                merged.metrics.dedup_reported_bug();
-                recorder.emit(EventKind::BugDeduped {
+                let kind = EventKind::BugDeduped {
                     engine: bug.key.engine.as_str().to_string(),
                     key: bug.key.to_string(),
                     cross_shard: true,
-                });
+                };
+                merged.metrics.count(&kind);
+                recorder.emit(kind);
             }
         }
         merged.sim_hours += report.sim_hours;

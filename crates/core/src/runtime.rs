@@ -26,7 +26,6 @@
 //! campaign is over.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -79,8 +78,8 @@ pub struct ShardRuntime {
     slots: Vec<Mutex<Option<CampaignReport>>>,
     frontier: Mutex<Frontier>,
     journal: Mutex<Option<Arc<CheckpointJournal>>>,
-    control: Mutex<Recorder>,
-    checkpoints_written: AtomicU64,
+    /// The control recorder and the `CheckpointWritten` events it emitted.
+    control: Mutex<(Recorder, u64)>,
     resumed: Option<Resumed>,
 }
 
@@ -152,8 +151,7 @@ impl ShardRuntime {
             cancel: config.cancel.clone(),
             progress,
             journal: Mutex::new(None),
-            control: Mutex::new(Recorder::new(config.sink.clone(), CONTROL_SHARD)),
-            checkpoints_written: AtomicU64::new(0),
+            control: Mutex::new((Recorder::new(config.sink.clone(), CONTROL_SHARD), 0)),
             resumed: None,
         };
         let journal = match (salvage, &config.checkpoint) {
@@ -175,13 +173,11 @@ impl ShardRuntime {
     /// any torn tail first).
     fn replay(&mut self, salvage: Salvage) -> Option<CheckpointJournal> {
         let Salvage { path, checkpoint, recovery } = salvage;
-        self.control.get_mut().expect("control recorder poisoned").emit(
-            EventKind::CampaignResumed {
-                shards_salvaged: checkpoint.shards.len() as u64,
-                shards_total: self.plan.len() as u64,
-                dropped_bytes: recovery.dropped_tail_bytes,
-            },
-        );
+        self.emit_control(EventKind::CampaignResumed {
+            shards_salvaged: checkpoint.shards.len() as u64,
+            shards_total: self.plan.len() as u64,
+            dropped_bytes: recovery.dropped_tail_bytes,
+        });
         let mut salvaged = Vec::with_capacity(checkpoint.shards.len());
         for record in checkpoint.shards {
             let i = record.index as usize;
@@ -260,16 +256,21 @@ impl ShardRuntime {
             }
         });
         if let Some(journal_bytes) = journal_bytes {
-            self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-            self.control.lock().expect("control recorder poisoned").emit(
-                EventKind::CheckpointWritten {
-                    checkpointed_shard: record.index,
-                    cases_run: record.report.cases_run,
-                    journal_bytes,
-                },
-            );
+            self.emit_control(EventKind::CheckpointWritten {
+                checkpointed_shard: record.index,
+                cases_run: record.report.cases_run,
+                journal_bytes,
+            });
         }
         self.settle(record);
+    }
+
+    /// Emits a control event, counting `CheckpointWritten` events under the
+    /// recorder's lock so the count always equals the stream's.
+    fn emit_control(&self, kind: EventKind) {
+        let mut control = self.control.lock().expect("control recorder poisoned");
+        control.1 += u64::from(matches!(kind, EventKind::CheckpointWritten { .. }));
+        control.0.emit(kind);
     }
 
     /// Fills the record's slot and advances the flush frontier.
@@ -302,13 +303,11 @@ impl ShardRuntime {
         if reports.len() < self.plan.len() {
             outcome = if self.cancel.deadline_passed() { "deadline" } else { "cancelled" };
             merged.interrupted = true;
-            self.control.lock().expect("control recorder poisoned").emit(
-                EventKind::CampaignInterrupted {
-                    shards_completed: reports.len() as u64,
-                    shards_total: self.plan.len() as u64,
-                    reason: outcome.to_string(),
-                },
-            );
+            self.emit_control(EventKind::CampaignInterrupted {
+                shards_completed: reports.len() as u64,
+                shards_total: self.plan.len() as u64,
+                reason: outcome.to_string(),
+            });
         }
         if let Some(resumed) = &self.resumed {
             merged.resume = Some(ResumeInfo {
@@ -317,7 +316,7 @@ impl ShardRuntime {
                 shards_rerun: (self.plan.len() - resumed.salvaged.len()) as u64,
                 shards_total: self.plan.len() as u64,
                 dropped_tail_bytes: resumed.dropped_tail_bytes,
-                checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
+                checkpoints_written: self.control.lock().expect("control recorder poisoned").1,
             });
         }
         (merged, outcome)

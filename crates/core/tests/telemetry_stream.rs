@@ -86,6 +86,10 @@ fn metrics_reconcile_with_report_and_events() {
     assert_eq!(count(&|k| matches!(k, EventKind::CaseRejected { .. })), m.cases_rejected);
     assert_eq!(count(&|k| matches!(k, EventKind::Deviation { .. })), m.deviations_observed);
     assert_eq!(count(&|k| matches!(k, EventKind::BugDeduped { .. })), m.bugs_deduped);
+    // A kept invalid program runs as a parser test without a differential run.
+    let runs = count(&|k| matches!(k, EventKind::DifferentialRun { .. }));
+    let kept = count(&|k| matches!(k, EventKind::CaseRejected { kept: true, .. }));
+    assert_eq!(runs + kept, m.cases_run);
     assert_eq!(count(&|k| matches!(k, EventKind::ShardStarted { .. })), 3);
     assert_eq!(count(&|k| matches!(k, EventKind::ShardFinished { .. })), 3);
     assert_eq!(

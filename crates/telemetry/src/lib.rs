@@ -20,14 +20,15 @@
 //!   a [`Recorder`] assigns logical clocks at the emission site.
 //! * [`metrics`] — per-stage counters and log₂ cost histograms aggregated
 //!   into a [`CampaignMetrics`] that embeds in the campaign report and
-//!   merges across shards conservation-exactly.
+//!   merges across shards conservation-exactly; the counters an event
+//!   records are counted from the events ([`CampaignMetrics::count`]).
 //! * [`progress`] — a polling [`ProgressHandle`] (cases done, bugs found,
 //!   per-shard throughput) safe to read from any thread while a campaign
 //!   runs.
 //! * [`frame`] — crash-safe line framing (`J1 <len> <crc32> <payload>`)
-//!   shared by the durable [`JsonlSink`] mode and the campaign checkpoint
-//!   journal in `comfort-core`: a torn write corrupts at most the final
-//!   line, and loaders salvage everything before it.
+//!   for the campaign checkpoint journal in `comfort-core`: a torn write
+//!   corrupts at most the final line, and the loader salvages everything
+//!   before it.
 //! * [`json`] — a minimal JSON value parser used to validate JSONL output
 //!   in tests and CI (the workspace is offline; there is no serde).
 //!
@@ -76,5 +77,5 @@ pub use metrics::{CampaignMetrics, CostHistogram, StageMetrics};
 pub use progress::{ProgressHandle, ProgressSnapshot, ShardSnapshot};
 pub use retry::RetryPolicy;
 pub use sink::{
-    JsonlRead, JsonlSink, MemorySink, NullSink, Recorder, Sink, SinkError, SinkHandle, SinkHealth,
+    JsonlSink, MemorySink, NullSink, Recorder, Sink, SinkError, SinkHandle, SinkHealth,
 };

@@ -4,11 +4,12 @@
 //! shards **conservation-exactly**: every additive counter of a merged
 //! metrics value equals the sum of the shard values (the cross-shard bug
 //! dedup pass moves bugs from `bugs_reported` to `bugs_deduped`, preserving
-//! their sum). Wall-clock fields (`wall_nanos`) are measurement-only and
-//! excluded from determinism comparisons via
-//! [`CampaignMetrics::without_wall_clock`].
+//! their sum). The counters an event records are the count of those events
+//! ([`CampaignMetrics::count`]), so they cannot disagree with the stream.
+//! Wall-clock fields (`wall_nanos`) are measurement-only and excluded from
+//! determinism comparisons via [`CampaignMetrics::without_wall_clock`].
 
-use crate::event::Stage;
+use crate::event::{EventKind, Stage};
 
 /// A log₂-bucketed histogram of per-invocation logical cost.
 ///
@@ -166,11 +167,45 @@ impl CampaignMetrics {
         self.equivalence_classes += other.equivalence_classes;
     }
 
-    /// Reclassifies one reported bug as a cross-shard duplicate (used by
-    /// the shard-merge pass). Conserves `bugs_reported + bugs_deduped`.
-    pub fn dedup_reported_bug(&mut self) {
-        self.bugs_reported = self.bugs_reported.saturating_sub(1);
-        self.bugs_deduped += 1;
+    /// Counts one event into the counters it records: the campaign twin of
+    /// the service's `MetricsSnapshot::count`. A shard and the shard merge
+    /// call it on every event they emit, so these twelve counters move
+    /// nowhere else. A cross-shard `bug_deduped` also takes its bug back
+    /// from `bugs_reported`, conserving `bugs_reported + bugs_deduped`.
+    ///
+    /// No event carries the rest, so their sites set them: `runs_skipped`
+    /// (a quarantined testbed's skipped run emits nothing), `bugs_reported`
+    /// (a new bug lands in the report, not the stream), `shards` (set by
+    /// [`new`](Self::new) and summed by [`merge_from`](Self::merge_from)),
+    /// and the six stage records, whose wall time and cost histogram
+    /// travel in no event (`stage_timing` reports a shard's totals).
+    pub fn count(&mut self, kind: &EventKind) {
+        match kind {
+            EventKind::CaseGenerated { .. } => self.cases_generated += 1,
+            EventKind::CaseRejected { kept, .. } => {
+                self.cases_rejected += 1;
+                // A kept invalid program runs as a parser test.
+                self.cases_run += u64::from(*kept);
+            }
+            EventKind::DifferentialRun { .. } => self.cases_run += 1,
+            EventKind::ExecutionDeduped { classes, saved, .. } => {
+                self.executions_saved += saved;
+                self.equivalence_classes += classes;
+            }
+            EventKind::Deviation { .. } => self.deviations_observed += 1,
+            EventKind::BugDeduped { cross_shard, .. } => {
+                if *cross_shard {
+                    self.bugs_reported = self.bugs_reported.saturating_sub(1);
+                }
+                self.bugs_deduped += 1;
+            }
+            EventKind::FaultInjected { .. } => self.faults_observed += 1,
+            EventKind::RunRetried { .. } => self.runs_retried += 1,
+            EventKind::TestbedQuarantined { .. } => self.testbeds_quarantined += 1,
+            EventKind::TestbedReinstated { .. } => self.testbeds_reinstated += 1,
+            EventKind::QuorumDegraded { .. } => self.quorum_degraded += 1,
+            _ => {}
+        }
     }
 
     /// A copy with every wall-clock field zeroed — the form compared in
@@ -285,13 +320,79 @@ mod tests {
     }
 
     #[test]
-    fn dedup_conserves_bug_total() {
-        let mut m = CampaignMetrics::new();
-        m.bugs_reported = 3;
-        m.bugs_deduped = 1;
-        m.dedup_reported_bug();
-        assert_eq!(m.bugs_reported + m.bugs_deduped, 4);
-        assert_eq!(m.bugs_reported, 2);
+    fn count_moves_exactly_the_counters_an_event_records() {
+        use EventKind::*;
+        let s = String::new;
+        let base = CampaignMetrics::new();
+        // Each counted kind and the counters it moves on a fresh value.
+        type Moves = fn(&mut CampaignMetrics);
+        let counted: [(EventKind, Moves); 12] = [
+            (CaseGenerated { case_id: 1, base: 0, origin: s(), mutant: true }, |m| {
+                m.cases_generated = 1
+            }),
+            (CaseRejected { base: 0, kept: false }, |m| m.cases_rejected = 1),
+            (CaseRejected { base: 0, kept: true }, |m| (m.cases_rejected, m.cases_run) = (1, 1)),
+            (DifferentialRun { case_id: 1, testbeds: 10, outcome: s() }, |m| m.cases_run = 1),
+            (ExecutionDeduped { case_id: 1, classes: 3, saved: 7 }, |m| {
+                (m.executions_saved, m.equivalence_classes) = (7, 3)
+            }),
+            (Deviation { case_id: 1, engine: s(), kind: s() }, |m| m.deviations_observed = 1),
+            (BugDeduped { engine: s(), key: s(), cross_shard: false }, |m| m.bugs_deduped = 1),
+            (FaultInjected { case_id: 1, testbed: s(), kind: s() }, |m| m.faults_observed = 1),
+            (RunRetried { case_id: 1, testbed: s(), retries: 2 }, |m| m.runs_retried = 1),
+            (TestbedQuarantined { case_id: 1, testbed: s(), hard_faults: 3 }, |m| {
+                m.testbeds_quarantined = 1
+            }),
+            (TestbedReinstated { case_id: 1, testbed: s(), skipped: 4 }, |m| {
+                m.testbeds_reinstated = 1
+            }),
+            (
+                QuorumDegraded { case_id: 1, strict: false, healthy: 2, total: 3, voted: true },
+                |m| m.quorum_degraded = 1,
+            ),
+        ];
+        for (kind, moves) in counted {
+            let (mut m, mut expected) = (base.clone(), base.clone());
+            m.count(&kind);
+            moves(&mut expected);
+            assert_eq!(m, expected, "{}", kind.type_str());
+        }
+
+        // Shard lifecycle, stage timings, control and service events
+        // record no campaign counter.
+        let stage = Stage::Filter;
+        let uncounted = [
+            ShardStarted { seed: 1, case_budget: 20 },
+            ShardFinished { cases_run: 20, bugs_reported: 2, wall_nanos: Some(9) },
+            StageTiming { stage, invocations: 1, items: 2, logical_cost: 3, wall_nanos: Some(4) },
+            CheckpointWritten { checkpointed_shard: 0, cases_run: 20, journal_bytes: 9 },
+            CampaignResumed { shards_salvaged: 1, shards_total: 3, dropped_bytes: 0 },
+            CampaignInterrupted { shards_completed: 1, shards_total: 3, reason: s() },
+            LeaseAcquired { campaign: s(), lease_shard: 0, worker: s(), ttl_millis: 9 },
+            LeaseRenewed { campaign: s(), lease_shard: 0, worker: s() },
+            LeaseReleased { campaign: s(), lease_shard: 0, worker: s() },
+            LeaseExpired { campaign: s(), lease_shard: 0, worker: s() },
+            LeaseReclaimed { campaign: s(), lease_shard: 0, worker: s(), reclaims: 1 },
+            CampaignAdmitted { campaign: s(), tenant: s(), shards: 3 },
+            CampaignRejected { tenant: s(), reason: s(), retry_after_millis: 5 },
+            CampaignFinished { campaign: s(), outcome: s(), shards_run: 3 },
+            DrainStarted { active_campaigns: 1 },
+            WorkerSpawned { campaign: s(), worker: s(), lease_shard: 0, pid: 7 },
+            WorkerDied { campaign: s(), worker: s(), lease_shard: 0, signal: 9 },
+            ShardPoisoned { campaign: s(), lease_shard: 0, deaths: 3, poison_case: 4, signal: 9 },
+            PoolDegraded { from_workers: 4, to_workers: 2, consecutive_deaths: 3 },
+        ];
+        for kind in uncounted {
+            let mut m = base.clone();
+            m.count(&kind);
+            assert_eq!(m, base, "{}", kind.type_str());
+        }
+
+        // A cross-shard duplicate moves a reported bug to the deduped
+        // count: their sum is conserved.
+        let mut m = CampaignMetrics { bugs_reported: 3, bugs_deduped: 1, ..base.clone() };
+        m.count(&BugDeduped { engine: s(), key: s(), cross_shard: true });
+        assert_eq!((m.bugs_reported, m.bugs_deduped), (2, 2));
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub enum SinkError {
         /// The final I/O error, rendered.
         message: String,
     },
-    /// The event could not be framed for the crash-safe journal format.
-    Frame(String),
 }
 
 impl std::fmt::Display for SinkError {
@@ -39,7 +37,6 @@ impl std::fmt::Display for SinkError {
             SinkError::Write { retries, message } => {
                 write!(f, "sink write failed after {retries} retries: {message}")
             }
-            SinkError::Frame(msg) => write!(f, "sink framing failed: {msg}"),
         }
     }
 }
@@ -145,29 +142,11 @@ impl Drop for SyncOnDropFile {
     }
 }
 
-/// What [`JsonlSink::load`] salvaged from a (possibly torn) event stream.
-#[derive(Debug, Clone, Default)]
-pub struct JsonlRead {
-    /// Every event parsed from an intact leading line, in file order.
-    pub events: Vec<Event>,
-    /// Bytes dropped from the torn or garbled tail (0 for a clean file).
-    pub dropped_tail_bytes: usize,
-    /// Why the tail was dropped, when it was.
-    pub tail_error: Option<String>,
-}
-
 /// Writes one JSON object per line to an arbitrary writer (a file, a pipe,
 /// an in-memory buffer). Clones share the writer.
-///
-/// In **framed** mode ([`JsonlSink::create_framed`]) every line additionally
-/// carries the `J1 <len> <crc> ` header from [`crate::frame`] and is
-/// appended unbuffered with a single `write` call, so a crash mid-append can
-/// corrupt only the final line and [`JsonlSink::load`] salvages everything
-/// before it.
 #[derive(Clone)]
 pub struct JsonlSink {
     out: Arc<Mutex<Box<dyn Write + Send>>>,
-    framed: bool,
     retry: RetryPolicy,
     health: Arc<Mutex<SinkHealth>>,
 }
@@ -177,7 +156,6 @@ impl JsonlSink {
     pub fn new(writer: impl Write + Send + 'static) -> Self {
         JsonlSink {
             out: Arc::new(Mutex::new(Box::new(writer))),
-            framed: false,
             retry: RetryPolicy::default(),
             health: Arc::new(Mutex::new(SinkHealth::default())),
         }
@@ -188,19 +166,6 @@ impl JsonlSink {
     pub fn create(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         let file = SyncOnDropFile { file: std::fs::File::create(path)? };
         Ok(JsonlSink::new(std::io::BufWriter::new(file)))
-    }
-
-    /// Creates (truncating) a **framed, crash-safe** JSONL file at `path`:
-    /// each event line is checksummed and written with one unbuffered
-    /// `write` call, so at most the final line can be torn by a crash.
-    pub fn create_framed(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let file = SyncOnDropFile { file: std::fs::File::create(path)? };
-        Ok(JsonlSink {
-            out: Arc::new(Mutex::new(Box::new(file))),
-            framed: true,
-            retry: RetryPolicy::default(),
-            health: Arc::new(Mutex::new(SinkHealth::default())),
-        })
     }
 
     /// Overrides the bounded retry applied to failing writes (default:
@@ -222,20 +187,8 @@ impl JsonlSink {
     /// recorded in [`JsonlSink::health`]; the stream on disk is missing
     /// the event but remains well-formed.
     pub fn try_emit(&self, event: &Event) -> Result<(), SinkError> {
-        let line = if self.framed {
-            match crate::frame::frame_line(&event.to_json()) {
-                Ok(line) => line,
-                Err(e) => {
-                    let err = SinkError::Frame(e.to_string());
-                    self.record_failure(err.clone());
-                    return Err(err);
-                }
-            }
-        } else {
-            let mut line = event.to_json();
-            line.push('\n');
-            line
-        };
+        let mut line = event.to_json();
+        line.push('\n');
         let mut out = self.out.lock().expect("jsonl sink poisoned");
         match self.retry.run(|| out.write_all(line.as_bytes())) {
             Ok(((), retries)) => {
@@ -258,49 +211,6 @@ impl JsonlSink {
         let mut health = self.health.lock().expect("jsonl sink poisoned");
         health.events_dropped += 1;
         health.last_error = Some(err);
-    }
-
-    /// Loads an event stream written by this sink (framed or plain),
-    /// salvaging every intact leading line and dropping a torn or garbled
-    /// tail instead of poisoning the whole stream.
-    ///
-    /// Framing is auto-detected per line. For plain files the tail check is
-    /// weaker (no checksum): an unterminated or unparseable final line is
-    /// dropped; a bad line *before* intact ones is an error, because plain
-    /// torn writes can only affect the tail.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<JsonlRead> {
-        let bytes = std::fs::read(path)?;
-        let mut out = JsonlRead::default();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-                out.dropped_tail_bytes = bytes.len() - pos;
-                out.tail_error = Some("unterminated final line".to_string());
-                return Ok(out);
-            };
-            let parsed = std::str::from_utf8(&bytes[pos..pos + nl])
-                .map_err(|_| "invalid utf-8".to_string())
-                .and_then(|line| {
-                    let payload = if line.starts_with("J1 ") {
-                        crate::frame::parse_frame(line).map_err(|e| e.to_string())?
-                    } else {
-                        line
-                    };
-                    Event::parse(payload)
-                });
-            match parsed {
-                Ok(event) => out.events.push(event),
-                Err(e) => {
-                    // By the append-only invariant a bad line starts the
-                    // torn tail; drop it and everything after.
-                    out.dropped_tail_bytes = bytes.len() - pos;
-                    out.tail_error = Some(e);
-                    return Ok(out);
-                }
-            }
-            pos += nl + 1;
-        }
-        Ok(out)
     }
 
     /// Flushes the underlying writer.
@@ -448,49 +358,22 @@ mod tests {
     }
 
     #[test]
-    fn framed_sink_survives_a_torn_tail() {
+    fn created_file_holds_every_event_once_the_sink_drops() {
         let dir = std::env::temp_dir().join(format!("comfort-sink-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("framed.jsonl");
+        let path = dir.join("plain.jsonl");
+        let kinds: Vec<EventKind> =
+            (0..3).map(|base| EventKind::CaseRejected { base, kept: base == 1 }).collect();
         {
-            let sink = JsonlSink::create_framed(&path).unwrap();
-            let mut rec = Recorder::new(SinkHandle::new(sink), 0);
-            for base in 0..3 {
-                rec.emit(EventKind::CaseRejected { base, kept: false });
+            let mut rec = Recorder::new(SinkHandle::new(JsonlSink::create(&path).unwrap()), 1);
+            for kind in &kinds {
+                rec.emit(kind.clone());
             }
         }
-        // Simulate a crash mid-append: tack on half a frame.
-        let intact = std::fs::metadata(&path).unwrap().len() as usize;
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(b"J1 57 0badf00d {\"shard\":0,\"seq\":3,\"ty");
-        std::fs::write(&path, &bytes).unwrap();
-
-        let read = JsonlSink::load(&path).unwrap();
-        assert_eq!(read.events.len(), 3);
-        assert_eq!(read.dropped_tail_bytes, bytes.len() - intact);
-        assert!(read.tail_error.is_some());
-        for (i, e) in read.events.iter().enumerate() {
-            assert_eq!(e.kind, EventKind::CaseRejected { base: i as u64, kept: false });
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn plain_sink_load_drops_unterminated_tail() {
-        let dir = std::env::temp_dir().join(format!("comfort-sink-plain-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plain.jsonl");
-        {
-            let sink = JsonlSink::create(&path).unwrap();
-            let mut rec = Recorder::new(SinkHandle::new(sink), 1);
-            rec.emit(EventKind::CaseRejected { base: 7, kept: true });
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(b"{\"shard\":1,\"seq\":1,\"type\":\"case_re"); // no newline
-        std::fs::write(&path, &bytes).unwrap();
-        let read = JsonlSink::load(&path).unwrap();
-        assert_eq!(read.events.len(), 1);
-        assert!(read.tail_error.is_some());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let read: Vec<EventKind> =
+            text.lines().map(|line| Event::parse(line).unwrap().kind).collect();
+        assert_eq!(read, kinds);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,9 +1,9 @@
 //! Campaign observability demo: run a small sharded campaign with a
 //! `JsonlSink`, poll the live `ProgressHandle` from another thread (to
-//! stderr), then validate the JSONL stream and reconcile the per-stage
-//! metrics against the campaign report. Exits nonzero on any mismatch, so
-//! CI can run it as an end-to-end telemetry check; its stdout is the same
-//! on every run.
+//! stderr), then validate the JSONL stream and reconcile the metrics with
+//! the campaign report and every counter an event records with its events.
+//! Exits nonzero on any mismatch, so CI can run it as an end-to-end
+//! telemetry check; its stdout is the same on every run.
 //!
 //! ```text
 //! cargo run --release --example telemetry_campaign
@@ -60,6 +60,8 @@ fn main() {
     let text = std::fs::read_to_string(&jsonl_path).expect("read JSONL");
     let mut last_clock = (-1i64, -1i64);
     let mut counted = std::collections::BTreeMap::new();
+    // Kept invalid programs, and the execution_deduped field totals.
+    let (mut kept, mut saved, mut classes) = (0u64, 0u64, 0u64);
     for (i, line) in text.lines().enumerate() {
         let value = json::parse(line).unwrap_or_else(|e| {
             eprintln!("line {} is not valid JSON ({e}): {line}", i + 1);
@@ -75,6 +77,15 @@ fn main() {
         );
         last_clock = (ordinal, seq);
         let kind = value.get("type").and_then(|v| v.as_str()).expect("type field").to_string();
+        let field = |name: &str| value.get(name).expect("event field");
+        match kind.as_str() {
+            "case_rejected" => kept += u64::from(field("kept").as_bool().expect("bool")),
+            "execution_deduped" => {
+                saved += field("saved").as_u64().expect("u64");
+                classes += field("classes").as_u64().expect("u64");
+            }
+            _ => {}
+        }
         *counted.entry(kind).or_insert(0u64) += 1;
     }
     println!("\n{} JSONL events, all valid:", text.lines().count());
@@ -91,15 +102,21 @@ fn main() {
         m.deviations_observed == report.deviations_observed,
         "metrics.deviations_observed == report.deviations_observed",
     );
+    let events = |kind: &str| counted.get(kind).copied().unwrap_or(0);
     check(
-        counted.get("case_generated").copied().unwrap_or(0) == m.cases_generated,
-        "case_generated events == metrics.cases_generated",
+        events("case_generated") == m.cases_generated,
+        "case_generated events == cases_generated",
     );
+    check(events("case_rejected") == m.cases_rejected, "case_rejected events == cases_rejected");
     check(
-        counted.get("deviation").copied().unwrap_or(0) == m.deviations_observed,
-        "deviation events == metrics.deviations_observed",
+        events("differential_run") + kept == m.cases_run,
+        "differential_run + kept case_rejected events == cases_run",
     );
-    check(counted.get("shard_started").copied().unwrap_or(0) == m.shards, "one start per shard");
+    check(events("deviation") == m.deviations_observed, "deviation events == deviations_observed");
+    check(events("bug_deduped") == m.bugs_deduped, "bug_deduped events == bugs_deduped");
+    check(saved == m.executions_saved, "execution_deduped saved == executions_saved");
+    check(classes == m.equivalence_classes, "execution_deduped classes == equivalence_classes");
+    check(events("shard_started") == m.shards, "one start per shard");
 
     println!("\nper-stage metrics:\n{}", m.to_json());
     println!(

@@ -99,8 +99,8 @@ pub mod prelude {
         RetryPolicy, RunOptions, RunOptionsBuilder, Testbed,
     };
     pub use comfort_telemetry::{
-        CampaignMetrics, Event, EventKind, JsonlRead, JsonlSink, MemorySink, NullSink,
-        ProgressHandle, ProgressSnapshot, SinkHandle, Stage, CONTROL_SHARD, MERGE_SHARD,
+        CampaignMetrics, Event, EventKind, JsonlSink, MemorySink, NullSink, ProgressHandle,
+        ProgressSnapshot, SinkHandle, Stage, CONTROL_SHARD, MERGE_SHARD,
     };
 }
 
