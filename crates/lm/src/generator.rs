@@ -41,10 +41,23 @@ impl Default for GeneratorConfig {
 /// A trained program generator (tokenizer + model + header pool).
 #[derive(Debug, Clone)]
 pub struct Generator {
-    bpe: Bpe,
+    pub(crate) bpe: Bpe,
     model: NgramModel,
-    headers: Vec<String>,
-    config: GeneratorConfig,
+    /// What generation appends for each token id.
+    pieces: Vec<Piece>,
+    pub(crate) headers: Vec<String>,
+    pub(crate) config: GeneratorConfig,
+}
+
+/// A token as generation appends it.
+#[derive(Debug, Clone)]
+struct Piece {
+    /// The token's text with `▁` shown as a space.
+    text: Box<str>,
+    /// Whether the text holds the `<EOF>` mark, which ends a program.
+    eof: bool,
+    /// The text's [`brace_delta`].
+    braces: i32,
 }
 
 impl Generator {
@@ -54,11 +67,21 @@ impl Generator {
         let bpe = Bpe::train(&with_eof, config.bpe_merges);
         let sequences: Vec<Vec<u32>> = with_eof.iter().map(|p| bpe.encode(p)).collect();
         let model = NgramModel::train(&sequences, config.order);
+        let pieces = (0..bpe.vocab_size() as u32)
+            .map(|id| {
+                let text = bpe.token_text(id).replace('\u{2581}', " ");
+                Piece {
+                    eof: text.contains(EOF_MARK),
+                    braces: brace_delta(&text),
+                    text: text.into(),
+                }
+            })
+            .collect();
         let mut headers = comfort_corpus::harvest_headers(corpus);
         if headers.is_empty() {
             headers.push("var a = function(n) {".to_string());
         }
-        Generator { bpe, model, headers, config }
+        Generator { bpe, model, pieces, headers, config }
     }
 
     /// The tokenizer (exposed for the Montage-style baseline).
@@ -73,23 +96,27 @@ impl Generator {
     }
 
     /// Generates starting from an explicit seed `header`.
+    ///
+    /// The model's cursor stands for the whole token history: each sampled
+    /// token moves it along one precomputed transition.
     pub fn generate_from<R: Rng>(&self, rng: &mut R, header: &str) -> String {
-        let mut ids = self.bpe.encode(header);
+        let ids = self.bpe.encode(header);
         let mut text = self.bpe.decode(&ids);
         let mut depth = brace_delta(&text);
         let needs_semi = header.contains('=');
 
+        let mut cursor = self.model.cursor(&ids);
         for _ in 0..self.config.max_tokens {
-            let Some(next) = self.model.sample_top_k(rng, &ids, self.config.top_k) else {
+            let Some((next, after)) = self.model.sample_step(rng, cursor, self.config.top_k) else {
                 break;
             };
-            let tok_text = self.bpe.token_text(next).replace('\u{2581}', " ");
-            if tok_text.contains(EOF_MARK) {
+            let piece = &self.pieces[next as usize];
+            if piece.eof {
                 break;
             }
-            ids.push(next);
-            text.push_str(&tok_text);
-            depth += brace_delta(&tok_text);
+            cursor = after;
+            text.push_str(&piece.text);
+            depth += piece.braces;
             if depth <= 0 {
                 break;
             }
@@ -105,7 +132,7 @@ impl Generator {
 /// Net `{`/`}` depth change contributed by `text`, ignoring braces inside
 /// string literals well enough for generated code (quotes toggle an
 /// in-string flag).
-fn brace_delta(text: &str) -> i32 {
+pub(crate) fn brace_delta(text: &str) -> i32 {
     let mut depth = 0;
     let mut in_str: Option<char> = None;
     let mut prev_escape = false;

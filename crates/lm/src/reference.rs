@@ -1,10 +1,12 @@
-//! The straightforward trainers, kept as test oracles for the incremental
-//! ones in [`bpe`](crate::bpe) and [`ngram`](crate::ngram).
+//! The straightforward trainers, kept as test oracles for the ones in
+//! [`bpe`](crate::bpe) and [`ngram`](crate::ngram).
 //!
-//! These recount everything from scratch: BPE recounts every adjacent pair
-//! of every word on each merge, the n-gram counter allocates a key per
-//! `(position, order)`. They are slow and obviously right, and they pin
-//! the rules the fast trainers must keep:
+//! BPE recounts every adjacent pair of every word on each merge. The n-gram
+//! oracle is the slice-keyed table model the back-off automaton replaced:
+//! a hash map per context length, a probe per length on every prediction,
+//! and a generation loop that re-probes with the whole token history and
+//! decodes each token's text. They are slow and obviously right, and they
+//! pin the rules the production trainers must keep:
 //!
 //! * the highest pair count wins, ties go to the lexicographically
 //!   smallest `(left, right)` strings;
@@ -12,15 +14,21 @@
 //! * training stops when the best count is below 2;
 //! * a merged string equal to an existing symbol is that symbol;
 //! * the vocabulary keeps its `BTreeSet` order;
-//! * continuations are sorted by count descending, then token ascending.
+//! * a context is stored when some token follows it, with at most
+//!   `order - 1` tokens;
+//! * continuations are sorted by count descending, then token ascending;
+//! * a prediction backs off to the longest stored suffix of its context.
 //!
 //! The property tests below train both ways on random corpora and assert
-//! identical merges, vocabularies, encodings, n-gram tables and
-//! predictions.
+//! identical merges, vocabularies, encodings, stored contexts and their
+//! continuations, predictions and generated programs.
 
 use std::collections::{BTreeSet, HashMap};
 
+use rand::Rng;
+
 use crate::bpe::{pre_tokenize, Bpe};
+use crate::generator::{brace_delta, Generator, EOF_MARK};
 use crate::ngram::NgramModel;
 
 /// [`Bpe::train`], recounting every pair on every merge.
@@ -90,39 +98,143 @@ pub(crate) fn train_bpe(corpus: &[String], n_merges: usize) -> Bpe {
     Bpe { merges, token_to_id, id_to_token }
 }
 
-/// [`NgramModel::train`], with an owned key and a map per count.
-pub(crate) fn train_ngram(sequences: &[Vec<u32>], order: usize) -> NgramModel {
-    assert!(order >= 1, "order must be at least 1");
-    let mut counting: Vec<HashMap<Vec<u32>, HashMap<u32, u32>>> =
-        (0..order).map(|_| HashMap::new()).collect();
-    for seq in sequences {
-        for i in 0..seq.len() {
-            let next = seq[i];
-            for l in 0..order.min(i + 1) {
-                let ctx = seq[i - l..i].to_vec();
-                *counting[l].entry(ctx).or_default().entry(next).or_insert(0) += 1;
+/// A context's `(token, count)` list, sorted by count descending.
+type Continuations = Vec<(u32, u32)>;
+
+/// The slice-keyed n-gram tables the automaton replaced: a map per
+/// context length from each stored context to its continuations.
+pub(crate) struct Tables {
+    order: usize,
+    /// `tables[l]` maps a length-`l` context to its continuations.
+    pub(crate) tables: Vec<HashMap<Vec<u32>, Continuations>>,
+}
+
+impl Tables {
+    /// [`NgramModel::train`], counting into maps keyed by context slices.
+    pub(crate) fn train(sequences: &[Vec<u32>], order: usize) -> Tables {
+        assert!(order >= 1, "order must be at least 1");
+        let mut counting: Vec<HashMap<&[u32], Continuations>> =
+            (0..order).map(|_| HashMap::new()).collect();
+        for seq in sequences {
+            for (i, &next) in seq.iter().enumerate() {
+                for (l, table) in counting.iter_mut().enumerate().take(i + 1) {
+                    let conts = table.entry(&seq[i - l..i]).or_default();
+                    match conts.binary_search_by_key(&next, |&(token, _)| token) {
+                        Ok(k) => conts[k].1 += 1,
+                        Err(k) => conts.insert(k, (next, 1)),
+                    }
+                }
             }
         }
+        let tables = counting
+            .into_iter()
+            .map(|table| {
+                table
+                    .into_iter()
+                    .map(|(ctx, mut conts)| {
+                        conts.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                        (ctx.to_vec(), conts)
+                    })
+                    .collect()
+            })
+            .collect();
+        Tables { order, tables }
     }
-    let tables = counting
-        .into_iter()
-        .map(|t| {
-            t.into_iter()
-                .map(|(ctx, conts)| {
-                    let mut v: Vec<(u32, u32)> = conts.into_iter().collect();
-                    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                    (ctx, v)
-                })
-                .collect()
-        })
-        .collect();
-    NgramModel { order, tables }
+
+    /// [`NgramModel::predict`]: one probe per context length, longest
+    /// first.
+    pub(crate) fn predict(&self, context: &[u32]) -> &[(u32, u32)] {
+        let max_l = (self.order - 1).min(context.len());
+        for l in (0..=max_l).rev() {
+            let ctx = &context[context.len() - l..];
+            if let Some(conts) = self.tables[l].get(ctx) {
+                if !conts.is_empty() {
+                    return conts;
+                }
+            }
+        }
+        &[]
+    }
+
+    /// [`NgramModel::sample_top_k`].
+    pub(crate) fn sample_top_k<R: Rng>(
+        &self,
+        rng: &mut R,
+        context: &[u32],
+        k: usize,
+    ) -> Option<u32> {
+        let conts = self.predict(context);
+        if conts.is_empty() {
+            return None;
+        }
+        let top = &conts[..k.min(conts.len())];
+        let total: u64 = top.iter().map(|(_, c)| *c as u64).sum();
+        let mut at = rng.random_range(0..total);
+        for (tok, c) in top {
+            if at < *c as u64 {
+                return Some(*tok);
+            }
+            at -= *c as u64;
+        }
+        Some(top[top.len() - 1].0)
+    }
+
+    /// [`NgramModel::context_count`].
+    pub(crate) fn context_count(&self) -> usize {
+        self.tables.iter().map(|table| table.len()).sum()
+    }
+}
+
+/// [`Generator::generate`] over `tables`, trained on the generator's own
+/// tokenization of its corpus.
+pub(crate) fn generate<R: Rng>(generator: &Generator, tables: &Tables, rng: &mut R) -> String {
+    let header = &generator.headers[rng.random_range(0..generator.headers.len())];
+    generate_from(generator, tables, rng, header)
+}
+
+/// [`Generator::generate_from`]: every token re-probes the tables with the
+/// whole history and decodes its text.
+pub(crate) fn generate_from<R: Rng>(
+    generator: &Generator,
+    tables: &Tables,
+    rng: &mut R,
+    header: &str,
+) -> String {
+    let config = &generator.config;
+    let mut ids = generator.bpe.encode(header);
+    let mut text = generator.bpe.decode(&ids);
+    let mut depth = brace_delta(&text);
+    let needs_semi = header.contains('=');
+
+    for _ in 0..config.max_tokens {
+        let Some(next) = tables.sample_top_k(rng, &ids, config.top_k) else {
+            break;
+        };
+        let tok_text = generator.bpe.token_text(next).replace('\u{2581}', " ");
+        if tok_text.contains(EOF_MARK) {
+            break;
+        }
+        ids.push(next);
+        text.push_str(&tok_text);
+        depth += brace_delta(&tok_text);
+        if depth <= 0 {
+            break;
+        }
+    }
+    if needs_semi && text.trim_end().ends_with('}') {
+        text.push(';');
+    }
+    text.push('\n');
+    text
 }
 
 mod tests {
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     use super::*;
+    use crate::GeneratorConfig;
 
     fn strings(texts: &[&str]) -> Vec<String> {
         texts.iter().map(|t| t.to_string()).collect()
@@ -146,15 +258,37 @@ mod tests {
         fast
     }
 
-    /// Trains both ways and asserts identical tables, plus identical
-    /// predictions on every stored context and on perturbed ones.
+    /// Trains both ways and asserts that the automaton stores exactly the
+    /// oracle's contexts, each as its own node with the oracle's
+    /// continuations, suffix link and transitions, and that both predict
+    /// alike on every stored context and on perturbed ones.
     fn assert_same_ngram(sequences: &[Vec<u32>], order: usize, unseen: u32) {
         let fast = NgramModel::train(sequences, order);
-        let oracle = train_ngram(sequences, order);
-        assert_eq!(fast.tables, oracle.tables, "tables differ on {sequences:?} order {order}");
-        assert_eq!(fast.context_count(), oracle.context_count());
-        for table in &oracle.tables {
-            for ctx in table.keys() {
+        let oracle = Tables::train(sequences, order);
+        assert_eq!(fast.context_count(), oracle.context_count(), "on {sequences:?} order {order}");
+        // The longest stored suffix of `context`, as the oracle stores it.
+        let longest = |context: &[u32]| -> Vec<u32> {
+            (0..=context.len().min(order - 1))
+                .rev()
+                .map(|l| &context[context.len() - l..])
+                .find(|ctx| oracle.tables[ctx.len()].contains_key(*ctx))
+                .unwrap_or(&[])
+                .to_vec()
+        };
+        for (l, table) in oracle.tables.iter().enumerate() {
+            for (ctx, conts) in table {
+                let node = fast.cursor(ctx);
+                assert_eq!(fast.depth(node), l, "{ctx:?} is not a node");
+                assert_eq!(fast.predict(ctx), conts.as_slice(), "continuations of {ctx:?}");
+                if let Some((_, shorter)) = ctx.split_first() {
+                    assert_eq!(fast.suffix(node), fast.cursor(shorter), "suffix link of {ctx:?}");
+                }
+                for (token, after) in fast.transitions(node) {
+                    let extended = [ctx.as_slice(), &[token]].concat();
+                    let target = longest(&extended);
+                    assert_eq!(fast.depth(after), target.len(), "{ctx:?} then {token}");
+                    assert_eq!(after, fast.cursor(&target), "{ctx:?} then {token}");
+                }
                 let mut probes = vec![ctx.clone()];
                 // A fresh token in front forces a back-off from an unseen
                 // longer context; replacing the oldest token may land on a
@@ -172,6 +306,37 @@ mod tests {
             }
         }
         assert_eq!(fast.predict(&[unseen, unseen]), oracle.predict(&[unseen, unseen]));
+    }
+
+    /// Generates from `generator` and from the oracle loop over the oracle
+    /// tables of the generator's corpus, with the same RNG seeds, and
+    /// asserts identical programs, from the header pool and from `header`.
+    fn assert_same_generation(
+        corpus: &[String],
+        config: GeneratorConfig,
+        seeds: &[u64],
+        header: &str,
+    ) {
+        let generator = Generator::train(corpus, config);
+        let sequences: Vec<Vec<u32>> =
+            corpus.iter().map(|p| generator.bpe.encode(&format!("{p}{EOF_MARK}"))).collect();
+        let oracle = Tables::train(&sequences, generator.config.order);
+        for &seed in seeds {
+            let (mut fast_rng, mut oracle_rng) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for _ in 0..3 {
+                assert_eq!(
+                    generator.generate(&mut fast_rng),
+                    generate(&generator, &oracle, &mut oracle_rng),
+                    "seed {seed}"
+                );
+            }
+            assert_eq!(
+                generator.generate_from(&mut fast_rng, header),
+                generate_from(&generator, &oracle, &mut oracle_rng, header),
+                "seed {seed} header {header:?}"
+            );
+        }
     }
 
     #[test]
@@ -218,7 +383,19 @@ mod tests {
             .collect();
         let bpe = assert_same_bpe(&corpus, 120, &strings(&["var undefinedName = 0x1f;"]));
         let sequences: Vec<Vec<u32>> = corpus.iter().map(|p| bpe.encode(p)).collect();
-        assert_same_ngram(&sequences, 6, bpe.vocab_size() as u32);
+        for order in [6, 12] {
+            assert_same_ngram(&sequences, order, bpe.vocab_size() as u32);
+        }
+        let programs = comfort_corpus::training_corpus(3, 24);
+        for (order, top_k) in [(12, 10), (12, 1), (8, 25), (3, 10)] {
+            let config = GeneratorConfig { order, bpe_merges: 120, top_k, max_tokens: 600 };
+            assert_same_generation(
+                &programs,
+                config,
+                &[0, 1, 2, 3, 4],
+                "var a = function(assert) {",
+            );
+        }
     }
 
     /// Small corpora: runs over one or two letters (overlapping pairs, long
@@ -246,14 +423,29 @@ mod tests {
         }
 
         #[test]
-        fn slice_keyed_ngrams_match_the_oracle(
-            sequences in proptest::collection::vec(
-                proptest::collection::vec(0u32..6, 0..24),
-                0..6,
-            ),
-            order in 1usize..7,
+        fn the_automaton_matches_the_oracle_tables(
+            sequences in prop_oneof![
+                proptest::collection::vec(proptest::collection::vec(0u32..6, 0..24), 0..6),
+                // Two tokens in long runs: deep contexts recur.
+                proptest::collection::vec(proptest::collection::vec(0u32..2, 0..40), 0..4),
+            ],
+            order in 1usize..13,
         ) {
             assert_same_ngram(&sequences, order, 6);
+        }
+
+        #[test]
+        fn generated_programs_match_the_oracle_loop(
+            corpus in proptest::collection::vec("[a-c{}();=\"' \n]{0,30}", 0..8),
+            order in 1usize..13,
+            bpe_merges in 0usize..30,
+            top_k in 1usize..12,
+            max_tokens in 0usize..120,
+            seed in any::<u64>(),
+            header in "[a-c{}=' ]{0,10}",
+        ) {
+            let config = GeneratorConfig { order, bpe_merges, top_k, max_tokens };
+            assert_same_generation(&corpus, config, &[seed, seed ^ 1], &header);
         }
     }
 }

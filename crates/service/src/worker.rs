@@ -21,6 +21,7 @@
 //! supervisor, which wraps the process in rlimits and its own process
 //! group (see [`crate::fleet`]).
 
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use comfort_core::checkpoint::{
@@ -358,7 +359,8 @@ fn lease_record(
 /// runs, so a supervising parent can renew the worker's lease on real
 /// progress (and only on real progress — a wedged run prints nothing).
 struct ProgressBeat {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    /// The stop flag, and the condition its setter signals.
+    stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -368,13 +370,21 @@ impl ProgressBeat {
         shard: usize,
         interval: Duration,
     ) -> ProgressBeat {
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = std::sync::Arc::clone(&stop);
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let signal = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             use std::io::Write as _;
+            let (flag, wake) = &*signal;
             let mut last = 0u64;
-            while !flag.load(std::sync::atomic::Ordering::SeqCst) {
-                std::thread::sleep(interval);
+            let mut stopped = false;
+            while !stopped {
+                // One interval, cut short when the beat is dropped.
+                let guard = flag.lock().expect("beat flag lock");
+                let (guard, _) = wake
+                    .wait_timeout_while(guard, interval, |stop| !*stop)
+                    .expect("beat flag lock");
+                stopped = *guard;
+                drop(guard);
                 let snap = progress.snapshot();
                 let done = snap.shards.get(shard).map(|s| s.cases_done).unwrap_or_default();
                 if done > last {
@@ -390,7 +400,9 @@ impl ProgressBeat {
 
 impl Drop for ProgressBeat {
     fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        let (flag, wake) = &*self.stop;
+        *flag.lock().expect("beat flag lock") = true;
+        wake.notify_one();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -410,6 +422,21 @@ mod tests {
             ttl_millis: 100,
             unix_millis: 0,
         }
+    }
+
+    #[test]
+    fn a_dropped_beat_stops_without_waiting_out_its_interval() {
+        let beat = ProgressBeat::start(
+            comfort_telemetry::ProgressHandle::new(),
+            0,
+            Duration::from_secs(5),
+        );
+        // Let the thread reach its wait.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        drop(beat);
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_millis(500), "drop waited {waited:?}");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! `JsonlSink`, poll the live `ProgressHandle` from another thread (to
 //! stderr), then validate the JSONL stream and reconcile the metrics with
 //! the campaign report and every counter an event records with its events.
+//! The seed is one whose campaign rejects a program, sees engines deviate
+//! and deduplicates bugs, so those checks compare counts that moved.
 //! Exits nonzero on any mismatch, so CI can run it as an end-to-end
 //! telemetry check; its stdout is the same on every run.
 //!
@@ -17,7 +19,7 @@ fn main() {
     let sink = JsonlSink::create(&jsonl_path).expect("create JSONL file");
 
     let config = CampaignConfig::builder()
-        .seed(2)
+        .seed(4)
         .corpus_programs(80)
         .max_cases(30)
         .include_strict(false)
@@ -94,7 +96,15 @@ fn main() {
     }
 
     // Reconcile the event stream and the embedded metrics with the report.
+    // A counter that stayed 0 would reconcile with its broken self.
     let m = &report.metrics;
+    for (counter, value) in [
+        ("cases_rejected", m.cases_rejected),
+        ("deviations_observed", m.deviations_observed),
+        ("bugs_deduped", m.bugs_deduped),
+    ] {
+        check(value > 0, &format!("{counter} is 0: the campaign does not exercise it"));
+    }
     check(m.cases_run == report.cases_run, "metrics.cases_run == report.cases_run");
     check(m.bugs_reported == report.bugs.len() as u64, "metrics.bugs_reported == bugs");
     check(m.bugs_deduped == report.duplicates_filtered, "metrics.bugs_deduped == duplicates");
