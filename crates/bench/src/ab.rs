@@ -11,7 +11,8 @@
 //! from `BENCHMARK.json` ([`Benchmark`]); nothing here is a setting.
 
 use comfort_core::report::Table;
-use comfort_telemetry::json::{self, JsonValue};
+use comfort_telemetry::json::{self, Field, JsonValue};
+use comfort_telemetry::json_record;
 
 /// Pairs per workload: the fewest the claim rule can be met on.
 pub const PAIRS: usize = 10;
@@ -51,7 +52,7 @@ impl Benchmark {
     pub fn parse(text: &str) -> Result<Benchmark, String> {
         let v = json::parse(text)?;
         let bad = |what: &str| format!("BENCHMARK.json: {what}");
-        let array = |key: &str| v.get(key).and_then(JsonValue::as_array).ok_or(bad(key));
+        let array = |key: &str| Vec::<JsonValue>::parse(&v, key).map_err(|e| bad(&e));
         // `command` holds strings, the other arrays objects with a name.
         let name =
             |e: &JsonValue| e.as_str().or_else(|| e.get("name")?.as_str()).map(str::to_string);
@@ -72,10 +73,7 @@ impl Benchmark {
         };
         Ok(Benchmark {
             command: names("command")?,
-            run_seconds: v
-                .get("run_seconds")
-                .and_then(JsonValue::as_f64)
-                .ok_or(bad("run_seconds"))?,
+            run_seconds: f64::parse(&v, "run_seconds").map_err(|e| bad(&e))?,
             workloads: names("workloads")?,
             end_to_end: metrics("end_to_end")?,
             per_layer: metrics("per_layer")?,
@@ -155,7 +153,7 @@ impl Output {
         Ok(Output {
             run: Run::new(json::parse(result).map_err(|e| format!("result line: {e}"))?)?,
             counts: JsonValue::object(counts),
-            nproc: req_u64(&context, "nproc")?,
+            nproc: u64::parse(&context, "nproc")?,
         })
     }
 }
@@ -191,26 +189,6 @@ impl Side {
         let runs = self.runs.iter().chain([&self.traced]);
         runs.fold((0, 0), |(f, a), r| (f + r.count("failed"), a + r.count("attempted")))
     }
-
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("runs", JsonValue::Array(self.runs.iter().map(|r| r.0.clone()).collect())),
-            ("traced", self.traced.0.clone()),
-            ("counts", JsonValue::Array(self.counts.clone())),
-        ])
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Side, String> {
-        let runs = v.get("runs").and_then(JsonValue::as_array).ok_or("side without runs")?;
-        if runs.len() != PAIRS {
-            return Err(format!("a side holds {} runs, not {PAIRS}", runs.len()));
-        }
-        Ok(Side {
-            runs: runs.iter().map(|r| Run::new(r.clone())).collect::<Result<_, _>>()?,
-            traced: Run::new(v.get("traced").ok_or("side without a traced run")?.clone())?,
-            counts: v.get("counts").and_then(JsonValue::as_array).ok_or("no counts")?.to_vec(),
-        })
-    }
 }
 
 /// Both trees' runs of one workload.
@@ -241,60 +219,39 @@ pub struct Record {
     pub workloads: Vec<WorkloadRecord>,
 }
 
+// The canonical rendering of these records keeps object keys sorted, so
+// each table lists its fields in key order.
+json_record!(Side { counts, runs, traced });
+json_record!(WorkloadRecord { change, name, parent });
+json_record!(Record { change, claim, nproc, parent, seed, workloads });
+
+/// A run travels as its result line.
+impl Field for Run {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        Run::new(v.clone())
+    }
+}
+
 impl Record {
     /// Canonical JSON: `parse(to_json())` re-renders byte-identically.
     pub fn to_json(&self) -> String {
-        let mut pairs = vec![
-            ("parent", JsonValue::from(self.parent.clone())),
-            ("change", JsonValue::from(self.change.clone())),
-            ("seed", JsonValue::from(self.seed)),
-            ("nproc", JsonValue::from(self.nproc)),
-            (
-                "workloads",
-                JsonValue::Array(
-                    self.workloads
-                        .iter()
-                        .map(|w| {
-                            JsonValue::object([
-                                ("name", JsonValue::from(w.name.clone())),
-                                ("parent", w.parent.to_json()),
-                                ("change", w.change.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(claim) = &self.claim {
-            pairs.push(("claim", JsonValue::from(claim.clone())));
-        }
-        JsonValue::object(pairs).to_json()
+        let mut out = String::new();
+        self.write(&mut out);
+        out
     }
 
     /// Parses a record written by [`to_json`](Self::to_json).
     pub fn parse(text: &str) -> Result<Record, String> {
-        let v = json::parse(text)?;
-        let workloads = v
-            .get("workloads")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing workloads")?
-            .iter()
-            .map(|w| {
-                Ok(WorkloadRecord {
-                    name: req_str(w, "name")?,
-                    parent: Side::from_json(w.get("parent").ok_or("missing parent side")?)?,
-                    change: Side::from_json(w.get("change").ok_or("missing change side")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Record {
-            parent: req_str(&v, "parent")?,
-            change: req_str(&v, "change")?,
-            seed: req_u64(&v, "seed")?,
-            claim: v.get("claim").and_then(JsonValue::as_str).map(str::to_string),
-            nproc: req_u64(&v, "nproc")?,
-            workloads,
-        })
+        let record = Record::read(&json::parse(text)?)?;
+        for side in record.workloads.iter().flat_map(|w| [&w.parent, &w.change]) {
+            if side.runs.len() != PAIRS {
+                return Err(format!("a side holds {} runs, not {PAIRS}", side.runs.len()));
+            }
+        }
+        Ok(record)
     }
 }
 
@@ -583,15 +540,4 @@ fn sig(v: f64) -> String {
     }
     let decimals = (3 - v.abs().log10().floor() as i32).clamp(0, 9) as usize;
     format!("{v:.decimals$}")
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing integer {key:?}"))
-}
-
-fn req_str(v: &JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string {key:?}"))
 }

@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
-//! Experiment harness shared by the `tables` binary and the Criterion
-//! benches: canned configurations for each table/figure of the paper.
+//! Experiment harness of the `tables` binary: canned configurations for
+//! each table/figure of the paper.
 //!
 //! See DESIGN.md §3 for the experiment index; EXPERIMENTS.md records the
 //! paper-vs-measured comparison produced by `tables -- all`.

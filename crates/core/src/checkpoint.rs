@@ -16,23 +16,28 @@
 //!   another — resuming under a different config would silently produce a
 //!   frankenreport.
 //! * **Recovery** ([`CampaignCheckpoint::load`]): salvages every intact
-//!   shard record, drops a torn or garbled tail (reported in a typed
-//!   [`RecoveryReport`]), and validates fingerprint and shard plan.
-//! * **Serialization**: full-fidelity JSON round-trip for
-//!   [`CampaignReport`] (including `f64` fields, stored as exact bit
-//!   patterns) and the shard's telemetry event stream, so a resumed
-//!   campaign merges to a **bit-identical** report and replays a
-//!   byte-identical logical event stream.
+//!   shard record and drops a torn tail (reported in a typed
+//!   [`RecoveryReport`]), but refuses an intact record it cannot read, and
+//!   validates fingerprint and shard plan.
+//! * **Serialization**: each journal record is declared once, as a
+//!   [`json_record!`] table in wire order that generates both its
+//!   rendering and its parser. [`CampaignReport`] round-trips with full
+//!   fidelity (`f64` fields as exact bit patterns), as does the shard's
+//!   telemetry event stream, so a resumed campaign merges to a
+//!   **bit-identical** report and replays a byte-identical logical event
+//!   stream.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use comfort_engines::{ApiType, BugId, Component, EngineName};
-use comfort_telemetry::event::json_string;
 use comfort_telemetry::frame::{frame_line, read_framed};
-use comfort_telemetry::json::{parse as parse_json, JsonValue};
-use comfort_telemetry::{event_from_json, CampaignMetrics, CostHistogram, Event};
+use comfort_telemetry::json::{
+    member, parse as parse_json, write_string, Bits, Field, Flatten, JsonValue, Nullable, Record,
+    Rule,
+};
+use comfort_telemetry::{json_record, Event};
 
 use crate::campaign::{Adjudication, BugReport, CampaignConfig, CampaignReport};
 use crate::differential::DeviationKind;
@@ -170,7 +175,8 @@ pub enum CheckpointError {
     /// The journal has no intact header record.
     MissingHeader,
     /// An intact (CRC-verified) record failed to parse — a format bug or a
-    /// file that isn't a checkpoint journal at all.
+    /// file that isn't a checkpoint journal at all. The message names the
+    /// record's index (the header is record 0).
     BadRecord(String),
     /// The journal belongs to a different campaign configuration.
     FingerprintMismatch {
@@ -213,10 +219,11 @@ pub struct RecoveryReport {
     pub shards_salvaged: u64,
     /// Intact lease records salvaged (service-supervised journals only).
     pub leases_salvaged: u64,
-    /// Bytes dropped from the journal's torn or garbled tail. Covers both
-    /// frame-level tears (bad CRC/length) and CRC-intact records whose
-    /// payload no longer parses — in either case the whole trailing run
-    /// from the first bad record onward is dropped.
+    /// Bytes dropped from the journal's torn tail: the whole trailing run
+    /// from the first frame-level tear (a bad CRC or length, or an
+    /// unterminated line) onward. A CRC-intact record whose payload does
+    /// not parse is never dropped: [`CampaignCheckpoint::load`] refuses the
+    /// journal instead, so no readable frame is ever truncated away.
     pub dropped_tail_bytes: u64,
     /// Why the tail was dropped, when it was.
     pub tail_error: Option<String>,
@@ -226,10 +233,10 @@ pub struct RecoveryReport {
 
 /// Resume provenance attached to a resumed campaign's report.
 ///
-/// Lives *outside* [`CampaignMetrics`] on purpose: a resumed report must be
-/// bit-identical to an uninterrupted one in every deterministic field, so
-/// how-it-ran bookkeeping is carried separately and excluded from
-/// [`report_to_json_deterministic`].
+/// Lives *outside* [`CampaignMetrics`](comfort_telemetry::CampaignMetrics)
+/// on purpose: a resumed report must be bit-identical to an uninterrupted
+/// one in every deterministic field, so how-it-ran bookkeeping is carried
+/// separately and excluded from [`report_to_json_deterministic`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResumeInfo {
     /// Path of the journal the campaign resumed from.
@@ -265,45 +272,6 @@ pub struct ShardRecord {
     /// The shard's buffered telemetry events, replayed on resume so the
     /// sink's logical stream matches an uninterrupted run.
     pub events: Vec<Event>,
-}
-
-impl ShardRecord {
-    fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"kind\":\"shard\",\"index\":{},\"seed\":{},\"cases\":{},\"report\":{},\"events\":[",
-            self.index,
-            self.seed,
-            self.cases,
-            report_to_json(&self.report)
-        );
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&event.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
-
-    fn from_json(v: &JsonValue) -> Result<ShardRecord, String> {
-        let events = match v.get("events") {
-            Some(JsonValue::Array(items)) => {
-                items.iter().map(event_from_json).collect::<Result<Vec<Event>, String>>()?
-            }
-            _ => return Err("missing events array".into()),
-        };
-        Ok(ShardRecord {
-            index: req_u64(v, "index")?,
-            seed: req_u64(v, "seed")?,
-            cases: req_u64(v, "cases")?,
-            report: report_from_json(v.get("report").ok_or("missing report")?)?,
-            events,
-        })
-    }
 }
 
 /// A lease state transition, as journaled by the service supervisor.
@@ -379,34 +347,6 @@ pub struct LeaseRecord {
     pub unix_millis: u64,
 }
 
-impl LeaseRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\":\"lease\",\"shard\":{},\"worker\":{},\"action\":\"{}\",\
-             \"lease_seq\":{},\"ttl_millis\":{},\"unix_millis\":{}}}",
-            self.shard,
-            json_string(&self.worker),
-            self.action.as_str(),
-            self.lease_seq,
-            self.ttl_millis,
-            self.unix_millis
-        )
-    }
-
-    fn from_json(v: &JsonValue) -> Result<LeaseRecord, String> {
-        let action_label = req_str(v, "action")?;
-        Ok(LeaseRecord {
-            shard: req_u64(v, "shard")?,
-            worker: req_str(v, "worker")?,
-            action: LeaseAction::parse_label(&action_label)
-                .ok_or_else(|| format!("unknown lease action {action_label:?}"))?,
-            lease_seq: req_u64(v, "lease_seq")?,
-            ttl_millis: req_u64(v, "ttl_millis")?,
-            unix_millis: req_u64(v, "unix_millis")?,
-        })
-    }
-}
-
 /// The salvaged content of a checkpoint journal.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
@@ -423,75 +363,56 @@ pub struct CampaignCheckpoint {
 }
 
 impl CampaignCheckpoint {
-    /// Loads and salvages a journal: every intact leading record is kept
-    /// and the torn or garbled tail is dropped, as described in the
-    /// returned [`RecoveryReport`].
+    /// Loads and salvages a journal: every record before a torn tail is
+    /// kept and the tail is dropped, as described in the returned
+    /// [`RecoveryReport`].
     ///
-    /// Salvage operates at two levels. Frame-level damage (bad CRC or
-    /// length) already drops the whole trailing run of lines starting at
-    /// the first bad one. A record that passes its CRC but whose *payload*
-    /// fails to parse — a format bug, bit rot inside a page the CRC update
-    /// never covered, or a foreign record kind — is treated the same way:
-    /// that record **and every record after it** are dropped as the garbled
-    /// tail, rather than poisoning the load with a hard error. Only an
-    /// unreadable header is unrecoverable.
+    /// Only frame-level damage is salvaged: a bad CRC or length, or an
+    /// unterminated line, drops the whole trailing run of lines from the
+    /// first bad one. A record that passes its CRC but whose *payload* does
+    /// not parse — a format bug, or a foreign record kind — is refused with
+    /// [`CheckpointError::BadRecord`] naming its index, and the file is left
+    /// as it is: dropping it would re-run its shard and truncate readable
+    /// work away.
     pub fn load(path: &Path) -> Result<(CampaignCheckpoint, RecoveryReport), CheckpointError> {
         let bytes = std::fs::read(path)?;
         let framed = read_framed(&bytes);
-        let mut recovery = RecoveryReport {
-            dropped_tail_bytes: framed.dropped_tail_bytes as u64,
-            tail_error: framed.tail_error.clone(),
-            journal_bytes: bytes.len() as u64,
-            ..RecoveryReport::default()
-        };
-
-        if framed.records.is_empty() {
+        let Some(first) = framed.records.first() else {
             return Err(CheckpointError::MissingHeader);
-        }
-        let header = parse_json(&framed.records[0]).map_err(CheckpointError::BadRecord)?;
+        };
+        let bad = |i: usize, e: String| CheckpointError::BadRecord(format!("record {i}: {e}"));
+        let header = parse_json(first).map_err(|e| bad(0, e))?;
         if header.get("kind").and_then(JsonValue::as_str) != Some("header") {
             return Err(CheckpointError::MissingHeader);
         }
-        let fingerprint = req_u64(&header, "fingerprint").map_err(CheckpointError::BadRecord)?;
-        let shards_total = req_u64(&header, "shards").map_err(CheckpointError::BadRecord)?;
+        let header = Header::read_members(&header).map_err(|e| bad(0, e))?;
 
-        enum Parsed {
-            // Boxed: a shard record embeds a full report, dwarfing a lease.
-            Shard(Box<ShardRecord>),
-            Lease(LeaseRecord),
-        }
         let mut shards: Vec<ShardRecord> = Vec::new();
         let mut leases: Vec<LeaseRecord> = Vec::new();
         for (i, line) in framed.records.iter().enumerate().skip(1) {
-            let parsed = parse_json(line).and_then(|value| {
-                match value.get("kind").and_then(JsonValue::as_str) {
-                    Some("shard") => {
-                        ShardRecord::from_json(&value).map(|r| Parsed::Shard(Box::new(r)))
-                    }
-                    Some("lease") => LeaseRecord::from_json(&value).map(Parsed::Lease),
-                    other => Err(format!("unknown record kind {other:?}")),
-                }
-            });
-            match parsed {
-                Ok(Parsed::Shard(record)) => {
+            let value = parse_json(line).map_err(|e| bad(i, e))?;
+            match value.get("kind").and_then(JsonValue::as_str) {
+                Some("shard") => {
+                    let record = ShardRecord::read_members(&value).map_err(|e| bad(i, e))?;
                     if !shards.iter().any(|r| r.index == record.index) {
-                        shards.push(*record);
+                        shards.push(record);
                     }
                 }
-                Ok(Parsed::Lease(lease)) => leases.push(lease),
-                Err(e) => {
-                    // Garbled payload: drop this record and the whole run
-                    // after it. `offsets[i]` is the byte where the bad
-                    // record's line starts.
-                    recovery.dropped_tail_bytes = recovery.journal_bytes - framed.offsets[i] as u64;
-                    recovery.tail_error = Some(format!("garbled record {i}: {e}"));
-                    break;
+                Some("lease") => {
+                    leases.push(LeaseRecord::read_members(&value).map_err(|e| bad(i, e))?);
                 }
+                other => return Err(bad(i, format!("unknown record kind {other:?}"))),
             }
         }
         shards.sort_by_key(|r| r.index);
-        recovery.shards_salvaged = shards.len() as u64;
-        recovery.leases_salvaged = leases.len() as u64;
+        let recovery = RecoveryReport {
+            shards_salvaged: shards.len() as u64,
+            leases_salvaged: leases.len() as u64,
+            dropped_tail_bytes: framed.dropped_tail_bytes as u64,
+            tail_error: framed.tail_error,
+            journal_bytes: bytes.len() as u64,
+        };
+        let (fingerprint, shards_total) = (header.fingerprint, header.shards);
         Ok((CampaignCheckpoint { fingerprint, shards_total, shards, leases }, recovery))
     }
 
@@ -545,17 +466,16 @@ impl CheckpointJournal {
         std::fs::File::create(path)?;
         let file = std::fs::OpenOptions::new().append(true).open(path)?;
         let journal = CheckpointJournal { path: path.to_path_buf(), file: Mutex::new(file) };
-        let header = format!(
-            "{{\"kind\":\"header\",\"version\":{JOURNAL_VERSION},\"fingerprint\":{fingerprint},\"shards\":{shards_total}}}"
-        );
-        journal.append_payload(&header)?;
+        let header = Header { version: JOURNAL_VERSION, fingerprint, shards: shards_total };
+        journal.append_payload(&payload("header", &header))?;
         Ok(journal)
     }
 
     /// Opens an existing journal for appending (after a successful
     /// [`CampaignCheckpoint::load`]). A torn tail salvage truncates the
     /// file back to its intact prefix first, so new appends start on a
-    /// clean record boundary.
+    /// clean record boundary; the tail holds no readable frame, since
+    /// `load` refuses a journal with an unreadable intact record.
     pub fn open_append(
         path: &Path,
         recovery: &RecoveryReport,
@@ -582,13 +502,13 @@ impl CheckpointJournal {
     /// Durably appends one completed shard. Returns the journal size in
     /// bytes after the append.
     pub fn append_shard(&self, record: &ShardRecord) -> Result<u64, CheckpointError> {
-        self.append_payload(&record.to_json())
+        self.append_payload(&payload("shard", record))
     }
 
     /// Durably appends one lease transition (service supervisor only).
     /// Returns the journal size in bytes after the append.
     pub fn append_lease(&self, lease: &LeaseRecord) -> Result<u64, CheckpointError> {
-        self.append_payload(&lease.to_json())
+        self.append_payload(&payload("lease", lease))
     }
 
     fn append_payload(&self, payload: &str) -> Result<u64, CheckpointError> {
@@ -606,93 +526,109 @@ impl CheckpointJournal {
 }
 
 // ---------------------------------------------------------------------------
-// Report serialization
+// Record declarations
 // ---------------------------------------------------------------------------
 
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| format!("missing u64 field {key:?}"))
+// Each journal record, declared once in wire order; the table generates its
+// rendering and its parser. The bytes are frozen: journals on disk must
+// load, and `report_checksum` hashes the report's rendering. So a key
+// differs from its field's name only where named, every `f64` is its bit
+// pattern under a `_bits` key, a bug's key is flattened into its object,
+// and enums travel by their labels. The metrics records are declared beside
+// `CampaignMetrics`.
+
+/// The journal's first record.
+struct Header {
+    version: u64,
+    fingerprint: u64,
+    shards: u64,
 }
 
-/// Like [`req_u64`] but defaults to 0 when the field is absent — used for
-/// counters that are serialized only when nonzero (and for reading
-/// checkpoints written before those counters existed).
-fn opt_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        None => Ok(0),
-        Some(raw) => raw.as_u64().ok_or_else(|| format!("field {key:?} is not a u64")),
+json_record!(Header { version, fingerprint, shards });
+json_record!(ShardRecord { index, seed, cases, report, events });
+json_record!(LeaseRecord { shard, worker, action => Label, lease_seq, ttl_millis, unix_millis });
+json_record!(CampaignReport {
+    cases_run, parse_errors, passes, deviations_observed, duplicates_filtered,
+    sim_hours = "sim_hours_bits" => Bits, interrupted, resume, metrics, health, bugs,
+});
+#[rustfmt::skip]
+json_record!(ResumeInfo {
+    resumed_from, shards_salvaged, shards_rerun, shards_total, dropped_tail_bytes,
+    checkpoints_written,
+});
+#[rustfmt::skip]
+json_record!(TestbedHealth {
+    label, runs_ok, panics, hangs, transients_exhausted, outputs_truncated, retries, runs_skipped,
+    quarantines, reinstatements, quarantined,
+});
+json_record!(BugReport {
+    key => Flatten, sim_hours = "sim_hours_bits" => Bits, test_case, origin => Label,
+    earliest_version, kind => Label, strict_only, component => Label, api_type => Label,
+    matched_bug => Nullable<Label>, adjudication,
+});
+json_record!(BugKey { engine => Label, api => Nullable, behavior });
+json_record!(Adjudication { verified, fixed, rejected, accepted_test262, novel });
+
+/// The journal's rule for enums, written by their stable labels (an origin
+/// by its slug), and for a seeded bug's id, written as its number. It lives
+/// here because the engines crate knows nothing of the codec.
+struct Label;
+
+macro_rules! labels {
+    ($($ty:ty: $label:ident / $parse:ident),+ $(,)?) => {$(
+        impl Rule<$ty> for Label {
+            fn render(value: &$ty, key: &str, out: &mut String) {
+                member(out, key);
+                write_string(value.$label(), out);
+            }
+            fn parse(v: &JsonValue, name: &str) -> Result<$ty, String> {
+                let label = String::parse(v, name)?;
+                <$ty>::$parse(&label)
+                    .ok_or_else(|| format!("field '{name}' is an unknown label {label:?}"))
+            }
+        }
+    )+};
+}
+
+labels! {
+    EngineName: as_str / parse_label,
+    DeviationKind: as_str / parse_label,
+    Component: as_str / parse_label,
+    ApiType: as_str / parse_label,
+    LeaseAction: as_str / parse_label,
+    Origin: slug / from_slug,
+}
+
+impl Rule<BugId> for Label {
+    fn render(value: &BugId, key: &str, out: &mut String) {
+        value.0.render(key, out);
+    }
+    fn parse(v: &JsonValue, name: &str) -> Result<BugId, String> {
+        u32::parse(v, name).map(BugId)
     }
 }
 
-fn req_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    v.get(key).and_then(JsonValue::as_bool).ok_or_else(|| format!("missing bool field {key:?}"))
+/// A journal line's payload: `{"kind":"<kind>"` and the record's members.
+fn payload(kind: &str, record: &impl Record) -> String {
+    let mut out = String::with_capacity(512);
+    out.push_str("{\"kind\":");
+    write_string(kind, &mut out);
+    record.write_members(&mut out);
+    out.push('}');
+    out
 }
 
-fn req_str(v: &JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-/// `f64` as its exact bit pattern (a `u64`), so serialized reports
-/// round-trip bit-identically — decimal formatting would not.
-fn f64_bits(v: f64) -> u64 {
-    v.to_bits()
-}
-
-fn req_f64_bits(v: &JsonValue, key: &str) -> Result<f64, String> {
-    req_u64(v, key).map(f64::from_bits)
-}
+// ---------------------------------------------------------------------------
+// Report serialization
+// ---------------------------------------------------------------------------
 
 /// Renders a [`CampaignReport`] as one JSON object with **full fidelity**:
 /// every counter, the complete per-stage metrics (wall clocks and
 /// histograms included), the health ledger, every bug report, and the
 /// `interrupted` / `resume` provenance.
 pub fn report_to_json(report: &CampaignReport) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "{{\"cases_run\":{},\"parse_errors\":{},\"passes\":{},\"deviations_observed\":{},\
-         \"duplicates_filtered\":{},\"sim_hours_bits\":{},\"interrupted\":{}",
-        report.cases_run,
-        report.parse_errors,
-        report.passes,
-        report.deviations_observed,
-        report.duplicates_filtered,
-        f64_bits(report.sim_hours),
-        report.interrupted
-    );
-    if let Some(resume) = &report.resume {
-        let _ = write!(
-            out,
-            ",\"resume\":{{\"resumed_from\":{},\"shards_salvaged\":{},\"shards_rerun\":{},\
-             \"shards_total\":{},\"dropped_tail_bytes\":{},\"checkpoints_written\":{}}}",
-            json_string(&resume.resumed_from),
-            resume.shards_salvaged,
-            resume.shards_rerun,
-            resume.shards_total,
-            resume.dropped_tail_bytes,
-            resume.checkpoints_written
-        );
-    }
-    out.push_str(",\"metrics\":");
-    out.push_str(&metrics_to_json(&report.metrics));
-    out.push_str(",\"health\":[");
-    for (i, h) in report.health.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&health_to_json(h));
-    }
-    out.push_str("],\"bugs\":[");
-    for (i, bug) in report.bugs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&bug_to_json(bug));
-    }
-    out.push_str("]}");
+    report.write(&mut out);
     out
 }
 
@@ -723,254 +659,13 @@ pub fn report_checksum(report: &CampaignReport) -> u64 {
 
 /// Parses a report rendered by [`report_to_json`].
 pub fn report_from_json(v: &JsonValue) -> Result<CampaignReport, String> {
-    let health = match v.get("health") {
-        Some(JsonValue::Array(items)) => {
-            items.iter().map(health_from_json).collect::<Result<Vec<TestbedHealth>, String>>()?
-        }
-        _ => return Err("missing health array".into()),
-    };
-    let bugs = match v.get("bugs") {
-        Some(JsonValue::Array(items)) => {
-            items.iter().map(bug_from_json).collect::<Result<Vec<BugReport>, String>>()?
-        }
-        _ => return Err("missing bugs array".into()),
-    };
-    let resume = match v.get("resume") {
-        None | Some(JsonValue::Null) => None,
-        Some(r) => Some(ResumeInfo {
-            resumed_from: req_str(r, "resumed_from")?,
-            shards_salvaged: req_u64(r, "shards_salvaged")?,
-            shards_rerun: req_u64(r, "shards_rerun")?,
-            shards_total: req_u64(r, "shards_total")?,
-            dropped_tail_bytes: req_u64(r, "dropped_tail_bytes")?,
-            checkpoints_written: req_u64(r, "checkpoints_written")?,
-        }),
-    };
-    Ok(CampaignReport {
-        cases_run: req_u64(v, "cases_run")?,
-        parse_errors: req_u64(v, "parse_errors")?,
-        passes: req_u64(v, "passes")?,
-        deviations_observed: req_u64(v, "deviations_observed")?,
-        duplicates_filtered: req_u64(v, "duplicates_filtered")?,
-        bugs,
-        sim_hours: req_f64_bits(v, "sim_hours_bits")?,
-        metrics: metrics_from_json(v.get("metrics").ok_or("missing metrics")?)?,
-        health,
-        interrupted: req_bool(v, "interrupted")?,
-        resume,
-    })
-}
-
-fn metrics_to_json(m: &CampaignMetrics) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"stages\":[");
-    for (i, stage) in m.stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"invocations\":{},\"items\":{},\"logical_cost\":{},\"wall_nanos\":{},\"hist\":[",
-            stage.invocations, stage.items, stage.logical_cost, stage.wall_nanos
-        );
-        for (j, bucket) in stage.cost_histogram.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{bucket}");
-        }
-        out.push_str("]}");
-    }
-    let _ = write!(
-        out,
-        "],\"cases_generated\":{},\"cases_rejected\":{},\"cases_run\":{},\
-         \"deviations_observed\":{},\"bugs_reported\":{},\"bugs_deduped\":{},\
-         \"faults_observed\":{},\"runs_retried\":{},\"runs_skipped\":{},\
-         \"testbeds_quarantined\":{},\"testbeds_reinstated\":{},\"quorum_degraded\":{},\
-         \"shards\":{}",
-        m.cases_generated,
-        m.cases_rejected,
-        m.cases_run,
-        m.deviations_observed,
-        m.bugs_reported,
-        m.bugs_deduped,
-        m.faults_observed,
-        m.runs_retried,
-        m.runs_skipped,
-        m.testbeds_quarantined,
-        m.testbeds_reinstated,
-        m.quorum_degraded,
-        m.shards
-    );
-    // Mirrors `CampaignMetrics::to_json`: dedup counters appear only when
-    // nonzero so pre-existing checkpoints and determinism-stripped forms
-    // keep their byte layout.
-    if m.executions_saved > 0 {
-        let _ = write!(out, ",\"executions_saved\":{}", m.executions_saved);
-    }
-    if m.equivalence_classes > 0 {
-        let _ = write!(out, ",\"equivalence_classes\":{}", m.equivalence_classes);
-    }
-    out.push('}');
-    out
-}
-
-fn metrics_from_json(v: &JsonValue) -> Result<CampaignMetrics, String> {
-    let mut m = CampaignMetrics::default();
-    let Some(JsonValue::Array(stages)) = v.get("stages") else {
-        return Err("missing stages array".into());
-    };
-    if stages.len() != m.stages.len() {
-        return Err(format!("expected {} stages, got {}", m.stages.len(), stages.len()));
-    }
-    for (slot, s) in m.stages.iter_mut().zip(stages) {
-        slot.invocations = req_u64(s, "invocations")?;
-        slot.items = req_u64(s, "items")?;
-        slot.logical_cost = req_u64(s, "logical_cost")?;
-        slot.wall_nanos = req_u64(s, "wall_nanos")?;
-        let Some(JsonValue::Array(hist)) = s.get("hist") else {
-            return Err("missing hist array".into());
-        };
-        if hist.len() != CostHistogram::BUCKETS {
-            return Err(format!(
-                "expected {} hist buckets, got {}",
-                CostHistogram::BUCKETS,
-                hist.len()
-            ));
-        }
-        for (bucket, h) in slot.cost_histogram.buckets.iter_mut().zip(hist) {
-            *bucket = h.as_u64().ok_or("hist bucket not a u64")?;
-        }
-    }
-    m.cases_generated = req_u64(v, "cases_generated")?;
-    m.cases_rejected = req_u64(v, "cases_rejected")?;
-    m.cases_run = req_u64(v, "cases_run")?;
-    m.deviations_observed = req_u64(v, "deviations_observed")?;
-    m.bugs_reported = req_u64(v, "bugs_reported")?;
-    m.bugs_deduped = req_u64(v, "bugs_deduped")?;
-    m.faults_observed = req_u64(v, "faults_observed")?;
-    m.runs_retried = req_u64(v, "runs_retried")?;
-    m.runs_skipped = req_u64(v, "runs_skipped")?;
-    m.testbeds_quarantined = req_u64(v, "testbeds_quarantined")?;
-    m.testbeds_reinstated = req_u64(v, "testbeds_reinstated")?;
-    m.quorum_degraded = req_u64(v, "quorum_degraded")?;
-    m.shards = req_u64(v, "shards")?;
-    m.executions_saved = opt_u64(v, "executions_saved")?;
-    m.equivalence_classes = opt_u64(v, "equivalence_classes")?;
-    Ok(m)
-}
-
-fn health_to_json(h: &TestbedHealth) -> String {
-    format!(
-        "{{\"label\":{},\"runs_ok\":{},\"panics\":{},\"hangs\":{},\"transients_exhausted\":{},\
-         \"outputs_truncated\":{},\"retries\":{},\"runs_skipped\":{},\"quarantines\":{},\
-         \"reinstatements\":{},\"quarantined\":{}}}",
-        json_string(&h.label),
-        h.runs_ok,
-        h.panics,
-        h.hangs,
-        h.transients_exhausted,
-        h.outputs_truncated,
-        h.retries,
-        h.runs_skipped,
-        h.quarantines,
-        h.reinstatements,
-        h.quarantined
-    )
-}
-
-fn health_from_json(v: &JsonValue) -> Result<TestbedHealth, String> {
-    Ok(TestbedHealth {
-        label: req_str(v, "label")?,
-        runs_ok: req_u64(v, "runs_ok")?,
-        panics: req_u64(v, "panics")?,
-        hangs: req_u64(v, "hangs")?,
-        transients_exhausted: req_u64(v, "transients_exhausted")?,
-        outputs_truncated: req_u64(v, "outputs_truncated")?,
-        retries: req_u64(v, "retries")?,
-        runs_skipped: req_u64(v, "runs_skipped")?,
-        quarantines: req_u64(v, "quarantines")?,
-        reinstatements: req_u64(v, "reinstatements")?,
-        quarantined: req_bool(v, "quarantined")?,
-    })
-}
-
-fn bug_to_json(bug: &BugReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"engine\":{},\"api\":{},\"behavior\":{},\"sim_hours_bits\":{},\"test_case\":{},\
-         \"origin\":{},\"earliest_version\":{},\"kind\":{},\"strict_only\":{},\"component\":{},\
-         \"api_type\":{},\"matched_bug\":{}",
-        json_string(bug.key.engine.as_str()),
-        bug.key.api.as_deref().map_or_else(|| "null".to_string(), json_string),
-        json_string(&bug.key.behavior),
-        f64_bits(bug.sim_hours),
-        json_string(&bug.test_case),
-        json_string(bug.origin.slug()),
-        json_string(&bug.earliest_version),
-        json_string(bug.kind.as_str()),
-        bug.strict_only,
-        json_string(bug.component.as_str()),
-        json_string(bug.api_type.as_str()),
-        bug.matched_bug.map_or_else(|| "null".to_string(), |b| b.0.to_string()),
-    );
-    let a = &bug.adjudication;
-    let _ = write!(
-        out,
-        ",\"adjudication\":{{\"verified\":{},\"fixed\":{},\"rejected\":{},\
-         \"accepted_test262\":{},\"novel\":{}}}}}",
-        a.verified, a.fixed, a.rejected, a.accepted_test262, a.novel
-    );
-    out
-}
-
-fn bug_from_json(v: &JsonValue) -> Result<BugReport, String> {
-    let engine_label = req_str(v, "engine")?;
-    let engine = EngineName::parse_label(&engine_label)
-        .ok_or_else(|| format!("unknown engine {engine_label:?}"))?;
-    let api = match v.get("api") {
-        None | Some(JsonValue::Null) => None,
-        Some(a) => Some(a.as_str().ok_or("api not a string")?.to_string()),
-    };
-    let origin_slug = req_str(v, "origin")?;
-    let kind_label = req_str(v, "kind")?;
-    let component_label = req_str(v, "component")?;
-    let api_type_label = req_str(v, "api_type")?;
-    let adj = v.get("adjudication").ok_or("missing adjudication")?;
-    Ok(BugReport {
-        key: BugKey { engine, api, behavior: req_str(v, "behavior")? },
-        sim_hours: req_f64_bits(v, "sim_hours_bits")?,
-        test_case: req_str(v, "test_case")?,
-        origin: Origin::from_slug(&origin_slug)
-            .ok_or_else(|| format!("unknown origin {origin_slug:?}"))?,
-        earliest_version: req_str(v, "earliest_version")?,
-        kind: DeviationKind::parse_label(&kind_label)
-            .ok_or_else(|| format!("unknown deviation kind {kind_label:?}"))?,
-        strict_only: req_bool(v, "strict_only")?,
-        component: Component::parse_label(&component_label)
-            .ok_or_else(|| format!("unknown component {component_label:?}"))?,
-        api_type: ApiType::parse_label(&api_type_label)
-            .ok_or_else(|| format!("unknown api type {api_type_label:?}"))?,
-        matched_bug: match v.get("matched_bug") {
-            None | Some(JsonValue::Null) => None,
-            Some(b) => Some(BugId(b.as_u64().ok_or("matched_bug not a u64")? as u32)),
-        },
-        adjudication: Adjudication {
-            verified: req_bool(adj, "verified")?,
-            fixed: req_bool(adj, "fixed")?,
-            rejected: req_bool(adj, "rejected")?,
-            accepted_test262: req_bool(adj, "accepted_test262")?,
-            novel: req_bool(adj, "novel")?,
-        },
-    })
+    CampaignReport::read(v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use comfort_telemetry::{EventKind, LogicalClock};
+    use comfort_telemetry::{CampaignMetrics, EventKind, LogicalClock};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("comfort-ckpt-{tag}-{}", std::process::id()));
@@ -1164,49 +859,51 @@ mod tests {
     }
 
     #[test]
-    fn garbled_record_run_is_dropped_not_fatal() {
+    fn garbled_records_are_refused_and_torn_frames_salvaged() {
         let dir = temp_dir("garbled");
         let path = dir.join("campaign.ckpt");
-        let record = |index: u64| ShardRecord {
-            index,
-            seed: index,
+        let record = ShardRecord {
+            index: 0,
+            seed: 0,
             cases: 10,
             report: sample_report(),
             events: Vec::new(),
         };
         {
             let journal = CheckpointJournal::create(&path, 5, 4).expect("create");
-            journal.append_shard(&record(0)).expect("append");
+            journal.append_shard(&record).expect("append");
         }
-        let intact = std::fs::metadata(&path).unwrap().len() as usize;
-        // Append a run of CRC-intact but garbled records: an unknown kind,
-        // unparseable JSON, and a shard record with fields missing — then a
-        // frame-level torn write on top.
-        let mut bytes = std::fs::read(&path).unwrap();
-        for payload in ["{\"kind\":\"wat\"}", "{not json", "{\"kind\":\"shard\",\"index\":1}"] {
-            bytes.extend_from_slice(frame_line(payload).unwrap().as_bytes());
-        }
-        bytes.extend_from_slice(b"J1 999 deadbeef {\"kind\":\"shard\",\"in");
-        std::fs::write(&path, &bytes).unwrap();
+        let intact = std::fs::read(&path).unwrap();
+        let torn = b"J1 999 deadbeef {\"kind\":\"shard\",\"in";
 
+        // A frame-level tear is salvaged: the intact prefix loads.
+        let mut bytes = intact.clone();
+        bytes.extend_from_slice(torn);
+        std::fs::write(&path, &bytes).unwrap();
         let (checkpoint, recovery) = CampaignCheckpoint::load(&path).expect("salvages");
         assert_eq!(checkpoint.shards.len(), 1, "the intact prefix survives");
-        assert_eq!(
-            recovery.dropped_tail_bytes as usize,
-            bytes.len() - intact,
-            "the whole garbled run is dropped, not just the final record"
-        );
-        assert!(recovery.tail_error.as_deref().unwrap().contains("garbled record"));
+        assert_eq!(recovery.dropped_tail_bytes as usize, torn.len());
+        assert!(recovery.tail_error.is_some());
 
-        // open_append truncates back to the intact prefix, so the journal
-        // is clean again and appends work.
-        {
-            let journal = CheckpointJournal::open_append(&path, &recovery).expect("open");
-            journal.append_shard(&record(1)).expect("append after salvage");
+        // A CRC-intact record the codec cannot read — an unknown kind,
+        // unparseable JSON, a shard record with fields missing — is refused
+        // by its index, with or without a torn write after it, and the
+        // file is left as it was.
+        for payload in ["{\"kind\":\"wat\"}", "{not json", "{\"kind\":\"shard\",\"index\":1}"] {
+            for torn_tail in [false, true] {
+                let mut bytes = intact.clone();
+                bytes.extend_from_slice(frame_line(payload).unwrap().as_bytes());
+                if torn_tail {
+                    bytes.extend_from_slice(torn);
+                }
+                std::fs::write(&path, &bytes).unwrap();
+                match CampaignCheckpoint::load(&path) {
+                    Err(CheckpointError::BadRecord(e)) => assert!(e.contains("record 2"), "{e}"),
+                    other => panic!("{payload} was not refused: {other:?}"),
+                }
+                assert_eq!(std::fs::read(&path).unwrap(), bytes, "{payload}");
+            }
         }
-        let (checkpoint, recovery) = CampaignCheckpoint::load(&path).expect("reload");
-        assert_eq!(checkpoint.shards.len(), 2);
-        assert_eq!(recovery.dropped_tail_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

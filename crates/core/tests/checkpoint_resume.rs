@@ -1,7 +1,8 @@
 //! Integration tests for crash-safe checkpointing: a campaign killed after
 //! `k` of `n` shards must resume to a **bit-identical** final report and an
-//! identical data-plane telemetry stream at every thread count; corrupted
-//! journal tails must be dropped, never trusted; cooperative shutdown must
+//! identical data-plane telemetry stream at every thread count; a torn
+//! journal tail must be dropped, never trusted, and an unreadable intact
+//! record refused, never dropped; cooperative shutdown must
 //! always leave a loadable journal behind; a journal written by an earlier
 //! build must still load whole and resume.
 
@@ -370,15 +371,16 @@ proptest! {
         std::fs::remove_file(&truncated).ok();
     }
 
-    /// A trailing **run** of garbled records — CRC-intact frames whose
-    /// payloads are unknown kinds, broken JSON, or shard records missing
-    /// fields, optionally topped with a frame-level torn write — is dropped
-    /// as a block. Recovery salvages exactly the intact prefix (never a
-    /// hard `BadRecord` error), resume completes, and the truncate-on-open
-    /// leaves a clean journal behind.
+    /// A CRC-intact record the codec cannot read — an unknown kind, broken
+    /// JSON, or a shard record missing fields — is refused wherever a run
+    /// of them starts and whether or not a torn write tops it: `run`
+    /// returns `BadRecord` naming the record, and the journal stays
+    /// byte-identical, because dropping the record would truncate readable
+    /// work away and re-run its shard. A torn frame alone still salvages,
+    /// resumes, and is truncated on open.
     #[test]
-    fn resume_survives_a_garbled_trailing_run(
-        garbled in proptest::collection::vec(0usize..3, 1..5),
+    fn resume_refuses_garbled_records_and_salvages_a_torn_frame(
+        garbled in proptest::collection::vec(0usize..3, 0..5),
         torn_tail in any::<bool>(),
     ) {
         let full = temp_path("prop-garbled-full");
@@ -386,7 +388,6 @@ proptest! {
             complete_journal(&full);
         }
         let mut bytes = std::fs::read(&full).expect("journal bytes");
-        let intact = bytes.len();
         for (i, kind) in garbled.iter().enumerate() {
             let payload = match kind {
                 0 => format!("{{\"kind\":\"mystery-{i}\"}}"),
@@ -403,29 +404,31 @@ proptest! {
         let path = temp_path(&format!("prop-garbled-{}-{torn_tail}", garbled.len()));
         std::fs::write(&path, &bytes).expect("write garbled journal");
 
-        let (checkpoint, recovery) =
-            CampaignCheckpoint::load(&path).expect("garbled tail salvages, never errors");
-        prop_assert_eq!(checkpoint.shards.len(), 3, "the intact prefix survives whole");
-        prop_assert_eq!(
-            recovery.dropped_tail_bytes as usize,
-            bytes.len() - intact,
-            "the entire garbled run is dropped, not just the final record"
-        );
-        prop_assert!(recovery.tail_error.is_some());
-
         let mut config = base_config(SinkHandle::null());
         config.checkpoint = Some(path.clone());
-        let report = CampaignSession::new(config).run().expect("resumes over the salvage");
-        prop_assert!(!report.interrupted);
-        prop_assert_eq!(report.cases_run, 60);
-        let resume = report.resume.expect("provenance");
-        prop_assert_eq!(resume.shards_salvaged, 3);
-        prop_assert_eq!(resume.shards_rerun, 0);
-
-        let (reloaded, recovery) =
-            CampaignCheckpoint::load(&path).expect("resumed journal loads");
-        prop_assert_eq!(reloaded.shards.len(), 3);
-        prop_assert_eq!(recovery.dropped_tail_bytes, 0, "open_append truncated the run away");
+        let result = CampaignSession::new(config).run();
+        if garbled.is_empty() {
+            let report = result.expect("resumes over the salvage");
+            prop_assert!(!report.interrupted);
+            prop_assert_eq!(report.cases_run, 60);
+            let resume = report.resume.expect("provenance");
+            prop_assert_eq!(resume.shards_salvaged, 3);
+            prop_assert_eq!(resume.shards_rerun, 0);
+            let (reloaded, recovery) =
+                CampaignCheckpoint::load(&path).expect("resumed journal loads");
+            prop_assert_eq!(reloaded.shards.len(), 3);
+            prop_assert_eq!(recovery.dropped_tail_bytes, 0, "open_append truncated the tear");
+        } else {
+            // Header and three shard records precede the first garbled one.
+            match result {
+                Err(CheckpointError::BadRecord(e)) => {
+                    prop_assert!(e.contains("record 4"), "{}", e);
+                }
+                other => prop_assert!(false, "not refused: {:?}", other.map(|r| r.cases_run)),
+            }
+            let after = std::fs::read(&path).expect("journal bytes");
+            prop_assert!(after == bytes, "the refused journal was modified");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

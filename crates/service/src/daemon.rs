@@ -861,15 +861,15 @@ impl DaemonShared {
             return ChildOutcome::SpawnFailed;
         };
         let record = CampaignCheckpoint::load(journal.path())
-            .ok()
-            .and_then(|(c, _)| c.shards.into_iter().find(|r| r.index == claim.shard as u64));
-        let Some(record) = record else {
+            .map(|(c, _)| c.shards.into_iter().find(|r| r.index == claim.shard as u64));
+        let Ok(Some(record)) = record else {
             entry.leases.abandon(claim.shard, claim.lease_seq);
             self.record_lease(entry, LeaseAction::Released, transition);
-            self.fail_campaign(
-                entry,
-                format!("worker exited 0 without journalling shard {}", claim.shard),
-            );
+            let failure = match record {
+                Err(e) => format!("worker journal for shard {} does not load: {e}", claim.shard),
+                _ => format!("worker exited 0 without journalling shard {}", claim.shard),
+            };
+            self.fail_campaign(entry, failure);
             return ChildOutcome::SpawnFailed;
         };
         // Catch the progress handle up to the committed truth (the last

@@ -14,7 +14,7 @@ use comfort_core::campaign::{CampaignConfig, CampaignConfigBuilder};
 use comfort_core::resilience::ChaosConfig;
 use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
-use comfort_telemetry::json::{self, JsonValue};
+use comfort_telemetry::json::{self, Field, JsonValue};
 
 /// A tenant's campaign submission: identity, budget, and determinism
 /// knobs, all optional except the tenant name. Unset fields keep the
@@ -153,75 +153,53 @@ impl CampaignSpec {
     /// Parses a spec from its JSON form. A field that is present must have
     /// its documented type and fit its Rust type; the error names it.
     pub fn from_json(v: &JsonValue) -> Result<CampaignSpec, String> {
-        let tenant = v
-            .get("tenant")
-            .and_then(JsonValue::as_str)
-            .ok_or("spec missing string field 'tenant'")?
-            .to_string();
-        if tenant.is_empty() {
+        let spec = CampaignSpec {
+            tenant: Field::parse(v, "tenant")?,
+            name: Field::parse(v, "name")?,
+            seed: Field::parse(v, "seed")?,
+            corpus_programs: Field::parse(v, "corpus_programs")?,
+            lm: json::nested(v, "lm", |lm| {
+                Ok(GeneratorConfig {
+                    order: Field::parse(lm, "order")?,
+                    bpe_merges: Field::parse(lm, "bpe_merges")?,
+                    top_k: Field::parse(lm, "top_k")?,
+                    max_tokens: Field::parse(lm, "max_tokens")?,
+                })
+            })?,
+            max_cases: Field::parse(v, "max_cases")?,
+            shard_cases: Field::parse(v, "shard_cases")?,
+            fuel: Field::parse(v, "fuel")?,
+            include_strict: Field::parse(v, "include_strict")?,
+            include_legacy: Field::parse(v, "include_legacy")?,
+            reduce_cases: Field::parse(v, "reduce_cases")?,
+            keep_invalid_fraction: Field::parse(v, "keep_invalid_fraction")?,
+            checkpoint: Field::parse(v, "checkpoint")?,
+            telemetry: Field::parse(v, "telemetry")?,
+            deadline_millis: Field::parse(v, "deadline_millis")?,
+            contain_panics: Field::parse(v, "contain_panics")?,
+            chaos: json::nested(v, "chaos", |c| {
+                let d = FaultPlan::new(FaultPlan::DERIVE);
+                let plan = FaultPlan {
+                    seed: Option::parse(c, "seed")?.unwrap_or(d.seed),
+                    abort_rate: Option::parse(c, "abort_rate")?.unwrap_or(d.abort_rate),
+                    abort_signal: Option::parse(c, "abort_signal")?.unwrap_or(d.abort_signal),
+                    panic_rate: Option::parse(c, "panic_rate")?.unwrap_or(d.panic_rate),
+                    hang_rate: Option::parse(c, "hang_rate")?.unwrap_or(d.hang_rate),
+                    garbage_rate: Option::parse(c, "garbage_rate")?.unwrap_or(d.garbage_rate),
+                    transient_rate: Option::parse(c, "transient_rate")?.unwrap_or(d.transient_rate),
+                    transient_persistence: Option::parse(c, "transient_persistence")?
+                        .unwrap_or(d.transient_persistence),
+                    hang_millis: Option::parse(c, "hang_millis")?.unwrap_or(d.hang_millis),
+                    garbage_bytes: Option::parse(c, "garbage_bytes")?.unwrap_or(d.garbage_bytes),
+                };
+                let testbeds = Option::parse(c, "testbeds")?.unwrap_or_else(|| vec![0]);
+                Ok(ChaosConfig::on(plan, testbeds))
+            })?,
+        };
+        if spec.tenant.is_empty() {
             return Err("spec field 'tenant' must be non-empty".to_string());
         }
-        let lm = match v.get("lm") {
-            None => None,
-            Some(lm) => {
-                let lm = Fields { obj: lm, prefix: "lm." };
-                let field = |key: &str| -> Result<usize, String> {
-                    lm.uint(key)?.ok_or_else(|| format!("spec field 'lm.{key}' must be an integer"))
-                };
-                Some(GeneratorConfig {
-                    order: field("order")?,
-                    bpe_merges: field("bpe_merges")?,
-                    top_k: field("top_k")?,
-                    max_tokens: field("max_tokens")?,
-                })
-            }
-        };
-        let chaos = match v.get("chaos") {
-            None => None,
-            Some(c @ JsonValue::Object(_)) => {
-                let c = Fields { obj: c, prefix: "chaos." };
-                let d = FaultPlan::new(FaultPlan::DERIVE);
-                let testbeds = c.get("testbeds", "an array of non-negative integers", |beds| {
-                    beds.as_array()?.iter().map(uint).collect()
-                })?;
-                let plan = FaultPlan {
-                    seed: c.uint("seed")?.unwrap_or(d.seed),
-                    abort_rate: c.num("abort_rate")?.unwrap_or(d.abort_rate),
-                    abort_signal: c.uint("abort_signal")?.unwrap_or(d.abort_signal),
-                    panic_rate: c.num("panic_rate")?.unwrap_or(d.panic_rate),
-                    hang_rate: c.num("hang_rate")?.unwrap_or(d.hang_rate),
-                    garbage_rate: c.num("garbage_rate")?.unwrap_or(d.garbage_rate),
-                    transient_rate: c.num("transient_rate")?.unwrap_or(d.transient_rate),
-                    transient_persistence: c
-                        .uint("transient_persistence")?
-                        .unwrap_or(d.transient_persistence),
-                    hang_millis: c.uint("hang_millis")?.unwrap_or(d.hang_millis),
-                    garbage_bytes: c.uint("garbage_bytes")?.unwrap_or(d.garbage_bytes),
-                };
-                Some(ChaosConfig::on(plan, testbeds.unwrap_or_else(|| vec![0])))
-            }
-            Some(_) => return Err("spec field 'chaos' must be an object".to_string()),
-        };
-        let top = Fields { obj: v, prefix: "" };
-        Ok(CampaignSpec {
-            tenant,
-            name: top.string("name")?,
-            seed: top.uint("seed")?,
-            corpus_programs: top.uint("corpus_programs")?,
-            lm,
-            max_cases: top.uint("max_cases")?,
-            shard_cases: top.uint("shard_cases")?,
-            fuel: top.uint("fuel")?,
-            include_strict: top.flag("include_strict")?,
-            include_legacy: top.flag("include_legacy")?,
-            reduce_cases: top.flag("reduce_cases")?,
-            keep_invalid_fraction: top.num("keep_invalid_fraction")?,
-            checkpoint: top.string("checkpoint")?,
-            telemetry: top.string("telemetry")?,
-            deadline_millis: top.uint("deadline_millis")?,
-            contain_panics: top.flag("contain_panics")?,
-            chaos,
-        })
+        Ok(spec)
     }
 
     /// Parses a spec from JSON text.
@@ -282,51 +260,6 @@ impl CampaignSpec {
         }
         Ok(config)
     }
-}
-
-/// Optional, typed lookups in one object of a spec: an absent field reads
-/// `None`, and a present one of the wrong type, or out of its Rust type's
-/// range, is an error naming it.
-struct Fields<'a> {
-    obj: &'a JsonValue,
-    prefix: &'static str,
-}
-
-impl Fields<'_> {
-    fn get<T>(
-        &self,
-        key: &str,
-        what: &str,
-        conv: impl Fn(&JsonValue) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        let prefix = self.prefix;
-        self.obj
-            .get(key)
-            .map(|v| conv(v).ok_or_else(|| format!("spec field '{prefix}{key}' must be {what}")))
-            .transpose()
-    }
-
-    fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
-        let what = format!("a non-negative integer that fits {}", std::any::type_name::<T>());
-        self.get(key, &what, uint)
-    }
-
-    fn num(&self, key: &str) -> Result<Option<f64>, String> {
-        self.get(key, "a number", JsonValue::as_f64)
-    }
-
-    fn flag(&self, key: &str) -> Result<Option<bool>, String> {
-        self.get(key, "a boolean", JsonValue::as_bool)
-    }
-
-    fn string(&self, key: &str) -> Result<Option<String>, String> {
-        self.get(key, "a string", |v| v.as_str().map(str::to_string))
-    }
-}
-
-/// A non-negative JSON integer that fits `T`.
-fn uint<T: TryFrom<u64>>(v: &JsonValue) -> Option<T> {
-    v.as_u64().and_then(|n| T::try_from(n).ok())
 }
 
 #[cfg(test)]
@@ -408,6 +341,7 @@ mod tests {
         // Present but wrong-typed or out-of-range fields never fall back to
         // a default or truncate.
         for (spec, field) in [
+            (r#"{"tenant":"t","seed":null}"#, "'seed'"),
             (r#"{"tenant":"t","checkpoint":7}"#, "'checkpoint'"),
             (r#"{"tenant":"t","name":false}"#, "'name'"),
             (r#"{"tenant":"t","telemetry":["x"]}"#, "'telemetry'"),

@@ -10,7 +10,7 @@
 
 use std::io::{self, Read, Write};
 
-use comfort_telemetry::json::{self, JsonValue};
+use comfort_telemetry::json::{self, Field, JsonValue};
 
 use crate::spec::CampaignSpec;
 
@@ -105,24 +105,15 @@ impl Request {
     /// Parses a request frame.
     pub fn from_json_str(text: &str) -> Result<Request, String> {
         let v = json::parse(text)?;
-        let cmd = v.get("cmd").and_then(JsonValue::as_str).ok_or("request missing 'cmd'")?;
-        let campaign = || -> Result<String, String> {
-            v.get("campaign")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("'{cmd}' request missing 'campaign'"))
-        };
-        match cmd {
+        match String::parse(&v, "cmd")?.as_str() {
             "submit" => {
-                let spec = v.get("spec").ok_or("'submit' request missing 'spec'")?;
-                Ok(Request::Submit(Box::new(CampaignSpec::from_json(spec)?)))
+                let spec = json::nested(&v, "spec", CampaignSpec::from_json)?;
+                Ok(Request::Submit(Box::new(spec.ok_or("field 'spec' is missing")?)))
             }
-            "status" => Ok(Request::Status(
-                v.get("campaign").and_then(JsonValue::as_str).map(str::to_string),
-            )),
-            "cancel" => Ok(Request::Cancel(campaign()?)),
+            "status" => Ok(Request::Status(Option::parse(&v, "campaign")?)),
+            "cancel" => Ok(Request::Cancel(String::parse(&v, "campaign")?)),
             "drain" => Ok(Request::Drain),
-            "tail" => Ok(Request::Tail(campaign()?)),
+            "tail" => Ok(Request::Tail(String::parse(&v, "campaign")?)),
             other => Err(format!("unknown command '{other}'")),
         }
     }

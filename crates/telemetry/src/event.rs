@@ -12,12 +12,13 @@
 //! Each event kind is declared once, in the `event_kinds!` table below:
 //! its variant, its wire tag and its fields in wire order. The table
 //! generates the enum, [`EventKind::type_str`], the field rendering, the
-//! parser behind [`event_from_json`] and [`Event::without_wall_clock`], so
-//! an event's wire form is written in exactly one place.
+//! parser behind [`Event::parse`] and [`Event::without_wall_clock`], so an
+//! event's wire form is written in exactly one place, on the shared
+//! [`Field`](crate::json::Field) codec.
 
 use std::fmt::Write as _;
 
-use crate::json::JsonValue;
+use crate::json::{Field, JsonValue};
 
 /// A deterministic event timestamp: `(shard, seq)`.
 ///
@@ -118,85 +119,23 @@ impl std::fmt::Display for Stage {
     }
 }
 
-/// How one field type of the event table renders, parses and drops its
-/// wall-clock content. `Option<u64>` fields, and only they, are wall-clock
-/// fields: rendered only by [`Event::to_json`], absent when `None`.
-trait Field: Sized {
-    /// Appends `key` (`,"name":`, literal text) and the value to `out`.
-    fn render(&self, key: &str, out: &mut String, include_wall: bool);
-    /// Reads the field `key` of an event object.
-    fn parse(v: &JsonValue, key: &str) -> Result<Self, String>;
-    /// Clears the field if it is a wall-clock field.
-    fn clear_wall_clock(&mut self) {}
-}
-
-fn required<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-impl Field for u64 {
-    fn render(&self, key: &str, out: &mut String, _: bool) {
-        out.push_str(key);
-        let _ = write!(out, "{self}");
-    }
-    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
-        required(v, key)?.as_u64().ok_or_else(|| format!("field {key:?} not a u64"))
-    }
-}
-
-impl Field for bool {
-    fn render(&self, key: &str, out: &mut String, _: bool) {
-        out.push_str(key);
-        out.push_str(if *self { "true" } else { "false" });
-    }
-    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
-        required(v, key)?.as_bool().ok_or_else(|| format!("field {key:?} not a bool"))
-    }
-}
-
-impl Field for String {
-    fn render(&self, key: &str, out: &mut String, _: bool) {
-        out.push_str(key);
-        out.push_str(&json_string(self));
-    }
-    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
-        required(v, key)?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| format!("field {key:?} not a string"))
-    }
-}
-
+/// A stage travels by its label.
 impl Field for Stage {
-    fn render(&self, key: &str, out: &mut String, _: bool) {
-        out.push_str(key);
+    fn write(&self, out: &mut String) {
         out.push('"');
         out.push_str(self.as_str());
         out.push('"');
     }
-    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
-        let label = String::parse(v, key)?;
-        Stage::parse_label(&label).ok_or_else(|| format!("unknown stage {label:?}"))
-    }
-}
-
-impl Field for Option<u64> {
-    fn render(&self, key: &str, out: &mut String, include_wall: bool) {
-        if let (true, Some(w)) = (include_wall, self) {
-            w.render(key, out, include_wall);
-        }
-    }
-    fn parse(v: &JsonValue, key: &str) -> Result<Self, String> {
-        v.get(key).map(|_| u64::parse(v, key)).transpose()
-    }
-    fn clear_wall_clock(&mut self) {
-        *self = None;
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        let label = String::read(v)?;
+        Stage::parse_label(&label).ok_or_else(|| format!("is an unknown stage {label:?}"))
     }
 }
 
 /// Declares [`EventKind`] from one table: each entry is a variant, its
 /// wire tag and its documented fields, in the order they render. Adding an
-/// event is adding an entry; every field type must implement [`Field`].
+/// event is adding an entry; every field type must implement the shared
+/// [`Field`] codec, where `Option<u64>` is the wall-clock field type.
 macro_rules! event_kinds {
     (
         $(#[$meta:meta])*
@@ -225,13 +164,13 @@ macro_rules! event_kinds {
                 }
             }
 
-            /// Appends `,"field":value` for every field, in table order.
-            fn render_fields(&self, out: &mut String, include_wall: bool) {
+            /// Appends every field as a member, in table order.
+            fn render_fields(&self, out: &mut String) {
                 match self {
                     $( EventKind::$variant { $($field),+ } => {
                         $(
-                            let key = concat!(",\"", stringify!($field), "\":");
-                            $field.render(key, out, include_wall);
+                            let key = concat!("\"", stringify!($field), "\":");
+                            $field.render(key, out);
                         )+
                     } )+
                 }
@@ -603,13 +542,15 @@ impl Event {
     /// Renders the event as one JSON object (one JSONL line, no trailing
     /// newline), including wall-clock fields.
     pub fn to_json(&self) -> String {
-        self.render(true)
+        let mut out = String::with_capacity(96);
+        self.write(&mut out);
+        out
     }
 
     /// Renders the event as JSON **without** wall-clock fields — the form
     /// compared in determinism tests (logical content only).
     pub fn to_json_deterministic(&self) -> String {
-        self.render(false)
+        self.without_wall_clock().to_json()
     }
 
     /// `true` for control-plane ([`CONTROL_SHARD`]) and service-plane
@@ -627,8 +568,17 @@ impl Event {
         e
     }
 
-    fn render(&self, include_wall: bool) -> String {
-        let mut out = String::with_capacity(96);
+    /// Parses one JSONL line into an [`Event`].
+    pub fn parse(line: &str) -> Result<Event, String> {
+        Event::read(&crate::json::parse(line)?)
+    }
+}
+
+/// An event as a JSON value: its [`Event::to_json`] rendering, read back by
+/// [`Event::parse`] and when a journalled shard's stream is replayed on
+/// resume. Reading accepts both wall-clock and deterministic renderings.
+impl Field for Event {
+    fn write(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"shard\":{},\"seq\":{},\"type\":\"{}\"",
@@ -644,36 +594,22 @@ impl Event {
             self.clock.seq,
             self.kind.type_str()
         );
-        self.kind.render_fields(&mut out, include_wall);
+        self.kind.render_fields(out);
         out.push('}');
-        out
     }
-
-    /// Parses one JSONL line into an [`Event`] (see [`event_from_json`]).
-    pub fn parse(line: &str) -> Result<Event, String> {
-        event_from_json(&crate::json::parse(line)?)
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        let shard =
+            v.get("shard").and_then(JsonValue::as_i128).ok_or("field 'shard' is no integer")?;
+        let shard = match shard {
+            -1 => MERGE_SHARD,
+            -2 => CONTROL_SHARD,
+            -3 => SERVICE_SHARD,
+            s => u64::try_from(s).map_err(|_| format!("shard {s} out of range"))?,
+        };
+        let clock = LogicalClock { shard, seq: u64::parse(v, "seq")? };
+        let kind = EventKind::parse_fields(&String::parse(v, "type")?, v)?;
+        Ok(Event { clock, kind })
     }
-}
-
-/// Parses one rendered event line back into an [`Event`] — the inverse of
-/// [`Event::to_json`], used when replaying journaled shard streams on
-/// resume. Accepts both wall-clock and deterministic renderings.
-pub fn event_from_json(v: &JsonValue) -> Result<Event, String> {
-    let shard = match required(v, "shard")?.as_i128().ok_or("field \"shard\" not an integer")? {
-        -1 => MERGE_SHARD,
-        -2 => CONTROL_SHARD,
-        -3 => SERVICE_SHARD,
-        s => u64::try_from(s).map_err(|_| format!("shard {s} out of range"))?,
-    };
-    let clock = LogicalClock { shard, seq: u64::parse(v, "seq")? };
-    let kind = EventKind::parse_fields(&String::parse(v, "type")?, v)?;
-    Ok(Event { clock, kind })
-}
-
-/// Escapes `s` as a JSON string literal (with quotes). Alias for the
-/// shared [`crate::json::escape_string`].
-pub fn json_string(s: &str) -> String {
-    crate::json::escape_string(s)
 }
 
 #[cfg(test)]
@@ -721,7 +657,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(crate::json::escape_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     /// Every kind, with the exact line `to_json` renders for it at the

@@ -106,12 +106,7 @@ pub fn parse_frame(line: &str) -> Result<&str, FrameError> {
 pub struct FramedRead {
     /// Payloads of every intact record, in file order.
     pub records: Vec<String>,
-    /// Byte offset of each intact record's line start (parallel to
-    /// `records`). Lets a payload-level loader that rejects record `i`
-    /// truncate the file back to `offsets[i]`, dropping the whole garbled
-    /// trailing run rather than just the final frame.
-    pub offsets: Vec<usize>,
-    /// Bytes dropped from the tail (the torn or garbled final write).
+    /// Bytes dropped from the tail (the torn final write).
     pub dropped_tail_bytes: usize,
     /// Why the tail was dropped, when it was.
     pub tail_error: Option<String>,
@@ -144,10 +139,7 @@ pub fn read_framed(bytes: &[u8]) -> FramedRead {
             .map_err(|_| FrameError::BadHeader.to_string())
             .and_then(|line| parse_frame(line).map_err(|e| e.to_string()));
         match parsed {
-            Ok(payload) => {
-                out.records.push(payload.to_string());
-                out.offsets.push(pos);
-            }
+            Ok(payload) => out.records.push(payload.to_string()),
             Err(e) => {
                 // A bad line can only be the torn tail of the last append
                 // (the append-only invariant); drop it and everything after.
@@ -201,18 +193,6 @@ mod tests {
         let read = read_framed(file.as_bytes());
         assert_eq!(read.records.len(), 4);
         assert!(!read.tail_dropped());
-    }
-
-    #[test]
-    fn read_framed_reports_record_offsets() {
-        let mut file = String::new();
-        let mut starts = Vec::new();
-        for i in 0..3 {
-            starts.push(file.len());
-            file.push_str(&frame_line(&format!("record {i}")).unwrap());
-        }
-        let read = read_framed(file.as_bytes());
-        assert_eq!(read.offsets, starts);
     }
 
     #[test]

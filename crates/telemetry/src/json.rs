@@ -1,25 +1,19 @@
-//! A minimal JSON parser **and canonical serializer** for telemetry and
-//! report output.
+//! A minimal JSON parser, a canonical serializer, and the one typed-field
+//! codec of the workspace's wire formats.
 //!
-//! The workspace builds offline (no serde); tests and CI still need to
-//! assert that `JsonlSink` output *parses* and that its fields reconcile
-//! with the campaign report. This is a small, strict, recursive-descent
-//! parser over the JSON grammar — ample for one-line event objects — plus
-//! [`JsonValue::to_json`], the emitter for documents built as values:
-//! campaign specs, daemon status and control-plane replies, and
-//! `BENCH_<n>.json` A/B records. The two high-volume writers render
-//! directly into a string instead: telemetry events through the codec the
-//! `event` module's table generates, and checkpoint journal records
-//! (shard reports, lease records) through `write!`. This parser reads all
-//! of them back.
+//! The workspace builds offline (no serde). [`parse`] is a small, strict,
+//! recursive-descent parser. [`JsonValue::to_json`] emits documents built as
+//! values (daemon status, control-plane replies, `BENCH_<n>.json` records)
+//! **canonically**: object keys sorted, integers exact, floats in shortest
+//! round-trip form, so `parse(v.to_json())` re-renders byte-identically.
 //!
-//! The rendering is **canonical**: object keys in sorted (`BTreeMap`)
-//! order, integers exact, floats in Rust's shortest round-trip form. For
-//! any value produced by [`parse`], `parse(v.to_json())` re-renders
-//! byte-identically — the invariant the `BENCH_<n>.json` round-trip test
-//! pins.
+//! Telemetry events and checkpoint journal records render straight into a
+//! string through [`Field`], each from one table that generates both
+//! directions (`event_kinds!`, [`json_record!`]); campaign specs and bench
+//! records read their fields through it too.
 
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,24 +140,15 @@ impl JsonValue {
                     let _ = write!(out, "{n}");
                 }
             }
-            JsonValue::String(s) => out.push_str(&escape_string(s)),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_json(out);
-                }
-                out.push(']');
-            }
+            JsonValue::String(s) => write_string(s, out),
+            JsonValue::Array(items) => write_items(items, out),
             JsonValue::Object(map) => {
                 out.push('{');
                 for (i, (key, value)) in map.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&escape_string(key));
+                    write_string(key, out);
                     out.push(':');
                     value.write_json(out);
                 }
@@ -227,10 +212,16 @@ impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
 }
 
 /// Quotes and escapes `s` as a JSON string literal (the escaping used by
-/// every serializer in the workspace — see `event::json_string`).
+/// every serializer in the workspace).
 pub fn escape_string(s: &str) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len() + 2);
+    write_string(s, &mut out);
+    out
+}
+
+/// Appends `s` to `out` as a quoted, escaped JSON string literal.
+pub fn write_string(s: &str, out: &mut String) {
+    use std::fmt::Write as _;
     out.push('"');
     for c in s.chars() {
         match c {
@@ -246,7 +237,313 @@ pub fn escape_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
+}
+
+/// The typed-field codec: a field type's JSON text and how it reads back.
+/// A member (a key and its value in an object) is always written and must
+/// be present, unless its type is an `Option` or its table names a [`Rule`].
+/// Every read error names the member's path, as in `field 'lm.order' is
+/// missing`.
+pub trait Field: Sized {
+    /// Appends the value's JSON text to `out`.
+    fn write(&self, out: &mut String);
+    /// Reads a value; the error says what is wrong with it.
+    fn read(v: &JsonValue) -> Result<Self, String>;
+    /// Appends member `key` (quoted name and colon, as in `"seed":`) unless
+    /// the value is left out.
+    fn render(&self, key: &str, out: &mut String) {
+        member(out, key);
+        self.write(out);
+    }
+    /// Reads member `name` of the object `v`.
+    fn parse(v: &JsonValue, name: &str) -> Result<Self, String> {
+        let value = v.get(name).ok_or_else(|| format!("field '{name}' is missing"))?;
+        Self::read(value).map_err(|e| in_member(name, e))
+    }
+    /// Clears a wall-clock member.
+    fn clear_wall_clock(&mut self) {}
+}
+
+/// Starts member `key` of the object being written: a comma first, unless
+/// the member opens the object.
+pub fn member(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push_str(key);
+}
+
+/// Puts member `name` in front of the path of an error read inside it.
+fn in_member(name: &str, e: String) -> String {
+    match e.strip_prefix("field '") {
+        Some(path) => format!("field '{name}.{path}"),
+        None => format!("field '{name}' {e}"),
+    }
+}
+
+/// Reads the object member `name` of `v`, if present, with `read`: for
+/// nested types that are no [`Record`].
+pub fn nested<T>(
+    v: &JsonValue,
+    name: &str,
+    read: impl FnOnce(&JsonValue) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let read = |v: &JsonValue| match v {
+        JsonValue::Object(_) => read(v),
+        _ => Err("must be an object".to_string()),
+    };
+    v.get(name).map(read).transpose().map_err(|e| in_member(name, e))
+}
+
+/// No integer of these formats is negative, so an integer reads as a
+/// non-negative value that fits its type.
+macro_rules! integer_fields {
+    ($($ty:ty),+) => {$(
+        impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                use std::fmt::Write as _;
+                let _ = write!(out, "{self}");
+            }
+            fn read(v: &JsonValue) -> Result<Self, String> {
+                let n = v.as_u64().and_then(|n| <$ty>::try_from(n).ok());
+                n.ok_or_else(|| concat!("must be an integer that fits ", stringify!($ty)).into())
+            }
+        }
+    )+};
+}
+
+integer_fields!(u64, u32, usize, i32);
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "must be a boolean".into())
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        write_string(self, out);
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        v.as_str().map(str::to_string).ok_or_else(|| "must be a string".into())
+    }
+}
+
+/// A JSON number (journal records write theirs through [`Bits`]).
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        JsonValue::Number(*self).write_json(out);
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "must be a number".into())
+    }
+}
+
+/// The optional member, such as an event's wall-clock field: written only
+/// when `Some`, read as `None` when absent, and `null` is refused. Clearing
+/// a wall clock sets it to `None`. As a bare value, `None` is `null`.
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        Ok(if *v == JsonValue::Null { None } else { Some(T::read(v)?) })
+    }
+    fn render(&self, key: &str, out: &mut String) {
+        if let Some(v) = self {
+            v.render(key, out);
+        }
+    }
+    fn parse(v: &JsonValue, name: &str) -> Result<Self, String> {
+        v.get(name).map(|_| T::parse(v, name)).transpose()
+    }
+    fn clear_wall_clock(&mut self) {
+        *self = None;
+    }
+}
+
+/// Any JSON, written canonically.
+impl Field for JsonValue {
+    fn write(&self, out: &mut String) {
+        self.write_json(out);
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        Ok(v.clone())
+    }
+}
+
+fn write_items<T: Field>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(out);
+    }
+    out.push(']');
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        write_items(self, out);
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        let items = v.as_array().ok_or("must be an array")?.iter().enumerate();
+        items.map(|(i, item)| T::read(item).map_err(|e| in_member(&i.to_string(), e))).collect()
+    }
+}
+
+/// A fixed-length array: any other length is refused.
+impl<T: Field, const N: usize> Field for [T; N] {
+    fn write(&self, out: &mut String) {
+        write_items(self, out);
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        let items = Vec::read(v)?;
+        let len = items.len();
+        items.try_into().map_err(|_| format!("must hold {N} items, not {len}"))
+    }
+}
+
+/// A member rule: how a [`json_record!`] table writes and reads a member
+/// whose wire form is not its type's own [`Field`] form.
+pub trait Rule<T> {
+    /// Appends member `key`, unless the rule leaves the value out.
+    fn render(value: &T, key: &str, out: &mut String);
+    /// Reads member `name` of the object `v`.
+    fn parse(v: &JsonValue, name: &str) -> Result<T, String>;
+}
+
+/// The type's own [`Field`] form: the rule of a member that names none.
+pub struct Plain;
+
+impl<T: Field> Rule<T> for Plain {
+    fn render(value: &T, key: &str, out: &mut String) {
+        value.render(key, out);
+    }
+    fn parse(v: &JsonValue, name: &str) -> Result<T, String> {
+        T::parse(v, name)
+    }
+}
+
+/// An `f64` as its exact bit pattern, so it round-trips bit for bit.
+pub struct Bits;
+
+impl Rule<f64> for Bits {
+    fn render(value: &f64, key: &str, out: &mut String) {
+        value.to_bits().render(key, out);
+    }
+    fn parse(v: &JsonValue, name: &str) -> Result<f64, String> {
+        u64::parse(v, name).map(f64::from_bits)
+    }
+}
+
+/// A counter left out while 0, and read as 0 when absent.
+pub struct OmitZero;
+
+impl Rule<u64> for OmitZero {
+    fn render(value: &u64, key: &str, out: &mut String) {
+        if *value > 0 {
+            value.render(key, out);
+        }
+    }
+    fn parse(v: &JsonValue, name: &str) -> Result<u64, String> {
+        Option::parse(v, name).map(Option::unwrap_or_default)
+    }
+}
+
+/// An `Option` written as `null` when `None`, and under rule `R` when
+/// `Some`; absent or `null` reads as `None`.
+pub struct Nullable<R = Plain>(PhantomData<R>);
+
+impl<T, R: Rule<T>> Rule<Option<T>> for Nullable<R> {
+    fn render(value: &Option<T>, key: &str, out: &mut String) {
+        match value {
+            Some(value) => R::render(value, key, out),
+            None => {
+                member(out, key);
+                out.push_str("null");
+            }
+        }
+    }
+    fn parse(v: &JsonValue, name: &str) -> Result<Option<T>, String> {
+        match v.get(name) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(_) => R::parse(v, name).map(Some),
+        }
+    }
+}
+
+/// A nested [`Record`] whose members sit in the enclosing object (its own
+/// key is unused).
+pub struct Flatten;
+
+impl<T: Record> Rule<T> for Flatten {
+    fn render(value: &T, _: &str, out: &mut String) {
+        value.write_members(out);
+    }
+    fn parse(v: &JsonValue, _: &str) -> Result<T, String> {
+        T::read_members(v)
+    }
+}
+
+/// A struct written as a JSON object by a [`json_record!`] table.
+pub trait Record: Sized {
+    /// Appends every member, in wire order.
+    fn write_members(&self, out: &mut String);
+    /// Reads every member from the object `v`.
+    fn read_members(v: &JsonValue) -> Result<Self, String>;
+}
+
+impl<T: Record> Field for T {
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        self.write_members(out);
+        out.push('}');
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        T::read_members(v)
+    }
+}
+
+/// Declares a struct's JSON object as one table in wire order, and
+/// generates its [`Record`] impl, both directions, from it. An entry is a
+/// field, then `= "key"` if its wire key is not its name and `=> Rule` if
+/// its member is not in its type's [`Field`] form. Every field needs an
+/// entry: reading builds the struct.
+#[macro_export]
+macro_rules! json_record {
+    (@rule) => { $crate::json::Plain };
+    (@rule $rule:ty) => { $rule };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    ($ty:ty { $( $field:ident $(= $key:literal)? $(=> $rule:ty)? ),+ $(,)? }) => {
+        impl $crate::json::Record for $ty {
+            fn write_members(&self, out: &mut String) {
+                $(
+                    <$crate::json_record!(@rule $($rule)?) as $crate::json::Rule<_>>::render(
+                        &self.$field,
+                        concat!("\"", $crate::json_record!(@key $field $($key)?), "\":"),
+                        out,
+                    );
+                )+
+            }
+            fn read_members(v: &$crate::json::JsonValue) -> Result<Self, String> {
+                Ok(Self { $(
+                    $field: <$crate::json_record!(@rule $($rule)?) as $crate::json::Rule<_>>::parse(
+                        v,
+                        $crate::json_record!(@key $field $($key)?),
+                    )?,
+                )+ })
+            }
+        }
+    };
 }
 
 /// Parses one JSON document; trailing non-whitespace is an error.

@@ -67,10 +67,7 @@ pub mod progress;
 pub mod retry;
 pub mod sink;
 
-pub use event::{
-    event_from_json, Event, EventKind, LogicalClock, Stage, CONTROL_SHARD, MERGE_SHARD,
-    SERVICE_SHARD,
-};
+pub use event::{Event, EventKind, LogicalClock, Stage, CONTROL_SHARD, MERGE_SHARD, SERVICE_SHARD};
 pub use frame::{crc32, frame_line, parse_frame, read_framed, FrameError, FramedRead};
 pub use json::JsonValue;
 pub use metrics::{CampaignMetrics, CostHistogram, StageMetrics};

@@ -8,8 +8,11 @@
 //! ([`CampaignMetrics::count`]), so they cannot disagree with the stream.
 //! Wall-clock fields (`wall_nanos`) are measurement-only and excluded from
 //! determinism comparisons via [`CampaignMetrics::without_wall_clock`].
+//! Their journal records are declared here, and one `counters!` table
+//! drives the counters' merge, journal members and JSONL summary members.
 
 use crate::event::{EventKind, Stage};
+use crate::json::{Field, JsonValue, OmitZero, Rule};
 
 /// A log₂-bucketed histogram of per-invocation logical cost.
 ///
@@ -41,6 +44,16 @@ impl CostHistogram {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
+    }
+}
+
+/// A histogram travels as its bare bucket array (32 counts).
+impl Field for CostHistogram {
+    fn write(&self, out: &mut String) {
+        self.buckets.write(out);
+    }
+    fn read(v: &JsonValue) -> Result<Self, String> {
+        Field::read(v).map(|buckets| CostHistogram { buckets })
     }
 }
 
@@ -80,6 +93,10 @@ impl StageMetrics {
         self.cost_histogram.merge_from(&other.cost_histogram);
     }
 }
+
+crate::json_record!(StageMetrics {
+    invocations, items, logical_cost, wall_nanos, cost_histogram = "hist",
+});
 
 /// Aggregated campaign metrics: one [`StageMetrics`] per pipeline stage
 /// plus campaign-level counters. Embedded in `CampaignReport`.
@@ -150,21 +167,7 @@ impl CampaignMetrics {
         for (a, b) in self.stages.iter_mut().zip(&other.stages) {
             a.merge_from(b);
         }
-        self.cases_generated += other.cases_generated;
-        self.cases_rejected += other.cases_rejected;
-        self.cases_run += other.cases_run;
-        self.deviations_observed += other.deviations_observed;
-        self.bugs_reported += other.bugs_reported;
-        self.bugs_deduped += other.bugs_deduped;
-        self.faults_observed += other.faults_observed;
-        self.runs_retried += other.runs_retried;
-        self.runs_skipped += other.runs_skipped;
-        self.testbeds_quarantined += other.testbeds_quarantined;
-        self.testbeds_reinstated += other.testbeds_reinstated;
-        self.quorum_degraded += other.quorum_degraded;
-        self.shards += other.shards;
-        self.executions_saved += other.executions_saved;
-        self.equivalence_classes += other.equivalence_classes;
+        self.merge_counters(other);
     }
 
     /// Counts one event into the counters it records: the campaign twin of
@@ -241,39 +244,45 @@ impl CampaignMetrics {
                 s.logical_cost
             );
         }
-        let _ = write!(
-            out,
-            "}},\"cases_generated\":{},\"cases_rejected\":{},\"cases_run\":{},\
-             \"deviations_observed\":{},\"bugs_reported\":{},\"bugs_deduped\":{},\
-             \"faults_observed\":{},\"runs_retried\":{},\"runs_skipped\":{},\
-             \"testbeds_quarantined\":{},\"testbeds_reinstated\":{},\
-             \"quorum_degraded\":{},\"shards\":{}",
-            self.cases_generated,
-            self.cases_rejected,
-            self.cases_run,
-            self.deviations_observed,
-            self.bugs_reported,
-            self.bugs_deduped,
-            self.faults_observed,
-            self.runs_retried,
-            self.runs_skipped,
-            self.testbeds_quarantined,
-            self.testbeds_reinstated,
-            self.quorum_degraded,
-            self.shards
-        );
-        // Dedup counters are omitted when zero so that reports from
-        // campaigns without execution classing (and determinism-stripped
-        // forms, where they are zeroed) keep their historical byte layout.
-        if self.executions_saved > 0 {
-            let _ = write!(out, ",\"executions_saved\":{}", self.executions_saved);
-        }
-        if self.equivalence_classes > 0 {
-            let _ = write!(out, ",\"equivalence_classes\":{}", self.equivalence_classes);
-        }
+        out.push('}');
+        self.write_counters(&mut out);
         out.push('}');
         out
     }
+}
+
+/// Declares the campaign counters once, in wire order, each with its
+/// member rule: `merge_from` adds them, `to_json` writes them after its
+/// stage summary, and the journal record is the stages followed by them.
+macro_rules! counters {
+    ($( $counter:ident $(=> $rule:ty)? ),+ $(,)?) => {
+        impl CampaignMetrics {
+            fn merge_counters(&mut self, other: &CampaignMetrics) {
+                $( self.$counter += other.$counter; )+
+            }
+
+            fn write_counters(&self, out: &mut String) {
+                $(
+                    <crate::json_record!(@rule $($rule)?) as Rule<u64>>::render(
+                        &self.$counter,
+                        concat!("\"", stringify!($counter), "\":"),
+                        out,
+                    );
+                )+
+            }
+        }
+
+        crate::json_record!(CampaignMetrics { stages, $( $counter $(=> $rule)? ),+ });
+    };
+}
+
+// The dedup counters are left out while zero, so reports of campaigns
+// without execution classing, and determinism-stripped forms (where they
+// are zeroed), keep their historical byte layout.
+counters! {
+    cases_generated, cases_rejected, cases_run, deviations_observed, bugs_reported, bugs_deduped,
+    faults_observed, runs_retried, runs_skipped, testbeds_quarantined, testbeds_reinstated,
+    quorum_degraded, shards, executions_saved => OmitZero, equivalence_classes => OmitZero,
 }
 
 #[cfg(test)]
