@@ -20,7 +20,7 @@
 //!   [`RecoveryReport`]), but refuses an intact record it cannot read, and
 //!   validates fingerprint and shard plan.
 //! * **Serialization**: each journal record is declared once, as a
-//!   [`json_record!`] table in wire order that generates both its
+//!   [`json_record!`](comfort_telemetry::json_record) table in wire order that generates both its
 //!   rendering and its parser. [`CampaignReport`] round-trips with full
 //!   fidelity (`f64` fields as exact bit patterns), as does the shard's
 //!   telemetry event stream, so a resumed campaign merges to a

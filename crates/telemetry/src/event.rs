@@ -14,7 +14,7 @@
 //! generates the enum, [`EventKind::type_str`], the field rendering, the
 //! parser behind [`Event::parse`] and [`Event::without_wall_clock`], so an
 //! event's wire form is written in exactly one place, on the shared
-//! [`Field`](crate::json::Field) codec.
+//! [`Field`] codec.
 
 use std::fmt::Write as _;
 

@@ -9,7 +9,7 @@
 //!
 //! Telemetry events and checkpoint journal records render straight into a
 //! string through [`Field`], each from one table that generates both
-//! directions (`event_kinds!`, [`json_record!`]); campaign specs and bench
+//! directions (`event_kinds!`, [`json_record!`](crate::json_record)); campaign specs and bench
 //! records read their fields through it too.
 
 use std::collections::BTreeMap;
@@ -411,7 +411,7 @@ impl<T: Field, const N: usize> Field for [T; N] {
     }
 }
 
-/// A member rule: how a [`json_record!`] table writes and reads a member
+/// A member rule: how a [`json_record!`](crate::json_record) table writes and reads a member
 /// whose wire form is not its type's own [`Field`] form.
 pub trait Rule<T> {
     /// Appends member `key`, unless the rule leaves the value out.
@@ -493,7 +493,7 @@ impl<T: Record> Rule<T> for Flatten {
     }
 }
 
-/// A struct written as a JSON object by a [`json_record!`] table.
+/// A struct written as a JSON object by a [`json_record!`](crate::json_record) table.
 pub trait Record: Sized {
     /// Appends every member, in wire order.
     fn write_members(&self, out: &mut String);

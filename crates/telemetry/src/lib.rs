@@ -29,8 +29,9 @@
 //!   for the campaign checkpoint journal in `comfort-core`: a torn write
 //!   corrupts at most the final line, and the loader salvages everything
 //!   before it.
-//! * [`json`] — a minimal JSON value parser used to validate JSONL output
-//!   in tests and CI (the workspace is offline; there is no serde).
+//! * [`json`] — a minimal JSON parser and canonical writer (the workspace
+//!   is offline; there is no serde), and the one typed-field codec that
+//!   events, journal records, specs and bench records are written with.
 //!
 //! # Example
 //!
