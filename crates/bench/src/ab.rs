@@ -51,30 +51,26 @@ impl Benchmark {
     /// Parses `BENCHMARK.json`.
     pub fn parse(text: &str) -> Result<Benchmark, String> {
         let v = json::parse(text)?;
-        let bad = |what: &str| format!("BENCHMARK.json: {what}");
-        let array = |key: &str| Vec::<JsonValue>::parse(&v, key).map_err(|e| bad(&e));
-        // `command` holds strings, the other arrays objects with a name.
-        let name =
-            |e: &JsonValue| e.as_str().or_else(|| e.get("name")?.as_str()).map(str::to_string);
-        let names = |key: &str| -> Result<Vec<String>, String> {
-            array(key)?.iter().map(|e| name(e).ok_or(bad(key))).collect()
+        let bad = |e: String| format!("BENCHMARK.json: {e}");
+        let entries = |key: &str| Vec::<JsonValue>::parse(&v, key).map_err(bad);
+        let metric = |m: &JsonValue| -> Result<MetricSpec, String> {
+            let higher_is_better = match String::parse(m, "better")?.as_str() {
+                "higher" => true,
+                "lower" => false,
+                other => return Err(format!("field 'better' is {other:?}, not higher or lower")),
+            };
+            let bound = Option::parse(m, "bound")?.unwrap_or(0.0);
+            Ok(MetricSpec { name: String::parse(m, "name")?, higher_is_better, bound })
         };
         let metrics = |key: &str| -> Result<Vec<MetricSpec>, String> {
-            let metric = |m: &JsonValue| {
-                let higher_is_better = match m.get("better")?.as_str()? {
-                    "higher" => true,
-                    "lower" => false,
-                    _ => return None,
-                };
-                let bound = m.get("bound").and_then(JsonValue::as_f64).unwrap_or(0.0);
-                Some(MetricSpec { name: name(m)?, higher_is_better, bound })
-            };
-            array(key)?.iter().map(|m| metric(m).ok_or(bad(key))).collect()
+            entries(key)?.iter().map(|m| metric(m).map_err(bad)).collect()
         };
+        let workloads = entries("workloads")?.into_iter();
+        let workloads = workloads.map(|w| String::parse(&w, "name").map_err(bad));
         Ok(Benchmark {
-            command: names("command")?,
-            run_seconds: f64::parse(&v, "run_seconds").map_err(|e| bad(&e))?,
-            workloads: names("workloads")?,
+            command: Field::parse(&v, "command").map_err(bad)?,
+            run_seconds: Field::parse(&v, "run_seconds").map_err(bad)?,
+            workloads: workloads.collect::<Result<_, _>>()?,
             end_to_end: metrics("end_to_end")?,
             per_layer: metrics("per_layer")?,
         })
