@@ -90,7 +90,7 @@ fn reduce_nested(current: &mut Program, still_fails: &mut dyn FnMut(&Program) ->
     // Collect candidate paths: (index path to the nested list, position).
     // To keep this simple and allocation-friendly, we retry whole-program
     // clones guided by a path enumeration.
-    let paths = enumerate_paths(&current.body, &mut Vec::new());
+    let paths = enumerate_paths(&mut current.body, &mut Vec::new());
     let mut changed = false;
     for path in paths.iter().rev() {
         let mut candidate = current.clone();
@@ -110,11 +110,14 @@ fn reduce_nested(current: &mut Program, still_fails: &mut dyn FnMut(&Program) ->
 /// position" and an implicit descent into that statement's primary body.
 type Path = Vec<usize>;
 
-fn enumerate_paths(body: &[Stmt], prefix: &mut Vec<usize>) -> Vec<Path> {
+/// Enumerates the paths into `body`'s nested statement lists. It edits
+/// nothing, but reaches the lists through the one accessor,
+/// [`primary_body_mut`].
+fn enumerate_paths(body: &mut [Stmt], prefix: &mut Vec<usize>) -> Vec<Path> {
     let mut out = Vec::new();
-    for (i, stmt) in body.iter().enumerate() {
+    for (i, stmt) in body.iter_mut().enumerate() {
         prefix.push(i);
-        if let Some(inner) = primary_body(stmt) {
+        if let Some(inner) = primary_body_mut(stmt) {
             for (j, _) in inner.iter().enumerate() {
                 let mut p = prefix.clone();
                 p.push(j);
@@ -122,8 +125,8 @@ fn enumerate_paths(body: &[Stmt], prefix: &mut Vec<usize>) -> Vec<Path> {
             }
             // Recurse one more level (two levels cover generated programs).
             prefix.push(usize::MAX); // marker: descend
-            for (j, s2) in inner.iter().enumerate() {
-                if let Some(inner2) = primary_body(s2) {
+            for (j, s2) in inner.iter_mut().enumerate() {
+                if let Some(inner2) = primary_body_mut(s2) {
                     for (k, _) in inner2.iter().enumerate() {
                         let mut p = prefix.clone();
                         let m = p.len() - 1;
@@ -141,21 +144,6 @@ fn enumerate_paths(body: &[Stmt], prefix: &mut Vec<usize>) -> Vec<Path> {
 }
 
 /// The statement's primary nested statement list, if it has one.
-fn primary_body(stmt: &Stmt) -> Option<&[Stmt]> {
-    match &stmt.kind {
-        StmtKind::FunctionDecl(f) => Some(&f.body),
-        StmtKind::Block(b) => Some(b),
-        StmtKind::Decl { decls, .. } => decls.iter().find_map(|d| match &d.init {
-            Some(e) => match &e.kind {
-                comfort_syntax::ExprKind::Function(f) => Some(f.body.as_slice()),
-                _ => None,
-            },
-            None => None,
-        }),
-        _ => None,
-    }
-}
-
 fn primary_body_mut(stmt: &mut Stmt) -> Option<&mut Vec<Stmt>> {
     match &mut stmt.kind {
         StmtKind::FunctionDecl(f) => Some(&mut f.body),

@@ -18,9 +18,9 @@
 //! * the control events `CampaignResumed`, `CheckpointWritten` and
 //!   `CampaignInterrupted`, stamped with the [`CONTROL_SHARD`] pseudo-shard
 //!   and excluded from determinism comparisons (`Event::is_control`);
-//! * the shard **commit** (journal record, result slot, flush) and the
-//!   **finish** (merge in shard order, interruption flag, resume
-//!   provenance).
+//! * the shard **commit** (journal record, result slot, progress row,
+//!   flush) and the **finish** (merge in shard order, interruption flag,
+//!   resume provenance).
 //!
 //! The driver decides only which worker runs which shard, and when the
 //! campaign is over.
@@ -180,16 +180,7 @@ impl ShardRuntime {
         });
         let mut salvaged = Vec::with_capacity(checkpoint.shards.len());
         for record in checkpoint.shards {
-            let i = record.index as usize;
-            self.progress.shard_started(i);
-            for _ in 0..record.report.cases_run {
-                self.progress.case_done(i);
-            }
-            for _ in 0..record.report.bugs.len() {
-                self.progress.bug_found(i);
-            }
-            self.progress.shard_finished(i);
-            salvaged.push(i);
+            salvaged.push(record.index as usize);
             self.settle(record);
         }
         self.resumed = Some(Resumed {
@@ -246,7 +237,8 @@ impl ShardRuntime {
 
     /// Commits a finished shard: appends its journal record, unless
     /// `journalled` says a worker process already did, then fills its
-    /// result slot and flushes every event stream the frontier releases.
+    /// result slot, sets its progress row to the record's counts and
+    /// flushes every event stream the frontier releases.
     pub fn commit(&self, record: ShardRecord, journalled: bool) {
         let journal_bytes = self.journal().and_then(|journal| {
             if journalled {
@@ -273,9 +265,12 @@ impl ShardRuntime {
         control.0.emit(kind);
     }
 
-    /// Fills the record's slot and advances the flush frontier.
+    /// Fills the record's slot, sets its progress row to the record's
+    /// counts and advances the flush frontier.
     fn settle(&self, record: ShardRecord) {
         let index = record.index as usize;
+        let bugs = record.report.bugs.len() as u64;
+        self.progress.shard_committed(index, record.report.cases_run, bugs);
         self.stage(index, record.report);
         let mut guard = self.frontier.lock().expect("flush frontier poisoned");
         let frontier = &mut *guard;
@@ -395,6 +390,24 @@ mod tests {
             e.kind,
             EventKind::CampaignInterrupted { shards_completed: 1, shards_total: 3, .. }
         )));
+    }
+
+    #[test]
+    fn a_committed_shard_counts_once_however_often_it_ran() {
+        let sink = MemorySink::new();
+        let progress = ProgressHandle::new();
+        let runtime = ShardRuntime::start(&config(1, &sink), progress.clone(), None);
+        // Two attempts at shard 0 each count its one case: a reclaimed
+        // lease whose first holder kept running, say.
+        for _ in 0..2 {
+            progress.shard_started(0);
+            progress.case_done(0);
+            progress.shard_finished(0);
+        }
+        runtime.commit(runtime.record(0, report(1), shard_events(0)), false);
+        let snap = progress.snapshot();
+        assert_eq!((snap.cases_done, snap.shards_done), (1, 1));
+        assert_eq!(snap.cases_done, snap.shards.iter().map(|s| s.cases_done).sum::<u64>());
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use comfort_telemetry::json::{self, JsonValue};
-use comfort_telemetry::RetryPolicy;
+use comfort_telemetry::json::{self, Field, JsonValue};
+use comfort_telemetry::{Event, RetryPolicy};
 
 use crate::wire::{read_frame, write_frame, Request};
 
@@ -69,11 +69,13 @@ impl Client {
     }
 
     /// Streams a campaign's telemetry, invoking `on_event` per event
-    /// frame, until the closing status frame (returned) arrives.
+    /// frame, read through the event codec, until the closing status frame
+    /// (returned) arrives. An event's [`Event::to_json`] is the line the
+    /// campaign's JSONL telemetry file holds for it.
     pub fn tail(
         &mut self,
         campaign: &str,
-        mut on_event: impl FnMut(&JsonValue),
+        mut on_event: impl FnMut(&Event),
     ) -> io::Result<JsonValue> {
         write_frame(&mut self.stream, &Request::Tail(campaign.to_string()).to_json())?;
         loop {
@@ -85,7 +87,9 @@ impl Client {
             if v.get("ok").is_some() {
                 return Ok(v);
             }
-            on_event(&v);
+            let event =
+                Event::read(&v).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            on_event(&event);
         }
     }
 }

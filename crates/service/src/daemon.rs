@@ -37,7 +37,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use comfort_core::campaign::{CampaignConfig, CampaignReport};
-use comfort_core::checkpoint::{report_checksum, CampaignCheckpoint, LeaseAction, LeaseRecord};
+use comfort_core::checkpoint::{
+    report_checksum, CampaignCheckpoint, LeaseAction, LeaseRecord, ShardRecord,
+};
 use comfort_core::executor::{plan_shards, ShardedCampaign};
 use comfort_core::resilience::CancelToken;
 use comfort_core::runtime::ShardRuntime;
@@ -590,11 +592,7 @@ impl DaemonShared {
                 entry.leases.abandon(claim.shard, claim.lease_seq);
                 self.record_lease(entry, LeaseAction::Released, transition);
             }
-            Err(payload) => {
-                entry.leases.abandon(claim.shard, claim.lease_seq);
-                self.record_lease(entry, LeaseAction::Released, transition);
-                self.fail_campaign(entry, panic_text(payload));
-            }
+            Err(payload) => self.release_and_fail(entry, transition, panic_text(payload)),
             Ok(Some(report)) if report.interrupted => {
                 // Cancelled or past deadline mid-shard: discard the partial
                 // attempt whole (the library contract) and let finalization
@@ -606,30 +604,53 @@ impl DaemonShared {
                 self.maybe_finalize(entry);
             }
             Ok(Some(report)) => {
-                // Stage the result before `complete()` marks the shard Done:
-                // the moment another worker can observe `all_done()`, every
-                // Done slot must already be filled. Writing ahead of the
-                // fencing check is safe — the result is a deterministic
-                // function of the shard spec, so a fenced duplicate stages
-                // the same value the rightful holder will.
-                let settle = SettleGuard::arm(&entry.settling);
-                entry.runtime.stage(claim.shard, report.clone());
-                if !entry.leases.complete(claim.shard, claim.lease_seq) {
-                    // Fenced: the supervisor reclaimed this lease and the
-                    // shard belongs to someone else now. Only the current
-                    // sequence may commit the journal record and telemetry.
-                    return;
-                }
-                // Commit (and so flush) inside the settlement window:
-                // finalization and retirement wait for it, so every shard's
-                // events reach the sink before the merge's.
                 let record = entry.runtime.record(claim.shard, report, attempt.take());
-                entry.runtime.commit(record, false);
-                self.record_lease(entry, LeaseAction::Released, transition);
-                drop(settle);
-                self.maybe_finalize(entry);
+                self.commit_shard(entry, transition, record, false);
             }
         }
+    }
+
+    /// Commits a finished shard under its lease, in either isolation mode:
+    /// stage the report, pass the fence, commit and flush, journal
+    /// `Released`, finalize. `journalled` says a worker child appended the
+    /// record itself. Returns `false` when the lease was fenced off.
+    fn commit_shard(
+        &self,
+        entry: &Arc<CampaignEntry>,
+        lease: &Transition,
+        record: ShardRecord,
+        journalled: bool,
+    ) -> bool {
+        // Stage the result before `complete()` marks the shard Done: the
+        // moment another worker can observe `all_done()`, every Done slot
+        // must already be filled. Writing ahead of the fencing check is
+        // safe — the result is a deterministic function of the shard spec,
+        // so a fenced duplicate stages the same value the rightful holder
+        // will.
+        let settle = SettleGuard::arm(&entry.settling);
+        entry.runtime.stage(lease.shard, record.report.clone());
+        if !entry.leases.complete(lease.shard, lease.lease_seq) {
+            // Fenced: the supervisor reclaimed this lease and the shard
+            // belongs to someone else now. Only the current sequence may
+            // commit the journal record and telemetry.
+            return false;
+        }
+        // Commit (and so flush) inside the settlement window: finalization
+        // and retirement wait for it, so every shard's events reach the
+        // sink before the merge's.
+        entry.runtime.commit(record, journalled);
+        self.record_lease(entry, LeaseAction::Released, lease);
+        drop(settle);
+        self.maybe_finalize(entry);
+        true
+    }
+
+    /// Gives a held lease back and fails the campaign: the abandon and its
+    /// journalled `Released` record keep the lease ledger balanced.
+    fn release_and_fail(&self, entry: &Arc<CampaignEntry>, lease: &Transition, message: String) {
+        entry.leases.abandon(lease.shard, lease.lease_seq);
+        self.record_lease(entry, LeaseAction::Released, lease);
+        self.fail_campaign(entry, message);
     }
 
     /// Runs one leased shard in a jailed worker child (process isolation),
@@ -645,9 +666,8 @@ impl DaemonShared {
         jail: &ProcessJail,
     ) {
         let Some(spec_path) = entry.spec_path.clone() else {
-            entry.leases.abandon(claim.shard, claim.lease_seq);
-            self.record_lease(entry, LeaseAction::Released, transition);
-            self.fail_campaign(entry, "process isolation requires a spec file".to_string());
+            let message = "process isolation requires a spec file".to_string();
+            self.release_and_fail(entry, transition, message);
             return;
         };
         let args = WorkerArgs {
@@ -679,13 +699,9 @@ impl DaemonShared {
                 self.on_child_death(entry, worker, claim, signal, jail, &spec_path);
             }
             ChildOutcome::FailedExit(code, stderr) => {
-                entry.leases.abandon(claim.shard, claim.lease_seq);
-                self.record_lease(entry, LeaseAction::Released, transition);
                 let class = WorkerError::classify(code).unwrap_or("unknown");
-                self.fail_campaign(
-                    entry,
-                    format!("worker child failed (exit {code}, class {class}): {stderr}"),
-                );
+                let message = format!("worker child failed (exit {code}, class {class}): {stderr}");
+                self.release_and_fail(entry, transition, message);
             }
         }
     }
@@ -740,9 +756,7 @@ impl DaemonShared {
         let mut child = match WorkerChild::spawn(jail, args) {
             Ok(child) => child,
             Err(e) => {
-                entry.leases.abandon(claim.shard, claim.lease_seq);
-                self.record_lease(entry, LeaseAction::Released, transition);
-                self.fail_campaign(entry, format!("cannot spawn worker child: {e}"));
+                self.release_and_fail(entry, transition, format!("cannot spawn worker child: {e}"));
                 return ChildOutcome::SpawnFailed;
             }
         };
@@ -834,7 +848,7 @@ impl DaemonShared {
             ChildFate::Exited(0) => {
                 self.workers_active.fetch_sub(1, Ordering::SeqCst);
                 self.workers_exited.fetch_add(1, Ordering::SeqCst);
-                self.stage_child_commit(entry, claim, transition, applied)
+                self.adopt_child_commit(entry, transition)
             }
             ChildFate::Exited(code) => {
                 self.workers_active.fetch_sub(1, Ordering::SeqCst);
@@ -845,55 +859,30 @@ impl DaemonShared {
     }
 
     /// Adopts a committed child's journalled shard record into the
-    /// campaign: stage the report, pass the fence, commit — the same
-    /// sequence as the inline path, minus the journal append.
-    fn stage_child_commit(
-        &self,
-        entry: &Arc<CampaignEntry>,
-        claim: &Claim,
-        transition: &Transition,
-        applied: u64,
-    ) -> ChildOutcome {
+    /// campaign through [`commit_shard`](Self::commit_shard); the child
+    /// appended the record itself.
+    fn adopt_child_commit(&self, entry: &Arc<CampaignEntry>, lease: &Transition) -> ChildOutcome {
         let Some(journal) = entry.runtime.journal() else {
-            entry.leases.abandon(claim.shard, claim.lease_seq);
-            self.record_lease(entry, LeaseAction::Released, transition);
-            self.fail_campaign(entry, "process isolation lost its journal".to_string());
+            let message = "process isolation lost its journal".to_string();
+            self.release_and_fail(entry, lease, message);
             return ChildOutcome::SpawnFailed;
         };
+        let shard = lease.shard;
         let record = CampaignCheckpoint::load(journal.path())
-            .map(|(c, _)| c.shards.into_iter().find(|r| r.index == claim.shard as u64));
+            .map(|(c, _)| c.shards.into_iter().find(|r| r.index == shard as u64));
         let Ok(Some(record)) = record else {
-            entry.leases.abandon(claim.shard, claim.lease_seq);
-            self.record_lease(entry, LeaseAction::Released, transition);
             let failure = match record {
-                Err(e) => format!("worker journal for shard {} does not load: {e}", claim.shard),
-                _ => format!("worker exited 0 without journalling shard {}", claim.shard),
+                Err(e) => format!("worker journal for shard {shard} does not load: {e}"),
+                _ => format!("worker exited 0 without journalling shard {shard}"),
             };
-            self.fail_campaign(entry, failure);
+            self.release_and_fail(entry, lease, failure);
             return ChildOutcome::SpawnFailed;
         };
-        // Catch the progress handle up to the committed truth (the last
-        // stdout heartbeat may predate the final cases) and mirror the
-        // executor's bug/finish bookkeeping for status parity.
-        let progress = entry.runtime.progress();
-        for _ in applied..record.report.cases_run {
-            progress.case_done(claim.shard);
+        if self.commit_shard(entry, lease, record, true) {
+            ChildOutcome::Committed
+        } else {
+            ChildOutcome::Fenced
         }
-        for _ in 0..record.report.bugs.len() {
-            progress.bug_found(claim.shard);
-        }
-        let settle = SettleGuard::arm(&entry.settling);
-        entry.runtime.stage(claim.shard, record.report.clone());
-        if !entry.leases.complete(claim.shard, claim.lease_seq) {
-            return ChildOutcome::Fenced;
-        }
-        progress.shard_finished(claim.shard);
-        // The child appended the record itself.
-        entry.runtime.commit(record, true);
-        self.record_lease(entry, LeaseAction::Released, transition);
-        drop(settle);
-        self.maybe_finalize(entry);
-        ChildOutcome::Committed
     }
 
     /// The poison-shard arm: quarantine, bisect with jailed probes to
@@ -1003,14 +992,10 @@ impl DaemonShared {
                 );
             }
             ChildOutcome::FailedExit(code, stderr) => {
-                entry.leases.abandon(shard, rescue.lease_seq);
-                self.record_lease(entry, LeaseAction::Released, &transition);
-                self.fail_campaign(
-                    entry,
-                    format!(
-                        "rescue worker for poisoned shard {shard} failed (exit {code}): {stderr}"
-                    ),
+                let message = format!(
+                    "rescue worker for poisoned shard {shard} failed (exit {code}): {stderr}"
                 );
+                self.release_and_fail(entry, &transition, message);
             }
             ChildOutcome::Committed
             | ChildOutcome::Fenced

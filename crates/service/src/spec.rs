@@ -14,7 +14,8 @@ use comfort_core::campaign::{CampaignConfig, CampaignConfigBuilder};
 use comfort_core::resilience::ChaosConfig;
 use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
-use comfort_telemetry::json::{self, Field, JsonValue};
+use comfort_telemetry::json::{self, member, Field, JsonValue, Rule};
+use comfort_telemetry::json_record;
 
 /// A tenant's campaign submission: identity, budget, and determinism
 /// knobs, all optional except the tenant name. Unset fields keep the
@@ -66,145 +67,18 @@ impl CampaignSpec {
         CampaignSpec { tenant: tenant.into(), ..CampaignSpec::default() }
     }
 
-    /// Renders the spec as a canonical JSON object (round-trips through
-    /// [`CampaignSpec::from_json`]).
+    /// Renders the spec as its canonical JSON object: keys sorted, unset
+    /// members left out (round-trips through [`CampaignSpec::from_json_str`]).
     pub fn to_json(&self) -> String {
-        let mut pairs: Vec<(&str, JsonValue)> =
-            vec![("tenant", JsonValue::String(self.tenant.clone()))];
-        if let Some(v) = &self.name {
-            pairs.push(("name", JsonValue::String(v.clone())));
-        }
-        if let Some(v) = self.seed {
-            pairs.push(("seed", JsonValue::Int(v as i128)));
-        }
-        if let Some(v) = self.corpus_programs {
-            pairs.push(("corpus_programs", JsonValue::Int(v as i128)));
-        }
-        if let Some(lm) = &self.lm {
-            pairs.push((
-                "lm",
-                JsonValue::object([
-                    ("order", JsonValue::Int(lm.order as i128)),
-                    ("bpe_merges", JsonValue::Int(lm.bpe_merges as i128)),
-                    ("top_k", JsonValue::Int(lm.top_k as i128)),
-                    ("max_tokens", JsonValue::Int(lm.max_tokens as i128)),
-                ]),
-            ));
-        }
-        if let Some(v) = self.max_cases {
-            pairs.push(("max_cases", JsonValue::Int(v as i128)));
-        }
-        if let Some(v) = self.shard_cases {
-            pairs.push(("shard_cases", JsonValue::Int(v as i128)));
-        }
-        if let Some(v) = self.fuel {
-            pairs.push(("fuel", JsonValue::Int(v as i128)));
-        }
-        if let Some(v) = self.include_strict {
-            pairs.push(("include_strict", JsonValue::Bool(v)));
-        }
-        if let Some(v) = self.include_legacy {
-            pairs.push(("include_legacy", JsonValue::Bool(v)));
-        }
-        if let Some(v) = self.reduce_cases {
-            pairs.push(("reduce_cases", JsonValue::Bool(v)));
-        }
-        if let Some(v) = self.keep_invalid_fraction {
-            pairs.push(("keep_invalid_fraction", JsonValue::Number(v)));
-        }
-        if let Some(v) = &self.checkpoint {
-            pairs.push(("checkpoint", JsonValue::String(v.clone())));
-        }
-        if let Some(v) = &self.telemetry {
-            pairs.push(("telemetry", JsonValue::String(v.clone())));
-        }
-        if let Some(v) = self.deadline_millis {
-            pairs.push(("deadline_millis", JsonValue::Int(v as i128)));
-        }
-        if let Some(v) = self.contain_panics {
-            pairs.push(("contain_panics", JsonValue::Bool(v)));
-        }
-        if let Some(ChaosConfig { plan, testbeds }) = &self.chaos {
-            pairs.push((
-                "chaos",
-                JsonValue::object([
-                    ("seed", JsonValue::Int(plan.seed as i128)),
-                    ("abort_rate", JsonValue::Number(plan.abort_rate)),
-                    ("abort_signal", JsonValue::Int(plan.abort_signal as i128)),
-                    ("panic_rate", JsonValue::Number(plan.panic_rate)),
-                    ("hang_rate", JsonValue::Number(plan.hang_rate)),
-                    ("garbage_rate", JsonValue::Number(plan.garbage_rate)),
-                    ("transient_rate", JsonValue::Number(plan.transient_rate)),
-                    ("transient_persistence", JsonValue::Int(plan.transient_persistence as i128)),
-                    ("hang_millis", JsonValue::Int(plan.hang_millis as i128)),
-                    ("garbage_bytes", JsonValue::Int(plan.garbage_bytes as i128)),
-                    (
-                        "testbeds",
-                        JsonValue::Array(
-                            testbeds.iter().map(|&t| JsonValue::Int(t as i128)).collect(),
-                        ),
-                    ),
-                ]),
-            ));
-        }
-        JsonValue::object(pairs).to_json()
+        let mut out = String::with_capacity(256);
+        self.write(&mut out);
+        out
     }
 
-    /// Parses a spec from its JSON form. A field that is present must have
+    /// Parses a spec from JSON text. A member that is present must have
     /// its documented type and fit its Rust type; the error names it.
-    pub fn from_json(v: &JsonValue) -> Result<CampaignSpec, String> {
-        let spec = CampaignSpec {
-            tenant: Field::parse(v, "tenant")?,
-            name: Field::parse(v, "name")?,
-            seed: Field::parse(v, "seed")?,
-            corpus_programs: Field::parse(v, "corpus_programs")?,
-            lm: json::nested(v, "lm", |lm| {
-                Ok(GeneratorConfig {
-                    order: Field::parse(lm, "order")?,
-                    bpe_merges: Field::parse(lm, "bpe_merges")?,
-                    top_k: Field::parse(lm, "top_k")?,
-                    max_tokens: Field::parse(lm, "max_tokens")?,
-                })
-            })?,
-            max_cases: Field::parse(v, "max_cases")?,
-            shard_cases: Field::parse(v, "shard_cases")?,
-            fuel: Field::parse(v, "fuel")?,
-            include_strict: Field::parse(v, "include_strict")?,
-            include_legacy: Field::parse(v, "include_legacy")?,
-            reduce_cases: Field::parse(v, "reduce_cases")?,
-            keep_invalid_fraction: Field::parse(v, "keep_invalid_fraction")?,
-            checkpoint: Field::parse(v, "checkpoint")?,
-            telemetry: Field::parse(v, "telemetry")?,
-            deadline_millis: Field::parse(v, "deadline_millis")?,
-            contain_panics: Field::parse(v, "contain_panics")?,
-            chaos: json::nested(v, "chaos", |c| {
-                let d = FaultPlan::new(FaultPlan::DERIVE);
-                let plan = FaultPlan {
-                    seed: Option::parse(c, "seed")?.unwrap_or(d.seed),
-                    abort_rate: Option::parse(c, "abort_rate")?.unwrap_or(d.abort_rate),
-                    abort_signal: Option::parse(c, "abort_signal")?.unwrap_or(d.abort_signal),
-                    panic_rate: Option::parse(c, "panic_rate")?.unwrap_or(d.panic_rate),
-                    hang_rate: Option::parse(c, "hang_rate")?.unwrap_or(d.hang_rate),
-                    garbage_rate: Option::parse(c, "garbage_rate")?.unwrap_or(d.garbage_rate),
-                    transient_rate: Option::parse(c, "transient_rate")?.unwrap_or(d.transient_rate),
-                    transient_persistence: Option::parse(c, "transient_persistence")?
-                        .unwrap_or(d.transient_persistence),
-                    hang_millis: Option::parse(c, "hang_millis")?.unwrap_or(d.hang_millis),
-                    garbage_bytes: Option::parse(c, "garbage_bytes")?.unwrap_or(d.garbage_bytes),
-                };
-                let testbeds = Option::parse(c, "testbeds")?.unwrap_or_else(|| vec![0]);
-                Ok(ChaosConfig::on(plan, testbeds))
-            })?,
-        };
-        if spec.tenant.is_empty() {
-            return Err("spec field 'tenant' must be non-empty".to_string());
-        }
-        Ok(spec)
-    }
-
-    /// Parses a spec from JSON text.
     pub fn from_json_str(text: &str) -> Result<CampaignSpec, String> {
-        CampaignSpec::from_json(&json::parse(text)?)
+        CampaignSpec::read(&json::parse(text)?)
     }
 
     /// Builds the validated [`CampaignConfig`] this spec describes.
@@ -261,6 +135,93 @@ impl CampaignSpec {
         Ok(config)
     }
 }
+
+// The spec's wire form, one table in key order, as the canonical rendering
+// sorts its keys. Only three members are not in their type's own form.
+json_record!(CampaignSpec {
+    chaos => Chaos, checkpoint, contain_panics, corpus_programs, deadline_millis, fuel,
+    include_legacy, include_strict, keep_invalid_fraction, lm => Lm, max_cases, name,
+    reduce_cases, seed, shard_cases, telemetry, tenant => NonEmpty,
+});
+
+/// `tenant`: a string that must not be empty.
+struct NonEmpty;
+
+impl Rule<String> for NonEmpty {
+    fn render(value: &String, key: &str, out: &mut String) {
+        value.render(key, out);
+    }
+    fn parse(v: &JsonValue, name: &str) -> Result<String, String> {
+        let value = String::parse(v, name)?;
+        if value.is_empty() {
+            return Err(format!("field '{name}' must be non-empty"));
+        }
+        Ok(value)
+    }
+}
+
+/// The last field of a field path, as a string: the path's JSON key.
+macro_rules! key {
+    ($field:ident) => { stringify!($field) };
+    ($head:ident . $($rest:ident).+) => { key!($($rest).+) };
+}
+
+/// Declares member rule `$rule` for an optional `$ty` of another crate,
+/// written as an object: one table of field paths in key order, each keyed
+/// by its last field. Reading starts from `$base` and reads each member
+/// into it with `$read`, [`required`] or [`if_present`].
+macro_rules! object_rule {
+    ($rule:ident: $ty:ty = $base:expr, $read:ident { $($($path:ident).+),+ $(,)? }) => {
+        struct $rule;
+
+        impl Rule<Option<$ty>> for $rule {
+            fn render(value: &Option<$ty>, key: &str, out: &mut String) {
+                if let Some(value) = value {
+                    member(out, key);
+                    out.push('{');
+                    $( value.$($path).+.render(concat!("\"", key!($($path).+), "\":"), out); )+
+                    out.push('}');
+                }
+            }
+            fn parse(v: &JsonValue, name: &str) -> Result<Option<$ty>, String> {
+                json::nested(v, name, |object| {
+                    let mut value: $ty = $base;
+                    $( $read(object, key!($($path).+), &mut value.$($path).+)?; )+
+                    Ok(value)
+                })
+            }
+        }
+    };
+}
+
+/// Reads member `name` of `v` into `slot`; it must be present.
+fn required<T: Field>(v: &JsonValue, name: &str, slot: &mut T) -> Result<(), String> {
+    *slot = T::parse(v, name)?;
+    Ok(())
+}
+
+/// Reads member `name` of `v` into `slot` if it is present.
+fn if_present<T: Field>(v: &JsonValue, name: &str, slot: &mut T) -> Result<(), String> {
+    if let Some(value) = Option::parse(v, name)? {
+        *slot = value;
+    }
+    Ok(())
+}
+
+// `lm`: every member of the generator config.
+object_rule!(Lm: GeneratorConfig = GeneratorConfig::default(), required {
+    bpe_merges, max_tokens, order, top_k,
+});
+
+// `chaos`: the fault plan's members and `testbeds`. An absent one keeps its
+// value in a derived-seed plan on testbed 0.
+object_rule!(
+    Chaos: ChaosConfig = ChaosConfig::on_first(FaultPlan::new(FaultPlan::DERIVE)), if_present {
+        plan.abort_rate, plan.abort_signal, plan.garbage_bytes, plan.garbage_rate,
+        plan.hang_millis, plan.hang_rate, plan.panic_rate, plan.seed, testbeds,
+        plan.transient_persistence, plan.transient_rate,
+    }
+);
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,7 @@
 use std::io::{self, Read, Write};
 
 use comfort_telemetry::json::{self, Field, JsonValue};
+use comfort_telemetry::json_record;
 
 use crate::spec::CampaignSpec;
 
@@ -67,53 +68,40 @@ pub enum Request {
     Tail(String),
 }
 
+/// A request's frame, `{campaign?, cmd, spec?}`, in key order.
+struct Frame {
+    campaign: Option<String>,
+    cmd: String,
+    spec: Option<CampaignSpec>,
+}
+
+json_record!(Frame { campaign, cmd, spec });
+
 impl Request {
     /// Renders the request as one JSON frame payload.
     pub fn to_json(&self) -> String {
-        match self {
-            Request::Submit(spec) => {
-                let spec = json::parse(&spec.to_json()).expect("spec JSON is canonical");
-                JsonValue::object([
-                    ("cmd", JsonValue::String("submit".to_string())),
-                    ("spec", spec),
-                ])
-                .to_json()
-            }
-            Request::Status(campaign) => {
-                let mut pairs = vec![("cmd", JsonValue::String("status".to_string()))];
-                if let Some(id) = campaign {
-                    pairs.push(("campaign", JsonValue::String(id.clone())));
-                }
-                JsonValue::object(pairs).to_json()
-            }
-            Request::Cancel(id) => JsonValue::object([
-                ("cmd", JsonValue::String("cancel".to_string())),
-                ("campaign", JsonValue::String(id.clone())),
-            ])
-            .to_json(),
-            Request::Drain => {
-                JsonValue::object([("cmd", JsonValue::String("drain".to_string()))]).to_json()
-            }
-            Request::Tail(id) => JsonValue::object([
-                ("cmd", JsonValue::String("tail".to_string())),
-                ("campaign", JsonValue::String(id.clone())),
-            ])
-            .to_json(),
-        }
+        let (cmd, campaign, spec) = match self {
+            Request::Submit(spec) => ("submit", None, Some(CampaignSpec::clone(spec))),
+            Request::Status(campaign) => ("status", campaign.clone(), None),
+            Request::Cancel(id) => ("cancel", Some(id.clone()), None),
+            Request::Drain => ("drain", None, None),
+            Request::Tail(id) => ("tail", Some(id.clone()), None),
+        };
+        let mut out = String::with_capacity(64);
+        Frame { campaign, cmd: cmd.to_string(), spec }.write(&mut out);
+        out
     }
 
     /// Parses a request frame.
     pub fn from_json_str(text: &str) -> Result<Request, String> {
-        let v = json::parse(text)?;
-        match String::parse(&v, "cmd")?.as_str() {
-            "submit" => {
-                let spec = json::nested(&v, "spec", CampaignSpec::from_json)?;
-                Ok(Request::Submit(Box::new(spec.ok_or("field 'spec' is missing")?)))
-            }
-            "status" => Ok(Request::Status(Option::parse(&v, "campaign")?)),
-            "cancel" => Ok(Request::Cancel(String::parse(&v, "campaign")?)),
+        let Frame { campaign, cmd, spec } = Frame::read(&json::parse(text)?)?;
+        let no_campaign = "field 'campaign' is missing";
+        match cmd.as_str() {
+            "submit" => Ok(Request::Submit(Box::new(spec.ok_or("field 'spec' is missing")?))),
+            "status" => Ok(Request::Status(campaign)),
+            "cancel" => Ok(Request::Cancel(campaign.ok_or(no_campaign)?)),
             "drain" => Ok(Request::Drain),
-            "tail" => Ok(Request::Tail(String::parse(&v, "campaign")?)),
+            "tail" => Ok(Request::Tail(campaign.ok_or(no_campaign)?)),
             other => Err(format!("unknown command '{other}'")),
         }
     }
@@ -196,6 +184,10 @@ mod tests {
         assert!(Request::from_json_str(r#"{"cmd":"zap"}"#).unwrap_err().contains("zap"));
         assert!(Request::from_json_str(r#"{"cmd":"cancel"}"#).unwrap_err().contains("campaign"));
         assert!(Request::from_json_str(r#"{"cmd":"submit"}"#).unwrap_err().contains("spec"));
+        let err = Request::from_json_str(r#"{"cmd":"submit","spec":{"tenant":""}}"#).unwrap_err();
+        assert!(err.contains("'spec.tenant'"), "{err}");
+        let err = Request::from_json_str(r#"{"cmd":"submit","spec":7}"#).unwrap_err();
+        assert!(err.contains("'spec' must be an object"), "{err}");
     }
 
     #[test]

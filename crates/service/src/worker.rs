@@ -179,9 +179,9 @@ pub fn run_worker_once(opts: &WorkerOnceOptions) -> Result<String, WorkerError> 
     let fingerprint = config_fingerprint(session.config());
 
     // Progress sampling: run_shard drives the session's shared progress
-    // handle, so a sampler thread can stream `progress` lines to stdout.
+    // handle, armed from the plan, so a sampler thread can stream
+    // `progress` lines to stdout.
     let progress = session.progress();
-    progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
 
     let (journal, target, lease_seq) = match (opts.shard, opts.lease_seq) {
         (Some(shard), Some(lease_seq)) => {
@@ -274,8 +274,6 @@ fn run_probe(
     // shard seed: the first `cases` cases of the truncated spec are
     // exactly the first `cases` cases of the full shard.
     let probe_spec = ShardSpec { cases, ..spec };
-    let progress = session.progress();
-    progress.reset(&plan.iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
     let buffer = MemorySink::new();
     let report = session.executor().run_shard(&probe_spec, &buffer);
     Ok(format!("probe survived shard {shard} prefix of {cases} cases ({} run)", report.cases_run))

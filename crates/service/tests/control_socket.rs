@@ -54,10 +54,12 @@ fn submit_status_tail_cancel_and_drain_over_the_socket() {
     let mut client =
         Client::connect_with_retry(&socket, Duration::from_secs(5)).expect("client connects");
 
-    // Submit two campaigns for different tenants over the wire.
-    let submit = client
-        .request(&Request::Submit(Box::new(small_spec("acme", 91))))
-        .expect("submit round-trips");
+    // Submit two campaigns for different tenants over the wire, the first
+    // teeing its telemetry into a JSONL file.
+    let telemetry = std::env::temp_dir().join(format!("cmf-{}-e2e.jsonl", std::process::id()));
+    let spec =
+        CampaignSpec { telemetry: Some(telemetry.display().to_string()), ..small_spec("acme", 91) };
+    let submit = client.request(&Request::Submit(Box::new(spec))).expect("submit round-trips");
     assert!(ok(&submit), "submit rejected: {}", submit.to_json());
     let id = submit
         .get("campaign")
@@ -81,11 +83,11 @@ fn submit_status_tail_cancel_and_drain_over_the_socket() {
 
     // `tail` streams the first campaign's live telemetry until terminal;
     // the closing frame is `{"ok":true,"done":true}`.
-    let mut streamed = 0usize;
-    let closing = client.tail(&id, |_event| streamed += 1).expect("tail streams");
+    let mut streamed = Vec::new();
+    let closing = client.tail(&id, |event| streamed.push(event.to_json())).expect("tail streams");
     assert!(ok(&closing));
     assert_eq!(closing.get("done").and_then(JsonValue::as_bool), Some(true));
-    assert!(streamed > 0, "tail should have streamed campaign events");
+    assert!(!streamed.is_empty(), "tail should have streamed campaign events");
 
     // Status over the wire: both campaigns listed, the occupancy table
     // rendered server-side.
@@ -119,6 +121,11 @@ fn submit_status_tail_cancel_and_drain_over_the_socket() {
     server.wait();
     server.stop();
     assert!(!socket.exists(), "socket file removed on stop");
+
+    // The tail streamed the lines the telemetry file holds, byte for byte.
+    let file = std::fs::read_to_string(&telemetry).expect("telemetry file written");
+    assert_eq!(file.lines().collect::<Vec<_>>(), streamed);
+    let _ = std::fs::remove_file(&telemetry);
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! AST visitors: a read-only walk and a mutable one, in one order.
+//! AST visitors: a read-only walk and a mutable one, written once.
 //!
 //! [`walk_program`] and [`walk_program_mut`] visit the same nodes in the
 //! same pre-order: a node before its children, a function before its body,
-//! a callee before its arguments, a computed key before its value. Node ids
-//! depend on that: [`Program::renumber`] numbers nodes through the mutable
-//! walk, and a visitor that reads ids through the read-only walk meets them
-//! in ascending order. The read-only walk serves the ECMA-guided data
+//! a callee before its arguments, a computed key before its value. One
+//! macro body emits both families, which differ only in how they hold a
+//! node (`&'ast` or `&mut`), so the order is written once. Node ids depend
+//! on it: [`Program::renumber`] numbers nodes through the mutable walk, and
+//! a visitor that reads ids through the read-only walk meets them in
+//! ascending order. The read-only walk serves the ECMA-guided data
 //! generator (to find API call sites), the identical-bug filter (to extract
 //! called API names), coverage and the baselines; the mutable walk serves
 //! renumbering, the generator's argument edits and DIE's mutation.
@@ -26,153 +28,6 @@ pub trait Visitor<'ast> {
     fn visit_function(&mut self, _func: &'ast Function) {}
 }
 
-/// Walks an entire program.
-pub fn walk_program<'ast, V: Visitor<'ast>>(program: &'ast Program, v: &mut V) {
-    for stmt in &program.body {
-        walk_stmt(stmt, v);
-    }
-}
-
-/// Walks a statement and its children.
-pub fn walk_stmt<'ast, V: Visitor<'ast>>(stmt: &'ast Stmt, v: &mut V) {
-    v.visit_stmt(stmt);
-    match &stmt.kind {
-        StmtKind::Expr(e) | StmtKind::Throw(e) => walk_expr(e, v),
-        StmtKind::Decl { decls, .. } => {
-            for d in decls {
-                if let Some(init) = &d.init {
-                    walk_expr(init, v);
-                }
-            }
-        }
-        StmtKind::FunctionDecl(f) => walk_function(f, v),
-        StmtKind::Block(body) => body.iter().for_each(|s| walk_stmt(s, v)),
-        StmtKind::If { cond, cons, alt } => {
-            walk_expr(cond, v);
-            walk_stmt(cons, v);
-            if let Some(alt) = alt {
-                walk_stmt(alt, v);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            walk_expr(cond, v);
-            walk_stmt(body, v);
-        }
-        StmtKind::DoWhile { body, cond } => {
-            walk_stmt(body, v);
-            walk_expr(cond, v);
-        }
-        StmtKind::For { init, test, update, body } => {
-            match init.as_deref() {
-                Some(ForInit::Decl { decls, .. }) => {
-                    for d in decls {
-                        if let Some(e) = &d.init {
-                            walk_expr(e, v);
-                        }
-                    }
-                }
-                Some(ForInit::Expr(e)) => walk_expr(e, v),
-                None => {}
-            }
-            if let Some(t) = test {
-                walk_expr(t, v);
-            }
-            if let Some(u) = update {
-                walk_expr(u, v);
-            }
-            walk_stmt(body, v);
-        }
-        StmtKind::ForInOf { object, body, .. } => {
-            walk_expr(object, v);
-            walk_stmt(body, v);
-        }
-        StmtKind::Return(e) => {
-            if let Some(e) = e {
-                walk_expr(e, v);
-            }
-        }
-        StmtKind::Try { block, catch, finally } => {
-            block.iter().for_each(|s| walk_stmt(s, v));
-            if let Some(c) = catch {
-                c.body.iter().for_each(|s| walk_stmt(s, v));
-            }
-            if let Some(f) = finally {
-                f.iter().for_each(|s| walk_stmt(s, v));
-            }
-        }
-        StmtKind::Switch { disc, cases } => {
-            walk_expr(disc, v);
-            for c in cases {
-                if let Some(t) = &c.test {
-                    walk_expr(t, v);
-                }
-                c.body.iter().for_each(|s| walk_stmt(s, v));
-            }
-        }
-        StmtKind::Break | StmtKind::Continue | StmtKind::Empty | StmtKind::Directive(_) => {}
-    }
-}
-
-/// Walks a function: its body statements.
-pub fn walk_function<'ast, V: Visitor<'ast>>(func: &'ast Function, v: &mut V) {
-    v.visit_function(func);
-    func.body.iter().for_each(|s| walk_stmt(s, v));
-}
-
-/// Walks an expression and its children.
-pub fn walk_expr<'ast, V: Visitor<'ast>>(expr: &'ast Expr, v: &mut V) {
-    v.visit_expr(expr);
-    match &expr.kind {
-        ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
-        ExprKind::Array(items) => items.iter().flatten().for_each(|e| walk_expr(e, v)),
-        ExprKind::Object(props) => {
-            for p in props {
-                if let PropKey::Computed(k) = &p.key {
-                    walk_expr(k, v);
-                }
-                if let Some(val) = &p.value {
-                    walk_expr(val, v);
-                }
-            }
-        }
-        ExprKind::Function(f) => walk_function(f, v),
-        ExprKind::Arrow { func, expr_body } => {
-            v.visit_function(func);
-            func.body.iter().for_each(|s| walk_stmt(s, v));
-            if let Some(e) = expr_body {
-                walk_expr(e, v);
-            }
-        }
-        ExprKind::Unary { operand, .. } => walk_expr(operand, v),
-        ExprKind::Update { target, .. } => walk_expr(target, v),
-        ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-            walk_expr(left, v);
-            walk_expr(right, v);
-        }
-        ExprKind::Cond { cond, cons, alt } => {
-            walk_expr(cond, v);
-            walk_expr(cons, v);
-            walk_expr(alt, v);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            walk_expr(target, v);
-            walk_expr(value, v);
-        }
-        ExprKind::Seq(items) => items.iter().for_each(|e| walk_expr(e, v)),
-        ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-            walk_expr(callee, v);
-            args.iter().for_each(|e| walk_expr(e, v));
-        }
-        ExprKind::Member { object, .. } => walk_expr(object, v),
-        ExprKind::Index { object, index } => {
-            walk_expr(object, v);
-            walk_expr(index, v);
-        }
-        ExprKind::Template { exprs, .. } => exprs.iter().for_each(|e| walk_expr(e, v)),
-        ExprKind::Paren(inner) => walk_expr(inner, v),
-    }
-}
-
 /// Mutable counterpart of [`Visitor`], driven by the `walk_*_mut`
 /// functions in the same order.
 ///
@@ -188,152 +43,193 @@ pub trait VisitorMut {
     fn visit_function(&mut self, _func: &mut Function) {}
 }
 
-/// Walks an entire program mutably, in [`walk_program`]'s order.
-pub fn walk_program_mut<V: VisitorMut>(program: &mut Program, v: &mut V) {
-    for stmt in &mut program.body {
-        walk_stmt_mut(stmt, v);
-    }
-}
+/// Emits one walk family: its four functions, each with its docs, in the
+/// one walk order. A family says how it holds a node: the generics of each
+/// function, the node's reference type (`&'ast` or `&mut`), the borrow
+/// keyword (nothing or `mut`) and the iterator and `as_deref` methods that
+/// go with it.
+macro_rules! walks {
+    (
+        [$($generics:tt)*] [$($node:tt)+] [$($mut:tt)?] $iter:ident $as_deref:ident,
+        $(#[$program_doc:meta])* $program:ident,
+        $(#[$stmt_doc:meta])* $stmt:ident,
+        $(#[$function_doc:meta])* $function:ident,
+        $(#[$expr_doc:meta])* $expr:ident $(,)?
+    ) => {
+        $(#[$program_doc])*
+        pub fn $program<$($generics)*>(program: $($node)+ Program, v: &mut V) {
+            for stmt in &$($mut)? program.body {
+                $stmt(stmt, v);
+            }
+        }
 
-/// Walks a statement and its children mutably, in [`walk_stmt`]'s order.
-pub fn walk_stmt_mut<V: VisitorMut>(stmt: &mut Stmt, v: &mut V) {
-    v.visit_stmt(stmt);
-    match &mut stmt.kind {
-        StmtKind::Expr(e) | StmtKind::Throw(e) => walk_expr_mut(e, v),
-        StmtKind::Decl { decls, .. } => {
-            for d in decls {
-                if let Some(init) = &mut d.init {
-                    walk_expr_mut(init, v);
-                }
-            }
-        }
-        StmtKind::FunctionDecl(f) => walk_function_mut(f, v),
-        StmtKind::Block(body) => body.iter_mut().for_each(|s| walk_stmt_mut(s, v)),
-        StmtKind::If { cond, cons, alt } => {
-            walk_expr_mut(cond, v);
-            walk_stmt_mut(cons, v);
-            if let Some(alt) = alt {
-                walk_stmt_mut(alt, v);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            walk_expr_mut(cond, v);
-            walk_stmt_mut(body, v);
-        }
-        StmtKind::DoWhile { body, cond } => {
-            walk_stmt_mut(body, v);
-            walk_expr_mut(cond, v);
-        }
-        StmtKind::For { init, test, update, body } => {
-            match init.as_deref_mut() {
-                Some(ForInit::Decl { decls, .. }) => {
+        $(#[$stmt_doc])*
+        pub fn $stmt<$($generics)*>(stmt: $($node)+ Stmt, v: &mut V) {
+            v.visit_stmt(stmt);
+            match &$($mut)? stmt.kind {
+                StmtKind::Expr(e) | StmtKind::Throw(e) => $expr(e, v),
+                StmtKind::Decl { decls, .. } => {
                     for d in decls {
-                        if let Some(e) = &mut d.init {
-                            walk_expr_mut(e, v);
+                        if let Some(init) = &$($mut)? d.init {
+                            $expr(init, v);
                         }
                     }
                 }
-                Some(ForInit::Expr(e)) => walk_expr_mut(e, v),
-                None => {}
-            }
-            if let Some(t) = test {
-                walk_expr_mut(t, v);
-            }
-            if let Some(u) = update {
-                walk_expr_mut(u, v);
-            }
-            walk_stmt_mut(body, v);
-        }
-        StmtKind::ForInOf { object, body, .. } => {
-            walk_expr_mut(object, v);
-            walk_stmt_mut(body, v);
-        }
-        StmtKind::Return(e) => {
-            if let Some(e) = e {
-                walk_expr_mut(e, v);
-            }
-        }
-        StmtKind::Try { block, catch, finally } => {
-            block.iter_mut().for_each(|s| walk_stmt_mut(s, v));
-            if let Some(c) = catch {
-                c.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
-            }
-            if let Some(f) = finally {
-                f.iter_mut().for_each(|s| walk_stmt_mut(s, v));
-            }
-        }
-        StmtKind::Switch { disc, cases } => {
-            walk_expr_mut(disc, v);
-            for c in cases {
-                if let Some(t) = &mut c.test {
-                    walk_expr_mut(t, v);
+                StmtKind::FunctionDecl(f) => $function(f, v),
+                StmtKind::Block(body) => body.$iter().for_each(|s| $stmt(s, v)),
+                StmtKind::If { cond, cons, alt } => {
+                    $expr(cond, v);
+                    $stmt(cons, v);
+                    if let Some(alt) = alt {
+                        $stmt(alt, v);
+                    }
                 }
-                c.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
+                StmtKind::While { cond, body } => {
+                    $expr(cond, v);
+                    $stmt(body, v);
+                }
+                StmtKind::DoWhile { body, cond } => {
+                    $stmt(body, v);
+                    $expr(cond, v);
+                }
+                StmtKind::For { init, test, update, body } => {
+                    match init.$as_deref() {
+                        Some(ForInit::Decl { decls, .. }) => {
+                            for d in decls {
+                                if let Some(e) = &$($mut)? d.init {
+                                    $expr(e, v);
+                                }
+                            }
+                        }
+                        Some(ForInit::Expr(e)) => $expr(e, v),
+                        None => {}
+                    }
+                    if let Some(t) = test {
+                        $expr(t, v);
+                    }
+                    if let Some(u) = update {
+                        $expr(u, v);
+                    }
+                    $stmt(body, v);
+                }
+                StmtKind::ForInOf { object, body, .. } => {
+                    $expr(object, v);
+                    $stmt(body, v);
+                }
+                StmtKind::Return(e) => {
+                    if let Some(e) = e {
+                        $expr(e, v);
+                    }
+                }
+                StmtKind::Try { block, catch, finally } => {
+                    block.$iter().for_each(|s| $stmt(s, v));
+                    if let Some(c) = catch {
+                        c.body.$iter().for_each(|s| $stmt(s, v));
+                    }
+                    if let Some(f) = finally {
+                        f.$iter().for_each(|s| $stmt(s, v));
+                    }
+                }
+                StmtKind::Switch { disc, cases } => {
+                    $expr(disc, v);
+                    for c in cases {
+                        if let Some(t) = &$($mut)? c.test {
+                            $expr(t, v);
+                        }
+                        c.body.$iter().for_each(|s| $stmt(s, v));
+                    }
+                }
+                StmtKind::Break
+                | StmtKind::Continue
+                | StmtKind::Empty
+                | StmtKind::Directive(_) => {}
             }
         }
-        StmtKind::Break | StmtKind::Continue | StmtKind::Empty | StmtKind::Directive(_) => {}
-    }
-}
 
-/// Walks a function and its body statements mutably, in
-/// [`walk_function`]'s order.
-pub fn walk_function_mut<V: VisitorMut>(func: &mut Function, v: &mut V) {
-    v.visit_function(func);
-    func.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
-}
-
-/// Walks an expression and its children mutably, in [`walk_expr`]'s order.
-pub fn walk_expr_mut<V: VisitorMut>(expr: &mut Expr, v: &mut V) {
-    v.visit_expr(expr);
-    match &mut expr.kind {
-        ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
-        ExprKind::Array(items) => items.iter_mut().flatten().for_each(|e| walk_expr_mut(e, v)),
-        ExprKind::Object(props) => {
-            for p in props {
-                if let PropKey::Computed(k) = &mut p.key {
-                    walk_expr_mut(k, v);
-                }
-                if let Some(val) = &mut p.value {
-                    walk_expr_mut(val, v);
-                }
-            }
-        }
-        ExprKind::Function(f) => walk_function_mut(f, v),
-        ExprKind::Arrow { func, expr_body } => {
+        $(#[$function_doc])*
+        pub fn $function<$($generics)*>(func: $($node)+ Function, v: &mut V) {
             v.visit_function(func);
-            func.body.iter_mut().for_each(|s| walk_stmt_mut(s, v));
-            if let Some(e) = expr_body {
-                walk_expr_mut(e, v);
+            func.body.$iter().for_each(|s| $stmt(s, v));
+        }
+
+        $(#[$expr_doc])*
+        pub fn $expr<$($generics)*>(expr: $($node)+ Expr, v: &mut V) {
+            v.visit_expr(expr);
+            match &$($mut)? expr.kind {
+                ExprKind::Ident(_) | ExprKind::Lit(_) | ExprKind::This => {}
+                ExprKind::Array(items) => items.$iter().flatten().for_each(|e| $expr(e, v)),
+                ExprKind::Object(props) => {
+                    for p in props {
+                        if let PropKey::Computed(k) = &$($mut)? p.key {
+                            $expr(k, v);
+                        }
+                        if let Some(val) = &$($mut)? p.value {
+                            $expr(val, v);
+                        }
+                    }
+                }
+                ExprKind::Function(f) => $function(f, v),
+                ExprKind::Arrow { func, expr_body } => {
+                    $function(func, v);
+                    if let Some(e) = expr_body {
+                        $expr(e, v);
+                    }
+                }
+                ExprKind::Unary { operand, .. } => $expr(operand, v),
+                ExprKind::Update { target, .. } => $expr(target, v),
+                ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
+                    $expr(left, v);
+                    $expr(right, v);
+                }
+                ExprKind::Cond { cond, cons, alt } => {
+                    $expr(cond, v);
+                    $expr(cons, v);
+                    $expr(alt, v);
+                }
+                ExprKind::Assign { target, value, .. } => {
+                    $expr(target, v);
+                    $expr(value, v);
+                }
+                ExprKind::Seq(items) => items.$iter().for_each(|e| $expr(e, v)),
+                ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
+                    $expr(callee, v);
+                    args.$iter().for_each(|e| $expr(e, v));
+                }
+                ExprKind::Member { object, .. } => $expr(object, v),
+                ExprKind::Index { object, index } => {
+                    $expr(object, v);
+                    $expr(index, v);
+                }
+                ExprKind::Template { exprs, .. } => exprs.$iter().for_each(|e| $expr(e, v)),
+                ExprKind::Paren(inner) => $expr(inner, v),
             }
         }
-        ExprKind::Unary { operand, .. } => walk_expr_mut(operand, v),
-        ExprKind::Update { target, .. } => walk_expr_mut(target, v),
-        ExprKind::Binary { left, right, .. } | ExprKind::Logical { left, right, .. } => {
-            walk_expr_mut(left, v);
-            walk_expr_mut(right, v);
-        }
-        ExprKind::Cond { cond, cons, alt } => {
-            walk_expr_mut(cond, v);
-            walk_expr_mut(cons, v);
-            walk_expr_mut(alt, v);
-        }
-        ExprKind::Assign { target, value, .. } => {
-            walk_expr_mut(target, v);
-            walk_expr_mut(value, v);
-        }
-        ExprKind::Seq(items) => items.iter_mut().for_each(|e| walk_expr_mut(e, v)),
-        ExprKind::Call { callee, args } | ExprKind::New { callee, args } => {
-            walk_expr_mut(callee, v);
-            args.iter_mut().for_each(|e| walk_expr_mut(e, v));
-        }
-        ExprKind::Member { object, .. } => walk_expr_mut(object, v),
-        ExprKind::Index { object, index } => {
-            walk_expr_mut(object, v);
-            walk_expr_mut(index, v);
-        }
-        ExprKind::Template { exprs, .. } => exprs.iter_mut().for_each(|e| walk_expr_mut(e, v)),
-        ExprKind::Paren(inner) => walk_expr_mut(inner, v),
-    }
+    };
+}
+
+walks! {
+    ['ast, V: Visitor<'ast>] [&'ast] [] iter as_deref,
+    /// Walks an entire program.
+    walk_program,
+    /// Walks a statement and its children.
+    walk_stmt,
+    /// Walks a function: its body statements.
+    walk_function,
+    /// Walks an expression and its children.
+    walk_expr,
+}
+
+walks! {
+    [V: VisitorMut] [&mut] [mut] iter_mut as_deref_mut,
+    /// Walks an entire program mutably, in [`walk_program`]'s order.
+    walk_program_mut,
+    /// Walks a statement and its children mutably, in [`walk_stmt`]'s order.
+    walk_stmt_mut,
+    /// Walks a function and its body statements mutably, in
+    /// [`walk_function`]'s order.
+    walk_function_mut,
+    /// Walks an expression and its children mutably, in [`walk_expr`]'s order.
+    walk_expr_mut,
 }
 
 /// Collects the names of every API called as `recv.method(...)` or as a bare

@@ -7,10 +7,10 @@
 //! **canonically**: object keys sorted, integers exact, floats in shortest
 //! round-trip form, so `parse(v.to_json())` re-renders byte-identically.
 //!
-//! Telemetry events and checkpoint journal records render straight into a
-//! string through [`Field`], each from one table that generates both
-//! directions (`event_kinds!`, [`json_record!`](crate::json_record)); campaign specs and bench
-//! records read their fields through it too.
+//! Telemetry events, checkpoint journal records, campaign specs, control
+//! request frames and bench records render straight into a string through
+//! [`Field`] and read back through it, each from one table that generates
+//! both directions (`event_kinds!`, [`json_record!`](crate::json_record)).
 
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -501,6 +501,7 @@ pub trait Record: Sized {
     fn read_members(v: &JsonValue) -> Result<Self, String>;
 }
 
+/// A record is an object of its members; any other value is refused.
 impl<T: Record> Field for T {
     fn write(&self, out: &mut String) {
         out.push('{');
@@ -508,7 +509,10 @@ impl<T: Record> Field for T {
         out.push('}');
     }
     fn read(v: &JsonValue) -> Result<Self, String> {
-        T::read_members(v)
+        match v {
+            JsonValue::Object(_) => T::read_members(v),
+            _ => Err("must be an object".to_string()),
+        }
     }
 }
 

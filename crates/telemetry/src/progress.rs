@@ -1,12 +1,13 @@
 //! Live campaign progress, polled from any thread.
 //!
-//! A [`ProgressHandle`] is a cheap `Arc` clone over shared atomics: the
-//! executor updates it as cases complete, and any other thread can call
-//! [`ProgressHandle::snapshot`] while the campaign runs. Progress is
+//! A [`ProgressHandle`] is a cheap `Arc` clone over one lock that guards a
+//! row per shard: the executor updates it as cases complete, and any other
+//! thread can call [`ProgressHandle::snapshot`] while the campaign runs.
+//! The run's totals are sums over the rows, read under the same lock, so a
+//! snapshot's totals always equal the sum of its rows. Progress is
 //! observability-only — it never feeds back into scheduling, so polling
 //! cannot perturb the deterministic event stream or report.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -19,23 +20,16 @@ struct ShardState {
     finished: Option<Instant>,
 }
 
-#[derive(Debug, Default)]
-struct ProgressState {
-    total_cases: AtomicU64,
-    cases_done: AtomicU64,
-    bugs_found: AtomicU64,
-    shards_done: AtomicU64,
-    shards: Mutex<Vec<ShardState>>,
-}
-
 /// A cloneable, thread-safe view of a running campaign.
 ///
-/// Counters only ever increase within one run; [`ProgressHandle::reset`]
-/// re-arms the same handle for a new run (a campaign session does this at
-/// the start of every run, so its handle stays valid across runs).
+/// Counters only increase within one run, until a committed shard's row is
+/// set to its result ([`ProgressHandle::shard_committed`]);
+/// [`ProgressHandle::reset`] re-arms the same handle for a new run (a
+/// campaign session does this at the start of every run, so its handle
+/// stays valid across runs).
 #[derive(Debug, Clone, Default)]
 pub struct ProgressHandle {
-    state: Arc<ProgressState>,
+    shards: Arc<Mutex<Vec<ShardState>>>,
 }
 
 impl ProgressHandle {
@@ -47,63 +41,68 @@ impl ProgressHandle {
     /// Re-arms the handle for a run over `shard_budgets` (cases per shard,
     /// in merge order). Zeroes every counter.
     pub fn reset(&self, shard_budgets: &[u64]) {
-        let mut shards = self.state.shards.lock().expect("progress poisoned");
-        *shards =
+        *self.rows() =
             shard_budgets.iter().map(|&b| ShardState { budget: b, ..Default::default() }).collect();
-        self.state.total_cases.store(shard_budgets.iter().sum(), Ordering::Relaxed);
-        self.state.cases_done.store(0, Ordering::Relaxed);
-        self.state.bugs_found.store(0, Ordering::Relaxed);
-        self.state.shards_done.store(0, Ordering::Relaxed);
+    }
+
+    fn rows(&self) -> std::sync::MutexGuard<'_, Vec<ShardState>> {
+        self.shards.lock().expect("progress poisoned")
+    }
+
+    /// Applies `update` to `shard`'s row, if the plan has one.
+    fn update(&self, shard: usize, update: impl FnOnce(&mut ShardState)) {
+        if let Some(s) = self.rows().get_mut(shard) {
+            update(s);
+        }
     }
 
     /// Marks `shard` as started (starts its throughput clock).
     pub fn shard_started(&self, shard: usize) {
-        let mut shards = self.state.shards.lock().expect("progress poisoned");
-        if let Some(s) = shards.get_mut(shard) {
-            s.started = Some(Instant::now());
-        }
+        self.update(shard, |s| s.started = Some(Instant::now()));
     }
 
     /// Records one completed case on `shard`.
     pub fn case_done(&self, shard: usize) {
-        self.state.cases_done.fetch_add(1, Ordering::Relaxed);
-        let mut shards = self.state.shards.lock().expect("progress poisoned");
-        if let Some(s) = shards.get_mut(shard) {
-            s.done += 1;
-        }
+        self.update(shard, |s| s.done += 1);
     }
 
     /// Records one reported bug on `shard`.
     pub fn bug_found(&self, shard: usize) {
-        self.state.bugs_found.fetch_add(1, Ordering::Relaxed);
-        let mut shards = self.state.shards.lock().expect("progress poisoned");
-        if let Some(s) = shards.get_mut(shard) {
-            s.bugs += 1;
-        }
+        self.update(shard, |s| s.bugs += 1);
     }
 
     /// Marks `shard` as finished (freezes its throughput clock).
     pub fn shard_finished(&self, shard: usize) {
-        self.state.shards_done.fetch_add(1, Ordering::Relaxed);
-        let mut shards = self.state.shards.lock().expect("progress poisoned");
-        if let Some(s) = shards.get_mut(shard) {
-            s.finished = Some(Instant::now());
-        }
+        self.update(shard, |s| s.finished = Some(Instant::now()));
     }
 
-    /// Cases completed so far (monotonically non-decreasing within a run).
+    /// Sets `shard`'s row to its committed result, `cases` done and `bugs`
+    /// found, and marks it finished. What its attempts counted is replaced,
+    /// so a shard that ran twice, or whose result came from a journal,
+    /// counts once.
+    pub fn shard_committed(&self, shard: usize, cases: u64, bugs: u64) {
+        self.update(shard, |s| {
+            let now = Instant::now();
+            s.started.get_or_insert(now);
+            s.finished.get_or_insert(now);
+            s.done = cases;
+            s.bugs = bugs;
+        });
+    }
+
+    /// Cases completed so far.
     pub fn cases_done(&self) -> u64 {
-        self.state.cases_done.load(Ordering::Relaxed)
+        self.rows().iter().map(|s| s.done).sum()
     }
 
     /// Unique bugs reported so far.
     pub fn bugs_found(&self) -> u64 {
-        self.state.bugs_found.load(Ordering::Relaxed)
+        self.rows().iter().map(|s| s.bugs).sum()
     }
 
     /// A consistent point-in-time view of the whole run.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        let shards = self.state.shards.lock().expect("progress poisoned");
+        let shards = self.rows();
         let per_shard: Vec<ShardSnapshot> = shards
             .iter()
             .enumerate()
@@ -126,10 +125,10 @@ impl ProgressHandle {
             })
             .collect();
         ProgressSnapshot {
-            total_cases: self.state.total_cases.load(Ordering::Relaxed),
-            cases_done: self.state.cases_done.load(Ordering::Relaxed),
-            bugs_found: self.state.bugs_found.load(Ordering::Relaxed),
-            shards_done: self.state.shards_done.load(Ordering::Relaxed),
+            total_cases: per_shard.iter().map(|s| s.case_budget).sum(),
+            cases_done: per_shard.iter().map(|s| s.cases_done).sum(),
+            bugs_found: per_shard.iter().map(|s| s.bugs_found).sum(),
+            shards_done: per_shard.iter().filter(|s| s.finished).count() as u64,
             shards: per_shard,
         }
     }
