@@ -169,7 +169,7 @@ macro_rules! key {
 /// Declares member rule `$rule` for an optional `$ty` of another crate,
 /// written as an object: one table of field paths in key order, each keyed
 /// by its last field. Reading starts from `$base` and reads each member
-/// into it with `$read`, [`required`] or [`if_present`].
+/// into it with `$read`, `required` or `if_present`.
 macro_rules! object_rule {
     ($rule:ident: $ty:ty = $base:expr, $read:ident { $($($path:ident).+),+ $(,)? }) => {
         struct $rule;

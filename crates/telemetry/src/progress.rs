@@ -8,7 +8,7 @@
 //! observability-only — it never feeds back into scheduling, so polling
 //! cannot perturb the deterministic event stream or report.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 #[derive(Debug, Default, Clone)]
@@ -45,7 +45,8 @@ impl ProgressHandle {
             shard_budgets.iter().map(|&b| ShardState { budget: b, ..Default::default() }).collect();
     }
 
-    fn rows(&self) -> std::sync::MutexGuard<'_, Vec<ShardState>> {
+    /// The per-shard rows, locked.
+    fn rows(&self) -> MutexGuard<'_, Vec<ShardState>> {
         self.shards.lock().expect("progress poisoned")
     }
 
