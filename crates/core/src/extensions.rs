@@ -1,14 +1,8 @@
-//! Extensions the paper sketches as future work, implemented here:
-//!
-//! * [`InvalidSelector`] — §3.2: *"A better approach for choosing
-//!   syntax-incorrect programs for testing would consider program
-//!   characteristics like API coverage and code length."* Instead of keeping
-//!   a random 20 % of invalid generations, score them by API mentions and
-//!   length and keep the most promising.
-//! * [`BugSeedMutator`] — §6 (vs AutoTest): *"extending COMFORT to mutate
-//!   bug-exposing test cases could be valuable."* A LangFuzz-style feedback
-//!   loop that re-mutates reduced bug-exposing cases to hunt for sibling
-//!   bugs on the same or neighbouring APIs.
+//! An extension the paper sketches as future work, implemented here:
+//! [`BugSeedMutator`] — §6 (vs AutoTest): *"extending COMFORT to mutate
+//! bug-exposing test cases could be valuable."* A LangFuzz-style feedback
+//! loop that re-mutates reduced bug-exposing cases to hunt for sibling
+//! bugs on the same or neighbouring APIs.
 
 use comfort_syntax::parse;
 use rand::rngs::StdRng;
@@ -16,44 +10,6 @@ use rand::rngs::StdRng;
 use crate::campaign::BugReport;
 use crate::datagen::{DataGen, DataGenConfig};
 use crate::testcase::TestCase;
-
-/// Scores syntactically invalid generations (§3.2 future work).
-#[derive(Debug, Clone)]
-pub struct InvalidSelector {
-    /// Keep the top fraction by score (paper keeps 20 % at random).
-    pub keep_fraction: f64,
-}
-
-impl Default for InvalidSelector {
-    fn default() -> Self {
-        InvalidSelector { keep_fraction: 0.2 }
-    }
-}
-
-impl InvalidSelector {
-    /// Score of an invalid program: API-name mentions (parser stress with
-    /// realistic shape) weighted above raw length, with over-long garbage
-    /// penalized.
-    pub fn score(&self, source: &str) -> f64 {
-        let db = comfort_ecma262::spec_db();
-        let api_mentions =
-            db.iter().filter(|spec| source.contains(spec.short_name())).count() as f64;
-        let len = source.len() as f64;
-        let length_term = if len > 4000.0 { -1.0 } else { (len / 400.0).min(2.0) };
-        api_mentions * 3.0 + length_term
-    }
-
-    /// Selects the invalid programs worth running: the top
-    /// `keep_fraction` of `candidates` by score.
-    pub fn select<'a>(&self, candidates: &'a [String]) -> Vec<&'a String> {
-        let mut scored: Vec<(f64, &String)> =
-            candidates.iter().map(|c| (self.score(c), c)).collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let keep =
-            ((candidates.len() as f64 * self.keep_fraction).ceil() as usize).min(candidates.len());
-        scored.into_iter().take(keep).map(|(_, c)| c).collect()
-    }
-}
 
 /// LangFuzz-style feedback: mutate reduced bug-exposing cases (§6).
 #[derive(Debug)]
@@ -133,26 +89,6 @@ pub fn feedback_round(
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn invalid_selector_prefers_api_rich_programs() {
-        let sel = InvalidSelector::default();
-        let garbage = "var var var {{{".to_string();
-        let api_rich = "var x = s.substr(1, ; x.toFixed(".to_string();
-        assert!(sel.score(&api_rich) > sel.score(&garbage));
-        let candidates = vec![garbage.clone(), api_rich.clone()];
-        let kept = sel.select(&candidates);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0], &api_rich);
-    }
-
-    #[test]
-    fn selector_keeps_requested_fraction() {
-        let sel = InvalidSelector { keep_fraction: 0.5 };
-        let candidates: Vec<String> =
-            (0..10).map(|i| format!("broken program {i} substr(")).collect();
-        assert_eq!(sel.select(&candidates).len(), 5);
-    }
 
     #[test]
     fn bug_seed_mutants_parse_and_probe_the_same_api() {

@@ -5,8 +5,8 @@
 //!          [--max-active N] [--tenant-quota N] [--retry-after-millis N]
 //!          [--service-log PATH]
 //! comfortd --fleet --spec FILE [--pool N] [--ttl-millis N] [--heartbeat-millis N]
-//! comfortd --worker-once --spec FILE --worker LABEL [--ttl-millis N] [--hold-millis N]
-//!          [--shard N --lease-seq N] [--probe --shard N [--limit-cases N]]
+//! comfortd --worker-once --spec FILE --worker LABEL
+//!          (--shard N --lease-seq N | --probe --shard N [--limit-cases N])
 //!          [--jail] [--heartbeat-millis N]
 //! ```
 //!
@@ -15,10 +15,13 @@
 //! drain: stop leasing, finish and checkpoint in-flight shards, flush
 //! telemetry, exit 0.
 //!
-//! `--worker-once` runs a single journalled shard and exits. Failures
-//! map to classifiable exit codes so a supervisor can tell a lost lease
-//! race from a broken journal without parsing stderr: 10 spec, 11
-//! journal, 12 lease, 13 exec, 14 idle (every shard already committed).
+//! `--worker-once` is the fleet's child process: it runs one shard the
+//! supervisor has already leased (`--shard --lease-seq`), appending only
+//! the shard record, or probes a prefix of one without journalling
+//! (`--probe --shard`), and exits. A call that selects neither mode is
+//! refused. Failures map to classifiable exit codes so the supervisor can
+//! tell a bad spec from a broken journal without parsing stderr: 10 spec
+//! (also the refusal), 11 journal, 13 exec.
 //!
 //! `--fleet` runs one campaign to completion under the multi-process
 //! worker fleet: each pool slot forks a jailed `comfortd --worker-once`
@@ -65,8 +68,8 @@ fn usage() -> ExitCode {
          [--retry-after-millis N] [--service-log PATH]\n\
          \x20      comfortd --fleet --spec FILE [--pool N] [--ttl-millis N]\n\
          \x20      comfortd --worker-once --spec FILE --worker LABEL \
-         [--ttl-millis N] [--hold-millis N] [--shard N --lease-seq N] \
-         [--probe] [--limit-cases N] [--jail] [--heartbeat-millis N]"
+         (--shard N --lease-seq N | --probe --shard N [--limit-cases N]) \
+         [--jail] [--heartbeat-millis N]"
     );
     ExitCode::from(2)
 }
@@ -88,7 +91,6 @@ fn main() -> ExitCode {
     let mut spec_path: Option<PathBuf> = None;
     let mut worker_label = "worker-once".to_string();
     let mut ttl_millis = cfg.lease_ttl.as_millis() as u64;
-    let mut hold_millis = 0u64;
     let mut heartbeat_millis: Option<u64> = None;
     let mut shard: Option<u64> = None;
     let mut lease_seq: Option<u64> = None;
@@ -119,7 +121,6 @@ fn main() -> ExitCode {
                 "--pool" => pool = Some(take(&mut i)?.parse().ok()?),
                 "--spec" => spec_path = Some(PathBuf::from(take(&mut i)?)),
                 "--worker" => worker_label = take(&mut i)?,
-                "--hold-millis" => hold_millis = take(&mut i)?.parse().ok()?,
                 "--shard" => shard = Some(take(&mut i)?.parse().ok()?),
                 "--lease-seq" => lease_seq = Some(take(&mut i)?.parse().ok()?),
                 "--probe" => probe = true,
@@ -148,16 +149,13 @@ fn main() -> ExitCode {
             }
         };
         let opts = WorkerOnceOptions {
-            spec,
-            worker: worker_label,
-            ttl_millis,
-            hold_millis,
             shard,
             lease_seq,
             probe,
             limit_cases,
             jail,
             heartbeat_millis,
+            ..WorkerOnceOptions::standalone(spec, &worker_label)
         };
         return match run_worker_once(&opts) {
             Ok(summary) => {

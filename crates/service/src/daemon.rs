@@ -43,6 +43,7 @@ use comfort_core::checkpoint::{
 use comfort_core::executor::{plan_shards, ShardedCampaign};
 use comfort_core::resilience::CancelToken;
 use comfort_core::runtime::ShardRuntime;
+use comfort_telemetry::json::JsonValue;
 use comfort_telemetry::{
     Event, EventKind, JsonlSink, MemorySink, ProgressHandle, Recorder, Sink, SinkHandle,
     SERVICE_SHARD,
@@ -231,7 +232,11 @@ pub struct CampaignStatus {
 impl CampaignStatus {
     /// Renders the status as one JSON object.
     pub fn to_json(&self) -> String {
-        use comfort_telemetry::json::JsonValue;
+        self.to_json_value().to_json()
+    }
+
+    /// The status as a JSON object value, for embedding in a response.
+    pub fn to_json_value(&self) -> JsonValue {
         let mut pairs = vec![
             ("id", JsonValue::String(self.id.clone())),
             ("tenant", JsonValue::String(self.tenant.clone())),
@@ -251,7 +256,7 @@ impl CampaignStatus {
         if let Some(f) = &self.failure {
             pairs.push(("failure", JsonValue::String(f.clone())));
         }
-        JsonValue::object(pairs).to_json()
+        JsonValue::object(pairs)
     }
 }
 

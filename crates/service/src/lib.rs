@@ -21,7 +21,9 @@
 //! * [`fleet`] — process-isolation primitives: jailed worker children,
 //!   capped capture, signal/exit classification;
 //! * [`worker`] — the single-shot out-of-process shard worker
-//!   (`comfortd --worker-once`): standalone, directed, and probe modes.
+//!   (`comfortd --worker-once`) the fleet spawns: a directed run of one
+//!   daemon-leased shard, or a journal-free probe. The daemon's
+//!   [`LeaseTable`] is the only lease owner.
 
 pub mod client;
 pub mod daemon;

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use comfort_telemetry::json::JsonValue;
 
-use crate::daemon::Daemon;
+use crate::daemon::{CampaignStatus, Daemon};
 use crate::wire::{error_response, ok_response, read_frame, write_frame, Request};
 
 /// A running control-plane server bound to a Unix socket.
@@ -125,21 +125,14 @@ fn handle_connection(mut stream: UnixStream, daemon: &Arc<Daemon>, stop: &Arc<At
             }
             Request::Status(Some(id)) => {
                 let payload = match daemon.campaign_status(&id) {
-                    Some(status) => {
-                        let status =
-                            comfort_telemetry::json::parse(&status.to_json()).expect("valid JSON");
-                        ok_response([("campaign", status)])
-                    }
+                    Some(status) => ok_response([("campaign", status.to_json_value())]),
                     None => error_response(&format!("no campaign '{id}'"), Some("not_found"), None),
                 };
                 let _ = write_frame(&mut stream, &payload);
             }
             Request::Status(None) => {
-                let campaigns: Vec<JsonValue> = daemon
-                    .status()
-                    .iter()
-                    .map(|s| comfort_telemetry::json::parse(&s.to_json()).expect("valid JSON"))
-                    .collect();
+                let campaigns: Vec<JsonValue> =
+                    daemon.status().iter().map(CampaignStatus::to_json_value).collect();
                 let payload = ok_response([
                     ("campaigns", JsonValue::Array(campaigns)),
                     ("draining", JsonValue::Bool(daemon.is_draining())),

@@ -1,13 +1,19 @@
-//! Out-of-process crash recovery: SIGKILL a lease-holding worker mid-shard
-//! and prove the daemon expires the orphaned lease, reclaims the shard,
-//! re-runs it, and merges a final report bit-identical to the
-//! uninterrupted single-process run — at pool widths 1, 2, and 4.
+//! Crash recovery from an orphaned lease. A worker killed mid-shard
+//! leaves a journal with a held lease and no shard record; these tests
+//! seed that journal directly and prove the daemon adopts the orphaned
+//! lease, expires it, reclaims the shard, re-runs it, and merges a final
+//! report bit-identical to the uninterrupted single-process run at pool
+//! widths 1, 2, and 4. A real process kill is covered by
+//! `examples/service_campaign.rs`, which SIGKILLs a whole daemon mid-run.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
+use std::time::Duration;
 
-use comfort_core::checkpoint::{report_checksum, CampaignCheckpoint, LeaseAction};
+use comfort_core::checkpoint::{
+    config_fingerprint, report_checksum, CampaignCheckpoint, CheckpointJournal, LeaseAction,
+    LeaseRecord,
+};
 use comfort_core::session::CampaignSession;
 use comfort_lm::GeneratorConfig;
 use comfort_service::daemon::{CampaignState, Daemon, ServiceConfig};
@@ -39,55 +45,25 @@ fn temp_path(name: &str) -> PathBuf {
     p
 }
 
-/// Spawns `comfortd --worker-once` against `journal`, waits until its
-/// lease acquisition is durably journalled, then SIGKILLs it inside the
-/// hold window — leaving a held lease with no shard record behind.
-fn crash_a_worker_mid_shard(spec_file: &Path, journal: &Path) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_comfortd"))
-        .args([
-            "--worker-once",
-            "--spec",
-            &spec_file.display().to_string(),
-            "--worker",
-            "doomed",
-            "--ttl-millis",
-            "200",
-            "--hold-millis",
-            "120000",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn comfortd --worker-once");
+/// Leaves `journal` as a worker SIGKILLed mid-shard would: the header and
+/// an `Acquired` lease on shard 0 (worker `doomed`, TTL 200 ms), with no
+/// shard record and no `Released` after it.
+fn orphan_a_lease_mid_shard(spec: &CampaignSpec, journal: &Path) {
+    let session = CampaignSession::new(spec.build_config().expect("spec builds"));
+    let fingerprint = config_fingerprint(session.config());
+    CheckpointJournal::create(journal, fingerprint, session.plan().len() as u64)
+        .expect("create journal")
+        .append_lease(&LeaseRecord {
+            shard: 0,
+            worker: "doomed".to_string(),
+            action: LeaseAction::Acquired,
+            lease_seq: 1,
+            ttl_millis: 200,
+            unix_millis: 1_700_000_000_000,
+        })
+        .expect("journal the lease acquisition");
 
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let lease_journalled = loop {
-        if let Some(status) = child.try_wait().expect("poll child") {
-            panic!("worker-once exited early ({status}) instead of holding its lease");
-        }
-        if journal.exists() {
-            if let Ok((checkpoint, _)) = CampaignCheckpoint::load(journal) {
-                if checkpoint
-                    .leases
-                    .iter()
-                    .any(|l| l.action == LeaseAction::Acquired && l.worker == "doomed")
-                {
-                    break true;
-                }
-            }
-        }
-        if Instant::now() >= deadline {
-            break false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    // SIGKILL: no destructors, no Released record — the worker simply
-    // vanishes while holding the lease.
-    child.kill().expect("SIGKILL worker");
-    let _ = child.wait();
-    assert!(lease_journalled, "worker never journalled its lease acquisition");
-
-    let (checkpoint, _) = CampaignCheckpoint::load(journal).expect("journal readable after kill");
+    let (checkpoint, _) = CampaignCheckpoint::load(journal).expect("orphaned journal readable");
     assert!(checkpoint.shards.is_empty(), "no shard may have committed before the kill");
     let held = checkpoint.latest_leases();
     assert!(
@@ -97,7 +73,7 @@ fn crash_a_worker_mid_shard(spec_file: &Path, journal: &Path) {
 }
 
 #[test]
-fn sigkilled_worker_is_reclaimed_and_resume_is_bit_identical_at_1_2_4_workers() {
+fn orphaned_lease_is_reclaimed_and_resume_is_bit_identical_at_1_2_4_workers() {
     // The uninterrupted single-process baseline, checked at several thread
     // counts: the library's determinism contract makes them all agree.
     let mut bare = crash_spec(&temp_path("unused"));
@@ -122,10 +98,7 @@ fn sigkilled_worker_is_reclaimed_and_resume_is_bit_identical_at_1_2_4_workers() 
     for workers in [1usize, 2, 4] {
         let journal = temp_path(&format!("w{workers}.ckpt"));
         let spec = crash_spec(&journal);
-        let spec_file = temp_path(&format!("w{workers}.spec.json"));
-        std::fs::write(&spec_file, spec.to_json()).expect("write spec file");
-
-        crash_a_worker_mid_shard(&spec_file, &journal);
+        orphan_a_lease_mid_shard(&spec, &journal);
 
         // A daemon in a later life adopts the orphaned lease from the
         // journal; its supervisor sees no progress, expires it after the
@@ -174,18 +147,13 @@ fn sigkilled_worker_is_reclaimed_and_resume_is_bit_identical_at_1_2_4_workers() 
 
         daemon.drain();
         let _ = std::fs::remove_file(&journal);
-        let _ = std::fs::remove_file(&spec_file);
     }
 }
 
 #[test]
 fn comfortctl_inspects_a_crashed_journal_offline() {
     let journal = temp_path("inspect.ckpt");
-    let spec = crash_spec(&journal);
-    let spec_file = temp_path("inspect.spec.json");
-    std::fs::write(&spec_file, spec.to_json()).expect("write spec file");
-
-    crash_a_worker_mid_shard(&spec_file, &journal);
+    orphan_a_lease_mid_shard(&crash_spec(&journal), &journal);
 
     let output = Command::new(env!("CARGO_BIN_EXE_comfortctl"))
         .args(["journal", "inspect", &journal.display().to_string()])
@@ -197,5 +165,22 @@ fn comfortctl_inspects_a_crashed_journal_offline() {
     assert!(text.contains("acquired"), "lease action missing from report:\n{text}");
 
     let _ = std::fs::remove_file(&journal);
+}
+
+#[test]
+fn worker_once_without_a_mode_is_refused_before_journalling() {
+    // Only the daemon's lease table writes lease records: a worker given
+    // neither a leased shard nor a probe must not claim one by itself.
+    let journal = temp_path("bare.ckpt");
+    let spec_file = temp_path("bare.spec.json");
+    std::fs::write(&spec_file, crash_spec(&journal).to_json()).expect("write spec file");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_comfortd"))
+        .args(["--worker-once", "--spec", &spec_file.display().to_string(), "--worker", "w"])
+        .output()
+        .expect("run comfortd --worker-once");
+    assert_eq!(output.status.code(), Some(10), "expected a spec refusal: {output:?}");
+    assert!(!journal.exists(), "a refused worker must leave no journal");
+
     let _ = std::fs::remove_file(&spec_file);
 }

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use comfort_core::checkpoint::report_checksum;
+use comfort_core::checkpoint::{config_fingerprint, report_checksum, CheckpointJournal};
 use comfort_core::resilience::ChaosConfig;
 use comfort_core::session::CampaignSession;
 use comfort_engines::FaultPlan;
@@ -488,10 +488,18 @@ fn daemon_resumes_a_partial_journal_bit_identically() {
     let mut spec = small_spec("acme", 51);
     spec.checkpoint = Some(journal.display().to_string());
 
-    // A single-shot worker commits shard 0 and exits cleanly, leaving a
-    // half-finished journal on disk.
+    // A directed single-shot worker commits shard 0 to a fresh journal and
+    // exits cleanly, leaving a half-finished journal on disk.
+    let session = CampaignSession::new(spec.build_config().expect("spec builds a config"));
+    CheckpointJournal::create(
+        &journal,
+        config_fingerprint(session.config()),
+        session.plan().len() as u64,
+    )
+    .expect("create journal");
     let summary = run_worker_once(&WorkerOnceOptions {
-        ttl_millis: 1_000,
+        shard: Some(0),
+        lease_seq: Some(1),
         ..WorkerOnceOptions::standalone(spec.clone(), "prep")
     })
     .expect("worker-once commits one shard");

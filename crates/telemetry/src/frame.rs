@@ -19,20 +19,31 @@
 /// Frame tag identifying the format version.
 const TAG: &str = "J1";
 
+/// The register update for each byte value (eight steps of the reflected
+/// polynomial division), built at compile time.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`.
 ///
 /// Hand-rolled so the workspace stays dependency-free; byte-at-a-time over a
-/// lazily built table is ample for journal-sized inputs.
+/// table built at compile time is ample for journal-sized inputs.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    !bytes.iter().fold(0xFFFF_FFFF, |crc, &b| CRC32_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8))
 }
 
 /// A payload rejected by [`frame_line`].

@@ -1,4 +1,4 @@
-//! Demonstrates the two paper-sketched extensions implemented in
+//! Demonstrates the paper-sketched feedback extension implemented in
 //! `comfort_core::extensions`, plus the Test262 exporter:
 //!
 //! 1. run a small campaign;
