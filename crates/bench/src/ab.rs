@@ -11,7 +11,7 @@
 //! from `BENCHMARK.json` ([`Benchmark`]); nothing here is a setting.
 
 use comfort_core::report::Table;
-use comfort_telemetry::json::{self, Field, JsonValue};
+use comfort_telemetry::json::{self, Field, JsonValue, Object, Text};
 use comfort_telemetry::json_record;
 
 /// Pairs per workload: the fewest the claim rule can be met on.
@@ -50,10 +50,16 @@ pub struct Benchmark {
 impl Benchmark {
     /// Parses `BENCHMARK.json`.
     pub fn parse(text: &str) -> Result<Benchmark, String> {
-        let v = json::parse(text)?;
+        let v = Text::check(text)?.members().unwrap_or_default();
         let bad = |e: String| format!("BENCHMARK.json: {e}");
-        let entries = |key: &str| Vec::<JsonValue>::parse(&v, key).map_err(bad);
-        let metric = |m: &JsonValue| -> Result<MetricSpec, String> {
+        // A list member's entries, each read as an object.
+        let entries = |key: &str| -> Result<Vec<Object<'_>>, String> {
+            let list = v.get(key).ok_or_else(|| bad(format!("field '{key}' is missing")))?;
+            let items =
+                list.items().ok_or_else(|| bad(format!("field '{key}' must be an array")))?;
+            Ok(items.map(|entry| entry.members().unwrap_or_default()).collect())
+        };
+        let metric = |m: &Object<'_>| -> Result<MetricSpec, String> {
             let higher_is_better = match String::parse(m, "better")?.as_str() {
                 "higher" => true,
                 "lower" => false,
@@ -142,10 +148,11 @@ impl Output {
         let (Some(result), Some(context)) = (lines.next(), lines.next()) else {
             return Err("perfbench printed fewer than two lines".into());
         };
-        let context = json::parse(context).map_err(|e| format!("context line: {e}"))?;
+        let context = Text::check(context).map_err(|e| format!("context line: {e}"))?;
+        let context = context.members().unwrap_or_default();
         let counts = ["references", "count_only"]
             .into_iter()
-            .filter_map(|key| context.get(key).map(|v| (key, v.clone())));
+            .filter_map(|key| context.get(key).map(|v| (key, v.to_value())));
         Ok(Output {
             run: Run::new(json::parse(result).map_err(|e| format!("result line: {e}"))?)?,
             counts: JsonValue::object(counts),
@@ -226,8 +233,8 @@ impl Field for Run {
     fn write(&self, out: &mut String) {
         self.0.write(out);
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
-        Run::new(v.clone())
+    fn read(v: Text<'_>) -> Result<Self, String> {
+        Run::new(v.to_value())
     }
 }
 
@@ -241,7 +248,7 @@ impl Record {
 
     /// Parses a record written by [`to_json`](Self::to_json).
     pub fn parse(text: &str) -> Result<Record, String> {
-        let record = Record::read(&json::parse(text)?)?;
+        let record: Record = json::read(text)?;
         for side in record.workloads.iter().flat_map(|w| [&w.parent, &w.change]) {
             if side.runs.len() != PAIRS {
                 return Err(format!("a side holds {} runs, not {PAIRS}", side.runs.len()));

@@ -18,7 +18,9 @@
 //! * **Recovery** ([`CampaignCheckpoint::load`]): salvages every intact
 //!   shard record and drops a torn tail (reported in a typed
 //!   [`RecoveryReport`]), but refuses an intact record it cannot read, and
-//!   validates fingerprint and shard plan.
+//!   validates fingerprint and shard plan. A supervisor adopting one
+//!   worker's shard reads that record alone
+//!   ([`CampaignCheckpoint::read_shard`]) over the same frame walk.
 //! * **Serialization**: each journal record is declared once, as a
 //!   [`json_record!`](comfort_telemetry::json_record) table in wire order that generates both its
 //!   rendering and its parser. [`CampaignReport`] round-trips with full
@@ -27,15 +29,15 @@
 //!   **bit-identical** report and replays a byte-identical logical event
 //!   stream.
 
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use comfort_engines::{ApiType, BugId, Component, EngineName};
-use comfort_telemetry::frame::{frame_line, read_framed};
+use comfort_telemetry::frame::{frame_line, read_framed, FramedRead};
 use comfort_telemetry::json::{
-    member, parse as parse_json, write_string, Bits, Field, Flatten, JsonValue, Nullable, Record,
-    Rule,
+    self, member, write_string, Bits, Field, Flatten, Nullable, Object, Record, Rule, Text,
 };
 use comfort_telemetry::{json_record, Event};
 
@@ -377,33 +379,20 @@ impl CampaignCheckpoint {
     pub fn load(path: &Path) -> Result<(CampaignCheckpoint, RecoveryReport), CheckpointError> {
         let bytes = std::fs::read(path)?;
         let framed = read_framed(&bytes);
-        let Some(first) = framed.records.first() else {
-            return Err(CheckpointError::MissingHeader);
-        };
-        let bad = |i: usize, e: String| CheckpointError::BadRecord(format!("record {i}: {e}"));
-        let header = parse_json(first).map_err(|e| bad(0, e))?;
-        if header.get("kind").and_then(JsonValue::as_str) != Some("header") {
-            return Err(CheckpointError::MissingHeader);
-        }
-        let header = Header::read_members(&header).map_err(|e| bad(0, e))?;
-
         let mut shards: Vec<ShardRecord> = Vec::new();
         let mut leases: Vec<LeaseRecord> = Vec::new();
-        for (i, line) in framed.records.iter().enumerate().skip(1) {
-            let value = parse_json(line).map_err(|e| bad(i, e))?;
-            match value.get("kind").and_then(JsonValue::as_str) {
-                Some("shard") => {
-                    let record = ShardRecord::read_members(&value).map_err(|e| bad(i, e))?;
+        let header = walk_records(&framed, |kind, record| {
+            match kind {
+                RecordKind::Shard => {
+                    let record = ShardRecord::read_members(record)?;
                     if !shards.iter().any(|r| r.index == record.index) {
                         shards.push(record);
                     }
                 }
-                Some("lease") => {
-                    leases.push(LeaseRecord::read_members(&value).map_err(|e| bad(i, e))?);
-                }
-                other => return Err(bad(i, format!("unknown record kind {other:?}"))),
+                RecordKind::Lease => leases.push(LeaseRecord::read_members(record)?),
             }
-        }
+            Ok(())
+        })?;
         shards.sort_by_key(|r| r.index);
         let recovery = RecoveryReport {
             shards_salvaged: shards.len() as u64,
@@ -414,6 +403,30 @@ impl CampaignCheckpoint {
         };
         let (fingerprint, shards_total) = (header.fingerprint, header.shards);
         Ok((CampaignCheckpoint { fingerprint, shards_total, shards, leases }, recovery))
+    }
+
+    /// Reads the journal's record of shard `index` alone: the one the
+    /// supervisor adopts when a worker process commits the shard. `None`
+    /// when the journal holds no record for it.
+    ///
+    /// It keeps [`load`](Self::load)'s rules over the same frame walk: the
+    /// header is required, every frame is CRC- and grammar-checked, the
+    /// first record for an index wins, and a CRC-intact frame that does not
+    /// read is a [`CheckpointError::BadRecord`]. What it reads of the other
+    /// frames is their `kind`, and a shard record's `index`; the report and
+    /// events it reads are the matching record's only. A torn tail is
+    /// dropped, as by `load`, and left on disk.
+    pub fn read_shard(path: &Path, index: u64) -> Result<Option<ShardRecord>, CheckpointError> {
+        let bytes = std::fs::read(path)?;
+        let mut found = None;
+        walk_records(&read_framed(&bytes), |kind, record| {
+            if kind == RecordKind::Shard && u64::parse(record, "index")? == index && found.is_none()
+            {
+                found = Some(ShardRecord::read_members(record)?);
+            }
+            Ok(())
+        })?;
+        Ok(found)
     }
 
     /// The last journaled lease transition per shard, in shard order — the
@@ -581,7 +594,7 @@ macro_rules! labels {
                 member(out, key);
                 write_string(value.$label(), out);
             }
-            fn parse(v: &JsonValue, name: &str) -> Result<$ty, String> {
+            fn parse(v: &Object<'_>, name: &str) -> Result<$ty, String> {
                 let label = String::parse(v, name)?;
                 <$ty>::$parse(&label)
                     .ok_or_else(|| format!("field '{name}' is an unknown label {label:?}"))
@@ -603,9 +616,53 @@ impl Rule<BugId> for Label {
     fn render(value: &BugId, key: &str, out: &mut String) {
         value.0.render(key, out);
     }
-    fn parse(v: &JsonValue, name: &str) -> Result<BugId, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<BugId, String> {
         u32::parse(v, name).map(BugId)
     }
+}
+
+/// The kinds of record that follow a journal's header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RecordKind {
+    Shard,
+    Lease,
+}
+
+/// The frame walk of [`CampaignCheckpoint::load`] and
+/// [`CampaignCheckpoint::read_shard`]: reads the header (record 0), then
+/// grammar-checks each later intact frame and hands its kind and indexed
+/// members to `visit`, in journal order. A frame that does not read, here
+/// or in `visit`, is a `BadRecord` naming its index.
+fn walk_records(
+    framed: &FramedRead<'_>,
+    mut visit: impl FnMut(RecordKind, &Object<'_>) -> Result<(), String>,
+) -> Result<Header, CheckpointError> {
+    let bad = |i: usize, e: String| CheckpointError::BadRecord(format!("record {i}: {e}"));
+    // A payload that is no object reads as one without members.
+    let members = |payload| Text::check(payload).map(|v| v.members().unwrap_or_default());
+    let Some(first) = framed.records.first() else {
+        return Err(CheckpointError::MissingHeader);
+    };
+    let header = members(first).map_err(|e| bad(0, e))?;
+    if record_kind(&header).as_deref() != Some("header") {
+        return Err(CheckpointError::MissingHeader);
+    }
+    let header = Header::read_members(&header).map_err(|e| bad(0, e))?;
+    for (i, payload) in framed.records.iter().enumerate().skip(1) {
+        let record = members(payload).map_err(|e| bad(i, e))?;
+        let kind = match record_kind(&record).as_deref() {
+            Some("shard") => RecordKind::Shard,
+            Some("lease") => RecordKind::Lease,
+            other => return Err(bad(i, format!("unknown record kind {other:?}"))),
+        };
+        visit(kind, &record).map_err(|e| bad(i, e))?;
+    }
+    Ok(header)
+}
+
+/// A record's `kind` member, if it is a string.
+fn record_kind<'a>(record: &Object<'a>) -> Option<Cow<'a, str>> {
+    record.get("kind").and_then(Text::as_str)
 }
 
 /// A journal line's payload: `{"kind":"<kind>"` and the record's members.
@@ -657,9 +714,9 @@ pub fn report_checksum(report: &CampaignReport) -> u64 {
     fp.finish()
 }
 
-/// Parses a report rendered by [`report_to_json`].
-pub fn report_from_json(v: &JsonValue) -> Result<CampaignReport, String> {
-    CampaignReport::read(v)
+/// Reads a report from the text [`report_to_json`] renders.
+pub fn report_from_json(text: &str) -> Result<CampaignReport, String> {
+    json::read(text)
 }
 
 #[cfg(test)]
@@ -746,7 +803,7 @@ mod tests {
     fn report_roundtrips_bit_exactly() {
         let report = sample_report();
         let json = report_to_json(&report);
-        let back = report_from_json(&parse_json(&json).expect("parses")).expect("converts");
+        let back = report_from_json(&json).expect("converts");
         assert_eq!(format!("{report:?}"), format!("{back:?}"));
         assert_eq!(report.sim_hours.to_bits(), back.sim_hours.to_bits());
         assert_eq!(report.bugs[0].sim_hours.to_bits(), back.bugs[0].sim_hours.to_bits());
@@ -902,6 +959,89 @@ mod tests {
                     other => panic!("{payload} was not refused: {other:?}"),
                 }
                 assert_eq!(std::fs::read(&path).unwrap(), bytes, "{payload}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_shard_reads_exactly_the_record_load_keeps() {
+        let dir = temp_dir("read-shard");
+        let path = dir.join("campaign.ckpt");
+        let lease = |shard, action| LeaseRecord {
+            shard,
+            worker: format!("worker-{shard}"),
+            action,
+            lease_seq: 1,
+            ttl_millis: 500,
+            unix_millis: 1_700_000_000_000 + shard,
+        };
+        let record = |index: u64, cases: u64| ShardRecord {
+            index,
+            seed: u64::MAX - index,
+            cases,
+            report: CampaignReport { cases_run: cases, ..sample_report() },
+            events: (0..3)
+                .map(|seq| Event {
+                    clock: LogicalClock { shard: index, seq },
+                    kind: EventKind::ShardStarted { seed: u64::MAX - index, case_budget: cases },
+                })
+                .collect(),
+        };
+        // Leases interleave with three shards out of index order, and
+        // shard 2 is journalled twice: the first record wins.
+        {
+            let journal = CheckpointJournal::create(&path, 0xC0DE, 4).expect("create");
+            journal.append_lease(&lease(2, LeaseAction::Acquired)).unwrap();
+            journal.append_shard(&record(2, 20)).unwrap();
+            journal.append_lease(&lease(0, LeaseAction::Acquired)).unwrap();
+            journal.append_lease(&lease(2, LeaseAction::Released)).unwrap();
+            journal.append_shard(&record(0, 21)).unwrap();
+            journal.append_shard(&record(2, 99)).unwrap();
+            journal.append_shard(&record(1, 22)).unwrap();
+            journal.append_lease(&lease(0, LeaseAction::Released)).unwrap();
+        }
+        let (checkpoint, _) = CampaignCheckpoint::load(&path).expect("load");
+        assert_eq!(checkpoint.shards.len(), 3);
+        for loaded in &checkpoint.shards {
+            let read = CampaignCheckpoint::read_shard(&path, loaded.index)
+                .expect("reads")
+                .unwrap_or_else(|| panic!("shard {} is journalled", loaded.index));
+            assert_eq!(
+                (read.index, read.seed, read.cases),
+                (loaded.index, loaded.seed, loaded.cases)
+            );
+            assert_eq!(report_to_json(&read.report), report_to_json(&loaded.report));
+            assert_eq!(read.events, loaded.events);
+        }
+        let first = CampaignCheckpoint::read_shard(&path, 2).unwrap().expect("shard 2");
+        assert_eq!(first.cases, 20, "the first record for an index wins");
+        assert!(CampaignCheckpoint::read_shard(&path, 3).expect("reads").is_none());
+
+        // A CRC-intact frame that does not read is the same BadRecord for
+        // both: unparseable JSON, an unknown kind and an index that is no
+        // integer, whichever shard is asked for, and the record it adopts
+        // with members missing.
+        let intact = std::fs::read(&path).unwrap();
+        let refusals = [
+            ("{not json", vec![0, 1, 2, 3]),
+            ("{\"kind\":\"wat\"}", vec![0, 1, 2, 3]),
+            ("{\"kind\":\"shard\",\"index\":\"one\"}", vec![0, 1, 2, 3]),
+            ("{\"kind\":\"shard\",\"index\":3}", vec![3]),
+        ];
+        for (payload, indices) in refusals {
+            let mut bytes = intact.clone();
+            bytes.extend_from_slice(frame_line(payload).unwrap().as_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let loaded = match CampaignCheckpoint::load(&path) {
+                Err(CheckpointError::BadRecord(e)) => e,
+                other => panic!("{payload} was not refused by load: {other:?}"),
+            };
+            for index in indices {
+                match CampaignCheckpoint::read_shard(&path, index) {
+                    Err(CheckpointError::BadRecord(e)) => assert_eq!(e, loaded, "{payload}"),
+                    other => panic!("{payload} was not refused for shard {index}: {other:?}"),
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -254,7 +254,9 @@ fn raw_to_execution(raw: Result<(RunResult, Vec<usize>), RawFault>) -> Execution
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// What a panic says: an injected chaos fault by its testbed, any other
+/// panic by its message.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(chaos) = payload.downcast_ref::<ChaosPanic>() {
         format!("injected chaos panic on {}", chaos.testbed)
     } else if let Some(abort) = payload.downcast_ref::<ChaosAbort>() {

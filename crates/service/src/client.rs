@@ -6,7 +6,7 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-use comfort_telemetry::json::{self, Field, JsonValue};
+use comfort_telemetry::json::{self, Field, JsonValue, Text};
 use comfort_telemetry::{Event, RetryPolicy};
 
 use crate::wire::{read_frame, write_frame, Request};
@@ -81,15 +81,13 @@ impl Client {
         loop {
             let frame = read_frame(&mut self.stream)?
                 .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "daemon closed"))?;
-            let v =
-                json::parse(&frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let bad = |e| io::Error::new(io::ErrorKind::InvalidData, e);
+            let v = Text::check(&frame).map_err(bad)?;
             // Event frames have no "ok" key; the closing frame does.
-            if v.get("ok").is_some() {
-                return Ok(v);
+            if v.members().is_some_and(|frame| frame.get("ok").is_some()) {
+                return Ok(v.to_value());
             }
-            let event =
-                Event::read(&v).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            on_event(&event);
+            on_event(&Event::read(v).map_err(bad)?);
         }
     }
 }

@@ -865,7 +865,8 @@ impl DaemonShared {
 
     /// Adopts a committed child's journalled shard record into the
     /// campaign through [`commit_shard`](Self::commit_shard); the child
-    /// appended the record itself.
+    /// appended the record itself, and only that record is read back
+    /// ([`CampaignCheckpoint::read_shard`]).
     fn adopt_child_commit(&self, entry: &Arc<CampaignEntry>, lease: &Transition) -> ChildOutcome {
         let Some(journal) = entry.runtime.journal() else {
             let message = "process isolation lost its journal".to_string();
@@ -873,8 +874,7 @@ impl DaemonShared {
             return ChildOutcome::SpawnFailed;
         };
         let shard = lease.shard;
-        let record = CampaignCheckpoint::load(journal.path())
-            .map(|(c, _)| c.shards.into_iter().find(|r| r.index == shard as u64));
+        let record = CampaignCheckpoint::read_shard(journal.path(), shard as u64);
         let Ok(Some(record)) = record else {
             let failure = match record {
                 Err(e) => format!("worker journal for shard {shard} does not load: {e}"),

@@ -14,7 +14,7 @@ use comfort_core::campaign::{CampaignConfig, CampaignConfigBuilder};
 use comfort_core::resilience::ChaosConfig;
 use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
-use comfort_telemetry::json::{self, member, Field, JsonValue, Rule};
+use comfort_telemetry::json::{self, member, Field, Object, Rule};
 use comfort_telemetry::json_record;
 
 /// A tenant's campaign submission: identity, budget, and determinism
@@ -78,7 +78,7 @@ impl CampaignSpec {
     /// Parses a spec from JSON text. A member that is present must have
     /// its documented type and fit its Rust type; the error names it.
     pub fn from_json_str(text: &str) -> Result<CampaignSpec, String> {
-        CampaignSpec::read(&json::parse(text)?)
+        json::read(text)
     }
 
     /// Builds the validated [`CampaignConfig`] this spec describes.
@@ -151,7 +151,7 @@ impl Rule<String> for NonEmpty {
     fn render(value: &String, key: &str, out: &mut String) {
         value.render(key, out);
     }
-    fn parse(v: &JsonValue, name: &str) -> Result<String, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<String, String> {
         let value = String::parse(v, name)?;
         if value.is_empty() {
             return Err(format!("field '{name}' must be non-empty"));
@@ -183,7 +183,7 @@ macro_rules! object_rule {
                     out.push('}');
                 }
             }
-            fn parse(v: &JsonValue, name: &str) -> Result<Option<$ty>, String> {
+            fn parse(v: &Object<'_>, name: &str) -> Result<Option<$ty>, String> {
                 json::nested(v, name, |object| {
                     let mut value: $ty = $base;
                     $( $read(object, key!($($path).+), &mut value.$($path).+)?; )+
@@ -195,13 +195,13 @@ macro_rules! object_rule {
 }
 
 /// Reads member `name` of `v` into `slot`; it must be present.
-fn required<T: Field>(v: &JsonValue, name: &str, slot: &mut T) -> Result<(), String> {
+fn required<T: Field>(v: &Object<'_>, name: &str, slot: &mut T) -> Result<(), String> {
     *slot = T::parse(v, name)?;
     Ok(())
 }
 
 /// Reads member `name` of `v` into `slot` if it is present.
-fn if_present<T: Field>(v: &JsonValue, name: &str, slot: &mut T) -> Result<(), String> {
+fn if_present<T: Field>(v: &Object<'_>, name: &str, slot: &mut T) -> Result<(), String> {
     if let Some(value) = Option::parse(v, name)? {
         *slot = value;
     }

@@ -94,7 +94,7 @@ impl Request {
 
     /// Parses a request frame.
     pub fn from_json_str(text: &str) -> Result<Request, String> {
-        let Frame { campaign, cmd, spec } = Frame::read(&json::parse(text)?)?;
+        let Frame { campaign, cmd, spec } = json::read(text)?;
         let no_campaign = "field 'campaign' is missing";
         match cmd.as_str() {
             "submit" => Ok(Request::Submit(Box::new(spec.ok_or("field 'spec' is missing")?))),

@@ -21,9 +21,11 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use comfort_core::campaign::CampaignReport;
 use comfort_core::checkpoint::{CheckpointJournal, ShardRecord};
 use comfort_core::executor::ShardSpec;
 use comfort_core::session::CampaignSession;
+use comfort_engines::harness::panic_message;
 use comfort_telemetry::MemorySink;
 
 use crate::spec::CampaignSpec;
@@ -37,7 +39,8 @@ pub enum WorkerError {
     Spec(String),
     /// The journal cannot be appended.
     Journal(String),
-    /// Shard execution failed (escaped panic boundary).
+    /// Shard execution failed: a panic escaped the harness's containment
+    /// (the message is the panic's).
     Exec(String),
 }
 
@@ -168,7 +171,7 @@ pub fn run_worker_once(opts: &WorkerOnceOptions) -> Result<String, WorkerError> 
         let _beat = opts.heartbeat_millis.map(|millis| {
             ProgressBeat::start(session.progress(), target as usize, Duration::from_millis(millis))
         });
-        session.executor().run_shard(&spec, &buffer)
+        run_shard(&session, &spec, &buffer)?
     };
     let record = ShardRecord {
         index: target,
@@ -204,8 +207,22 @@ fn run_probe(
     // exactly the first `cases` cases of the full shard.
     let probe_spec = ShardSpec { cases, ..spec };
     let buffer = MemorySink::new();
-    let report = session.executor().run_shard(&probe_spec, &buffer);
+    let report = run_shard(session, &probe_spec, &buffer)?;
     Ok(format!("probe survived shard {shard} prefix of {cases} cases ({} run)", report.cases_run))
+}
+
+/// Runs one shard, turning a panic that escapes the harness's containment
+/// (a spec with `contain_panics: false`) into [`WorkerError::Exec`], so the
+/// child exits with its class and message instead of Rust's panic status.
+fn run_shard(
+    session: &CampaignSession,
+    spec: &ShardSpec,
+    buffer: &MemorySink,
+) -> Result<CampaignReport, WorkerError> {
+    let run = || session.executor().run_shard(spec, buffer);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|panic| {
+        WorkerError::Exec(format!("shard panicked: {}", panic_message(panic.as_ref())))
+    })
 }
 
 /// A sampler thread that prints `progress <cases>` lines while a shard

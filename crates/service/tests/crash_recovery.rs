@@ -14,7 +14,9 @@ use comfort_core::checkpoint::{
     config_fingerprint, report_checksum, CampaignCheckpoint, CheckpointJournal, LeaseAction,
     LeaseRecord,
 };
+use comfort_core::resilience::ChaosConfig;
 use comfort_core::session::CampaignSession;
+use comfort_engines::FaultPlan;
 use comfort_lm::GeneratorConfig;
 use comfort_service::daemon::{CampaignState, Daemon, ServiceConfig};
 use comfort_service::metrics::MetricsSnapshot;
@@ -183,4 +185,35 @@ fn worker_once_without_a_mode_is_refused_before_journalling() {
     assert!(!journal.exists(), "a refused worker must leave no journal");
 
     let _ = std::fs::remove_file(&spec_file);
+}
+
+#[test]
+fn a_shard_panic_past_containment_exits_13_with_its_message() {
+    // Panics run uncontained and every run panics, so the shard's panic
+    // unwinds out of the executor: the worker must exit with the exec
+    // class and say why, not with Rust's panic status and nothing said.
+    let journal = temp_path("panic.ckpt");
+    let spec_file = temp_path("panic.spec.json");
+    let mut spec = crash_spec(&journal);
+    spec.contain_panics = Some(false);
+    spec.chaos = Some(ChaosConfig::on_first(FaultPlan::new(FaultPlan::DERIVE).panic_rate(1.0)));
+    std::fs::write(&spec_file, spec.to_json()).expect("write spec file");
+    let session = CampaignSession::new(spec.build_config().expect("spec builds"));
+    let shards = session.plan().len() as u64;
+    CheckpointJournal::create(&journal, config_fingerprint(session.config()), shards)
+        .expect("create journal");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_comfortd"))
+        .args(["--worker-once", "--spec", &spec_file.display().to_string(), "--worker", "w"])
+        .args(["--shard", "0", "--lease-seq", "1"])
+        .output()
+        .expect("run comfortd --worker-once");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(13), "expected the exec class: {output:?}");
+    assert!(stderr.contains("exec error:"), "stderr names no exec error: {stderr}");
+    let (checkpoint, _) = CampaignCheckpoint::load(&journal).expect("journal still loads");
+    assert!(checkpoint.shards.is_empty(), "a panicked shard must not be journalled");
+
+    let _ = std::fs::remove_file(&spec_file);
+    let _ = std::fs::remove_file(&journal);
 }

@@ -1,12 +1,13 @@
 //! Wire-protocol hardening: the daemon's control socket must survive
 //! hostile framing — truncated prefixes, oversized declared lengths,
-//! non-UTF-8 payloads, valid frames carrying garbage JSON — with typed
-//! errors or clean closes, never a panic, and never a leaked file
-//! descriptor.
+//! non-UTF-8 payloads, valid frames carrying garbage JSON or nesting no
+//! stack holds — with typed errors or clean closes, never a panic, and
+//! never a leaked file descriptor.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::process::{Child, Command};
 use std::time::Duration;
 
 use comfort_service::client::Client;
@@ -144,6 +145,51 @@ fn hostile_frames_get_typed_errors_and_leak_no_descriptors() {
     server.stop();
     daemon.drain();
     let _ = std::fs::remove_file(&socket);
+}
+
+/// A `comfortd --socket` process, killed if the test ends before it
+/// drains.
+struct DaemonProcess(Child);
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn deeply_nested_frames_are_refused_and_the_daemon_keeps_serving() {
+    // A status request whose campaign opens 100,000 arrays. A reader that
+    // recursed once per bracket would overflow its connection thread's
+    // stack and abort the whole daemon, so this runs a real `comfortd`.
+    let socket = socket_path("nesting");
+    let daemon = Command::new(env!("CARGO_BIN_EXE_comfortd"))
+        .args(["--socket", &socket.display().to_string(), "--workers", "1"])
+        .spawn()
+        .expect("spawn comfortd");
+    let mut daemon = DaemonProcess(daemon);
+    let mut client = Client::connect_with_retry(&socket, Duration::from_secs(10))
+        .expect("comfortd binds its socket");
+    let resp = client.request(&Request::Status(None)).expect("status before");
+    assert_eq!(resp.get("ok").and_then(JsonValue::as_bool), Some(true));
+
+    let frame = format!("{{\"cmd\":\"status\",\"campaign\":{}", "[".repeat(100_000));
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout set");
+    write_frame(&mut stream, &frame).expect("write the nested frame");
+    let reply = read_frame(&mut stream).expect("the daemon answers").expect("an error frame");
+    let v = json::parse(&reply).expect("valid JSON");
+    assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(false));
+    let error = v.get("error").and_then(JsonValue::as_str).unwrap_or_default();
+    assert!(error.contains("nesting deeper than"), "the error names the depth: {reply}");
+
+    let resp = client.request(&Request::Status(None)).expect("status after");
+    assert_eq!(resp.get("ok").and_then(JsonValue::as_bool), Some(true));
+    let drained = client.request(&Request::Drain).expect("drain");
+    assert_eq!(drained.get("drained").and_then(JsonValue::as_bool), Some(true));
+    let status = daemon.0.wait().expect("comfortd exits after the drain");
+    assert!(status.success(), "comfortd exit: {status:?}");
 }
 
 proptest! {

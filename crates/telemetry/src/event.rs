@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{Field, JsonValue};
+use crate::json::{Field, Object, Text};
 
 /// A deterministic event timestamp: `(shard, seq)`.
 ///
@@ -126,7 +126,7 @@ impl Field for Stage {
         out.push_str(self.as_str());
         out.push('"');
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
+    fn read(v: Text<'_>) -> Result<Self, String> {
         let label = String::read(v)?;
         Stage::parse_label(&label).ok_or_else(|| format!("is an unknown stage {label:?}"))
     }
@@ -176,8 +176,8 @@ macro_rules! event_kinds {
                 }
             }
 
-            /// Parses the fields of the kind tagged `tag` from `v`.
-            fn parse_fields(tag: &str, v: &JsonValue) -> Result<EventKind, String> {
+            /// Reads the fields of the kind tagged `tag` from the members `v`.
+            fn parse_fields(tag: &str, v: &Object<'_>) -> Result<EventKind, String> {
                 Ok(match tag {
                     $( $tag => EventKind::$variant {
                         $( $field: <$ty as Field>::parse(v, stringify!($field))?, )+
@@ -570,7 +570,7 @@ impl Event {
 
     /// Parses one JSONL line into an [`Event`].
     pub fn parse(line: &str) -> Result<Event, String> {
-        Event::read(&crate::json::parse(line)?)
+        crate::json::read(line)
     }
 }
 
@@ -597,17 +597,18 @@ impl Field for Event {
         self.kind.render_fields(out);
         out.push('}');
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
-        let shard =
-            v.get("shard").and_then(JsonValue::as_i128).ok_or("field 'shard' is no integer")?;
+    fn read(v: Text<'_>) -> Result<Self, String> {
+        // Any other value reads as an object without members.
+        let v = v.members().unwrap_or_default();
+        let shard = v.get("shard").and_then(Text::as_i128).ok_or("field 'shard' is no integer")?;
         let shard = match shard {
             -1 => MERGE_SHARD,
             -2 => CONTROL_SHARD,
             -3 => SERVICE_SHARD,
             s => u64::try_from(s).map_err(|_| format!("shard {s} out of range"))?,
         };
-        let clock = LogicalClock { shard, seq: u64::parse(v, "seq")? };
-        let kind = EventKind::parse_fields(&String::parse(v, "type")?, v)?;
+        let clock = LogicalClock { shard, seq: u64::parse(&v, "seq")? };
+        let kind = EventKind::parse_fields(&String::parse(&v, "type")?, &v)?;
         Ok(Event { clock, kind })
     }
 }

@@ -114,16 +114,17 @@ pub fn parse_frame(line: &str) -> Result<&str, FrameError> {
 
 /// What [`read_framed`] salvaged from a (possibly torn) framed file.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FramedRead {
-    /// Payloads of every intact record, in file order.
-    pub records: Vec<String>,
+pub struct FramedRead<'a> {
+    /// Payloads of every intact record, in file order, borrowed from the
+    /// file's bytes.
+    pub records: Vec<&'a str>,
     /// Bytes dropped from the tail (the torn final write).
     pub dropped_tail_bytes: usize,
     /// Why the tail was dropped, when it was.
     pub tail_error: Option<String>,
 }
 
-impl FramedRead {
+impl FramedRead<'_> {
     /// `true` when the file ended mid-record and bytes were discarded.
     pub fn tail_dropped(&self) -> bool {
         self.dropped_tail_bytes > 0
@@ -135,7 +136,7 @@ impl FramedRead {
 ///
 /// Operates on raw bytes: a write torn mid-UTF-8-sequence is still confined
 /// to the final line and is dropped like any other checksum failure.
-pub fn read_framed(bytes: &[u8]) -> FramedRead {
+pub fn read_framed(bytes: &[u8]) -> FramedRead<'_> {
     let mut out = FramedRead::default();
     let mut pos = 0;
     while pos < bytes.len() {
@@ -150,7 +151,7 @@ pub fn read_framed(bytes: &[u8]) -> FramedRead {
             .map_err(|_| FrameError::BadHeader.to_string())
             .and_then(|line| parse_frame(line).map_err(|e| e.to_string()));
         match parsed {
-            Ok(payload) => out.records.push(payload.to_string()),
+            Ok(payload) => out.records.push(payload),
             Err(e) => {
                 // A bad line can only be the torn tail of the last append
                 // (the append-only invariant); drop it and everything after.

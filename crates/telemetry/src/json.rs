@@ -1,19 +1,34 @@
-//! A minimal JSON parser, a canonical serializer, and the one typed-field
-//! codec of the workspace's wire formats.
+//! A JSON grammar check and a text view that reads documents in place, a
+//! tree for documents built as values, a canonical serializer, and the one
+//! typed-field codec of the workspace's wire formats.
 //!
-//! The workspace builds offline (no serde). [`parse`] is a small, strict,
-//! recursive-descent parser. [`JsonValue::to_json`] emits documents built as
-//! values (daemon status, control-plane replies, `BENCH_<n>.json` records)
+//! The workspace builds offline (no serde). Every document is read the same
+//! way: [`Text::check`] runs one strict grammar check over it, which refuses
+//! malformed text and arrays and objects nested deeper than [`MAX_DEPTH`],
+//! and hands out the document's [`Text`]. A text view reads in place: an
+//! object's members are indexed once as (key, value text) pairs
+//! ([`Object`]), an array's items are walked one by one, and a scalar
+//! converts only when a field reads it. Telemetry events, checkpoint journal
+//! records, campaign specs, control request frames and bench records read
+//! back this way through [`Field`], each from the one table that also
+//! renders it (`event_kinds!`, [`json_record!`](crate::json_record)), so
+//! reading a record builds no tree.
+//!
+//! [`parse`] builds a [`JsonValue`] tree on the same check, for documents
+//! built as values (daemon status, control-plane replies, the runs of a
+//! `BENCH_<n>.json` record). [`JsonValue::to_json`] emits those
 //! **canonically**: object keys sorted, integers exact, floats in shortest
 //! round-trip form, so `parse(v.to_json())` re-renders byte-identically.
-//!
-//! Telemetry events, checkpoint journal records, campaign specs, control
-//! request frames and bench records render straight into a string through
-//! [`Field`] and read back through it, each from one table that generates
-//! both directions (`event_kinds!`, [`json_record!`](crate::json_record)).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+
+/// The deepest nesting of arrays and objects a document may have. Journal
+/// shard records nest 6 levels and bench records 8; the bound keeps the
+/// grammar check's recursion, and every reader's after it, far from the end
+/// of a thread's stack whatever the input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,14 +117,6 @@ impl JsonValue {
         }
     }
 
-    /// The value's items, if it is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Renders the value as canonical JSON: object keys in sorted order,
     /// integers exact, floats in shortest round-trip form (non-finite
     /// floats, which JSON cannot represent, render as `null`). Parsing the
@@ -133,11 +140,14 @@ impl JsonValue {
                 // `{}` on f64 is the shortest string that parses back to the
                 // same bits, so emit → parse → re-emit is stable. Integral
                 // floats would print without a fraction and re-parse as
-                // `Int`; keep them in the float lane with an explicit `.0`.
-                if n.fract() == 0.0 && n.abs() < 1e19 {
+                // `Int`; keep them in the float lane with an explicit `.0`,
+                // or in exponent form once the digits grow long.
+                if n.fract() != 0.0 {
+                    let _ = write!(out, "{n}");
+                } else if n.abs() < 1e19 {
                     let _ = write!(out, "{n:.1}");
                 } else {
-                    let _ = write!(out, "{n}");
+                    let _ = write!(out, "{n:e}");
                 }
             }
             JsonValue::String(s) => write_string(s, out),
@@ -247,8 +257,9 @@ pub fn write_string(s: &str, out: &mut String) {
 pub trait Field: Sized {
     /// Appends the value's JSON text to `out`.
     fn write(&self, out: &mut String);
-    /// Reads a value; the error says what is wrong with it.
-    fn read(v: &JsonValue) -> Result<Self, String>;
+    /// Reads a value from its checked text; the error says what is wrong
+    /// with it.
+    fn read(v: Text<'_>) -> Result<Self, String>;
     /// Appends member `key` (quoted name and colon, as in `"seed":`) unless
     /// the value is left out.
     fn render(&self, key: &str, out: &mut String) {
@@ -256,7 +267,7 @@ pub trait Field: Sized {
         self.write(out);
     }
     /// Reads member `name` of the object `v`.
-    fn parse(v: &JsonValue, name: &str) -> Result<Self, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<Self, String> {
         let value = v.get(name).ok_or_else(|| format!("field '{name}' is missing"))?;
         Self::read(value).map_err(|e| in_member(name, e))
     }
@@ -284,13 +295,13 @@ fn in_member(name: &str, e: String) -> String {
 /// Reads the object member `name` of `v`, if present, with `read`: for
 /// nested types that are no [`Record`].
 pub fn nested<T>(
-    v: &JsonValue,
+    v: &Object<'_>,
     name: &str,
-    read: impl FnOnce(&JsonValue) -> Result<T, String>,
+    read: impl FnOnce(&Object<'_>) -> Result<T, String>,
 ) -> Result<Option<T>, String> {
-    let read = |v: &JsonValue| match v {
-        JsonValue::Object(_) => read(v),
-        _ => Err("must be an object".to_string()),
+    let read = |v: Text<'_>| match v.members() {
+        Some(object) => read(&object),
+        None => Err("must be an object".to_string()),
     };
     v.get(name).map(read).transpose().map_err(|e| in_member(name, e))
 }
@@ -304,7 +315,7 @@ macro_rules! integer_fields {
                 use std::fmt::Write as _;
                 let _ = write!(out, "{self}");
             }
-            fn read(v: &JsonValue) -> Result<Self, String> {
+            fn read(v: Text<'_>) -> Result<Self, String> {
                 let n = v.as_u64().and_then(|n| <$ty>::try_from(n).ok());
                 n.ok_or_else(|| concat!("must be an integer that fits ", stringify!($ty)).into())
             }
@@ -318,7 +329,7 @@ impl Field for bool {
     fn write(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
+    fn read(v: Text<'_>) -> Result<Self, String> {
         v.as_bool().ok_or_else(|| "must be a boolean".into())
     }
 }
@@ -327,8 +338,8 @@ impl Field for String {
     fn write(&self, out: &mut String) {
         write_string(self, out);
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
-        v.as_str().map(str::to_string).ok_or_else(|| "must be a string".into())
+    fn read(v: Text<'_>) -> Result<Self, String> {
+        v.as_str().map(Cow::into_owned).ok_or_else(|| "must be a string".into())
     }
 }
 
@@ -337,7 +348,7 @@ impl Field for f64 {
     fn write(&self, out: &mut String) {
         JsonValue::Number(*self).write_json(out);
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
+    fn read(v: Text<'_>) -> Result<Self, String> {
         v.as_f64().ok_or_else(|| "must be a number".into())
     }
 }
@@ -352,15 +363,15 @@ impl<T: Field> Field for Option<T> {
             None => out.push_str("null"),
         }
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
-        Ok(if *v == JsonValue::Null { None } else { Some(T::read(v)?) })
+    fn read(v: Text<'_>) -> Result<Self, String> {
+        Ok(if v.is_null() { None } else { Some(T::read(v)?) })
     }
     fn render(&self, key: &str, out: &mut String) {
         if let Some(v) = self {
             v.render(key, out);
         }
     }
-    fn parse(v: &JsonValue, name: &str) -> Result<Self, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<Self, String> {
         v.get(name).map(|_| T::parse(v, name)).transpose()
     }
     fn clear_wall_clock(&mut self) {
@@ -368,13 +379,14 @@ impl<T: Field> Field for Option<T> {
     }
 }
 
-/// Any JSON, written canonically.
+/// Any JSON, written canonically and read as its tree: the one field that
+/// builds one, for documents kept as values.
 impl Field for JsonValue {
     fn write(&self, out: &mut String) {
         self.write_json(out);
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
-        Ok(v.clone())
+    fn read(v: Text<'_>) -> Result<Self, String> {
+        Ok(v.to_value())
     }
 }
 
@@ -393,8 +405,8 @@ impl<T: Field> Field for Vec<T> {
     fn write(&self, out: &mut String) {
         write_items(self, out);
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
-        let items = v.as_array().ok_or("must be an array")?.iter().enumerate();
+    fn read(v: Text<'_>) -> Result<Self, String> {
+        let items = v.items().ok_or("must be an array")?.enumerate();
         items.map(|(i, item)| T::read(item).map_err(|e| in_member(&i.to_string(), e))).collect()
     }
 }
@@ -404,7 +416,7 @@ impl<T: Field, const N: usize> Field for [T; N] {
     fn write(&self, out: &mut String) {
         write_items(self, out);
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
+    fn read(v: Text<'_>) -> Result<Self, String> {
         let items = Vec::read(v)?;
         let len = items.len();
         items.try_into().map_err(|_| format!("must hold {N} items, not {len}"))
@@ -417,7 +429,7 @@ pub trait Rule<T> {
     /// Appends member `key`, unless the rule leaves the value out.
     fn render(value: &T, key: &str, out: &mut String);
     /// Reads member `name` of the object `v`.
-    fn parse(v: &JsonValue, name: &str) -> Result<T, String>;
+    fn parse(v: &Object<'_>, name: &str) -> Result<T, String>;
 }
 
 /// The type's own [`Field`] form: the rule of a member that names none.
@@ -427,7 +439,7 @@ impl<T: Field> Rule<T> for Plain {
     fn render(value: &T, key: &str, out: &mut String) {
         value.render(key, out);
     }
-    fn parse(v: &JsonValue, name: &str) -> Result<T, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<T, String> {
         T::parse(v, name)
     }
 }
@@ -439,7 +451,7 @@ impl Rule<f64> for Bits {
     fn render(value: &f64, key: &str, out: &mut String) {
         value.to_bits().render(key, out);
     }
-    fn parse(v: &JsonValue, name: &str) -> Result<f64, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<f64, String> {
         u64::parse(v, name).map(f64::from_bits)
     }
 }
@@ -453,7 +465,7 @@ impl Rule<u64> for OmitZero {
             value.render(key, out);
         }
     }
-    fn parse(v: &JsonValue, name: &str) -> Result<u64, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<u64, String> {
         Option::parse(v, name).map(Option::unwrap_or_default)
     }
 }
@@ -472,10 +484,10 @@ impl<T, R: Rule<T>> Rule<Option<T>> for Nullable<R> {
             }
         }
     }
-    fn parse(v: &JsonValue, name: &str) -> Result<Option<T>, String> {
+    fn parse(v: &Object<'_>, name: &str) -> Result<Option<T>, String> {
         match v.get(name) {
-            None | Some(JsonValue::Null) => Ok(None),
-            Some(_) => R::parse(v, name).map(Some),
+            Some(value) if !value.is_null() => R::parse(v, name).map(Some),
+            _ => Ok(None),
         }
     }
 }
@@ -488,7 +500,7 @@ impl<T: Record> Rule<T> for Flatten {
     fn render(value: &T, _: &str, out: &mut String) {
         value.write_members(out);
     }
-    fn parse(v: &JsonValue, _: &str) -> Result<T, String> {
+    fn parse(v: &Object<'_>, _: &str) -> Result<T, String> {
         T::read_members(v)
     }
 }
@@ -498,7 +510,7 @@ pub trait Record: Sized {
     /// Appends every member, in wire order.
     fn write_members(&self, out: &mut String);
     /// Reads every member from the object `v`.
-    fn read_members(v: &JsonValue) -> Result<Self, String>;
+    fn read_members(v: &Object<'_>) -> Result<Self, String>;
 }
 
 /// A record is an object of its members; any other value is refused.
@@ -508,10 +520,10 @@ impl<T: Record> Field for T {
         self.write_members(out);
         out.push('}');
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
-        match v {
-            JsonValue::Object(_) => T::read_members(v),
-            _ => Err("must be an object".to_string()),
+    fn read(v: Text<'_>) -> Result<Self, String> {
+        match v.members() {
+            Some(object) => T::read_members(&object),
+            None => Err("must be an object".to_string()),
         }
     }
 }
@@ -538,7 +550,7 @@ macro_rules! json_record {
                     );
                 )+
             }
-            fn read_members(v: &$crate::json::JsonValue) -> Result<Self, String> {
+            fn read_members(v: &$crate::json::Object<'_>) -> Result<Self, String> {
                 Ok(Self { $(
                     $field: <$crate::json_record!(@rule $($rule)?) as $crate::json::Rule<_>>::parse(
                         v,
@@ -550,24 +562,299 @@ macro_rules! json_record {
     };
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Parses one JSON document into a tree; trailing non-whitespace is an
+/// error.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(value)
+    Text::check(input).map(Text::to_value)
 }
 
-struct Parser<'a> {
+/// Reads one JSON document as a `T`, through its [`Field`] form.
+pub fn read<T: Field>(input: &str) -> Result<T, String> {
+    T::read(Text::check(input)?)
+}
+
+/// The text of one value of a document that passed [`Text::check`], read
+/// in place. Only the check makes one, so every reader below may rely on
+/// the grammar.
+#[derive(Debug, Clone, Copy)]
+pub struct Text<'a>(&'a str);
+
+impl<'a> Text<'a> {
+    /// Checks `input` as one JSON document: strict grammar, at most
+    /// [`MAX_DEPTH`] levels of nesting, whitespace around the value and
+    /// nothing else. Returns the value's text.
+    pub fn check(input: &'a str) -> Result<Text<'a>, String> {
+        let mut c = Checker { bytes: input.as_bytes(), pos: skip_ws(input.as_bytes(), 0) };
+        let start = c.pos;
+        c.value(0)?;
+        let end = c.pos;
+        c.pos = skip_ws(c.bytes, end);
+        if c.pos != input.len() {
+            return Err(format!("trailing input at byte {}", c.pos));
+        }
+        Ok(Text(&input[start..end]))
+    }
+
+    /// The value's first byte, which names its type.
+    fn lead(self) -> u8 {
+        self.0.as_bytes()[0]
+    }
+
+    /// `true` for `null`.
+    pub fn is_null(self) -> bool {
+        self.0 == "null"
+    }
+
+    /// The value as a bool, if it is one.
+    pub fn as_bool(self) -> Option<bool> {
+        match self.0 {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
+
+    /// The value as a number, in the lane the tree keeps it in.
+    fn number(self) -> Option<JsonValue> {
+        if matches!(self.lead(), b'-' | b'0'..=b'9') {
+            number(self.0)
+        } else {
+            None
+        }
+    }
+
+    /// The value as a non-negative integer, as [`JsonValue::as_u64`] reads
+    /// it.
+    pub fn as_u64(self) -> Option<u64> {
+        self.number()?.as_u64()
+    }
+
+    /// The value as an exact `i128`, as [`JsonValue::as_i128`] reads it.
+    pub fn as_i128(self) -> Option<i128> {
+        self.number()?.as_i128()
+    }
+
+    /// The value as an `f64`, if it is any kind of number.
+    pub fn as_f64(self) -> Option<f64> {
+        self.number()?.as_f64()
+    }
+
+    /// The value as a string, unescaped: borrowed when it holds no escape.
+    pub fn as_str(self) -> Option<Cow<'a, str>> {
+        (self.lead() == b'"').then(|| unescape(&self.0[1..self.0.len() - 1]))
+    }
+
+    /// The items, if the value is an array.
+    pub fn items(self) -> Option<Items<'a>> {
+        (self.lead() == b'[').then_some(Items { text: self.0, pos: 1 })
+    }
+
+    /// The indexed members, if the value is an object.
+    pub fn members(self) -> Option<Object<'a>> {
+        (self.lead() == b'{').then(|| Object::index(self.0))
+    }
+
+    /// The value's tree.
+    pub fn to_value(self) -> JsonValue {
+        match self.lead() {
+            b'{' => JsonValue::Object(
+                Object::index(self.0)
+                    .members
+                    .into_iter()
+                    .map(|(key, value)| (key.into_owned(), value.to_value()))
+                    .collect(),
+            ),
+            b'[' => JsonValue::Array(Items { text: self.0, pos: 1 }.map(Text::to_value).collect()),
+            b'"' => JsonValue::String(unescape(&self.0[1..self.0.len() - 1]).into_owned()),
+            b't' => JsonValue::Bool(true),
+            b'f' => JsonValue::Bool(false),
+            b'n' => JsonValue::Null,
+            _ => self.number().expect("the check admits only numbers here"),
+        }
+    }
+}
+
+/// An array's items, walked in order over its checked text.
+#[derive(Debug, Clone)]
+pub struct Items<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Iterator for Items<'a> {
+    type Item = Text<'a>;
+
+    fn next(&mut self) -> Option<Text<'a>> {
+        let bytes = self.text.as_bytes();
+        let start = skip_ws(bytes, self.pos);
+        if bytes[start] == b']' {
+            self.pos = start;
+            return None;
+        }
+        let end = value_end(bytes, start);
+        let next = skip_ws(bytes, end);
+        self.pos = next + usize::from(bytes[next] == b',');
+        Some(Text(&self.text[start..end]))
+    }
+}
+
+/// An object's members, indexed once as (key, value text) pairs in
+/// document order. Keys are compared unescaped, and a key that occurs
+/// twice reads as its last member, as in the tree. A value with no members
+/// is the default.
+#[derive(Debug, Clone, Default)]
+pub struct Object<'a> {
+    members: Vec<(Cow<'a, str>, Text<'a>)>,
+}
+
+impl<'a> Object<'a> {
+    /// Indexes the checked object `text`.
+    fn index(text: &'a str) -> Object<'a> {
+        let bytes = text.as_bytes();
+        let mut members = Vec::with_capacity(8);
+        let mut pos = skip_ws(bytes, 1);
+        while bytes[pos] == b'"' {
+            let key_end = string_end(bytes, pos);
+            let start = skip_ws(bytes, skip_ws(bytes, key_end) + 1);
+            let end = value_end(bytes, start);
+            members.push((unescape(&text[pos + 1..key_end - 1]), Text(&text[start..end])));
+            pos = skip_ws(bytes, end);
+            if bytes[pos] == b',' {
+                pos = skip_ws(bytes, pos + 1);
+            }
+        }
+        Object { members }
+    }
+
+    /// Member `key`'s value, if present.
+    pub fn get(&self, key: &str) -> Option<Text<'a>> {
+        self.members.iter().rev().find(|(k, _)| k == key).map(|&(_, value)| value)
+    }
+}
+
+/// The first byte at or after `pos` that is no JSON whitespace.
+fn skip_ws(bytes: &[u8], mut pos: usize) -> usize {
+    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        pos += 1;
+    }
+    pos
+}
+
+/// The end (past the closing quote) of the checked string opening at `pos`.
+fn string_end(bytes: &[u8], mut pos: usize) -> usize {
+    pos += 1;
+    loop {
+        pos += bytes[pos..].iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(0);
+        match bytes[pos] {
+            b'"' => return pos + 1,
+            _ => pos += 2,
+        }
+    }
+}
+
+/// The end of the checked value starting at `pos`.
+fn value_end(bytes: &[u8], pos: usize) -> usize {
+    match bytes[pos] {
+        b'"' => string_end(bytes, pos),
+        b'[' | b'{' => {
+            let (mut pos, mut depth) = (pos, 0usize);
+            loop {
+                match bytes[pos] {
+                    b'"' => {
+                        pos = string_end(bytes, pos);
+                        continue;
+                    }
+                    b'[' | b'{' => depth += 1,
+                    b']' | b'}' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return pos + 1;
+                        }
+                    }
+                    _ => {}
+                }
+                pos += 1;
+            }
+        }
+        _ => {
+            let scalar = bytes[pos..]
+                .iter()
+                .position(|b| matches!(b, b',' | b']' | b'}' | b' ' | b'\t' | b'\n' | b'\r'));
+            scalar.map_or(bytes.len(), |len| pos + len)
+        }
+    }
+}
+
+/// A checked string's contents, between its quotes, unescaped.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    if !raw.contains('\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut out = String::with_capacity(raw.len());
+    let mut pos = 0;
+    while let Some(offset) = raw[pos..].find('\\') {
+        out.push_str(&raw[pos..pos + offset]);
+        pos += offset + 1;
+        let (c, len) = escape(raw.as_bytes(), pos).expect("the check admits only valid escapes");
+        out.push(c);
+        pos += len;
+    }
+    out.push_str(&raw[pos..]);
+    Cow::Owned(out)
+}
+
+/// The escape whose letter is at `pos`, just past a backslash: its
+/// character and the bytes it spans from `pos`.
+fn escape(bytes: &[u8], pos: usize) -> Result<(char, usize), String> {
+    let c = match bytes.get(pos) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'n') => '\n',
+        Some(b'r') => '\r',
+        Some(b't') => '\t',
+        Some(b'b') => '\u{8}',
+        Some(b'f') => '\u{c}',
+        Some(b'u') => {
+            let hex = bytes.get(pos + 1..pos + 5).ok_or("truncated \\u escape")?;
+            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+            let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+            // Surrogate pairs are not needed by these formats; a surrogate
+            // reads as the replacement character rather than an error.
+            return Ok((char::from_u32(code).unwrap_or('\u{fffd}'), 5));
+        }
+        other => return Err(format!("bad escape {other:?}")),
+    };
+    Ok((c, 1))
+}
+
+/// A number token's value, or `None` when it is none: a plain integer
+/// token stays exact as [`JsonValue::Int`] (i128 covers the full u64
+/// range), and fractions, exponent forms and integers past i128 fall back
+/// to [`JsonValue::Number`].
+fn number(token: &str) -> Option<JsonValue> {
+    let digits = token.strip_prefix('-').unwrap_or(token);
+    if (1..=38).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+        // At most 38 digits always fit: the common case, without `parse`.
+        let n = digits.bytes().fold(0i128, |n, d| n * 10 + i128::from(d - b'0'));
+        return Some(JsonValue::Int(if digits.len() < token.len() { -n } else { n }));
+    }
+    if !token.contains(['.', 'e', 'E']) {
+        if let Ok(i) = token.parse::<i128>() {
+            return Some(JsonValue::Int(i));
+        }
+    }
+    token.parse::<f64>().ok().map(JsonValue::Number)
+}
+
+/// The grammar check behind [`Text::check`]: a strict recursive descent
+/// that reads nothing, with its depth bounded by [`MAX_DEPTH`].
+struct Checker<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl Checker<'_> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -579,9 +866,7 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = skip_ws(self.bytes, self.pos);
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -592,128 +877,102 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// A value inside `depth` levels of arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<(), String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(open @ (b'{' | b'[')) => {
+                if depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.pos += 1;
+                if open == b'{' {
+                    self.object(depth + 1)
+                } else {
+                    self.array(depth + 1)
+                }
+            }
+            Some(b'"') => self.string(),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// The rest of an object, past its `{`.
+    fn object(&mut self, depth: usize) -> Result<(), String> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
+            self.value(depth)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(JsonValue::Object(map)),
+                Some(b'}') => return Ok(()),
                 other => return Err(format!("expected ',' or '}}', got {other:?}")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// The rest of an array, past its `[`.
+    fn array(&mut self, depth: usize) -> Result<(), String> {
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            self.value(depth)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(JsonValue::Array(items)),
+                Some(b']') => return Ok(()),
                 other => return Err(format!("expected ',' or ']', got {other:?}")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<(), String> {
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
             match self.bump() {
                 None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        if self.pos + 4 > self.bytes.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        self.pos += 4;
-                        // Surrogate pairs are not needed for telemetry
-                        // output; map lone surrogates to the replacement
-                        // character rather than erroring.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
+                Some(b'"') => return Ok(()),
+                Some(b'\\') => self.pos += escape(self.bytes, self.pos)?.1,
                 Some(b) if b < 0x20 => return Err("control char in string".into()),
-                Some(b) => {
-                    // Reassemble multi-byte UTF-8 sequences.
-                    let len = match b {
-                        0x00..=0x7f => 0,
-                        0xc0..=0xdf => 1,
-                        0xe0..=0xef => 2,
-                        _ => 3,
-                    };
-                    let start = self.pos - 1;
-                    self.pos += len;
-                    if self.pos > self.bytes.len() {
-                        return Err("truncated utf-8".into());
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    out.push_str(s);
-                }
+                Some(_) => {}
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    fn number(&mut self) -> Result<(), String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -721,17 +980,17 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        // Plain integer tokens stay exact (i128 covers the full u64 range);
-        // fractions and exponent forms fall back to f64.
-        if !text.contains(['.', 'e', 'E']) {
-            if let Ok(i) = text.parse::<i128>() {
-                return Ok(JsonValue::Int(i));
-            }
+        let token = &self.bytes[start..self.pos];
+        let digits = token.strip_prefix(b"-").unwrap_or(token);
+        // Plain digits always read; any other token reads as it converts.
+        if !digits.is_empty() && digits.iter().all(u8::is_ascii_digit) {
+            return Ok(());
         }
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+        let token = std::str::from_utf8(token).expect("ascii");
+        match number(token) {
+            Some(_) => Ok(()),
+            None => Err(format!("invalid number {token:?} at byte {start}")),
+        }
     }
 }
 
@@ -835,6 +1094,31 @@ mod tests {
         let escaped = escape_string(raw);
         let v = parse(&escaped).expect("escaped string parses");
         assert_eq!(v.as_str(), Some(raw));
+    }
+
+    #[test]
+    fn text_reads_keep_the_tree_rules() {
+        let text = r#"{"a":1,"\u0061":2,"whole":1.0,"big":18446744073709551615,"s":"\ud800x",
+            "nested":{"list":[1,"two"]},"unknown":[{}]}"#;
+        let v = Text::check(text).expect("checks").members().expect("an object");
+        // The last of a repeated key wins, and keys compare unescaped.
+        assert_eq!(u64::parse(&v, "a"), Ok(2));
+        assert_eq!(u64::parse(&v, "whole"), Ok(1));
+        assert_eq!(u64::parse(&v, "big"), Ok(u64::MAX));
+        assert_eq!(String::parse(&v, "s").as_deref(), Ok("\u{fffd}x"));
+        let err = nested(&v, "nested", |n| Vec::<u64>::parse(n, "list")).unwrap_err();
+        assert_eq!(err, "field 'nested.list.1' must be an integer that fits u64");
+        assert_eq!(u64::parse(&v, "gone"), Err("field 'gone' is missing".to_string()));
+        assert_eq!(Text::check(text).unwrap().to_value(), parse(text).unwrap());
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_refused_before_any_read() {
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        assert!(read::<Vec<u64>>(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //!   for the campaign checkpoint journal in `comfort-core`: a torn write
 //!   corrupts at most the final line, and the loader salvages everything
 //!   before it.
-//! * [`json`] — a minimal JSON parser and canonical writer (the workspace
-//!   is offline; there is no serde), and the one typed-field codec that
-//!   events, journal records, specs and bench records are written with.
+//! * [`json`] — a JSON grammar check with a text view that reads documents
+//!   in place, a tree and canonical writer for documents built as values
+//!   (the workspace is offline; there is no serde), and the one typed-field
+//!   codec that events, journal records, specs and bench records are
+//!   written and read with.
 //!
 //! # Example
 //!

@@ -12,7 +12,7 @@
 //! drives the counters' merge, journal members and JSONL summary members.
 
 use crate::event::{EventKind, Stage};
-use crate::json::{Field, JsonValue, OmitZero, Rule};
+use crate::json::{Field, OmitZero, Rule, Text};
 
 /// A log₂-bucketed histogram of per-invocation logical cost.
 ///
@@ -52,7 +52,7 @@ impl Field for CostHistogram {
     fn write(&self, out: &mut String) {
         self.buckets.write(out);
     }
-    fn read(v: &JsonValue) -> Result<Self, String> {
+    fn read(v: Text<'_>) -> Result<Self, String> {
         Field::read(v).map(|buckets| CostHistogram { buckets })
     }
 }

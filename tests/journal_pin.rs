@@ -22,7 +22,6 @@ use comfort::core::filter::BugKey;
 use comfort::core::resilience::TestbedHealth;
 use comfort::core::testcase::Origin;
 use comfort::engines::{ApiType, BugId, Component, EngineName};
-use comfort::telemetry::json::parse;
 use comfort::telemetry::{CampaignMetrics, Stage};
 
 const FIXTURE: &str =
@@ -150,7 +149,7 @@ fn a_report_with_every_branch_renders_its_pinned_bytes() {
     assert_eq!(json, REPORT_JSON);
     assert_eq!(report.metrics.to_json(), METRICS_JSON);
     assert_eq!(report_checksum(&report), REPORT_CHECKSUM);
-    let back = report_from_json(&parse(&json).expect("parses")).expect("reads back");
+    let back = report_from_json(&json).expect("reads back");
     assert_eq!(report_to_json(&back), json);
 }
 
@@ -189,8 +188,7 @@ fn sim_hours_round_trips_bit_for_bit() {
         let mut report = report();
         report.sim_hours = sim_hours;
         report.bugs[0].sim_hours = sim_hours;
-        let back = report_from_json(&parse(&report_to_json(&report)).expect("parses"))
-            .expect("reads back");
+        let back = report_from_json(&report_to_json(&report)).expect("reads back");
         assert_eq!(back.sim_hours.to_bits(), sim_hours.to_bits());
         assert_eq!(back.bugs[0].sim_hours.to_bits(), sim_hours.to_bits());
     }
