@@ -99,9 +99,11 @@ pub struct CampaignConfig {
     /// Scheduling only — excluded from the checkpoint fingerprint.
     pub cancel: CancelToken,
     /// Optional wall-clock budget: the campaign cancels itself this long
-    /// after a run starts. Each session or daemon run arms it afresh on the
-    /// `cancel` token, so re-running a config whose deadline fired makes
-    /// progress; shards inherit their run's instant.
+    /// after a run starts. [`ShardRuntime::start`](crate::runtime::ShardRuntime::start)
+    /// arms it afresh on the `cancel` token at the start of each session or
+    /// daemon run, so re-running a config whose deadline fired makes
+    /// progress; shards share their run's instant. Nothing else arms it: a
+    /// shard run alone, or in a fleet worker child, runs its whole budget.
     pub deadline: Option<std::time::Duration>,
     /// Write-ahead checkpoint journal path. When set, the campaign durably
     /// appends every completed shard and a later
@@ -458,6 +460,15 @@ pub fn testbeds_for(config: &CampaignConfig) -> Vec<Testbed> {
     testbeds
 }
 
+/// Trains the generator on the config's corpus and builds its testbed
+/// matrix: what every shard of the campaign shares. Training depends only
+/// on `(seed, corpus_programs, lm)`, so one training serves every shard.
+pub fn train(config: &CampaignConfig) -> (std::sync::Arc<Generator>, Vec<Testbed>) {
+    let corpus = comfort_corpus::training_corpus(config.seed, config.corpus_programs);
+    let generator = std::sync::Arc::new(Generator::train(&corpus, config.lm.clone()));
+    (generator, testbeds_for(config))
+}
+
 /// The campaign runner.
 pub struct Campaign {
     config: CampaignConfig,
@@ -485,18 +496,17 @@ impl Campaign {
         RunOptions::with_fuel(self.config.fuel)
     }
 
-    /// Trains the generator and prepares the testbed matrix.
+    /// Trains the generator and prepares the testbed matrix ([`train`]).
     pub fn new(config: CampaignConfig) -> Self {
-        let corpus = comfort_corpus::training_corpus(config.seed, config.corpus_programs);
-        let generator = std::sync::Arc::new(Generator::train(&corpus, config.lm.clone()));
-        let testbeds = testbeds_for(&config);
+        let (generator, testbeds) = train(&config);
         Campaign::with_shared(config, generator, testbeds)
     }
 
     /// Builds a campaign around an already-trained generator and testbed
-    /// matrix. This is how the sharded executor avoids re-training the LM
-    /// per shard: training depends only on `(seed, corpus_programs, lm)`,
-    /// which shards share — only the case-stream seed differs.
+    /// matrix. This is how a [`CampaignSession`](crate::session::CampaignSession)
+    /// avoids re-training the LM per shard: training depends only on
+    /// `(seed, corpus_programs, lm)`, which shards share — only the
+    /// case-stream seed differs.
     pub fn with_shared(
         config: CampaignConfig,
         generator: std::sync::Arc<Generator>,
@@ -525,14 +535,14 @@ impl Campaign {
     /// compiling.
     pub fn set_exec_threads(&mut self, _threads: usize) {}
 
-    /// Assigns this campaign's shard index (the executor's merge order);
+    /// Assigns this campaign's shard index (the plan's merge order);
     /// telemetry events are stamped with it. Scheduling metadata only.
     pub fn set_shard(&mut self, shard: u64) {
         self.shard = shard;
         self.recorder = Recorder::new(self.config.sink.clone(), shard);
     }
 
-    /// Replaces the progress handle (the executor shares one across all
+    /// Replaces the progress handle (a session shares one across all
     /// shards). The handle must already be `reset` for the full plan.
     pub fn set_progress(&mut self, progress: ProgressHandle) {
         self.progress = progress;
@@ -551,11 +561,12 @@ impl Campaign {
     /// Runs the campaign to its case budget: the shard body.
     ///
     /// It runs the whole `max_cases` budget as one serial stream on the
-    /// calling thread and ignores `threads`, `shard_cases` and
-    /// `checkpoint`. Run a whole campaign through
+    /// calling thread and ignores `threads`, `shard_cases`, `checkpoint`
+    /// and `deadline`: it stops early only when the `cancel` token reads
+    /// cancelled. Run a whole campaign through
     /// [`CampaignSession`](crate::session::CampaignSession), which plans the
-    /// shards, runs them on `threads` workers and journals them; with
-    /// `shard_cases = 0` its report equals this one.
+    /// shards, arms the deadline, runs the shards on `threads` workers and
+    /// journals them; with `shard_cases = 0` its report equals this one.
     pub fn run(&mut self) -> CampaignReport {
         let run_start = std::time::Instant::now();
         self.metrics = CampaignMetrics::new();
@@ -565,13 +576,6 @@ impl Campaign {
         let datagen = DataGen::new(comfort_ecma262::spec_db(), self.config.datagen.clone());
         let mut tracker = HealthTracker::new(&self.testbeds, self.config.exec.quarantine_after)
             .with_probe(self.config.exec.probe_after);
-        if let Some(deadline) = self.config.deadline {
-            // First arm wins: when the campaign's runtime already armed the
-            // shared token at start, shard-level arming is a no-op, so the
-            // deadline measures the whole run. A worker process's token is
-            // its own, so its shard arms the deadline here.
-            self.config.cancel.arm_deadline(std::time::Instant::now() + deadline);
-        }
 
         self.progress.shard_started(self.shard as usize);
         self.emit(EventKind::ShardStarted {

@@ -30,11 +30,13 @@
 //!   stream.
 
 use std::borrow::Cow;
+use std::hash::Hasher as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use comfort_engines::{ApiType, BugId, Component, EngineName};
+use comfort_syntax::FnvHasher;
 use comfort_telemetry::frame::{frame_line, read_framed, FramedRead};
 use comfort_telemetry::json::{
     self, member, write_string, Bits, Field, Flatten, Nullable, Object, Record, Rule, Text,
@@ -54,42 +56,31 @@ pub const JOURNAL_VERSION: u64 = 1;
 // Fingerprint
 // ---------------------------------------------------------------------------
 
-/// An incremental FNV-1a (64-bit) mixer.
+/// An incremental FNV-1a (64-bit) mixer over the workspace's one FNV-1a,
+/// [`FnvHasher`].
 ///
-/// Hand-rolled rather than `DefaultHasher` because the fingerprint is
+/// FNV-1a rather than `DefaultHasher` because the fingerprint is
 /// *persisted*: it must be stable across Rust releases and platforms, which
-/// the standard hasher does not promise.
-#[derive(Debug, Clone, Copy)]
-pub struct Fingerprint(u64);
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Fingerprint::new()
-    }
-}
+/// the standard hasher does not promise. Every value is mixed as explicit
+/// little-endian bytes, never through `Hasher`'s native-endian helpers.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Fingerprint(FnvHasher);
 
 impl Fingerprint {
     /// The FNV-1a offset basis.
     pub fn new() -> Self {
-        Fingerprint(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn mix_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        Fingerprint::default()
     }
 
     /// Mixes one integer (little-endian bytes).
     pub fn mix_u64(&mut self, v: u64) {
-        self.mix_bytes(&v.to_le_bytes());
+        self.0.write(&v.to_le_bytes());
     }
 
     /// Mixes a string, length-prefixed so field boundaries can't alias.
     pub fn mix_str(&mut self, s: &str) {
         self.mix_u64(s.len() as u64);
-        self.mix_bytes(s.as_bytes());
+        self.0.write(s.as_bytes());
     }
 
     /// Mixes a float by exact bit pattern.
@@ -104,7 +95,7 @@ impl Fingerprint {
 
     /// The accumulated fingerprint.
     pub fn finish(self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 
@@ -137,7 +128,9 @@ pub fn config_fingerprint(config: &CampaignConfig) -> u64 {
     fp.mix_u64(config.shard_cases as u64);
     // Execution policy: isolation, retry, quarantine, probe, quorum.
     fp.mix_bool(config.exec.isolation.contain_panics);
-    fp.mix_u64(config.exec.isolation.watchdog_millis.map_or(u64::MAX, |w| w));
+    // The unset value of a since-removed wall-clock watchdog knob, kept at
+    // its position so every journal's fingerprint stays as it was.
+    fp.mix_u64(u64::MAX);
     fp.mix_u64(config.exec.isolation.max_output_bytes as u64);
     fp.mix_u64(u64::from(config.exec.retry.max_retries));
     fp.mix_u64(config.exec.retry.backoff_base_millis);

@@ -1,11 +1,12 @@
-//! The shard plan, the shard executor and the order-preserving merge.
+//! The shard plan and the order-preserving merge.
 //!
 //! The paper's evaluation runs 250k cases over 102 testbeds in a 200-hour
 //! budget; a strictly serial loop cannot approach that. A campaign's
 //! `max_cases` budget is split into **shards**: independent sub-campaigns
 //! whose seeds are a pure function of `(master_seed, shard_index)`.
-//! [`ShardedCampaign`] runs one shard at a time over a generator trained
-//! once, and [`merge_shard_reports`] folds the shard reports into one
+//! [`CampaignSession::run_shard`](crate::session::CampaignSession::run_shard)
+//! runs one shard over a generator trained once, and
+//! [`merge_shard_reports`] folds the shard reports into one
 //! [`CampaignReport`]. Which worker runs which shard is up to the driver
 //! (see [`runtime`](crate::runtime)).
 //!
@@ -23,18 +24,16 @@
 //! representatives one after another on its worker's thread, and threads
 //! beyond the shard count stay idle.
 
-use std::sync::Arc;
-
 use comfort_engines::Testbed;
 use comfort_lm::Generator;
-use comfort_telemetry::{EventKind, MemorySink, ProgressHandle, Recorder, SinkHandle, MERGE_SHARD};
+use comfort_telemetry::{EventKind, Recorder, SinkHandle, MERGE_SHARD};
 
-use crate::campaign::{testbeds_for, Campaign, CampaignConfig, CampaignReport};
+use crate::campaign::{CampaignConfig, CampaignReport};
 use crate::filter::BugTree;
 
-// The executor shares programs, testbeds, and the trained generator across
-// worker threads by reference; these assertions pin the Send/Sync audit of
-// the engine substrate at compile time.
+// Shard workers share programs, testbeds, and the trained generator across
+// threads by reference; these assertions pin the Send/Sync audit of the
+// engine substrate at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Testbed>();
@@ -159,52 +158,6 @@ pub fn merge_shard_reports_with_sink(
     merged
 }
 
-/// Runs single shards of one campaign.
-///
-/// Trains the language model **once** (training is a pure function of the
-/// master seed and LM config, which all shards share) and builds the
-/// testbed matrix once; each shard then runs a [`Campaign`] over its slice
-/// of the budget with its derived seed. Drive it through
-/// [`CampaignSession`](crate::session::CampaignSession).
-pub struct ShardedCampaign {
-    config: CampaignConfig,
-    generator: Arc<Generator>,
-    testbeds: Vec<Testbed>,
-    progress: ProgressHandle,
-}
-
-impl ShardedCampaign {
-    /// Trains the generator and prepares the shared testbed matrix.
-    pub fn new(config: CampaignConfig) -> Self {
-        let corpus = comfort_corpus::training_corpus(config.seed, config.corpus_programs);
-        let generator = Arc::new(Generator::train(&corpus, config.lm.clone()));
-        let testbeds = testbeds_for(&config);
-        ShardedCampaign { config, generator, testbeds, progress: ProgressHandle::new() }
-    }
-
-    /// Replaces the progress handle with a caller-owned one (the campaign
-    /// driver's), so shard runs report live progress there.
-    pub fn attach_progress(&mut self, progress: ProgressHandle) {
-        self.progress = progress;
-    }
-
-    /// Runs one shard as a plain serial campaign over its budget slice,
-    /// emitting its event stream into `buffer`. Every campaign driver, the
-    /// `comfort-service` daemon and its worker processes included, runs
-    /// shards through here, so they all merge to bit-identical reports.
-    pub fn run_shard(&self, spec: &ShardSpec, buffer: &MemorySink) -> CampaignReport {
-        let mut config = self.config.clone();
-        config.seed = spec.seed;
-        config.max_cases = spec.cases;
-        config.sink = SinkHandle::new(buffer.clone());
-        let mut campaign =
-            Campaign::with_shared(config, Arc::clone(&self.generator), self.testbeds.clone());
-        campaign.set_shard(spec.index as u64);
-        campaign.set_progress(self.progress.clone());
-        campaign.run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,11 +225,11 @@ mod tests {
 
     #[test]
     fn merge_preserves_counts_and_dedups_keys() {
-        let executor = ShardedCampaign::new(sharded_config());
-        let plan = plan_shards(&sharded_config());
+        let session = crate::session::CampaignSession::new(sharded_config());
+        let plan = session.plan();
         assert_eq!(plan.len(), 3);
         let shard_reports: Vec<CampaignReport> =
-            plan.iter().map(|s| executor.run_shard(s, &MemorySink::new())).collect();
+            plan.iter().map(|s| session.run_shard(s).report).collect();
         let merged = merge_shard_reports(&shard_reports);
         assert_eq!(merged.cases_run, shard_reports.iter().map(|r| r.cases_run).sum::<u64>());
         let total_bugs: usize = shard_reports.iter().map(|r| r.bugs.len()).sum();

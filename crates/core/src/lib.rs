@@ -11,12 +11,12 @@
 //! * [`filter`] — the §3.6 three-layer identical-bug filter tree,
 //! * [`campaign`] — the §4–5 evaluation loop with version attribution and a
 //!   calibrated developer model,
-//! * [`executor`] — the shard plan, the single-shard executor and the
-//!   order-preserving merge,
+//! * [`executor`] — the shard plan and the order-preserving merge,
 //! * [`runtime`] — [`ShardRuntime`], one campaign's shard state (slots,
 //!   ordered flush, journal, commit, finish) shared by every driver,
 //! * [`session`] — [`CampaignSession`], the one way to run a campaign
-//!   (fresh or crash-safe resumable),
+//!   (fresh or crash-safe resumable) and its one trained runner, which
+//!   runs each shard into its journal record for every driver,
 //! * [`compare`] / [`quality`] — the Figure 8 and Figure 9 harnesses,
 //! * [`report`] — renders every table and figure.
 //!
@@ -64,9 +64,7 @@ pub use differential::{
     run_differential, vote_on_signatures_quorum, CaseOutcome, DeviationKind, DeviationRecord,
     ExecutionClasses, GroupQuorum, QuorumPolicy, Signature,
 };
-pub use executor::{
-    merge_shard_reports, merge_shard_reports_with_sink, plan_shards, ShardSpec, ShardedCampaign,
-};
+pub use executor::{merge_shard_reports, merge_shard_reports_with_sink, plan_shards, ShardSpec};
 pub use filter::{BugKey, BugTree};
 pub use fuzzer::{ComfortFuzzer, Fuzzer};
 pub use reduce::reduce as reduce_case;

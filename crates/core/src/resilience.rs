@@ -29,8 +29,7 @@ use crate::differential::{
 /// every testbed run, the quarantine threshold, and the voting quorum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPolicy {
-    /// Containment applied to every run (panic catching, watchdog, output
-    /// cap).
+    /// Containment applied to every run (panic catching, output cap).
     pub isolation: IsolationPolicy,
     /// Retry policy for transient faults.
     pub retry: RetryPolicy,
@@ -98,19 +97,10 @@ impl CancelToken {
         self.inner.flag.store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
-    /// Arms a wall-clock deadline after which the token reads cancelled.
-    /// The first armed deadline wins; later calls are no-ops, so a shard
-    /// keeps the deadline its campaign armed at start.
-    pub fn arm_deadline(&self, deadline: std::time::Instant) {
-        let mut slot = self.inner.deadline.lock().expect("cancel token poisoned");
-        if slot.is_none() {
-            *slot = Some(deadline);
-        }
-    }
-
-    /// Replaces the deadline with `deadline` (`None` clears it). Every
-    /// campaign run calls this at start, so each run measures its deadline
-    /// from its own start.
+    /// Replaces the deadline with `deadline` (`None` clears it); once it
+    /// passes, the token reads cancelled. Every campaign run calls this at
+    /// start ([`ShardRuntime::start`](crate::runtime::ShardRuntime::start)),
+    /// so each run measures its deadline from its own start.
     pub fn set_deadline(&self, deadline: Option<std::time::Instant>) {
         *self.inner.deadline.lock().expect("cancel token poisoned") = deadline;
     }
@@ -162,7 +152,7 @@ pub struct TestbedHealth {
     pub runs_ok: u64,
     /// Contained panics.
     pub panics: u64,
-    /// Hangs (self-reported wedges or watchdog timeouts).
+    /// Hangs (self-reported wedges).
     pub hangs: u64,
     /// Runs whose transient faults outlasted the retry budget.
     pub transients_exhausted: u64,
@@ -444,8 +434,8 @@ pub fn run_case_hardened_cancellable(
     tracker: &mut HealthTracker,
     cancel: Option<&CancelToken>,
 ) -> CaseObservation {
-    // Compile once per case; every testbed slot (and every watchdog thread)
-    // shares the same read-only chunk via its `Arc`.
+    // Compile once per case; every testbed slot shares the same read-only
+    // chunk via its `Arc`.
     let chunk = compile(program);
     let mask = tracker.begin_case();
     // Run the representatives, each carrying its peers. A half-open probe
@@ -684,13 +674,9 @@ mod tests {
         assert!(token.is_cancelled());
 
         let deadline = CancelToken::new();
-        deadline.arm_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
+        deadline
+            .set_deadline(Some(std::time::Instant::now() - std::time::Duration::from_millis(1)));
         assert!(deadline.is_cancelled(), "passed deadline reads cancelled");
-        // First armed deadline wins.
-        let far = CancelToken::new();
-        far.arm_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600));
-        far.arm_deadline(std::time::Instant::now() - std::time::Duration::from_secs(1));
-        assert!(!far.is_cancelled(), "later arm attempts are no-ops");
         // A passed deadline does not latch: a new one replaces it.
         deadline
             .set_deadline(Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)));

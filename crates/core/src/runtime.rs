@@ -129,6 +129,10 @@ impl ShardRuntime {
     /// plan, replays `salvage` (see [`check`](Self::check)) and opens the
     /// journal. Journaling is best-effort: a journal that cannot be opened
     /// degrades to an unjournaled run rather than failing the campaign.
+    ///
+    /// This is the only place a deadline is armed. A shard run arms none,
+    /// so a fleet worker child runs its whole shard; its supervisor, which
+    /// started the runtime, kills it when the deadline passes.
     pub fn start(
         config: &CampaignConfig,
         progress: ProgressHandle,
@@ -214,18 +218,6 @@ impl ShardRuntime {
     /// The shards salvaged from the journal, in shard order.
     pub fn salvaged(&self) -> &[usize] {
         self.resumed.as_ref().map_or(&[], |resumed| &resumed.salvaged)
-    }
-
-    /// The journal record for shard `index`'s result and event stream.
-    pub fn record(&self, index: usize, report: CampaignReport, events: Vec<Event>) -> ShardRecord {
-        let spec = &self.plan[index];
-        ShardRecord {
-            index: index as u64,
-            seed: spec.seed,
-            cases: spec.cases as u64,
-            report,
-            events,
-        }
     }
 
     /// Fills shard `index`'s result slot ahead of its commit, for a driver
@@ -358,8 +350,16 @@ mod tests {
             .collect()
     }
 
-    fn report(cases_run: u64) -> CampaignReport {
-        CampaignReport { cases_run, ..CampaignReport::default() }
+    /// Shard `index`'s record: one case run and two events.
+    fn record(runtime: &ShardRuntime, index: usize) -> ShardRecord {
+        let spec = runtime.plan()[index];
+        ShardRecord {
+            index: index as u64,
+            seed: spec.seed,
+            cases: spec.cases as u64,
+            report: CampaignReport { cases_run: 1, ..CampaignReport::default() },
+            events: shard_events(index as u64),
+        }
     }
 
     fn shards_seen(sink: &MemorySink) -> Vec<u64> {
@@ -370,10 +370,10 @@ mod tests {
     fn the_frontier_flushes_in_shard_order() {
         let sink = MemorySink::new();
         let runtime = ShardRuntime::start(&config(1, &sink), ProgressHandle::new(), None);
-        runtime.commit(runtime.record(2, report(1), shard_events(2)), false);
-        runtime.commit(runtime.record(1, report(1), shard_events(1)), false);
+        runtime.commit(record(&runtime, 2), false);
+        runtime.commit(record(&runtime, 1), false);
         assert!(shards_seen(&sink).is_empty(), "shards 1 and 2 wait for shard 0");
-        runtime.commit(runtime.record(0, report(1), shard_events(0)), false);
+        runtime.commit(record(&runtime, 0), false);
         assert_eq!(shards_seen(&sink), [0, 0, 1, 1, 2, 2]);
         let (merged, outcome) = runtime.finish();
         assert_eq!((merged.cases_run, merged.interrupted, outcome), (3, false, "completed"));
@@ -383,7 +383,7 @@ mod tests {
     fn a_campaign_that_stops_short_is_flagged_interrupted() {
         let sink = MemorySink::new();
         let runtime = ShardRuntime::start(&config(1, &sink), ProgressHandle::new(), None);
-        runtime.commit(runtime.record(0, report(1), shard_events(0)), false);
+        runtime.commit(record(&runtime, 0), false);
         let (merged, outcome) = runtime.finish();
         assert_eq!((merged.cases_run, merged.interrupted, outcome), (1, true, "cancelled"));
         assert!(sink.events().iter().any(|e| matches!(
@@ -404,7 +404,7 @@ mod tests {
             progress.case_done(0);
             progress.shard_finished(0);
         }
-        runtime.commit(runtime.record(0, report(1), shard_events(0)), false);
+        runtime.commit(record(&runtime, 0), false);
         let snap = progress.snapshot();
         assert_eq!((snap.cases_done, snap.shards_done), (1, 1));
         assert_eq!(snap.cases_done, snap.shards.iter().map(|s| s.cases_done).sum::<u64>());
@@ -419,7 +419,7 @@ mod tests {
         let mut first = config(1, &sink);
         first.checkpoint = Some(path.clone());
         let runtime = ShardRuntime::start(&first, ProgressHandle::new(), None);
-        runtime.commit(runtime.record(0, report(1), shard_events(0)), false);
+        runtime.commit(record(&runtime, 0), false);
         drop(runtime);
         // A torn tail, which resuming truncates but checking must not.
         let mut bytes = std::fs::read(&path).expect("journal written");
@@ -441,8 +441,8 @@ mod tests {
         assert_eq!(runtime.salvaged(), [0]);
         assert_eq!(shards_seen(&resumed), [0, 0], "salvaged events replay at once");
         assert!(std::fs::read(&path).expect("journal kept").len() < bytes.len());
-        runtime.commit(runtime.record(1, report(1), shard_events(1)), false);
-        runtime.commit(runtime.record(2, report(1), shard_events(2)), false);
+        runtime.commit(record(&runtime, 1), false);
+        runtime.commit(record(&runtime, 2), false);
         let (merged, _) = runtime.finish();
         let info = merged.resume.expect("resume provenance");
         assert_eq!((info.shards_salvaged, info.shards_rerun, info.checkpoints_written), (1, 2, 2));

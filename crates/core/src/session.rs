@@ -10,22 +10,27 @@
 //! [`ShardRuntime`] with a plain scoped worker loop; the `comfort-service`
 //! daemon drives the same runtime with leased workers.
 //!
-//! The session owns the trained generator and testbed matrix (built
-//! lazily, once), so sweeping thread counts with
-//! [`run_with_threads`](CampaignSession::run_with_threads) — as perfbench
-//! does for its one-thread references and its timed runs — trains the
-//! language model a single time and re-runs the identical workload at each
-//! width. Reports are **bit-identical** in every deterministic field at any
-//! thread count.
+//! The session is the campaign's one trained runner: it holds the
+//! generator and testbed matrix (trained lazily, once) and runs every shard
+//! through [`run_shard`](CampaignSession::run_shard), which yields the
+//! shard's journal record. The scoped loop here, the daemon's pool threads
+//! and its `--worker-once` children all run shards that way. Sweeping
+//! thread counts with [`run_with_threads`](CampaignSession::run_with_threads)
+//! — as perfbench does for its one-thread references and its timed runs —
+//! trains the language model a single time and re-runs the identical
+//! workload at each width. Reports are **bit-identical** in every
+//! deterministic field at any thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use comfort_telemetry::{MemorySink, ProgressHandle};
+use comfort_engines::Testbed;
+use comfort_lm::Generator;
+use comfort_telemetry::{MemorySink, ProgressHandle, SinkHandle};
 
-use crate::campaign::{CampaignConfig, CampaignReport};
-use crate::checkpoint::CheckpointError;
-use crate::executor::{plan_shards, resolve_threads, ShardSpec, ShardedCampaign};
+use crate::campaign::{train, Campaign, CampaignConfig, CampaignReport};
+use crate::checkpoint::{CheckpointError, ShardRecord};
+use crate::executor::{plan_shards, resolve_threads, ShardSpec};
 use crate::runtime::ShardRuntime;
 
 /// A configured, reusable campaign run. See the [module docs](self).
@@ -47,7 +52,9 @@ use crate::runtime::ShardRuntime;
 pub struct CampaignSession {
     config: CampaignConfig,
     progress: ProgressHandle,
-    executor: OnceLock<ShardedCampaign>,
+    /// The trained generator and testbed matrix; the first caller trains
+    /// and concurrent callers wait for it.
+    trained: OnceLock<(Arc<Generator>, Vec<Testbed>)>,
 }
 
 impl CampaignSession {
@@ -58,7 +65,7 @@ impl CampaignSession {
     pub fn new(config: CampaignConfig) -> Self {
         let progress = ProgressHandle::new();
         progress.reset(&plan_shards(&config).iter().map(|s| s.cases as u64).collect::<Vec<u64>>());
-        CampaignSession { config, progress, executor: OnceLock::new() }
+        CampaignSession { config, progress, trained: OnceLock::new() }
     }
 
     /// The configuration the session runs.
@@ -95,7 +102,9 @@ impl CampaignSession {
     /// deterministic field at each width.
     pub fn run_with_threads(&self, threads: usize) -> Result<CampaignReport, CheckpointError> {
         let salvage = ShardRuntime::check(&self.config)?;
-        let executor = self.executor();
+        // Train first: the deadline the runtime arms then covers the
+        // shards, not the training.
+        self.executor();
         let runtime = ShardRuntime::start(&self.config, self.progress.clone(), salvage);
         let plan = runtime.plan();
         let pending: Vec<usize> =
@@ -117,32 +126,58 @@ impl CampaignSession {
                     let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) else {
                         break;
                     };
-                    let events = MemorySink::new();
-                    let report = executor.run_shard(&plan[i], &events);
-                    if report.interrupted {
+                    let record = self.run_shard(&plan[i]);
+                    if record.report.interrupted {
                         // A partially-run shard is discarded whole: its
                         // events would desync the replayed stream, and
                         // resume re-runs the shard from scratch.
                         break;
                     }
-                    runtime.commit(runtime.record(i, report, events.take()), false);
+                    runtime.commit(record, false);
                 });
             }
         });
         Ok(runtime.finish().0)
     }
 
-    /// The lazily-built executor (trains the LM on first use).
-    ///
-    /// Public so a worker process of the `comfort-service` daemon can run
-    /// its one leased shard via [`ShardedCampaign::run_shard`] with the
-    /// session's trained generator and testbed matrix.
-    pub fn executor(&self) -> &ShardedCampaign {
-        self.executor.get_or_init(|| {
-            let mut executor = ShardedCampaign::new(self.config.clone());
-            executor.attach_progress(self.progress.clone());
-            executor
-        })
+    /// Trains the session: the generator and testbed matrix every shard
+    /// runs over, built on the first call (concurrent first callers wait
+    /// for it) and kept for the session's life. A panic while training
+    /// leaves the session untrained, and the next call trains again.
+    pub fn executor(&self) {
+        self.trained();
+    }
+
+    fn trained(&self) -> &(Arc<Generator>, Vec<Testbed>) {
+        self.trained.get_or_init(|| train(&self.config))
+    }
+
+    /// Runs one shard (training the session first if need be) into its
+    /// journal record: the shard's report and event stream. The run is a
+    /// plain serial campaign over the shard's slice of the budget, on the
+    /// calling thread, reporting live progress on the session's handle. It
+    /// arms no deadline; it stops early only when the config's `cancel`
+    /// token reads cancelled, and then returns a report flagged
+    /// `interrupted`. Every driver runs its shards here, so they all merge
+    /// to bit-identical reports.
+    pub fn run_shard(&self, spec: &ShardSpec) -> ShardRecord {
+        let (generator, testbeds) = self.trained();
+        let events = MemorySink::new();
+        let mut config = self.config.clone();
+        config.seed = spec.seed;
+        config.max_cases = spec.cases;
+        config.sink = SinkHandle::new(events.clone());
+        let mut campaign = Campaign::with_shared(config, Arc::clone(generator), testbeds.clone());
+        campaign.set_shard(spec.index as u64);
+        campaign.set_progress(self.progress.clone());
+        let report = campaign.run();
+        ShardRecord {
+            index: spec.index as u64,
+            seed: spec.seed,
+            cases: spec.cases as u64,
+            report,
+            events: events.take(),
+        }
     }
 }
 

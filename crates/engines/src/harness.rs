@@ -1,4 +1,4 @@
-//! The isolation harness: panic containment, watchdog, output caps, and
+//! The isolation harness: panic containment, output caps, and
 //! transient-fault retry around every testbed run.
 //!
 //! [`run_isolated_compiled`] is the hardened execution entry point. It wraps
@@ -8,8 +8,10 @@
 //! deterministic [`RunResult`] plus a [`FaultObserved`] classification.
 //! `Testbed::run_compiled` delegates here with default policies, so every
 //! call site (reduction, version probing, examples) is contained for free.
-//! The chunk is an `Arc`, so handing a run to the watchdog thread costs a
-//! reference-count bump instead of a deep program clone.
+//! Fuel bounds every run, so the harness keeps no wall-clock watch: a
+//! chaos fault reports its own wedge, and a process-isolated fleet worker
+//! that wedges anyway stops making progress, loses its lease and is killed
+//! by its supervisor.
 //!
 //! A run may carry *peers*, testbeds it may stand for (see
 //! [`comfort_interp::hooks::Agreement`]); [`IsolatedRun::agreed`] names
@@ -21,7 +23,6 @@ use crate::chaos::{fatal_signal_message, ChaosAbort, ChaosPanic, RawFault};
 use crate::Testbed;
 use comfort_interp::{CompiledChunk, RunOptions, RunResult, RunStatus};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
@@ -31,12 +32,6 @@ use std::time::Duration;
 pub struct IsolationPolicy {
     /// Catch panics inside the run and map them to [`RunStatus::Crashed`].
     pub contain_panics: bool,
-    /// Optional wall-clock watchdog: when set, the run executes on a helper
-    /// thread and is abandoned (reported as a hang) if it exceeds this many
-    /// milliseconds. Fuel already bounds well-behaved evaluators, so the
-    /// watchdog defaults to off; enable it when testbeds may wedge outside
-    /// the fuel accounting.
-    pub watchdog_millis: Option<u64>,
     /// Output size cap in bytes; larger outputs are truncated (with a
     /// marker) and flagged [`FaultObserved::OutputTruncated`].
     pub max_output_bytes: usize,
@@ -44,7 +39,7 @@ pub struct IsolationPolicy {
 
 impl Default for IsolationPolicy {
     fn default() -> Self {
-        IsolationPolicy { contain_panics: true, watchdog_millis: None, max_output_bytes: 1 << 20 }
+        IsolationPolicy { contain_panics: true, max_output_bytes: 1 << 20 }
     }
 }
 
@@ -58,8 +53,8 @@ pub enum FaultObserved {
     /// The run panicked; the panic was contained and mapped to
     /// [`RunStatus::Crashed`].
     Panic,
-    /// The run wedged (self-reported or watchdog-detected) and was mapped
-    /// to [`RunStatus::OutOfFuel`] — the deterministic timeout outcome.
+    /// The run wedged (self-reported) and was mapped to
+    /// [`RunStatus::OutOfFuel`] — the deterministic timeout outcome.
     Hang,
     /// Transient faults persisted through the whole retry budget; the run
     /// was mapped to [`RunStatus::Crashed`].
@@ -125,8 +120,8 @@ pub fn silence_chaos_panics() {
 }
 
 /// Runs a compiled `chunk` on `testbed` under full containment, carrying
-/// `peers` (pass `&[]` for a plain run). Never panics and never blocks
-/// longer than the watchdog allows (plus backoff sleeps).
+/// `peers` (pass `&[]` for a plain run). With `contain_panics` set it never
+/// panics; fuel bounds each attempt, and only the retry backoff sleeps.
 pub fn run_isolated_compiled(
     testbed: &Testbed,
     peers: &[&Testbed],
@@ -197,52 +192,13 @@ fn execute_once(
     isolation: &IsolationPolicy,
     attempt: u32,
 ) -> Execution {
-    match isolation.watchdog_millis {
-        Some(limit) => execute_with_watchdog(testbed, peers, chunk, options, attempt, limit),
-        None if isolation.contain_panics => {
-            match panic::catch_unwind(AssertUnwindSafe(|| {
-                testbed.run_attempt_compiled(chunk, options, attempt, peers)
-            })) {
-                Ok(raw) => raw_to_execution(raw),
-                Err(payload) => Execution::Panicked(panic_message(payload.as_ref())),
-            }
-        }
-        None => raw_to_execution(testbed.run_attempt_compiled(chunk, options, attempt, peers)),
+    let run = || testbed.run_attempt_compiled(chunk, options, attempt, peers);
+    if !isolation.contain_panics {
+        return raw_to_execution(run());
     }
-}
-
-/// Runs one attempt on a helper thread and abandons it if the wall-clock
-/// limit passes. The helper is detached (not scoped): joining a wedged
-/// thread would just move the hang into the harness. The chunk crosses the
-/// thread boundary as an `Arc` clone — no program copy — and the testbed
-/// and its peers as clones.
-fn execute_with_watchdog(
-    testbed: &Testbed,
-    peers: &[&Testbed],
-    chunk: &Arc<CompiledChunk>,
-    options: &RunOptions,
-    attempt: u32,
-    limit_millis: u64,
-) -> Execution {
-    let (tx, rx) = mpsc::channel();
-    let testbed = testbed.clone();
-    let peers: Vec<Testbed> = peers.iter().map(|&peer| peer.clone()).collect();
-    let chunk = Arc::clone(chunk);
-    let options = options.clone();
-    thread::spawn(move || {
-        let peers: Vec<&Testbed> = peers.iter().collect();
-        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| {
-            testbed.run_attempt_compiled(&chunk, &options, attempt, &peers)
-        })) {
-            Ok(raw) => raw_to_execution(raw),
-            Err(payload) => Execution::Panicked(panic_message(payload.as_ref())),
-        };
-        // The receiver may have timed out and gone; a failed send is fine.
-        let _ = tx.send(outcome);
-    });
-    match rx.recv_timeout(Duration::from_millis(limit_millis)) {
-        Ok(outcome) => outcome,
-        Err(_) => Execution::Wedged,
+    match panic::catch_unwind(AssertUnwindSafe(run)) {
+        Ok(raw) => raw_to_execution(raw),
+        Err(payload) => Execution::Panicked(panic_message(payload.as_ref())),
     }
 }
 
@@ -348,23 +304,6 @@ mod tests {
         );
         assert_eq!(run.result.status, RunStatus::OutOfFuel);
         assert_eq!(run.fault, Some(FaultObserved::Hang));
-    }
-
-    #[test]
-    fn watchdog_abandons_wedged_run() {
-        let bed = chaotic(FaultPlan::new(1).hang_rate(1.0).hang_millis(5_000));
-        let isolation = IsolationPolicy { watchdog_millis: Some(25), ..IsolationPolicy::default() };
-        let start = std::time::Instant::now();
-        let run = run_isolated_compiled(
-            &bed,
-            &[],
-            &chunk("print(1);"),
-            &RunOptions::default(),
-            &isolation,
-            &RetryPolicy::default(),
-        );
-        assert_eq!(run.fault, Some(FaultObserved::Hang));
-        assert!(start.elapsed() < Duration::from_millis(2_500), "watchdog did not fire");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -40,13 +40,13 @@ use comfort_core::campaign::{CampaignConfig, CampaignReport};
 use comfort_core::checkpoint::{
     report_checksum, CampaignCheckpoint, LeaseAction, LeaseRecord, ShardRecord,
 };
-use comfort_core::executor::{plan_shards, ShardedCampaign};
 use comfort_core::resilience::CancelToken;
 use comfort_core::runtime::ShardRuntime;
+use comfort_core::session::CampaignSession;
+use comfort_engines::harness::panic_message;
 use comfort_telemetry::json::JsonValue;
 use comfort_telemetry::{
-    Event, EventKind, JsonlSink, MemorySink, ProgressHandle, Recorder, Sink, SinkHandle,
-    SERVICE_SHARD,
+    Event, EventKind, JsonlSink, MemorySink, Recorder, Sink, SinkHandle, SERVICE_SHARD,
 };
 
 use crate::fleet::{ChildFate, ProcessJail, WorkerArgs, WorkerChild};
@@ -60,7 +60,7 @@ use crate::worker::WorkerError;
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CampaignConfig>();
-    assert_send_sync::<ShardedCampaign>();
+    assert_send_sync::<CampaignSession>();
     assert_send_sync::<LeaseTable>();
 };
 
@@ -277,19 +277,18 @@ impl Sink for TeeSink {
     }
 }
 
-/// One supervised campaign: its configuration, its shard runtime, and the
+/// One supervised campaign: its session, its shard runtime, and the
 /// supervision state around it.
 struct CampaignEntry {
     id: String,
     tenant: String,
     name: String,
-    config: CampaignConfig,
-    /// The trained executor (thread isolation only), built on first use
-    /// and dropped when the campaign retires.
-    executor: Mutex<Option<Arc<ShardedCampaign>>>,
-    /// Held while training the executor, so concurrent first users train
-    /// once. The slot lock above is never held that long.
-    training: Mutex<()>,
+    /// The campaign's session, built untrained at admission and dropped
+    /// when the campaign retires. Its runtime shares the session's progress
+    /// handle; thread isolation trains it on first use (its `OnceLock` is
+    /// the training gate) and runs shards through it, while worker children
+    /// train their own.
+    session: Mutex<Option<Arc<CampaignSession>>>,
     cancel: CancelToken,
     tee: TeeSink,
     runtime: ShardRuntime,
@@ -307,7 +306,7 @@ struct CampaignEntry {
     /// `Released` record. Finalization waits for zero, so a campaign is
     /// never observable as terminal with an unbalanced lease ledger.
     settling: AtomicU64,
-    /// Set once the finished campaign starts releasing its executor, shard
+    /// Set once the finished campaign starts releasing its session, shard
     /// runtime and telemetry file (see [`DaemonShared::retire`]).
     retired: AtomicBool,
     /// Set once the finished campaign's event tail has been evicted.
@@ -340,36 +339,9 @@ impl CampaignEntry {
         *self.state.lock().expect("campaign state poisoned")
     }
 
-    fn cached_executor(&self) -> Option<Arc<ShardedCampaign>> {
-        self.executor.lock().expect("executor slot poisoned").clone()
-    }
-
-    /// The trained executor, training it on first use; `None` once the
-    /// campaign has retired.
-    fn executor(&self) -> Option<Arc<ShardedCampaign>> {
-        if let Some(executor) = self.cached_executor() {
-            return Some(executor);
-        }
-        // A panic while training poisons only the gate and leaves the slot
-        // empty, so the next caller simply trains again.
-        let _gate = self.training.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(executor) = self.cached_executor() {
-            return Some(executor); // trained while this caller waited
-        }
-        if self.retired.load(Ordering::SeqCst) {
-            return None;
-        }
-        let mut executor = ShardedCampaign::new(self.config.clone());
-        executor.attach_progress(self.runtime.progress().clone());
-        let executor = Arc::new(executor);
-        // `retire` sets the flag before it empties the slot, so checking it
-        // under the slot lock never leaves a retired campaign an executor.
-        let mut slot = self.executor.lock().expect("executor slot poisoned");
-        if self.retired.load(Ordering::SeqCst) {
-            return None;
-        }
-        *slot = Some(Arc::clone(&executor));
-        Some(executor)
+    /// The session, until the campaign retires.
+    fn session(&self) -> Option<Arc<CampaignSession>> {
+        self.session.lock().expect("session slot poisoned").clone()
     }
 
     fn schedulable(&self) -> bool {
@@ -539,20 +511,22 @@ impl DaemonShared {
     /// the damage is contained to that campaign.
     fn execute_on(&self, entry: &Arc<CampaignEntry>, worker: &str) {
         if matches!(self.cfg.isolation, IsolationMode::InProcess) {
-            // Warm the executor (LM training) *before* the lease clock
-            // starts, so a cold first shard is not mistaken for a wedged
-            // worker. (Process isolation skips this: children train their
-            // own generator, the parent never runs one.)
-            match catch_unwind(AssertUnwindSafe(|| entry.executor())) {
-                Ok(Some(_)) => {}
-                Ok(None) => return, // finished while this worker picked it
-                Err(_) => {
-                    self.fail_campaign(
-                        entry,
-                        "panic while training the campaign generator".to_string(),
-                    );
-                    return;
-                }
+            // Train the session *before* the lease clock starts, so a cold
+            // first shard is not mistaken for a wedged worker. (Process
+            // isolation skips this: children train their own generator,
+            // the parent never runs one.)
+            let Some(session) = entry.session() else {
+                return; // finished while this worker picked it
+            };
+            if catch_unwind(AssertUnwindSafe(|| session.executor())).is_err() {
+                self.fail_campaign(
+                    entry,
+                    "panic while training the campaign generator".to_string(),
+                );
+                return;
+            }
+            if entry.session().is_none() {
+                return; // retired while this worker trained: claim nothing
             }
         }
         let snap = entry.runtime.progress().snapshot();
@@ -587,9 +561,8 @@ impl DaemonShared {
     /// Runs one leased shard on this pool thread (thread isolation).
     fn execute_inline(&self, entry: &Arc<CampaignEntry>, claim: &Claim, transition: &Transition) {
         let spec = entry.runtime.plan()[claim.shard];
-        let attempt = MemorySink::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            entry.executor().map(|executor| executor.run_shard(&spec, &attempt))
+            entry.session().map(|session| session.run_shard(&spec))
         }));
         match outcome {
             Ok(None) => {
@@ -597,8 +570,10 @@ impl DaemonShared {
                 entry.leases.abandon(claim.shard, claim.lease_seq);
                 self.record_lease(entry, LeaseAction::Released, transition);
             }
-            Err(payload) => self.release_and_fail(entry, transition, panic_text(payload)),
-            Ok(Some(report)) if report.interrupted => {
+            Err(payload) => {
+                self.release_and_fail(entry, transition, panic_message(payload.as_ref()))
+            }
+            Ok(Some(record)) if record.report.interrupted => {
                 // Cancelled or past deadline mid-shard: discard the partial
                 // attempt whole (the library contract) and let finalization
                 // decide the campaign's fate.
@@ -608,8 +583,7 @@ impl DaemonShared {
                 drop(settle);
                 self.maybe_finalize(entry);
             }
-            Ok(Some(report)) => {
-                let record = entry.runtime.record(claim.shard, report, attempt.take());
+            Ok(Some(record)) => {
                 self.commit_shard(entry, transition, record, false);
             }
         }
@@ -1054,7 +1028,7 @@ impl DaemonShared {
         });
     }
 
-    /// Releases what only a live campaign needs: its trained executor, its
+    /// Releases what only a live campaign needs: its session, its
     /// shard runtime's slots (their merge is in `final_report`), waiting
     /// events and journal, and its telemetry file. Its event tail stays
     /// until `max_active` more recently finished campaigns have retired.
@@ -1085,7 +1059,7 @@ impl DaemonShared {
                 }
             }
         }
-        entry.executor.lock().expect("executor slot poisoned").take();
+        entry.session.lock().expect("session slot poisoned").take();
         entry.runtime.release();
         let file = entry.tee.file.lock().expect("telemetry file poisoned").take();
         // Closed outside its slot lock too.
@@ -1580,8 +1554,9 @@ fn build_entry(
     let tee = TeeSink { tail: MemorySink::new(), file: Arc::new(Mutex::new(file)) };
     config.sink = SinkHandle::new(tee.clone());
     config.cancel = CancelToken::new();
+    let session = CampaignSession::new(config);
 
-    let shards = plan_shards(&config).len();
+    let shards = session.plan().len();
     let leases = LeaseTable::new(shards, shared.cfg.lease_ttl);
     if let Some(salvage) = &salvage {
         let checkpoint = salvage.checkpoint();
@@ -1610,16 +1585,15 @@ fn build_entry(
             }
         }
     }
-    // A campaign under the daemon starts the moment it is admitted.
-    let runtime = ShardRuntime::start(&config, ProgressHandle::new(), salvage);
+    // A campaign under the daemon starts the moment it is admitted, and
+    // its deadline with it.
+    let runtime = ShardRuntime::start(session.config(), session.progress(), salvage);
     Ok(Arc::new(CampaignEntry {
         id: id.to_string(),
         tenant: spec.tenant.clone(),
         name: spec.name.clone().unwrap_or_else(|| id.to_string()),
-        cancel: config.cancel.clone(),
-        config,
-        executor: Mutex::new(None),
-        training: Mutex::new(()),
+        cancel: session.config().cancel.clone(),
+        session: Mutex::new(Some(Arc::new(session))),
         tee,
         runtime,
         leases,
@@ -1632,16 +1606,6 @@ fn build_entry(
         retired: AtomicBool::new(false),
         tail_expired: AtomicBool::new(false),
     }))
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 fn unix_millis_now() -> u64 {

@@ -21,12 +21,10 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use comfort_core::campaign::CampaignReport;
 use comfort_core::checkpoint::{CheckpointJournal, ShardRecord};
 use comfort_core::executor::ShardSpec;
 use comfort_core::session::CampaignSession;
 use comfort_engines::harness::panic_message;
-use comfort_telemetry::MemorySink;
 
 use crate::spec::CampaignSpec;
 
@@ -163,22 +161,14 @@ pub fn run_worker_once(opts: &WorkerOnceOptions) -> Result<String, WorkerError> 
     let journal = CheckpointJournal::open_append_shared(&path)
         .map_err(|e| WorkerError::Journal(format!("cannot append to {path:?}: {e}")))?;
 
-    let buffer = MemorySink::new();
-    let report = {
+    let record = {
         // Progress sampling: run_shard drives the session's shared progress
         // handle, armed from the plan, so a sampler thread can stream
         // `progress` lines to stdout.
         let _beat = opts.heartbeat_millis.map(|millis| {
             ProgressBeat::start(session.progress(), target as usize, Duration::from_millis(millis))
         });
-        run_shard(&session, &spec, &buffer)?
-    };
-    let record = ShardRecord {
-        index: target,
-        seed: spec.seed,
-        cases: spec.cases as u64,
-        report,
-        events: buffer.events(),
+        run_shard(&session, &spec)?
     };
     journal.append_shard(&record).map_err(|e| WorkerError::Journal(e.to_string()))?;
     println!("committed {target}");
@@ -206,20 +196,21 @@ fn run_probe(
     // shard seed: the first `cases` cases of the truncated spec are
     // exactly the first `cases` cases of the full shard.
     let probe_spec = ShardSpec { cases, ..spec };
-    let buffer = MemorySink::new();
-    let report = run_shard(session, &probe_spec, &buffer)?;
-    Ok(format!("probe survived shard {shard} prefix of {cases} cases ({} run)", report.cases_run))
+    let record = run_shard(session, &probe_spec)?;
+    Ok(format!(
+        "probe survived shard {shard} prefix of {cases} cases ({} run)",
+        record.report.cases_run
+    ))
 }
 
-/// Runs one shard, turning a panic that escapes the harness's containment
-/// (a spec with `contain_panics: false`) into [`WorkerError::Exec`], so the
-/// child exits with its class and message instead of Rust's panic status.
-fn run_shard(
-    session: &CampaignSession,
-    spec: &ShardSpec,
-    buffer: &MemorySink,
-) -> Result<CampaignReport, WorkerError> {
-    let run = || session.executor().run_shard(spec, buffer);
+/// Runs one shard into its record, turning a panic that escapes the
+/// harness's containment (a spec with `contain_panics: false`) into
+/// [`WorkerError::Exec`], so the child exits with its class and message
+/// instead of Rust's panic status. Nothing arms a deadline here: the
+/// supervisor owns the campaign's and kills the child when it passes, so
+/// the record a directed child journals always covers its whole shard.
+fn run_shard(session: &CampaignSession, spec: &ShardSpec) -> Result<ShardRecord, WorkerError> {
+    let run = || session.run_shard(spec);
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|panic| {
         WorkerError::Exec(format!("shard panicked: {}", panic_message(panic.as_ref())))
     })

@@ -217,3 +217,37 @@ fn a_shard_panic_past_containment_exits_13_with_its_message() {
     let _ = std::fs::remove_file(&spec_file);
     let _ = std::fs::remove_file(&journal);
 }
+
+#[test]
+fn a_worker_child_journals_its_whole_shard_whatever_the_spec_deadline() {
+    // The supervisor owns the campaign deadline and kills a child when it
+    // passes. A child arms none, so the record it journals covers its whole
+    // shard: an interrupted record would be salvaged as a finished shard.
+    let journal = temp_path("deadline.ckpt");
+    let spec_file = temp_path("deadline.spec.json");
+    let mut spec = crash_spec(&journal);
+    spec.deadline_millis = Some(0);
+    std::fs::write(&spec_file, spec.to_json()).expect("write spec file");
+    let session = CampaignSession::new(spec.build_config().expect("spec builds"));
+    let plan = session.plan();
+    CheckpointJournal::create(&journal, config_fingerprint(session.config()), plan.len() as u64)
+        .expect("create journal");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_comfortd"))
+        .args(["--worker-once", "--spec", &spec_file.display().to_string(), "--worker", "w"])
+        .args(["--shard", "0", "--lease-seq", "1"])
+        .output()
+        .expect("run comfortd --worker-once");
+    assert!(output.status.success(), "worker-once failed: {output:?}");
+    let record = CampaignCheckpoint::read_shard(&journal, 0)
+        .expect("journal loads")
+        .expect("shard 0 journalled");
+    assert!(!record.report.interrupted, "the child journalled an interrupted shard");
+    assert_eq!(record.report.cases_run, plan[0].cases as u64);
+    // The session's shard run arms no deadline either.
+    let reference = session.run_shard(&plan[0]);
+    assert_eq!(report_checksum(&record.report), report_checksum(&reference.report));
+
+    let _ = std::fs::remove_file(&spec_file);
+    let _ = std::fs::remove_file(&journal);
+}

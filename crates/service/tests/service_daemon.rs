@@ -469,7 +469,8 @@ fn panic_isolation_degrades_only_the_faulty_campaign() {
     let steady_status = wait_terminal(&daemon, &id_steady);
 
     assert_eq!(chaos_status.state, CampaignState::Failed);
-    assert!(chaos_status.failure.is_some(), "failure carries the panic message");
+    let failure = chaos_status.failure.expect("failure carries the panic message");
+    assert!(failure.contains("injected chaos panic on"), "failure names no chaos panic: {failure}");
 
     // The healthy campaign on the same pool is untouched — still
     // bit-identical to its library baseline.

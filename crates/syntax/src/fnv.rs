@@ -7,6 +7,11 @@
 //! are the names of programs under test rather than input crafted to
 //! collide. Two such maps use it: the arena builder's atom interner and
 //! the interpreter's per-scope variable tables.
+//!
+//! It is also the hash behind `comfort-core`'s persisted `Fingerprint`
+//! (journal fingerprints and report checksums), which needs one that is
+//! stable across Rust releases and platforms: FNV-1a over explicit bytes
+//! is, where the standard hasher promises neither.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

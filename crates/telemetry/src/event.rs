@@ -282,7 +282,7 @@ event_kinds! {
             cross_shard: bool,
         },
         /// A harness-level fault was observed on one testbed run (contained
-        /// panic, wedge/watchdog timeout, transient-retry exhaustion, or
+        /// panic, self-reported wedge, transient-retry exhaustion, or
         /// output-cap truncation). Distinct from [`EventKind::Deviation`]:
         /// faults describe *testbed* misbehaviour, deviations describe voting
         /// outcomes.

@@ -66,7 +66,8 @@ pub mod prelude {
     //! The commonly used surface in one import: `use comfort::prelude::*;`.
     //!
     //! Covers the campaign layer ([`CampaignConfig`] run by a
-    //! [`CampaignSession`]; [`Campaign`] is one shard's body), the
+    //! [`CampaignSession`], which trains once and runs each shard into its
+    //! [`ShardRecord`]; [`Campaign`] is one shard's body), the
     //! differential harness, the engine matrix, and the telemetry surface
     //! (sinks, metrics, progress).
 
@@ -84,7 +85,7 @@ pub mod prelude {
         run_differential, vote_on_signatures_quorum, CaseOutcome, DeviationKind, DeviationRecord,
         GroupQuorum, QuorumPolicy, Signature,
     };
-    pub use comfort_core::executor::{plan_shards, ShardSpec, ShardedCampaign};
+    pub use comfort_core::executor::{plan_shards, ShardSpec};
     pub use comfort_core::filter::{BugKey, BugTree};
     pub use comfort_core::resilience::{
         run_case_hardened, run_case_hardened_cancellable, CancelToken, CaseObservation,
