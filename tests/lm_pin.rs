@@ -9,10 +9,15 @@
 //! sampled token, the brace and `<EOF>` stopping rules and the trailing
 //! `;`. A change to how the tokenizer or the n-gram model trains, stores or
 //! samples that moves any token moves the hash.
+//!
+//! The corpus pin hashes the training corpora themselves, byte for byte,
+//! and every program's token ids under the default and the small model's
+//! tokenizer, so a change to how the corpus is written or how the tokenizer
+//! segments text moves its hash even where no sampled program would.
 
 use comfort::core::campaign::CampaignConfig;
 use comfort::core::checkpoint::Fingerprint;
-use comfort::lm::{Generator, GeneratorConfig, NgramModel, EOF_MARK};
+use comfort::lm::{Bpe, Generator, GeneratorConfig, NgramModel, EOF_MARK};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -66,4 +71,58 @@ fn default_order12_model_keeps_its_programs() {
 fn small_order8_model_keeps_its_programs() {
     let config = GeneratorConfig { order: 8, bpe_merges: 200, top_k: 10, max_tokens: 800 };
     assert_eq!(pin(config, 0x1a08), "vocab 285 contexts 45799 programs b800b0645495e600");
+}
+
+/// Hashes the corpora of the 64 seeds `0xC0FF_0000..0xC0FF_0040` (80
+/// programs each, a service child's corpus) and of `0xC0FF` (260 programs,
+/// the library default), and each program's token ids under the tokenizers
+/// the default (400 merges) and the small (200 merges) model train on the
+/// 80-program pin corpus.
+#[test]
+fn corpus_and_its_encodings_keep_their_bytes() {
+    let pin_corpus: Vec<String> = comfort::corpus::training_corpus(CORPUS_SEED, CORPUS_PROGRAMS)
+        .into_iter()
+        .map(|p| format!("{p}{EOF_MARK}"))
+        .collect();
+    let tokenizers = [Bpe::train(&pin_corpus, 400), Bpe::train(&pin_corpus, 200)];
+    let mut corpora: Vec<Vec<String>> = (0..64)
+        .map(|i| comfort::corpus::training_corpus(0xC0FF_0000 | i, CORPUS_PROGRAMS))
+        .collect();
+    corpora.push(comfort::corpus::training_corpus(0xC0FF, 260));
+
+    let mut text = Fingerprint::new();
+    let mut ids = [Fingerprint::new(), Fingerprint::new()];
+    let (mut programs, mut bytes, mut tokens) = (0usize, 0usize, [0usize; 2]);
+    for corpus in &corpora {
+        text.mix_u64(corpus.len() as u64);
+        for program in corpus {
+            programs += 1;
+            bytes += program.len();
+            text.mix_str(program);
+            let with_eof = format!("{program}{EOF_MARK}");
+            for ((bpe, fp), count) in tokenizers.iter().zip(&mut ids).zip(&mut tokens) {
+                let encoded = bpe.encode(&with_eof);
+                *count += encoded.len();
+                fp.mix_u64(encoded.len() as u64);
+                for id in encoded {
+                    fp.mix_u64(u64::from(id));
+                }
+            }
+        }
+    }
+    let [default_ids, small_ids] = ids;
+    let summary = format!(
+        "programs {programs} bytes {bytes} corpus {:016x} \
+         default tokens {} ids {:016x} small tokens {} ids {:016x}",
+        text.finish(),
+        tokens[0],
+        default_ids.finish(),
+        tokens[1],
+        small_ids.finish()
+    );
+    assert_eq!(
+        summary,
+        "programs 5380 bytes 2522509 corpus 38e1270740ba5f8f \
+         default tokens 1105560 ids 09208cc6a1638718 small tokens 1309582 ids 8355c5ca75bc18a8"
+    );
 }
