@@ -548,16 +548,6 @@ impl Campaign {
         self.progress = progress;
     }
 
-    /// The live progress handle for this campaign (poll from any thread).
-    pub fn progress(&self) -> ProgressHandle {
-        self.progress.clone()
-    }
-
-    /// The trained generator (shared with quality measurements).
-    pub fn generator(&self) -> &Generator {
-        &self.generator
-    }
-
     /// Runs the campaign to its case budget: the shard body.
     ///
     /// It runs the whole `max_cases` budget as one serial stream on the

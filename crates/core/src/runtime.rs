@@ -220,13 +220,6 @@ impl ShardRuntime {
         self.resumed.as_ref().map_or(&[], |resumed| &resumed.salvaged)
     }
 
-    /// Fills shard `index`'s result slot ahead of its commit, for a driver
-    /// that must have the slot filled before other threads can see the
-    /// shard as done.
-    pub fn stage(&self, index: usize, report: CampaignReport) {
-        *self.slots[index].lock().expect("shard slot poisoned") = Some(report);
-    }
-
     /// Commits a finished shard: appends its journal record, unless
     /// `journalled` says a worker process already did, then fills its
     /// result slot, sets its progress row to the record's counts and
@@ -263,7 +256,7 @@ impl ShardRuntime {
         let index = record.index as usize;
         let bugs = record.report.bugs.len() as u64;
         self.progress.shard_committed(index, record.report.cases_run, bugs);
-        self.stage(index, record.report);
+        *self.slots[index].lock().expect("shard slot poisoned") = Some(record.report);
         let mut guard = self.frontier.lock().expect("flush frontier poisoned");
         let frontier = &mut *guard;
         frontier.waiting[index] = Some(record.events);

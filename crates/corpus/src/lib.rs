@@ -16,6 +16,11 @@
 //! the LM (the paper's `String.prototype.big.call` observation, §5.3.2) — and
 //! `String.prototype.big` is indeed never emitted here.
 //!
+//! Every program is valid JS by construction, so [`training_corpus`] hands
+//! the programs over as written and nothing parses them at run time; the
+//! `corpus_programs_parse` test checks the property over 64 corpora, and
+//! `tests/lm_pin.rs` pins their bytes.
+//!
 //! # Examples
 //!
 //! ```
@@ -229,152 +234,120 @@ impl CorpusBuilder {
         let s = STRINGS[self.rng.random_range(0..STRINGS.len())];
         let n1 = self.rng.random_range(0..10);
         let n2 = self.rng.random_range(0..20);
-        let choices: Vec<String> = vec![
+        // Draw every value, then the arm as a `usize`, and format only that
+        // arm: the draw order and types fix the corpus byte for byte.
+        let repeat = self.rng.random_range(0..4);
+        let fixed = self.rng.random_range(0..5);
+        let precision = self.rng.random_range(1..6);
+        let radix = self.rng.random_range(2..17);
+        match self.rng.random_range(0..83usize) {
             // String APIs.
-            format!("{s:?}.substr({n1}, {n2})"),
-            format!("{recv}.substr({n1})"),
-            format!("{s:?}.substring({n1}, {n2})"),
-            format!("{s:?}.slice({n1})"),
-            format!("{s:?}.indexOf({:?})", "a"),
-            format!("{s:?}.lastIndexOf({:?})", "a"),
-            format!("{s:?}.charAt({n1})"),
-            format!("{s:?}.charCodeAt({n1})"),
-            format!("{s:?}.split({:?})", ","),
-            format!("{s:?}.split(/^A/)"),
-            format!("{s:?}.replace({:?}, {:?})", "a", "_"),
-            format!("{s:?}.replace(/[0-9]/g, {:?})", "#"),
-            format!("{recv}.toUpperCase()"),
-            format!("{s:?}.toLowerCase()"),
-            format!("{s:?}.trim()"),
-            format!("{s:?}.repeat({})", self.rng.random_range(0..4)),
-            format!("{s:?}.padStart({n2}, {:?})", "0"),
-            format!("{s:?}.padEnd({n2}, {:?})", "*"),
-            format!("{s:?}.startsWith({:?})", "T"),
-            format!("{s:?}.endsWith({:?})", "x"),
-            format!("{s:?}.includes({:?})", "o"),
-            format!("{s:?}.concat({recv})"),
-            format!("{s:?}.normalize()"),
-            format!("{s:?}.localeCompare({:?})", "b"),
-            format!("{s:?}.codePointAt({n1})"),
-            format!("String.fromCharCode(6{n1}, 7{n1})"),
+            0 => format!("{s:?}.substr({n1}, {n2})"),
+            1 => format!("{recv}.substr({n1})"),
+            2 => format!("{s:?}.substring({n1}, {n2})"),
+            3 => format!("{s:?}.slice({n1})"),
+            4 => format!("{s:?}.indexOf({:?})", "a"),
+            5 => format!("{s:?}.lastIndexOf({:?})", "a"),
+            6 => format!("{s:?}.charAt({n1})"),
+            7 => format!("{s:?}.charCodeAt({n1})"),
+            8 => format!("{s:?}.split({:?})", ","),
+            9 => format!("{s:?}.split(/^A/)"),
+            10 => format!("{s:?}.replace({:?}, {:?})", "a", "_"),
+            11 => format!("{s:?}.replace(/[0-9]/g, {:?})", "#"),
+            12 => format!("{recv}.toUpperCase()"),
+            13 => format!("{s:?}.toLowerCase()"),
+            14 => format!("{s:?}.trim()"),
+            15 => format!("{s:?}.repeat({repeat})"),
+            16 => format!("{s:?}.padStart({n2}, {:?})", "0"),
+            17 => format!("{s:?}.padEnd({n2}, {:?})", "*"),
+            18 => format!("{s:?}.startsWith({:?})", "T"),
+            19 => format!("{s:?}.endsWith({:?})", "x"),
+            20 => format!("{s:?}.includes({:?})", "o"),
+            21 => format!("{s:?}.concat({recv})"),
+            22 => format!("{s:?}.normalize()"),
+            23 => format!("{s:?}.localeCompare({:?})", "b"),
+            24 => format!("{s:?}.codePointAt({n1})"),
+            25 => format!("String.fromCharCode(6{n1}, 7{n1})"),
             // Number APIs.
-            format!("({n2}.{n1}).toFixed({})", self.rng.random_range(0..5)),
-            format!("({n2}.5).toPrecision({})", self.rng.random_range(1..6)),
-            format!("({n2}).toString({})", self.rng.random_range(2..17)),
-            format!("parseInt({:?})", "42px"),
-            format!("parseInt({recv}, 10)"),
-            format!("parseFloat({:?})", "3.14x"),
-            format!("Number.isInteger({recv})"),
+            26 => format!("({n2}.{n1}).toFixed({fixed})"),
+            27 => format!("({n2}.5).toPrecision({precision})"),
+            28 => format!("({n2}).toString({radix})"),
+            29 => format!("parseInt({:?})", "42px"),
+            30 => format!("parseInt({recv}, 10)"),
+            31 => format!("parseFloat({:?})", "3.14x"),
+            32 => format!("Number.isInteger({recv})"),
             // Math.
-            format!("Math.max({n1}, {n2}, {recv})"),
-            format!("Math.min({n1}, {recv})"),
-            format!("Math.round({n2}.5)"),
-            format!("Math.abs({recv} - {n2})"),
-            format!("Math.pow({n1}, 2)"),
-            format!("Math.sign({recv})"),
+            33 => format!("Math.max({n1}, {n2}, {recv})"),
+            34 => format!("Math.min({n1}, {recv})"),
+            35 => format!("Math.round({n2}.5)"),
+            36 => format!("Math.abs({recv} - {n2})"),
+            37 => format!("Math.pow({n1}, 2)"),
+            38 => format!("Math.sign({recv})"),
             // Arrays.
-            format!("[{n1}, {n2}, 5].join({:?})", "-"),
-            format!("[{n1}, {n2}].concat([{n1}])"),
-            format!("[3, 1, {n1}].sort()"),
-            format!("[{n1}, {n2}, 9].indexOf({n2})"),
-            format!("[{n1}, {n2}].lastIndexOf({n1})"),
-            format!("[{n1}, {n2}, 2].slice(1)"),
-            format!("[{n1}, {n2}, 2].splice(0, 1)"),
-            format!("[{n1}, {n2}].includes({n1})"),
-            format!("[[{n1}], [{n2}]].flat()"),
-            format!("[{n1}, {n2}].fill(0)"),
-            format!("[{n1}, {n2}].reverse()"),
-            format!("new Array({n1}).length"),
-            format!("Array.isArray({recv})"),
-            format!("Array.from({s:?})"),
-            format!("[{n1}, {n2}].map(function(x) {{ return x * 2; }})"),
-            format!("[{n1}, {n2}, 0].filter(function(x) {{ return x > 1; }})"),
-            format!("[{n1}, {n2}].reduce(function(a, b) {{ return a + b; }}, 0)"),
+            39 => format!("[{n1}, {n2}, 5].join({:?})", "-"),
+            40 => format!("[{n1}, {n2}].concat([{n1}])"),
+            41 => format!("[3, 1, {n1}].sort()"),
+            42 => format!("[{n1}, {n2}, 9].indexOf({n2})"),
+            43 => format!("[{n1}, {n2}].lastIndexOf({n1})"),
+            44 => format!("[{n1}, {n2}, 2].slice(1)"),
+            45 => format!("[{n1}, {n2}, 2].splice(0, 1)"),
+            46 => format!("[{n1}, {n2}].includes({n1})"),
+            47 => format!("[[{n1}], [{n2}]].flat()"),
+            48 => format!("[{n1}, {n2}].fill(0)"),
+            49 => format!("[{n1}, {n2}].reverse()"),
+            50 => format!("new Array({n1}).length"),
+            51 => format!("Array.isArray({recv})"),
+            52 => format!("Array.from({s:?})"),
+            53 => format!("[{n1}, {n2}].map(function(x) {{ return x * 2; }})"),
+            54 => format!("[{n1}, {n2}, 0].filter(function(x) {{ return x > 1; }})"),
+            55 => format!("[{n1}, {n2}].reduce(function(a, b) {{ return a + b; }}, 0)"),
             // Objects.
-            format!("Object.keys({{ a: {n1}, b: {n2} }})"),
-            format!("Object.values({{ a: {n1} }})"),
-            format!("Object.assign({{}}, {{ k: {n1} }})"),
-            format!("Object.entries({{ x: {n1} }})"),
-            "Object.freeze({ v: 1 })".to_string(),
-            format!("Object.defineProperty({{}}, {:?}, {{ value: {n1} }})", "k"),
-            format!(
+            56 => format!("Object.keys({{ a: {n1}, b: {n2} }})"),
+            57 => format!("Object.values({{ a: {n1} }})"),
+            58 => format!("Object.assign({{}}, {{ k: {n1} }})"),
+            59 => format!("Object.entries({{ x: {n1} }})"),
+            60 => "Object.freeze({ v: 1 })".to_string(),
+            61 => format!("Object.defineProperty({{}}, {:?}, {{ value: {n1} }})", "k"),
+            62 => format!(
                 "Object.defineProperty([0, 1], {:?}, {{ value: 1, configurable: true }})",
                 "length"
             ),
-            format!("({{ a: {n1} }}).hasOwnProperty({:?})", "a"),
+            63 => format!("({{ a: {n1} }}).hasOwnProperty({:?})", "a"),
             // JSON.
-            format!("JSON.stringify({{ n: {n1}, s: {s:?} }})"),
-            format!("JSON.parse({:?})", "{\"k\": 3}"),
+            64 => format!("JSON.stringify({{ n: {n1}, s: {s:?} }})"),
+            65 => format!("JSON.parse({:?})", "{\"k\": 3}"),
             // RegExp.
-            format!("/a+/.test({s:?})"),
-            format!("/(\\w+)/.exec({s:?})[0]"),
-            format!("{s:?}.match(/[a-z]+/)"),
-            format!("{s:?}.search(/o/)"),
+            66 => format!("/a+/.test({s:?})"),
+            67 => format!("/(\\w+)/.exec({s:?})[0]"),
+            68 => format!("{s:?}.match(/[a-z]+/)"),
+            69 => format!("{s:?}.search(/o/)"),
             // Typed arrays / DataView.
-            format!("new Uint8Array({n1}).length"),
-            format!(
+            70 => format!("new Uint8Array({n1}).length"),
+            71 => format!(
                 "(function() {{ var A = new Uint8Array(5); A.set([{n1}, {n2}]); return A; }})()"
             ),
-            format!("new Uint32Array([{n1}, {n2}])[0]"),
-            format!("new Int32Array({n1}).fill({n2})[0]"),
-            "new Float64Array(2).length".to_string(),
-            "new DataView(new ArrayBuffer(8)).getUint32(0)".to_string(),
-            "new ArrayBuffer(16).byteLength".to_string(),
+            72 => format!("new Uint32Array([{n1}, {n2}])[0]"),
+            73 => format!("new Int32Array({n1}).fill({n2})[0]"),
+            74 => "new Float64Array(2).length".to_string(),
+            75 => "new DataView(new ArrayBuffer(8)).getUint32(0)".to_string(),
+            76 => "new ArrayBuffer(16).byteLength".to_string(),
             // eval / Date.
-            format!("eval({:?})", "print(1 + 2)"),
-            "new Date().getFullYear()".to_string(),
-            "Date.now()".to_string(),
+            77 => format!("eval({:?})", "print(1 + 2)"),
+            78 => "new Date().getFullYear()".to_string(),
+            79 => "Date.now()".to_string(),
             // Plain expressions keep the mix realistic.
-            format!("{recv} + {n1}"),
-            format!("{recv} * {n2} - {n1}"),
-            format!("typeof {recv}"),
-        ];
-        choices[self.rng.random_range(0..choices.len())].clone()
-    }
-}
-
-/// A corpus entry rejected during loading, with its parse diagnostic.
-#[derive(Debug, Clone)]
-pub struct CorpusDefect {
-    /// Position of the entry in the generated stream.
-    pub index: usize,
-    /// The parse error that disqualified it.
-    pub error: String,
-    /// The offending source text, kept for reporting.
-    pub source: String,
-}
-
-/// Result of a validated corpus load: the usable programs plus a ledger of
-/// every entry that was skipped instead of aborting the load.
-#[derive(Debug, Clone, Default)]
-pub struct CorpusLoad {
-    /// Programs that parsed cleanly, in generation order.
-    pub programs: Vec<String>,
-    /// Entries rejected by the syntax front-end (normally empty).
-    pub skipped: Vec<CorpusDefect>,
-}
-
-/// Builds and validates the standard training corpus: `n` candidate programs
-/// from `seed`, each checked against the syntax front-end. A malformed entry
-/// is recorded in [`CorpusLoad::skipped`] rather than panicking the caller —
-/// one bad program must not take down a whole campaign.
-pub fn load_training_corpus(seed: u64, n: usize) -> CorpusLoad {
-    let mut load = CorpusLoad::default();
-    for (index, source) in CorpusBuilder::new(seed).programs(n).into_iter().enumerate() {
-        match comfort_syntax::parse(&source) {
-            Ok(_) => load.programs.push(source),
-            Err(e) => load.skipped.push(CorpusDefect { index, error: e.to_string(), source }),
+            80 => format!("{recv} + {n1}"),
+            81 => format!("{recv} * {n2} - {n1}"),
+            _ => format!("typeof {recv}"),
         }
     }
-    load
 }
 
-/// Builds the standard training corpus: `n` programs from `seed`.
-///
-/// Delegates to [`load_training_corpus`] and silently drops any entry the
-/// parser rejects; use the load API when you need the defect ledger.
+/// Builds the standard training corpus: `n` programs from `seed`, as
+/// [`CorpusBuilder::programs`] writes them. They are valid JS by
+/// construction and are not parsed here (see the crate docs).
 pub fn training_corpus(seed: u64, n: usize) -> Vec<String> {
-    load_training_corpus(seed, n).programs
+    CorpusBuilder::new(seed).programs(n)
 }
 
 /// Harvests `var f = function(...) {`-style generation headers from a corpus
@@ -411,34 +384,15 @@ mod tests {
 
     #[test]
     fn corpus_programs_parse() {
-        let load = load_training_corpus(1, 50);
-        assert_eq!(load.programs.len(), 50);
-        assert!(
-            load.skipped.is_empty(),
-            "corpus produced unparseable entries: {:?}",
-            load.skipped.iter().map(|d| format!("#{}: {}", d.index, d.error)).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn corpus_load_skips_bad_entries_without_panicking() {
-        // The defect ledger itself: a hand-built load over known-bad source
-        // records the entry instead of aborting.
-        let mut load = CorpusLoad::default();
-        for (index, source) in ["print(1)", "function (", "print(2)"].iter().enumerate() {
-            match comfort_syntax::parse(source) {
-                Ok(_) => load.programs.push((*source).to_string()),
-                Err(e) => load.skipped.push(CorpusDefect {
-                    index,
-                    error: e.to_string(),
-                    source: (*source).to_string(),
-                }),
+        // `training_corpus` hands its programs over unchecked, so every one
+        // must parse: the 64 corpora `tests/lm_pin.rs` pins.
+        for seed in 0xC0FF_0000..0xC0FF_0040 {
+            for (index, program) in training_corpus(seed, 80).iter().enumerate() {
+                if let Err(e) = comfort_syntax::parse(program) {
+                    panic!("seed {seed:#x} program {index} does not parse: {e}\n{program}");
+                }
             }
         }
-        assert_eq!(load.programs.len(), 2);
-        assert_eq!(load.skipped.len(), 1);
-        assert_eq!(load.skipped[0].index, 1);
-        assert!(!load.skipped[0].error.is_empty());
     }
 
     #[test]

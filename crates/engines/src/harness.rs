@@ -25,7 +25,6 @@ use comfort_interp::{CompiledChunk, RunOptions, RunResult, RunStatus};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::thread;
-use std::time::Duration;
 
 /// Containment knobs for one testbed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,10 +131,8 @@ pub fn run_isolated_compiled(
 ) -> IsolatedRun {
     let mut last_transient = String::new();
     for attempt in 0..=retry.max_retries {
-        if attempt > 0 && retry.backoff_base_millis > 0 {
-            thread::sleep(Duration::from_millis(
-                retry.backoff_base_millis << (attempt - 1).min(16),
-            ));
+        if attempt > 0 {
+            thread::sleep(retry.backoff(attempt));
         }
         let outcome = execute_once(testbed, peers, chunk, options, isolation, attempt);
         match outcome {

@@ -84,27 +84,24 @@ impl Bpe {
     ///
     /// Segmentation is greedy longest-match against the learned vocabulary —
     /// equivalent in coverage to replaying the merge sequence, but linear in
-    /// practice (merge replay is O(merges × word) per word).
+    /// practice (merge replay is O(merges × word) per word). Each position
+    /// looks up the slices of the rest of its word, longest first.
     pub fn encode(&self, text: &str) -> Vec<u32> {
         let mut out = Vec::new();
         for word in pre_tokenize(text) {
-            let chars: Vec<char> = word.chars().collect();
-            let mut i = 0;
-            while i < chars.len() {
-                let mut best: Option<(usize, u32)> = None;
-                let mut probe = String::new();
-                for (j, &c) in chars.iter().enumerate().skip(i) {
-                    probe.push(c);
-                    if let Some(&id) = self.token_to_id.get(&probe) {
-                        best = Some((j + 1, id));
-                    }
-                }
-                match best {
-                    Some((next, id)) => {
+            let mut rest = word.as_str();
+            while let Some(first) = rest.chars().next() {
+                let longest = rest
+                    .char_indices()
+                    .rev()
+                    .map(|(at, c)| at + c.len_utf8())
+                    .find_map(|end| self.token_to_id.get(&rest[..end]).map(|&id| (end, id)));
+                match longest {
+                    Some((end, id)) => {
                         out.push(id);
-                        i = next;
+                        rest = &rest[end..];
                     }
-                    None => i += 1, // unknown character: skip
+                    None => rest = &rest[first.len_utf8()..], // unknown character: skip
                 }
             }
         }

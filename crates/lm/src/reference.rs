@@ -1,7 +1,8 @@
-//! The straightforward trainers, kept as test oracles for the ones in
-//! [`bpe`](crate::bpe) and [`ngram`](crate::ngram).
+//! The straightforward trainers and encoder, kept as test oracles for the
+//! ones in [`bpe`](crate::bpe) and [`ngram`](crate::ngram).
 //!
-//! BPE recounts every adjacent pair of every word on each merge. The n-gram
+//! BPE recounts every adjacent pair of every word on each merge, and its
+//! encoder builds a `String` probe for every prefix it looks up. The n-gram
 //! oracle is the slice-keyed table model the back-off automaton replaced:
 //! a hash map per context length, a probe per length on every prediction,
 //! and a generation loop that re-probes with the whole token history and
@@ -14,6 +15,8 @@
 //! * training stops when the best count is below 2;
 //! * a merged string equal to an existing symbol is that symbol;
 //! * the vocabulary keeps its `BTreeSet` order;
+//! * encoding takes the longest token at each position of a word and skips
+//!   a character no token starts with;
 //! * a context is stored when some token follows it, with at most
 //!   `order - 1` tokens;
 //! * continuations are sorted by count descending, then token ascending;
@@ -96,6 +99,34 @@ pub(crate) fn train_bpe(corpus: &[String], n_merges: usize) -> Bpe {
         id_to_token.push(tok);
     }
     Bpe { merges, token_to_id, id_to_token }
+}
+
+/// [`Bpe::encode`], growing a `String` probe one character at a time and
+/// keeping the longest probe that is a token.
+pub(crate) fn encode(bpe: &Bpe, text: &str) -> Vec<u32> {
+    let mut out = Vec::new();
+    for word in pre_tokenize(text) {
+        let chars: Vec<char> = word.chars().collect();
+        let mut i = 0;
+        while i < chars.len() {
+            let mut best: Option<(usize, u32)> = None;
+            let mut probe = String::new();
+            for (j, &c) in chars.iter().enumerate().skip(i) {
+                probe.push(c);
+                if let Some(&id) = bpe.token_to_id.get(&probe) {
+                    best = Some((j + 1, id));
+                }
+            }
+            match best {
+                Some((next, id)) => {
+                    out.push(id);
+                    i = next;
+                }
+                None => i += 1, // unknown character: skip
+            }
+        }
+    }
+    out
 }
 
 /// A context's `(token, count)` list, sorted by count descending.
@@ -245,7 +276,8 @@ mod tests {
     }
 
     /// Trains both ways and asserts the same merges, vocabulary (in id
-    /// order) and encodings of the corpus and of `probes`.
+    /// order) and encodings of the corpus and of `probes`, each encoded by
+    /// its own trainer's encoder.
     fn assert_same_bpe(corpus: &[String], n_merges: usize, probes: &[String]) -> Bpe {
         let fast = Bpe::train(corpus, n_merges);
         let oracle = train_bpe(corpus, n_merges);
@@ -253,7 +285,7 @@ mod tests {
         assert_eq!(fast.id_to_token, oracle.id_to_token, "vocabulary differs on {corpus:?}");
         assert_eq!(fast.token_to_id, oracle.token_to_id);
         for text in corpus.iter().chain(probes) {
-            assert_eq!(fast.encode(text), oracle.encode(text), "encoding of {text:?}");
+            assert_eq!(fast.encode(text), encode(&oracle, text), "encoding of {text:?}");
         }
         fast
     }
@@ -420,6 +452,19 @@ mod tests {
             probes in proptest::collection::vec("[a-d \n]{0,12}", 0..4),
         ) {
             assert_same_bpe(&corpus, n_merges, &probes);
+        }
+
+        #[test]
+        fn slice_encoder_matches_the_probe_oracle(
+            corpus in proptest::collection::vec("[abé本▁ \n(]{0,16}", 0..8),
+            n_merges in 0usize..40,
+            // `c`, `Ω`, `_` and `1` are never in the vocabulary.
+            texts in proptest::collection::vec("[abcé本Ω▁ \n(_1]{0,24}", 0..6),
+        ) {
+            let bpe = Bpe::train(&corpus, n_merges);
+            for text in corpus.iter().chain(&texts) {
+                assert_eq!(bpe.encode(text), encode(&bpe, text), "encoding of {text:?}");
+            }
         }
 
         #[test]

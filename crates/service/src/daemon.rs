@@ -590,9 +590,9 @@ impl DaemonShared {
     }
 
     /// Commits a finished shard under its lease, in either isolation mode:
-    /// stage the report, pass the fence, commit and flush, journal
-    /// `Released`, finalize. `journalled` says a worker child appended the
-    /// record itself. Returns `false` when the lease was fenced off.
+    /// pass the fence, commit and flush, journal `Released`, finalize.
+    /// `journalled` says a worker child appended the record itself. Returns
+    /// `false` when the lease was fenced off.
     fn commit_shard(
         &self,
         entry: &Arc<CampaignEntry>,
@@ -600,14 +600,10 @@ impl DaemonShared {
         record: ShardRecord,
         journalled: bool,
     ) -> bool {
-        // Stage the result before `complete()` marks the shard Done: the
-        // moment another worker can observe `all_done()`, every Done slot
-        // must already be filled. Writing ahead of the fencing check is
-        // safe — the result is a deterministic function of the shard spec,
-        // so a fenced duplicate stages the same value the rightful holder
-        // will.
+        // Arm before `complete()` marks the shard Done: a finalizer that
+        // sees it Done also sees `settling > 0` and defers until the commit
+        // below has filled the shard's slot.
         let settle = SettleGuard::arm(&entry.settling);
-        entry.runtime.stage(lease.shard, record.report.clone());
         if !entry.leases.complete(lease.shard, lease.lease_seq) {
             // Fenced: the supervisor reclaimed this lease and the shard
             // belongs to someone else now. Only the current sequence may
@@ -1364,12 +1360,11 @@ impl Daemon {
     pub fn tail_events(&self, id: &str, from: usize) -> Result<(Vec<Event>, bool), TailError> {
         let entry = self.shared.find(id).ok_or(TailError::NotFound)?;
         let terminal = entry.state().is_terminal();
-        let events = entry.tee.tail.events();
+        let events = entry.tee.tail.events_from(from);
         if entry.tail_expired.load(Ordering::SeqCst) {
             return Err(TailError::Expired);
         }
-        let slice = if from < events.len() { events[from..].to_vec() } else { Vec::new() };
-        Ok((slice, terminal))
+        Ok((events, terminal))
     }
 
     /// Blocks until campaign `id` reaches a terminal state (or `timeout`

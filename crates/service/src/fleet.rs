@@ -6,8 +6,8 @@
 //!
 //! * its own process group (one `SIGKILL` reaps the whole subtree),
 //! * `RLIMIT_CPU` and `RLIMIT_AS` applied between fork and exec,
-//! * stdout/stderr piped through byte-capped readers (a runaway child
-//!   cannot balloon the daemon),
+//! * stdout parsed for heartbeats and stored nowhere, stderr kept up to a
+//!   byte cap (a runaway child cannot balloon the daemon),
 //! * real chaos signals armed (`--jail`), so an injected abort kills the
 //!   child dead instead of unwinding.
 //!
@@ -196,8 +196,7 @@ impl WorkerChild {
         let mut readers = Vec::new();
         if let Some(stdout) = child.stdout.take() {
             let progress = Arc::clone(&progress);
-            let cap = jail.max_capture_bytes;
-            readers.push(std::thread::spawn(move || read_stdout(stdout, &progress, cap)));
+            readers.push(std::thread::spawn(move || read_stdout(stdout, &progress)));
         }
         if let Some(stderr) = child.stderr.take() {
             let tail = Arc::clone(&stderr_tail);
@@ -275,21 +274,17 @@ fn classify_status(status: std::process::ExitStatus) -> ChildFate {
     ChildFate::Exited(status.code().unwrap_or(-1))
 }
 
-/// Parses `progress <n>` heartbeat lines into the shared counter; any
-/// other stdout is counted against the cap and otherwise ignored. The
-/// reader always drains to EOF so a capped child cannot deadlock on a
-/// full pipe.
-fn read_stdout(stdout: impl Read, progress: &AtomicU64, cap: usize) {
-    let mut seen = 0usize;
+/// Parses `progress <n>` heartbeat lines into the shared counter and
+/// ignores any other stdout, storing none of it. The reader always drains
+/// to EOF so a child cannot deadlock on a full pipe.
+fn read_stdout(stdout: impl Read, progress: &AtomicU64) {
     for line in BufReader::new(stdout).lines() {
         let Ok(line) = line else { break };
-        seen = seen.saturating_add(line.len() + 1);
         if let Some(rest) = line.strip_prefix("progress ") {
             if let Ok(done) = rest.trim().parse::<u64>() {
                 progress.fetch_max(done, Ordering::SeqCst);
             }
         }
-        let _ = seen > cap; // progress lines stay tiny; cap applies to storage
     }
 }
 
@@ -328,7 +323,7 @@ mod tests {
     fn stdout_reader_tracks_the_high_water_mark() {
         let input = b"progress 3\nnoise\nprogress 11\nprogress 7\n" as &[u8];
         let progress = AtomicU64::new(0);
-        read_stdout(input, &progress, 1024);
+        read_stdout(input, &progress);
         // Monotonic: a late lower sample (pipe reordering is impossible,
         // but a restarted child starts over) never rolls the counter back.
         assert_eq!(progress.load(Ordering::SeqCst), 11);

@@ -324,11 +324,6 @@ impl LeaseTable {
         self.lock().iter().all(|l| l.phase == ShardPhase::Done)
     }
 
-    /// Snapshot of every shard's lease (for the occupancy table).
-    pub fn snapshot(&self) -> Vec<ShardLease> {
-        self.lock().clone()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<ShardLease>> {
         self.shards.lock().expect("lease table poisoned")
     }

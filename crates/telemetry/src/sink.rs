@@ -97,6 +97,13 @@ impl MemorySink {
         self.events.lock().expect("memory sink poisoned").clone()
     }
 
+    /// A copy of the events captured from position `from` on (empty when
+    /// `from` is at or past the end).
+    pub fn events_from(&self, from: usize) -> Vec<Event> {
+        let events = self.events.lock().expect("memory sink poisoned");
+        events.get(from..).map_or_else(Vec::new, <[Event]>::to_vec)
+    }
+
     /// Drains the buffer, returning the captured events.
     pub fn take(&self) -> Vec<Event> {
         std::mem::take(&mut *self.events.lock().expect("memory sink poisoned"))
@@ -324,6 +331,20 @@ mod tests {
             assert_eq!(e.clock.shard, 3);
             assert_eq!(e.clock.seq, i as u64);
         }
+    }
+
+    #[test]
+    fn events_from_copies_only_the_suffix() {
+        let mem = MemorySink::new();
+        let mut rec = Recorder::new(SinkHandle::new(mem.clone()), 0);
+        for base in 0..5 {
+            rec.emit(EventKind::CaseRejected { base, kept: false });
+        }
+        let all = mem.events();
+        assert_eq!(mem.events_from(0), all);
+        assert_eq!(mem.events_from(3), all[3..]);
+        assert!(mem.events_from(5).is_empty());
+        assert!(mem.events_from(9).is_empty());
     }
 
     #[test]
